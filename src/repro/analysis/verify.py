@@ -8,10 +8,10 @@ supposed to preserve, so a bug in a pass surfaces as a structured
   uniquely named, the entry resolves, every branch target resolves,
   unreachable blocks are flagged;
 * **optimizer discipline** (:func:`check_optimized_program`) -- the
-  optimizer's output shares no statement or expression object across
-  statements nor with its own input (passes own their state), and the
-  reserved ``__cse*`` temporaries are never read before being written
-  (via reaching definitions);
+  optimizer's output shares no statement object across positions nor
+  with its own input (passes own their state), and the reserved
+  ``__cse*`` temporaries are never read before being written (via
+  reaching definitions);
 * **selection shape** (:func:`check_block_structure`) -- selected block
   codes mirror the reachable blocks one-to-one and control instances
   appear exactly in terminator pseudo-codes;
@@ -185,44 +185,12 @@ def _statement_label(statement) -> str:
     return ""
 
 
-def _expression_roots(statement) -> List[object]:
-    roots = [statement.expression]
-    if statement.destination_index is not None:
-        roots.append(statement.destination_index)
-    return roots
-
-
-def _collect_node_ids(roots, ids: Set[int]) -> None:
-    """Add the object identity of every node under ``roots`` to ``ids``
-    (which doubles as the visited set -- one set, one membership test)."""
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        node_id = id(node)
-        if node_id in ids:
-            continue
-        ids.add(node_id)
-        operands = getattr(node, "operands", None)
-        if operands:
-            stack.extend(operands)
-        else:
-            children = getattr(node, "children", None)
-            if children is not None:
-                stack.extend(children())
-            index = getattr(node, "index", None)
-            if index is not None and not isinstance(index, int):
-                stack.append(index)
-
-
 def snapshot_program_ids(program) -> Set[int]:
-    """Object identities of every statement and expression node -- taken
-    before the optimizer runs, to prove its output aliases none of them."""
-    ids: Set[int] = set()
-    for block in program.blocks:
-        for statement in block.statements:
-            ids.add(id(statement))
-            _collect_node_ids(_expression_roots(statement), ids)
-    return ids
+    """Object identities of every statement -- taken before the optimizer
+    runs, to prove its output reuses none of them."""
+    return {
+        id(statement) for block in program.blocks for statement in block.statements
+    }
 
 
 def check_optimized_program(
@@ -232,14 +200,15 @@ def check_optimized_program(
 ) -> List[Finding]:
     """Optimizer-output discipline.
 
-    Within one statement the optimizer may (and does) share expression
-    nodes -- rebuilt trees cache DAG-identical subtrees -- but sharing
-    *across* statements would let a later rewrite corrupt an unrelated
-    statement, and sharing with the pre-optimization input would break
-    the pass-owns-its-state contract.  Reserved optimizer temporaries
-    (``__cse*``, ``__licm*``, ``__sr*``) must be definitely assigned
-    before every read -- in particular a ``__licm*`` definition must
-    dominate the loop it was hoisted out of (preheader discipline).
+    Statements are mutable, so every position must hold its own
+    :class:`~repro.ir.program.Statement` object, and none may be one of
+    the pre-optimization input's: a later rewrite of one statement would
+    otherwise silently change another, or the caller's program.
+    Expression trees are frozen and may be shared freely.  Reserved
+    optimizer temporaries (``__cse*``, ``__licm*``, ``__sr*``) must be
+    definitely assigned before every read -- in particular a ``__licm*``
+    definition must dominate the loop it was hoisted out of (preheader
+    discipline).
     """
     findings: List[Finding] = []
     owner: Dict[int, str] = {}
@@ -256,30 +225,15 @@ def check_optimized_program(
                     )
                 )
             owner[id(statement)] = where
-            mine: Set[int] = set()
-            _collect_node_ids(_expression_roots(statement), mine)
-            for node_id in mine:
-                previous = owner.get(node_id)
-                if previous is not None and previous != where:
-                    findings.append(
-                        Finding(
-                            "alias",
-                            "error",
-                            "expression node shared with statement %s" % previous,
-                            where,
-                        )
+            if before_ids and id(statement) in before_ids:
+                findings.append(
+                    Finding(
+                        "alias",
+                        "error",
+                        "optimizer output aliases its input program",
+                        where,
                     )
-                owner[node_id] = where
-            if before_ids:
-                if id(statement) in before_ids or mine & before_ids:
-                    findings.append(
-                        Finding(
-                            "alias",
-                            "error",
-                            "optimizer output aliases its input program",
-                            where,
-                        )
-                    )
+                )
     # The use-before-def sweep needs full use--def chains; optimizer
     # temps land in ``scalars``, so skip it when none were introduced.
     if not any(name.startswith(temp_prefix) for name in program.scalars):

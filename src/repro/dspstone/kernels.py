@@ -22,6 +22,7 @@ from typing import Dict, List, Optional
 from repro.diagnostics import KernelError
 from repro.frontend.lowering import lower_to_program
 from repro.ir.program import Program
+from repro.opt.pipeline import copy_program
 
 
 @dataclass(frozen=True)
@@ -375,7 +376,21 @@ def get_kernel(name: str) -> Kernel:
         )
 
 
+#: Kernel name -> its lowered program, filled on first use (lowering at
+#: import would slow down every ``import repro``).
+_LOWERED: Dict[str, Program] = {}
+
+
 def kernel_program(name: str) -> Program:
-    """Parse and lower a kernel into its IR program."""
-    kernel = get_kernel(name)
-    return lower_to_program(kernel.source, name=kernel.name)
+    """A kernel's IR program.
+
+    The constant source is lexed, parsed and lowered once per process;
+    every call returns a structural copy (fresh program, blocks and
+    statements sharing the frozen expression trees), so callers may
+    mutate what they get without affecting later calls.
+    """
+    program = _LOWERED.get(name)
+    if program is None:
+        kernel = get_kernel(name)
+        program = _LOWERED[name] = lower_to_program(kernel.source, name=kernel.name)
+    return copy_program(program)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List
 
@@ -26,10 +27,22 @@ MAX_SOURCE_BYTES = 1 << 20
 
 _KEYWORDS = {"int", "if", "else", "while", "do"}
 
-# Longest first so that "<<" wins over "<" and "&&" over "&".
-_SYMBOLS = ["<<", ">>", "==", "!=", "<=", ">=", "&&", "||",
-            "+", "-", "*", "/", "%", "&", "|", "^", "~", "!",
-            "=", ";", ",", "(", ")", "[", "]", "{", "}", "<", ">"]
+#: One alternative per token class, tried in this order at each position.
+#: Identifier and number *starts* are ASCII here; other characters take
+#: the ``str.isalpha``/``str.isdigit`` fallback in :func:`tokenize_source`,
+#: and ``\w`` continues a word over exactly ``str.isalnum`` plus ``_``.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)"
+    r"|(?P<space>[ \t\r]+)"
+    r"|(?P<comment>//[^\n]*)"
+    r"|(?P<block>/\*)"
+    r"|(?P<word>[A-Za-z_]\w*)"
+    r"|(?P<number>[0-9][^\W_]*)"
+    # Longest first so that "<<" wins over "<" and "&&" over "&".
+    r"|(?P<symbol><<|>>|==|!=|<=|>=|&&|\|\||[-+*/%&|^~!=;,()\[\]{}<>])"
+)
+_WORD_TAIL = re.compile(r"\w*")
+_NUMBER_TAIL = re.compile(r"[^\W_]*")
 
 
 @dataclass(frozen=True)
@@ -37,6 +50,14 @@ class SourceToken:
     kind: str  # "ident" | "number" | "keyword" | "symbol" | "eof"
     text: str
     line: int
+
+
+def _number(word: str, line: int) -> SourceToken:
+    try:
+        int(word, 0)
+    except ValueError:
+        raise SourceSyntaxError("invalid number %r" % word, line)
+    return SourceToken("number", word, line)
 
 
 def tokenize_source(text: str, max_bytes: int = MAX_SOURCE_BYTES) -> List[SourceToken]:
@@ -47,57 +68,42 @@ def tokenize_source(text: str, max_bytes: int = MAX_SOURCE_BYTES) -> List[Source
             % (len(text), max_bytes)
         )
     tokens: List[SourceToken] = []
+    match = _TOKEN.match
     index = 0
     line = 1
     length = len(text)
     while index < length:
-        char = text[index]
-        if char == "\n":
+        found = match(text, index)
+        if found is None:
+            char = text[index]
+            if char.isalpha():  # a non-ASCII letter starts an identifier
+                end = _WORD_TAIL.match(text, index + 1).end()
+                tokens.append(SourceToken("ident", text[index:end], line))
+            elif char.isdigit():
+                end = _NUMBER_TAIL.match(text, index + 1).end()
+                tokens.append(_number(text[index:end], line))
+            else:
+                raise SourceSyntaxError("unexpected character %r" % char, line)
+            index = end
+            continue
+        kind = found.lastgroup
+        index = found.end()
+        if kind == "word":
+            word = found.group()
+            tokens.append(
+                SourceToken("keyword" if word in _KEYWORDS else "ident", word, line)
+            )
+        elif kind == "symbol":
+            tokens.append(SourceToken("symbol", found.group(), line))
+        elif kind == "newline":
             line += 1
-            index += 1
-            continue
-        if char in " \t\r":
-            index += 1
-            continue
-        if text.startswith("//", index):
-            while index < length and text[index] != "\n":
-                index += 1
-            continue
-        if text.startswith("/*", index):
-            end = text.find("*/", index + 2)
+        elif kind == "number":
+            tokens.append(_number(found.group(), line))
+        elif kind == "block":
+            end = text.find("*/", index)
             if end < 0:
                 raise SourceSyntaxError("unterminated block comment", line)
             line += text.count("\n", index, end)
             index = end + 2
-            continue
-        if char.isalpha() or char == "_":
-            start = index
-            while index < length and (text[index].isalnum() or text[index] == "_"):
-                index += 1
-            word = text[start:index]
-            kind = "keyword" if word in _KEYWORDS else "ident"
-            tokens.append(SourceToken(kind, word, line))
-            continue
-        if char.isdigit():
-            start = index
-            while index < length and (text[index].isalnum()):
-                index += 1
-            word = text[start:index]
-            try:
-                int(word, 0)
-            except ValueError:
-                raise SourceSyntaxError("invalid number %r" % word, line)
-            tokens.append(SourceToken("number", word, line))
-            continue
-        matched = False
-        for symbol in _SYMBOLS:
-            if text.startswith(symbol, index):
-                tokens.append(SourceToken("symbol", symbol, line))
-                index += len(symbol)
-                matched = True
-                break
-        if matched:
-            continue
-        raise SourceSyntaxError("unexpected character %r" % char, line)
     tokens.append(SourceToken("eof", "", line))
     return tokens

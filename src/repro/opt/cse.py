@@ -31,14 +31,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.ir.expr import VarRef, expr_variables
 from repro.ir.program import BasicBlock, Program, Statement
-from repro.opt.dag import (
-    DAGNode,
-    ExprDAG,
-    ProgramDAG,
-    _make_expr,
-    copy_expr,
-    copy_terminator,
-)
+from repro.opt.dag import DAGNode, ExprDAG, ProgramDAG, _make_expr
 
 #: Prefix of compiler-generated CSE temporaries.
 TEMP_PREFIX = "__cse"
@@ -159,14 +152,11 @@ def eliminate_common_subexpressions(
                 dag, root, candidates, materialized, hoisted, alloc_temp, stats
             )
             statements.extend(hoisted)
-            destination_index = statement.destination_index
-            if destination_index is not None:
-                destination_index = copy_expr(destination_index)
             statements.append(
                 Statement(
                     destination=statement.destination,
                     expression=expression,
-                    destination_index=destination_index,
+                    destination_index=statement.destination_index,
                 )
             )
         temps.extend(sorted(materialized.values()))
@@ -174,7 +164,7 @@ def eliminate_common_subexpressions(
             BasicBlock(
                 name=block.name,
                 statements=statements,
-                terminator=copy_terminator(block.terminator),
+                terminator=block.terminator,
             )
         )
     return Program(
@@ -199,9 +189,9 @@ def eliminate_dead_temporaries(
     passes exactly the set the CSE stage materialized, so a *user*
     variable that happens to be called ``__cse0`` is never touched; when
     ``temps`` is ``None`` (standalone use) any ``temp_prefix``-named
-    destination counts.  Statements (and their expression trees) are
-    reused from the input program object -- callers needing full copy
-    hygiene copy afterwards (see :class:`~repro.opt.pipeline.OptPipeline`).
+    destination counts.  Statements are reused from the input program
+    object -- callers needing fresh statements copy afterwards (see
+    :class:`~repro.opt.pipeline.OptPipeline`).
 
     On straight-line programs this is the classic backward liveness
     sweep.  On CFG programs it stays conservative across block

@@ -102,26 +102,6 @@ class ExprDAG:
             self.uses[child] += 1
         return node_id
 
-    def to_expr(self, node_id: int) -> IRNode:
-        """Rebuild a fresh IR expression tree for one DAG node
-        (explicit-stack post-order; deep chains never hit the recursion
-        limit).  Every returned node object is newly constructed."""
-        built: Dict[int, IRNode] = {}
-        stack: List[Tuple[int, bool]] = [(node_id, False)]
-        while stack:
-            current, expanded = stack.pop()
-            if current in built:
-                continue
-            node = self.nodes[current]
-            if not expanded and node.children:
-                stack.append((current, True))
-                for child in node.children:
-                    if child not in built:
-                        stack.append((child, False))
-                continue
-            built[current] = _make_expr(node, [built[c] for c in node.children])
-        return built[node_id]
-
 
 def _make_expr(node: DAGNode, children: List[IRNode]) -> IRNode:
     if node.kind == "const":
@@ -314,27 +294,3 @@ def build_block_dag(block: BasicBlock) -> ProgramDAG:
     for statement in block.statements:
         builder.add_statement(statement)
     return builder
-
-
-def copy_expr(expr: IRNode) -> IRNode:
-    """A fresh, alias-free copy of one expression tree (explicit-stack,
-    via the interning machinery's rebuilders)."""
-    builder = ProgramDAG()
-    return builder.dag.to_expr(builder.intern_expr(expr))
-
-
-def copy_terminator(terminator):
-    """A fresh copy of a block terminator (``None`` passes through)."""
-    from repro.ir.program import CBranch, Jump
-
-    if terminator is None:
-        return None
-    if isinstance(terminator, Jump):
-        return Jump(target=terminator.target)
-    if isinstance(terminator, CBranch):
-        return CBranch(
-            condition=copy_expr(terminator.condition),
-            true_target=terminator.true_target,
-            false_target=terminator.false_target,
-        )
-    raise TypeError("unexpected terminator %r" % type(terminator).__name__)

@@ -199,12 +199,13 @@ def fold_expr(
     supported_ops: Optional[Set[str]] = None,
     rewrites: Optional[Dict[str, int]] = None,
 ) -> IRNode:
-    """Fold one expression bottom-up, returning a *fresh* tree.
+    """Fold one expression bottom-up.
 
-    Every output node is newly constructed (never aliased with the
-    input), out-of-range constants are canonicalized through
-    :func:`repro.ir.wrap_word`, and each rebuilt node is rewritten to a
-    local fixpoint, so ``mul(add(x, 0), 1)`` collapses in one pass.
+    Subtrees that no rule changes are returned as they are (the nodes
+    are frozen, so sharing them with the input is safe); changed nodes
+    are rebuilt.  Out-of-range constants are canonicalized through
+    :func:`repro.ir.wrap_word`, and each node is rewritten to a local
+    fixpoint, so ``mul(add(x, 0), 1)`` collapses in one pass.
     ``rewrites`` accumulates per-rule fire counts.
     """
     counts = rewrites if rewrites is not None else {}
@@ -216,13 +217,11 @@ def fold_expr(
             wrapped = wrap_word(node.value)
             if wrapped != node.value:
                 counts["const-wrap"] = counts.get("const-wrap", 0) + 1
-            results.append(Const(wrapped))
+                node = Const(wrapped)
+            results.append(node)
             continue
-        if isinstance(node, VarRef):
-            results.append(VarRef(node.name))
-            continue
-        if isinstance(node, PortInput):
-            results.append(PortInput(node.port))
+        if isinstance(node, (VarRef, PortInput)):
+            results.append(node)
             continue
         if isinstance(node, ArrayRef):
             if not expanded:
@@ -232,7 +231,7 @@ def fold_expr(
             index = results.pop()
             # The access itself never folds (the element is unknown until
             # runtime); only its index expression does.
-            results.append(ArrayRef(node.name, index))
+            results.append(node if index is node.index else ArrayRef(node.name, index))
             continue
         if not isinstance(node, Op):
             raise TypeError("unexpected IR node %r" % type(node).__name__)
@@ -242,9 +241,10 @@ def fold_expr(
                 stack.append((operand, False))
             continue
         arity = len(node.operands)
-        children = results[len(results) - arity:] if arity else []
+        children = tuple(results[len(results) - arity:]) if arity else ()
         del results[len(results) - arity:]
-        rebuilt: IRNode = Op(node.op, tuple(children))
+        unchanged = all(child is operand for child, operand in zip(children, node.operands))
+        rebuilt: IRNode = node if unchanged else Op(node.op, children)
         while isinstance(rebuilt, Op):
             replaced = _rewrite_once(rebuilt, supported_ops)
             if replaced is None:

@@ -46,7 +46,7 @@ from repro.opt.cse import (
     _candidate_ids,
     _rebuild_with_temps,
 )
-from repro.opt.dag import GlobalProgramDAG, copy_expr, copy_terminator
+from repro.opt.dag import GlobalProgramDAG
 
 
 def _dominator_sets(
@@ -288,14 +288,11 @@ def global_value_numbering(
                 dag.dag, root, candidates, materialized, hoisted, alloc_temp, stats
             )
             statements.extend(hoisted)
-            destination_index = statement.destination_index
-            if destination_index is not None:
-                destination_index = copy_expr(destination_index)
             statements.append(
                 Statement(
                     destination=statement.destination,
                     expression=expression,
-                    destination_index=destination_index,
+                    destination_index=statement.destination_index,
                 )
             )
         rebuilt[name] = statements
@@ -317,12 +314,8 @@ def global_value_numbering(
             statements = [
                 Statement(
                     destination=statement.destination,
-                    expression=copy_expr(statement.expression),
-                    destination_index=(
-                        None
-                        if statement.destination_index is None
-                        else copy_expr(statement.destination_index)
-                    ),
+                    expression=statement.expression,
+                    destination_index=statement.destination_index,
                 )
                 for statement in block.statements
             ]
@@ -331,7 +324,7 @@ def global_value_numbering(
             BasicBlock(
                 name=block.name,
                 statements=statements,
-                terminator=copy_terminator(block.terminator),
+                terminator=block.terminator,
             )
         )
 

@@ -47,7 +47,6 @@ from repro.ir.expr import (
 )
 from repro.ir.program import BasicBlock, CBranch, Jump, Program, Statement
 from repro.opt.cse import MIN_OCCURRENCES, MIN_OPS
-from repro.opt.dag import copy_expr
 
 #: Prefix of loop-invariant code motion temporaries.
 LICM_TEMP_PREFIX = "__licm"
@@ -304,7 +303,7 @@ def hoist_loop_invariants(
             _key, pattern, _count = candidates[0]
             temp = alloc_temp()
             preheader.statements.append(
-                Statement(destination=temp, expression=copy_expr(pattern))
+                Statement(destination=temp, expression=pattern)
             )
             for index, statement in enumerate(block.statements):
                 expression = _replace_equal(statement.expression, pattern, temp)

@@ -7,7 +7,7 @@ stages -- ``fold`` (constant folding / algebraic simplification),
 :mod:`repro.opt.licm`), ``gvn`` (dominator-ordered global CSE,
 :mod:`repro.opt.gvn`), ``cse`` (the historical block-local CSE) and
 ``dce`` (dead-temporary elimination) -- over an IR
-:class:`~repro.ir.Program` and returns a *fresh* optimized program plus
+:class:`~repro.ir.Program` and returns a new optimized program plus
 an :class:`OptStats` record.  The default stage list runs the global
 optimizer (``gvn`` subsumes ``cse``; ``cse`` remains selectable for
 block-local comparisons).
@@ -17,18 +17,18 @@ self-loops of the result carry :class:`~repro.ir.program.HardwareLoop`
 annotations in ``Program.hw_loops``, the hook the backend's
 zero-overhead repeat lowering keys on.
 
-Copy hygiene is part of the contract: the returned program never shares
-statement or expression objects with the input (mirroring the
-``code.instances`` aliasing rules of the pass pipeline), so callers may
-mutate either side freely.  The pipeline is target-independent; passing
-the target grammar's operator vocabulary as ``supported_ops`` merely
-gates operator-introducing rewrites (see :mod:`repro.opt.fold`).
+The returned program, its blocks and its statements are fresh objects,
+so callers may mutate either side freely; expression trees and
+terminators are frozen and may be shared with the input.  The pipeline
+is target-independent; passing the target grammar's operator vocabulary
+as ``supported_ops`` merely gates operator-introducing rewrites (see
+:mod:`repro.opt.fold`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
 from repro.diagnostics import ReproError
 from repro.ir.program import BasicBlock, CBranch, Program, Statement
@@ -39,7 +39,6 @@ from repro.opt.cse import (
     eliminate_common_subexpressions,
     eliminate_dead_temporaries,
 )
-from repro.opt.dag import ProgramDAG, copy_expr, copy_terminator
 from repro.opt.fold import fold_expr, fold_statement, split_rewrite_counts
 
 
@@ -139,40 +138,29 @@ def _program_nodes(program: Program) -> int:
 
 
 def copy_program(program: Program) -> Program:
-    """A deep, alias-free copy: fresh program, blocks, statements and
-    expression trees.
+    """A structural copy: fresh program, blocks, statement lists and
+    statements, sharing the frozen expression trees and terminators.
 
-    Reuses the DAG machinery's explicit-stack walkers
-    (:meth:`~repro.opt.dag.ProgramDAG.intern_expr` +
-    :meth:`~repro.opt.dag.ExprDAG.to_expr`) rather than a third
-    hand-rolled tree rebuild: ``to_expr`` constructs every node fresh,
-    which is exactly the aliasing guarantee needed here.
+    Everything a pass may mutate is fresh; the trees and terminators are
+    frozen dataclasses, so sharing them is safe.
     """
-    blocks: List[BasicBlock] = []
-    for block in program.blocks:
-        builder = ProgramDAG()
-        roots = [builder.add_statement(statement) for statement in block.statements]
-        blocks.append(
+    return Program(
+        name=program.name,
+        blocks=[
             BasicBlock(
                 name=block.name,
                 statements=[
                     Statement(
-                        destination=statement.destination,
-                        expression=builder.dag.to_expr(root),
-                        destination_index=(
-                            None
-                            if statement.destination_index is None
-                            else copy_expr(statement.destination_index)
-                        ),
+                        statement.destination,
+                        statement.expression,
+                        statement.destination_index,
                     )
-                    for statement, root in zip(block.statements, roots)
+                    for statement in block.statements
                 ],
-                terminator=copy_terminator(block.terminator),
+                terminator=block.terminator,
             )
-        )
-    return Program(
-        name=program.name,
-        blocks=blocks,
+            for block in program.blocks
+        ],
         scalars=list(program.scalars),
         arrays=dict(program.arrays),
         entry=program.entry,
@@ -181,16 +169,16 @@ def copy_program(program: Program) -> Program:
 
 
 def _fold_terminator(terminator, rewrites=None):
-    """A fresh terminator with a folded branch condition (``None`` and
-    unconditional jumps pass through as fresh copies).
+    """The terminator with its branch condition folded (``None`` and
+    unconditional jumps pass through).
 
     The condition never enters code selection (it runs on the branch
     logic), so the *operator-introducing* ``supported_ops`` gating does
     not apply to it -- folding runs ungated, keeping ``while (1)``-style
     conditions cheap.
     """
-    if terminator is None or not isinstance(terminator, CBranch):
-        return copy_terminator(terminator)
+    if not isinstance(terminator, CBranch):
+        return terminator
     return CBranch(
         condition=fold_expr(terminator.condition, rewrites=rewrites),
         true_target=terminator.true_target,

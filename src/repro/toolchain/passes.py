@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.codegen.compaction import InstructionWord, compact, compact_blocks
 from repro.codegen.schedule import schedule_instances
@@ -181,6 +181,14 @@ class PassContext:
     # pass lowers annotated counted latches (``Program.hw_loops``) to
     # zero-overhead ``repeat`` instances instead of ``cbranch``.
     hardware_loops: bool = False
+    # Operator signatures the optimizer may introduce: introducible_ops()
+    # of the selector's grammar, scanned once per session.  Derived from
+    # the selector when not given; None without a selector (ungated).
+    supported_ops: Optional[FrozenSet[str]] = None
+
+    def __post_init__(self) -> None:
+        if self.supported_ops is None and self.selector is not None:
+            self.supported_ops = frozenset(introducible_ops(self.selector.grammar))
 
 
 @dataclass
@@ -287,12 +295,12 @@ class OptimizationPass(Pass):
     """IR optimization ahead of selection: constant folding, algebraic
     rewriting, cross-statement CSE and dead-temporary elimination.
 
-    Replaces ``state.program`` with a *fresh* optimized program (the
-    optimizer guarantees no statement/expression aliasing with the
-    input).  The rewrite itself is target-independent; the target's
-    grammar only *gates* operator-introducing strength reductions (see
-    :func:`introducible_ops`), so a ``mul x 2`` never becomes a shift
-    the processor cannot execute.
+    Replaces ``state.program`` with the optimized program: fresh blocks
+    and statements, frozen expression trees possibly shared with the
+    input.  The rewrite itself is target-independent; the target's
+    grammar only *gates* operator-introducing strength reductions
+    (``context.supported_ops``, see :func:`introducible_ops`), so a
+    ``mul x 2`` never becomes a shift the processor cannot execute.
     """
 
     name = "opt"
@@ -301,12 +309,8 @@ class OptimizationPass(Pass):
         self.pipeline = pipeline if pipeline is not None else OptPipeline()
 
     def run(self, state: CompilationState, context: PassContext) -> None:
-        supported_ops = None
-        selector = context.selector
-        if selector is not None:
-            supported_ops = introducible_ops(selector.grammar)
         program, stats = self.pipeline.run(
-            state.program, supported_ops=supported_ops
+            state.program, supported_ops=context.supported_ops
         )
         state.program = program
         state.opt_stats = stats

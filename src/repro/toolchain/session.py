@@ -39,6 +39,7 @@ from repro.toolchain.passes import (
     PassContext,
     PassManager,
     PipelineConfig,
+    introducible_ops,
 )
 from repro.toolchain.registry import TargetRegistry, TargetSpec, default_registry
 from repro.toolchain.results import CompilationResult
@@ -50,9 +51,9 @@ Source = Union[str, Program]
 class Session:
     """A compilation session: one retargeted processor, one pipeline.
 
-    Construction is the expensive part (selector restriction happens
-    here, memoized per retarget result); ``compile``/``compile_many`` are
-    then cheap and side-effect free.
+    Construction is the expensive part (selector restriction, memoized
+    per retarget result, and the optimizer's grammar scan happen here);
+    ``compile``/``compile_many`` are then cheap and side-effect free.
     """
 
     def __init__(
@@ -77,6 +78,9 @@ class Session:
         )
         self._spill_storage = default_data_memory(retarget_result.netlist)
         self._hardware_loops = self._resolve_hardware_loops()
+        # What the optimizer may introduce on this session's (possibly
+        # restricted) grammar; scanned here once, not per compile.
+        self.supported_ops = frozenset(introducible_ops(self.selector.grammar))
 
     def _resolve_hardware_loops(self) -> bool:
         """Whether this target has a dedicated repeat counter.  An
@@ -144,8 +148,8 @@ class Session:
             state, binding = self._run_pipeline(program, binding_overrides)
             trace = None
         # state.program is the program the backend actually selected --
-        # the optimizer's fresh rewrite when the opt pass ran (it never
-        # aliases the caller's program), the input program otherwise.
+        # the optimizer's rewrite when the opt pass ran (fresh blocks and
+        # statements, never the caller's), the input program otherwise.
         return CompilationResult.from_state(
             program=state.program,
             processor=self.processor,
@@ -168,6 +172,7 @@ class Session:
             netlist=self.retarget_result.netlist,
             config=self.config,
             hardware_loops=self._hardware_loops,
+            supported_ops=self.supported_ops,
         )
         state: CompilationState = self.pass_manager.run(program, context)
         return state, binding

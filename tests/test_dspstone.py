@@ -21,6 +21,18 @@ class TestKernelCollection:
         assert names[0] == "real_update"
         assert "fir" in names and "convolution" in names
 
+    def test_kernel_program_returns_fresh_copies(self):
+        first, second = kernel_program("fir"), kernel_program("fir")
+        assert first is not second
+        assert [str(s) for s in first.blocks[0].statements] == [
+            str(s) for s in second.blocks[0].statements
+        ]
+        for block_a, block_b in zip(first.blocks, second.blocks):
+            assert block_a is not block_b
+            assert block_a.statements is not block_b.statements
+            for statement_a, statement_b in zip(block_a.statements, block_b.statements):
+                assert statement_a is not statement_b
+
     def test_unknown_kernel_rejected(self):
         with pytest.raises(KeyError):
             get_kernel("fft")

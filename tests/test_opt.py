@@ -4,16 +4,36 @@ Covers the value-numbered expression DAG (versioning, use counts),
 constant folding and algebraic rewriting (word-wrap agreement with the
 simulator, port-read and target-capability gates), cross-statement CSE
 with dead-temporary elimination, the composable pipeline with its
-statistics, copy hygiene of optimizer output, and the toolchain/CLI
+statistics, the IR contract of optimizer output and copies (fresh
+blocks and statements, shared frozen trees), and the toolchain/CLI
 integration (``opt`` pass, ``--no-opt``, ``repro opt``).
 """
 
+from dataclasses import FrozenInstanceError, fields
+
 import pytest
 
+from repro.dspstone import kernel_program
 from repro.frontend.lowering import lower_to_program
 from repro.ir import WORD_BITS, wrap_word
-from repro.ir.expr import Const, Op, PortInput, VarRef, evaluate_expr, expr_size
-from repro.ir.program import BasicBlock, Program, Statement
+from repro.ir.expr import (
+    ArrayRef,
+    Const,
+    IRNode,
+    Op,
+    PortInput,
+    VarRef,
+    evaluate_expr,
+    expr_size,
+)
+from repro.ir.program import (
+    BasicBlock,
+    CBranch,
+    HardwareLoop,
+    Jump,
+    Program,
+    Statement,
+)
 from repro.opt import (
     OptimizationError,
     OptPipeline,
@@ -120,13 +140,16 @@ class TestExprDAG:
         builder = build_block_dag(block)
         assert builder.dag.has_port[builder.roots[0]]
 
-    def test_to_expr_builds_fresh_equivalent_trees(self):
+    def test_rebuild_without_candidates_reproduces_trees(self):
+        # Nothing repeats, so rebuilding every statement from its DAG
+        # root materializes no temporary and gives back equal trees.
         original = _add(_mul(VarRef("a"), Const(3)), VarRef("a"))
-        block = BasicBlock(name="entry", statements=[Statement("y", original)])
-        builder = build_block_dag(block)
-        rebuilt = builder.dag.to_expr(builder.roots[0])
-        assert structurally_equal(rebuilt, original)
-        assert rebuilt is not original
+        program = _program([Statement("y", original)], scalars=["a", "y"])
+        counters = {}
+        rebuilt = eliminate_common_subexpressions(program, counters=counters)
+        (statement,) = rebuilt.blocks[0].statements
+        assert structurally_equal(statement.expression, original)
+        assert counters == {"cse_hits": 0, "temps_introduced": 0}
 
     def test_port_writes_version_port_reads(self):
         # Writing the output port @OUT between two @OUT reads splits them.
@@ -461,32 +484,22 @@ class TestOptPipeline:
         assert cse_only.statement_count() >= 3
 
     def test_optimizer_output_never_aliases_the_input(self):
+        # Blocks and statements are mutable and must be fresh; the frozen
+        # expression trees may be shared.
         program = lower_to_program(
             "int a, b, y0, y1;\ny0 = a * b + a;\ny1 = a * b + a;\n"
         )
+        input_blocks = {id(block) for block in program.blocks}
+        input_statements = {
+            id(s) for block in program.blocks for s in block.statements
+        }
         for stages in (None, ["fold"], ["cse"], ["dce"], []):
             optimized, _stats = optimize_program(program, stages=stages)
             assert optimized is not program
-            input_statements = {
-                id(s) for block in program.blocks for s in block.statements
-            }
-            input_exprs = set()
-            for block in program.blocks:
-                for statement in block.statements:
-                    stack = [statement.expression]
-                    while stack:
-                        node = stack.pop()
-                        input_exprs.add(id(node))
-                        stack.extend(node.children())
             for block in optimized.blocks:
-                assert block is not program.blocks[0]
+                assert id(block) not in input_blocks, stages
                 for statement in block.statements:
-                    assert id(statement) not in input_statements
-                    stack = [statement.expression]
-                    while stack:
-                        node = stack.pop()
-                        assert id(node) not in input_exprs, stages
-                        stack.extend(node.children())
+                    assert id(statement) not in input_statements, stages
 
     def test_mutation_isolation_regression(self):
         # Mutating the input program after optimization must not leak
@@ -502,17 +515,53 @@ class TestOptPipeline:
         optimized.blocks[0].statements[0].destination = "other"
         assert program.blocks[0].statements[0].destination == "mutated"
 
-    def test_copy_program_is_deep(self):
-        program = lower_to_program("int a, y;\ny = a + 1;\n")
+    def test_copy_program_is_structural(self):
+        program = kernel_program("fir_loop")
+        program.hw_loops["L2_body"] = HardwareLoop("L2_body", 8)
+        before = [
+            (block.name, [str(s) for s in block.statements], block.terminator)
+            for block in program.blocks
+        ]
         clone = copy_program(program)
-        assert clone.blocks[0].statements[0] is not program.blocks[0].statements[0]
-        assert (
-            clone.blocks[0].statements[0].expression
-            is not program.blocks[0].statements[0].expression
+        # The frozen trees and terminators are shared ...
+        assert clone.blocks[0].statements[0].expression is (
+            program.blocks[0].statements[0].expression
         )
-        assert str(clone.blocks[0].statements[0]) == str(
-            program.blocks[0].statements[0]
-        )
+        assert clone.blocks[1].terminator is program.blocks[1].terminator
+        # ... everything mutable is the copy's own.
+        clone.blocks[0].statements.append(Statement("y", Const(1)))
+        clone.blocks[0].statements[0].destination = "i"
+        clone.blocks[0].statements[1].expression = Const(7)
+        clone.blocks[1].terminator = None
+        clone.blocks.pop()
+        clone.scalars.append("__t")
+        clone.arrays["z"] = 2
+        clone.hw_loops.clear()
+        after = [
+            (block.name, [str(s) for s in block.statements], block.terminator)
+            for block in program.blocks
+        ]
+        assert after == before
+        assert "__t" not in program.scalars and "z" not in program.arrays
+        assert program.hw_loops == {"L2_body": HardwareLoop("L2_body", 8)}
+
+    def test_shared_ir_is_frozen(self):
+        # What copies and optimizer output share must be immutable.
+        samples = [
+            Const(1),
+            VarRef("a"),
+            PortInput("IN"),
+            ArrayRef("x", VarRef("i")),
+            Op("neg", (VarRef("a"),)),
+            Jump("exit"),
+            CBranch(VarRef("a"), "body", "exit"),
+            HardwareLoop("body", 4),
+        ]
+        assert set(IRNode.__subclasses__()) <= {type(sample) for sample in samples}
+        for sample in samples:
+            for field in fields(sample):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(sample, field.name, getattr(sample, field.name))
 
     def test_user_variable_with_temp_like_name_is_preserved(self):
         # A user is free to declare a scalar called "__cse0": its

@@ -15,6 +15,8 @@ from repro.diagnostics import (
 from repro.dspstone import all_kernel_names, get_kernel, kernel_program
 from repro.frontend import LoweringError, SourceSyntaxError
 from repro.hdl.errors import HdlParseError
+from repro.ir.expr import Const
+from repro.ir.program import Statement
 from repro.record.compiler import CompilerOptions, RecordCompiler, restricted_selector
 from repro.targets import all_target_names, target_hdl_source
 from repro.toolchain import (
@@ -254,6 +256,59 @@ class TestSession:
         summary = Session(demo_result).summary()
         assert summary["processor"] == "demo"
         assert "select" in summary["passes"]
+
+
+class TestWarmPath:
+    """Constant per-compile work is done once: kernels are lowered once
+    per process, the optimizer's grammar scan once per session."""
+
+    def test_mutating_a_kernel_program_leaves_later_compiles_unchanged(self, tms_result):
+        session = Session(tms_result)
+        before = session.compile_kernel("fir")
+        program = kernel_program("fir")
+        program.blocks[0].statements.append(Statement("y", Const(1)))
+        after = session.compile_kernel("fir")
+        assert after.listing() == before.listing()
+        assert after.code_size == before.code_size
+
+    def test_no_grammar_scan_per_compile(self, tms_result, monkeypatch):
+        import repro.toolchain.passes as passes_module
+        import repro.toolchain.session as session_module
+
+        calls = []
+        scan = passes_module.introducible_ops
+
+        def counting_scan(grammar):
+            calls.append(grammar)
+            return scan(grammar)
+
+        monkeypatch.setattr(passes_module, "introducible_ops", counting_scan)
+        monkeypatch.setattr(session_module, "introducible_ops", counting_scan)
+        session = Session(tms_result)
+        assert len(calls) == 1
+        for name in ("fir", "fir_loop"):
+            session.compile_kernel(name)
+            session.compile(get_kernel(name).source)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("preset", ["no-chained", "conventional"])
+    def test_restricted_session_gates_on_its_own_grammar(self, ref_result, preset, monkeypatch):
+        from repro.opt.pipeline import OptPipeline
+        from repro.toolchain.passes import introducible_ops
+
+        session = Session(ref_result, config=PipelineConfig.preset(preset))
+        assert session.selector.grammar is not ref_result.grammar
+        assert session.supported_ops == introducible_ops(session.selector.grammar)
+        seen = []
+        run = OptPipeline.run
+
+        def spying_run(self, program, supported_ops=None, observer=None):
+            seen.append(supported_ops)
+            return run(self, program, supported_ops=supported_ops, observer=observer)
+
+        monkeypatch.setattr(OptPipeline, "run", spying_run)
+        session.compile_kernel("fir")
+        assert seen == [session.supported_ops]
 
 
 # ---------------------------------------------------------------------------

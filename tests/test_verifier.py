@@ -2,8 +2,9 @@
 
 Three layers of coverage:
 
-* unit tests for each check (CFG well-formedness, optimizer alias/CSE
-  discipline, word-level dependence checks, spill-metric honesty);
+* unit tests for each check (CFG well-formedness, optimizer statement
+  ownership and CSE discipline, word-level dependence checks,
+  spill-metric honesty);
 * regression replays: the verifier statically re-detects all three
   historical backend bugs (the spill-reload clobber, the scheduler's
   WAR hoist, an unmatched spill reload) from the instance stream alone,
@@ -153,17 +154,27 @@ class TestCheckOptimizedProgram:
     def test_fresh_program_is_clean(self):
         assert check_optimized_program(_branching_program()) == []
 
-    def test_expression_shared_across_statements(self):
-        shared = Op("add", (VarRef("a"), Const(1)))
+    def test_statement_shared_across_positions(self):
+        statement = Statement("x", Op("add", (VarRef("a"), Const(1))))
         program = Program(
             "aliased",
-            [BasicBlock("entry", [Statement("x", shared),
-                                  Statement("y", shared)])],
-            scalars=["a", "x", "y"],
+            [BasicBlock("entry", [statement, statement])],
+            scalars=["a", "x"],
         )
         findings = _errors(check_optimized_program(program))
-        assert any(f.check == "alias" for f in findings)
-        assert any("entry[0]" in f.message for f in findings)
+        assert [f.check for f in findings] == ["alias"]
+        assert "entry[0]" in findings[0].message
+
+    def test_frozen_trees_may_be_shared(self):
+        shared = Op("add", (VarRef("a"), Const(1)))
+        program = _branching_program()
+        before = snapshot_program_ids(program)
+        optimized = Program(
+            "shared",
+            [BasicBlock("entry", [Statement("x", shared), Statement("y", shared)])],
+            scalars=["a", "x", "y"],
+        )
+        assert check_optimized_program(optimized, before_ids=before) == []
 
     def test_output_aliasing_the_input_program(self):
         program = _branching_program()
