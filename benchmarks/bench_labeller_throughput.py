@@ -1,20 +1,19 @@
 """Table-driven vs. interpretive BURS labelling throughput.
 
 The paper's selectors are iburg-generated table matchers; our
-:class:`~repro.selector.burs.CodeSelector` gained the same architecture
-(offline-compiled match programs, precomputed chain closure, structural
-labelling memo with lazy state instantiation, per-node state reuse).
-This benchmark measures what that buys on the TMS320C25 grammar and
-asserts the table-driven path labels at least 3x the interpretive
-baseline's throughput.
+:class:`~repro.selector.burs.CodeSelector` is an on-demand tree-parsing
+automaton over tables compiled offline (the grammar's depth-one normal
+form, precomputed chain closure) with memoized transitions between
+cost-normalized states.  This benchmark measures what that buys on the
+TMS320C25 grammar and asserts the table-driven path labels at least 3x
+the interpretive baseline's throughput.
 
 Methodology: every measured pass labels **freshly built subject trees**
 (new ``SubjectNode`` objects, as every real compile produces), so the
-asserted number exercises the structural-memo path -- first-touch
-labelling plus steady-state memo hits across a repetitive batch stream --
-and can never be satisfied by the per-node same-tree cache alone.  The
-same-tree relabelling regime (``node_cost`` probes, ISE loops) and the
-fully memo-less regime are reported as separate, unasserted numbers.  A
+asserted number covers first-touch transitions plus steady-state memo
+hits across a repetitive batch stream.  The same-tree relabelling regime
+(repeated ``node_cost`` probes) and the memo-less regime (every node
+computes its transition) are reported as separate, unasserted numbers.  A
 differential harness first proves both matchers produce byte-identical
 covers (cost and rule index sequence per statement), so the speedup is
 never bought with a different answer.
@@ -122,7 +121,7 @@ def measure_fresh_tree_throughput(
 
 def measure_relabel_throughput(selector: CodeSelector, tms_result) -> float:
     """Nodes per second relabelling the *same* tree objects repeatedly
-    (the node_cost / ISE-loop regime served by the per-node cache)."""
+    (the repeated ``node_cost`` regime: every node is one memo hit)."""
     subjects = build_workload(tms_result)
     nodes_per_pass = sum(subject.size() for subject in subjects)
     for subject in subjects:  # warm

@@ -9,7 +9,7 @@ nodes.  This benchmark measures that on the TMS320C25:
   over a suite, measured through a *memo-disabled* selector
   (``memo_size=0``) so every subject node the matcher visits is counted
   exactly once: the number is the true subject-tree workload, not an
-  artifact of a warm structural memo.  The CSE-heavy synthetic suite
+  artifact of a warm memo.  The CSE-heavy synthetic suite
   must shrink by at least ``NODES_REDUCTION_FLOOR`` (20%); the DSPStone
   kernels (no repeated subexpressions, no literal arithmetic) are
   reported unasserted as the no-opportunity baseline.
@@ -89,7 +89,7 @@ def build_kernel_suite() -> List[Tuple[str, object]]:
 
 
 def _memoless_session(tms_result, use_optimizer: bool) -> Session:
-    """A session whose selector labels every node (no structural memo),
+    """A session whose selector labels every node (memo disabled),
     so ``metrics.nodes_labelled`` counts the full subject-tree workload."""
     session = Session(
         tms_result, config=PipelineConfig(use_optimizer=use_optimizer)

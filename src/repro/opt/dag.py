@@ -1,11 +1,9 @@
 """Interned expression DAGs over the IR (program-scoped value numbering).
 
-The selector-side :class:`~repro.selector.subject.StructurePool` hash-conses
-*subject trees* so the labeller can memoize node states.  This module does
-the analogous interning one level up, on :mod:`repro.ir` expression trees,
-but *scoped to one program region*: two occurrences of an expression share
-one DAG node exactly when they are structurally identical **and** provably
-compute the same value at both occurrence sites.
+This module interns :mod:`repro.ir` expression trees *scoped to one
+program region*: two occurrences of an expression share one DAG node
+exactly when they are structurally identical **and** provably compute the
+same value at both occurrence sites.
 
 That second condition is what plain structural hashing cannot give: in ::
 

@@ -5,16 +5,17 @@ of the tree in the processor's tree grammar.  The paper generates a tree
 parser with iburg; this package provides the equivalent machinery in
 Python:
 
-* :mod:`repro.selector.burs` -- a BURS-style dynamic-programming labeller
-  and reducer working directly on a tree grammar (label pass computes, for
-  every node and non-terminal, the cheapest rule with chain-rule closure;
-  the reduce pass walks the optimal derivation top-down);
+* :mod:`repro.selector.burs` -- a BURS labeller and reducer: an on-demand
+  tree-parsing automaton gives every node its state (per non-terminal, the
+  cheapest rule with chain-rule closure) through one memoized transition;
+  the reduce pass walks the optimal derivation top-down;
 * :mod:`repro.selector.emit` -- generation of a stand-alone, grammar-specific
   matcher module, mirroring iburg's generated C parser;
-* :mod:`repro.selector.tables` -- the precomputed rule tables shared by both.
+* :mod:`repro.selector.tables` -- the precomputed rule tables both build
+  on (match programs, the grammar's depth-one normal form, chain closure).
 """
 
-from repro.selector.subject import StructurePool, SubjectNode, default_structure_pool
+from repro.selector.subject import SubjectNode
 from repro.selector.burs import (
     CodeSelector,
     Match,
@@ -33,10 +34,8 @@ __all__ = [
     "Reduction",
     "SelectionError",
     "SelectionResult",
-    "StructurePool",
     "SubjectNode",
     "chain_closure_from",
     "compile_matcher_module",
-    "default_structure_pool",
     "emit_matcher_source",
 ]

@@ -12,29 +12,32 @@ costs, mirroring the guarantee of parsers generated by iburg.
 
 Two matcher backends share this guarantee and produce identical covers:
 
-* ``matcher="tables"`` (the default) drives selection entirely from the
-  offline-compiled :class:`~repro.selector.tables.GrammarTables`: rule
-  patterns run as linearized match programs (a non-recursive loop over
-  instruction tuples), chain-rule closure is a precomputed per-nonterminal
-  ``(delta_cost, rule_path)`` matrix applied directly (no per-node
-  fixpoint), and node states are memoized twice over: by hash-consed
-  subtree structure (:meth:`~repro.selector.subject.SubjectNode.structure_id`)
-  in a bounded memo whose hits bind the stored template to the concrete
-  node lazily (:class:`_LazyState`), so structurally repeated expressions
-  -- across statements and across pooled service requests -- label once,
-  and on the subject nodes themselves, so relabelling one tree (repeated
-  ``node_cost`` probes, ISE search loops) reuses its states outright.
-  ``memo_size=0`` disables both;
-* ``matcher="interpretive"`` is the legacy escape hatch: recursive
-  pattern matching over grammar objects and chain closure recomputed at
-  every node.  It is kept for one release as the differential-testing
-  reference (see ``tests/test_selector_differential.py``).
+* ``matcher="tables"`` (the default) is an on-demand tree-parsing
+  automaton (Ertl, Casey and Gregg, PLDI 2006).  A node's *state* maps
+  each non-terminal it derives to the cheapest rule and that rule's cost
+  *relative to the state's cheapest entry*, so subtrees that differ only
+  in absolute cost share one state.  Each subject node gets its state
+  through one memoized transition ``(label, const value, child state ids)
+  -> (state, base cost)``; only a miss computes a state, from the
+  depth-one normal form of
+  :class:`~repro.selector.tables.GrammarTables` and its precomputed chain
+  closure.  A node's absolute cost for a non-terminal is the sum of its
+  children's base costs, plus its transition's base cost, plus the
+  entry's relative cost.  States and transitions depend only on the
+  grammar, so they repeat across statements, programs and requests that
+  never repeat a subtree.  ``memo_size`` bounds the transition memo
+  (``0`` disables it);
+* ``matcher="interpretive"``: recursive pattern matching over grammar
+  objects and chain closure recomputed at every node.  It is the
+  differential-testing oracle (see ``tests/test_selector_differential.py``).
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.grammar.grammar import (
     PatNonterm,
@@ -45,12 +48,12 @@ from repro.grammar.grammar import (
     TreeGrammar,
 )
 from repro.selector.subject import SubjectNode
-from repro.selector.tables import GrammarTables, chain_closure_from
+from repro.selector.tables import GrammarTables, LeafSpec, chain_closure_from
 
 #: Matcher backends accepted by :class:`CodeSelector`.
 MATCHERS = ("tables", "interpretive")
 
-#: Default bound of the labelling memo (distinct subtree structures kept).
+#: Default bound of the transition memo (memoized transitions kept).
 DEFAULT_MEMO_SIZE = 8192
 
 
@@ -67,11 +70,6 @@ class Match:
     # For every non-terminal leaf of the rule pattern (in left-to-right
     # order): the subject node it matched and the required non-terminal.
     leaves: List[Tuple[SubjectNode, str]]
-    # Child-index paths of the leaves inside this node's subtree (parallel
-    # to ``leaves``); filled by the table-driven matcher so node states can
-    # be memoized in a node-independent form.  ``None`` on the interpretive
-    # path and on memo-instantiated matches.
-    paths: Optional[Tuple[Tuple[int, ...], ...]] = None
 
 
 @dataclass
@@ -99,87 +97,79 @@ class SelectionResult:
         return [r.rule.index for r in self.reductions]
 
 
-# State of one subject node: non-terminal -> best match.  Either a plain
-# dict (freshly computed states) or a :class:`_LazyState` (instantiated
-# from a memo template); both expose the same mapping surface.
+# State of one subject node on the interpretive path: non-terminal -> best
+# match, with absolute costs.
 _NodeState = Dict[str, Match]
 
-# Memoized form of a node state: non-terminal -> (cost, rule, leaf specs),
-# where each leaf spec is ``(child-index path, non-terminal)``.
-_StateTemplate = Dict[str, Tuple[int, Rule, Tuple[Tuple[Tuple[int, ...], str], ...]]]
+#: One automaton state entry: ``(cost relative to the state's cheapest
+#: entry, rule, leaf specs)``.  Fresh (inner-pattern) non-terminals carry
+#: rule ``None``; a chain entry's single leaf spec is ``((), source)``.
+_Entry = Tuple[int, Optional[Rule], Tuple[LeafSpec, ...]]
 
 
-class _LazyState:
-    """A node state instantiated from a memo template on demand.
+class _State:
+    """One automaton state.  ``id`` comes from the selector's monotone
+    counter, so a transition keyed on it can never hit for another
+    state."""
 
-    Building every :class:`Match` eagerly on a memo hit costs about as
-    much as recomputing the state, which would defeat the memo for fresh
-    trees.  Instead the template is bound to the concrete node and
-    individual matches materialize (and are cached) only when a
-    non-terminal is actually queried -- the reducer touches one or two per
-    node, so a memo hit stays an order of magnitude cheaper than
-    labelling.
-    """
+    __slots__ = ("id", "entries")
 
-    __slots__ = ("_node", "_template", "_matches")
+    def __init__(self, state_id: int, entries: Dict[str, _Entry]):
+        self.id = state_id
+        self.entries = entries
 
-    def __init__(self, node: SubjectNode, template: _StateTemplate):
+
+def _leaves_at(
+    node: SubjectNode, specs: Tuple[LeafSpec, ...]
+) -> List[Tuple[SubjectNode, str]]:
+    """Resolve leaf specs to the concrete subject nodes below ``node``."""
+    leaves: List[Tuple[SubjectNode, str]] = []
+    for path, nonterminal in specs:
+        leaf = node
+        for index in path:
+            leaf = leaf.children[index]
+        leaves.append((leaf, nonterminal))
+    return leaves
+
+
+class _StateView(Mapping):
+    """One node's automaton state as returned by :meth:`CodeSelector.label`:
+    grammar non-terminal -> :class:`Match` with absolute cost.  Matches
+    are built when looked up, so labelling stays one transition per node."""
+
+    __slots__ = ("_node", "_state", "_base")
+
+    def __init__(self, node: SubjectNode, state: _State, base: int):
         self._node = node
-        self._template = template
-        self._matches: Dict[str, Match] = {}
-
-    def get(self, nonterminal: str, default: Optional[Match] = None) -> Optional[Match]:
-        match = self._matches.get(nonterminal)
-        if match is not None:
-            return match
-        entry = self._template.get(nonterminal)
-        if entry is None:
-            return default
-        cost, rule, leaf_specs = entry
-        leaves: List[Tuple[SubjectNode, str]] = []
-        for path, leaf_nonterminal in leaf_specs:
-            leaf = self._node
-            for index in path:
-                leaf = leaf.children[index]
-            leaves.append((leaf, leaf_nonterminal))
-        match = Match(cost=cost, rule=rule, leaves=leaves)
-        self._matches[nonterminal] = match
-        return match
+        self._state = state
+        self._base = base
 
     def __getitem__(self, nonterminal: str) -> Match:
-        match = self.get(nonterminal)
-        if match is None:
+        cost, rule, specs = self._state.entries[nonterminal]
+        if rule is None:  # a fresh non-terminal of the normal form
             raise KeyError(nonterminal)
-        return match
+        return Match(cost=self._base + cost, rule=rule, leaves=_leaves_at(self._node, specs))
 
-    def __contains__(self, nonterminal: str) -> bool:
-        return nonterminal in self._template
-
-    def __iter__(self):
-        return iter(self._template)
+    def __iter__(self) -> Iterator[str]:
+        for nonterminal, entry in self._state.entries.items():
+            if entry[1] is not None:
+                yield nonterminal
 
     def __len__(self) -> int:
-        return len(self._template)
-
-    def keys(self):
-        return self._template.keys()
-
-    def items(self) -> List[Tuple[str, Match]]:
-        return [(nonterminal, self[nonterminal]) for nonterminal in self._template]
-
-    def values(self) -> List[Match]:
-        return [self[nonterminal] for nonterminal in self._template]
+        return sum(1 for _nonterminal in self)
 
 
 class CodeSelector:
     """A processor-specific code selector for expression trees.
 
     ``matcher`` selects the backend (see module docstring); ``memo_size``
-    bounds the labelling memo of the table-driven backend (``0`` disables
-    memoization, structural and per-node alike).  The selector is safe to
-    share read-only across threads: the grammar tables are immutable after
-    construction and the memo is a plain dict touched only through
-    GIL-atomic operations (a racing clear costs misses, never wrong hits).
+    bounds the transition memo of the automaton (``0`` disables it).  The
+    selector is safe to share read-only across threads: the grammar
+    tables are immutable after construction, and the transition memo and
+    state table are plain dicts touched only through GIL-atomic
+    operations, cleared together on overflow.  State ids are never
+    reused, so a racing clear or two threads interning the same state
+    cost misses, never wrong hits.
     """
 
     def __init__(
@@ -197,37 +187,32 @@ class CodeSelector:
         self.tables = tables if tables is not None else GrammarTables.build(grammar)
         self.matcher = matcher
         self.memo_size = memo_size
-        self._init_runtime()
-
-    def _init_runtime(self) -> None:
-        # Plain dict, read lock-free (GIL-atomic get/set); bounded by
-        # clearing wholesale on overflow, StructurePool-style.  Lost
-        # entries degrade to misses, never to wrong hits.
-        self._memo: Dict[int, _StateTemplate] = {}
         self.memo_hits = 0
         self.memo_misses = 0
         self.nodes_labelled = 0
-        self.node_cache_hits = 0
+        self._init_automaton()
 
-    # The memo (subject-node state cache) is process-local runtime state;
-    # a selector pickled through the retarget cache comes back with a
-    # fresh, empty memo.
+    def _init_automaton(self) -> None:
+        # (label, const value, child state ids...) -> (state, base cost)
+        self._transitions: Dict[tuple, Tuple[_State, int]] = {}
+        # Interning table: state signature -> the state carrying it.
+        self._states: Dict[frozenset, _State] = {}
+        self._state_ids = itertools.count()
+
+    # The automaton is process-local runtime state; a selector pickled
+    # through the retarget cache comes back with an empty one.
+    _RUNTIME = ("_transitions", "_states", "_state_ids")
+
     def __getstate__(self):
-        state = {
-            key: value for key, value in self.__dict__.items() if key != "_memo"
+        return {
+            key: value
+            for key, value in self.__dict__.items()
+            if key not in self._RUNTIME
         }
-        return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        # Selectors pickled by older versions predate the matcher knobs.
-        self.__dict__.setdefault("matcher", "tables")
-        self.__dict__.setdefault("memo_size", DEFAULT_MEMO_SIZE)
-        self.__dict__.setdefault("memo_hits", 0)
-        self.__dict__.setdefault("memo_misses", 0)
-        self.__dict__.setdefault("nodes_labelled", 0)
-        self.__dict__.setdefault("node_cache_hits", 0)
-        self._memo = {}
+        self._init_automaton()
 
     # -- public API -----------------------------------------------------------
 
@@ -235,74 +220,59 @@ class CodeSelector:
         """Optimal cover of ``root`` deriving it from ``goal`` (default: the
         grammar start symbol)."""
         goal = goal if goal is not None else self.grammar.start
-        # The lazy internal pass: memoized subtrees materialize only the
-        # states the reducer actually touches.
-        states: Dict[int, _NodeState] = {}
-        self._label_subtree(root, states)
-        root_state = states[id(root)]
-        if goal not in root_state:
-            raise SelectionError(
-                "expression tree %r has no derivation from %s in the grammar of %s"
-                % (root, goal, self.grammar.processor)
+        if self.matcher == "interpretive":
+            states = self._label_subtree(root)
+            match = states[id(root)].get(goal)
+            if match is None:
+                raise self._underivable(root, goal)
+            return SelectionResult(
+                cost=match.cost, reductions=self._reduce(root, goal, states)
             )
-        reductions = self._reduce(root, goal, states)
-        return SelectionResult(cost=root_state[goal].cost, reductions=reductions)
+        labelled = self._run_automaton(root)
+        root_state, root_base = labelled[id(root)]
+        entry = root_state.entries.get(goal)
+        if entry is None:
+            raise self._underivable(root, goal)
+        # The cover is a right-to-left pre-order walk of the derivation
+        # (explicit stack; safe on arbitrarily deep trees and chain-rule
+        # paths), reversed into children-before-parents order.
+        reductions: List[Reduction] = []
+        stack: List[Tuple[SubjectNode, str]] = [(root, goal)]
+        while stack:
+            node, nonterminal = stack.pop()
+            _cost, rule, specs = labelled[id(node)][0].entries[nonterminal]
+            leaves = _leaves_at(node, specs)
+            reductions.append(
+                Reduction(rule=rule, node=node, nonterminal=nonterminal, leaves=leaves)
+            )
+            stack.extend(leaves)
+        reductions.reverse()
+        return SelectionResult(cost=root_base + entry[0], reductions=reductions)
 
-    def label(self, root: SubjectNode) -> Dict[int, _NodeState]:
+    def label(self, root: SubjectNode) -> Dict[int, Mapping]:
         """The labelling pass: per-node, per-non-terminal optimal costs.
 
-        Returns a state for *every* node of the tree (the historical
-        contract).  With the table-driven matcher, states of already
-        memoized subtrees are instantiated from the memo (lazily, per
-        non-terminal) instead of recomputed; the selector's own hot paths
-        (:meth:`select`, :meth:`node_cost`) use a lazier internal variant
-        that skips memoized subtrees wholesale.
+        Returns a state for every node of the tree, keyed by ``id(node)``:
+        a mapping from grammar non-terminal to :class:`Match` with
+        absolute cost.
         """
-        states: Dict[int, _NodeState] = {}
         if self.matcher == "interpretive":
-            self._label_subtree(root, states)
-            return states
-        use_memo = self.memo_size > 0
-        if use_memo:
-            root.structure_id()  # one walk caches every descendant's id
-        memo = self._memo
-        memo_hits = cache_hits = instantiated = 0
-        for node in root.post_order():
-            key = id(node)
-            if key in states:
-                continue
-            if use_memo:
-                cached = node._label_state
-                if cached is not None and cached[0] is self:
-                    states[key] = cached[1]
-                    cache_hits += 1
-                    continue
-                template = memo.get(node._struct_id)
-                if template is not None:
-                    state = _LazyState(node, template)
-                    states[key] = state
-                    node._label_state = (self, state)
-                    memo_hits += 1
-                    instantiated += 1
-                    continue
-            states[key] = self._compute_state(node, states)
-        self.memo_hits += memo_hits
-        self.node_cache_hits += cache_hits
-        self.nodes_labelled += instantiated
-        return states
+            return self._label_subtree(root)
+        labelled = self._run_automaton(root)
+        return {
+            id(node): _StateView(node, *labelled[id(node)])
+            for node in root.post_order()
+        }
 
     def node_cost(self, root: SubjectNode, goal: Optional[str] = None) -> Optional[int]:
-        """Cost of the optimal cover, or ``None`` when no cover exists.
-
-        Routed through the labelling memo: repeated queries over
-        structurally identical trees reuse cached node states instead of
-        re-labelling from scratch.
-        """
+        """Cost of the optimal cover, or ``None`` when no cover exists."""
         goal = goal if goal is not None else self.grammar.start
-        states: Dict[int, _NodeState] = {}
-        self._label_subtree(root, states)
-        match = states[id(root)].get(goal)
-        return match.cost if match is not None else None
+        if self.matcher == "interpretive":
+            match = self._label_subtree(root)[id(root)].get(goal)
+            return match.cost if match is not None else None
+        state, base = self._run_automaton(root)[id(root)]
+        entry = state.entries.get(goal)
+        return base + entry[0] if entry is not None else None
 
     def stats(self) -> Dict[str, object]:
         """Labeller statistics (memo behaviour and table provenance)."""
@@ -313,9 +283,9 @@ class CodeSelector:
             "memo_hits": self.memo_hits,
             "memo_misses": self.memo_misses,
             "memo_hit_rate": (self.memo_hits / lookups) if lookups else 0.0,
-            "memo_entries": len(self._memo),
+            "memo_entries": len(self._transitions),
             "memo_size": self.memo_size,
-            "node_cache_hits": self.node_cache_hits,
+            "states": len(self._states),
             "table_build_time_s": self.tables.build_time_s,
         }
 
@@ -323,137 +293,120 @@ class CodeSelector:
         self.memo_hits = 0
         self.memo_misses = 0
         self.nodes_labelled = 0
-        self.node_cache_hits = 0
 
     def clear_memo(self) -> None:
-        self._memo.clear()
+        self._transitions.clear()
+        self._states.clear()
 
-    # -- labelling ---------------------------------------------------------------
+    def _underivable(self, root: SubjectNode, goal: str) -> SelectionError:
+        return SelectionError(
+            "expression tree %r has no derivation from %s in the grammar of %s"
+            % (root, goal, self.grammar.processor)
+        )
 
-    def _label_subtree(self, root: SubjectNode, states: Dict[int, _NodeState]) -> None:
-        if self.matcher == "interpretive":
-            for node in root.post_order():
-                if id(node) not in states:
-                    states[id(node)] = self._label_node_interpretive(node, states)
-                    self.nodes_labelled += 1
-            return
-        use_memo = self.memo_size > 0
-        stack: List[Tuple[SubjectNode, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                states[id(node)] = self._compute_state(node, states)
-                continue
-            if id(node) in states:
-                continue
-            if use_memo:
-                cached = node._label_state
-                if cached is not None and cached[0] is self:
-                    states[id(node)] = cached[1]
-                    self.node_cache_hits += 1
-                    continue
-                if self._memo_instantiate(node, states) is not None:
-                    continue
-            stack.append((node, True))
-            for child in reversed(node.children):
-                stack.append((child, False))
+    # -- the automaton -----------------------------------------------------------
 
-    def _memo_instantiate(
-        self, node: SubjectNode, states: Dict[int, _NodeState]
-    ) -> Optional[_NodeState]:
-        """Materialize ``node``'s state from its memoized template, or
-        return ``None`` on a memo miss.  The single memo-hit path: both the
-        eager labelling walk and lazy state resolution go through here, so
-        hit accounting cannot drift."""
-        template = self._memo.get(node.structure_id())
-        if template is None:
-            return None
-        state = _LazyState(node, template)
-        states[id(node)] = state
-        node._label_state = (self, state)
-        self.memo_hits += 1
-        self.nodes_labelled += 1
-        return state
-
-    def _state_of(self, node: SubjectNode, states: Dict[int, _NodeState]) -> _NodeState:
-        """The state of ``node``, materializing lazily from the memo (or by
-        labelling the subtree) when the eager pass skipped it."""
-        state = states.get(id(node))
-        if state is not None:
-            return state
-        if self.matcher == "tables" and self.memo_size > 0:
-            cached = node._label_state
-            if cached is not None and cached[0] is self:
-                states[id(node)] = cached[1]
-                self.node_cache_hits += 1
-                return cached[1]
-            state = self._memo_instantiate(node, states)
-            if state is not None:
-                return state
-        # Memo entry evicted (or memo disabled): label the subtree directly.
-        self._label_subtree(node, states)
-        return states[id(node)]
-
-    # -- table-driven backend ----------------------------------------------------
-
-    def _compute_state(self, node: SubjectNode, states: Dict[int, _NodeState]) -> _NodeState:
-        state: _NodeState = {}
-        for program in self.tables.programs_for(node.label):
-            matched = self._run_program(program, node, states)
-            if matched is None:
-                continue
-            leaf_cost, leaves, paths = matched
-            rule = program.rule
-            cost = rule.cost + leaf_cost
-            best = state.get(rule.lhs)
-            if best is None or cost < best.cost:
-                state[rule.lhs] = Match(cost=cost, rule=rule, leaves=leaves, paths=paths)
-        self._apply_closure(node, state, self.tables.closure_from)
-        self.nodes_labelled += 1
-        if self.memo_size > 0:
-            # A miss is only a miss when the memo was actually consulted.
-            self.memo_misses += 1
-            self._memo_put(node.structure_id(), self._template_of(state))
-            node._label_state = (self, state)
-        return state
-
-    def _run_program(self, program, node, states):
-        """Run one linearized match program against a subject subtree.
-
-        Returns ``(leaf cost, leaves, leaf paths)`` or ``None``; a single
-        loop over constant instruction tuples, no recursion.  Leaf probes
-        go through :meth:`_state_of`: a multi-level pattern may reach below
-        a subtree whose labelling was skipped by a memo hit, in which case
-        the probed node's state materializes lazily from its own template.
-        """
-        stack = [node]
-        cost = 0
-        leaves: List[Tuple[SubjectNode, str]] = []
-        paths: List[Tuple[int, ...]] = []
-        for instruction in program.code:
-            current = stack.pop()
-            if instruction[0]:
-                _, label, value, arity = instruction
-                if current.label != label:
-                    return None
-                if value is not None and current.const_value != value:
-                    return None
-                children = current.children
-                if len(children) != arity:
-                    return None
-                if arity:
-                    stack.extend(reversed(children))
+    def _run_automaton(self, root: SubjectNode) -> Dict[int, Tuple[_State, int]]:
+        """Every node's ``(state, base cost)``, keyed by ``id(node)``: one
+        transition per node, bottom-up over an explicit-stack post-order."""
+        hardwired = self.tables.hardwired_values
+        memo_size = self.memo_size
+        transitions = self._transitions
+        labelled: Dict[int, Tuple[_State, int]] = {}
+        order = root.post_order()
+        misses = 0
+        for node in order:
+            # A state depends on the constant only through the equality
+            # tests of hardwired-value patterns.
+            value = node.const_value
+            if value is not None and value not in hardwired:
+                value = None
+            children = node.children
+            if children:
+                kids = [labelled[id(child)] for child in children]
+                key: tuple = (node.label, value, *[kid[0].id for kid in kids])
+                base = sum([kid[1] for kid in kids])
             else:
-                state = states.get(id(current))
-                if state is None:
-                    state = self._state_of(current, states)
-                match = state.get(instruction[1])
-                if match is None:
-                    return None
-                cost += match.cost
-                leaves.append((current, instruction[1]))
-                paths.append(instruction[2])
-        return cost, leaves, tuple(paths)
+                kids = []
+                key = (node.label, value)
+                base = 0
+            found = transitions.get(key) if memo_size > 0 else None
+            if found is None:
+                misses += 1
+                found = self._transition(
+                    node.label, value, [kid[0] for kid in kids]
+                )
+                if memo_size > 0:
+                    if len(transitions) >= memo_size:
+                        transitions.clear()
+                        self._states.clear()
+                    transitions[key] = found
+            state, delta = found
+            labelled[id(node)] = (state, base + delta)
+        self.nodes_labelled += len(order)
+        if memo_size > 0:
+            self.memo_misses += misses
+            self.memo_hits += len(order) - misses
+        return labelled
+
+    def _transition(
+        self, label: str, value: Optional[int], kids: Sequence[_State]
+    ) -> Tuple[_State, int]:
+        """The state a node with these children's states reaches, and its
+        base cost: the depth-one rules in rule-index order (strict ``<``),
+        the chain closure in insertion order (as :meth:`_apply_closure`),
+        then every cost made relative to the cheapest entry.  Every
+        depth-one rule reads each child once, so leaving the children's
+        base costs out shifts all candidates alike and keeps this exact."""
+        entries: Dict[str, _Entry] = {}
+        for shape in self.tables.shape_rules.get((label, len(kids)), ()):
+            if shape.value is not None and shape.value != value:
+                continue
+            cost = shape.cost
+            for kid, operand in zip(kids, shape.operands):
+                entry = kid.entries.get(operand)
+                if entry is None:
+                    break
+                cost += entry[0]
+            else:
+                best = entries.get(shape.lhs)
+                if best is None or cost < best[0]:
+                    entries[shape.lhs] = (cost, shape.rule, shape.leaves)
+        closure_from = self.tables.closure_from
+        for source, (base_cost, _rule, _leaves) in list(entries.items()):
+            for target, delta, rule_path in closure_from(source):
+                cost = base_cost + delta
+                best = entries.get(target)
+                if best is None or cost < best[0]:
+                    last = rule_path[-1]
+                    entries[target] = (cost, last, (((), last.pattern.name),))
+        low = min(entry[0] for entry in entries.values()) if entries else 0
+        if low:
+            entries = {
+                nonterminal: (cost - low, rule, leaves)
+                for nonterminal, (cost, rule, leaves) in entries.items()
+            }
+        if self.memo_size <= 0:
+            return _State(next(self._state_ids), entries), low
+        signature = frozenset(
+            (nonterminal, cost, None if rule is None else rule.index)
+            for nonterminal, (cost, rule, _leaves) in entries.items()
+        )
+        state = self._states.get(signature)
+        if state is None:
+            state = _State(next(self._state_ids), entries)
+            self._states[signature] = state
+        return state, low
+
+    # -- interpretive backend (the differential oracle) ---------------------------
+
+    def _label_subtree(self, root: SubjectNode) -> Dict[int, _NodeState]:
+        states: Dict[int, _NodeState] = {}
+        for node in root.post_order():
+            if id(node) not in states:
+                states[id(node)] = self._label_node_interpretive(node, states)
+                self.nodes_labelled += 1
+        return states
 
     @staticmethod
     def _apply_closure(node, state, closure_lookup) -> None:
@@ -475,32 +428,7 @@ class CodeSelector:
                         cost=cost,
                         rule=last,
                         leaves=[(node, last.pattern.name)],
-                        paths=((),),
                     )
-
-    @staticmethod
-    def _template_of(state: _NodeState) -> _StateTemplate:
-        return {
-            nonterminal: (
-                match.cost,
-                match.rule,
-                tuple(
-                    (path, leaf_nonterminal)
-                    for path, (_leaf_node, leaf_nonterminal) in zip(
-                        match.paths, match.leaves
-                    )
-                ),
-            )
-            for nonterminal, match in state.items()
-        }
-
-    def _memo_put(self, structure_id: int, template: _StateTemplate) -> None:
-        memo = self._memo
-        if len(memo) >= self.memo_size:
-            memo.clear()
-        memo[structure_id] = template
-
-    # -- interpretive backend (legacy escape hatch) -------------------------------
 
     def _label_node_interpretive(
         self, node: SubjectNode, states: Dict[int, _NodeState]
@@ -555,18 +483,16 @@ class CodeSelector:
             return total_cost, leaves
         return None
 
-    # -- reduction -------------------------------------------------------------------
-
     def _reduce(
         self,
         root: SubjectNode,
         goal: str,
         states: Dict[int, _NodeState],
     ) -> List[Reduction]:
-        """The optimal cover, children before parents (explicit stack; safe
-        on arbitrarily deep subject trees and chain-rule paths)."""
+        """The optimal cover over interpretive states, children before
+        parents (explicit stack; safe on arbitrarily deep subject trees and
+        chain-rule paths)."""
         output: List[Reduction] = []
-        states_get = states.get
         # Frames carry the resolved match on the second (emit) visit, so
         # every node state is fetched exactly once per reduction.
         stack: List[Tuple[SubjectNode, str, Optional[Match]]] = [(root, goal, None)]
@@ -582,10 +508,7 @@ class CodeSelector:
                     )
                 )
                 continue
-            state = states_get(id(node))
-            if state is None:
-                state = self._state_of(node, states)
-            match = state.get(nonterminal)
+            match = states[id(node)].get(nonterminal)
             if match is None:
                 raise SelectionError(
                     "no derivation of %r from %s" % (node, nonterminal)

@@ -3,17 +3,21 @@
 The paper obtains its code selector from iburg, which reads the BNF tree
 grammar and *emits C code* that is then compiled.  We mirror that step:
 :func:`emit_matcher_source` renders a self-contained Python module embedding
-the offline-compiled tables of one grammar -- linearized match programs and
-the precomputed chain-rule closure, exactly the tables the library's
-table-driven :class:`~repro.selector.burs.CodeSelector` consults -- and
+the offline-compiled tables of one grammar -- the linearized match programs
+and the precomputed chain-rule closure of
+:class:`~repro.selector.tables.GrammarTables` -- and
 :func:`compile_matcher_module` compiles and executes it, returning the
 module namespace.  The retargeting benchmark times both steps, which
 corresponds to the "parser generation + parser compilation" share of
 table 3.
 
-Because the emitted module embeds the same tables (same rule order, same
-deterministic closure tie-breaks), its covers are identical to the library
-selector's by construction.
+The emitted module labels every node by running all match programs
+rooted at its label, while the library's
+:class:`~repro.selector.burs.CodeSelector` runs an on-demand automaton
+over the grammar's depth-one normal form.  Both follow the same rule
+order and closure tie-breaks; ``tests/test_selector_emit.py`` checks
+that their costs and rule sequences agree on every DSPStone kernel
+statement of the DSP targets.
 """
 
 from __future__ import annotations

@@ -5,112 +5,22 @@ labels use exactly the terminal vocabulary of the processor's tree grammar
 (``ASSIGN``, storage names, port names, operator names, ``Const``).  Keeping
 this a small dedicated type decouples the selector from the IR.
 
-Subject trees are *hash-consable*: every node can produce a dense integer
-``structure_id`` through a process-wide interning pool, such that two nodes
-receive the same id exactly when their subtrees are structurally identical
-(same label, same hardwired constant value, structurally identical
-children).  The ``payload`` -- which carries emission-side identity such as
-the originating variable name -- is deliberately excluded: the BURS state
-of a node (per-non-terminal optimal costs and rules) depends only on the
-structure, so structure ids are a sound memoization key for the labeller
-(see :class:`repro.selector.burs.CodeSelector`), while code emission keeps
-working on the concrete, payload-carrying nodes.
+The labeller reads a node's ``label``, ``const_value`` and ``children``
+only.  The ``payload`` carries emission-side identity such as the
+originating variable name, so code emission works on the concrete nodes
+while subtrees that differ only in payload label alike.
 """
 
 from __future__ import annotations
 
 import sys
-import threading
-from typing import Dict, List, Optional, Tuple
-
-
-class StructurePool:
-    """An interning pool mapping structural keys to dense integer ids.
-
-    A structural key is ``(label, const_value, child_ids)`` where
-    ``child_ids`` are the (already interned) ids of the children, so
-    interning a tree bottom-up hash-conses every distinct subtree into one
-    small integer.  Thread-safe.
-
-    Memory stays bounded: once ``max_entries`` distinct structures have
-    been interned, the pool clears itself and starts a new *generation*.
-    Ids are generation-spaced (``generation * max_entries + dense index``),
-    so a token handed out before a clear is never reissued for a different
-    structure -- equal ids always mean equal structure, which is the
-    invariant the labelling memo relies on.  The only cost of a clear is
-    that old structures re-intern under fresh ids (memo misses, never
-    wrong hits).
-    """
-
-    #: Default bound: ~1M distinct subtree structures per generation.
-    DEFAULT_MAX_ENTRIES = 1 << 20
-
-    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self._ids: Dict[tuple, int] = {}
-        self._lock = threading.Lock()
-        self._generation = 0
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    @property
-    def generation(self) -> int:
-        return self._generation
-
-    def clear(self) -> None:
-        """Drop every interned structure and start a new generation."""
-        with self._lock:
-            self._ids.clear()
-            self._generation += 1
-
-    def id_of(self, key: tuple) -> int:
-        got = self._ids.get(key)
-        if got is not None:
-            return got
-        with self._lock:
-            got = self._ids.get(key)
-            if got is not None:
-                return got
-            if len(self._ids) >= self.max_entries:
-                self._ids.clear()
-                self._generation += 1
-            token = self._generation * self.max_entries + len(self._ids)
-            self._ids[key] = token
-            return token
-
-
-#: The process-wide pool used by :meth:`SubjectNode.structure_id`.  One
-#: shared pool keeps structure ids comparable across statements, sessions
-#: and service threads -- which is what lets a pooled selector's labelling
-#: memo hit across requests.
-_STRUCTURE_POOL = StructurePool()
-
-
-def default_structure_pool() -> StructurePool:
-    return _STRUCTURE_POOL
+from typing import List, Optional
 
 
 class SubjectNode:
-    """One node of a subject (expression) tree.
+    """One node of a subject (expression) tree."""
 
-    ``_struct_id`` caches the interned structure id; ``_label_state`` is
-    the labeller's per-node state cache -- a ``(selector, state)`` pair
-    letting repeated labelling of one tree by one selector reuse node
-    states outright.  Both are process-local runtime caches and are
-    dropped on pickling.
-    """
-
-    __slots__ = (
-        "label",
-        "children",
-        "const_value",
-        "payload",
-        "_struct_id",
-        "_label_state",
-    )
+    __slots__ = ("label", "children", "const_value", "payload")
 
     def __init__(
         self,
@@ -119,14 +29,12 @@ class SubjectNode:
         const_value: Optional[int] = None,
         payload: object = None,
     ):
-        # Interned labels make the hot label comparisons of the matcher
-        # pointer comparisons in the common case.
+        # Interned labels make the hot label comparisons and hashes of the
+        # labeller pointer operations in the common case.
         self.label = sys.intern(label)
         self.children = children if children is not None else []
         self.const_value = const_value
         self.payload = payload
-        self._struct_id: Optional[int] = None
-        self._label_state: Optional[tuple] = None
 
     def __getstate__(self):
         return (self.label, self.children, self.const_value, self.payload)
@@ -137,8 +45,6 @@ class SubjectNode:
         self.children = children
         self.const_value = const_value
         self.payload = payload
-        self._struct_id = None
-        self._label_state = None
 
     def is_leaf(self) -> bool:
         return not self.children
@@ -153,55 +59,16 @@ class SubjectNode:
         return count
 
     def post_order(self) -> List["SubjectNode"]:
-        """All nodes, children before parents."""
+        """All nodes, children before parents, left to right."""
+        # The reverse of a right-to-left pre-order: one push per node.
         nodes: List[SubjectNode] = []
-        stack: List[tuple] = [(self, False)]
+        stack: List[SubjectNode] = [self]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                nodes.append(node)
-                continue
-            stack.append((node, True))
-            for child in reversed(node.children):
-                stack.append((child, False))
+            node = stack.pop()
+            nodes.append(node)
+            stack.extend(node.children)
+        nodes.reverse()
         return nodes
-
-    # -- hash-consing -----------------------------------------------------------
-
-    def structure_id(self) -> int:
-        """The interned id of this node's structure (payload excluded).
-
-        Computed bottom-up with an explicit stack (safe on very deep
-        trees) and cached per node, so repeated labelling of one tree pays
-        the walk only once.  Ids come from the process-wide
-        :func:`default_structure_pool`.
-        """
-        cached = self._struct_id
-        if cached is not None:
-            return cached
-        pool = _STRUCTURE_POOL
-        stack: List[Tuple[SubjectNode, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if node._struct_id is not None:
-                continue
-            if expanded:
-                key = (
-                    node.label,
-                    node.const_value,
-                    tuple(child._struct_id for child in node.children),
-                )
-                node._struct_id = pool.id_of(key)
-                continue
-            stack.append((node, True))
-            for child in node.children:
-                if child._struct_id is None:
-                    stack.append((child, False))
-        return self._struct_id
-
-    def structurally_equal(self, other: "SubjectNode") -> bool:
-        """True when both subtrees intern to the same structure id."""
-        return self.structure_id() == other.structure_id()
 
     def __repr__(self) -> str:
         if self.const_value is not None and self.is_leaf():

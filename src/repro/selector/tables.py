@@ -2,28 +2,33 @@
 
 iburg compiles a grammar into static tables consulted by the generated
 parser; :meth:`GrammarTables.build` plays the same role for our Python
-matcher.  Beyond the simple rule indexes of earlier versions it now
-produces a genuinely table-driven matcher backend:
+matcher.  One pass over the rules produces:
 
 * **dense interning** -- every terminal label that roots a rule pattern
-  is assigned a dense integer id (``op_ids``): the match-program table is
-  a list indexed by operator id, not a string-keyed dict.  Non-terminals
-  get ids too (``nt_ids``), as table metadata for tooling and stats --
-  node states themselves remain keyed by non-terminal name, which is the
-  selector's public vocabulary;
+  is assigned a dense integer id (``op_ids``), and non-terminals get ids
+  too (``nt_ids``), as table metadata for tooling and stats;
 * **linearized match programs** -- each non-chain rule pattern is
   flattened into a :class:`MatchProgram`: a pre-order tuple of constant
   instructions (terminal checks with arity/value, non-terminal leaf
-  probes with their subtree path), so matching a pattern is a single
-  non-recursive loop over tuples instead of a recursive descent over
-  pattern objects;
+  probes with their subtree path).  The emitted matcher module
+  (:mod:`repro.selector.emit`) runs these programs;
+* **the depth-one normal form** -- the grammar the library's on-demand
+  automaton (:class:`~repro.selector.burs.CodeSelector`) labels with.
+  Every inner pattern node (a terminal below a rule's root, leaves such
+  as ``Const``, ``Const#2`` and the destination storage under ``ASSIGN``
+  included) is named by a fresh non-terminal with exactly one zero-cost
+  rule; identical inner sub-patterns share one.  Each non-chain rule then
+  becomes one :class:`ShapeRule` over child non-terminals, grouped by
+  ``(label, arity)`` in rule-index order and carrying the original rule
+  with its leaf specs, so a cover found on the normal form reduces to the
+  original rules.  Fresh non-terminals take no part in the chain closure;
 * **precomputed chain closure** -- the full transitive closure of the
   chain-rule graph, per source non-terminal: for every reachable target
   the minimal extra cost and the exact rule path realizing it.  The
-  labeller applies this matrix directly, eliminating the per-node
-  fixpoint iteration entirely.  Ties are broken deterministically by the
-  lexicographically smallest rule-index path, which both the table-driven
-  and the interpretive matcher honour so their covers are identical.
+  labeller applies this matrix directly, with no per-node fixpoint.
+  Ties are broken deterministically by the lexicographically smallest
+  rule-index path, which both the automaton and the interpretive
+  matcher honour so their covers are identical.
 
 Tables depend only on the grammar, are built once per retarget (the
 ``tables`` phase of :func:`repro.record.retarget.retarget`), pickle with
@@ -38,7 +43,7 @@ import heapq
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from repro.grammar.grammar import PatNonterm, PatTerm, Rule, TreeGrammar
 
@@ -48,8 +53,12 @@ from repro.grammar.grammar import PatNonterm, PatTerm, Rule, TreeGrammar
 #:       and exactly ``arity`` children (which are then scheduled);
 #:   ``(False, nonterminal, path)``   -- non-terminal leaf probe: the current
 #:       subject node must derive ``nonterminal``; ``path`` is the child-index
-#:       path of this leaf inside the pattern (used by the labelling memo).
+#:       path of this leaf inside the pattern (the normal form's leaf specs).
 MatchInstruction = tuple
+
+#: Where one non-terminal leaf of a rule pattern sits: ``(child-index path
+#: from the pattern root, non-terminal)``.
+LeafSpec = Tuple[Tuple[int, ...], str]
 
 #: One chain-closure entry: ``(target, delta_cost, rule_path)`` -- deriving
 #: ``target`` from the source costs ``delta_cost`` more, applying the chain
@@ -64,6 +73,25 @@ class MatchProgram:
     rule: Rule
     code: Tuple[MatchInstruction, ...]
     leaf_count: int
+
+
+class ShapeRule(NamedTuple):
+    """One depth-one rule of the normal form: ``lhs -> label(operands)``.
+
+    A node matches when it carries the rule's label (the key of its
+    ``shape_rules`` group), the hardwired ``value`` (when not None) and
+    one child per operand, each deriving that operand non-terminal.
+    ``rule`` is the grammar rule this stands for and ``leaves`` its leaf
+    specs; the zero-cost rule of a fresh non-terminal has ``rule`` None
+    and no leaves.
+    """
+
+    value: Optional[int]
+    operands: Tuple[str, ...]
+    cost: int
+    lhs: str
+    rule: Optional[Rule]
+    leaves: Tuple[LeafSpec, ...]
 
 
 def linearize_pattern(rule: Rule) -> MatchProgram:
@@ -126,6 +154,73 @@ def chain_closure_from(
     return tuple(entries)
 
 
+class _NormalForm:
+    """Builder of the depth-one normal form, one rule at a time."""
+
+    def __init__(self, nonterminals: Set[str]):
+        self.shapes: Dict[Tuple[str, int], List[ShapeRule]] = {}
+        self.hardwired: Set[int] = set()
+        # (label, value, operand non-terminals) -> fresh non-terminal
+        self._inner: Dict[tuple, str] = {}
+        self._taken = set(nonterminals)
+        # Equal tuples are stored once: on ref, 2,227 shape rules use 238
+        # distinct operand tuples and 179 distinct leaf specs.
+        self._shared: Dict[tuple, tuple] = {}
+
+    def add_rule(self, rule: Rule, program: MatchProgram) -> None:
+        root = rule.pattern
+        leaves = tuple(
+            (instruction[2], instruction[1])
+            for instruction in program.code
+            if not instruction[0]
+        )
+        operands = tuple([self._operand(operand) for operand in root.operands])
+        self._add(root, operands, rule.cost, rule.lhs, rule, leaves)
+
+    def _add(
+        self,
+        pattern: PatTerm,
+        operands: Tuple[str, ...],
+        cost: int,
+        lhs: str,
+        rule: Optional[Rule],
+        leaves: Tuple[LeafSpec, ...],
+    ) -> None:
+        if pattern.value is not None:
+            self.hardwired.add(pattern.value)
+        shared = self._shared.setdefault
+        self.shapes.setdefault((sys.intern(pattern.name), len(operands)), []).append(
+            ShapeRule(
+                pattern.value,
+                shared(operands, operands),
+                cost,
+                lhs,
+                rule,
+                shared(leaves, leaves),
+            )
+        )
+
+    def _operand(self, pattern) -> str:
+        """The non-terminal a pattern operand is read through: its own
+        name, or the fresh one naming an inner pattern node.  Operands
+        are named bottom-up, so equal inner sub-patterns have equal
+        ``(label, value, operand names)`` and share one fresh name."""
+        if isinstance(pattern, PatNonterm):
+            return pattern.name
+        operands = tuple([self._operand(operand) for operand in pattern.operands])
+        key = (pattern.name, pattern.value, operands)
+        name = self._inner.get(key)
+        if name is None:
+            name = "<%s>" % pattern
+            while name in self._taken:
+                name += "'"
+            name = sys.intern(name)
+            self._taken.add(name)
+            self._inner[key] = name
+            self._add(pattern, operands, 0, name, None, ())
+        return name
+
+
 @dataclass
 class GrammarTables:
     """Matcher tables derived offline from one tree grammar."""
@@ -143,6 +238,13 @@ class GrammarTables:
     programs_by_op: List[Tuple[MatchProgram, ...]] = field(default_factory=list)
     # Precomputed chain closure, per source non-terminal.
     chain_closure: Dict[str, Tuple[ClosureEntry, ...]] = field(default_factory=dict)
+    # The depth-one normal form, grouped by (label, arity).
+    shape_rules: Dict[Tuple[str, int], Tuple[ShapeRule, ...]] = field(
+        default_factory=dict
+    )
+    # Constant values some pattern hardwires: the only ones a node's
+    # state can depend on.
+    hardwired_values: FrozenSet[int] = frozenset()
     #: Wall-clock seconds spent building these tables (the ``tables``
     #: retargeting phase).
     build_time_s: float = 0.0
@@ -162,27 +264,33 @@ class GrammarTables:
     @classmethod
     def _build_inner(cls, grammar: TreeGrammar) -> "GrammarTables":
         tables = cls(grammar=grammar)
+        normal_form = _NormalForm(grammar.nonterminals)
+        programs: Dict[str, List[MatchProgram]] = {}
         for rule in grammar.rules:
-            if isinstance(rule.pattern, PatNonterm):
-                tables.chain_rules_by_source.setdefault(rule.pattern.name, []).append(rule)
-            elif isinstance(rule.pattern, PatTerm):
-                tables.rules_by_root.setdefault(rule.pattern.name, []).append(rule)
-        # Dense ids: pattern-root operators in first-appearance (rule index)
-        # order, non-terminals in sorted order.
-        for rule in grammar.rules:
-            if isinstance(rule.pattern, PatTerm) and rule.pattern.name not in tables.op_ids:
-                tables.op_ids[sys.intern(rule.pattern.name)] = len(tables.op_names)
-                tables.op_names.append(rule.pattern.name)
+            pattern = rule.pattern
+            if isinstance(pattern, PatNonterm):
+                tables.chain_rules_by_source.setdefault(pattern.name, []).append(rule)
+            elif isinstance(pattern, PatTerm):
+                tables.rules_by_root.setdefault(pattern.name, []).append(rule)
+                # Dense ids: pattern-root operators in first-appearance
+                # (rule index) order.
+                if pattern.name not in tables.op_ids:
+                    tables.op_ids[sys.intern(pattern.name)] = len(tables.op_names)
+                    tables.op_names.append(pattern.name)
+                program = linearize_pattern(rule)
+                programs.setdefault(pattern.name, []).append(program)
+                normal_form.add_rule(rule, program)
         for name in sorted(grammar.nonterminals):
             tables.nt_ids[sys.intern(name)] = len(tables.nt_names)
             tables.nt_names.append(name)
-        # Linearized match programs, grouped by root operator id, in rule
-        # index order (which fixes the tie-break: the first matching rule
-        # of equal cost wins, exactly like the interpretive matcher).
-        tables.programs_by_op = [
-            tuple(linearize_pattern(rule) for rule in tables.rules_by_root[name])
-            for name in tables.op_names
-        ]
+        # Match programs and shape rules stay in rule index order, which
+        # fixes the tie-break: the first matching rule of equal cost wins,
+        # exactly like the interpretive matcher.
+        tables.programs_by_op = [tuple(programs[name]) for name in tables.op_names]
+        tables.shape_rules = {
+            shape: tuple(rules) for shape, rules in normal_form.shapes.items()
+        }
+        tables.hardwired_values = frozenset(normal_form.hardwired)
         # Full chain closure from every non-terminal that can appear in a
         # node state (any rule lhs) -- precomputing from all lhs symbols
         # keeps the labeller lookup total.

@@ -25,8 +25,9 @@ Exported families (all prefixed ``repro_``):
 * ``repro_target_phase_seconds_total{target=,phase=}`` -- cumulative
   per-pass seconds broken down by target (where does each chip's
   compile time go?);
-* ``repro_label_memo_hit_rate`` -- node-weighted labelling-memo hit
-  rate aggregated from ``CompileMetrics``;
+* ``repro_label_memo_hit_rate`` -- node-weighted hit rate of the BURS
+  automaton's transition memo (one lookup per labelled subject node),
+  aggregated from ``CompileMetrics``;
 * ``repro_global_opt_total{target=,kind=}`` -- cumulative global
   optimizer activity per target (``kind`` is ``gvn_hits``,
   ``licm_hoisted``, ``strength_reductions`` or ``hw_loops``);
@@ -241,7 +242,8 @@ class ServerMetrics:
         lines.extend(self._phase_seconds.render())
         lines.extend(self._target_phase_seconds.render())
         lines.append(
-            "# HELP repro_label_memo_hit_rate Node-weighted labelling-memo hit rate."
+            "# HELP repro_label_memo_hit_rate Share of labelled subject nodes whose "
+            "BURS transition came from the memo."
         )
         lines.append("# TYPE repro_label_memo_hit_rate gauge")
         lines.append("repro_label_memo_hit_rate %s" % repr(memo_rate))

@@ -29,7 +29,9 @@ from repro.record.retarget import RetargetResult, retarget
 #: of RetargetResult (or any object it contains) changes.
 #: 2: PhaseTimings grew the ``tables`` phase and GrammarTables became the
 #:    offline-compiled matcher tables (match programs + chain closure).
-CACHE_FORMAT_VERSION = 2
+#: 3: pickled GrammarTables gained the depth-one normal form
+#:    (``shape_rules``, ``hardwired_values``).
+CACHE_FORMAT_VERSION = 3
 
 
 def default_cache_dir() -> str:
@@ -201,7 +203,7 @@ class RetargetCache:
 
         This is the shipping path of the process compile backend: the
         parent prewarms a *disk-tier* cache once, worker processes open
-        the same directory read-only and hit the v2 pickles instead of
+        the same directory read-only and hit its pickles instead of
         re-retargeting.  The matcher module is skipped by default (it is
         never pickled; workers regenerate it from the cached grammar on
         their first hit, which is ~100x cheaper than a retarget).

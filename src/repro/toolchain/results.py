@@ -50,10 +50,11 @@ class CompileMetrics:
     bookkeeping the service layer reports per request).
 
     The labeller block (``nodes_labelled``, ``label_memo_hit_rate``,
-    ``tables_build_time_s``) describes the table-driven BURS matcher:
-    how many node states this compile materialized, which fraction came
-    out of the structural memo, and how long the offline table generation
-    this selector runs on took at retarget time.
+    ``tables_build_time_s``) describes the BURS automaton: how many
+    subject nodes this compile labelled (one transition lookup each),
+    which fraction of those lookups hit the transition memo, and how long
+    the offline table generation this selector runs on took at retarget
+    time.
 
     The optimizer block (``opt_nodes_before``, ``opt_nodes_after``,
     ``opt_folds``, ``opt_cse_hits``, ``opt_temps``) summarizes the IR

@@ -139,6 +139,48 @@ class TestSelection:
         assert result.rule_indices() == [r.rule.index for r in result.reductions]
 
 
+class TestAutomaton:
+    def test_costlier_subtree_in_the_same_state_adds_no_miss(self, selector):
+        """States hold costs relative to their cheapest entry: a subtree
+        that differs from one labelled before only in absolute cost reaches
+        the same state, so labelling it computes no new transition."""
+        shallow = SubjectNode("add", [SubjectNode("ACC"), _var()])
+        deep = SubjectNode(
+            "add", [SubjectNode("add", [SubjectNode("ACC"), _var()]), _var()]
+        )
+        first = selector.select(_assign("MEM", SubjectNode("add", [shallow, _var()])))
+        misses = selector.memo_misses
+        second = selector.select(_assign("MEM", SubjectNode("add", [deep, _var()])))
+        assert selector.memo_misses == misses
+        assert second.cost == first.cost + 1
+        # The same rules (ACC stop 10, MEM stop 9, add 2, store 6, start
+        # 0), with one more add and its MEM operand.
+        assert first.rule_indices() == [10, 9, 2, 9, 2, 6, 0]
+        assert second.rule_indices() == [10, 9, 2, 9, 2, 9, 2, 6, 0]
+
+    def test_hardwired_constant_keeps_its_own_transition(self, selector):
+        """The root-valued Const#0 rule (cost 0) beats Const (cost 1);
+        constants no rule hardwires share one transition."""
+        zero = selector.select(_assign("ACC", SubjectNode("Const", const_value=0)))
+        assert zero.cost == 0
+        assert zero.rule_indices() == [8, 1]
+        five = selector.select(_assign("ACC", SubjectNode("Const", const_value=5)))
+        assert five.cost == 1
+        assert five.rule_indices() == [7, 1]
+        misses = selector.memo_misses
+        six = selector.select(_assign("ACC", SubjectNode("Const", const_value=6)))
+        assert six.rule_indices() == [7, 1]
+        assert selector.memo_misses == misses
+
+    def test_counters_count_one_lookup_per_node(self, selector):
+        root = _assign("MEM", SubjectNode("add", [_var(), _var()]))
+        selector.select(root)
+        selector.node_cost(root)
+        stats = selector.stats()
+        assert stats["nodes_labelled"] == 2 * root.size()
+        assert stats["memo_hits"] + stats["memo_misses"] == stats["nodes_labelled"]
+
+
 class TestTables:
     def test_tables_index_by_root_label(self):
         grammar = _toy_grammar()

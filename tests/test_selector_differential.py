@@ -1,21 +1,29 @@
 """Differential and performance-semantics tests for the BURS matcher.
 
-The table-driven matcher (linearized match programs, precomputed chain
-closure, structural labelling memo) must produce exactly the covers of the
-interpretive escape hatch (``matcher="interpretive"``) on every built-in
-target and every DSPStone kernel -- identical costs *and* identical rule
-index sequences.  On top of that, this module pins down the memoization
-semantics (node_cost reuse, boundedness, cross-statement sharing) and the
-explicit-stack walks (deep ~5k-node chain expressions compile without
-``RecursionError``).
+The on-demand automaton (depth-one normal form, precomputed chain
+closure, memoized transitions over cost-normalized states) must produce
+exactly the covers of the interpretive oracle (``matcher="interpretive"``)
+on every built-in target, every DSPStone kernel and random ``ref`` trees
+-- identical costs, rule index sequences and leaves.  On top of that,
+this module pins down the memo semantics (node_cost reuse, boundedness,
+cross-statement sharing, the automaton's hit rate and state count on
+generated programs) and the explicit-stack walks (deep ~5k-node chain
+expressions compile without ``RecursionError``).
 """
 
 import pickle
+import random
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.codegen.selection import build_subject_tree
-from repro.dspstone import all_kernel_names, kernel_program
+from repro.diagnostics import ReproError
+from repro.dspstone import all_kernel_names, kernel_program, loop_kernel_names
+from repro.fuzz.generator import generate_source
 from repro.ir.binding import BindingError, bind_program
 from repro.ir.expr import Const, Op, VarRef
 from repro.ir.program import BasicBlock, Program, Statement
@@ -96,6 +104,176 @@ class TestDifferentialCovers:
             CodeSelector(demo_result.grammar, matcher="quantum")
 
 
+_REF_LEAVES = ("DMEM", "R0", "R1", "R2", "R3", "PIN")
+_REF_DESTINATIONS = ("DMEM", "POUT", "R0", "R1", "R2", "R3", "AR")
+_REF_BINARY = ("add", "sub", "mul", "and", "or", "xor")
+
+
+def _const(value):
+    return SubjectNode("Const", const_value=value)
+
+
+def _ref_trees():
+    """Random ``ASSIGN`` subject trees in the ``ref`` grammar's
+    vocabulary: constants 1 and 2 (hardwired by some rules) among the
+    leaves, ``mul`` and ``neg`` under ``add`` (the multiply-accumulate and
+    subtract patterns), and shifts by 1 (covered) or 2 (not covered)."""
+    leaves = st.one_of(
+        st.sampled_from(_REF_LEAVES).map(SubjectNode),
+        st.sampled_from((0, 1, 2, 3, -1, 255)).map(_const),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from(_REF_BINARY), children, children).map(
+                lambda t: SubjectNode(t[0], [t[1], t[2]])
+            ),
+            st.tuples(children, children, children).map(
+                lambda t: SubjectNode("add", [t[0], SubjectNode("mul", [t[1], t[2]])])
+            ),
+            st.tuples(children, children).map(
+                lambda t: SubjectNode("add", [t[0], SubjectNode("neg", [t[1]])])
+            ),
+            st.tuples(children, st.sampled_from((1, 2))).map(
+                lambda t: SubjectNode("shl", [t[0], _const(t[1])])
+            ),
+        )
+
+    expressions = st.recursive(leaves, extend, max_leaves=10)
+    return st.tuples(st.sampled_from(_REF_DESTINATIONS), expressions).map(
+        lambda t: SubjectNode("ASSIGN", [SubjectNode(t[0]), t[1]])
+    )
+
+
+def _cover(result):
+    return [
+        (
+            reduction.rule.index,
+            id(reduction.node),
+            reduction.nonterminal,
+            [(id(leaf), nonterminal) for leaf, nonterminal in reduction.leaves],
+        )
+        for reduction in result.reductions
+    ]
+
+
+@pytest.fixture(scope="module")
+def ref_automata(ref_result):
+    """The shared ``ref`` selector, and one whose memo overflows often."""
+    return (
+        ref_result.selector,
+        CodeSelector(ref_result.grammar, tables=ref_result.selector.tables, memo_size=16),
+    )
+
+
+class TestAutomatonExactness:
+    @settings(max_examples=150, deadline=None)
+    @given(tree=_ref_trees())
+    def test_random_ref_trees_match_the_interpretive_oracle(
+        self, tree, ref_automata, interpretive_selectors
+    ):
+        oracle = interpretive_selectors["ref"]
+        expected_states = oracle.label(tree)
+        try:
+            expected = oracle.select(tree)
+        except SelectionError:
+            expected = None
+        for automaton in ref_automata:
+            if expected is None:
+                with pytest.raises(SelectionError):
+                    automaton.select(tree)
+            else:
+                got = automaton.select(tree)
+                assert got.cost == expected.cost
+                assert _cover(got) == _cover(expected)
+            states = automaton.label(tree)
+            for node in tree.post_order():
+                got_costs = {nt: match.cost for nt, match in states[id(node)].items()}
+                assert got_costs == {
+                    nt: match.cost for nt, match in expected_states[id(node)].items()
+                }
+
+
+class TestAutomatonHealth:
+    def test_generated_programs_share_few_states(self, ref_result):
+        """A transition key that leaked absolute costs would keep every
+        cover right while almost every lookup missed: pin the hit rate and
+        the state count on programs that never repeat."""
+        session = Session(ref_result)
+        session.selector = CodeSelector(
+            ref_result.grammar, tables=ref_result.selector.tables
+        )
+        compiled = 0
+        for seed in range(200):
+            try:
+                session.compile(generate_source(seed))
+            except ReproError:
+                continue
+            compiled += 1
+        assert compiled > 150
+        stats = session.selector.stats()
+        assert stats["nodes_labelled"] == stats["memo_hits"] + stats["memo_misses"]
+        assert stats["memo_hit_rate"] >= 0.9
+        # 47 states at the time of writing.
+        assert 0 < stats["states"] <= 64
+
+
+class TestAutomatonThreads:
+    def test_shared_selector_stays_exact_under_racing_clears(
+        self, tms_result, interpretive_selectors
+    ):
+        """Threads sharing one selector whose tiny memo overflows all the
+        time: racing clears and duplicate state interning may cost misses,
+        never a wrong cover."""
+        subjects = [
+            subject
+            for kernel in all_kernel_names() + loop_kernel_names()
+            for subject in _statement_subjects(tms_result, kernel) or []
+        ]
+        oracle = interpretive_selectors["tms320c25"]
+        expected = []
+        for subject in subjects:
+            try:
+                cover = oracle.select(subject)
+            except SelectionError:
+                expected.append(None)
+            else:
+                expected.append((cover.cost, cover.rule_indices()))
+        shared = CodeSelector(
+            tms_result.grammar, tables=tms_result.selector.tables, memo_size=8
+        )
+        wrong = []
+        finished = []
+
+        def work(seed):
+            order = list(range(len(subjects)))
+            random.Random(seed).shuffle(order)
+            for index in order * 3:
+                try:
+                    cover = shared.select(subjects[index])
+                except SelectionError:
+                    got = None
+                else:
+                    got = (cover.cost, cover.rule_indices())
+                if got != expected[index]:
+                    wrong.append(index)
+            finished.append(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(finished) == [0, 1, 2, 3]
+        assert wrong == []
+
+
 class TestLabellingMemo:
     def test_node_cost_reuses_cached_states(self, demo_result):
         selector = CodeSelector(demo_result.grammar, tables=demo_result.selector.tables)
@@ -108,14 +286,15 @@ class TestLabellingMemo:
         )
         first = selector.node_cost(root)
         misses_after_first = selector.memo_misses
+        hits_after_first = selector.memo_hits
         assert misses_after_first > 0
         second = selector.node_cost(root)
         assert second == first
-        # The second call recomputed nothing: every state came from the
-        # per-node cache (same tree object), none were re-labelled.
+        # The second call recomputed nothing: every node's transition came
+        # out of the memo.
         assert selector.memo_misses == misses_after_first
-        assert selector.node_cache_hits >= 1
-        # A structurally identical but fresh tree hits the structural memo.
+        assert selector.memo_hits == hits_after_first + root.size()
+        # A structurally identical but fresh tree hits the memo too.
         fresh = SubjectNode(
             "ASSIGN",
             [
@@ -125,7 +304,6 @@ class TestLabellingMemo:
         )
         assert selector.node_cost(fresh) == first
         assert selector.memo_misses == misses_after_first
-        assert selector.memo_hits >= 1
         assert selector.stats()["memo_hit_rate"] > 0.0
 
     def test_structurally_identical_trees_share_states(self, demo_result):
@@ -203,7 +381,20 @@ class TestLabellingMemo:
                     [SubjectNode("DMEM"), SubjectNode("Const", const_value=value)],
                 )
             )
-        assert len(selector._memo) <= 4
+        for op in ("add", "sub", "and", "or", "xor"):
+            selector.node_cost(
+                SubjectNode(
+                    "ASSIGN",
+                    [
+                        SubjectNode("DMEM"),
+                        SubjectNode(op, [SubjectNode("ACC"), SubjectNode("DMEM")]),
+                    ],
+                )
+            )
+        # More distinct transitions than the bound were computed.
+        assert selector.memo_misses > 4
+        assert len(selector._transitions) <= 4
+        assert selector.stats()["states"] <= 4
 
     def test_memo_can_be_disabled(self, demo_result):
         selector = CodeSelector(
@@ -214,7 +405,7 @@ class TestLabellingMemo:
         )
         assert selector.node_cost(root) == selector.node_cost(root)
         assert selector.memo_hits == 0
-        assert len(selector._memo) == 0
+        assert len(selector._transitions) == 0
 
     def test_selector_pickles_without_memo(self, demo_result):
         selector = demo_result.selector
@@ -223,7 +414,7 @@ class TestLabellingMemo:
         )
         cost = selector.node_cost(root)
         clone = pickle.loads(pickle.dumps(selector))
-        assert len(clone._memo) == 0
+        assert len(clone._transitions) == 0
         assert clone.matcher == selector.matcher
         assert clone.node_cost(root) == cost
 

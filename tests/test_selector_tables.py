@@ -3,7 +3,7 @@
 import pickle
 
 from repro.grammar.grammar import PatNonterm, PatTerm, RuleKind, TreeGrammar
-from repro.selector import GrammarTables, StructurePool, chain_closure_from
+from repro.selector import GrammarTables, chain_closure_from
 
 
 def _toy_grammar():
@@ -74,6 +74,55 @@ class TestMatchPrograms:
         assert const_program.code[0] == (True, "Const", 0, 0)
 
 
+class TestNormalForm:
+    def test_inner_pattern_nodes_get_fresh_nonterminals(self):
+        tables = GrammarTables.build(_toy_grammar())
+        (assign,) = tables.shape_rules[("ASSIGN", 2)]
+        fresh_mem, stop_mem = tables.shape_rules[("MEM", 0)]
+        assert assign.operands == (fresh_mem.lhs, "nt_MEM")
+        assert fresh_mem.lhs not in {"START", "nt_MEM", "nt_ACC"}
+        assert (fresh_mem.cost, fresh_mem.rule, fresh_mem.leaves) == (0, None, ())
+        assert stop_mem.rule.index == 6
+        # add(nt_ACC, mul(nt_ACC, nt_MEM)) reads the mul through a fresh
+        # non-terminal and keeps the original rule's leaf specs.
+        plain, chained = tables.shape_rules[("add", 2)]
+        assert [plain.rule.index, chained.rule.index] == [1, 2]
+        (fresh_mul,) = tables.shape_rules[("mul", 2)]
+        assert chained.operands == ("nt_ACC", fresh_mul.lhs)
+        assert fresh_mul.operands == ("nt_ACC", "nt_MEM")
+        assert chained.leaves == (
+            ((0,), "nt_ACC"),
+            ((1, 0), "nt_ACC"),
+            ((1, 1), "nt_MEM"),
+        )
+
+    def test_identical_inner_patterns_share_one_nonterminal(self):
+        grammar = _toy_grammar()
+        grammar.add_rule(
+            "nt_MEM",
+            PatTerm(
+                "add",
+                (PatNonterm("nt_ACC"), PatTerm("mul", (PatNonterm("nt_ACC"), PatNonterm("nt_MEM")))),
+            ),
+            2,
+            RuleKind.RT,
+        )
+        tables = GrammarTables.build(grammar)
+        (fresh_mul,) = tables.shape_rules[("mul", 2)]
+        assert [shape.operands[1] for shape in tables.shape_rules[("add", 2)]] == [
+            "nt_MEM",
+            fresh_mul.lhs,
+            fresh_mul.lhs,
+        ]
+        assert fresh_mul.lhs not in tables.chain_closure
+
+    def test_hardwired_values_are_collected(self):
+        tables = GrammarTables.build(_toy_grammar())
+        (zero,) = tables.shape_rules[("Const", 0)]
+        assert zero.value == 0
+        assert tables.hardwired_values == frozenset({0})
+
+
 class TestChainClosure:
     def test_closure_entries_and_deltas(self):
         tables = GrammarTables.build(_toy_grammar())
@@ -134,19 +183,6 @@ class TestBuildMetadata:
         assert stats["chain_rules"] == 2
         assert stats["closure_sources"] >= 2
         assert stats["program_instructions"] >= stats["match_programs"]
-
-    def test_structure_pool_is_bounded_with_unique_tokens(self):
-        pool = StructurePool(max_entries=2)
-        a = pool.id_of(("A", None, ()))
-        b = pool.id_of(("B", None, ()))
-        c = pool.id_of(("C", None, ()))  # overflow: clears, next generation
-        assert pool.generation == 1
-        assert len(pool) == 1
-        # Tokens are never reissued for a different structure, so equal
-        # ids always mean equal structure (the memo invariant).
-        assert len({a, b, c}) == 3
-        a_again = pool.id_of(("A", None, ()))
-        assert a_again not in (b, c)
 
     def test_tables_pickle_roundtrip(self):
         tables = GrammarTables.build(_toy_grammar())

@@ -423,6 +423,23 @@ class TestRetargetCache:
         fresh = RetargetCache(directory=tmp_path)
         assert fresh.get(key) is None  # miss, not an exception
 
+    def test_entry_of_an_older_format_is_a_miss(self, tmp_path, demo_hdl, monkeypatch):
+        """The format version is hashed into every key, so a pickle of an
+        older layout is never loaded: it is a miss, and the compile on the
+        re-retargeted result succeeds."""
+        from repro.toolchain import cache as cache_module
+
+        monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", 2)
+        RetargetCache(directory=tmp_path).get_or_retarget(
+            demo_hdl, generate_matcher=False
+        )
+        monkeypatch.undo()
+        assert cache_module.CACHE_FORMAT_VERSION == 3
+        fresh = RetargetCache(directory=tmp_path)
+        result, hit = fresh.get_or_retarget(demo_hdl, generate_matcher=False)
+        assert not hit
+        assert Session(result).compile("int a, b, d; d = a + b;").code_size > 0
+
     def test_memory_only_cache(self, demo_hdl):
         cache = RetargetCache(directory=False)
         assert cache.directory is None
