@@ -63,11 +63,15 @@ def test_selector_throughput_large_grammar(benchmark, retargeted):
     assert code.instances
 
 
-def test_generated_matcher_compilation(benchmark, tms_result):
+@pytest.mark.parametrize("target", ["tms320c25", "ref"])
+def test_generated_matcher_compilation(benchmark, retargeted, target):
     """Parser generation + compilation share of the retargeting time."""
     from repro.selector.emit import compile_matcher_module
 
-    module = benchmark(compile_matcher_module, tms_result.grammar)
+    result = retargeted[target]
+    module = benchmark(
+        compile_matcher_module, result.grammar, tables=result.selector.tables
+    )
     benchmark.extra_info["rules"] = len(module.RULES)
 
 
@@ -76,14 +80,16 @@ def test_generated_matcher_compilation(benchmark, tms_result):
 # ---------------------------------------------------------------------------
 
 
-def test_retarget_cache_cold_vs_warm(tmp_path):
-    """Cold retarget vs. warm cache hit on the TMS320C25 model.
+@pytest.mark.parametrize("target", ["tms320c25", "ref"])
+def test_retarget_cache_cold_vs_warm(tmp_path, target):
+    """Cold retarget vs. warm cache hit on one built-in model.
 
     The warm path (content-hash lookup + in-memory result) must beat the
     cold path (full retargeting flow) by at least an order of magnitude --
-    that speedup is the whole point of the cache.
+    that speedup is the whole point of the cache.  ``ref``, the largest
+    grammar, guards the disk tier's matcher regeneration.
     """
-    hdl = target_hdl_source("tms320c25")
+    hdl = target_hdl_source(target)
     cache = RetargetCache(directory=tmp_path)
 
     start = time.perf_counter()
@@ -106,9 +112,9 @@ def test_retarget_cache_cold_vs_warm(tmp_path):
     speedup = cold_s / max(warm_s, 1e-9)
     disk_speedup = cold_s / max(disk_warm_s, 1e-9)
     print(
-        "\nretarget tms320c25: cold %.3fs, warm(memory) %.6fs (%.0fx), "
-        "warm(disk) %.4fs (%.0fx)"
-        % (cold_s, warm_s, speedup, disk_warm_s, disk_speedup)
+        "\nretarget %s: cold %.3fs, warm(memory) %.6fs (%.0fx), "
+        "warm(disk) %.4fs (%.1fx)"
+        % (target, cold_s, warm_s, speedup, disk_warm_s, disk_speedup)
     )
     assert speedup >= 10.0, "warm cache hit only %.1fx faster than cold" % speedup
     # The disk tier additionally pays unpickling plus matcher regeneration,

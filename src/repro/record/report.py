@@ -74,10 +74,10 @@ def retargeting_report(result: RetargetResult) -> str:
                     len(result.grammar.start_rules()), len(result.grammar.stop_rules()),
                     len(result.grammar.terminals), len(result.grammar.nonterminals)))
     tables_stats = result.selector.tables.stats()
-    lines.append("matcher tables: %d match programs (%d instructions), "
+    lines.append("matcher tables: %d depth-one rules (%d fresh non-terminals), "
                  "%d chain-closure entries over %d sources"
-                 % (tables_stats["match_programs"],
-                    tables_stats["program_instructions"],
+                 % (tables_stats["shape_rules"],
+                    tables_stats["fresh_nonterminals"],
                     tables_stats["closure_entries"],
                     tables_stats["closure_sources"]))
     timings = result.timings

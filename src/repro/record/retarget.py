@@ -31,8 +31,8 @@ from repro.selector.tables import GrammarTables
 class PhaseTimings:
     """Wall-clock seconds spent in each retargeting phase.
 
-    ``tables`` is the offline matcher-table generation (dense interning,
-    linearized match programs, precomputed chain closure -- see
+    ``tables`` is the offline matcher-table generation (the grammar's
+    depth-one normal form and precomputed chain closure -- see
     :class:`repro.selector.tables.GrammarTables`); ``parser_generation``
     covers selector construction plus emitting/compiling the stand-alone
     matcher module.

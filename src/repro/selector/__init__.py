@@ -10,9 +10,10 @@ Python:
   cheapest rule with chain-rule closure) through one memoized transition;
   the reduce pass walks the optimal derivation top-down;
 * :mod:`repro.selector.emit` -- generation of a stand-alone, grammar-specific
-  matcher module, mirroring iburg's generated C parser;
+  matcher module, mirroring iburg's generated C parser: a fixed bottom-up
+  labeller over the tables below, carried as one JSON string;
 * :mod:`repro.selector.tables` -- the precomputed rule tables both build
-  on (match programs, the grammar's depth-one normal form, chain closure).
+  on (the grammar's depth-one normal form and its chain closure).
 """
 
 from repro.selector.subject import SubjectNode
@@ -23,14 +24,13 @@ from repro.selector.burs import (
     SelectionError,
     SelectionResult,
 )
-from repro.selector.tables import GrammarTables, MatchProgram, chain_closure_from
+from repro.selector.tables import GrammarTables, chain_closure_from
 from repro.selector.emit import compile_matcher_module, emit_matcher_source
 
 __all__ = [
     "CodeSelector",
     "GrammarTables",
     "Match",
-    "MatchProgram",
     "Reduction",
     "SelectionError",
     "SelectionResult",

@@ -2,94 +2,82 @@
 
 The paper obtains its code selector from iburg, which reads the BNF tree
 grammar and *emits C code* that is then compiled.  We mirror that step:
-:func:`emit_matcher_source` renders a self-contained Python module embedding
-the offline-compiled tables of one grammar -- the linearized match programs
-and the precomputed chain-rule closure of
-:class:`~repro.selector.tables.GrammarTables` -- and
-:func:`compile_matcher_module` compiles and executes it, returning the
-module namespace.  The retargeting benchmark times both steps, which
-corresponds to the "parser generation + parser compilation" share of
-table 3.
+:func:`emit_matcher_source` renders a self-contained Python module for one
+grammar, and :func:`compile_matcher_module` compiles and executes it,
+returning the module namespace.  The retargeting benchmark times both
+steps, which corresponds to the "parser generation + parser compilation"
+share of table 3.
 
-The emitted module labels every node by running all match programs
-rooted at its label, while the library's
-:class:`~repro.selector.burs.CodeSelector` runs an on-demand automaton
-over the grammar's depth-one normal form.  Both follow the same rule
-order and closure tie-breaks; ``tests/test_selector_emit.py`` checks
-that their costs and rule sequences agree on every DSPStone kernel
-statement of the DSP targets.
+The module is a fixed matcher over tables that depend on the grammar: the
+depth-one normal form and the precomputed chain closure of
+:class:`~repro.selector.tables.GrammarTables`, plus the rules and symbol
+sets.  All tables travel as one JSON string literal that the module
+decodes with :func:`json.loads` at import, so it needs nothing beyond the
+standard library.  A string literal costs ``compile()`` next to nothing
+and the decoder is native code, whereas the same tables written as nested
+tuple literals made ``compile()`` the dominant cost of a retarget.
+
+The module's ``label`` is a plain bottom-up dynamic program over the same
+depth-one rules and closure the library's
+:class:`~repro.selector.burs.CodeSelector` builds its automaton states
+from, applied in the same order with the same tie-breaks, so its costs
+and covers agree with the library's by construction.
+``tests/test_selector_emit.py`` checks that agreement on kernel and
+generated statements, and imports the module in an isolated interpreter.
 """
 
 from __future__ import annotations
 
+import json
 import types
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
-from repro.grammar.grammar import PatNonterm, PatTerm, PatternNode, TreeGrammar
+from repro.grammar.grammar import TreeGrammar
 from repro.selector.tables import GrammarTables
 
 _MODULE_TEMPLATE = '''"""Generated code selector for processor {processor}.
 
-This module was emitted by repro.selector.emit; do not edit by hand.
+This module was emitted by repro.selector.emit; do not edit by hand.  It
+needs only the standard library.  Its tables come from one JSON string:
 
-RULES encodes every grammar rule as (lhs, pattern, cost) with patterns as
-nested tuples:
-    ("T", label, value_or_None, (child, ...))   -- terminal pattern node
-    ("N", nonterminal)                          -- non-terminal pattern leaf
+RULES[i] is grammar rule i as (lhs, pattern text, cost).
 
-PROGRAMS maps each pattern-root terminal to its linearized match programs:
-(rule_index, code) pairs whose code is a tuple of instructions
-    (1, label, value_or_None, arity)            -- terminal check
-    (0, nonterminal)                            -- non-terminal leaf probe
-run non-recursively against an explicit node stack.
+SHAPES is the grammar's depth-one normal form: (label, arity) ->
+entries (value, operands, cost, lhs, rule index or None, leaf specs) in
+rule-index order.  An entry matches a node with that label and arity whose
+constant equals ``value`` (when not None) and whose i-th child derives
+operands[i].  Rule index None marks the zero-cost rule of a fresh
+non-terminal naming an inner pattern node.  Leaf specs are (child-index
+path, non-terminal) pairs locating the rule's non-terminal leaves.
 
 CLOSURE is the precomputed chain-rule closure: for each source
-non-terminal, (target, delta_cost, rule_index, previous_nonterminal)
+non-terminal, (target, delta cost, last rule index, previous non-terminal)
 entries in deterministic (cost, rule-index path) order.
+
+Subject nodes need ``label``, ``children`` and ``const_value``.
 """
 
-PROCESSOR = {processor!r}
-START = {start!r}
+import json
 
-RULES = {rules!r}
+_TABLES = json.loads({tables!r})
 
-PROGRAMS = {programs!r}
-
-CLOSURE = {closure!r}
-
-TERMINALS = {terminals!r}
-NONTERMINALS = {nonterminals!r}
-
-
-def _run(code, node, states):
-    stack = [node]
-    cost = 0
-    leaves = []
-    for instruction in code:
-        current = stack.pop()
-        if instruction[0]:
-            _, label, value, arity = instruction
-            if current.label != label:
-                return None
-            if value is not None and current.const_value != value:
-                return None
-            children = current.children
-            if len(children) != arity:
-                return None
-            if arity:
-                stack.extend(reversed(children))
-        else:
-            entry = states[id(current)].get(instruction[1])
-            if entry is None:
-                return None
-            cost += entry[0]
-            leaves.append((current, instruction[1]))
-    return cost, leaves
+PROCESSOR = _TABLES["processor"]
+START = _TABLES["start"]
+RULES = tuple(map(tuple, _TABLES["rules"]))
+SHAPES = {{
+    (label, arity): tuple(map(tuple, entries))
+    for label, arity, entries in _TABLES["shapes"]
+}}
+CLOSURE = {{
+    source: tuple(map(tuple, entries))
+    for source, entries in _TABLES["closure"].items()
+}}
+TERMINALS = tuple(_TABLES["terminals"])
+NONTERMINALS = tuple(_TABLES["nonterminals"])
+del _TABLES
 
 
-def label(root):
-    """Table-driven dynamic-programming labelling pass over a subject tree."""
-    states = {{}}
+def _post_order(root):
     order = []
     stack = [(root, False)]
     while stack:
@@ -100,24 +88,42 @@ def label(root):
         stack.append((node, True))
         for child in reversed(node.children):
             stack.append((child, False))
-    for node in order:
+    return order
+
+
+def label(root):
+    """Bottom-up dynamic-programming labelling of a subject tree.
+
+    Returns id(node) -> {{non-terminal: (cost, rule index, leaf specs)}}
+    with absolute costs.  Depth-one rules apply in rule-index order and
+    replace an entry only when strictly cheaper; the chain closure then
+    applies from each entry found so far, in insertion order.
+    """
+    states = {{}}
+    for node in _post_order(root):
+        kids = [states[id(child)] for child in node.children]
+        value = node.const_value
         state = {{}}
-        for rule_index, code in PROGRAMS.get(node.label, ()):
-            result = _run(code, node, states)
-            if result is None:
+        for shape_value, operands, cost, lhs, rule, leaves in SHAPES.get(
+            (node.label, len(kids)), ()
+        ):
+            if shape_value is not None and shape_value != value:
                 continue
-            rule = RULES[rule_index]
-            total = rule[2] + result[0]
-            entry = state.get(rule[0])
-            if entry is None or total < entry[0]:
-                state[rule[0]] = (total, rule_index, result[1])
+            for kid, operand in zip(kids, operands):
+                entry = kid.get(operand)
+                if entry is None:
+                    break
+                cost += entry[0]
+            else:
+                best = state.get(lhs)
+                if best is None or cost < best[0]:
+                    state[lhs] = (cost, rule, leaves)
         for source, entry in list(state.items()):
-            base = entry[0]
-            for target, delta, rule_index, previous in CLOSURE.get(source, ()):
-                total = base + delta
-                existing = state.get(target)
-                if existing is None or total < existing[0]:
-                    state[target] = (total, rule_index, [(node, previous)])
+            for target, delta, rule, previous in CLOSURE.get(source, ()):
+                cost = entry[0] + delta
+                best = state.get(target)
+                if best is None or cost < best[0]:
+                    state[target] = (cost, rule, (((), previous),))
         states[id(node)] = state
     return states
 
@@ -134,74 +140,69 @@ def reduce(root, goal=START):
     if goal not in states[id(root)]:
         raise ValueError("tree not derivable from %s" % goal)
     output = []
-    stack = [(root, goal, False)]
+    stack = [(root, goal)]
     while stack:
-        node, nonterminal, expanded = stack.pop()
-        entry = states[id(node)][nonterminal]
-        if expanded:
-            output.append(entry[1])
-            continue
-        stack.append((node, nonterminal, True))
-        for leaf_node, leaf_nonterminal in reversed(entry[2]):
-            stack.append((leaf_node, leaf_nonterminal, False))
+        node, nonterminal = stack.pop()
+        _cost, rule, leaves = states[id(node)][nonterminal]
+        output.append(rule)
+        for path, leaf_nonterminal in leaves:
+            leaf = node
+            for index in path:
+                leaf = leaf.children[index]
+            stack.append((leaf, leaf_nonterminal))
+    output.reverse()
     return output
 '''
 
 
-def _encode_pattern(pattern: PatternNode):
-    if isinstance(pattern, PatNonterm):
-        return ("N", pattern.name)
-    if isinstance(pattern, PatTerm):
-        return (
-            "T",
-            pattern.name,
-            pattern.value,
-            tuple(_encode_pattern(child) for child in pattern.operands),
-        )
-    raise TypeError("unexpected pattern node %r" % pattern)
-
-
-def _encode_programs(tables: GrammarTables) -> Dict[str, Tuple[tuple, ...]]:
-    programs: Dict[str, Tuple[tuple, ...]] = {}
-    for label_name, op_id in tables.op_ids.items():
-        encoded: List[tuple] = []
-        for program in tables.programs_by_op[op_id]:
-            code = tuple(
-                instruction
-                if instruction[0]
-                else (0, instruction[1])  # drop the leaf path: memo-only info
-                for instruction in program.code
-            )
-            encoded.append((program.rule.index, code))
-        programs[label_name] = tuple(encoded)
-    return programs
-
-
-def _encode_closure(tables: GrammarTables) -> Dict[str, Tuple[tuple, ...]]:
-    closure: Dict[str, Tuple[tuple, ...]] = {}
-    for source, entries in tables.chain_closure.items():
-        closure[source] = tuple(
-            (target, delta, rule_path[-1].index, rule_path[-1].pattern.name)
+def _tables_json(grammar: TreeGrammar, tables: GrammarTables) -> str:
+    shapes: List[list] = [
+        [
+            label,
+            arity,
+            [
+                [
+                    shape.value,
+                    shape.operands,
+                    shape.cost,
+                    shape.lhs,
+                    None if shape.rule is None else shape.rule.index,
+                    shape.leaves,
+                ]
+                for shape in group
+            ],
+        ]
+        for (label, arity), group in tables.shape_rules.items()
+    ]
+    closure: Dict[str, List[list]] = {
+        source: [
+            [target, delta, rule_path[-1].index, rule_path[-1].pattern.name]
             for target, delta, rule_path in entries
-        )
-    return closure
+        ]
+        for source, entries in tables.chain_closure.items()
+    }
+    return json.dumps(
+        {
+            "processor": grammar.processor,
+            "start": grammar.start,
+            "rules": [
+                [rule.lhs, str(rule.pattern), rule.cost] for rule in grammar.rules
+            ],
+            "shapes": shapes,
+            "closure": closure,
+            "terminals": sorted(grammar.terminals),
+            "nonterminals": sorted(grammar.nonterminals),
+        },
+        separators=(",", ":"),
+    )
 
 
 def emit_matcher_source(grammar: TreeGrammar, tables: GrammarTables = None) -> str:
     """Python source of a stand-alone, table-driven matcher for ``grammar``."""
     if tables is None:
         tables = GrammarTables.build(grammar)
-    rules = tuple(
-        (rule.lhs, _encode_pattern(rule.pattern), rule.cost) for rule in grammar.rules
-    )
     return _MODULE_TEMPLATE.format(
-        processor=grammar.processor,
-        start=grammar.start,
-        rules=rules,
-        programs=_encode_programs(tables),
-        closure=_encode_closure(tables),
-        terminals=tuple(sorted(grammar.terminals)),
-        nonterminals=tuple(sorted(grammar.nonterminals)),
+        processor=grammar.processor, tables=_tables_json(grammar, tables)
     )
 
 

@@ -4,20 +4,13 @@ iburg compiles a grammar into static tables consulted by the generated
 parser; :meth:`GrammarTables.build` plays the same role for our Python
 matcher.  One pass over the rules produces:
 
-* **dense interning** -- every terminal label that roots a rule pattern
-  is assigned a dense integer id (``op_ids``), and non-terminals get ids
-  too (``nt_ids``), as table metadata for tooling and stats;
-* **linearized match programs** -- each non-chain rule pattern is
-  flattened into a :class:`MatchProgram`: a pre-order tuple of constant
-  instructions (terminal checks with arity/value, non-terminal leaf
-  probes with their subtree path).  The emitted matcher module
-  (:mod:`repro.selector.emit`) runs these programs;
 * **the depth-one normal form** -- the grammar the library's on-demand
-  automaton (:class:`~repro.selector.burs.CodeSelector`) labels with.
-  Every inner pattern node (a terminal below a rule's root, leaves such
-  as ``Const``, ``Const#2`` and the destination storage under ``ASSIGN``
-  included) is named by a fresh non-terminal with exactly one zero-cost
-  rule; identical inner sub-patterns share one.  Each non-chain rule then
+  automaton (:class:`~repro.selector.burs.CodeSelector`) and the emitted
+  matcher module (:mod:`repro.selector.emit`) label with.  Every inner
+  pattern node (a terminal below a rule's root, leaves such as ``Const``,
+  ``Const#2`` and the destination storage under ``ASSIGN`` included) is
+  named by a fresh non-terminal with exactly one zero-cost rule;
+  identical inner sub-patterns share one.  Each non-chain rule then
   becomes one :class:`ShapeRule` over child non-terminals, grouped by
   ``(label, arity)`` in rule-index order and carrying the original rule
   with its leaf specs, so a cover found on the normal form reduces to the
@@ -28,7 +21,10 @@ matcher.  One pass over the rules produces:
   labeller applies this matrix directly, with no per-node fixpoint.
   Ties are broken deterministically by the lexicographically smallest
   rule-index path, which both the automaton and the interpretive
-  matcher honour so their covers are identical.
+  matcher honour so their covers are identical;
+* **rule indexes** -- non-chain rules by pattern-root terminal and chain
+  rules by source non-terminal, read by the interpretive matcher (the
+  test oracle) and the target lints.
 
 Tables depend only on the grammar, are built once per retarget (the
 ``tables`` phase of :func:`repro.record.retarget.retarget`), pickle with
@@ -45,16 +41,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
-from repro.grammar.grammar import PatNonterm, PatTerm, Rule, TreeGrammar
-
-#: One linear match instruction.  Two shapes:
-#:   ``(True, label, value, arity)``  -- terminal check: the current subject
-#:       node must carry ``label``, the hardwired ``value`` (when not None)
-#:       and exactly ``arity`` children (which are then scheduled);
-#:   ``(False, nonterminal, path)``   -- non-terminal leaf probe: the current
-#:       subject node must derive ``nonterminal``; ``path`` is the child-index
-#:       path of this leaf inside the pattern (the normal form's leaf specs).
-MatchInstruction = tuple
+from repro.grammar.grammar import PatNonterm, PatternNode, PatTerm, Rule, TreeGrammar
 
 #: Where one non-terminal leaf of a rule pattern sits: ``(child-index path
 #: from the pattern root, non-terminal)``.
@@ -64,15 +51,6 @@ LeafSpec = Tuple[Tuple[int, ...], str]
 #: ``target`` from the source costs ``delta_cost`` more, applying the chain
 #: rules of ``rule_path`` in order (source first).
 ClosureEntry = Tuple[str, int, Tuple[Rule, ...]]
-
-
-@dataclass(frozen=True)
-class MatchProgram:
-    """A rule pattern compiled to a linear instruction tuple."""
-
-    rule: Rule
-    code: Tuple[MatchInstruction, ...]
-    leaf_count: int
 
 
 class ShapeRule(NamedTuple):
@@ -92,30 +70,6 @@ class ShapeRule(NamedTuple):
     lhs: str
     rule: Optional[Rule]
     leaves: Tuple[LeafSpec, ...]
-
-
-def linearize_pattern(rule: Rule) -> MatchProgram:
-    """Flatten one non-chain rule pattern into a :class:`MatchProgram`.
-
-    Instructions are emitted in pre-order; the matcher runs them against
-    an explicit node stack, so pattern matching never recurses.
-    """
-    code: List[MatchInstruction] = []
-    leaves = 0
-    stack: List[Tuple[object, Tuple[int, ...]]] = [(rule.pattern, ())]
-    while stack:
-        pattern, path = stack.pop()
-        if isinstance(pattern, PatNonterm):
-            code.append((False, sys.intern(pattern.name), path))
-            leaves += 1
-            continue
-        if not isinstance(pattern, PatTerm):
-            raise TypeError("unexpected pattern node %r" % (pattern,))
-        operands = pattern.operands
-        code.append((True, sys.intern(pattern.name), pattern.value, len(operands)))
-        for index in range(len(operands) - 1, -1, -1):
-            stack.append((operands[index], path + (index,)))
-    return MatchProgram(rule=rule, code=tuple(code), leaf_count=leaves)
 
 
 def chain_closure_from(
@@ -167,15 +121,22 @@ class _NormalForm:
         # distinct operand tuples and 179 distinct leaf specs.
         self._shared: Dict[tuple, tuple] = {}
 
-    def add_rule(self, rule: Rule, program: MatchProgram) -> None:
+    def add_rule(self, rule: Rule) -> None:
         root = rule.pattern
-        leaves = tuple(
-            (instruction[2], instruction[1])
-            for instruction in program.code
-            if not instruction[0]
-        )
+        # Leaf specs in left-to-right pre-order, the order in which the
+        # rule's non-terminal leaves are reduced.
+        leaves: List[LeafSpec] = []
+        stack: List[Tuple[PatternNode, Tuple[int, ...]]] = [(root, ())]
+        while stack:
+            pattern, path = stack.pop()
+            if isinstance(pattern, PatNonterm):
+                leaves.append((path, sys.intern(pattern.name)))
+                continue
+            operands = pattern.operands
+            for index in range(len(operands) - 1, -1, -1):
+                stack.append((operands[index], path + (index,)))
         operands = tuple([self._operand(operand) for operand in root.operands])
-        self._add(root, operands, rule.cost, rule.lhs, rule, leaves)
+        self._add(root, operands, rule.cost, rule.lhs, rule, tuple(leaves))
 
     def _add(
         self,
@@ -226,16 +187,9 @@ class GrammarTables:
     """Matcher tables derived offline from one tree grammar."""
 
     grammar: TreeGrammar
-    # Legacy rule indexes (kept -- cheap, and still the clearest view).
+    # Rule indexes, read by the interpretive matcher and the target lints.
     rules_by_root: Dict[str, List[Rule]] = field(default_factory=dict)
     chain_rules_by_source: Dict[str, List[Rule]] = field(default_factory=dict)
-    # Dense interning of pattern-root operators and non-terminals.
-    op_ids: Dict[str, int] = field(default_factory=dict)
-    op_names: List[str] = field(default_factory=list)
-    nt_ids: Dict[str, int] = field(default_factory=dict)
-    nt_names: List[str] = field(default_factory=list)
-    # Linearized match programs, indexed by dense operator id.
-    programs_by_op: List[Tuple[MatchProgram, ...]] = field(default_factory=list)
     # Precomputed chain closure, per source non-terminal.
     chain_closure: Dict[str, Tuple[ClosureEntry, ...]] = field(default_factory=dict)
     # The depth-one normal form, grouped by (label, arity).
@@ -265,28 +219,16 @@ class GrammarTables:
     def _build_inner(cls, grammar: TreeGrammar) -> "GrammarTables":
         tables = cls(grammar=grammar)
         normal_form = _NormalForm(grammar.nonterminals)
-        programs: Dict[str, List[MatchProgram]] = {}
         for rule in grammar.rules:
             pattern = rule.pattern
             if isinstance(pattern, PatNonterm):
                 tables.chain_rules_by_source.setdefault(pattern.name, []).append(rule)
             elif isinstance(pattern, PatTerm):
                 tables.rules_by_root.setdefault(pattern.name, []).append(rule)
-                # Dense ids: pattern-root operators in first-appearance
-                # (rule index) order.
-                if pattern.name not in tables.op_ids:
-                    tables.op_ids[sys.intern(pattern.name)] = len(tables.op_names)
-                    tables.op_names.append(pattern.name)
-                program = linearize_pattern(rule)
-                programs.setdefault(pattern.name, []).append(program)
-                normal_form.add_rule(rule, program)
-        for name in sorted(grammar.nonterminals):
-            tables.nt_ids[sys.intern(name)] = len(tables.nt_names)
-            tables.nt_names.append(name)
-        # Match programs and shape rules stay in rule index order, which
-        # fixes the tie-break: the first matching rule of equal cost wins,
-        # exactly like the interpretive matcher.
-        tables.programs_by_op = [tuple(programs[name]) for name in tables.op_names]
+                normal_form.add_rule(rule)
+        # Shape rules stay in rule index order, which fixes the tie-break:
+        # the first matching rule of equal cost wins, exactly like the
+        # interpretive matcher.
         tables.shape_rules = {
             shape: tuple(rules) for shape, rules in normal_form.shapes.items()
         }
@@ -312,13 +254,6 @@ class GrammarTables:
         """Chain rules that can fire once ``nonterminal`` has been derived."""
         return self.chain_rules_by_source.get(nonterminal, [])
 
-    def programs_for(self, label: str) -> Tuple[MatchProgram, ...]:
-        """The linearized match programs rooted at ``label``."""
-        op = self.op_ids.get(label)
-        if op is None:
-            return ()
-        return self.programs_by_op[op]
-
     def closure_from(self, source: str) -> Tuple[ClosureEntry, ...]:
         """The precomputed chain closure of ``source``."""
         return self.chain_closure.get(source, ())
@@ -329,13 +264,11 @@ class GrammarTables:
             "indexed_rules": sum(len(r) for r in self.rules_by_root.values()),
             "chain_sources": len(self.chain_rules_by_source),
             "chain_rules": sum(len(r) for r in self.chain_rules_by_source.values()),
-            "operators": len(self.op_names),
-            "nonterminals": len(self.nt_names),
-            "match_programs": sum(len(p) for p in self.programs_by_op),
-            "program_instructions": sum(
-                len(program.code)
-                for programs in self.programs_by_op
-                for program in programs
+            "shape_rules": sum(len(s) for s in self.shape_rules.values()),
+            "fresh_nonterminals": sum(
+                shape.rule is None
+                for shapes in self.shape_rules.values()
+                for shape in shapes
             ),
             "closure_sources": len(self.chain_closure),
             "closure_entries": sum(len(c) for c in self.chain_closure.values()),

@@ -109,6 +109,13 @@ class TestReports:
         assert str(demo_result.template_count) in report
         assert "retargeting time" in report
 
+    def test_retargeting_report_describes_matcher_tables(self, ref_result):
+        report = retargeting_report(ref_result)
+        assert (
+            "matcher tables: 2227 depth-one rules (33 fresh non-terminals), "
+            "30 chain-closure entries over 5 sources\n"
+        ) in report
+
     def test_processor_class_report_demo(self, demo_result):
         report = processor_class_report(demo_result)
         assert report["data type"] == "fixed-point"

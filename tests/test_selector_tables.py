@@ -32,48 +32,6 @@ def _toy_grammar():
     return grammar
 
 
-class TestInterning:
-    def test_operator_ids_are_dense_and_in_rule_order(self):
-        tables = GrammarTables.build(_toy_grammar())
-        assert sorted(tables.op_ids.values()) == list(range(len(tables.op_ids)))
-        # First-appearance order over rule patterns: ASSIGN, add, Const, MEM.
-        assert tables.op_names == ["ASSIGN", "add", "Const", "MEM"]
-        assert all(tables.op_names[i] == name for name, i in tables.op_ids.items())
-
-    def test_nonterminal_ids_are_dense(self):
-        tables = GrammarTables.build(_toy_grammar())
-        assert sorted(tables.nt_ids.values()) == list(range(len(tables.nt_ids)))
-        assert set(tables.nt_names) == {"START", "nt_MEM", "nt_ACC"}
-
-
-class TestMatchPrograms:
-    def test_programs_grouped_by_root_in_rule_order(self):
-        tables = GrammarTables.build(_toy_grammar())
-        add_programs = tables.programs_for("add")
-        assert len(add_programs) == 2
-        assert [p.rule.index for p in add_programs] == [1, 2]
-        assert tables.programs_for("unknown") == ()
-
-    def test_linearization_is_preorder_with_paths(self):
-        tables = GrammarTables.build(_toy_grammar())
-        # The chained rule: add(nt_ACC, mul(nt_ACC, nt_MEM))
-        program = tables.programs_for("add")[1]
-        kinds = [instr[0] for instr in program.code]
-        assert kinds == [True, False, True, False, False]
-        term_add, leaf_a, term_mul, leaf_b, leaf_c = program.code
-        assert term_add[1] == "add" and term_add[3] == 2
-        assert term_mul[1] == "mul" and term_mul[3] == 2
-        assert (leaf_a[1], leaf_a[2]) == ("nt_ACC", (0,))
-        assert (leaf_b[1], leaf_b[2]) == ("nt_ACC", (1, 0))
-        assert (leaf_c[1], leaf_c[2]) == ("nt_MEM", (1, 1))
-        assert program.leaf_count == 3
-
-    def test_hardwired_constant_value_is_encoded(self):
-        tables = GrammarTables.build(_toy_grammar())
-        const_program = tables.programs_for("Const")[0]
-        assert const_program.code[0] == (True, "Const", 0, 0)
-
-
 class TestNormalForm:
     def test_inner_pattern_nodes_get_fresh_nonterminals(self):
         tables = GrammarTables.build(_toy_grammar())
@@ -176,17 +134,21 @@ class TestBuildMetadata:
         tables = GrammarTables.build(_toy_grammar())
         assert tables.build_time_s > 0.0
 
-    def test_stats_cover_programs_and_closure(self):
+    def test_stats_cover_shape_rules_and_closure(self):
         tables = GrammarTables.build(_toy_grammar())
         stats = tables.stats()
-        assert stats["match_programs"] == stats["indexed_rules"] == 5
+        assert stats["indexed_rules"] == 5
+        # One shape rule per non-chain rule, plus the zero-cost rules of
+        # the fresh MEM and mul non-terminals.
+        assert stats["fresh_nonterminals"] == 2
+        assert stats["shape_rules"] == 5 + 2
         assert stats["chain_rules"] == 2
         assert stats["closure_sources"] >= 2
-        assert stats["program_instructions"] >= stats["match_programs"]
 
     def test_tables_pickle_roundtrip(self):
         tables = GrammarTables.build(_toy_grammar())
         clone = pickle.loads(pickle.dumps(tables))
-        assert clone.op_names == tables.op_names
+        assert clone.shape_rules == tables.shape_rules
+        assert clone.hardwired_values == tables.hardwired_values
         assert clone.stats() == tables.stats()
-        assert [p.rule.index for p in clone.programs_for("add")] == [1, 2]
+        assert [shape.rule.index for shape in clone.shape_rules[("add", 2)]] == [1, 2]
