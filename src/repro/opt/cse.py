@@ -189,8 +189,9 @@ def eliminate_dead_temporaries(
     passes exactly the set the CSE stage materialized, so a *user*
     variable that happens to be called ``__cse0`` is never touched; when
     ``temps`` is ``None`` (standalone use) any ``temp_prefix``-named
-    destination counts.  Statements are reused from the input program
-    object -- callers needing fresh statements copy afterwards (see
+    destination counts; an empty ``temps`` returns ``program`` itself.
+    Statements are reused from the input program object -- callers
+    needing fresh statements copy afterwards (see
     :class:`~repro.opt.pipeline.OptPipeline`).
 
     On straight-line programs this is the classic backward liveness
@@ -201,6 +202,8 @@ def eliminate_dead_temporaries(
     """
     stats = counters if counters is not None else {}
     stats.setdefault("dead_removed", 0)
+    if temps is not None and not temps:
+        return program
 
     def removable(name: str) -> bool:
         if temps is not None:

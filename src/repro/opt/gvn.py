@@ -81,6 +81,45 @@ def _reachable_from(cfg: ControlFlowGraph) -> Dict[str, Set[str]]:
     return reach
 
 
+def _has_repeated_subtree(program: Program, min_occurrences: int, min_ops: int) -> bool:
+    """True when an operator subtree with ``min_ops`` operators (counted
+    as ``ExprDAG.op_counts`` does) occurs at ``min_occurrences`` places
+    in the statements and store indices -- without one no value number
+    can qualify.  Iterative; IR nodes are never keys (``__eq__`` recurses)."""
+    ids: Dict[tuple, int] = {}
+    op_counts: List[int] = []
+    occurrences: Dict[int, int] = {}
+    for block in program.blocks:
+        for statement in block.statements:
+            roots = (statement.expression, statement.destination_index)
+            stack = [(root, False) for root in roots if root is not None]
+            results: List[int] = []
+            while stack:
+                node, expanded = stack.pop()
+                kind = type(node)
+                if kind is Op or kind is ArrayRef:
+                    children = node.children()
+                    if not expanded:
+                        stack.append((node, True))
+                        stack.extend([(child, False) for child in reversed(children)])
+                        continue
+                    child_ids = tuple(results[-len(children):])
+                    del results[-len(children):]
+                    key = (kind, node.op if kind is Op else node.name) + child_ids
+                    ops = (kind is Op) + sum([op_counts[child] for child in child_ids])
+                else:
+                    key, ops = (kind, str(node)), 0
+                node_id = ids.setdefault(key, len(ids))
+                if node_id == len(op_counts):
+                    op_counts.append(ops)
+                if kind is Op and ops >= min_ops:
+                    occurrences[node_id] = occurrences.get(node_id, 0) + 1
+                    if occurrences[node_id] >= min_occurrences:
+                        return True
+                results.append(node_id)
+    return False
+
+
 def _substitute_var(expr: IRNode, name: str, replacement: IRNode) -> IRNode:
     """``expr`` with every ``VarRef(name)`` leaf replaced (explicit-stack
     rebuild; shared structure is freshly reconstructed)."""
@@ -201,7 +240,8 @@ def global_value_numbering(
     counters: Optional[Dict[str, int]] = None,
 ) -> Program:
     """A fresh program with repeated subexpressions materialized into
-    temporaries across the whole CFG (dominator-scoped).
+    temporaries across the whole CFG (dominator-scoped) -- or ``program``
+    itself, unchanged, when nothing qualifies for a temporary.
 
     ``counters`` (when given) accumulates ``cse_hits`` and
     ``temps_introduced`` exactly like the block-local eliminator."""
@@ -209,12 +249,11 @@ def global_value_numbering(
     stats.setdefault("cse_hits", 0)
     stats.setdefault("temps_introduced", 0)
 
+    if not _has_repeated_subtree(program, min_occurrences, min_ops):
+        return program
     cfg = ControlFlowGraph.from_program(program)
     if not cfg.names:
-        # Degenerate program (no blocks / unreachable entry): copy only.
-        from repro.opt.pipeline import copy_program
-
-        return copy_program(program)
+        return program  # no blocks / unreachable entry: nothing executes
 
     idom = immediate_dominators(cfg)
     dom_sets = _dominator_sets(cfg, idom)
@@ -262,6 +301,8 @@ def global_value_numbering(
             stack.append(("enter", child))
 
     candidates = _candidate_ids(dag.dag, min_occurrences, min_ops)
+    if not candidates:
+        return program
 
     reserved = set(program.all_variables()) | set(program.scalars)
     temp_serial = [0]

@@ -23,6 +23,8 @@ Two kinds of motion, both into the loop's preheader (the landing pad
 A *created* preheader costs one jump word, so creation is gated on at
 least two planned hoists; a reused preheader (the loop's sole outside
 predecessor already ends in an unconditional jump) accepts any number.
+Planning (:func:`plan_loop_invariants`) is read-only, so a caller can
+skip copying a program whose plan is empty.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from repro.ir.expr import (
 )
 from repro.ir.program import BasicBlock, CBranch, Jump, Program, Statement
 from repro.opt.cse import MIN_OCCURRENCES, MIN_OPS
+from repro.opt.loops import has_backward_branch
 
 #: Prefix of loop-invariant code motion temporaries.
 LICM_TEMP_PREFIX = "__licm"
@@ -216,55 +219,36 @@ def _replace_equal(expr: IRNode, pattern: IRNode, temp: str) -> IRNode:
     return expr
 
 
-def hoist_loop_invariants(
-    program: Program,
-    counters: Optional[Dict[str, int]] = None,
-    temp_prefix: str = LICM_TEMP_PREFIX,
-) -> Set[str]:
-    """Hoist loop-invariant statements and subexpressions of every
-    single-block self-loop into its preheader (mutating ``program``).
-    Returns the ``__licm*`` temporaries introduced; ``counters``
-    accumulates ``licm_hoisted`` (statements moved plus temporaries
-    materialized)."""
-    stats = counters if counters is not None else {}
-    stats.setdefault("licm_hoisted", 0)
-    introduced: Set[str] = set()
-    reserved = set(program.all_variables()) | set(program.scalars)
-    serial = [0]
-
-    def alloc_temp() -> str:
-        while True:
-            name = "%s%d" % (temp_prefix, serial[0])
-            serial[0] += 1
-            if name not in reserved:
-                reserved.add(name)
-                return name
-
+def plan_loop_invariants(program: Program) -> list:
+    """``(header, statement hoists in move order, subexpression candidates)``
+    of each self-loop passing the preheader gate.  No loop's hoists touch
+    the edges into another's header, so all plan on the unmodified program."""
+    if not has_backward_branch(program):
+        return []
     cfg = ControlFlowGraph.from_program(program)
     if not cfg.names:
-        return introduced
+        return []
+    plan = []
     for header in _self_loops(program, cfg):
         block = program.block(header)
-
-        # Plan: how many hoists would land in the preheader?  Statement
-        # hoists are simulated to fixpoint on a scratch copy of the
-        # statement list; each subexpression candidate adds one.
+        # Statement hoists are simulated to fixpoint on a scratch copy of
+        # the statement list; each subexpression candidate adds one.
         scratch = BasicBlock(
             name=block.name,
             statements=list(block.statements),
             terminator=block.terminator,
         )
-        planned = 0
+        moves: List[int] = []
         while True:
             hoists = _statement_hoists(scratch)
             if not hoists:
                 break
             del scratch.statements[hoists[0]]
-            planned += 1
-        planned += len(_subexpr_candidates(scratch))
+            moves.append(hoists[0])
+        candidates = _subexpr_candidates(scratch)
+        planned = len(moves) + len(candidates)
         if not planned:
             continue
-
         outside = [
             pred for pred in cfg.predecessors.get(header, ()) if pred != header
         ]
@@ -277,6 +261,40 @@ def hoist_loop_invariants(
             # A created preheader costs a jump word; one hoisted
             # statement cannot pay for it.
             continue
+        plan.append((header, moves, candidates))
+    return plan
+
+
+def hoist_loop_invariants(
+    program: Program,
+    counters: Optional[Dict[str, int]] = None,
+    temp_prefix: str = LICM_TEMP_PREFIX,
+    plan: Optional[list] = None,
+) -> Set[str]:
+    """Apply ``plan`` (:func:`plan_loop_invariants` of ``program`` or an
+    unmodified copy; made here when ``None``): hoist loop-invariant
+    statements and subexpressions of every single-block self-loop into
+    its preheader (mutating ``program``).  Returns the ``__licm*``
+    temporaries introduced; ``counters`` accumulates ``licm_hoisted``
+    (statements moved plus temporaries materialized)."""
+    stats = counters if counters is not None else {}
+    stats.setdefault("licm_hoisted", 0)
+    introduced: Set[str] = set()
+    if plan is None:
+        plan = plan_loop_invariants(program)
+    reserved = set(program.all_variables()) | set(program.scalars)
+    serial = [0]
+
+    def alloc_temp() -> str:
+        while True:
+            name = "%s%d" % (temp_prefix, serial[0])
+            serial[0] += 1
+            if name not in reserved:
+                reserved.add(name)
+                return name
+
+    for header, moves, candidates in plan:
+        block = program.block(header)
         forest = loop_nesting_forest(ControlFlowGraph.from_program(program))
         mini = LoopNestingForest()
         mini.loops[header] = forest.loops[header]
@@ -285,21 +303,13 @@ def hoist_loop_invariants(
         preheader_name = insert_preheaders(program, mini)[header]
         preheader = program.block(preheader_name)
 
-        # Statement hoisting to fixpoint (each move may unlock the next).
-        while True:
-            hoists = _statement_hoists(block)
-            if not hoists:
-                break
-            statement = block.statements.pop(hoists[0])
-            preheader.statements.append(statement)
+        for index in moves:  # the simulated statement hoists, in order
+            preheader.statements.append(block.statements.pop(index))
             stats["licm_hoisted"] += 1
 
         # Subexpression hoisting, largest candidates first, re-scanned
         # after every materialization.
-        while True:
-            candidates = _subexpr_candidates(block)
-            if not candidates:
-                break
+        while candidates:
             _key, pattern, _count = candidates[0]
             temp = alloc_temp()
             preheader.statements.append(
@@ -321,7 +331,5 @@ def hoist_loop_invariants(
             if temp not in program.scalars:
                 program.scalars.append(temp)
             stats["licm_hoisted"] += 1
-        # The CFG gained a block if a preheader was created; refresh for
-        # the remaining loops.
-        cfg = ControlFlowGraph.from_program(program)
+            candidates = _subexpr_candidates(block)
     return introduced

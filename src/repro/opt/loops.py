@@ -222,6 +222,17 @@ def _trip_count(
             return trips
 
 
+def has_backward_branch(program: Program) -> bool:
+    """True when a branch targets its own or an earlier block; every cycle needs one."""
+    position: Dict[str, int] = {}
+    for index, block in enumerate(program.blocks):
+        position.setdefault(block.name, index)
+        targets = block.terminator.targets() if block.terminator is not None else ()
+        if any(position.get(target, index + 1) <= index for target in targets):
+            return True
+    return False
+
+
 def find_counted_loops(
     program: Program,
     cfg: Optional[ControlFlowGraph] = None,
@@ -346,29 +357,39 @@ def _rotate_one(program: Program, loop: CountedLoop) -> None:
     ]
 
 
+def _rotation_candidates(program: Program, counted: Dict[str, CountedLoop]) -> List[CountedLoop]:
+    entry = program.entry_block_name() if program.blocks else ""
+    return [
+        loop
+        for loop in counted.values()
+        if loop.form == "while" and loop.trip_count >= 1 and loop.header != entry
+    ]
+
+
 def rotate_counted_loops(
-    program: Program, counters: Optional[Dict[str, int]] = None
+    program: Program,
+    counters: Optional[Dict[str, int]] = None,
+    counted: Optional[Dict[str, CountedLoop]] = None,
 ) -> int:
     """Rotate every eligible ``while``-form counted loop of ``program``
     (mutating it), re-recognizing after each rewrite so chained loops see
-    each other's updated edges.  Returns the number of rotations."""
+    each other's updated edges.  Returns the number of rotations.
+    ``counted`` (the loops of ``program`` as passed) replaces the first
+    recognition and is updated in place to describe the result."""
     stats = counters if counters is not None else {}
     stats.setdefault("loops_rotated", 0)
+    if counted is None:
+        counted = find_counted_loops(program)
     rotated = 0
     while True:
-        entry = program.entry_block_name() if program.blocks else ""
-        candidates = [
-            loop
-            for loop in find_counted_loops(program).values()
-            if loop.form == "while"
-            and loop.trip_count >= 1
-            and loop.header != entry
-        ]
+        candidates = _rotation_candidates(program, counted)
         if not candidates:
             return rotated
         _rotate_one(program, candidates[0])
         rotated += 1
         stats["loops_rotated"] += 1
+        counted.clear()
+        counted.update(find_counted_loops(program))
 
 
 # ---------------------------------------------------------------------------
@@ -422,18 +443,53 @@ def _replace_matches(expr: IRNode, patterns: Tuple[Op, Op], temp: str) -> IRNode
     return expr
 
 
+def _reducible_factors(program: Program, loop: CountedLoop) -> List[Tuple[int, int]]:
+    """``(factor, data-path occurrences)`` strength reduction rewrites."""
+    if loop.step is None:
+        return []
+    factors: Dict[int, int] = {}
+    for index, statement in enumerate(program.block(loop.latch).statements):
+        if index == loop.update_index:
+            continue
+        for factor in _candidate_factors(statement.expression, loop.induction):
+            patterns = _mul_patterns(loop.induction, factor)
+            factors[factor] = factors.get(factor, 0) + _count_data_path_matches(
+                statement.expression, patterns
+            )
+    return [
+        (factor, occurrences)
+        for factor, occurrences in sorted(factors.items())
+        if occurrences >= SR_MIN_OCCURRENCES
+    ]
+
+
+def would_rewrite_loops(program: Program, counted: Dict[str, CountedLoop]) -> bool:
+    """Would rotation or strength reduction change ``program``?  Exact:
+    the first reduction to fire rewrites a loop qualifying on the input."""
+    return bool(_rotation_candidates(program, counted)) or any(
+        _reducible_factors(program, loop) for loop in counted.values()
+    )
+
+
 def strength_reduce(
-    program: Program, counters: Optional[Dict[str, int]] = None
+    program: Program,
+    counters: Optional[Dict[str, int]] = None,
+    counted: Optional[Dict[str, CountedLoop]] = None,
 ) -> int:
     """Replace ``i * k`` products of counted-loop induction variables by
-    incrementally maintained ``__sr*`` temporaries (mutating ``program``).
-    Returns the number of occurrences rewritten."""
+    incrementally maintained ``__sr*`` temporaries (mutating ``program``),
+    recognizing the loops unless ``counted`` holds them.  Returns the
+    number of occurrences rewritten."""
     stats = counters if counters is not None else {}
     stats.setdefault("strength_reductions", 0)
-    reserved = set(program.all_variables()) | set(program.scalars)
+    if counted is None:
+        counted = find_counted_loops(program)
+    reserved: Set[str] = set()
     serial = [0]
 
     def alloc_temp() -> str:
+        if not reserved:  # first reduction, nothing rewritten yet
+            reserved.update(program.all_variables(), program.scalars)
         while True:
             name = "%s%d" % (SR_TEMP_PREFIX, serial[0])
             serial[0] += 1
@@ -442,22 +498,9 @@ def strength_reduce(
                 return name
 
     reduced = 0
-    for loop in find_counted_loops(program).values():
-        if loop.step is None:
-            continue
+    for loop in counted.values():
         body = program.block(loop.latch)
-        factors: Dict[int, int] = {}
-        for index, statement in enumerate(body.statements):
-            if index == loop.update_index:
-                continue
-            for factor in _candidate_factors(statement.expression, loop.induction):
-                patterns = _mul_patterns(loop.induction, factor)
-                factors[factor] = factors.get(factor, 0) + _count_data_path_matches(
-                    statement.expression, patterns
-                )
-        for factor, occurrences in sorted(factors.items()):
-            if occurrences < SR_MIN_OCCURRENCES:
-                continue
+        for factor, occurrences in _reducible_factors(program, loop):
             patterns = _mul_patterns(loop.induction, factor)
             temp = alloc_temp()
             # Earlier factors inserted statements; relocate the update.
@@ -538,9 +581,12 @@ def _candidate_factors(expr: IRNode, induction: str) -> Set[int]:
 # ---------------------------------------------------------------------------
 
 
-def annotate_hardware_loops(program: Program) -> Dict[str, HardwareLoop]:
+def annotate_hardware_loops(
+    program: Program, counted: Optional[Dict[str, CountedLoop]] = None
+) -> Dict[str, HardwareLoop]:
     """Hardware-loop annotations for every counted single-block self-loop
-    of the (final, optimized) program.
+    of the (final, optimized) program, recognized unless ``counted``
+    holds them (skipped when no branch goes backward).
 
     The annotation promises: every entry into the latch block executes
     its body exactly ``trip_count`` times before control leaves through
@@ -549,8 +595,10 @@ def annotate_hardware_loops(program: Program) -> Dict[str, HardwareLoop]:
     update, condition over the induction variable only), so a backend may
     replace the conditional branch by a repeat instruction without
     consulting the condition at runtime."""
+    if counted is None:
+        counted = find_counted_loops(program) if has_backward_branch(program) else {}
     annotations: Dict[str, HardwareLoop] = {}
-    for loop in find_counted_loops(program).values():
+    for loop in counted.values():
         if loop.form != "self":
             continue
         body = program.block(loop.latch)

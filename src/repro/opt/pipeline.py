@@ -15,7 +15,7 @@ block-local comparisons).
 After a run that included the ``loops`` stage, counted single-block
 self-loops of the result carry :class:`~repro.ir.program.HardwareLoop`
 annotations in ``Program.hw_loops``, the hook the backend's
-zero-overhead repeat lowering keys on.
+zero-overhead repeat lowering keys on; without it they are empty.
 
 The returned program, its blocks and its statements are fresh objects,
 so callers may mutate either side freely; expression trees and
@@ -23,6 +23,11 @@ terminators are frozen and may be shared with the input.  The pipeline
 is target-independent; passing the target grammar's operator vocabulary
 as ``supported_ops`` merely gates operator-introducing rewrites (see
 :mod:`repro.opt.fold`).
+
+Each stage runs a read-only check before it copies the program or
+builds an analysis, and hands its input through when the check finds
+nothing to do; a stage that changes something copies once.  The run
+copies at the end only when no stage built fresh statements.
 """
 
 from __future__ import annotations
@@ -133,10 +138,6 @@ class OptStats:
         )
 
 
-def _program_nodes(program: Program) -> int:
-    return program.expression_node_count()
-
-
 def copy_program(program: Program) -> Program:
     """A structural copy: fresh program, blocks, statement lists and
     statements, sharing the frozen expression trees and terminators.
@@ -233,19 +234,23 @@ class OptPipeline:
         """Optimize ``program`` and return ``(fresh program, stats)``.
 
         ``observer`` (when given) is called as ``observer(stage,
-        program)`` after each stage with the stage's result -- the CLI's
-        per-stage diff rendering hook.  Observers must not mutate the
-        program they are shown."""
+        program)`` once after each stage with the stage's result -- the
+        CLI's per-stage diff rendering hook; a stage that found nothing
+        to do shows its input again, possibly the caller's ``program``.
+        Observers must not mutate the program they are shown."""
         from repro.opt.gvn import global_value_numbering
-        from repro.opt.licm import hoist_loop_invariants
+        from repro.opt.licm import hoist_loop_invariants, plan_loop_invariants
         from repro.opt.loops import (
             annotate_hardware_loops,
+            find_counted_loops,
+            has_backward_branch,
             rotate_counted_loops,
             strength_reduce,
+            would_rewrite_loops,
         )
 
         stats = OptStats(
-            nodes_before=_program_nodes(program),
+            nodes_before=program.expression_node_count(),
             statements_before=program.statement_count(),
         )
         counters: Dict[str, int] = {
@@ -258,14 +263,16 @@ class OptPipeline:
             "gvn_hits": 0,
         }
         current = program
-        produced_fresh = False
+        produced_fresh = False  # True once current shares no statement with program
+        counted = counted_of = None  # counted loops of the loops stage, and of which program
         # Temporaries materialized by this run's stages; dead-temp
         # elimination removes only these, never a user variable that
         # happens to share a prefix.
         introduced_temps: Set[str] = set()
         for stage in self.stages:
             if stage == "fold":
-                current = Program(
+                fired = sum(stats.rewrites.values())
+                folded = Program(
                     name=current.name,
                     blocks=[
                         BasicBlock(
@@ -288,25 +295,32 @@ class OptPipeline:
                     arrays=dict(current.arrays),
                     entry=current.entry,
                 )
-                produced_fresh = True
+                if sum(stats.rewrites.values()) > fired:  # else equal to current
+                    current, produced_fresh = folded, True
             elif stage == "loops":
-                current = copy_program(current)
-                scalars_before = set(current.scalars)
-                rotate_counted_loops(current, counters)
-                strength_reduce(current, counters)
-                introduced_temps |= set(current.scalars) - scalars_before
-                produced_fresh = True
+                counted = find_counted_loops(current) if has_backward_branch(current) else {}
+                if would_rewrite_loops(current, counted):
+                    current = copy_program(current)
+                    scalars_before = set(current.scalars)
+                    rotate_counted_loops(current, counters, counted)
+                    if strength_reduce(current, counters, counted):
+                        counted = None  # statements moved; recognize again
+                    introduced_temps |= set(current.scalars) - scalars_before
+                    produced_fresh = True
+                counted_of = current
             elif stage == "licm":
-                current = copy_program(current)
-                introduced_temps |= hoist_loop_invariants(current, counters)
-                produced_fresh = True
+                plan = plan_loop_invariants(current)
+                if plan:
+                    current = copy_program(current)
+                    introduced_temps |= hoist_loop_invariants(current, counters, plan=plan)
+                    produced_fresh = True
             elif stage == "gvn":
                 gvn_counters: Dict[str, int] = {
                     "cse_hits": 0,
                     "temps_introduced": 0,
                 }
                 scalars_before = set(current.scalars)
-                current = global_value_numbering(
+                numbered = global_value_numbering(
                     current,
                     min_occurrences=self.min_cse_occurrences,
                     min_ops=self.min_cse_ops,
@@ -315,8 +329,9 @@ class OptPipeline:
                 )
                 counters["gvn_hits"] += gvn_counters["cse_hits"]
                 counters["temps_introduced"] += gvn_counters["temps_introduced"]
-                introduced_temps |= set(current.scalars) - scalars_before
-                produced_fresh = True
+                introduced_temps |= set(numbered.scalars) - scalars_before
+                produced_fresh = produced_fresh or numbered is not current
+                current = numbered
             elif stage == "cse":
                 scalars_before = set(current.scalars)
                 current = eliminate_common_subexpressions(
@@ -329,11 +344,10 @@ class OptPipeline:
                 introduced_temps |= set(current.scalars) - scalars_before
                 produced_fresh = True
             elif stage == "dce":
-                # DCE reuses surviving statement objects; freshness comes
-                # from an earlier stage or the final copy below.  With a
-                # materializing stage in this run, only its temps are
-                # removable (a user scalar named "__cse0" is safe);
-                # without one, fall back to the documented standalone
+                # DCE reuses surviving statement objects, so freshness is
+                # unchanged.  With a materializing stage in this run, only
+                # its temps are removable (a user scalar named "__cse0" is
+                # safe); without one, fall back to the documented standalone
                 # prefix semantics so "--stages dce" is not a no-op.
                 standalone = not any(
                     name in self.stages for name in _MATERIALIZING_STAGES
@@ -346,11 +360,17 @@ class OptPipeline:
                 )
             if observer is not None:
                 observer(stage, current)
+        stats.nodes_after = (
+            stats.nodes_before if current is program else current.expression_node_count()
+        )
+        if current is not counted_of:
+            counted = None  # a later stage changed the program
         if not produced_fresh:
             current = copy_program(current)
-        if "loops" in self.stages:
-            current.hw_loops = annotate_hardware_loops(current)
-            stats.hw_loops = len(current.hw_loops)
+        current.hw_loops = (
+            annotate_hardware_loops(current, counted) if "loops" in self.stages else {}
+        )
+        stats.hw_loops = len(current.hw_loops)
         stats.folds, stats.algebraic = split_rewrite_counts(stats.rewrites)
         stats.cse_hits = counters["cse_hits"]
         stats.gvn_hits = counters["gvn_hits"]
@@ -359,7 +379,6 @@ class OptPipeline:
         stats.loops_rotated = counters["loops_rotated"]
         stats.temps_introduced = counters["temps_introduced"]
         stats.dead_removed = counters["dead_removed"]
-        stats.nodes_after = _program_nodes(current)
         stats.statements_after = current.statement_count()
         return current, stats
 

@@ -1,0 +1,328 @@
+"""The optimizer's read-only stage checks, against the ungated stages.
+
+Every stage of :class:`~repro.opt.pipeline.OptPipeline` first checks
+whether it has anything to do and hands its input through when it has
+not.  :func:`_ungated_run` is the reference: every stage called on its
+own copy, whatever the check would say, and annotation at the end.  The
+pipeline must match it program for program and statistic for
+statistic.  Also pinned here: the work the checks save (CFG builds,
+copies, counted-loop scans), the one rule for ``hw_loops``, and a deep
+expression chain inside a loop.
+"""
+
+import pytest
+
+import repro.opt.gvn as gvn_module
+import repro.opt.loops as loops_module
+import repro.opt.pipeline as pipeline_module
+from repro.analysis.cfg import ControlFlowGraph
+from repro.dspstone import kernel_program
+from repro.dspstone.kernels import all_kernel_names, loop_kernel_names
+from repro.frontend.lowering import lower_to_program
+from repro.fuzz.generator import GENERATOR_PROFILES, generate_source
+from repro.ir.expr import ArrayRef, Const, Op, VarRef
+from repro.ir.program import BasicBlock, CBranch, Jump, Program, Statement
+from repro.opt import (
+    OptPipeline,
+    OptStats,
+    annotate_hardware_loops,
+    copy_program,
+    eliminate_common_subexpressions,
+    eliminate_dead_temporaries,
+    fold_expr,
+    fold_statement,
+    global_value_numbering,
+    hoist_loop_invariants,
+    rotate_counted_loops,
+    strength_reduce,
+)
+from repro.opt.fold import split_rewrite_counts
+from repro.toolchain.passes import introducible_ops
+
+KERNELS = tuple(all_kernel_names()) + tuple(loop_kernel_names())
+STAGE_LISTS = (None, ("loops",), ("licm",), ("gvn",), ("dce",))
+_MATERIALIZING = ("loops", "licm", "gvn", "cse")
+
+
+def _ungated_run(pipeline, program, supported_ops):
+    """Every stage of ``pipeline`` run unconditionally, each on a fresh
+    program, then the final annotation; GVN skips its structural scan."""
+    stats = OptStats(
+        nodes_before=program.expression_node_count(),
+        statements_before=program.statement_count(),
+    )
+    counters = dict.fromkeys(
+        (
+            "cse_hits",
+            "temps_introduced",
+            "dead_removed",
+            "loops_rotated",
+            "strength_reductions",
+            "licm_hoisted",
+            "gvn_hits",
+        ),
+        0,
+    )
+    current = program
+    produced_fresh = False
+    introduced = set()
+    for stage in pipeline.stages:
+        if stage == "fold":
+            current = Program(
+                name=current.name,
+                blocks=[
+                    BasicBlock(
+                        name=block.name,
+                        statements=[
+                            fold_statement(
+                                statement,
+                                supported_ops=supported_ops,
+                                rewrites=stats.rewrites,
+                            )
+                            for statement in block.statements
+                        ],
+                        terminator=(
+                            CBranch(
+                                fold_expr(block.terminator.condition, rewrites=stats.rewrites),
+                                block.terminator.true_target,
+                                block.terminator.false_target,
+                            )
+                            if isinstance(block.terminator, CBranch)
+                            else block.terminator
+                        ),
+                    )
+                    for block in current.blocks
+                ],
+                scalars=list(current.scalars),
+                arrays=dict(current.arrays),
+                entry=current.entry,
+            )
+        elif stage == "loops":
+            current = copy_program(current)
+            before = set(current.scalars)
+            rotate_counted_loops(current, counters)
+            strength_reduce(current, counters)
+            introduced |= set(current.scalars) - before
+        elif stage == "licm":
+            current = copy_program(current)
+            introduced |= hoist_loop_invariants(current, counters)
+        elif stage in ("gvn", "cse"):
+            local = {"cse_hits": 0, "temps_introduced": 0}
+            before = set(current.scalars)
+            if stage == "gvn":
+                current = global_value_numbering(
+                    copy_program(current),
+                    min_occurrences=pipeline.min_cse_occurrences,
+                    min_ops=pipeline.min_cse_ops,
+                    temp_prefix=pipeline.temp_prefix,
+                    counters=local,
+                )
+                counters["gvn_hits"] += local["cse_hits"]
+            else:
+                current = eliminate_common_subexpressions(
+                    current,
+                    min_occurrences=pipeline.min_cse_occurrences,
+                    min_ops=pipeline.min_cse_ops,
+                    temp_prefix=pipeline.temp_prefix,
+                    counters=local,
+                )
+                counters["cse_hits"] += local["cse_hits"]
+            counters["temps_introduced"] += local["temps_introduced"]
+            introduced |= set(current.scalars) - before
+        elif stage == "dce":
+            standalone = not any(name in pipeline.stages for name in _MATERIALIZING)
+            current = eliminate_dead_temporaries(
+                current,
+                temp_prefix=pipeline.temp_prefix,
+                counters=counters,
+                temps=None if standalone else introduced,
+            )
+            continue
+        produced_fresh = True
+    if not produced_fresh:
+        current = copy_program(current)
+    current.hw_loops = annotate_hardware_loops(current) if "loops" in pipeline.stages else {}
+    stats.hw_loops = len(current.hw_loops)
+    stats.folds, stats.algebraic = split_rewrite_counts(stats.rewrites)
+    for name, value in counters.items():
+        setattr(stats, name, value)
+    stats.nodes_after = current.expression_node_count()
+    stats.statements_after = current.statement_count()
+    return current, stats
+
+
+def _shape(program):
+    return (
+        [
+            (block.name, [str(statement) for statement in block.statements], block.terminator)
+            for block in program.blocks
+        ],
+        program.scalars,
+        program.arrays,
+        program.entry,
+        program.hw_loops,
+    )
+
+
+def _supported(result):
+    return frozenset(introducible_ops(result.grammar))
+
+
+def _assert_matches_ungated(stages, programs, targets, retarget_results, monkeypatch):
+    pipeline = OptPipeline(stages=stages)
+    if "fold" not in pipeline.stages:
+        targets = targets[:1]  # only folding reads supported_ops
+    for target in targets:
+        supported_ops = _supported(retarget_results[target])
+        for label, program in programs:
+            with monkeypatch.context() as patch:
+                patch.setattr(gvn_module, "_has_repeated_subtree", lambda *args: True)
+                expected, expected_stats = _ungated_run(pipeline, program, supported_ops)
+            optimized, stats = pipeline.run(program, supported_ops=supported_ops)
+            assert optimized is not program, label
+            assert _shape(optimized) == _shape(expected), (stages, target, label)
+            assert stats.to_dict() == expected_stats.to_dict(), (stages, target, label)
+
+
+class TestChecksMatchUngatedStages:
+    @pytest.mark.parametrize("stages", STAGE_LISTS)
+    def test_kernels(self, stages, retarget_results, monkeypatch):
+        programs = [(kernel, kernel_program(kernel)) for kernel in KERNELS]
+        targets = ("demo", "ref", "tms320c25")
+        _assert_matches_ungated(stages, programs, targets, retarget_results, monkeypatch)
+
+    @pytest.mark.parametrize("stages", STAGE_LISTS)
+    def test_generated_programs(self, stages, generated, retarget_results, monkeypatch):
+        targets = ("ref", "tms320c25")
+        _assert_matches_ungated(stages, generated, targets, retarget_results, monkeypatch)
+
+
+@pytest.fixture(scope="module")
+def generated():
+    """Seeds 0-99 of the default generator and 0-49 of the loop-heavy one,
+    lowered.  Neither the pipeline nor the reference mutates its input."""
+    loops = GENERATOR_PROFILES["loops"]
+    return [("seed%d" % seed, lower_to_program(generate_source(seed))) for seed in range(100)] + [
+        ("loops%d" % seed, lower_to_program(generate_source(seed, loops))) for seed in range(50)
+    ]
+
+
+class TestWorkDone:
+    """What one default ``OptPipeline().run`` builds, copies and scans."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        counts = {"cfg": 0, "copy": 0, "scan": 0}
+
+        def counting(key, function):
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return function(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(
+            ControlFlowGraph, "__init__", counting("cfg", ControlFlowGraph.__init__)
+        )
+        monkeypatch.setattr(
+            pipeline_module, "copy_program", counting("copy", pipeline_module.copy_program)
+        )
+        monkeypatch.setattr(
+            loops_module,
+            "find_counted_loops",
+            counting("scan", loops_module.find_counted_loops),
+        )
+        return counts
+
+    @pytest.mark.parametrize("kernel", all_kernel_names())
+    def test_straight_line_kernel_copies_once_and_builds_nothing(
+        self, kernel, work, tms_result
+    ):
+        OptPipeline().run(kernel_program(kernel), supported_ops=_supported(tms_result))
+        assert work == {"cfg": 0, "copy": 1, "scan": 0}
+
+    @pytest.mark.parametrize("kernel", loop_kernel_names())
+    def test_loop_kernel_scans_once_per_rotation_and_copies_once(
+        self, kernel, work, tms_result
+    ):
+        _optimized, stats = OptPipeline().run(
+            kernel_program(kernel), supported_ops=_supported(tms_result)
+        )
+        assert work["copy"] == 1
+        assert work["scan"] == 1 + stats.loops_rotated + (1 if stats.strength_reductions else 0)
+        assert work["cfg"] <= 4
+
+
+class TestHardwareLoopRule:
+    @pytest.mark.parametrize(
+        "stages",
+        [
+            ["licm"],
+            ["gvn"],
+            [],
+            ["fold"],
+            ["cse"],
+            ["dce"],
+            ["fold", "gvn"],
+            ["gvn", "dce"],
+            ["loops"],
+            None,
+        ],
+    )
+    def test_hw_loops_come_only_from_this_runs_loops_stage(self, stages):
+        annotated, _stats = OptPipeline().run(kernel_program("fir_loop"))
+        assert set(annotated.hw_loops) == {"L2_body"}
+        again, stats = OptPipeline(stages=stages).run(annotated)
+        expected = annotated.hw_loops if stages is None or "loops" in stages else {}
+        assert again.hw_loops == expected
+        assert stats.hw_loops == len(expected)
+        assert annotated.hw_loops  # the input keeps its own annotation
+
+
+def test_deep_chain_inside_a_loop_is_hoisted_and_numbered():
+    chain = VarRef("a")
+    for _ in range(2500):
+        chain = Op("add", (chain, Const(1)))
+    program = Program(
+        name="deep_loop",
+        blocks=[
+            BasicBlock("entry", [Statement("i", Const(0))], Jump("body")),
+            BasicBlock(
+                "body",
+                [
+                    Statement("acc", chain),
+                    Statement("acc2", Op("mul", (chain, Const(3)))),
+                    Statement("i", Op("add", (VarRef("i"), Const(1)))),
+                ],
+                CBranch(Op("lt", (VarRef("i"), Const(4))), "body", "exit"),
+            ),
+            BasicBlock("exit"),
+        ],
+        scalars=["a", "acc", "acc2", "i"],
+    )
+    _optimized, stats = OptPipeline().run(program)
+    assert stats.licm_hoisted >= 1
+    assert stats.gvn_hits >= 1
+
+
+class TestStagesHandTheirInputThrough:
+    def test_gvn_and_dce_return_their_input_when_nothing_qualifies(self):
+        program = kernel_program("fir")
+        assert global_value_numbering(program) is program
+        assert eliminate_dead_temporaries(program, temps=set()) is program
+
+    def test_gvn_scan_counts_index_operators_like_the_dag(self):
+        # a * x[i + 1] has two operators only through its array index;
+        # the scan must count them as ExprDAG.op_counts does.
+        def product():
+            return Op("mul", (VarRef("a"), ArrayRef("x", Op("add", (VarRef("i"), Const(1))))))
+
+        program = Program(
+            name="indexed",
+            blocks=[BasicBlock("entry", [Statement("y0", product()), Statement("y1", product())])],
+            scalars=["a", "i", "y0", "y1"],
+            arrays={"x": 4},
+        )
+        optimized, stats = OptPipeline(stages=["gvn"]).run(program)
+        assert stats.gvn_hits == 2
+        assert optimized.statement_count() == 3
