@@ -34,6 +34,7 @@ from repro.grammar.grammar import (
     CONST_TERMINAL,
     PatNonterm,
     PatTerm,
+    PatternNode,
     Rule,
     TreeGrammar,
 )
@@ -152,9 +153,9 @@ def lint_grammar(
                 )
             )
 
-    first_of: Dict[Tuple[str, str], Rule] = {}
+    first_of: Dict[Tuple[str, PatternNode], Rule] = {}
     for rule in grammar.rules:
-        key = (rule.lhs, str(rule.pattern))
+        key = (rule.lhs, rule.pattern)
         earlier = first_of.get(key)
         if earlier is None:
             first_of[key] = rule

@@ -1,60 +1,61 @@
-"""Commutativity expansion of RT templates."""
+"""Commutativity expansion of RT templates.
+
+Variants are memoized per (hash-consed) pattern node, so a sub-pattern
+shared by many templates is expanded once.  A memo lives for one call;
+:func:`repro.expansion.expand_template_base` shares one between its two
+commutativity passes.
+"""
 
 from __future__ import annotations
 
-from typing import List, Set
+from itertools import product
+from typing import Dict, List
 
 from repro.ise.routes import COMMUTATIVE_OPERATORS
 from repro.ise.templates import OpNode, Pattern, RTTemplate
+
+#: Pattern node -> all its variants, the node itself first.
+VariantMemo = Dict[Pattern, List[Pattern]]
 
 
 def swap_variants(pattern: Pattern) -> List[Pattern]:
     """All distinct patterns obtainable by swapping the operands of
     commutative operator nodes anywhere in ``pattern`` (excluding the
     original pattern itself)."""
-    variants = _variants(pattern)
-    return [variant for variant in variants if str(variant) != str(pattern)]
+    return _variants(pattern, {})[1:]
 
 
-def _variants(pattern: Pattern) -> List[Pattern]:
+def _variants(pattern: Pattern, memo: VariantMemo) -> List[Pattern]:
+    variants = memo.get(pattern)
+    if variants is not None:
+        return variants
     if not isinstance(pattern, OpNode):
-        return [pattern]
-    child_variant_lists = [_variants(child) for child in pattern.operands]
-    combos: List[Pattern] = []
-    for combo in _product(child_variant_lists):
-        combos.append(OpNode(pattern.op, tuple(combo)))
-        if pattern.op in COMMUTATIVE_OPERATORS and len(combo) == 2:
-            combos.append(OpNode(pattern.op, (combo[1], combo[0])))
-    return _unique(combos)
-
-
-def _product(lists):
-    if not lists:
-        yield []
-        return
-    for head in lists[0]:
-        for tail in _product(lists[1:]):
-            yield [head] + tail
-
-
-def _unique(patterns: List[Pattern]) -> List[Pattern]:
-    seen: Set[str] = set()
-    unique: List[Pattern] = []
-    for pattern in patterns:
-        key = str(pattern)
-        if key not in seen:
-            seen.add(key)
-            unique.append(pattern)
-    return unique
+        variants = [pattern]
+    else:
+        # A dict keeps the first occurrence of each variant, in order.
+        combos: Dict[Pattern, None] = {}
+        swappable = pattern.op in COMMUTATIVE_OPERATORS and len(pattern.operands) == 2
+        for combo in product(*[_variants(child, memo) for child in pattern.operands]):
+            combos[OpNode(pattern.op, combo)] = None
+            if swappable:
+                combos[OpNode(pattern.op, combo[::-1])] = None
+        variants = list(combos)
+    memo[pattern] = variants
+    return variants
 
 
 def expand_commutative(templates: List[RTTemplate]) -> List[RTTemplate]:
     """Complementary templates with swapped arguments for every commutative
     operator occurrence.  The original templates are not included in the
     returned list."""
+    return commutative_templates(templates, {})
+
+
+def commutative_templates(templates: List[RTTemplate], memo: VariantMemo) -> List[RTTemplate]:
+    """:func:`expand_commutative` with a caller-owned variant memo."""
     additional: List[RTTemplate] = []
     for template in templates:
-        for variant in swap_variants(template.pattern):
+        for variant in _variants(template.pattern, memo)[1:]:
             additional.append(
                 RTTemplate(
                     destination=template.destination,

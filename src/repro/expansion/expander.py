@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
-from repro.expansion.commutativity import expand_commutative
+from repro.expansion.commutativity import VariantMemo, commutative_templates
 from repro.expansion.library import default_transformation_library
 from repro.expansion.rewrite import RewriteRule, apply_rewrite_rules
-from repro.ise.templates import RTTemplateBase, RTTemplate
+from repro.ise.templates import Pattern, RTTemplate, RTTemplateBase
 
 
 @dataclass
@@ -39,14 +39,11 @@ def expand_template_base(
     variants plus rewrite-rule derived templates, with duplicates removed."""
     options = options if options is not None else ExpansionOptions()
     extended = RTTemplateBase(processor=base.processor)
-    seen: Set[str] = set()
+    seen: Set[Tuple[str, Pattern, int]] = set()
+    variants: VariantMemo = {}
 
     def add(template: RTTemplate) -> None:
-        key = "%s:=%s@%d" % (
-            template.destination,
-            template.pattern,
-            template.condition.node,
-        )
+        key = (template.destination, template.pattern, template.condition.node)
         if key not in seen:
             seen.add(key)
             extended.add(template)
@@ -54,7 +51,7 @@ def expand_template_base(
     for template in base:
         add(template)
     if options.use_commutativity:
-        for template in expand_commutative(list(base)):
+        for template in commutative_templates(list(base), variants):
             add(template)
     rules = options.effective_rules()
     if rules:
@@ -65,6 +62,6 @@ def expand_template_base(
     if options.use_commutativity and rules:
         # A final commutativity pass over rewrite-derived templates keeps the
         # extension closed under operand swapping.
-        for template in expand_commutative(list(extended)):
+        for template in commutative_templates(list(extended), variants):
             add(template)
     return extended

@@ -8,7 +8,7 @@ pattern matches the hardware schema, a new template with the source schema
 then cover IR nodes of the source shape directly.
 
 Schemas are pattern trees in which :class:`Slot` leaves act as pattern
-variables; equal slot indices must bind to structurally equal sub-patterns.
+variables; equal slot indices must bind to the same sub-pattern.
 """
 
 from __future__ import annotations
@@ -16,16 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.ise.templates import ConstLeaf, OpNode, Pattern, RTTemplate
+from repro.ise.templates import OpNode, Pattern, RTTemplate
 
 
-@dataclass(frozen=True)
 class Slot(Pattern):
     """A pattern variable inside a rewrite-rule schema."""
 
+    __slots__ = _fields = ("index",)
     index: int
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return "$%d" % self.index
 
 
@@ -40,28 +40,34 @@ class RewriteRule:
     def apply(self, template: RTTemplate) -> Optional[RTTemplate]:
         """A new template for the source shape, or ``None`` when the
         template's pattern does not match the hardware schema."""
-        bindings: Dict[int, Pattern] = {}
-        if not _match(self.hardware_schema, template.pattern, bindings):
-            return None
-        rewritten = _instantiate(self.source_schema, bindings)
+        rewritten = self.rewrite(template.pattern)
         if rewritten is None:
             return None
-        return RTTemplate(
-            destination=template.destination,
-            pattern=rewritten,
-            condition=template.condition,
-            origin="rewrite:%s" % self.name,
-            addressing=template.addressing,
-        )
+        return _derived(template, rewritten, self)
+
+    def rewrite(self, pattern: Pattern) -> Optional[Pattern]:
+        """The source-schema pattern computed by ``pattern``, or ``None``
+        when ``pattern`` does not match the hardware schema."""
+        bindings: Dict[int, Pattern] = {}
+        if not _match(self.hardware_schema, pattern, bindings):
+            return None
+        return _instantiate(self.source_schema, bindings)
+
+
+def _derived(template: RTTemplate, pattern: Pattern, rule: RewriteRule) -> RTTemplate:
+    return RTTemplate(
+        destination=template.destination,
+        pattern=pattern,
+        condition=template.condition,
+        origin="rewrite:%s" % rule.name,
+        addressing=template.addressing,
+    )
 
 
 def _match(schema: Pattern, pattern: Pattern, bindings: Dict[int, Pattern]) -> bool:
     if isinstance(schema, Slot):
-        bound = bindings.get(schema.index)
-        if bound is None:
-            bindings[schema.index] = pattern
-            return True
-        return str(bound) == str(pattern)
+        bound = bindings.setdefault(schema.index, pattern)
+        return bound is pattern
     if isinstance(schema, OpNode):
         if not isinstance(pattern, OpNode) or pattern.op != schema.op:
             return False
@@ -71,10 +77,8 @@ def _match(schema: Pattern, pattern: Pattern, bindings: Dict[int, Pattern]) -> b
             _match(sub_schema, sub_pattern, bindings)
             for sub_schema, sub_pattern in zip(schema.operands, pattern.operands)
         )
-    if isinstance(schema, ConstLeaf):
-        return isinstance(pattern, ConstLeaf) and pattern.value == schema.value
-    # Exact leaf equality for any other leaf kind used in a schema.
-    return type(schema) is type(pattern) and str(schema) == str(pattern)
+    # Any other schema leaf matches only itself.
+    return schema is pattern
 
 
 def _instantiate(schema: Pattern, bindings: Dict[int, Pattern]) -> Optional[Pattern]:
@@ -95,11 +99,16 @@ def apply_rewrite_rules(
     templates: List[RTTemplate], rules: List[RewriteRule]
 ) -> List[RTTemplate]:
     """Additional templates obtained by applying every rule to every
-    template.  Duplicates of existing patterns are filtered by the caller."""
+    template.  Duplicates of existing patterns are filtered by the caller.
+    Each rule rewrites each distinct pattern once per call."""
     additional: List[RTTemplate] = []
+    rewrites: Dict[Pattern, List[Tuple[RewriteRule, Optional[Pattern]]]] = {}
     for template in templates:
-        for rule in rules:
-            rewritten = rule.apply(template)
-            if rewritten is not None and str(rewritten.pattern) != str(template.pattern):
-                additional.append(rewritten)
+        pattern = template.pattern
+        derived = rewrites.get(pattern)
+        if derived is None:
+            derived = rewrites[pattern] = [(rule, rule.rewrite(pattern)) for rule in rules]
+        for rule, rewritten in derived:
+            if rewritten is not None and rewritten is not pattern:
+                additional.append(_derived(template, rewritten, rule))
     return additional

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict
 
 from repro.grammar.grammar import (
     ASSIGN_TERMINAL,
@@ -77,6 +77,7 @@ def build_tree_grammar(netlist: Netlist, template_base: RTTemplateBase) -> TreeG
         grammar.add_rule(START_SYMBOL, pattern, cost=0, kind=RuleKind.START)
 
     # -- RT rules --------------------------------------------------------------------
+    lowered: Dict[Pattern, PatternNode] = {}
     for template in template_base:
         lhs = nonterminal_for(template.destination)
         if lhs not in grammar.nonterminals:
@@ -84,7 +85,7 @@ def build_tree_grammar(netlist: Netlist, template_base: RTTemplateBase) -> TreeG
                 "template destination %r is neither a sequential component "
                 "nor a primary port" % template.destination
             )
-        pattern = _lower_pattern(template.pattern, grammar)
+        pattern = _lower_pattern(template.pattern, grammar, lowered)
         grammar.add_rule(lhs, pattern, cost=1, kind=RuleKind.RT, template=template)
 
     # -- stop rules -------------------------------------------------------------------
@@ -102,8 +103,20 @@ def build_tree_grammar(netlist: Netlist, template_base: RTTemplateBase) -> TreeG
     return grammar
 
 
-def _lower_pattern(pattern: Pattern, grammar: TreeGrammar) -> PatternNode:
-    """The ``L(exp)`` mapping of table 2 in the paper."""
+def _lower_pattern(
+    pattern: Pattern, grammar: TreeGrammar, memo: Dict[Pattern, PatternNode]
+) -> PatternNode:
+    """The ``L(exp)`` mapping of table 2 in the paper, memoized per
+    pattern node for one grammar: shared sub-patterns are lowered once."""
+    lowered = memo.get(pattern)
+    if lowered is None:
+        lowered = memo[pattern] = _lower_node(pattern, grammar, memo)
+    return lowered
+
+
+def _lower_node(
+    pattern: Pattern, grammar: TreeGrammar, memo: Dict[Pattern, PatternNode]
+) -> PatternNode:
     if isinstance(pattern, ConstLeaf):
         return PatTerm(CONST_TERMINAL, value=pattern.value)
     if isinstance(pattern, ImmLeaf):
@@ -122,6 +135,6 @@ def _lower_pattern(pattern: Pattern, grammar: TreeGrammar) -> PatternNode:
             )
         return PatTerm(pattern.port)
     if isinstance(pattern, OpNode):
-        children = tuple(_lower_pattern(child, grammar) for child in pattern.operands)
+        children = tuple(_lower_pattern(child, grammar, memo) for child in pattern.operands)
         return PatTerm(pattern.op, children)
     raise GrammarConstructionError("unsupported pattern node %r" % type(pattern).__name__)

@@ -6,6 +6,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.hashcons import HashConsed
+
 # The designated grammar start symbol and the designated terminal capturing
 # the assignment of an ET result to its destination (paper, section 3.1).
 START_SYMBOL = "START"
@@ -15,8 +17,10 @@ ASSIGN_TERMINAL = "ASSIGN"
 CONST_TERMINAL = "Const"
 
 
-class PatternNode:
-    """Base class of grammar-rule pattern nodes."""
+class PatternNode(HashConsed):
+    """Base class of grammar-rule pattern nodes.  Patterns are hash-consed
+    (:mod:`repro.hashcons`): equal means identical, nodes are immutable,
+    and each caches its text."""
 
     __slots__ = ()
 
@@ -24,7 +28,6 @@ class PatternNode:
         return ()
 
 
-@dataclass(frozen=True)
 class PatTerm(PatternNode):
     """A terminal occurrence in a rule pattern.
 
@@ -33,27 +36,29 @@ class PatTerm(PatternNode):
     terminal without value matches any program constant (immediate fields).
     """
 
+    __slots__ = _fields = ("name", "operands", "value")
+    _defaults = {"operands": (), "value": None}
     name: str
-    operands: Tuple[PatternNode, ...] = ()
-    value: Optional[int] = None
+    operands: Tuple[PatternNode, ...]
+    value: Optional[int]
 
     def children(self) -> Tuple[PatternNode, ...]:
         return self.operands
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         label = self.name if self.value is None else "%s#%d" % (self.name, self.value)
         if not self.operands:
             return label
         return "%s(%s)" % (label, ", ".join(str(c) for c in self.operands))
 
 
-@dataclass(frozen=True)
 class PatNonterm(PatternNode):
     """A non-terminal occurrence (always a leaf) in a rule pattern."""
 
+    __slots__ = _fields = ("name",)
     name: str
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return self.name
 
 

@@ -60,7 +60,7 @@ class InstructionSetExtractor:
         duplicates = 0
         per_destination: Dict[str, int] = {}
         for template in raw_templates:
-            key = (template.destination, str(template.pattern), template.condition.node)
+            key = (template.destination, template.pattern, template.condition.node)
             if key in seen:
                 duplicates += 1
                 continue

@@ -13,7 +13,7 @@ contention constraints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.bdd.manager import BDD
 from repro.hdl.ast import (
@@ -96,6 +96,7 @@ class RouteEnumerator:
         self.max_depth = max_depth
         self.max_alternatives = max_alternatives
         self._truncated = False
+        self._outputs: Dict[tuple, List[_Alternative]] = {}
 
     # -- public API ----------------------------------------------------------
 
@@ -366,6 +367,17 @@ class RouteEnumerator:
         port_name: str,
         depth: int,
         visited: FrozenSet[Tuple[str, str]],
+    ) -> List[_Alternative]:
+        """The alternatives of one module output, enumerated once per
+        ``(module, port, depth, visited)`` however many routes reach it.
+        Callers must not mutate the returned list."""
+        key = (module.name, port_name, depth, visited)
+        if key not in self._outputs:
+            self._outputs[key] = self._enumerate_output(module, port_name, depth, visited)
+        return self._outputs[key]
+
+    def _enumerate_output(
+        self, module: NetModule, port_name: str, depth: int, visited: FrozenSet[Tuple[str, str]]
     ) -> List[_Alternative]:
         alternatives: List[_Alternative] = []
         for assign in module.assignments_to(port_name):

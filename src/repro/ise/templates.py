@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.bdd.manager import BDD
+from repro.hashcons import HashConsed
 
 
 # ---------------------------------------------------------------------------
@@ -22,8 +23,10 @@ from repro.bdd.manager import BDD
 # ---------------------------------------------------------------------------
 
 
-class Pattern:
-    """Base class of RT template pattern nodes."""
+class Pattern(HashConsed):
+    """Base class of RT template pattern nodes.  Patterns are hash-consed
+    (:mod:`repro.hashcons`): equal means identical, nodes are immutable,
+    and each caches its text."""
 
     __slots__ = ()
 
@@ -31,58 +34,58 @@ class Pattern:
         return ()
 
 
-@dataclass(frozen=True)
 class RegLeaf(Pattern):
     """Read of a sequential component (register, register file or memory)."""
 
+    __slots__ = _fields = ("storage",)
     storage: str
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return self.storage
 
 
-@dataclass(frozen=True)
 class PortLeaf(Pattern):
     """Read of a primary processor input port."""
 
+    __slots__ = _fields = ("port",)
     port: str
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return self.port
 
 
-@dataclass(frozen=True)
 class ConstLeaf(Pattern):
     """A hardwired constant available in the data path."""
 
+    __slots__ = _fields = ("value",)
     value: int
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return "#%d" % self.value
 
 
-@dataclass(frozen=True)
 class ImmLeaf(Pattern):
     """An immediate operand taken from an instruction-word field."""
 
+    __slots__ = _fields = ("field_name", "width")
     field_name: str
     width: int
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return "imm<%s:%d>" % (self.field_name, self.width)
 
 
-@dataclass(frozen=True)
 class OpNode(Pattern):
     """A hardware operator applied to sub-patterns."""
 
+    __slots__ = _fields = ("op", "operands")
     op: str
     operands: Tuple[Pattern, ...]
 
     def children(self) -> Tuple[Pattern, ...]:
         return self.operands
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return "%s(%s)" % (self.op, ", ".join(str(c) for c in self.operands))
 
 
@@ -202,14 +205,14 @@ class RTTemplateBase:
 
     def operators(self) -> Set[str]:
         operators: Set[str] = set()
-        for template in self.templates:
-            operators.update(pattern_operators(template.pattern))
+        for pattern in dict.fromkeys(t.pattern for t in self.templates):
+            operators.update(pattern_operators(pattern))
         return operators
 
     def constants(self) -> Set[int]:
         constants: Set[int] = set()
-        for template in self.templates:
-            constants.update(pattern_constants(template.pattern))
+        for pattern in dict.fromkeys(t.pattern for t in self.templates):
+            constants.update(pattern_constants(pattern))
         return constants
 
     def chained_templates(self) -> List[RTTemplate]:

@@ -109,34 +109,38 @@ def chain_closure_from(
 
 
 class _NormalForm:
-    """Builder of the depth-one normal form, one rule at a time."""
+    """Builder of the depth-one normal form, one rule at a time.  Work is
+    memoized per (hash-consed) pattern node: each distinct root's operands
+    and leaf specs, and each distinct inner pattern's fresh name."""
 
     def __init__(self, nonterminals: Set[str]):
         self.shapes: Dict[Tuple[str, int], List[ShapeRule]] = {}
         self.hardwired: Set[int] = set()
-        # (label, value, operand non-terminals) -> fresh non-terminal
-        self._inner: Dict[tuple, str] = {}
+        # root pattern -> (operand non-terminals, leaf specs)
+        self._roots: Dict[PatternNode, Tuple[Tuple[str, ...], Tuple[LeafSpec, ...]]] = {}
+        # inner pattern -> fresh non-terminal
+        self._inner: Dict[PatternNode, str] = {}
         self._taken = set(nonterminals)
-        # Equal tuples are stored once: on ref, 2,227 shape rules use 238
-        # distinct operand tuples and 179 distinct leaf specs.
-        self._shared: Dict[tuple, tuple] = {}
 
     def add_rule(self, rule: Rule) -> None:
         root = rule.pattern
-        # Leaf specs in left-to-right pre-order, the order in which the
-        # rule's non-terminal leaves are reduced.
-        leaves: List[LeafSpec] = []
-        stack: List[Tuple[PatternNode, Tuple[int, ...]]] = [(root, ())]
-        while stack:
-            pattern, path = stack.pop()
-            if isinstance(pattern, PatNonterm):
-                leaves.append((path, sys.intern(pattern.name)))
-                continue
-            operands = pattern.operands
-            for index in range(len(operands) - 1, -1, -1):
-                stack.append((operands[index], path + (index,)))
-        operands = tuple([self._operand(operand) for operand in root.operands])
-        self._add(root, operands, rule.cost, rule.lhs, rule, tuple(leaves))
+        shape = self._roots.get(root)
+        if shape is None:
+            # Leaf specs in left-to-right pre-order, the order in which the
+            # rule's non-terminal leaves are reduced.
+            leaves: List[LeafSpec] = []
+            stack: List[Tuple[PatternNode, Tuple[int, ...]]] = [(root, ())]
+            while stack:
+                pattern, path = stack.pop()
+                if isinstance(pattern, PatNonterm):
+                    leaves.append((path, sys.intern(pattern.name)))
+                    continue
+                operands = pattern.operands
+                for index in range(len(operands) - 1, -1, -1):
+                    stack.append((operands[index], path + (index,)))
+            operands = tuple([self._operand(operand) for operand in root.operands])
+            shape = self._roots[root] = (operands, tuple(leaves))
+        self._add(root, shape[0], rule.cost, rule.lhs, rule, shape[1])
 
     def _add(
         self,
@@ -149,35 +153,25 @@ class _NormalForm:
     ) -> None:
         if pattern.value is not None:
             self.hardwired.add(pattern.value)
-        shared = self._shared.setdefault
         self.shapes.setdefault((sys.intern(pattern.name), len(operands)), []).append(
-            ShapeRule(
-                pattern.value,
-                shared(operands, operands),
-                cost,
-                lhs,
-                rule,
-                shared(leaves, leaves),
-            )
+            ShapeRule(pattern.value, operands, cost, lhs, rule, leaves)
         )
 
     def _operand(self, pattern) -> str:
         """The non-terminal a pattern operand is read through: its own
-        name, or the fresh one naming an inner pattern node.  Operands
-        are named bottom-up, so equal inner sub-patterns have equal
-        ``(label, value, operand names)`` and share one fresh name."""
+        name, or the fresh one naming an inner pattern node.  Equal inner
+        sub-patterns are one node and share one fresh name."""
         if isinstance(pattern, PatNonterm):
             return pattern.name
-        operands = tuple([self._operand(operand) for operand in pattern.operands])
-        key = (pattern.name, pattern.value, operands)
-        name = self._inner.get(key)
+        name = self._inner.get(pattern)
         if name is None:
+            operands = tuple([self._operand(operand) for operand in pattern.operands])
             name = "<%s>" % pattern
             while name in self._taken:
                 name += "'"
             name = sys.intern(name)
             self._taken.add(name)
-            self._inner[key] = name
+            self._inner[pattern] = name
             self._add(pattern, operands, 0, name, None, ())
         return name
 

@@ -11,16 +11,23 @@ optionally, on disk, making repeated retargets of the same model
 near-free across sessions, CLI invocations and benchmark runs.
 
 The generated matcher module cannot be pickled; it is regenerated from
-the cached grammar and tables on a hit: about 35 ms on ``ref``, the
-largest grammar, and 1-2 ms on the other built-in models.
+the cached grammar and tables on a hit: about 12 ms on ``ref``, the
+largest grammar, and 1-2 ms on the other built-in models.  A disk hit
+first unpickles the entry (about 6 ms on ``ref``) with the cyclic garbage
+collector paused, since a full collection set off by the load's many
+allocations could cost more than the load.  The pause is process-wide,
+so it is taken under a lock: otherwise one load could re-enable the
+collector under another, or leave it disabled.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import pickle
 import tempfile
+import threading
 from typing import Optional, Tuple
 
 from repro.expansion.expander import ExpansionOptions
@@ -33,7 +40,11 @@ from repro.record.retarget import RetargetResult, retarget
 #: 3: pickled GrammarTables gained the depth-one normal form
 #:    (``shape_rules``, ``hardwired_values``).
 #: 4: pickled GrammarTables lost the match programs and the dense ids.
-CACHE_FORMAT_VERSION = 4
+#: 5: pattern nodes are hash-consed and pickle as constructor calls, so
+#:    shared sub-patterns are stored once.
+CACHE_FORMAT_VERSION = 5
+
+_LOAD_LOCK = threading.Lock()
 
 
 def default_cache_dir() -> str:
@@ -68,14 +79,28 @@ def retarget_fingerprint(
         expansion_key = "commut=%s rewrite=%s rules=%s" % (
             expansion.use_commutativity,
             expansion.use_rewrite_rules,
+            # In list order: the first matching rule of equal cost wins,
+            # so the order of the rules can change the result.
             "default" if expansion.rules is None
-            else repr(sorted(repr(rule) for rule in expansion.rules)),
+            else repr([repr(rule) for rule in expansion.rules]),
         )
     hasher.update(b"\x00")
     hasher.update(expansion_key.encode("utf-8"))
     hasher.update(b"\x00")
     hasher.update(("depth=%d alts=%d" % (max_depth, max_alternatives)).encode("utf-8"))
     return hasher.hexdigest()
+
+
+def _load(data: bytes) -> object:
+    """``pickle.loads`` with the collector paused (see the module docstring)."""
+    with _LOAD_LOCK:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return pickle.loads(data)
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class RetargetCache:
@@ -114,7 +139,8 @@ class RetargetCache:
         if path and os.path.exists(path):
             try:
                 with open(path, "rb") as handle:
-                    result = pickle.load(handle)
+                    data = handle.read()
+                result = _load(data)
             except Exception:
                 # Corrupt or truncated entry: discard it and fall back to
                 # a miss (the caller re-retargets and put() overwrites).

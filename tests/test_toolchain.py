@@ -429,16 +429,96 @@ class TestRetargetCache:
         re-retargeted result succeeds."""
         from repro.toolchain import cache as cache_module
 
-        monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", 3)
+        monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", 4)
         RetargetCache(directory=tmp_path).get_or_retarget(
             demo_hdl, generate_matcher=False
         )
         monkeypatch.undo()
-        assert cache_module.CACHE_FORMAT_VERSION == 4
+        assert cache_module.CACHE_FORMAT_VERSION == 5
         fresh = RetargetCache(directory=tmp_path)
         result, hit = fresh.get_or_retarget(demo_hdl, generate_matcher=False)
         assert not hit
         assert Session(result).compile("int a, b, d; d = a + b;").code_size > 0
+
+    def test_disk_hit_returns_canonical_patterns(self, tmp_path):
+        """Pattern nodes pickle as constructor calls, so a result loaded
+        from disk shares every pattern node with a fresh retarget, and
+        re-expanding its extracted base reproduces its extended base."""
+        from repro.expansion import expand_template_base
+        from repro.record.retarget import retarget
+
+        hdl = target_hdl_source("tms320c25")
+        RetargetCache(directory=tmp_path).get_or_retarget(hdl, generate_matcher=False)
+        loaded, hit = RetargetCache(directory=tmp_path).get_or_retarget(
+            hdl, generate_matcher=False
+        )
+        assert hit
+        fresh = retarget(hdl, generate_matcher=False)
+        for mine, theirs in (
+            (loaded.extraction.template_base, fresh.extraction.template_base),
+            (loaded.template_base, fresh.template_base),
+        ):
+            assert len(mine) == len(theirs)
+            assert all(a.pattern is b.pattern for a, b in zip(mine, theirs))
+        assert all(
+            a.pattern is b.pattern for a, b in zip(loaded.grammar.rules, fresh.grammar.rules)
+        )
+        again = expand_template_base(loaded.extraction.template_base)
+        assert len(again) == len(loaded.template_base)
+        for a, b in zip(again, loaded.template_base):
+            assert a.pattern is b.pattern
+            assert (a.destination, a.condition.node, a.origin, a.addressing) == (
+                b.destination, b.condition.node, b.origin, b.addressing
+            )
+
+    def test_rule_order_is_part_of_the_key(self):
+        """The first matching rule of equal cost wins, so the same rules in
+        another order can give another template order; they must not share
+        a cache entry."""
+        from repro.expansion import ExpansionOptions, default_transformation_library
+        from repro.record.retarget import retarget
+
+        hdl = target_hdl_source("ref")
+        rules = default_transformation_library()
+        forward = ExpansionOptions(rules=rules)
+        backward = ExpansionOptions(rules=list(reversed(rules)))
+        assert retarget_fingerprint(hdl, expansion=forward) != retarget_fingerprint(
+            hdl, expansion=backward
+        )
+        cache = RetargetCache(directory=False)
+        cache.get_or_retarget(hdl, expansion=forward, generate_matcher=False)
+        cached, hit = cache.get_or_retarget(hdl, expansion=backward, generate_matcher=False)
+        assert not hit
+        fresh = retarget(hdl, expansion=backward, generate_matcher=False)
+
+        def order(result):
+            return [(t.destination, str(t.pattern), t.origin) for t in result.template_base]
+
+        assert order(cached) == order(fresh)
+
+    def test_rules_differing_in_one_schema_leaf_get_different_keys(self):
+        from repro.expansion import ExpansionOptions, RewriteRule
+        from repro.expansion.rewrite import Slot
+        from repro.ise import ConstLeaf, OpNode
+
+        def options(constant):
+            return ExpansionOptions(
+                rules=[
+                    RewriteRule(
+                        name="shl_via_add",
+                        hardware_schema=OpNode("add", (Slot(0), Slot(0))),
+                        source_schema=OpNode("shl", (Slot(0), ConstLeaf(constant))),
+                    )
+                ]
+            )
+
+        hdl = target_hdl_source("demo")
+        assert retarget_fingerprint(hdl, expansion=options(1)) != retarget_fingerprint(
+            hdl, expansion=options(2)
+        )
+        assert retarget_fingerprint(hdl, expansion=options(1)) == retarget_fingerprint(
+            hdl, expansion=options(1)
+        )
 
     def test_memory_only_cache(self, demo_hdl):
         cache = RetargetCache(directory=False)
