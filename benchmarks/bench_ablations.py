@@ -19,8 +19,7 @@ import pytest
 from repro.dspstone import kernel_program
 from repro.expansion import ExpansionOptions
 from repro.record.retarget import retarget
-from repro.targets.library import target_hdl_source
-from repro.toolchain import PipelineConfig, Session
+from repro.toolchain import PipelineConfig, Session, default_registry
 
 _KERNELS = ["real_update", "fir", "biquad_one", "dot_product"]
 
@@ -63,7 +62,7 @@ def test_ablation_template_expansion(benchmark, use_expansion):
 
     def run():
         result = retarget(
-            target_hdl_source("tms320c25"), expansion=options, generate_matcher=False
+            default_registry().hdl_source("tms320c25"), expansion=options, generate_matcher=False
         )
         session = Session(result)
         return result.template_count, _total_code_size(session)

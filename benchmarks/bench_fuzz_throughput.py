@@ -27,7 +27,7 @@ import time
 
 from repro.frontend.lowering import lower_to_program
 from repro.fuzz import generate_source, run_campaign
-from repro.fuzz.oracles import TargetHarness, seed_environment
+from repro.fuzz.oracles import TargetHarness
 
 #: Fixed benchmark shape: one fast target, a two-figure program budget.
 BENCH_TARGET = "ref"

@@ -212,11 +212,10 @@ def test_global_opt_strictly_beats_block_local(tms_result):
 
 
 def main(output: str = "BENCH_results.json") -> dict:
-    from repro.targets import target_hdl_source
-    from repro.toolchain import RetargetCache
+    from repro.toolchain import RetargetCache, default_registry
 
     tms_result, _hit = RetargetCache(directory=False).get_or_retarget(
-        target_hdl_source("tms320c25")
+        default_registry().hdl_source("tms320c25")
     )
     section = run(tms_result)
     results = {"schema": 1}

@@ -208,11 +208,10 @@ def test_optimizer_cuts_labelled_nodes_on_cse_heavy_suite(tms_result):
 
 
 def main(output: str = "BENCH_results.json") -> dict:
-    from repro.targets import target_hdl_source
-    from repro.toolchain import RetargetCache
+    from repro.toolchain import RetargetCache, default_registry
 
     tms_result, _hit = RetargetCache(directory=False).get_or_retarget(
-        target_hdl_source("tms320c25")
+        default_registry().hdl_source("tms320c25")
     )
     section = run(tms_result)
     results = {"schema": 1}

@@ -21,8 +21,7 @@ import pytest
 from repro.codegen.selection import select_statement
 from repro.frontend import lower_to_program
 from repro.ir import bind_program
-from repro.targets import target_hdl_source
-from repro.toolchain import RetargetCache
+from repro.toolchain import RetargetCache, default_registry
 
 
 def _sum_of_products(terms):
@@ -89,7 +88,7 @@ def test_retarget_cache_cold_vs_warm(tmp_path, target):
     that speedup is the whole point of the cache.  ``ref``, the largest
     grammar, guards the disk tier's matcher regeneration.
     """
-    hdl = target_hdl_source(target)
+    hdl = default_registry().hdl_source(target)
     cache = RetargetCache(directory=tmp_path)
 
     start = time.perf_counter()
@@ -126,7 +125,7 @@ def test_retarget_cache_cold_vs_warm(tmp_path, target):
 
 def test_retarget_cache_warm_hit_latency(benchmark, tmp_path):
     """Steady-state warm-hit latency (memory tier), as a pytest-benchmark."""
-    hdl = target_hdl_source("tms320c25")
+    hdl = default_registry().hdl_source("tms320c25")
     cache = RetargetCache(directory=tmp_path)
     cache.get_or_retarget(hdl)  # prime
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro.record.retarget import retarget
-from repro.targets.library import all_target_names, target_hdl_source
+from repro.toolchain import default_registry
 
 # Paper values (DATE 1997, table 3) for side-by-side comparison in reports.
 PAPER_TEMPLATE_COUNTS = {
@@ -41,11 +41,11 @@ PAPER_RETARGETING_SECONDS = {
 }
 
 
-@pytest.mark.parametrize("target", all_target_names())
+@pytest.mark.parametrize("target", default_registry().names())
 def test_table3_retargeting_time(benchmark, target):
     """Full retargeting flow (HDL -> netlist -> ISE -> expansion -> grammar
     -> generated parser) for one target processor."""
-    source = target_hdl_source(target)
+    source = default_registry().hdl_source(target)
     result = benchmark.pedantic(retarget, args=(source,), rounds=3, iterations=1)
     benchmark.extra_info["target"] = target
     benchmark.extra_info["rt_templates_extended"] = result.template_count
@@ -69,8 +69,8 @@ def main():
     )
     print(header)
     print("-" * len(header))
-    for target in all_target_names():
-        result = retarget(target_hdl_source(target))
+    for target in default_registry().names():
+        result = retarget(default_registry().hdl_source(target))
         print(
             "%-12s %18d %22.3f %18d %22.1f"
             % (

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.targets.library import all_target_names, target_hdl_source
-from repro.toolchain import PipelineConfig, RetargetCache, Session
+from repro.toolchain import PipelineConfig, RetargetCache, Session, default_registry
 
 
 @pytest.fixture(scope="session")
@@ -22,9 +21,10 @@ def retarget_cache():
 @pytest.fixture(scope="session")
 def retargeted(retarget_cache):
     """Retargeting results for every built-in target (computed once)."""
+    registry = default_registry()
     return {
-        name: retarget_cache.get_or_retarget(target_hdl_source(name))[0]
-        for name in all_target_names()
+        name: retarget_cache.get_or_retarget(registry.hdl_source(name))[0]
+        for name in registry.names()
     }
 
 

@@ -15,7 +15,6 @@ Run with::
 
 from repro.codegen.selection import CodeGenerationError
 from repro.dspstone import get_kernel
-from repro.targets import all_target_names, get_target
 from repro.toolchain import Toolchain
 
 KERNELS = ["real_update", "dot_product"]
@@ -40,19 +39,19 @@ def main():
     print("-" * len(header))
     toolchain = Toolchain()  # one registry + retarget cache for all sessions
     sessions = {}
-    for name in all_target_names():
+    for name in toolchain.registry.names():
         session = toolchain.session(name)
         sessions[name] = session
         result = session.retarget_result
         print(
             "%-12s %-22s %12d %16.3f"
-            % (name, get_target(name).category, result.template_count, result.timings.total)
+            % (name, toolchain.registry.get(name).category, result.template_count, result.timings.total)
         )
 
     for kernel_name in KERNELS:
         kernel = get_kernel(kernel_name)
         print("\ncode size for kernel %r (%s):" % (kernel_name, kernel.description))
-        for name in all_target_names():
+        for name in toolchain.registry.names():
             overrides = BINDING_OVERRIDES.get(name, {}).get(kernel_name)
             try:
                 compiled = sessions[name].compile(

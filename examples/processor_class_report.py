@@ -14,15 +14,14 @@ Run with::
 """
 
 from repro.record.report import processor_class_report
-from repro.targets import all_target_names
 from repro.toolchain import Toolchain
 
 
 def main():
     toolchain = Toolchain()
     reports = {}
-    for name in all_target_names():
-        result = toolchain.session(name, generate_matcher=False).retarget_result
+    for name in toolchain.registry.names():
+        result = toolchain.session(name).retarget_result
         reports[name] = processor_class_report(result)
 
     parameters = list(next(iter(reports.values())).keys())

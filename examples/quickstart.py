@@ -20,8 +20,7 @@ from repro.ise import extract_instruction_set
 from repro.netlist import build_netlist
 from repro.record.retarget import retarget
 from repro.sim import simulate_statement_code
-from repro.targets import target_hdl_source
-from repro.toolchain import Session
+from repro.toolchain import Session, default_registry
 
 SOURCE_PROGRAM = """
 int a, b, c, d;
@@ -31,7 +30,7 @@ c = d - b;
 
 
 def main():
-    hdl = target_hdl_source("demo")
+    hdl = default_registry().hdl_source("demo")
 
     # -- step 1: HDL frontend and netlist (graph model) ----------------------
     model = parse_processor(hdl)

@@ -11,11 +11,14 @@ Run with::
 """
 
 from repro.record.report import format_processor_class_report, retargeting_report
-from repro.toolchain import Toolchain
+from repro.record.retarget import retarget
+from repro.toolchain import default_registry
 
 
 def main():
-    result = Toolchain.for_target("tms320c25").retarget_result
+    # retarget() emits the stand-alone matcher module printed at the end;
+    # sessions never build it.
+    result = retarget(default_registry().hdl_source("tms320c25"))
 
     print(retargeting_report(result))
     print(format_processor_class_report(result))

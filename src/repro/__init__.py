@@ -44,9 +44,8 @@ experiments:
 * :mod:`repro.opt` -- the pre-selection IR optimizer (expression DAGs,
   constant folding, cross-statement CSE, dead-temporary elimination), run
   by default as the ``opt`` pass ahead of selection;
-* :mod:`repro.record` -- the retargeting driver plus the legacy
-  ``retarget()`` / ``RecordCompiler`` API (now thin shims over
-  :mod:`repro.toolchain`; see ``docs/API.md`` for migration notes);
+* :mod:`repro.record` -- the retargeting driver ``retarget()`` (the
+  phase timings of table 3) and its reports;
 * :mod:`repro.targets`, :mod:`repro.dspstone`, :mod:`repro.baselines`,
   :mod:`repro.sim` -- the six built-in processor models, the DSPStone
   kernels, the experiment baselines and the RT-level simulator.
@@ -61,9 +60,7 @@ from repro.diagnostics import (
     SourceLocation,
     TargetError,
 )
-from repro.record.compiler import CompiledProgram, CompilerOptions, RecordCompiler
 from repro.record.retarget import RetargetResult, retarget
-from repro.targets.library import all_target_names, get_target, target_hdl_source
 from repro.dspstone.kernels import all_kernel_names, get_kernel, kernel_program
 from repro.toolchain import (
     CompilationResult,
@@ -84,7 +81,7 @@ from repro.service import (
 )
 from repro.opt import OptPipeline, OptStats, optimize_program
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "CompilationResult",
@@ -92,15 +89,12 @@ __all__ = [
     "CompileRequest",
     "CompileResponse",
     "CompileService",
-    "CompiledProgram",
-    "CompilerOptions",
     "Diagnostic",
     "InternalCompilerError",
     "KernelError",
     "OptPipeline",
     "OptStats",
     "PipelineConfig",
-    "RecordCompiler",
     "ReproError",
     "ResourceLimitError",
     "RetargetCache",
@@ -113,13 +107,10 @@ __all__ = [
     "Toolchain",
     "__version__",
     "all_kernel_names",
-    "all_target_names",
     "default_registry",
     "get_kernel",
-    "get_target",
     "kernel_program",
     "optimize_program",
     "register_target",
     "retarget",
-    "target_hdl_source",
 ]

@@ -19,7 +19,7 @@ facts this module computes from a :class:`~repro.analysis.cfg.ControlFlowGraph`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.cfg import ControlFlowGraph
 from repro.analysis.dominators import dominates, immediate_dominators

@@ -36,9 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.cfg import ControlFlowGraph
 from repro.analysis.reaching import possibly_uninitialized_uses
-from repro.diagnostics import Diagnostic, ReproError
+from repro.diagnostics import ReproError
 
 #: Reserved prefixes of optimizer-introduced temporaries (mirrors
 #: ``repro.opt.cse.OPT_TEMP_PREFIXES``; duplicated literals to keep this
@@ -46,9 +45,6 @@ from repro.diagnostics import Diagnostic, ReproError
 #: ``temp_prefix`` accepts a single prefix or a tuple (the membership
 #: tests go through ``str.startswith``, which takes both).
 RESERVED_TEMP_PREFIXES = ("__cse", "__licm", "__sr")
-
-#: Backward-compatible single-prefix alias.
-RESERVED_TEMP_PREFIX = "__cse"
 
 #: Kinds counted as spill traffic (mirrors ``repro.codegen.spill.SPILL_KINDS``).
 SPILL_KINDS = ("spill_store", "spill_reload")
@@ -73,11 +69,6 @@ class Finding:
         if self.where:
             return "[%s] %s: %s" % (self.check, self.where, self.message)
         return "[%s] %s" % (self.check, self.message)
-
-    def to_diagnostic(self) -> Diagnostic:
-        return Diagnostic(
-            severity=self.severity, message=self.describe(), phase="verify"
-        )
 
 
 class VerificationError(ReproError):

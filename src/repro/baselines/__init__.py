@@ -4,17 +4,19 @@ The paper compares RECORD against the TMS320C25's target-specific C
 compiler and against hand-written assembly.  Neither is available here, so
 we substitute:
 
-* a *conventional compiler* baseline (``conventional_compiler``): the same
-  infrastructure with the features the paper attributes to RECORD turned
-  off -- no chained-operation templates, no commutativity/rewrite expansion,
-  no clobber-aware scheduling, no compaction -- plus a greedy
-  maximal-munch selector (``GreedyMaximalMunch``) used in the ablations;
+* a *conventional compiler* baseline: the same infrastructure with the
+  features the paper attributes to RECORD turned off -- no chained-operation
+  templates, no commutativity/rewrite expansion, no clobber-aware
+  scheduling, no compaction.  It is the ``conventional`` pipeline preset:
+  ``Session(result, config=PipelineConfig.preset("conventional"))``;
+* a greedy maximal-munch selector (``GreedyMaximalMunch``), the
+  non-optimal selection strategy of pre-BURS code generators;
 * *hand-written reference sizes* (``hand_reference_size``): idiomatic
   TMS320C25 instruction counts per kernel, computed from the standard
   LAC/LT/MPY/APAC/SACL coding patterns for the documented workload sizes.
 """
 
-from repro.baselines.naive import GreedyMaximalMunch, conventional_compiler, conventional_options
+from repro.baselines.naive import GreedyMaximalMunch
 from repro.baselines.reference import (
     hand_reference_size,
     hand_reference_table,
@@ -23,8 +25,6 @@ from repro.baselines.reference import (
 
 __all__ = [
     "GreedyMaximalMunch",
-    "conventional_compiler",
-    "conventional_options",
     "hand_reference_size",
     "has_hand_reference_size",
     "hand_reference_table",

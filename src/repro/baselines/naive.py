@@ -1,32 +1,13 @@
-"""Conventional-compiler baseline and greedy maximal-munch selection."""
+"""Greedy maximal-munch code selection, a non-optimal baseline selector."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.grammar.grammar import PatNonterm, PatTerm, PatternNode, RuleKind, TreeGrammar
-from repro.record.compiler import CompilerOptions, RecordCompiler
-from repro.record.retarget import RetargetResult
 from repro.selector.burs import SelectionError
 from repro.selector.subject import SubjectNode
 from repro.selector.tables import GrammarTables
-
-
-def conventional_options() -> CompilerOptions:
-    """Options approximating a conventional target-specific compiler: no
-    chained operations, no expansion-derived templates, no scheduling, no
-    compaction."""
-    return CompilerOptions(
-        allow_chained=False,
-        use_expanded_templates=False,
-        use_scheduling=False,
-        use_compaction=False,
-    )
-
-
-def conventional_compiler(retarget_result: RetargetResult) -> RecordCompiler:
-    """The baseline compiler used for the left bars of figure 2."""
-    return RecordCompiler(retarget_result, options=conventional_options())
 
 
 class GreedyMaximalMunch:

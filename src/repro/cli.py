@@ -110,7 +110,15 @@ def _cmd_kernels(_args) -> int:
 
 
 def _cmd_retarget(args) -> int:
-    result = _session(args).retarget_result
+    # The report's parser_generation phase times emitting the matcher
+    # module, so this command asks for it; sessions never do.
+    try:
+        spec = default_registry().resolve(args.target)
+        result, _hit = _cache_from_args(args).get_or_retarget(
+            spec.hdl_source, generate_matcher=True
+        )
+    except ReproError as error:
+        raise SystemExit("error: %s" % error_report(error))
     print(retargeting_report(result))
     if args.features:
         print(format_processor_class_report(result))

@@ -126,9 +126,6 @@ class StatementCode:
     cost: int
     instances: List[RTInstance] = field(default_factory=list)
 
-    def instruction_count(self) -> int:
-        return len(self.instances)
-
     def is_control(self) -> bool:
         return any(instance.is_control() for instance in self.instances)
 

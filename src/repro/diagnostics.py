@@ -71,8 +71,7 @@ class ReproError(Exception):
 class TargetError(ReproError, KeyError):
     """An unknown target name or an invalid target registration.
 
-    Also a :class:`KeyError` because the registry behaves like a mapping
-    (and for compatibility with the pre-registry lookup API).
+    Also a :class:`KeyError` because the registry behaves like a mapping.
     """
 
     phase = "target"

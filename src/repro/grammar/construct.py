@@ -10,7 +10,6 @@ from repro.grammar.grammar import (
     PatNonterm,
     PatTerm,
     PatternNode,
-    Rule,
     RuleKind,
     START_SYMBOL,
     TreeGrammar,

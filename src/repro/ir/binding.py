@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
-from repro.hdl.ast import ModuleKind, PortDirection
+from repro.hdl.ast import ModuleKind
 from repro.ir.program import Program
 from repro.netlist.netlist import Netlist
 

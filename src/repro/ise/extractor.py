@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.bdd.manager import BDDManager
 from repro.ise.control import ControlAnalyzer
 from repro.ise.routes import RouteEnumerator
-from repro.ise.templates import RTTemplate, RTTemplateBase
+from repro.ise.templates import RTTemplateBase
 from repro.netlist.netlist import Netlist
 
 

@@ -114,11 +114,6 @@ class Netlist:
             if not m.is_sequential() and not m.is_control_source()
         ]
 
-    def primary_input_ports(self) -> List[PrimaryPortDecl]:
-        return [
-            p for p in self.primary_ports.values() if p.direction == PortDirection.IN
-        ]
-
     def primary_output_ports(self) -> List[PrimaryPortDecl]:
         return [
             p for p in self.primary_ports.values() if p.direction == PortDirection.OUT

@@ -4,22 +4,14 @@
   model -> netlist -> instruction-set extraction -> template expansion ->
   tree grammar -> generated code selector, with per-phase timings (the
   quantity reported in table 3 of the paper);
-* :mod:`repro.record.compiler` -- the retargetable compiler built on top of
-  a retargeting result: source program -> IR -> code selection ->
-  scheduling/spilling -> compaction -> machine code.  ``RecordCompiler``
-  is now a thin shim over the session/pipeline API of
-  :mod:`repro.toolchain`, which new code should use directly;
 * :mod:`repro.record.report` -- textual reports (retargeting summary,
   processor-class feature checklist of table 1).
+
+The compiler built on a retargeting result is the session/pipeline API of
+:mod:`repro.toolchain`.
 """
 
 from repro.record.retarget import PhaseTimings, RetargetResult, retarget
-from repro.record.compiler import (
-    CompiledProgram,
-    CompilerOptions,
-    RecordCompiler,
-    restricted_selector,
-)
 from repro.record.report import (
     compilation_report,
     processor_class_report,
@@ -27,14 +19,10 @@ from repro.record.report import (
 )
 
 __all__ = [
-    "CompiledProgram",
-    "CompilerOptions",
     "PhaseTimings",
-    "RecordCompiler",
     "RetargetResult",
     "compilation_report",
     "processor_class_report",
-    "restricted_selector",
     "retarget",
     "retargeting_report",
 ]

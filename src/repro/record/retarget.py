@@ -35,7 +35,8 @@ class PhaseTimings:
     depth-one normal form and precomputed chain closure -- see
     :class:`repro.selector.tables.GrammarTables`); ``parser_generation``
     covers selector construction plus emitting/compiling the stand-alone
-    matcher module.
+    matcher module, or only the emission when
+    :meth:`RetargetResult.regenerate_matcher` ran it later.
     """
 
     hdl_frontend: float = 0.0
@@ -92,9 +93,10 @@ class RetargetResult:
         return len(self.template_base)
 
     # The generated matcher is a ``types.ModuleType`` and cannot be
-    # pickled; the retarget cache regenerates it from the grammar on load.
-    # Per-result selector caches (see ``repro.record.compiler``) are
-    # likewise rebuilt on demand rather than serialized.
+    # pickled; the retarget cache regenerates it from the grammar on load
+    # when asked to.  Per-result selector caches (see
+    # ``repro.toolchain.selectors``) are likewise rebuilt on demand rather
+    # than serialized.
     def __getstate__(self):
         state = {
             key: value
@@ -109,10 +111,17 @@ class RetargetResult:
 
     def regenerate_matcher(self) -> None:
         """(Re)build the generated matcher module from the grammar (the
-        selector's precomputed tables are reused, never rebuilt)."""
+        selector's precomputed tables are reused, never rebuilt).
+
+        ``timings.parser_generation`` becomes the time of this emission,
+        replacing what the entry recorded before, so a result read from
+        the cache reports the same phase whichever caller stored it.
+        """
+        start = time.perf_counter()
         self.matcher_module = compile_matcher_module(
             self.grammar, tables=self.selector.tables
         )
+        self.timings.parser_generation = time.perf_counter() - start
 
     def summary(self) -> Dict[str, object]:
         return {

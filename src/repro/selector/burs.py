@@ -289,15 +289,6 @@ class CodeSelector:
             "table_build_time_s": self.tables.build_time_s,
         }
 
-    def reset_stats(self) -> None:
-        self.memo_hits = 0
-        self.memo_misses = 0
-        self.nodes_labelled = 0
-
-    def clear_memo(self) -> None:
-        self._transitions.clear()
-        self._states.clear()
-
     def _underivable(self, root: SubjectNode, goal: str) -> SelectionError:
         return SelectionError(
             "expression tree %r has no derivation from %s in the grammar of %s"

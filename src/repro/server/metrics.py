@@ -45,9 +45,7 @@ import time
 from collections import deque
 from typing import Callable, List, Optional
 
-from repro.obs.metrics import (  # noqa: F401  (re-exported for compatibility)
-    LATENCY_BUCKETS,
-    Histogram,
+from repro.obs.metrics import (
     MetricsRegistry,
     format_labels as _labels,
     format_value as _format_value,

@@ -247,9 +247,8 @@ def _worker_main(
     """Worker-process entry point.
 
     Builds a :class:`~repro.service.pool.SessionPool` whose retarget
-    cache reads the parent's prewarmed spool directory (v2 pickles,
-    shared read-only -- the worker only regenerates the tiny matcher
-    module), reports ready, then serves JSON frames off the pipe until
+    cache reads the parent's prewarmed spool directory (pickles shared
+    read-only), reports ready, then serves JSON frames off the pipe until
     EOF or a shutdown frame.  Every result frame piggybacks the
     worker's own ``CompileService.stats()`` snapshot so the parent can
     aggregate pool/cache hit rates without a second round trip.
@@ -484,7 +483,7 @@ class ProcessCompileBackend(CompileBackend):
                 sources.append(registry.hdl_source(name))
             except Exception:
                 pass  # unknown warm target: workers simply stay cold for it
-        cache.prewarm(sources, generate_matcher=False)
+        cache.prewarm(sources)
 
     def _spawn_worker(self) -> _Worker:
         with self._lock:

@@ -5,21 +5,7 @@ The paper evaluates retargeting on six processors: two simple examples
 basic computer, ``tanenbaum`` after Tanenbaum's Mac-1), an industrial audio
 ASIP (``bass_boost``) and the Texas Instruments TMS320C25 DSP.  This
 package ships HDL models of all six (simplified but architecturally
-faithful) together with metadata used by the experiments.
+faithful) in :mod:`repro.targets.models`; the target registry
+(:func:`repro.toolchain.default_registry`) registers them in the order of
+table 3 together with the metadata used by the experiments.
 """
-
-from repro.targets.library import (
-    TargetSpec,
-    all_target_names,
-    get_target,
-    load_target_netlist,
-    target_hdl_source,
-)
-
-__all__ = [
-    "TargetSpec",
-    "all_target_names",
-    "get_target",
-    "load_target_netlist",
-    "target_hdl_source",
-]

@@ -17,9 +17,6 @@ This package is the canonical programmatic surface of the reproduction:
   caching of retargeting results (memory + disk);
 * the :class:`repro.diagnostics.ReproError` hierarchy -- structured,
   located errors raised by every layer.
-
-The legacy pair ``retarget()`` + ``RecordCompiler`` remains available as
-a shim over this package (see ``docs/API.md`` for migration notes).
 """
 
 from repro.diagnostics import (

@@ -10,14 +10,11 @@ maps ``sha256(HDL text + options)`` to a pickled
 optionally, on disk, making repeated retargets of the same model
 near-free across sessions, CLI invocations and benchmark runs.
 
-The generated matcher module cannot be pickled; it is regenerated from
-the cached grammar and tables on a hit: about 12 ms on ``ref``, the
-largest grammar, and 1-2 ms on the other built-in models.  A disk hit
-first unpickles the entry (about 6 ms on ``ref``) with the cyclic garbage
-collector paused, since a full collection set off by the load's many
-allocations could cost more than the load.  The pause is process-wide,
-so it is taken under a lock: otherwise one load could re-enable the
-collector under another, or leave it disabled.
+A disk hit unpickles the entry (about 6 ms on ``ref``) with the cyclic
+garbage collector paused, since a full collection set off by the load's
+many allocations could cost more than the load.  The pause is
+process-wide, so it is taken under a lock: otherwise one load could
+re-enable the collector under another, or leave it disabled.
 """
 
 from __future__ import annotations
@@ -67,8 +64,8 @@ def retarget_fingerprint(
     """Content hash of one retargeting problem.
 
     Covers everything :func:`repro.record.retarget.retarget` depends on
-    except ``generate_matcher`` (the matcher is regenerated on load, so it
-    does not split the key space).
+    except ``generate_matcher``: the emitted matcher module is never
+    stored, so it does not split the key space.
     """
     hasher = hashlib.sha256()
     hasher.update(b"repro-retarget-v%d\n" % CACHE_FORMAT_VERSION)
@@ -195,9 +192,11 @@ class RetargetCache:
     ) -> Tuple[RetargetResult, bool]:
         """``(result, hit)`` for one retargeting problem.
 
-        On a hit the matcher module is regenerated if requested (it is
-        never stored).  On a miss the full retargeting flow runs and the
-        result is stored in both tiers.
+        On a miss the full retargeting flow runs and the result is stored
+        in both tiers.  With ``generate_matcher`` the result carries the
+        emitted matcher module; the module is never stored, so a hit emits
+        it from the cached grammar and tables when the entry has none
+        (see :meth:`RetargetResult.regenerate_matcher`).
         """
         key = retarget_fingerprint(
             hdl_source,
@@ -226,19 +225,18 @@ class RetargetCache:
         self.put(key, result)
         return result, False
 
-    def prewarm(self, hdl_sources, generate_matcher: bool = False) -> list:
+    def prewarm(self, hdl_sources) -> list:
         """Retarget-and-store several HDL sources; returns their cache keys.
 
         This is the shipping path of the process compile backend: the
         parent prewarms a *disk-tier* cache once, worker processes open
         the same directory read-only and hit its pickles instead of
-        re-retargeting.  The matcher module is skipped by default (it is
-        never pickled; workers regenerate it from the cached grammar on
-        their first hit, see the module docstring for its cost).
+        re-retargeting.  Their sessions never read the matcher module, so
+        it is not emitted.
         """
         keys = []
         for hdl_source in hdl_sources:
-            self.get_or_retarget(hdl_source, generate_matcher=generate_matcher)
+            self.get_or_retarget(hdl_source, generate_matcher=False)
             keys.append(retarget_fingerprint(hdl_source))
         return keys
 

@@ -4,11 +4,9 @@ The RECORD backend is a fixed sequence of phases -- IR optimization, code
 selection, list scheduling, spill insertion, compaction, instruction
 encoding.  This module makes each phase a named :class:`Pass` over a
 :class:`CompilationState`, ordered by a :class:`PassManager`, configured
-by a :class:`PipelineConfig`.  The four raw booleans of the legacy
-:class:`repro.record.compiler.CompilerOptions` map 1:1 onto configs (see
-:meth:`PipelineConfig.from_options`), and the ablation experiments of the
-paper are available as named presets (:data:`PRESETS`), extended with
-``no-opt`` (selection on raw lowered trees, the pre-optimizer pipeline).
+by a :class:`PipelineConfig`.  The ablation experiments of the paper are
+available as named presets (:data:`PRESETS`), extended with ``no-opt``
+(selection on raw lowered trees, the pre-optimizer pipeline).
 """
 
 from __future__ import annotations
@@ -119,27 +117,6 @@ class PipelineConfig:
                 "unknown pipeline preset %r; available presets: %s"
                 % (name, ", ".join(sorted(PRESETS)))
             ) from None
-
-    @classmethod
-    def from_options(cls, options) -> "PipelineConfig":
-        """Bridge from the legacy :class:`CompilerOptions`."""
-        return cls(
-            allow_chained=options.allow_chained,
-            use_expanded_templates=options.use_expanded_templates,
-            use_scheduling=options.use_scheduling,
-            use_compaction=options.use_compaction,
-        )
-
-    def to_options(self):
-        """Bridge to the legacy :class:`CompilerOptions`."""
-        from repro.record.compiler import CompilerOptions
-
-        return CompilerOptions(
-            allow_chained=self.allow_chained,
-            use_expanded_templates=self.use_expanded_templates,
-            use_scheduling=self.use_scheduling,
-            use_compaction=self.use_compaction,
-        )
 
 
 #: The ablation presets of the paper's experiments (section 4): ``full``

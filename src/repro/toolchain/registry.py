@@ -1,10 +1,8 @@
 """The target registry: one uniform namespace for processor models.
 
-Historically the built-in targets lived in a hard-coded dict in
-``repro.targets.library`` and the CLI string-dispatched between built-in
-names and HDL file paths.  The registry replaces both: built-in models,
-user HDL files and programmatically constructed models all register the
-same way and are looked up by name through one interface.
+Built-in models, user HDL files and programmatically constructed models
+all register the same way and are looked up by name through one
+interface.  The built-ins register in the order of table 3 of the paper.
 
 Registration styles::
 
@@ -267,12 +265,7 @@ _BUILTIN_MODELS = [
 
 
 def _ensure_builtins() -> None:
-    """Register the built-in models on first use.
-
-    Import happens lazily (inside this function) because
-    ``repro.targets.models`` sits under ``repro.targets``, whose
-    ``__init__`` imports back into this module.
-    """
+    """Register the built-in models on first use."""
     global _BUILTINS_LOADED
     if _BUILTINS_LOADED:
         return

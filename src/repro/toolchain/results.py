@@ -20,9 +20,6 @@ deserialized result is *detached*: every metric, timing, diagnostic and
 view survives the round trip, but the live artifacts do not (they are
 process-local objects); accessing them raises
 :class:`~repro.diagnostics.ResultError`.
-
-The legacy :class:`repro.record.compiler.CompiledProgram` is a deprecated
-shim subclass of :class:`CompilationResult`.
 """
 
 from __future__ import annotations
@@ -181,8 +178,7 @@ class CompilationResult:
     Construct through :meth:`from_state` (what
     :meth:`repro.toolchain.Session.compile` does) or :meth:`from_dict`
     (deserialization).  Scalar facts live in :attr:`metrics` and are also
-    exposed as flat properties (``code_size``, ``spill_count``, ...) for
-    compatibility with the legacy ``CompiledProgram``.
+    exposed as flat properties (``code_size``, ``spill_count``, ...).
     """
 
     name: str
@@ -198,7 +194,7 @@ class CompilationResult:
         default=(), repr=False, compare=False
     )
     # Per-block view (same StatementCode objects plus branch pseudo-code);
-    # empty on legacy/straight-line construction paths.
+    # empty when a result is constructed without it.
     block_codes: Tuple[BlockCode, ...] = field(default=(), repr=False, compare=False)
     words: Tuple[InstructionWord, ...] = field(default=(), repr=False, compare=False)
     binding: Optional[ResourceBinding] = field(default=None, repr=False, compare=False)
@@ -270,7 +266,7 @@ class CompilationResult:
             trace=trace,
         )
 
-    # -- scalar compatibility properties ------------------------------------------
+    # -- scalar properties --------------------------------------------------------
 
     @property
     def code_size(self) -> int:
@@ -318,7 +314,7 @@ class CompilationResult:
     VIEWS = ("listing", "encoding", "statements", "metrics", "timings")
 
     def listing(self) -> str:
-        """The instruction-word listing (callable, like the legacy API)."""
+        """The instruction-word listing."""
         if self.stored_listing is not None:
             return self.stored_listing
         return format_listing(
@@ -420,8 +416,6 @@ class CompilationResult:
                 % (schema, RESULT_SCHEMA_VERSION)
             )
         config = data.get("config")
-        # Always rebuild the base class: subclasses (the legacy
-        # CompiledProgram shim) have a different constructor signature.
         return CompilationResult(
             name=data["name"],
             processor=data["processor"],

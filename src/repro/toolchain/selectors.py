@@ -1,9 +1,4 @@
-"""Restricted code selectors, memoized per retargeting result.
-
-Historically this lived in :mod:`repro.record.compiler`; it moved here so
-the session layer no longer depends on the legacy compiler module (which
-now builds *on top of* the toolchain).  The legacy module re-exports it.
-"""
+"""Restricted code selectors, memoized per retargeting result."""
 
 from __future__ import annotations
 
@@ -25,7 +20,7 @@ def restricted_selector(
     templates disables the commutativity / rewrite-rule search space.
 
     Restricted grammars are memoized *on the retarget result*, so every
-    compiler/session sharing one result also shares one selector per
+    session sharing one result also shares one selector per
     restriction -- ablation sweeps stop paying repeated grammar
     construction.  (The memo lives in a ``_``-prefixed attribute, which
     the retarget cache deliberately does not pickle.)

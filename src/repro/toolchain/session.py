@@ -285,19 +285,20 @@ class Toolchain:
         preset: Optional[str] = None,
         spec: Optional[TargetSpec] = None,
         expansion=None,
-        generate_matcher: bool = True,
         use_cache: bool = True,
     ) -> Session:
-        """A session for raw HDL text (cache-aware)."""
+        """A session for raw HDL text (cache-aware).
+
+        Sessions select with the retarget result's tables and never read
+        the emitted matcher module, so retargeting here skips emitting it.
+        """
         resolved = self._resolve_config(config, preset)
         if use_cache:
             result, _hit = self.cache.get_or_retarget(
-                hdl_source, expansion=expansion, generate_matcher=generate_matcher
+                hdl_source, expansion=expansion, generate_matcher=False
             )
         else:
-            result = retarget(
-                hdl_source, expansion=expansion, generate_matcher=generate_matcher
-            )
+            result = retarget(hdl_source, expansion=expansion, generate_matcher=False)
         return Session(result, config=resolved, spec=spec)
 
     def session(self, target: str, **kwargs) -> Session:
@@ -315,7 +316,3 @@ class Toolchain:
     @classmethod
     def for_hdl(cls, hdl_source: str, **kwargs) -> Session:
         return cls().session_for_hdl(hdl_source, **kwargs)
-
-    @classmethod
-    def for_file(cls, path: str, **kwargs) -> Session:
-        return cls().session(path, **kwargs)

@@ -14,17 +14,17 @@ os.environ.setdefault("REPRO_VERIFY", "1")
 
 import pytest
 
-from repro.record.compiler import RecordCompiler
 from repro.record.retarget import retarget
-from repro.targets.library import all_target_names, target_hdl_source
+from repro.toolchain import Session, default_registry
 
 
 @pytest.fixture(scope="session")
 def retarget_results():
     """Retargeting results for every built-in target, computed once."""
+    registry = default_registry()
     results = {}
-    for name in all_target_names():
-        results[name] = retarget(target_hdl_source(name))
+    for name in registry.names():
+        results[name] = retarget(registry.hdl_source(name))
     return results
 
 
@@ -59,9 +59,9 @@ def fuzz_harnesses(retarget_results):
 
 @pytest.fixture(scope="session")
 def tms_compiler(tms_result):
-    return RecordCompiler(tms_result)
+    return Session(tms_result)
 
 
 @pytest.fixture(scope="session")
 def demo_compiler(demo_result):
-    return RecordCompiler(demo_result)
+    return Session(demo_result)

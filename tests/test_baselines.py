@@ -4,35 +4,34 @@ import pytest
 
 from repro.baselines import (
     GreedyMaximalMunch,
-    conventional_compiler,
-    conventional_options,
     hand_reference_size,
     hand_reference_table,
 )
 from repro.dspstone import all_kernel_names, get_kernel
 from repro.selector import SubjectNode
+from repro.toolchain import PipelineConfig, Session
 
 
 class TestConventionalOptions:
     def test_everything_is_disabled(self):
-        options = conventional_options()
-        assert not options.allow_chained
-        assert not options.use_expanded_templates
-        assert not options.use_scheduling
-        assert not options.use_compaction
+        config = PipelineConfig.preset("conventional")
+        assert not config.allow_chained
+        assert not config.use_expanded_templates
+        assert not config.use_scheduling
+        assert not config.use_compaction
 
-    def test_conventional_compiler_uses_restricted_grammar(self, tms_result):
-        baseline = conventional_compiler(tms_result)
-        rt_rules = baseline._selector.grammar.rt_rules()
+    def test_conventional_preset_uses_restricted_grammar(self, tms_result):
+        baseline = Session(tms_result, config=PipelineConfig.preset("conventional"))
+        rt_rules = baseline.selector.grammar.rt_rules()
         assert all(not rule.template.is_chained() for rule in rt_rules)
         assert all(rule.template.origin == "extracted" for rule in rt_rules)
 
     def test_baseline_never_beats_record(self, tms_result, tms_compiler):
-        baseline = conventional_compiler(tms_result)
+        baseline = Session(tms_result, config=PipelineConfig.preset("conventional"))
         for name in ("real_update", "fir", "dot_product"):
             kernel = get_kernel(name)
-            record_size = tms_compiler.compile_source(kernel.source, name=name).code_size
-            baseline_size = baseline.compile_source(kernel.source, name=name).code_size
+            record_size = tms_compiler.compile(kernel.source, name=name).code_size
+            baseline_size = baseline.compile(kernel.source, name=name).code_size
             assert baseline_size >= record_size
 
 

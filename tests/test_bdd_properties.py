@@ -1,6 +1,5 @@
 """Property-based tests for the BDD engine (hypothesis)."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd import BDDManager, BitVector

@@ -13,12 +13,12 @@ from repro.netlist.classify import (
     sequential_modules,
     storage_and_port_names,
 )
-from repro.targets import target_hdl_source
+from repro.toolchain import default_registry
 
 
 @pytest.fixture(scope="module")
 def demo_netlist():
-    return build_netlist(parse_processor(target_hdl_source("demo")))
+    return build_netlist(parse_processor(default_registry().hdl_source("demo")))
 
 
 class TestClassify:
@@ -90,12 +90,8 @@ class TestModuleHelpers:
 
 class TestTargetSpecDefaults:
     def test_default_variable_storage_is_memory(self):
-        from repro.targets import get_target
-
         for name in ("demo", "ref", "tms320c25"):
-            assert get_target(name).default_variable_storage == "DMEM"
+            assert default_registry().get(name).default_variable_storage == "DMEM"
 
     def test_binding_overrides_default_empty(self):
-        from repro.targets import get_target
-
-        assert get_target("demo").binding_overrides == {}
+        assert default_registry().get("demo").binding_overrides == {}

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import importlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -44,16 +46,30 @@ class TestCommands:
         assert "%start START" in output
 
     def test_retarget_hdl_file(self, tmp_path, capsys):
-        from repro.targets import target_hdl_source
+        from repro.toolchain import default_registry
 
         hdl_file = tmp_path / "machine.hdl"
-        hdl_file.write_text(target_hdl_source("demo"))
+        hdl_file.write_text(default_registry().hdl_source("demo"))
         assert main(["retarget", str(hdl_file)]) == 0
         assert "demo" in capsys.readouterr().out
 
     def test_retarget_unknown_target_fails(self):
         with pytest.raises(SystemExit):
             main(["retarget", "z80"])
+
+    def test_retarget_emits_the_matcher_once(self, monkeypatch, capsys):
+        retarget_module = importlib.import_module("repro.record.retarget")
+        emit = retarget_module.compile_matcher_module
+        calls = []
+
+        def counting_emit(*args, **kwargs):
+            calls.append(args)
+            return emit(*args, **kwargs)
+
+        monkeypatch.setattr(retarget_module, "compile_matcher_module", counting_emit)
+        assert main(["retarget", "demo", "--no-cache"]) == 0
+        assert len(calls) == 1
+        assert "parser_generation" in capsys.readouterr().out
 
     def test_compile_kernel(self, capsys):
         assert main(["compile", "tms320c25", "--kernel", "real_update", "--binary"]) == 0

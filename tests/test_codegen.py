@@ -11,7 +11,6 @@ from repro.codegen import (
     insert_spills,
     schedule_instances,
     select_block,
-    select_statement,
 )
 from repro.codegen.compaction import code_size
 from repro.codegen.selection import build_subject_tree

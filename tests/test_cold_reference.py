@@ -49,7 +49,7 @@ from repro.netlist import build_netlist
 from repro.record.retarget import retarget
 from repro.selector import tables as tables_module
 from repro.selector.tables import GrammarTables, ShapeRule
-from repro.targets.library import all_target_names, target_hdl_source
+from repro.toolchain import default_registry
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
 
@@ -462,7 +462,7 @@ OPTIONS = {
 }
 
 CASES = [
-    (name, option) for option in OPTIONS for name in all_target_names()
+    (name, option) for option in OPTIONS for name in default_registry().names()
 ] + [("quirk", "example-rule"), ("cyclic", "default")]
 
 
@@ -473,7 +473,7 @@ def test_retarget_matches_the_text_keyed_reference(target, option):
     elif target == "cyclic":
         hdl, options = CYCLIC_HDL, None
     else:
-        hdl, options = target_hdl_source(target), OPTIONS[option]
+        hdl, options = default_registry().hdl_source(target), OPTIONS[option]
     result = retarget(hdl, expansion=options, generate_matcher=False)
     raw, duplicates, truncated, extended, grammar, tables = reference_retarget(hdl, options)
 

@@ -327,24 +327,18 @@ class TestBackendCFG:
 
     def test_straight_line_simulation_rejects_cfg_code(self, session):
         """The straight-line paths must fail loudly on a CFG's flat code
-        (e.g. a legacy CompiledProgram wrapper without block_codes),
-        never silently execute each block once in layout order."""
-        from repro.record.compiler import CompiledProgram
+        (a result without block_codes), never silently execute each block
+        once in layout order."""
+        import dataclasses
+
         from repro.sim.rtsim import SimulationError
 
         result = session.compile(DOT_LOOP, name="dot")
-        legacy = CompiledProgram(
-            result.program,
-            "tms320c25",
-            statement_codes=result.statement_codes,
-            words=result.words,
-            binding=result.binding,
-        )
-        assert not legacy.is_multi_block  # shim never carries block_codes
+        flat = dataclasses.replace(result, block_codes=())
+        assert not flat.is_multi_block
         with pytest.raises(SimulationError):
-            legacy.simulate(_dot_env())
-        # The shim's statement metric matches the session API's.
-        assert legacy.metrics.statement_count == result.metrics.statement_count
+            flat.simulate(_dot_env())
+        assert flat.metrics.statement_count == result.metrics.statement_count
 
     def test_json_roundtrip_of_cfg_result(self, session):
         from repro.toolchain.results import CompilationResult

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.codegen.compaction import compact
 from repro.codegen.encoding import EncodedWord, InstructionEncoder
 
 
@@ -12,7 +11,7 @@ def encoder(tms_result):
 
 
 def _compiled_words(compiler, source):
-    return compiler.compile_source(source).words
+    return compiler.compile(source).words
 
 
 class TestEncodedWord:
@@ -82,5 +81,5 @@ class TestInstructionEncoder:
     def test_demo_encoder(self, demo_result, demo_compiler):
         encoder = InstructionEncoder(demo_result.netlist)
         assert encoder.instruction_width == 16
-        words = demo_compiler.compile_source("int a, b, d; d = a + b;").words
+        words = demo_compiler.compile("int a, b, d; d = a + b;").words
         assert encoder.encode_program(words)

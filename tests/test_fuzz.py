@@ -115,7 +115,9 @@ class TestDdmin:
         assert result == [42]
 
     def test_result_always_satisfies_the_predicate_under_tiny_budget(self):
-        predicate = lambda items: {1, 30, 60} <= set(items)
+        def predicate(items):
+            return {1, 30, 60} <= set(items)
+
         result = ddmin(list(range(64)), predicate, budget=10)
         assert predicate(result)
 

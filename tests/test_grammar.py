@@ -23,7 +23,7 @@ from repro.grammar.grammar import (
 from repro.hdl import parse_processor
 from repro.ise import ConstLeaf, ImmLeaf, OpNode, PortLeaf, RTTemplate, RTTemplateBase, RegLeaf
 from repro.netlist import build_netlist
-from repro.targets.library import target_hdl_source
+from repro.toolchain import default_registry
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +31,7 @@ def demo_grammar():
     from repro.ise import extract_instruction_set
     from repro.expansion import expand_template_base
 
-    netlist = build_netlist(parse_processor(target_hdl_source("demo")))
+    netlist = build_netlist(parse_processor(default_registry().hdl_source("demo")))
     extraction = extract_instruction_set(netlist)
     extended = expand_template_base(extraction.template_base)
     return netlist, extended, build_tree_grammar(netlist, extended)
@@ -114,7 +114,7 @@ class TestConstruction:
 
 class TestPatternLowering:
     def _grammar_for(self, template):
-        netlist = build_netlist(parse_processor(target_hdl_source("demo")))
+        netlist = build_netlist(parse_processor(default_registry().hdl_source("demo")))
         base = RTTemplateBase(processor="demo")
         base.add(template)
         return build_tree_grammar(netlist, base)
@@ -195,7 +195,7 @@ class TestBnfExport:
 
     def test_bnf_renders_constant_values(self):
         manager = BDDManager()
-        netlist = build_netlist(parse_processor(target_hdl_source("demo")))
+        netlist = build_netlist(parse_processor(default_registry().hdl_source("demo")))
         base = RTTemplateBase(processor="demo")
         base.add(
             RTTemplate("ACC", OpNode("add", (RegLeaf("ACC"), ConstLeaf(7))), manager.true)

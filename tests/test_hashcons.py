@@ -21,8 +21,7 @@ from repro.expansion.rewrite import Slot
 from repro.grammar.grammar import PatNonterm, PatTerm
 from repro.ise.templates import ConstLeaf, ImmLeaf, OpNode, PortLeaf, RegLeaf
 from repro.record.retarget import RetargetResult
-from repro.targets.library import target_hdl_source
-from repro.toolchain import cache as cache_module
+from repro.toolchain import cache as cache_module, default_registry
 from repro.toolchain.cache import RetargetCache, retarget_fingerprint
 
 THREADS = 8
@@ -203,7 +202,7 @@ class TestConcurrency:
             sys.setswitchinterval(interval)
 
     def test_concurrent_disk_loads_restore_the_collector(self, tmp_path, monkeypatch):
-        hdl = target_hdl_source("bass_boost")
+        hdl = default_registry().hdl_source("bass_boost")
         RetargetCache(directory=tmp_path).get_or_retarget(hdl, generate_matcher=False)
         key = retarget_fingerprint(hdl)
         slow_gc = _SlowGC()
@@ -230,7 +229,7 @@ class TestConcurrency:
         assert slow_gc.reads > 0
 
     def test_a_load_keeps_a_disabled_collector_disabled(self, tmp_path):
-        hdl = target_hdl_source("bass_boost")
+        hdl = default_registry().hdl_source("bass_boost")
         RetargetCache(directory=tmp_path).get_or_retarget(hdl, generate_matcher=False)
         gc.disable()
         try:

@@ -10,10 +10,10 @@ import random
 
 import pytest
 
-from repro.baselines import conventional_compiler, hand_reference_size
+from repro.baselines import hand_reference_size
 from repro.dspstone import all_kernel_names, kernel_program
-from repro.record.compiler import RecordCompiler
 from repro.sim import simulate_statement_code
+from repro.toolchain import PipelineConfig, Session
 
 
 class TestTable3Shape:
@@ -35,7 +35,7 @@ class TestTable3Shape:
 class TestFigure2Shape:
     @pytest.fixture(scope="class")
     def figure2(self, tms_result, tms_compiler):
-        baseline = conventional_compiler(tms_result)
+        baseline = Session(tms_result, config=PipelineConfig.preset("conventional"))
         rows = {}
         for name in all_kernel_names():
             program = kernel_program(name)
@@ -85,8 +85,8 @@ class TestCrossTargetCompilation:
 
     @pytest.mark.parametrize("target", ["demo", "ref", "tms320c25"])
     def test_compile_and_simulate(self, retarget_results, target):
-        compiler = RecordCompiler(retarget_results[target])
-        compiled = compiler.compile_source(self.SOURCE, name="cross")
+        compiler = Session(retarget_results[target])
+        compiled = compiler.compile(self.SOURCE, name="cross")
         assert compiled.code_size > 0
         rng = random.Random(42)
         env = {name: rng.randint(-50, 50) for name in ("a", "b", "c", "d")}
@@ -104,8 +104,8 @@ class TestCrossTargetCompilation:
     def test_code_size_differs_across_architectures(self, retarget_results):
         sizes = {}
         for target in ("demo", "ref", "tms320c25"):
-            compiler = RecordCompiler(retarget_results[target])
-            sizes[target] = compiler.compile_source(self.SOURCE, name="cross").code_size
+            compiler = Session(retarget_results[target])
+            sizes[target] = compiler.compile(self.SOURCE, name="cross").code_size
         # the HW/SW trade-off the paper motivates: different architectures
         # need different numbers of instructions for the same program
         assert len(set(sizes.values())) >= 2, sizes

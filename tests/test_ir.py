@@ -18,7 +18,7 @@ from repro.ir import (
 from repro.ir.binding import BindingError, default_data_memory
 from repro.ir.expr import apply_operator, expr_size, wrap_word
 from repro.netlist import build_netlist
-from repro.targets.library import target_hdl_source
+from repro.toolchain import default_registry
 
 
 class TestExpressions:
@@ -123,7 +123,7 @@ class TestProgramsAndBlocks:
 
 class TestBinding:
     def _netlist(self, name="tms320c25"):
-        return build_netlist(parse_processor(target_hdl_source(name)))
+        return build_netlist(parse_processor(default_registry().hdl_source(name)))
 
     def _program(self):
         return Program(

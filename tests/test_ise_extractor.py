@@ -3,11 +3,11 @@
 from repro.hdl import parse_processor
 from repro.ise import InstructionSetExtractor, extract_instruction_set
 from repro.netlist import build_netlist
-from repro.targets.library import target_hdl_source
+from repro.toolchain import default_registry
 
 
 def _netlist(name):
-    return build_netlist(parse_processor(target_hdl_source(name)))
+    return build_netlist(parse_processor(default_registry().hdl_source(name)))
 
 
 class TestExtraction:

@@ -1,7 +1,5 @@
 """Unit tests for data-transfer route enumeration."""
 
-import pytest
-
 from repro.hdl import parse_processor
 from repro.ise import ControlAnalyzer, RouteEnumerator
 from repro.ise.routes import BINARY_OPERATOR_NAMES, COMMUTATIVE_OPERATORS, UNARY_OPERATOR_NAMES

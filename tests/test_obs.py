@@ -269,7 +269,7 @@ class TestLogging:
         with use_request_id("rid-77"):
             log.info("compile")
         log.info("after")
-        records = [json.loads(l) for l in stream.getvalue().splitlines()]
+        records = [json.loads(line) for line in stream.getvalue().splitlines()]
         assert records[0]["request_id"] == "rid-77"
         assert "request_id" not in records[1]
 

@@ -22,8 +22,7 @@ from repro.dspstone import all_kernel_names, kernel_program, loop_kernel_names
 from repro.frontend.lowering import lower_to_program
 from repro.ir.binding import BindingError
 from repro.opt import OPT_TEMP_PREFIXES
-from repro.targets.library import all_target_names
-from repro.toolchain import PipelineConfig, Session
+from repro.toolchain import PipelineConfig, Session, default_registry
 
 #: Deterministic simulation environments (several, so a value-dependent
 #: bug cannot hide behind one lucky assignment).  All values non-zero.
@@ -73,7 +72,7 @@ def _assert_equivalent_and_never_worse(pair, program, context):
 
 
 class TestKernelsDifferential:
-    @pytest.mark.parametrize("target", sorted(all_target_names()))
+    @pytest.mark.parametrize("target", sorted(default_registry().names()))
     def test_all_kernels_equivalent_and_never_worse(self, target, retarget_results):
         result = retarget_results[target]
         compared = 0
@@ -92,7 +91,7 @@ class TestKernelsDifferential:
             # with or without the optimizer.
             pytest.skip("no DSPStone kernel compiles on %s" % target)
 
-    @pytest.mark.parametrize("target", sorted(all_target_names()))
+    @pytest.mark.parametrize("target", sorted(default_registry().names()))
     def test_all_loop_kernels_equivalent_and_never_worse(
         self, target, retarget_results
     ):
@@ -155,7 +154,7 @@ SYNTHETIC_SOURCES = {
 
 
 class TestSyntheticDifferential:
-    @pytest.mark.parametrize("target", sorted(all_target_names()))
+    @pytest.mark.parametrize("target", sorted(default_registry().names()))
     @pytest.mark.parametrize("name", sorted(SYNTHETIC_SOURCES))
     def test_synthetic_equivalent_and_never_worse(
         self, target, name, retarget_results

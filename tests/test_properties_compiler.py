@@ -49,7 +49,7 @@ def _programs(draw):
 @given(source=_programs(), seed=st.integers(min_value=0, max_value=2**16))
 def test_generated_code_matches_reference_execution(tms_compiler, source, seed):
     try:
-        compiled = tms_compiler.compile_source(source, name="random")
+        compiled = tms_compiler.compile(source, name="random")
     except CodeGenerationError:
         pytest.skip("expression not coverable on this target")
     # Reference-execute the *original* lowered program, not the one the

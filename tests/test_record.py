@@ -4,14 +4,12 @@ import pytest
 
 from repro.expansion import ExpansionOptions
 from repro.record import (
-    CompilerOptions,
-    RecordCompiler,
     processor_class_report,
     retarget,
     retargeting_report,
 )
 from repro.record.report import format_processor_class_report
-from repro.targets.library import target_hdl_source
+from repro.toolchain import PipelineConfig, Session, default_registry
 
 
 class TestRetarget:
@@ -47,13 +45,13 @@ class TestRetarget:
 
     def test_expansion_can_be_disabled(self):
         options = ExpansionOptions(use_commutativity=False, use_rewrite_rules=False)
-        result = retarget(target_hdl_source("demo"), expansion=options, generate_matcher=False)
+        result = retarget(default_registry().hdl_source("demo"), expansion=options, generate_matcher=False)
         assert result.template_count == result.raw_template_count
         assert result.matcher_module is None
 
     def test_retarget_is_deterministic(self):
-        first = retarget(target_hdl_source("bass_boost"), generate_matcher=False)
-        second = retarget(target_hdl_source("bass_boost"), generate_matcher=False)
+        first = retarget(default_registry().hdl_source("bass_boost"), generate_matcher=False)
+        second = retarget(default_registry().hdl_source("bass_boost"), generate_matcher=False)
         assert first.template_count == second.template_count
         assert {t.render() for t in first.template_base} == {
             t.render() for t in second.template_base
@@ -62,7 +60,7 @@ class TestRetarget:
 
 class TestCompiler:
     def test_compile_source_end_to_end(self, tms_compiler):
-        compiled = tms_compiler.compile_source("int a, b, c, d; d = c + a * b;")
+        compiled = tms_compiler.compile("int a, b, c, d; d = c + a * b;")
         assert compiled.code_size == 4
         assert compiled.operation_count == 4
         assert compiled.spill_count == 0
@@ -70,34 +68,34 @@ class TestCompiler:
         assert compiled.processor == "tms320c25"
 
     def test_listing_is_renderable(self, tms_compiler):
-        compiled = tms_compiler.compile_source("int a, b, d; d = a + b;", name="tiny")
+        compiled = tms_compiler.compile("int a, b, d; d = a + b;", name="tiny")
         listing = compiled.listing()
         assert "tiny" in listing and "tms320c25" in listing
 
     def test_binding_overrides_are_respected(self, tms_result):
-        compiler = RecordCompiler(tms_result)
-        compiled = compiler.compile_source(
+        compiler = Session(tms_result)
+        compiled = compiler.compile(
             "int a, d; d = d + a;", binding_overrides={"a": "ACC"}
         )
         assert compiled.binding.storage_of("a") == "ACC"
 
     def test_options_disable_compaction(self, tms_result):
-        with_compaction = RecordCompiler(tms_result, CompilerOptions(use_compaction=True))
-        without = RecordCompiler(tms_result, CompilerOptions(use_compaction=False))
+        with_compaction = Session(tms_result, config=PipelineConfig(use_compaction=True))
+        without = Session(tms_result, config=PipelineConfig(use_compaction=False))
         source = "int a, b, c, d, e; d = c + a * b; e = c - a;"
         assert (
-            with_compaction.compile_source(source).code_size
-            <= without.compile_source(source).code_size
+            with_compaction.compile(source).code_size
+            <= without.compile(source).code_size
         )
 
     def test_no_chained_option_increases_cost(self, tms_result):
-        full = RecordCompiler(tms_result)
-        restricted = RecordCompiler(tms_result, CompilerOptions(allow_chained=False))
+        full = Session(tms_result)
+        restricted = Session(tms_result, config=PipelineConfig(allow_chained=False))
         source = "int a, b, c, d; d = c + a * b;"
-        assert restricted.compile_source(source).code_size > full.compile_source(source).code_size
+        assert restricted.compile(source).code_size > full.compile(source).code_size
 
     def test_compiled_programs_share_statement_structure(self, tms_compiler):
-        compiled = tms_compiler.compile_source("int a, b, c; b = a + 1; c = b + 2;")
+        compiled = tms_compiler.compile("int a, b, c; b = a + 1; c = b + 2;")
         assert len(compiled.statement_codes) == 2
         assert compiled.program.statement_count() == 2
 

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.diagnostics import Diagnostic, ResultError
-from repro.record.compiler import CompiledProgram
 from repro.record.report import compilation_report
 from repro.toolchain import (
     CompilationResult,
@@ -159,37 +158,6 @@ class TestSpillDiagnostics:
 
     def test_spill_free_compilation_has_no_spill_diagnostic(self, result):
         assert not [d for d in result.diagnostics if d.phase == "spill"]
-
-
-class TestLegacyShim:
-    def test_compiled_program_is_a_compilation_result(self, tms_compiler):
-        compiled = tms_compiler.compile_source(SOURCE)
-        assert isinstance(compiled, CompilationResult)
-
-    def test_legacy_constructor_still_works(self, result):
-        legacy = CompiledProgram(
-            program=result.program,
-            processor=result.processor,
-            statement_codes=list(result.statement_codes),
-            instances=result.instances,
-            words=list(result.words),
-            binding=result.binding,
-        )
-        assert legacy.code_size == result.code_size
-        assert legacy.operation_count == result.operation_count
-        assert legacy.spill_count == result.spill_count
-        assert legacy.selection_cost == result.selection_cost
-        assert legacy.listing() == result.listing()
-
-    def test_shim_and_session_results_are_bit_identical(self, tms_result, tms_compiler):
-        via_shim = tms_compiler.compile_source(SOURCE)
-        via_session = Session(tms_result).compile(SOURCE)
-        assert via_shim.code_size == via_session.code_size
-        assert via_shim.operation_count == via_session.operation_count
-        assert [i.describe() for i in via_shim.instances] == [
-            i.describe() for i in via_session.instances
-        ]
-        assert via_shim.listing() == via_session.listing()
 
 
 class TestReport:

@@ -29,8 +29,7 @@ from repro.ir.expr import Const, Op, VarRef
 from repro.ir.program import BasicBlock, Program, Statement
 from repro.selector import CodeSelector, SubjectNode
 from repro.selector.burs import SelectionError
-from repro.targets.library import all_target_names
-from repro.toolchain import PipelineConfig, Session
+from repro.toolchain import PipelineConfig, Session, default_registry
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +59,7 @@ def _statement_subjects(target_result, kernel):
 
 
 class TestDifferentialCovers:
-    @pytest.mark.parametrize("target", sorted(all_target_names()))
+    @pytest.mark.parametrize("target", sorted(default_registry().names()))
     def test_kernels_cover_identically_on_target(
         self, target, retarget_results, interpretive_selectors
     ):
@@ -455,7 +454,7 @@ def _fixpoint_label_costs(subject, grammar):
     algorithm (recursive pattern match + per-node chain fixpoint),
     reimplemented from the grammar alone.  Returns ``{nt: cost}`` per node
     id for every node of ``subject``."""
-    from repro.grammar.grammar import PatNonterm, PatTerm
+    from repro.grammar.grammar import PatNonterm
 
     def match(pattern, node, states):
         if isinstance(pattern, PatNonterm):
@@ -509,7 +508,7 @@ class TestClosureOracle:
     oracles that share no code with GrammarTables (guards against a bug in
     chain_closure_from fooling the backend-vs-backend differential)."""
 
-    @pytest.mark.parametrize("target", sorted(all_target_names()))
+    @pytest.mark.parametrize("target", sorted(default_registry().names()))
     def test_closure_deltas_match_bellman_ford(self, target, retarget_results):
         result = retarget_results[target]
         tables = result.selector.tables
@@ -524,7 +523,7 @@ class TestClosureOracle:
             }
             assert got == expected, "closure mismatch from %s on %s" % (source, target)
 
-    @pytest.mark.parametrize("target", sorted(all_target_names()))
+    @pytest.mark.parametrize("target", sorted(default_registry().names()))
     def test_closure_paths_are_wellformed(self, target, retarget_results):
         tables = retarget_results[target].selector.tables
         for source, entries in tables.chain_closure.items():

@@ -17,9 +17,9 @@ import urllib.request
 
 import pytest
 
+from repro.obs.metrics import Histogram
 from repro.server import (
     AdmissionGate,
-    Histogram,
     ServerMetrics,
     start_server,
 )

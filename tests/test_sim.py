@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.record.compiler import RecordCompiler
 from repro.sim import (
     RTSimulator,
     SimulationError,
@@ -30,23 +29,23 @@ def _agrees(reference, simulated):
 
 class TestSimulatorBasics:
     def test_simple_statement(self, tms_compiler):
-        compiled = tms_compiler.compile_source("int a, b, d; d = a + b;")
+        compiled = tms_compiler.compile("int a, b, d; d = a + b;")
         env = {"a": 3, "b": 4}
         result = simulate_statement_code(compiled.statement_codes, env)
         assert result["d"] == 7
 
     def test_chained_mac_semantics(self, tms_compiler):
-        compiled = tms_compiler.compile_source("int a, b, c, d; d = c + a * b;")
+        compiled = tms_compiler.compile("int a, b, c, d; d = c + a * b;")
         result = simulate_statement_code(compiled.statement_codes, {"a": 2, "b": 5, "c": 1})
         assert result["d"] == 11
 
     def test_negative_values_wrap_to_word_width(self, tms_compiler):
-        compiled = tms_compiler.compile_source("int a, b, d; d = a - b;")
+        compiled = tms_compiler.compile("int a, b, d; d = a - b;")
         result = simulate_statement_code(compiled.statement_codes, {"a": 1, "b": 2})
         assert result["d"] == 0xFFFF
 
     def test_sequence_of_statements(self, tms_compiler):
-        compiled = tms_compiler.compile_source("int a, b, c; b = a + a; c = b * a;")
+        compiled = tms_compiler.compile("int a, b, c; b = a + a; c = b * a;")
         result = simulate_statement_code(compiled.statement_codes, {"a": 3})
         assert result["b"] == 6
         assert result["c"] == 18
@@ -108,9 +107,9 @@ class TestKernelEquivalence:
         assert _agrees(block.execute(env), simulate_statement_code(compiled.statement_codes, env))
 
     def test_baseline_code_is_also_correct(self, tms_result):
-        from repro.baselines import conventional_compiler
+        from repro.toolchain import PipelineConfig, Session
 
-        baseline = conventional_compiler(tms_result)
+        baseline = Session(tms_result, config=PipelineConfig.preset("conventional"))
         program = kernel_program("fir")
         compiled = baseline.compile_program(program)
         block = program.single_block()
@@ -177,7 +176,7 @@ class TestCrossTargetEquivalence:
 
 class TestTraceHelpers:
     def test_trace_execution_records_statements_in_order(self, tms_compiler):
-        compiled = tms_compiler.compile_source("int a, b, c; b = a + a; c = b * a;")
+        compiled = tms_compiler.compile("int a, b, c; b = a + a; c = b * a;")
         trace = trace_execution(list(compiled.statement_codes), {"a": 3})
         assert [step.statement for step in trace.steps] == [
             "b = add(a, a)",
@@ -191,7 +190,7 @@ class TestTraceHelpers:
     def test_trace_to_dict_is_json_ready(self, tms_compiler):
         import json
 
-        compiled = tms_compiler.compile_source("int a, b; b = a + 1;")
+        compiled = tms_compiler.compile("int a, b; b = a + 1;")
         trace = trace_execution(list(compiled.statement_codes), {"a": 1})
         encoded = json.dumps(trace.to_dict())
         assert json.loads(encoded)["final_environment"]["b"] == 2

@@ -16,7 +16,7 @@ from repro.grammar.grammar import (
     RuleKind,
     TreeGrammar,
 )
-from repro.targets.library import all_target_names
+from repro.toolchain import default_registry
 
 
 def _toy_grammar():
@@ -149,7 +149,7 @@ class TestLintGrammar:
 
 class TestBuiltinTargetsLintClean:
     def test_every_builtin_target_has_zero_errors(self, retarget_results):
-        for name in all_target_names():
+        for name in default_registry().names():
             findings = lint_target(retarget_results[name])
             errors = [f for f in findings if f.severity == "error"]
             assert errors == [], (name, [f.describe() for f in errors])
@@ -162,7 +162,7 @@ class TestBuiltinTargetsLintClean:
     def test_cli_lint_target_reports_clean(self, capsys):
         from repro.cli import main
 
-        for name in all_target_names():
+        for name in default_registry().names():
             assert main(["lint-target", name]) == 0, name
         out = capsys.readouterr().out
         assert out

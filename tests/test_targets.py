@@ -1,47 +1,55 @@
-"""Tests of the built-in processor models and the target library."""
+"""Tests of the built-in processor models and their registry entries."""
 
 import pytest
 
 from repro.hdl import ModuleKind, parse_processor
 from repro.netlist import build_netlist
-from repro.targets import all_target_names, get_target, load_target_netlist, target_hdl_source
-from repro.targets.library import TABLE3_ORDER
+from repro.toolchain import default_registry
+
+REGISTRY = default_registry()
+
+
+def netlist_of(name):
+    return build_netlist(parse_processor(REGISTRY.hdl_source(name)))
 
 
 class TestLibrary:
     def test_all_six_targets_present(self):
-        assert all_target_names() == TABLE3_ORDER
-        assert len(all_target_names()) == 6
+        # The processors of table 3 of the paper, in its order.
+        assert REGISTRY.names() == [
+            "demo", "ref", "manocpu", "tanenbaum", "bass_boost", "tms320c25"
+        ]
+        assert len(REGISTRY.names()) == 6
 
     def test_unknown_target_rejected(self):
         with pytest.raises(KeyError):
-            get_target("pdp11")
+            REGISTRY.get("pdp11")
         with pytest.raises(KeyError):
-            target_hdl_source("pdp11")
+            REGISTRY.hdl_source("pdp11")
 
     def test_specs_have_descriptions(self):
-        for name in all_target_names():
-            spec = get_target(name)
+        for name in REGISTRY.names():
+            spec = REGISTRY.get(name)
             assert spec.name == name
             assert spec.description
             assert spec.category
 
     def test_hdl_sources_parse(self):
-        for name in all_target_names():
-            model = parse_processor(target_hdl_source(name))
+        for name in REGISTRY.names():
+            model = parse_processor(REGISTRY.hdl_source(name))
             assert model.name == name
 
     def test_netlists_build(self):
-        for name in all_target_names():
-            netlist = load_target_netlist(name)
+        for name in REGISTRY.names():
+            netlist = netlist_of(name)
             assert netlist.name == name
             assert netlist.control_source_modules(), name
 
 
 class TestModelStructure:
     def test_every_target_has_one_instruction_memory(self):
-        for name in all_target_names():
-            netlist = load_target_netlist(name)
+        for name in REGISTRY.names():
+            netlist = netlist_of(name)
             instruction_memories = [
                 m
                 for m in netlist.modules.values()
@@ -50,26 +58,26 @@ class TestModelStructure:
             assert len(instruction_memories) == 1, name
 
     def test_every_target_has_a_data_memory_except_none(self):
-        for name in all_target_names():
-            netlist = load_target_netlist(name)
+        for name in REGISTRY.names():
+            netlist = netlist_of(name)
             memories = [m for m in netlist.modules.values() if m.kind == ModuleKind.MEMORY]
             assert memories, name
 
     def test_tms_register_set(self):
-        netlist = load_target_netlist("tms320c25")
+        netlist = netlist_of("tms320c25")
         registers = {m.name for m in netlist.modules.values() if m.kind == ModuleKind.REGISTER}
         assert {"ACC", "TREG", "PREG", "AR"} <= registers
 
     def test_ref_register_file(self):
-        netlist = load_target_netlist("ref")
+        netlist = netlist_of("ref")
         registers = {m.name for m in netlist.modules.values() if m.kind == ModuleKind.REGISTER}
         assert {"R0", "R1", "R2", "R3", "AR"} <= registers
 
     def test_all_inputs_of_datapath_modules_are_driven(self):
         # every combinational module input should be connected; an undriven
         # input would silently remove routes
-        for name in all_target_names():
-            netlist = load_target_netlist(name)
+        for name in REGISTRY.names():
+            netlist = netlist_of(name)
             for module in netlist.combinational_modules():
                 for port in module.input_ports():
                     assert netlist.driver_of_input(module.name, port.name) is not None, (

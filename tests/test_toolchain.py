@@ -1,7 +1,9 @@
 """Tests for the repro.toolchain subsystem: registry, passes, cache,
 session API, and the structured diagnostics layer."""
 
+import importlib
 import pickle
+import time
 
 import pytest
 
@@ -17,8 +19,6 @@ from repro.frontend import LoweringError, SourceSyntaxError
 from repro.hdl.errors import HdlParseError
 from repro.ir.expr import Const
 from repro.ir.program import Statement
-from repro.record.compiler import CompilerOptions, RecordCompiler, restricted_selector
-from repro.targets import all_target_names, target_hdl_source
 from repro.toolchain import (
     PRESETS,
     Pass,
@@ -29,9 +29,10 @@ from repro.toolchain import (
     TargetRegistry,
     TargetSpec,
     Toolchain,
+    default_registry,
+    restricted_selector,
     retarget_fingerprint,
 )
-
 
 # ---------------------------------------------------------------------------
 # Target registry
@@ -41,10 +42,11 @@ from repro.toolchain import (
 class TestTargetRegistry:
     def test_default_registry_has_builtins(self):
         toolchain = Toolchain()
-        assert set(all_target_names()) <= set(toolchain.registry.names())
+        builtins = {"demo", "ref", "manocpu", "tanenbaum", "bass_boost", "tms320c25"}
+        assert builtins <= set(toolchain.registry.names())
         spec = toolchain.registry.get("tms320c25")
         assert spec.origin == "builtin"
-        assert spec.hdl_source == target_hdl_source("tms320c25")
+        assert spec.hdl_source == default_registry().hdl_source("tms320c25")
 
     def test_register_hdl_and_lookup(self):
         registry = TargetRegistry()
@@ -82,14 +84,14 @@ class TestTargetRegistry:
 
     def test_register_file_and_resolve_path(self, tmp_path):
         hdl_file = tmp_path / "machine.hdl"
-        hdl_file.write_text(target_hdl_source("demo"))
+        hdl_file.write_text(default_registry().hdl_source("demo"))
         registry = TargetRegistry()
         spec = registry.register_file(str(hdl_file))
         assert spec.name == "machine"
         assert spec.origin == "file"
         # resolve() accepts paths without registering them
         ephemeral = registry.resolve(str(hdl_file))
-        assert ephemeral.hdl_source == target_hdl_source("demo")
+        assert ephemeral.hdl_source == default_registry().hdl_source("demo")
         with pytest.raises(TargetError):
             registry.resolve("no-such-target-or-file")
 
@@ -129,21 +131,9 @@ class TestPipeline:
         assert "schedule" not in manager.names()
         assert "select" in manager.names() and "spill" in manager.names()
 
-    def test_conventional_preset_matches_baseline_options(self):
-        from repro.baselines import conventional_options
-
-        assert PipelineConfig.preset("conventional") == PipelineConfig.from_options(
-            conventional_options()
-        )
-
     def test_unknown_preset_raises(self):
         with pytest.raises(PipelineError):
             PipelineConfig.preset("turbo")
-
-    def test_options_roundtrip(self):
-        options = CompilerOptions(allow_chained=False, use_compaction=False)
-        config = PipelineConfig.from_options(options)
-        assert config.to_options() == options
 
     def test_pipeline_editing(self):
         manager = PassManager.from_config(PipelineConfig())
@@ -198,9 +188,9 @@ class TestSession:
         kernels = [get_kernel(name).source for name in all_kernel_names()]
         session = Session(tms_result)
         batch = session.compile_many(kernels, names=all_kernel_names())
-        legacy = RecordCompiler(tms_result)
+        sequential = Session(tms_result)
         for name, compiled in zip(all_kernel_names(), batch):
-            reference = legacy.compile_source(get_kernel(name).source, name=name)
+            reference = sequential.compile(get_kernel(name).source, name=name)
             assert compiled.code_size == reference.code_size, name
             assert compiled.spill_count == reference.spill_count, name
             assert compiled.operation_count == reference.operation_count, name
@@ -244,11 +234,10 @@ class TestSession:
         assert (second.code_size, second.operation_count) == baseline
 
     def test_restricted_selector_memoized_across_compilers(self, tms_result):
-        options = CompilerOptions(allow_chained=False)
-        first = RecordCompiler(tms_result, options)
-        second = RecordCompiler(tms_result, CompilerOptions(allow_chained=False))
-        assert first._selector is second._selector
-        assert restricted_selector(tms_result, allow_chained=False) is first._selector
+        first = Session(tms_result, config=PipelineConfig(allow_chained=False))
+        second = Session(tms_result, config=PipelineConfig(allow_chained=False))
+        assert first.selector is second.selector
+        assert restricted_selector(tms_result, allow_chained=False) is first.selector
         # the unrestricted selector is the retarget result's own
         assert restricted_selector(tms_result) is tms_result.selector
 
@@ -256,6 +245,41 @@ class TestSession:
         summary = Session(demo_result).summary()
         assert summary["processor"] == "demo"
         assert "select" in summary["passes"]
+
+
+class TestSessionsSkipTheMatcher:
+    """Sessions select with the tables and never read the emitted matcher
+    module, so no session path emits it."""
+
+    @pytest.fixture()
+    def broken_emitter(self, monkeypatch):
+        # The package attribute repro.record.retarget is the function.
+        retarget_module = importlib.import_module("repro.record.retarget")
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a session emitted the matcher module")
+
+        monkeypatch.setattr(retarget_module, "compile_matcher_module", refuse)
+
+    def test_cached_sessions_never_emit(self, tmp_path, broken_emitter):
+        cache = RetargetCache(directory=tmp_path)
+        miss = Toolchain(cache=cache).session("demo")
+        memory_hit = Toolchain(cache=cache).session("demo")
+        assert (cache.misses, cache.hits) == (1, 1)
+        disk_cache = RetargetCache(directory=tmp_path)
+        disk_hit = Toolchain(cache=disk_cache).session("demo")
+        assert (disk_cache.misses, disk_cache.hits) == (0, 1)
+        for session in (miss, memory_hit, disk_hit):
+            assert session.retarget_result.matcher_module is None
+            assert session.compile("int a, b, d; d = a + b;").code_size > 0
+
+    def test_uncached_session_never_emits(self, broken_emitter):
+        session = Toolchain.for_target("demo", use_cache=False)
+        assert session.retarget_result.matcher_module is None
+
+    def test_matcher_knob_is_rejected(self):
+        with pytest.raises(TypeError):
+            Toolchain().session("demo", generate_matcher=True)
 
 
 class TestWarmPath:
@@ -321,7 +345,7 @@ class TestRetargetCache:
 
     @pytest.fixture()
     def demo_hdl(self):
-        return target_hdl_source("demo")
+        return default_registry().hdl_source("demo")
 
     def test_cold_miss_then_warm_hit(self, tmp_path, demo_hdl):
         cache = RetargetCache(directory=tmp_path)
@@ -371,6 +395,27 @@ class TestRetargetCache:
         assert hit
         assert result.matcher_module is not None
         assert result.matcher_module.PROCESSOR == "demo"
+
+    def test_regenerated_matcher_times_parser_generation(
+        self, tmp_path, demo_hdl, monkeypatch
+    ):
+        """An entry stored without the matcher reports the emission a hit
+        runs, not the zero of the caller that stored it."""
+        RetargetCache(directory=tmp_path).prewarm([demo_hdl])
+        retarget_module = importlib.import_module("repro.record.retarget")
+        emit = retarget_module.compile_matcher_module
+
+        def slow_emit(*args, **kwargs):
+            time.sleep(0.05)
+            return emit(*args, **kwargs)
+
+        monkeypatch.setattr(retarget_module, "compile_matcher_module", slow_emit)
+        result, hit = RetargetCache(directory=tmp_path).get_or_retarget(
+            demo_hdl, generate_matcher=True
+        )
+        assert hit
+        assert result.matcher_module is not None
+        assert result.timings.parser_generation >= 0.05
 
     def test_corrupt_disk_entry_degrades_to_miss(self, tmp_path, demo_hdl):
         cache = RetargetCache(directory=tmp_path)
@@ -447,7 +492,7 @@ class TestRetargetCache:
         from repro.expansion import expand_template_base
         from repro.record.retarget import retarget
 
-        hdl = target_hdl_source("tms320c25")
+        hdl = default_registry().hdl_source("tms320c25")
         RetargetCache(directory=tmp_path).get_or_retarget(hdl, generate_matcher=False)
         loaded, hit = RetargetCache(directory=tmp_path).get_or_retarget(
             hdl, generate_matcher=False
@@ -478,7 +523,7 @@ class TestRetargetCache:
         from repro.expansion import ExpansionOptions, default_transformation_library
         from repro.record.retarget import retarget
 
-        hdl = target_hdl_source("ref")
+        hdl = default_registry().hdl_source("ref")
         rules = default_transformation_library()
         forward = ExpansionOptions(rules=rules)
         backward = ExpansionOptions(rules=list(reversed(rules)))
@@ -512,7 +557,7 @@ class TestRetargetCache:
                 ]
             )
 
-        hdl = target_hdl_source("demo")
+        hdl = default_registry().hdl_source("demo")
         assert retarget_fingerprint(hdl, expansion=options(1)) != retarget_fingerprint(
             hdl, expansion=options(2)
         )

@@ -10,8 +10,7 @@ import json
 
 from repro.obs.trace import Tracer, use_tracer
 from repro.service import CompileRequest, CompileService
-from repro.targets import target_hdl_source
-from repro.toolchain import RetargetCache, Toolchain
+from repro.toolchain import RetargetCache, Toolchain, default_registry
 
 
 def _complete(trace):
@@ -94,7 +93,7 @@ class TestGoldenTraceShape:
 
     def test_retarget_cache_hits_and_misses_are_instants(self):
         cache = RetargetCache(directory=False)
-        hdl = target_hdl_source("demo")
+        hdl = default_registry().hdl_source("demo")
         tracer = Tracer(name="test")
         with use_tracer(tracer):
             _result, hit_first = cache.get_or_retarget(hdl)
