@@ -23,7 +23,7 @@ from typing import List, Tuple
 
 from repro.baselines import hand_reference_size
 from repro.dspstone import all_kernel_names
-from repro.service import CompileRequest, CompileService, SessionPool
+from repro.service import CompileRequest, SessionPool, ThreadCompileBackend
 from repro.toolchain import RetargetCache, Toolchain
 
 #: The mixed-target request stream: three distinct targets, twelve
@@ -76,16 +76,18 @@ def run_naive_sequential(requests: List[CompileRequest]) -> float:
 
 def run_pooled_concurrent(
     requests: List[CompileRequest],
-) -> Tuple[float, CompileService]:
-    """The real service: shared session pool + thread-pool batch."""
-    service = CompileService(pool=SessionPool())
+) -> Tuple[float, ThreadCompileBackend]:
+    """The real service: the thread backend's shared session pool and
+    batch fan-out."""
+    backend = ThreadCompileBackend()
+    jobs = [request.to_dict() for request in requests]
     started = time.perf_counter()
-    responses = service.run_batch(requests)
+    responses = backend.run_jobs(jobs)
     elapsed = time.perf_counter() - started
-    assert all(response.ok for response in responses), [
-        response.error for response in responses if not response.ok
+    assert all(response["ok"] for response in responses), [
+        response.get("error") for response in responses if not response["ok"]
     ]
-    return elapsed, service
+    return elapsed, backend
 
 
 # ---------------------------------------------------------------------------
@@ -101,10 +103,10 @@ def test_pooled_concurrent_beats_naive_sequential():
     assert len({r.target for r in requests}) == len(MIXED_TARGETS)
 
     naive_s = run_naive_sequential(requests)
-    pooled_s, service = run_pooled_concurrent(requests)
+    pooled_s, backend = run_pooled_concurrent(requests)
 
     # the pool retargeted once per distinct target, not once per request
-    assert service.pool.retarget_count == len(MIXED_TARGETS)
+    assert backend.service.pool.retarget_count == len(MIXED_TARGETS)
     speedup = naive_s / pooled_s
     assert speedup >= 2.0, (
         "pooled-concurrent service should amortize retargeting: "
@@ -200,7 +202,7 @@ def collect_code_sizes(target: str = "tms320c25") -> dict:
 def collect_throughput() -> dict:
     requests = make_batch()
     naive_s = run_naive_sequential(requests)
-    pooled_s, service = run_pooled_concurrent(requests)
+    pooled_s, backend = run_pooled_concurrent(requests)
     return {
         "requests": len(requests),
         "distinct_targets": len(MIXED_TARGETS),
@@ -208,7 +210,7 @@ def collect_throughput() -> dict:
         "pooled_concurrent_s": round(pooled_s, 4),
         "speedup": round(naive_s / pooled_s, 2),
         "requests_per_second_pooled": round(len(requests) / pooled_s, 1),
-        "pool_retargets": service.pool.retarget_count,
+        "pool_retargets": backend.service.pool.retarget_count,
     }
 
 

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""The concurrent compile service: mixed-target batches with pooled sessions.
+"""The compile service: mixed-target batches with pooled sessions.
 
 Builds a batch of requests across three processors (including one request
-that is deliberately broken), runs it through :class:`CompileService`,
-and prints the per-request outcomes plus the pool statistics that show
-retargeting was paid once per distinct target -- the amortization that
-makes batch traffic cheap.
+that is deliberately broken), runs it through a
+:class:`ThreadCompileBackend`, and prints the per-request outcomes plus
+the backend statistics that show retargeting was paid once per distinct
+target -- the amortization that makes batch traffic cheap.
 
 Run with::
 
@@ -17,7 +17,7 @@ line, e.g. ``{"target": "tms320c25", "kernel": "fir"}``.
 
 import json
 
-from repro.service import CompileRequest, CompileService
+from repro.service import CompileRequest, CompileResponse, ThreadCompileBackend
 
 
 def main():
@@ -46,8 +46,11 @@ def main():
         CompileRequest(target="ref", source="int a, b; b = a + 7;", request_id="job-7"),
     ]
 
-    service = CompileService()
-    responses = service.run_batch(requests)
+    with ThreadCompileBackend() as backend:
+        responses = [
+            CompileResponse.from_dict(response)
+            for response in backend.run_jobs([r.to_dict() for r in requests])
+        ]
 
     print("== responses (in request order) ==")
     for response in responses:
@@ -76,12 +79,12 @@ def main():
                 )
             )
 
-    print("\n== service statistics ==")
-    print(json.dumps(service.stats(), indent=2))
+    print("\n== backend statistics ==")
+    print(json.dumps(backend.stats(), indent=2))
     print(
         "\nretargeting ran %d time(s) for %d requests over %d distinct targets"
         % (
-            service.pool.retarget_count,
+            backend.service.pool.retarget_count,
             len(requests),
             len({r.target for r in requests}),
         )

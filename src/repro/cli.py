@@ -354,26 +354,19 @@ def _batch_backend(args, jobs):
 
 
 def _cmd_batch(args) -> int:
-    """Run a JSON-lines job file through the concurrent compile service."""
+    """Run a job file (NDJSON, a JSON array or ``{"jobs": [...]}``)
+    through a compile backend."""
+    from repro.service.api import parse_jobs
+
     if args.jobs_file == "-":
-        lines = sys.stdin.read().splitlines()
+        text = sys.stdin.read()
     else:
         try:
             with open(args.jobs_file, "r") as handle:
-                lines = handle.read().splitlines()
+                text = handle.read()
         except OSError as error:
             raise SystemExit("error: cannot read %r: %s" % (args.jobs_file, error))
-    jobs = []
-    for number, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            jobs.append(json.loads(line))
-        except ValueError as error:
-            # Keep the batch alive: a malformed line becomes a job dict the
-            # service will turn into a structured error response.
-            jobs.append({"_malformed": "line %d: %s" % (number, error)})
+    jobs = parse_jobs(text)
     backend = _batch_backend(args, jobs)
     try:
         responses = backend.run_jobs(jobs)
@@ -719,8 +712,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     batch_parser = subparsers.add_parser(
         "batch",
-        help="run a JSON-lines job file through the concurrent compile service",
-        description="Each input line is a JSON object: "
+        help="run a batch job file through a compile backend",
+        description="The job file holds NDJSON (one JSON object per line; "
+        "blank and # lines are skipped), a JSON array of jobs, or "
+        '{"jobs": [...]}. A job is '
         '{"target": "tms320c25", "kernel": "fir"} or '
         '{"target": "demo", "source": "int a, b; b = a + 1;", "name": "inc", '
         '"preset": "no-chained", "request_id": "job-1"}. '
@@ -730,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
         "failing job yields a structured error response and never kills "
         "the batch.",
     )
-    batch_parser.add_argument("jobs_file", help="JSON-lines job file ('-' for stdin)")
+    batch_parser.add_argument("jobs_file", help="job file ('-' for stdin)")
     batch_parser.add_argument(
         "--backend", choices=("thread", "process"), default="thread",
         help="execution backend: 'thread' shares one process (fast startup, "
@@ -753,7 +748,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch_parser.add_argument(
         "--stats", action="store_true",
-        help="print service/pool statistics to stderr after the batch",
+        help="print backend statistics (completed/failed, per target, "
+        "session pool) to stderr after the batch",
     )
     _add_cache_flags(batch_parser)
 

@@ -205,6 +205,11 @@ class MetricFamily:
     def observe(self, value: float) -> None:
         self.labels().observe(value)
 
+    def clear(self) -> None:
+        """Drop every child (a gauge family re-set from each snapshot)."""
+        with self._lock:
+            self._children.clear()
+
     def collect(self) -> List[Tuple[Dict[str, str], object]]:
         """``(label_dict, child)`` pairs, sorted by label values."""
         with self._lock:
@@ -229,8 +234,9 @@ class MetricsRegistry:
     ``counter``/``gauge``/``histogram`` get-or-create a family
     (re-registration with a different kind or label set is an error);
     ``gauge_callback`` registers a zero-argument callable sampled at
-    render time (uptime, rates).  :meth:`render` serializes everything
-    in registration order.
+    render time (uptime, rates); one that raises or returns ``None``
+    renders no sample.  :meth:`render` serializes the families in
+    registration order, then the callback gauges in theirs.
     """
 
     def __init__(self):
@@ -280,7 +286,7 @@ class MetricsRegistry:
         return self._family(name, help_text, "histogram", labels, buckets=buckets)
 
     def gauge_callback(
-        self, name: str, help_text: str, fn: Callable[[], float]
+        self, name: str, help_text: str, fn: Callable[[], Optional[float]]
     ) -> None:
         with self._lock:
             self._callbacks[name] = (help_text, fn)
@@ -303,7 +309,7 @@ class MetricsRegistry:
             try:
                 value = float(fn())
             except Exception:
-                continue  # a broken callback must not break the scrape
+                continue  # a broken or value-less callback must not break the scrape
             lines.append("# HELP %s %s" % (name, help_text))
             lines.append("# TYPE %s gauge" % name)
             lines.append("%s %s" % (name, repr(value)))

@@ -1,17 +1,19 @@
 """The compile server: an HTTP/JSON front end over the compile backends.
 
-This package turns the batch service of :mod:`repro.service` into a
-network-facing, observable server:
+This package puts a network-facing, observable server on the compile
+backends of :mod:`repro.service`:
 
 * :mod:`repro.server.http` -- a stdlib ``ThreadingHTTPServer`` exposing
-  ``POST /compile``, ``POST /batch`` (streaming NDJSON), ``GET /healthz``
+  ``POST /compile`` (the backend's ``run_job``), ``POST /batch``
+  (streaming the backend's ordered fan-out as NDJSON), ``GET /healthz``
   and ``GET /metrics``, with bounded-queue backpressure (429 when
   saturated);
 * :mod:`repro.server.metrics` -- Prometheus-style live metrics
   (compile counters per target, compiles/s, retarget-cache and
   label-memo hit rates, per-phase latency histograms) aggregated from
   the :class:`~repro.toolchain.results.CompileMetrics` block every
-  result already carries.
+  result already carries, every line rendered by one
+  :class:`~repro.obs.metrics.MetricsRegistry`.
 
 Serve from the CLI (``repro serve --backend process``) or embed::
 

@@ -8,8 +8,10 @@ A :class:`CompileServer` is a :class:`ThreadingHTTPServer` bound to a
   the envelope's ``ok``/``error`` fields carry the outcome; only
   transport-level problems map to 4xx);
 * ``POST /batch`` -- a JSON array of jobs, ``{"jobs": [...]}``, or
-  NDJSON lines in; a *streaming* NDJSON response out (one envelope line
-  per job, input order, flushed as each job finishes);
+  NDJSON lines in (:func:`~repro.service.api.parse_jobs`, the parser
+  ``repro batch`` uses); a *streaming* NDJSON response out (one envelope
+  line per job, input order, flushed as each job finishes, from the
+  backend's :meth:`~repro.service.backends.CompileBackend.stream_jobs`);
 * ``GET /healthz`` -- liveness + backend description (JSON);
 * ``GET /metrics`` -- Prometheus text exposition
   (:mod:`repro.server.metrics`).
@@ -27,16 +29,17 @@ import json
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from repro.diagnostics import InternalCompilerError, ReproError
+from repro.diagnostics import InternalCompilerError
 from repro.obs import log
 from repro.obs.context import new_request_id, use_request_id
 from repro.server.metrics import ServerMetrics
-from repro.service.backends import CompileBackend, error_response
+from repro.service.api import parse_jobs
+from repro.service.backends import CompileBackend
 
 #: Longest inbound ``X-Request-Id`` honored verbatim (longer ones are
 #: truncated -- the id lands in logs, traces and metrics labels).
@@ -331,8 +334,6 @@ class CompileRequestHandler(BaseHTTPRequestHandler):
             return
         try:
             response = self.server.backend.run_job(job)
-        except Exception as error:  # backend invariant: shouldn't happen
-            response = self._backend_error_response(job, error)
         finally:
             self.server.gate.release(1)
         self.server.metrics.record_compile(response)
@@ -340,56 +341,12 @@ class CompileRequestHandler(BaseHTTPRequestHandler):
             response = self._strip_result(response)
         self._send_json(200, response, endpoint)
 
-    @staticmethod
-    def _parse_jobs(body: bytes) -> List[dict]:
-        """Decode a batch body: JSON array, {"jobs": [...]}, or NDJSON.
-
-        A malformed NDJSON line becomes a ``_malformed`` placeholder job
-        (the service turns it into a structured error response at its
-        position), mirroring ``repro batch``.
-        """
-        text = body.decode("utf-8")
-        stripped = text.lstrip()
-        if stripped.startswith("[") or stripped.startswith("{"):
-            try:
-                decoded = json.loads(text)
-            except ValueError:
-                decoded = None
-            if isinstance(decoded, list):
-                return [
-                    job if isinstance(job, dict)
-                    else {"_malformed": "job %d is not an object" % index}
-                    for index, job in enumerate(decoded)
-                ]
-            if isinstance(decoded, dict) and isinstance(decoded.get("jobs"), list):
-                return [
-                    job if isinstance(job, dict)
-                    else {"_malformed": "job %d is not an object" % index}
-                    for index, job in enumerate(decoded["jobs"])
-                ]
-            # fall through: maybe NDJSON whose first line is an object
-        jobs: List[dict] = []
-        for number, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                job = json.loads(line)
-            except ValueError as error:
-                jobs.append({"_malformed": "line %d: %s" % (number, error)})
-                continue
-            if isinstance(job, dict):
-                jobs.append(job)
-            else:
-                jobs.append({"_malformed": "line %d is not an object" % number})
-        return jobs
-
     def _handle_batch(self, endpoint: str) -> None:
         body = self._read_body(endpoint)
         if body is None:
             return
         try:
-            jobs = self._parse_jobs(body)
+            jobs = parse_jobs(body.decode("utf-8"))
         except UnicodeDecodeError as error:
             self._send_error_json(
                 400, "BadRequest", "request body is not UTF-8: %s" % error, endpoint
@@ -431,18 +388,16 @@ class CompileRequestHandler(BaseHTTPRequestHandler):
             self.send_header("Content-Type", "application/x-ndjson")
             self.send_header("X-Request-Id", self._rid)
             self.end_headers()
-            backend = self.server.backend
-            threads = max(1, min(backend.workers, len(jobs)))
-            with ThreadPoolExecutor(max_workers=threads) as executor:
-                futures = [
-                    executor.submit(self._run_one, job, index)
-                    for index, job in enumerate(jobs)
-                ]
-                # Stream in input order; each line is flushed as soon as
-                # its job (and all earlier ones) finished, so clients
-                # consume results while later jobs still compile.
-                for future in futures:
-                    response = future.result()
+            # Stream in input order; each line is flushed as soon as its
+            # job (and all earlier ones) finished, so clients consume
+            # results while later jobs still compile.  Closing the stream
+            # waits for every job, so the gate is released after the last.
+            client_gone = False
+            with closing(self.server.backend.stream_jobs(jobs)) as responses:
+                for response in responses:
+                    self.server.metrics.record_compile(response)
+                    if client_gone:
+                        continue  # the jobs still drain and count
                     if not include_results:
                         response = self._strip_result(response)
                     try:
@@ -451,36 +406,11 @@ class CompileRequestHandler(BaseHTTPRequestHandler):
                         )
                         self.wfile.flush()
                     except (BrokenPipeError, ConnectionResetError):
-                        return  # client went away; jobs still drain
+                        client_gone = True
         finally:
             self.server.gate.release(len(jobs))
             self.server.metrics.record_http(endpoint, 200)
             self._log_access("POST", endpoint, 200)
-
-    @staticmethod
-    def _backend_error_response(job: dict, error: BaseException) -> dict:
-        """A structured envelope for an exception escaping the backend:
-        ReproError subtypes keep their name, anything else is wrapped as
-        an InternalCompilerError (crash-proofing contract)."""
-        if isinstance(error, ReproError):
-            return error_response(job, type(error).__name__, str(error))
-        wrapped = InternalCompilerError.wrap(error, context="backend run_job")
-        return error_response(
-            job, "InternalCompilerError", str(wrapped), phase="internal"
-        )
-
-    def _run_one(self, job: dict, index: int = 0) -> dict:
-        # Executor threads do not inherit the handler's contextvars;
-        # re-establish the job's id so in-process backends log under it.
-        job_rid = job.get("request_id")
-        rid = job_rid if isinstance(job_rid, str) and job_rid else self._rid
-        with use_request_id(rid):
-            try:
-                response = self.server.backend.run_job(job, index)
-            except Exception as error:
-                response = self._backend_error_response(job, error)
-        self.server.metrics.record_compile(response)
-        return response
 
 
 # ---------------------------------------------------------------------------

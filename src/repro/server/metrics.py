@@ -34,8 +34,12 @@ Exported families (all prefixed ``repro_``):
 * ``repro_retarget_cache_*`` / ``repro_session_pool_*`` /
   ``repro_worker_*`` -- backend snapshot gauges taken at scrape time
   from :meth:`CompileBackend.stats`, including per-worker
-  ``repro_worker_requests_total{worker=,status=}`` lines from the
-  process backend.
+  ``repro_worker_requests_total{worker=,status=}`` lines for the live
+  workers of the process backend.
+
+Every line, the gauges included, renders through the registry: uptime,
+the completion rate and the two hit rates are callback gauges, and the
+backend gauges are families set from the stats snapshot of each scrape.
 """
 
 from __future__ import annotations
@@ -43,12 +47,31 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
-from repro.obs.metrics import (
-    MetricsRegistry,
-    format_labels as _labels,
-    format_value as _format_value,
+from repro.obs.metrics import MetricsRegistry
+
+#: ``backend.stats()`` keys exported as gauges: (key, metric, help).
+#: A key the backend does not report renders no line.
+_BACKEND_GAUGES = (
+    ("pool_hits", "repro_session_pool_hits_total",
+     "Session-pool lookups served from a pooled session."),
+    ("pool_misses", "repro_session_pool_misses_total",
+     "Session-pool lookups that built a new session."),
+    ("pool_retargets", "repro_retarget_cache_misses_total",
+     "Retargeting runs actually paid (retarget-cache misses)."),
+    ("pool_sessions", "repro_sessions", "Live pooled sessions across workers."),
+    ("workers", "repro_workers", "Live backend workers."),
+    ("crashes", "repro_worker_crashes_total",
+     "Worker processes that died mid-request."),
+    ("respawns", "repro_worker_respawns_total",
+     "Worker processes respawned after a crash or timeout."),
+    ("timeouts", "repro_request_timeouts_total",
+     "Requests killed by their per-request timeout."),
+    ("backoff_waits", "repro_worker_backoff_waits_total",
+     "Respawns delayed by the crash-storm backoff."),
+    ("consecutive_crashes", "repro_worker_consecutive_crashes",
+     "Current worker crash streak (resets on a successful result)."),
 )
 
 
@@ -118,6 +141,29 @@ class ServerMetrics:
             "(gvn_hits, licm_hoisted, strength_reductions, hw_loops).",
             labels=("target", "kind"),
         )
+        self.registry.gauge_callback(
+            "repro_uptime_seconds",
+            "Seconds since server start.",
+            lambda: self._clock() - self._started,
+        )
+        self.registry.gauge_callback(
+            "repro_compiles_per_second",
+            "Completion rate over the trailing window.",
+            self.compiles_per_second,
+        )
+        self.registry.gauge_callback(
+            "repro_label_memo_hit_rate",
+            "Share of labelled subject nodes whose BURS transition came "
+            "from the memo.",
+            self._label_memo_hit_rate,
+        )
+        self.registry.gauge_callback(
+            "repro_session_pool_hit_rate",
+            "Session-pool hit fraction.",
+            self._pool_hit_rate,
+        )
+        self._scrape_lock = threading.Lock()
+        self._backend_snapshot: dict = {}  # backend.stats() of the current scrape
 
     # -- recording ---------------------------------------------------------------
 
@@ -209,115 +255,45 @@ class ServerMetrics:
             "compiles_per_second": self.compiles_per_second(),
         }
 
+    def _label_memo_hit_rate(self) -> float:
+        with self._lock:
+            return self._label_memo_hits / self._label_nodes if self._label_nodes else 0.0
+
+    def _pool_hit_rate(self) -> Optional[float]:
+        hits = self._backend_snapshot.get("pool_hits")
+        misses = self._backend_snapshot.get("pool_misses")
+        if isinstance(hits, int) and isinstance(misses, int) and hits + misses:
+            return hits / (hits + misses)
+        return None  # no lookups yet: no sample
+
     def render(self) -> str:
         """The full Prometheus text exposition."""
-        backend_stats = {}
-        if self._backend_stats is not None:
-            try:
-                backend_stats = dict(self._backend_stats())
-            except Exception:
-                backend_stats = {}
-        per_second = self.compiles_per_second()
-        with self._lock:
-            memo_rate = (
-                self._label_memo_hits / self._label_nodes
-                if self._label_nodes
-                else 0.0
-            )
-        lines: List[str] = []
-        lines.append("# HELP repro_uptime_seconds Seconds since server start.")
-        lines.append("# TYPE repro_uptime_seconds gauge")
-        lines.append("repro_uptime_seconds %s" % repr(self._clock() - self._started))
-        lines.extend(self._compile_requests.render())
-        lines.append(
-            "# HELP repro_compiles_per_second Completion rate over the trailing window."
-        )
-        lines.append("# TYPE repro_compiles_per_second gauge")
-        lines.append("repro_compiles_per_second %s" % repr(per_second))
-        lines.extend(self._http_requests.render())
-        lines.extend(self._http_rejected.render())
-        lines.extend(self._request_seconds.render())
-        lines.extend(self._phase_seconds.render())
-        lines.extend(self._target_phase_seconds.render())
-        lines.append(
-            "# HELP repro_label_memo_hit_rate Share of labelled subject nodes whose "
-            "BURS transition came from the memo."
-        )
-        lines.append("# TYPE repro_label_memo_hit_rate gauge")
-        lines.append("repro_label_memo_hit_rate %s" % repr(memo_rate))
-        lines.extend(self._labelled_nodes.render())
-        lines.extend(self._global_opt.render())
-        lines.extend(self._render_backend(backend_stats))
-        return "\n".join(lines) + "\n"
+        with self._scrape_lock:
+            self._sample_backend()
+            return self.registry.render()
 
-    @staticmethod
-    def _render_backend(stats: dict) -> List[str]:
-        """Gauge lines from one backend.stats() snapshot.
-
-        The thread backend exposes ``pool_hits``/``pool_misses``/
-        ``pool_retargets`` directly; the process backend aggregates the
-        same keys across workers, adds crash/respawn/timeout counters
-        and a ``per_worker`` list rendered as
-        ``repro_worker_requests_total{status=,worker=}``.
-        """
-        lines: List[str] = []
-        gauges = (
-            ("pool_hits", "repro_session_pool_hits_total",
-             "Session-pool lookups served from a pooled session."),
-            ("pool_misses", "repro_session_pool_misses_total",
-             "Session-pool lookups that built a new session."),
-            ("pool_retargets", "repro_retarget_cache_misses_total",
-             "Retargeting runs actually paid (retarget-cache misses)."),
-            ("pool_sessions", "repro_sessions",
-             "Live pooled sessions across workers."),
-            ("workers", "repro_workers", "Live backend workers."),
-            ("crashes", "repro_worker_crashes_total",
-             "Worker processes that died mid-request."),
-            ("respawns", "repro_worker_respawns_total",
-             "Worker processes respawned after a crash or timeout."),
-            ("timeouts", "repro_request_timeouts_total",
-             "Requests killed by their per-request timeout."),
-            ("backoff_waits", "repro_worker_backoff_waits_total",
-             "Respawns delayed by the crash-storm backoff."),
-            ("consecutive_crashes", "repro_worker_consecutive_crashes",
-             "Current worker crash streak (resets on a successful result)."),
-        )
-        for key, name, help_text in gauges:
+    def _sample_backend(self) -> None:
+        """Set the backend gauge families from one ``backend.stats()``
+        snapshot.  The per-worker family is rebuilt each time, so it
+        shows the live workers only, never a dead generation."""
+        try:
+            stats = dict(self._backend_stats()) if self._backend_stats else {}
+        except Exception:
+            stats = {}  # a broken stats source must not break the scrape
+        self._backend_snapshot = stats
+        for key, name, help_text in _BACKEND_GAUGES:
             value = stats.get(key)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                continue
-            lines.append("# HELP %s %s" % (name, help_text))
-            lines.append("# TYPE %s gauge" % name)
-            lines.append("%s %s" % (name, _format_value(value)))
-        hits = stats.get("pool_hits")
-        misses = stats.get("pool_misses")
-        if isinstance(hits, int) and isinstance(misses, int) and (hits + misses):
-            lines.append(
-                "# HELP repro_session_pool_hit_rate Session-pool hit fraction."
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                self.registry.gauge(name, help_text).set(value)
+        if "per_worker" in stats:
+            per_worker = self.registry.gauge(
+                "repro_worker_requests_total",
+                "Requests served per live worker.",
+                labels=("worker", "status"),
             )
-            lines.append("# TYPE repro_session_pool_hit_rate gauge")
-            lines.append(
-                "repro_session_pool_hit_rate %s" % repr(hits / (hits + misses))
-            )
-        per_worker = stats.get("per_worker")
-        if isinstance(per_worker, list) and per_worker:
-            lines.append(
-                "# HELP repro_worker_requests_total Requests served per live worker."
-            )
-            lines.append("# TYPE repro_worker_requests_total gauge")
-            for entry in per_worker:
-                if not isinstance(entry, dict):
-                    continue
-                worker = str(entry.get("worker", "") or "")
+            per_worker.clear()
+            for entry in stats["per_worker"]:
                 for status, key in (("ok", "completed"), ("error", "failed")):
-                    value = entry.get(key)
-                    if not isinstance(value, (int, float)):
-                        continue
-                    lines.append(
-                        "repro_worker_requests_total%s %s"
-                        % (
-                            _labels({"worker": worker, "status": status}),
-                            _format_value(value),
-                        )
+                    per_worker.labels(worker=entry["worker"], status=status).set(
+                        entry[key]
                     )
-        return lines

@@ -1,4 +1,4 @@
-"""The concurrent compile service: batch compilation as a service layer.
+"""The compile service: compile jobs as a service layer.
 
 This package turns the session API of :mod:`repro.toolchain` into a
 traffic-serving surface:
@@ -7,32 +7,36 @@ traffic-serving surface:
   (:mod:`repro.service.api`) -- the JSON-friendly request/response
   envelope.  A response embeds a structured
   :class:`~repro.toolchain.results.CompilationResult` on success and a
-  structured :class:`ErrorInfo` on failure;
+  structured :class:`ErrorInfo` on failure; ``parse_jobs`` decodes a
+  batch body (NDJSON, a JSON array or ``{"jobs": [...]}``);
 * :class:`SessionPool` (:mod:`repro.service.pool`) -- thread-safe pooling
   of :class:`~repro.toolchain.Session` objects keyed by
   ``(target, pipeline config)``, so retargeting and selector setup are
   paid once per distinct key, not once per request;
-* :class:`CompileService` (:mod:`repro.service.service`) -- concurrent,
-  fault-isolated batch execution on a thread pool.  A failing request
-  yields an error response; it never kills the batch;
+* :class:`CompileService` (:mod:`repro.service.service`) -- fault-isolated
+  execution of one request (``run``) or one decoded job object
+  (``run_dict``).  A failing request yields an error response; it never
+  raises;
 * :class:`CompileBackend` / :class:`ThreadCompileBackend` /
-  :class:`ProcessCompileBackend` (:mod:`repro.service.backends`) -- the
-  execution substrate behind the HTTP server and ``repro batch``.  The
-  process backend runs a pool of worker processes warmed from a shared
-  read-only retarget-cache spool (true multi-core scaling), with crash
-  detection, respawn and per-request timeouts.
+  :class:`ProcessCompileBackend` (:mod:`repro.service.backends`) -- where
+  batches run, behind the HTTP server and ``repro batch``: one ordered
+  fan-out, one guard against escaping exceptions, and one set of
+  completed/failed counts.  The process backend runs a pool of worker
+  processes warmed from a shared read-only retarget-cache spool (true
+  multi-core scaling), with crash detection, respawn and per-request
+  timeouts.
 
 Typical usage::
 
-    from repro.service import CompileRequest, CompileService
+    from repro.service import ThreadCompileBackend
 
-    service = CompileService()
-    responses = service.run_batch([
-        CompileRequest(target="tms320c25", kernel="fir"),
-        CompileRequest(target="demo", source="int a, b; b = a + 1;"),
-    ])
+    with ThreadCompileBackend() as backend:
+        responses = backend.run_jobs([
+            {"target": "tms320c25", "kernel": "fir"},
+            {"target": "demo", "source": "int a, b; b = a + 1;"},
+        ])
     for response in responses:
-        print(response.to_json())
+        print(response["ok"], response["name"])
 """
 
 from repro.service.api import CompileRequest, CompileResponse, ErrorInfo

@@ -4,13 +4,16 @@ Both dataclasses are JSON-first: :meth:`CompileRequest.from_dict` accepts
 one decoded JSON-lines job object, :meth:`CompileResponse.to_dict`
 produces one JSON-lines result object.  The embedded compilation result
 uses the lossless serialization of
-:class:`repro.toolchain.results.CompilationResult`.
+:class:`repro.toolchain.results.CompilationResult`.  :func:`parse_jobs`
+turns a batch body (``repro batch`` input, ``POST /batch``) into job
+objects.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.diagnostics import ReproError
 from repro.toolchain.passes import PipelineConfig
@@ -89,6 +92,10 @@ class CompileRequest:
     def validate(self) -> None:
         if not self.target:
             raise RequestError("compile request needs a target")
+        if not isinstance(self.target, str):
+            # A number would reach the registry's file lookup, which
+            # treats it as an open file descriptor.
+            raise RequestError('"target" must be a string')
         if (self.source is None) == (self.kernel is None):
             raise RequestError(
                 "compile request needs exactly one of source= or kernel= "
@@ -158,8 +165,8 @@ class CompileRequest:
         if not isinstance(data, dict):
             raise RequestError("compile request must be a JSON object")
         if "_malformed" in data:
-            # Placeholder injected by batch front-ends (the CLI) for job
-            # lines that failed to decode; surface the original error.
+            # Placeholder parse_jobs puts in place of an entry that failed
+            # to decode; surface the original error.
             raise RequestError("malformed job: %s" % data["_malformed"])
         known = {
             "target",
@@ -242,8 +249,6 @@ class CompileResponse:
         return data
 
     def to_json(self, include_result: bool = True, indent: Optional[int] = None) -> str:
-        import json
-
         return json.dumps(self.to_dict(include_result=include_result), indent=indent)
 
     @classmethod
@@ -259,3 +264,42 @@ class CompileResponse:
             request_id=data.get("request_id"),
             elapsed_s=data.get("elapsed_s", 0.0),
         )
+
+
+def parse_jobs(text: str) -> List[dict]:
+    """Decode a batch body into job objects, one per job, in order.
+
+    Accepts a JSON array of jobs, a ``{"jobs": [...]}`` object, or NDJSON
+    (one job per line; blank lines and ``#`` comment lines are skipped).
+    An entry that does not decode, or is not a JSON object, becomes a
+    ``{"_malformed": ...}`` placeholder naming its line or index;
+    :meth:`CompileRequest.from_dict` turns it into a structured error at
+    that position, so one bad entry never aborts the batch.
+    """
+    if text.lstrip().startswith(("[", "{")):
+        try:
+            decoded = json.loads(text)
+        except ValueError:
+            decoded = None  # maybe NDJSON whose first line is an object
+        if isinstance(decoded, dict) and isinstance(decoded.get("jobs"), list):
+            decoded = decoded["jobs"]
+        if isinstance(decoded, list):
+            return [
+                job if isinstance(job, dict)
+                else {"_malformed": "job %d is not an object" % index}
+                for index, job in enumerate(decoded)
+            ]
+    jobs: List[dict] = []
+    for number, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            job = json.loads(line)
+        except ValueError as error:
+            jobs.append({"_malformed": "line %d: %s" % (number, error)})
+            continue
+        if not isinstance(job, dict):
+            job = {"_malformed": "line %d is not an object" % number}
+        jobs.append(job)
+    return jobs

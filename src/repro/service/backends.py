@@ -1,31 +1,34 @@
-"""Compile backends: where a batch of compile jobs actually executes.
-
-The service layer (PR 2) runs requests on a *thread* pool.  Threads are
-the right shape for overlapping session construction (retargeting of
-distinct targets) but the compile itself is CPU-bound Python, so a
-thread pool tops out at one core no matter the hardware.  This module
-abstracts "a thing that executes compile-job dicts" behind
-:class:`CompileBackend` and adds a true multi-core implementation:
-
-* :class:`ThreadCompileBackend` -- the existing
-  :class:`~repro.service.service.CompileService` thread pool behind the
-  backend interface (single-core, zero startup cost);
-* :class:`ProcessCompileBackend` -- a pool of worker *processes*.  The
-  parent prewarms a shared disk-tier
-  :class:`~repro.toolchain.cache.RetargetCache` (the v2 pickle format,
-  which already ships pre-built ``GrammarTables``); each worker opens
-  that directory read-only, so workers never re-retarget.  Jobs and
-  results travel as the existing :class:`~repro.service.api`
-  ``CompileRequest``/``CompileResponse`` JSON envelopes over a pipe
-  (one duplex :func:`multiprocessing.Pipe` per worker).  The parent
-  detects worker crashes (EOF on the pipe / dead process), turns them
-  into structured error responses, and respawns the worker; a
-  per-request ``timeout_s`` kills and respawns a stuck worker the same
-  way.  One bad request can therefore never hang or drop a batch.
+"""Compile backends: where compile jobs actually execute.
 
 Both backends speak plain dicts (decoded JSON job objects in, response
 dicts out) because that is what the HTTP front end
 (:mod:`repro.server`) and the ``repro batch`` CLI shuttle around.
+:class:`CompileBackend` owns what they share:
+
+* the ordered fan-out of a batch over the backend's workers
+  (:meth:`~CompileBackend.stream_jobs`, which ``POST /batch`` streams,
+  and :meth:`~CompileBackend.run_jobs`, its list);
+* the guard that turns an exception escaping a backend into a
+  structured error envelope (:meth:`~CompileBackend.run_job`);
+* the completed/failed counts, in total and per target.
+
+Subclasses implement :meth:`~CompileBackend._execute`:
+
+* :class:`ThreadCompileBackend` -- an in-process
+  :class:`~repro.service.service.CompileService` (single-core: the
+  compile is CPU-bound Python under the GIL; zero startup cost);
+* :class:`ProcessCompileBackend` -- a pool of worker *processes*.  The
+  parent prewarms a shared disk-tier
+  :class:`~repro.toolchain.cache.RetargetCache` whose pickles already
+  ship pre-built ``GrammarTables``; each worker opens that directory
+  read-only, so workers never re-retarget.  Jobs and results travel as
+  the :mod:`repro.service.api` ``CompileRequest``/``CompileResponse``
+  JSON envelopes over one duplex :func:`multiprocessing.Pipe` per
+  worker.  The parent detects worker crashes (EOF on the pipe / dead
+  process), turns them into structured error responses, and respawns
+  the worker; a per-request ``timeout_s`` kills and respawns a stuck
+  worker the same way.  One bad request can therefore never hang or
+  drop a batch.
 """
 
 from __future__ import annotations
@@ -38,11 +41,18 @@ import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional
 
-from repro.diagnostics import ReproError
+from repro.diagnostics import InternalCompilerError, ReproError
 from repro.obs import log
-from repro.obs.context import use_request_id
+from repro.service.pool import SessionPool
+from repro.service.service import CompileService
+from repro.toolchain import RetargetCache, default_registry
+
+#: Worker *threads* of a thread backend when the caller does not pin a
+#: count.  Threads mostly overlap session construction and lock waits
+#: (the compile itself is GIL-bound), so this stays a small constant.
+DEFAULT_THREAD_WORKERS = 8
 
 #: Wall-clock bound on one request when neither the job nor the backend
 #: pins one (process backend only; threads cannot be preempted).
@@ -68,12 +78,8 @@ DEFAULT_STDERR_TAIL_LINES = 20
 
 
 def default_process_workers() -> int:
-    """Default worker-process count: one per CPU core.
-
-    This is the fix for the thread-pool era ``DEFAULT_MAX_WORKERS = 8``
-    hard cap: processes scale with cores, so the default derives from
-    ``os.cpu_count()`` instead of a constant.
-    """
+    """Default worker-process count: one per CPU core (processes scale
+    with cores, unlike the GIL-bound threads of the thread backend)."""
     return max(1, os.cpu_count() or 1)
 
 
@@ -91,8 +97,8 @@ def error_response(
     phase: str = "server",
 ) -> dict:
     """A CompileResponse-shaped error dict for ``job`` (server-level
-    failures: crashes, timeouts, saturation -- anything that never
-    reached a worker's ``CompileService``)."""
+    failures: crashes, timeouts, an exception escaping a backend --
+    anything no ``CompileService`` answered)."""
     job_dict = job if isinstance(job, dict) else {}
     return {
         "target": str(job_dict.get("target", "") or ""),
@@ -107,36 +113,85 @@ def error_response(
 class CompileBackend:
     """Executes decoded compile-job dicts; see module docstring.
 
-    Subclasses provide :meth:`run_job`, :meth:`stats` and
-    :meth:`close`; :meth:`run_jobs` fans a batch out over the backend's
-    workers and always returns one response dict per job, in input
-    order.
+    Subclasses implement :meth:`_execute` (and may extend :meth:`stats`
+    and :meth:`close`); everything else -- fan-out, the guard, the counts
+    -- lives here, once for every backend.
     """
 
     kind = "abstract"
     workers = 1
 
-    def run_job(self, job: dict, index: int = 0) -> dict:
-        """Execute one decoded job dict; ``index`` positions default
-        request names (``request<index>``) exactly like a batch."""
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        # completed/failed per target; the totals are derived from it
+        self._per_target: Dict[str, Dict[str, int]] = {}
+
+    def _execute(self, job: dict, index: int) -> dict:
+        """Run one job and return its response dict (the backend hook)."""
         raise NotImplementedError
 
-    def run_jobs(self, jobs: Sequence[dict]) -> List[dict]:
+    def run_job(self, job: dict, index: int = 0) -> dict:
+        """Execute one decoded job dict; ``index`` positions default
+        request names (``request<index>``) exactly like a batch.
+
+        Never raises for a job: an exception escaping :meth:`_execute`
+        becomes an error envelope -- a :class:`ReproError` keeps its type,
+        anything else is an ``InternalCompilerError`` (crash-proofing
+        contract).  Every response is counted once, by the target it
+        names.
+        """
+        try:
+            response = self._execute(job, index)
+        except ReproError as error:
+            response = error_response(job, type(error).__name__, str(error))
+        except Exception as error:
+            wrapped = InternalCompilerError.wrap(error, context="backend run_job")
+            response = error_response(
+                job, "InternalCompilerError", str(wrapped), phase="internal"
+            )
+        target = str(response.get("target", "") or "")
+        with self._lock:
+            counts = self._per_target.setdefault(target, {"completed": 0, "failed": 0})
+            counts["completed" if response.get("ok") else "failed"] += 1
+        return response
+
+    def stream_jobs(self, jobs: Iterable[dict]) -> Iterator[dict]:
+        """Fan ``jobs`` out over ``min(len(jobs), workers)`` threads and
+        yield one response per job, in input order, each as soon as it
+        and every job before it finished.  Closing the generator early
+        still waits for the jobs already submitted."""
         job_list = list(jobs)
-        if not job_list:
-            return []
-        threads = max(1, min(self.workers, len(job_list)))
-        if threads == 1:
-            return [self.run_job(job, index) for index, job in enumerate(job_list)]
+        threads = min(self.workers, len(job_list))
+        if threads <= 1:
+            for index, job in enumerate(job_list):
+                yield self.run_job(job, index)
+            return
         with ThreadPoolExecutor(max_workers=threads) as executor:
             futures = [
                 executor.submit(self.run_job, job, index)
                 for index, job in enumerate(job_list)
             ]
-            return [future.result() for future in futures]
+            for future in futures:
+                yield future.result()
+
+    def run_jobs(self, jobs: Iterable[dict]) -> List[dict]:
+        """:meth:`stream_jobs` as a list: one response per job, in input
+        order."""
+        return list(self.stream_jobs(jobs))
 
     def stats(self) -> dict:
-        return {}
+        """A point-in-time snapshot: ``completed``/``failed`` totals and
+        their ``per_target`` breakdown (the source of ``repro batch
+        --stats`` and the ``/metrics`` backend gauges)."""
+        with self._lock:
+            per_target = {target: dict(counts) for target, counts in self._per_target.items()}
+        return {
+            "backend": self.kind,
+            "workers": self.workers,
+            "completed": sum(counts["completed"] for counts in per_target.values()),
+            "failed": sum(counts["failed"] for counts in per_target.values()),
+            "per_target": per_target,
+        }
 
     def describe(self) -> dict:
         return {"backend": self.kind, "workers": self.workers}
@@ -152,7 +207,7 @@ class CompileBackend:
 
 
 class ThreadCompileBackend(CompileBackend):
-    """The PR-2 thread-pool :class:`CompileService` as a backend.
+    """An in-process :class:`CompileService` as a backend.
 
     Zero startup cost and shared in-process sessions, but Python
     threads cannot use more than one core for this CPU-bound work --
@@ -163,27 +218,18 @@ class ThreadCompileBackend(CompileBackend):
     kind = "thread"
 
     def __init__(self, workers: Optional[int] = None, cache=None):
-        from repro.service.pool import SessionPool
-        from repro.service.service import DEFAULT_MAX_WORKERS, CompileService
-        from repro.toolchain import RetargetCache, Toolchain
+        super().__init__()
+        self.workers = workers if workers else DEFAULT_THREAD_WORKERS
+        self.service = CompileService(pool=SessionPool(cache=cache))
 
-        if cache is None:
-            cache = RetargetCache(directory=False)
-        pool = SessionPool(toolchain=Toolchain(cache=cache))
-        self.workers = workers if workers else DEFAULT_MAX_WORKERS
-        self.service = CompileService(pool=pool, max_workers=self.workers)
-
-    def run_job(self, job: dict, index: int = 0) -> dict:
-        return _run_one_dict(self.service, job, index)
-
-    def run_jobs(self, jobs: Sequence[dict]) -> List[dict]:
-        responses = self.service.run_batch_dicts(list(jobs), max_workers=self.workers)
-        return [response.to_dict() for response in responses]
+    def _execute(self, job: dict, index: int) -> dict:
+        return self.service.run_dict(job, index)
 
     def stats(self) -> dict:
-        stats = self.service.stats()
-        stats["backend"] = self.kind
-        stats["workers"] = self.workers
+        stats = super().stats()
+        stats.update(
+            ("pool_%s" % key, value) for key, value in self.service.pool.stats().items()
+        )
         return stats
 
 
@@ -193,25 +239,6 @@ def _job_request_id(job: object) -> Optional[str]:
         if isinstance(request_id, str):
             return request_id
     return None
-
-
-def _run_one_dict(service, job: object, index: int) -> dict:
-    """One decoded job through a :class:`CompileService`, positional
-    default naming included (the single-job sibling of
-    ``run_batch_dicts``)."""
-    from repro.service.api import CompileRequest, CompileResponse, ErrorInfo
-
-    try:
-        request = CompileRequest.from_dict(job)
-    except Exception as error:
-        return CompileResponse(
-            target=str(job.get("target", "") if isinstance(job, dict) else ""),
-            name="request%d" % index,
-            ok=False,
-            error=ErrorInfo.from_exception(error),
-            request_id=(job.get("request_id") if isinstance(job, dict) else None),
-        ).to_dict()
-    return service.run(request, index).to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -249,19 +276,14 @@ def _worker_main(
     Builds a :class:`~repro.service.pool.SessionPool` whose retarget
     cache reads the parent's prewarmed spool directory (pickles shared
     read-only), reports ready, then serves JSON frames off the pipe until
-    EOF or a shutdown frame.  Every result frame piggybacks the
-    worker's own ``CompileService.stats()`` snapshot so the parent can
-    aggregate pool/cache hit rates without a second round trip.
+    EOF or a shutdown frame.  Every result frame carries the pool's
+    ``stats()`` so the parent can aggregate pool/cache hit rates without
+    a second round trip; the parent counts the responses itself.
 
     With ``stderr_path`` the worker's fd 2 is redirected there so the
-    parent can attach the trailing lines to a crash report.  Each job's
-    ``request_id`` is made ambient before the compile runs, so worker
-    log records join the HTTP access log on one id.
+    parent can attach the trailing lines to a crash report -- including
+    the traceback of anything that escapes this loop.
     """
-    from repro.service.pool import SessionPool
-    from repro.service.service import CompileService
-    from repro.toolchain import RetargetCache, Toolchain
-
     if stderr_path:
         try:
             if log.enabled() and not os.environ.get("REPRO_LOG_FILE"):
@@ -274,9 +296,8 @@ def _worker_main(
             _redirect_stderr(stderr_path)
         except OSError:
             pass  # stderr capture is best-effort; the worker still serves
-    cache = RetargetCache(directory=cache_dir if cache_dir else False)
-    pool = SessionPool(toolchain=Toolchain(cache=cache))
-    service = CompileService(pool=pool, max_workers=1)
+    pool = SessionPool(cache=RetargetCache(directory=cache_dir if cache_dir else False))
+    service = CompileService(pool=pool)
     warmed: List[str] = []
     for target in warm_targets or ():
         try:
@@ -297,12 +318,8 @@ def _worker_main(
             frame = json.loads(data.decode("utf-8"))
         except ValueError:
             frame = {"op": "job", "job": {"_malformed": "undecodable frame"}}
-        op = frame.get("op")
-        if op == "shutdown":
+        if frame.get("op") == "shutdown":
             break
-        if op == "ping":
-            conn.send_bytes(json.dumps({"op": "pong", "pid": os.getpid()}).encode())
-            continue
         job = frame.get("job")
         job = dict(job) if isinstance(job, dict) else job
         index = frame.get("index", 0)
@@ -322,41 +339,12 @@ def _worker_main(
                 os._exit(int(exit_code))
             if sleep_s is not None:
                 time.sleep(float(sleep_s))
-        job_request_id = job.get("request_id") if isinstance(job, dict) else None
-        try:
-            with use_request_id(job_request_id):
-                response = _run_one_dict(service, job, index)
-            stats = service.stats()
-        except Exception as error:
-            # Crash-proofing contract: a bug in the envelope/stats layer
-            # (CompileService.run itself never raises) answers the frame
-            # with a structured internal-error response instead of
-            # killing the worker.
-            from repro.diagnostics import InternalCompilerError
-
-            wrapped = InternalCompilerError.wrap(
-                error, context="worker pid %d" % os.getpid()
-            )
-            response = error_response(
-                job, "InternalCompilerError", str(wrapped), phase="internal"
-            )
-            stats = {}
-        payload = {"op": "result", "response": response, "stats": stats}
-        try:
-            data = json.dumps(payload).encode("utf-8")
-        except (TypeError, ValueError):
-            payload = {
-                "op": "result",
-                "response": error_response(
-                    job,
-                    "InternalCompilerError",
-                    "worker produced an unserializable response",
-                    phase="internal",
-                ),
-                "stats": {},
-            }
-            data = json.dumps(payload).encode("utf-8")
-        conn.send_bytes(data)
+        payload = {
+            "op": "result",
+            "response": service.run_dict(job, index),
+            "pool": pool.stats(),
+        }
+        conn.send_bytes(json.dumps(payload).encode("utf-8"))
     try:
         conn.close()
     except OSError:
@@ -364,17 +352,24 @@ def _worker_main(
 
 
 class _Worker:
-    """Parent-side handle of one worker process."""
+    """Parent-side handle of one worker process: ``completed``/``failed``
+    count the result frames it answered, ``pool_stats`` is the session-pool
+    snapshot of its latest one."""
 
-    __slots__ = ("process", "conn", "pid", "generation", "last_stats", "stderr_path")
+    __slots__ = (
+        "process", "conn", "pid", "generation", "stderr_path",
+        "completed", "failed", "pool_stats",
+    )
 
     def __init__(self, process, conn, generation: int, stderr_path: Optional[str] = None):
         self.process = process
         self.conn = conn
         self.pid = process.pid
         self.generation = generation
-        self.last_stats: dict = {}
         self.stderr_path = stderr_path
+        self.completed = 0
+        self.failed = 0
+        self.pool_stats: dict = {}
 
 
 class ProcessCompileBackend(CompileBackend):
@@ -413,6 +408,7 @@ class ProcessCompileBackend(CompileBackend):
     ):
         import multiprocessing
 
+        super().__init__()
         self.workers = workers if workers else default_process_workers()
         self.request_timeout_s = request_timeout_s
         self.stderr_tail_lines = stderr_tail_lines
@@ -425,20 +421,11 @@ class ProcessCompileBackend(CompileBackend):
         self.cache_dir = cache_dir or tempfile.mkdtemp(prefix="repro-serve-cache-")
         self.warm_targets = self._resolve_warm_targets(warm_targets)
         self._prewarm_shared_cache()
-        self._lock = threading.Lock()
         self._closed = False
         self._generation = 0
         self._live: Dict[int, _Worker] = {}  # id(worker) -> worker
-        self._counters = {
-            "completed": 0,
-            "failed": 0,
-            "timeouts": 0,
-            "crashes": 0,
-            "respawns": 0,
-            "backoff_waits": 0,
-        }
+        self._counters = {"timeouts": 0, "crashes": 0, "respawns": 0, "backoff_waits": 0}
         self._consecutive_crashes = 0
-        self._per_target: Dict[str, Dict[str, int]] = {}
         self._idle: "queue.Queue[_Worker]" = queue.Queue()
         boot_errors = []
         for _ in range(self.workers):
@@ -460,8 +447,6 @@ class ProcessCompileBackend(CompileBackend):
             return []
         names = list(warm_targets)
         if "all" in names:
-            from repro.toolchain import default_registry
-
             names = [name for name in names if name != "all"]
             names.extend(
                 name for name in default_registry() if name not in names
@@ -470,11 +455,9 @@ class ProcessCompileBackend(CompileBackend):
 
     def _prewarm_shared_cache(self) -> None:
         """Retarget every warm target once into the shared disk cache
-        (the v2 pickles the workers will map in read-only)."""
+        (the pickles the workers will map in read-only)."""
         if not self.warm_targets:
             return
-        from repro.toolchain import RetargetCache, default_registry
-
         registry = default_registry()
         cache = RetargetCache(directory=self.cache_dir)
         sources = []
@@ -590,17 +573,6 @@ class ProcessCompileBackend(CompileBackend):
         with self._lock:
             self._counters[counter] += by
 
-    def _record(self, job: object, ok: bool) -> None:
-        target = ""
-        if isinstance(job, dict):
-            target = str(job.get("target", "") or "")
-        with self._lock:
-            self._counters["completed" if ok else "failed"] += 1
-            counts = self._per_target.setdefault(
-                target, {"completed": 0, "failed": 0}
-            )
-            counts["completed" if ok else "failed"] += 1
-
     def worker_pids(self) -> List[int]:
         """PIDs of the currently live workers (crash-injection tests)."""
         with self._lock:
@@ -609,20 +581,20 @@ class ProcessCompileBackend(CompileBackend):
     # -- dispatch ----------------------------------------------------------------
 
     def run_job(self, job: dict, index: int = 0) -> dict:
-        """Execute one decoded job dict; never raises for request-level
-        failures (crash/timeout/compile errors become response dicts)."""
+        """:meth:`CompileBackend.run_job`, refused with
+        :class:`BackendError` once the backend is closed."""
         if self._closed:
             raise BackendError("backend is closed")
+        return super().run_job(job, index)
+
+    def _execute(self, job: dict, index: int) -> dict:
         worker = self._idle.get()
         try:
             worker, response = self._dispatch(worker, job, index)
-        except BaseException:
-            # _dispatch never raises by design; if something truly
-            # unexpected escapes, don't strand the slot.
+        finally:
+            # The slot survives whatever happens: the healthy (possibly
+            # respawned) worker, or the original one if dispatch raised.
             self._idle.put(worker)
-            raise
-        self._idle.put(worker)
-        self._record(job, ok=bool(response.get("ok")))
         return response
 
     def _timeout_of(self, job: object) -> float:
@@ -735,59 +707,49 @@ class ProcessCompileBackend(CompileBackend):
                     elapsed_s=time.perf_counter() - started,
                 )
             if result_frame.get("op") != "result":
-                continue  # stale pong etc.; keep waiting for the result
-            with self._lock:
-                self._consecutive_crashes = 0  # worker is healthy again
-            worker.last_stats = result_frame.get("stats") or {}
+                continue  # not a result frame; keep waiting for the result
             response = result_frame.get("response")
             if not isinstance(response, dict):
                 response = error_response(
                     job, "WorkerProtocolError", "result frame had no response"
                 )
+            with self._lock:
+                self._consecutive_crashes = 0  # worker is healthy again
+                if response.get("ok"):
+                    worker.completed += 1
+                else:
+                    worker.failed += 1
+            worker.pool_stats = result_frame.get("pool") or {}
             return worker, response
 
     # -- introspection / shutdown ------------------------------------------------
 
     def stats(self) -> dict:
-        """Parent-side counters plus an aggregate of the last per-worker
-        ``CompileService.stats()`` snapshots (pool/cache hit totals) and
-        a ``per_worker`` breakdown (one entry per live worker, keyed by
-        its generation -- what ``/metrics`` renders as
+        """The shared counts plus crash/respawn/timeout counters, the
+        session-pool statistics summed over the live workers' latest
+        result frames, and a ``per_worker`` breakdown (one entry per live
+        worker, keyed by its generation -- what ``/metrics`` renders as
         ``repro_worker_requests_total{worker="g<N>",...}``)."""
+        stats = super().stats()
         with self._lock:
-            stats: dict = dict(self._counters)
-            stats["per_target"] = {
-                target: dict(counts) for target, counts in self._per_target.items()
-            }
-            workers = list(self._live.values())
+            stats.update(self._counters)
+            workers = sorted(self._live.values(), key=lambda w: "g%d" % w.generation)
             stats["workers"] = len(workers)
-            stats["backend"] = self.kind
             stats["generations"] = self._generation
             stats["consecutive_crashes"] = self._consecutive_crashes
-        aggregate = {
-            "pool_hits": 0,
-            "pool_misses": 0,
-            "pool_retargets": 0,
-            "pool_sessions": 0,
-        }
-        per_worker = []
-        for worker in workers:
-            snapshot = worker.last_stats
-            for key in aggregate:
-                value = snapshot.get(key)
-                if isinstance(value, int):
-                    aggregate[key] += value
-            per_worker.append(
+            stats["per_worker"] = [
                 {
                     "worker": "g%d" % worker.generation,
                     "pid": worker.pid,
-                    "completed": int(snapshot.get("completed") or 0),
-                    "failed": int(snapshot.get("failed") or 0),
+                    "completed": worker.completed,
+                    "failed": worker.failed,
                 }
+                for worker in workers
+            ]
+        for key in ("hits", "misses", "retargets", "sessions"):
+            stats["pool_" + key] = sum(
+                worker.pool_stats.get(key, 0) for worker in workers
             )
-        per_worker.sort(key=lambda entry: entry["worker"])
-        stats.update(aggregate)
-        stats["per_worker"] = per_worker
         return stats
 
     def close(self) -> None:

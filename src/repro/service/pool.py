@@ -17,7 +17,7 @@ never needs to check sessions in or out.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.toolchain.cache import RetargetCache
 from repro.toolchain.passes import PipelineConfig
@@ -83,22 +83,6 @@ class SessionPool:
                 self.misses += 1
         return session
 
-    def prewarm(
-        self,
-        targets: Iterable[str],
-        config: Optional[PipelineConfig] = None,
-        concurrent: bool = True,
-    ) -> List[Session]:
-        """Build sessions for several targets up front (optionally on
-        threads, so distinct targets retarget in parallel)."""
-        names = list(targets)
-        if not concurrent or len(names) <= 1:
-            return [self.session(name, config) for name in names]
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=len(names)) as executor:
-            return list(executor.map(lambda n: self.session(n, config), names))
-
     # -- introspection -----------------------------------------------------------
 
     @property
@@ -106,14 +90,6 @@ class SessionPool:
         """Retargeting runs this pool actually paid for (cache misses of
         the underlying retarget cache)."""
         return self.toolchain.cache.misses
-
-    def keys(self) -> List[PoolKey]:
-        with self._lock:
-            return list(self._sessions)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._sessions)
 
     def stats(self) -> dict:
         with self._lock:
@@ -126,10 +102,3 @@ class SessionPool:
             "misses": self.misses,
             "retargets": self.retarget_count,
         }
-
-    def clear(self) -> None:
-        with self._lock:
-            self._sessions.clear()
-            self._target_locks.clear()
-            self.hits = 0
-            self.misses = 0

@@ -1,21 +1,19 @@
-"""The concurrent, fault-isolated compile service.
+"""The fault-isolated compile service.
 
-:class:`CompileService` executes batches of :class:`CompileRequest`
-objects on a thread pool.  Requests sharing a ``(target, config)`` key
-reuse one pooled session (see :class:`~repro.service.pool.SessionPool`);
-requests on distinct targets retarget concurrently.  Every failure mode
+:class:`CompileService` executes one :class:`CompileRequest` at a time
+over a shared :class:`~repro.service.pool.SessionPool`: requests sharing
+a ``(target, config)`` key reuse one pooled session.  Every failure mode
 -- malformed request, unknown target, uncoverable statement, even an
 unexpected internal exception -- is captured as a structured error
-response for *that* request; a batch always returns one response per
-request, in input order.
+response for *that* request.  Batches, their fan-out and the
+completed/failed counts belong to the backends
+(:mod:`repro.service.backends`).
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, List, Optional
+from typing import Optional
 
 from repro.diagnostics import InternalCompilerError, ReproError
 from repro.obs import log
@@ -24,62 +22,45 @@ from repro.obs.trace import Tracer
 from repro.service.api import CompileRequest, CompileResponse, ErrorInfo
 from repro.service.pool import SessionPool
 
-#: Upper bound on worker *threads* when the caller does not pin one.
-#: Threads mostly overlap session construction and lock waits (the
-#: compile itself is GIL-bound), so this stays a small constant; the
-#: process backend (repro.service.backends) derives its default worker
-#: count from ``os.cpu_count()`` instead.
-DEFAULT_MAX_WORKERS = 8
-
 
 class CompileService:
     """Serve compile requests over a shared :class:`SessionPool`."""
 
-    def __init__(
-        self,
-        pool: Optional[SessionPool] = None,
-        max_workers: Optional[int] = None,
-    ):
+    def __init__(self, pool: Optional[SessionPool] = None):
         self.pool = pool if pool is not None else SessionPool()
-        self.max_workers = max_workers
-        self._completed = 0
-        self._failed = 0
-        self._per_target: dict = {}
-        self._counter_lock = threading.Lock()
-
-    def _record(self, target: str, ok: bool) -> None:
-        with self._counter_lock:
-            if ok:
-                self._completed += 1
-            else:
-                self._failed += 1
-            counts = self._per_target.setdefault(
-                target or "", {"completed": 0, "failed": 0}
-            )
-            counts["completed" if ok else "failed"] += 1
-
-    @property
-    def completed(self) -> int:
-        with self._counter_lock:
-            return self._completed
-
-    @property
-    def failed(self) -> int:
-        with self._counter_lock:
-            return self._failed
-
-    # -- single requests ---------------------------------------------------------
 
     def run(self, request: CompileRequest, index: int = 0) -> CompileResponse:
         """Execute one request; never raises (errors become responses).
 
-        The request's ``request_id`` becomes ambient for the duration
-        (log records emitted anywhere below carry it); ``trace=True``
-        runs the compile under a per-request :class:`Tracer` whose
-        Chrome trace lands in ``response.result.trace``.
+        ``index`` positions the default request name (``request<index>``)
+        of a job in a batch.  The request's ``request_id`` becomes ambient
+        for the duration (log records emitted anywhere below carry it);
+        ``trace=True`` runs the compile under a per-request
+        :class:`Tracer` whose Chrome trace lands in
+        ``response.result.trace``.
         """
         with use_request_id(request.request_id):
             return self._run_in_context(request, index)
+
+    def run_dict(self, job: object, index: int = 0) -> dict:
+        """One decoded JSON job object in, one response dict out.
+
+        A job that does not decode into a :class:`CompileRequest` (a
+        ``_malformed`` placeholder, a missing ``kernel``, an unknown
+        field) answers with a ``RequestError`` response named after its
+        position; never raises.
+        """
+        try:
+            request = CompileRequest.from_dict(job)
+        except Exception as error:
+            return CompileResponse(
+                target=str(job.get("target", "") if isinstance(job, dict) else ""),
+                name="request%d" % index,
+                ok=False,
+                error=ErrorInfo.from_exception(error),
+                request_id=(job.get("request_id") if isinstance(job, dict) else None),
+            ).to_dict()
+        return self.run(request, index).to_dict()
 
     def _run_in_context(
         self, request: CompileRequest, index: int
@@ -121,7 +102,6 @@ class CompileService:
                 request_id=request.request_id,
                 elapsed_s=elapsed,
             )
-            self._record(request.target, ok=True)
             log.info(
                 "compile",
                 target=request.target,
@@ -131,8 +111,7 @@ class CompileService:
             )
             return response
         except Exception as error:  # fault isolation: one bad request,
-            self._record(request.target, ok=False)  # one error response,
-            if not isinstance(error, ReproError):
+            if not isinstance(error, ReproError):  # one error response
                 # Crash-proofing contract: unexpected exceptions surface
                 # as InternalCompilerError diagnostics, never as raw
                 # exception types leaking implementation details.
@@ -164,104 +143,3 @@ class CompileService:
         from repro.dspstone import kernel_program
 
         return kernel_program(kernel_name)
-
-    # -- batches -----------------------------------------------------------------
-
-    def run_batch(
-        self,
-        requests: Iterable[CompileRequest],
-        max_workers: Optional[int] = None,
-        indices: Optional[List[int]] = None,
-    ) -> List[CompileResponse]:
-        """Execute a batch concurrently; one response per request, in
-        input order.
-
-        The thread count defaults to ``min(len(batch),
-        DEFAULT_MAX_WORKERS)``.  Threads overlap the expensive, largely
-        independent per-key session construction (retargeting of distinct
-        targets) and keep the pipeline busy while other requests wait on
-        session locks.  ``indices`` overrides the positional indices used
-        for default request names (so callers submitting a filtered
-        subset keep the original positions).
-        """
-        request_list = list(requests)
-        if not request_list:
-            return []
-        if indices is None:
-            indices = list(range(len(request_list)))
-        elif len(indices) != len(request_list):
-            raise ValueError(
-                "got %d indices for %d requests" % (len(indices), len(request_list))
-            )
-        workers = max_workers or self.max_workers or DEFAULT_MAX_WORKERS
-        workers = max(1, min(workers, len(request_list)))
-        if workers == 1:
-            return [
-                self.run(request, index)
-                for index, request in zip(indices, request_list)
-            ]
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            futures = [
-                executor.submit(self.run, request, index)
-                for index, request in zip(indices, request_list)
-            ]
-            return [future.result() for future in futures]
-
-    def run_batch_dicts(
-        self,
-        jobs: Iterable[dict],
-        max_workers: Optional[int] = None,
-    ) -> List[CompileResponse]:
-        """Like :meth:`run_batch` for decoded JSON job objects (the CLI's
-        ``repro batch`` path).  Malformed job objects become error
-        responses at their position instead of aborting the batch."""
-        requests: List[Optional[CompileRequest]] = []
-        errors: dict = {}
-        for index, job in enumerate(jobs):
-            try:
-                requests.append(CompileRequest.from_dict(job))
-            except Exception as error:
-                requests.append(None)
-                errors[index] = CompileResponse(
-                    target=str(job.get("target", "") if isinstance(job, dict) else ""),
-                    name="request%d" % index,
-                    ok=False,
-                    error=ErrorInfo.from_exception(error),
-                    request_id=(
-                        job.get("request_id") if isinstance(job, dict) else None
-                    ),
-                )
-        valid = [(i, r) for i, r in enumerate(requests) if r is not None]
-        responses = self.run_batch(
-            [r for _i, r in valid],
-            max_workers=max_workers,
-            indices=[i for i, _r in valid],
-        )
-        ordered: List[CompileResponse] = [None] * len(requests)  # type: ignore[list-item]
-        for (index, _request), response in zip(valid, responses):
-            ordered[index] = response
-        for index, response in errors.items():
-            ordered[index] = response
-        return ordered
-
-    # -- introspection -----------------------------------------------------------
-
-    def stats(self) -> dict:
-        """A thread-safe point-in-time snapshot of the service counters.
-
-        ``completed``/``failed`` are totals; ``per_target`` maps each
-        target name seen so far to its own completed/failed counts (what
-        the HTTP ``/metrics`` endpoint exports per-target).  Pool
-        statistics are merged in under ``pool_*`` keys.
-        """
-        with self._counter_lock:
-            stats: dict = {
-                "completed": self._completed,
-                "failed": self._failed,
-                "per_target": {
-                    target: dict(counts)
-                    for target, counts in self._per_target.items()
-                },
-            }
-        stats.update({"pool_%s" % k: v for k, v in self.pool.stats().items()})
-        return stats

@@ -10,6 +10,7 @@ import http.client
 import json
 import os
 import signal
+import sys
 import threading
 import time
 import urllib.error
@@ -94,6 +95,58 @@ class TestBackendConstruction:
         assert stats["completed"] == 2 and stats["failed"] == 1
 
 
+class TestCounts:
+    @pytest.mark.parametrize("kind", ["thread", "process"])
+    def test_every_response_is_counted_once(self, kind):
+        """A job that fails to decode counts as failed in stats(), in the
+        per-worker sums and per target, like any other failure."""
+        options = {"warm_targets": ("demo",)} if kind == "process" else {}
+        with create_backend(kind, workers=1, **options) as backend:
+            responses = backend.run_jobs(
+                [
+                    {"target": "demo", "kernel": "fir"},
+                    {"target": "demo"},  # neither source nor kernel
+                    {"_malformed": "line 3: not json"},
+                    {"target": "nosuchchip", "kernel": "fir"},
+                ]
+            )
+            stats = backend.stats()
+        assert [r["ok"] for r in responses] == [True, False, False, False]
+        assert (stats["completed"], stats["failed"]) == (1, 3)
+        assert stats["per_target"] == {
+            "demo": {"completed": 1, "failed": 1},
+            "": {"completed": 0, "failed": 1},
+            "nosuchchip": {"completed": 0, "failed": 1},
+        }
+        per_worker = stats.get("per_worker", [])
+        assert bool(per_worker) == (kind == "process")
+        if per_worker:
+            assert sum(w["completed"] for w in per_worker) == 1
+            assert sum(w["failed"] for w in per_worker) == 3
+
+    def test_no_count_is_lost_under_concurrent_jobs(self):
+        class _EchoBackend(CompileBackend):
+            kind = "stub"
+            workers = 16  # more fan-out threads than cores
+
+            def _execute(self, job, index=0):
+                return {"target": job["target"], "ok": index % 3 != 0}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            backend = _EchoBackend()
+            jobs = [{"target": "t%d" % (index % 4)} for index in range(3000)]
+            assert len(backend.run_jobs(jobs)) == 3000
+        finally:
+            sys.setswitchinterval(interval)
+        stats = backend.stats()
+        assert (stats["completed"], stats["failed"]) == (2000, 1000)
+        assert sum(
+            counts["completed"] + counts["failed"] for counts in stats["per_target"].values()
+        ) == 3000
+
+
 # ---------------------------------------------------------------------------
 # the process backend: isolation, crashes, timeouts
 # ---------------------------------------------------------------------------
@@ -170,6 +223,22 @@ class TestProcessBackend:
         assert process_backend.stats()["crashes"] == crashes_before + 1
         again = process_backend.run_job({"target": "demo", "kernel": "fir"})
         assert again["ok"], again.get("error")
+
+    def test_per_worker_lines_follow_live_workers(self, process_backend):
+        metrics = ServerMetrics(backend_stats=process_backend.stats)
+        process_backend.run_job({"target": "demo", "kernel": "fir"})
+        [dead] = [w["worker"] for w in process_backend.stats()["per_worker"]]
+        assert 'repro_worker_requests_total{status="ok",worker="%s"}' % dead in (
+            metrics.render()
+        )
+        process_backend.run_job({"target": "demo", "kernel": "fir", "_test_exit": 3})
+        [live] = [w["worker"] for w in process_backend.stats()["per_worker"]]
+        assert live != dead
+        lines = [
+            line for line in metrics.render().splitlines()
+            if line.startswith("repro_worker_requests_total{")
+        ]
+        assert lines and all('worker="%s"' % live in line for line in lines)
 
     def test_externally_killed_idle_worker_is_replaced(self, process_backend):
         victim = process_backend.worker_pids()[0]
@@ -309,6 +378,8 @@ class TestHttpEndpoints:
         ndjson = (
             b'{"target": "demo", "kernel": "fir"}\n'
             b"this line is not json\n"
+            b"\n"
+            b"# comment lines are skipped, as in repro batch\n"
         )
         request = urllib.request.Request(
             server.url + "/batch?results=0", data=ndjson
@@ -352,9 +423,10 @@ class _BlockingBackend(CompileBackend):
     workers = 4
 
     def __init__(self):
+        super().__init__()
         self.unblock = threading.Event()
 
-    def run_job(self, job, index=0):
+    def _execute(self, job, index=0):
         self.unblock.wait(timeout=30.0)
         return {
             "target": job.get("target", ""),
@@ -429,13 +501,22 @@ class TestLimits:
 
 
 class _RaisingBackend(CompileBackend):
-    """A stub backend whose run_job raises an unexpected exception."""
+    """A stub backend whose hook raises an unexpected exception on
+    ``fir`` jobs and answers every other job."""
 
     kind = "stub"
-    workers = 1
+    workers = 2
 
-    def run_job(self, job, index=0):
-        raise RuntimeError("backend exploded mid-job")
+    def _execute(self, job, index=0):
+        if job.get("kernel") == "fir":
+            raise RuntimeError("backend exploded mid-job")
+        return {
+            "target": job.get("target", ""),
+            "name": job.get("kernel") or "request%d" % index,
+            "ok": True,
+            "elapsed_s": 0.0,
+            "request_id": job.get("request_id"),
+        }
 
 
 class TestCrashStorm:
@@ -504,6 +585,36 @@ class TestInternalErrorBoundaries:
             assert response["error"]["type"] == "InternalCompilerError"
             assert response["error"]["phase"] == "internal"
             assert "backend exploded" in response["error"]["message"]
+        finally:
+            server.close(close_backend=False)
+
+    def test_backend_exception_in_a_batch_is_an_envelope_at_its_position(self):
+        server = start_server(backend=_RaisingBackend(), port=0)
+        try:
+            jobs = [
+                {"target": "demo", "kernel": "dot_product", "request_id": "j0"},
+                {"target": "demo", "kernel": "fir", "request_id": "j1"},
+                {"target": "demo", "kernel": "real_update", "request_id": "j2"},
+            ]
+            request = urllib.request.Request(
+                server.url + "/batch", data=json.dumps(jobs).encode("utf-8")
+            )
+            with urllib.request.urlopen(request, timeout=60) as reply:
+                lines = [json.loads(line) for line in reply.read().splitlines() if line]
+            assert [line["request_id"] for line in lines] == ["j0", "j1", "j2"]
+            assert [line["ok"] for line in lines] == [True, False, True]
+            assert lines[1]["error"]["type"] == "InternalCompilerError"
+            assert lines[1]["error"]["phase"] == "internal"
+            assert "backend exploded" in lines[1]["error"]["message"]
+            assert [lines[0]["name"], lines[2]["name"]] == ["dot_product", "real_update"]
+            with urllib.request.urlopen(server.url + "/metrics", timeout=30) as reply:
+                text = reply.read().decode()
+            counted = [
+                line for line in text.splitlines()
+                if line.startswith("repro_compile_requests_total{")
+            ]
+            assert sum(int(line.rsplit(" ", 1)[1]) for line in counted) == 3
+            assert server.gate.in_flight == 0
         finally:
             server.close(close_backend=False)
 

@@ -9,6 +9,7 @@ from repro.service import (
     CompileResponse,
     CompileService,
     SessionPool,
+    ThreadCompileBackend,
 )
 from repro.service.api import ErrorInfo, RequestError
 from repro.toolchain import PipelineConfig
@@ -45,6 +46,12 @@ def _mixed_batch():
     ]
 
 
+def _run_batch(backend, requests):
+    """``requests`` through the backend's fan-out, as response objects."""
+    jobs = [r.to_dict() if isinstance(r, CompileRequest) else r for r in requests]
+    return [CompileResponse.from_dict(r) for r in backend.run_jobs(jobs)]
+
+
 class TestRequests:
     def test_exactly_one_of_source_or_kernel(self):
         with pytest.raises(RequestError):
@@ -62,6 +69,12 @@ class TestRequests:
     def test_target_required(self):
         with pytest.raises(RequestError):
             CompileRequest(target="", kernel="fir").validate()
+
+    def test_target_must_be_a_string(self):
+        # A number would reach the registry's file lookup as a file
+        # descriptor (a server would read from its own client socket).
+        with pytest.raises(RequestError):
+            CompileRequest.from_dict({"target": 5, "kernel": "fir"})
 
     def test_from_dict_round_trip(self):
         request = CompileRequest(
@@ -145,14 +158,6 @@ class TestSessionPool:
         assert pool.retarget_count == 1
         assert full.retarget_result is restricted.retarget_result
 
-    def test_prewarm_builds_all_targets(self):
-        pool = SessionPool()
-        sessions = pool.prewarm(["demo", "ref"], concurrent=True)
-        assert [s.processor for s in sessions] == ["demo", "ref"]
-        assert pool.retarget_count == 2
-        # prewarmed sessions are what later requests get
-        assert pool.session("demo") is sessions[0]
-
     def test_concurrent_requests_build_one_session(self):
         from concurrent.futures import ThreadPoolExecutor
 
@@ -188,8 +193,8 @@ class TestCompileService:
         """The ISSUE-2 acceptance scenario: >= 8 mixed-target requests,
         one deliberately failing, all answered, sessions pooled."""
         requests = _mixed_batch()
-        service = CompileService()
-        responses = service.run_batch(requests)
+        backend = ThreadCompileBackend()
+        responses = _run_batch(backend, requests)
 
         # one structured response per request, in input order
         assert len(responses) == len(requests)
@@ -211,9 +216,9 @@ class TestCompileService:
 
         # pooling amortized retargeting: one retarget per distinct target
         distinct_targets = {q.target for q in requests}
-        assert service.pool.retarget_count == len(distinct_targets)
-        assert service.stats()["completed"] == len(requests) - 1
-        assert service.stats()["failed"] == 1
+        assert backend.service.pool.retarget_count == len(distinct_targets)
+        assert backend.stats()["completed"] == len(requests) - 1
+        assert backend.stats()["failed"] == 1
 
     def test_opt_ab_requests_share_one_retarget(self):
         """The service-layer A/B knob: the same source with and without
@@ -223,8 +228,9 @@ class TestCompileService:
             "y0 = a * b + c * d + e;\n"
             "y1 = a * b + c * d - e;\n"
         )
-        service = CompileService()
-        responses = service.run_batch(
+        backend = ThreadCompileBackend()
+        responses = _run_batch(
+            backend,
             [
                 CompileRequest(
                     target="demo", source=source, name="ab", request_id="opt-on"
@@ -236,7 +242,7 @@ class TestCompileService:
                     opt=False,
                     request_id="opt-off",
                 ),
-            ]
+            ],
         )
         assert all(r.ok for r in responses)
         with_opt, without = responses
@@ -246,61 +252,57 @@ class TestCompileService:
         assert with_opt.result.metrics.opt_temps >= 1
         assert without.result.metrics.opt_temps == 0
         # Distinct configs, distinct pooled sessions, one retarget.
-        assert service.pool.retarget_count == 1
-        assert service.pool.stats()["sessions"] == 2
+        assert backend.service.pool.retarget_count == 1
+        assert backend.service.pool.stats()["sessions"] == 2
 
     def test_unknown_target_is_isolated(self):
-        service = CompileService()
-        responses = service.run_batch(
+        responses = _run_batch(
+            ThreadCompileBackend(),
             [
                 CompileRequest(target="nosuchchip", kernel="fir"),
                 CompileRequest(target="demo", kernel="real_update"),
-            ]
+            ],
         )
         assert [r.ok for r in responses] == [False, True]
         assert responses[0].error.type == "TargetError"
 
     def test_unknown_kernel_is_isolated(self):
-        service = CompileService()
-        responses = service.run_batch(
-            [CompileRequest(target="demo", kernel="nosuchkernel")]
+        responses = _run_batch(
+            ThreadCompileBackend(), [CompileRequest(target="demo", kernel="nosuchkernel")]
         )
         assert not responses[0].ok
         assert "nosuchkernel" in responses[0].error.message
 
     def test_single_worker_path(self):
-        service = CompileService()
-        responses = service.run_batch(
-            _mixed_batch()[:3], max_workers=1
-        )
+        responses = _run_batch(ThreadCompileBackend(workers=1), _mixed_batch()[:3])
         assert [r.ok for r in responses] == [True, True, True]
 
     def test_empty_batch(self):
-        assert CompileService().run_batch([]) == []
+        assert ThreadCompileBackend().run_jobs([]) == []
 
-    def test_run_batch_dicts_isolates_malformed_jobs(self):
-        service = CompileService()
-        responses = service.run_batch_dicts(
+    def test_batch_isolates_malformed_jobs(self):
+        responses = _run_batch(
+            ThreadCompileBackend(),
             [
                 {"target": "demo", "kernel": "real_update"},
                 {"_malformed": "line 2: not json"},
                 {"target": "demo", "source": "int a, b; b = a;", "name": "copy"},
-            ]
+            ],
         )
         assert [r.ok for r in responses] == [True, False, True]
         assert responses[1].error.type == "RequestError"
         assert "line 2" in responses[1].error.message
         assert responses[2].name == "copy"
 
-    def test_run_batch_dicts_keeps_original_positions_for_default_names(self):
+    def test_batch_keeps_original_positions_for_default_names(self):
         """Regression: default names after a malformed line must reflect
         the original job position, not the filtered one."""
-        service = CompileService()
-        responses = service.run_batch_dicts(
+        responses = _run_batch(
+            ThreadCompileBackend(),
             [
                 {"_malformed": "line 1: not json"},
                 {"target": "demo", "source": "int a, b; b = a;"},
-            ]
+            ],
         )
         assert [r.name for r in responses] == ["request0", "request1"]
 
@@ -325,16 +327,15 @@ class TestCompileService:
         assert ErrorInfo.from_dict(info.to_dict()) == info
 
     def test_shared_pool_across_batches(self):
-        pool = SessionPool()
-        service = CompileService(pool=pool)
-        service.run_batch([CompileRequest(target="demo", kernel="fir")])
-        service.run_batch([CompileRequest(target="demo", kernel="dot_product")])
-        assert pool.retarget_count == 1
+        backend = ThreadCompileBackend()
+        _run_batch(backend, [CompileRequest(target="demo", kernel="fir")])
+        _run_batch(backend, [CompileRequest(target="demo", kernel="dot_product")])
+        assert backend.service.pool.retarget_count == 1
 
     def test_stats_breaks_counts_down_per_target(self):
-        service = CompileService()
-        service.run_batch(_mixed_batch())
-        stats = service.stats()
+        backend = ThreadCompileBackend()
+        _run_batch(backend, _mixed_batch())
+        stats = backend.stats()
         per_target = stats["per_target"]
         assert set(per_target) == {"demo", "ref", "tms320c25"}
         assert per_target["demo"]["failed"] == 1  # r5, the broken source
@@ -342,16 +343,15 @@ class TestCompileService:
         assert sum(c["failed"] for c in per_target.values()) == stats["failed"]
 
     def test_stats_returns_an_independent_snapshot(self):
-        service = CompileService()
-        service.run_batch([CompileRequest(target="demo", kernel="fir")])
-        snapshot = service.stats()
+        backend = ThreadCompileBackend()
+        _run_batch(backend, [CompileRequest(target="demo", kernel="fir")])
+        snapshot = backend.stats()
         snapshot["completed"] = 999
         snapshot["per_target"]["demo"]["completed"] = 999
-        fresh = service.stats()
+        fresh = backend.stats()
         assert fresh["completed"] == 1
         assert fresh["per_target"]["demo"]["completed"] == 1
-        # counters also stay readable directly
-        assert service.completed == 1 and service.failed == 0
+        assert fresh["failed"] == 0
 
 
 class TestBatchCli:
@@ -432,6 +432,27 @@ class TestBatchCli:
         assert len(lines) == 3
         statuses = [json.loads(line)["ok"] for line in lines]
         assert statuses == [True, False, False]
+
+    def test_batch_command_accepts_json_array_and_jobs_object(self, tmp_path, capsys):
+        """The bodies ``POST /batch`` takes: a JSON array and
+        ``{"jobs": [...]}``; an entry that is no object fails at its index."""
+        from repro.cli import main
+
+        jobs = [
+            {"target": "demo", "kernel": "fir", "request_id": "a"},
+            7,
+            {"target": "demo", "source": "int a, b; b = a + 1;"},
+        ]
+        for body in (jobs, {"jobs": jobs}):
+            path = tmp_path / "jobs.json"
+            path.write_text(json.dumps(body, indent=2))
+            assert main(["batch", str(path), "--no-cache", "--no-results"]) == 1
+            out = capsys.readouterr().out
+            lines = [json.loads(line) for line in out.splitlines() if line.strip()]
+            assert [line["ok"] for line in lines] == [True, False, True]
+            assert lines[0]["request_id"] == "a"
+            assert "job 1 is not an object" in lines[1]["error"]["message"]
+            assert lines[2]["name"] == "request2"
 
     def test_batch_output_file(self, tmp_path, capsys):
         from repro.cli import main
