@@ -7,7 +7,9 @@ satisfiable (no encoding conflict, no shared-resource contention -- these
 conflicts are exactly what the BDD conjunction detects) and when no data
 dependence forces them apart.  The paper performs compaction as a separate
 phase after code selection [17]; this module implements a greedy
-list-scheduling variant of it.
+list-scheduling variant of it.  The open word's reads, result ids and
+result storages are kept as running sets, so testing a candidate costs
+the same however many RTs the word already holds.
 """
 
 from __future__ import annotations
@@ -31,9 +33,6 @@ class InstructionWord:
     condition: Optional[BDD] = None
     label: Optional[str] = None
 
-    def is_control(self) -> bool:
-        return any(instance.is_control() for instance in self.instances)
-
     def describe(self) -> str:
         if not self.instances:
             return "nop"
@@ -53,32 +52,18 @@ def _condition_of(instance: RTInstance) -> Optional[BDD]:
     return None
 
 
-def _data_conflict(word: InstructionWord, candidate: RTInstance) -> bool:
-    """True when the candidate depends on, or interferes with, an RT already
-    in the word (time-stationary model: all RTs of a word read their
-    operands before any of them writes)."""
-    candidate_reads = set(candidate.reads())
-    candidate_writes = {candidate.result_id}
-    for instance in word.instances:
-        writes = {instance.result_id}
-        reads = set(instance.reads())
-        if candidate_reads & writes:
-            return True  # true dependence
-        if candidate_writes & reads:
-            return True  # anti dependence within one word is not representable
-        if candidate.result_storage == instance.result_storage:
-            return True  # both RTs write the same storage resource
-    return False
-
-
 def compact(instances: List[RTInstance], enabled: bool = True) -> List[InstructionWord]:
     """Pack an RT sequence into instruction words.
 
     With ``enabled=False`` every RT gets its own word (the uncompacted
     baseline used in the ablation benchmarks).  Control transfers
-    (``jump``/``cbranch``) are packing barriers: a branch gets its own
-    word and nothing is packed across it, which keeps branches pinned at
-    block ends.
+    (``jump``/``cbranch``/``repeat``) are packing barriers: a branch gets
+    its own word and closes it, so nothing is packed across it, which
+    keeps branches pinned at block ends.
+
+    A candidate joins the open word when it reads no value the word writes,
+    writes no value or storage the word reads or writes (all RTs of a word
+    read before any writes), and the conditions stay jointly satisfiable.
     """
     words: List[InstructionWord] = []
     if not enabled:
@@ -87,19 +72,34 @@ def compact(instances: List[RTInstance], enabled: bool = True) -> List[Instructi
                 InstructionWord(instances=[instance], condition=_condition_of(instance))
             )
         return words
+    word: Optional[InstructionWord] = None  # the open word, and its summaries:
+    word_reads, word_results, word_storages = set(), set(), set()
     for instance in instances:
         condition = _condition_of(instance)
-        placed = False
-        if words and not instance.is_control():
-            word = words[-1]
-            if not word.is_control() and not _data_conflict(word, instance):
-                combined = _combine_conditions(word.condition, condition)
-                if combined is None or combined.satisfiable():
-                    word.instances.append(instance)
-                    word.condition = combined
-                    placed = True
-        if not placed:
-            words.append(InstructionWord(instances=[instance], condition=condition))
+        reads = instance.reads()
+        if (
+            word is not None
+            and not instance.is_control()
+            and instance.result_id not in word_reads
+            and instance.result_storage not in word_storages
+            and word_results.isdisjoint(reads)
+        ):
+            combined = _combine_conditions(word.condition, condition)
+            if combined is None or combined.satisfiable():
+                word.instances.append(instance)
+                word.condition = combined
+                word_reads.update(reads)
+                word_results.add(instance.result_id)
+                word_storages.add(instance.result_storage)
+                continue
+        word = InstructionWord(instances=[instance], condition=condition)
+        words.append(word)
+        if instance.is_control():
+            word = None
+        else:
+            word_reads = set(reads)
+            word_results = {instance.result_id}
+            word_storages = {instance.result_storage}
     return words
 
 

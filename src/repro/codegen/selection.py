@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.diagnostics import ReproError, ResourceLimitError
-from repro.grammar.grammar import RuleKind, storage_of_nonterminal
+from repro.grammar.grammar import RuleKind
 from repro.ir.binding import ResourceBinding
 from repro.ir.expr import ArrayRef, Const, IRNode, Op, PortInput, VarRef, expr_size
 from repro.ir.program import BasicBlock, CBranch, Jump, Statement, Terminator
-from repro.selector.burs import CodeSelector, Reduction, SelectionError
+from repro.selector.burs import CodeSelector, SelectionError, Step
 from repro.selector.subject import SubjectNode
 
 
@@ -267,32 +267,33 @@ def _value_id(node: SubjectNode, serials: Dict[int, str]) -> str:
 
 
 def _instances_from_cover(
-    statement: Statement, reductions: List[Reduction]
+    statement: Statement, steps: List[Step], selector: CodeSelector
 ) -> List[RTInstance]:
     serials: Dict[int, str] = {}
     instances: List[RTInstance] = []
     last_rt_for_node: Dict[int, RTInstance] = {}
     root_expr_node: Optional[SubjectNode] = None
-    for reduction in reductions:
-        if reduction.rule.kind == RuleKind.START:
-            # ASSIGN root: remember which node carries the final value.
-            root_expr_node = reduction.node.children[1]
+    rt, start = RuleKind.RT, RuleKind.START  # one enum lookup, not one per step
+    for rule, node, _nonterminal, leaves in steps:
+        if rule.kind is not rt:
+            if rule.kind is start:
+                # ASSIGN root: remember which node carries the final value.
+                root_expr_node = node.children[1]
             continue
-        if reduction.rule.kind != RuleKind.RT:
-            continue
-        node = reduction.node
+        result_storage, operand_storages = selector.rule_storages(rule)
+        operand_nodes = [leaf_node for leaf_node, _ in leaves]
         instance = RTInstance(
             kind="rt",
             result_id=_value_id(node, serials),
-            result_storage=storage_of_nonterminal(reduction.rule.lhs),
+            result_storage=result_storage,
             operands=[
-                (_value_id(leaf_node, serials), storage_of_nonterminal(leaf_nonterm))
-                for leaf_node, leaf_nonterm in reduction.leaves
+                (_value_id(leaf_node, serials), storage)
+                for leaf_node, storage in zip(operand_nodes, operand_storages)
             ],
-            rule=reduction.rule,
-            template=reduction.rule.template,
+            rule=rule,
+            template=rule.template,
             node=node,
-            operand_nodes=[leaf_node for leaf_node, _ in reduction.leaves],
+            operand_nodes=operand_nodes,
         )
         instances.append(instance)
         last_rt_for_node[id(node)] = instance
@@ -380,13 +381,10 @@ def select_statement(
             "statement %r cannot be covered on %s: %s"
             % (str(statement), selector.grammar.processor, error)
         )
-    instances = _instances_from_cover(statement, result.reductions)
-    if not instances:
-        # A statement like "a = b" where source and destination share their
-        # storage may be covered entirely by zero-cost rules; it still needs
-        # one data move to be observable, so we keep the cover empty and let
-        # the caller treat it as free.
-        pass
+    # A statement like "a = b" where source and destination share their
+    # storage may be covered entirely by zero-cost rules: the cover (and
+    # the instance list) is then empty, and the caller treats it as free.
+    instances = _instances_from_cover(statement, result.steps, selector)
     return StatementCode(statement=statement, cost=result.cost, instances=instances)
 
 

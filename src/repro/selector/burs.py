@@ -46,6 +46,7 @@ from repro.grammar.grammar import (
     Rule,
     RuleKind,
     TreeGrammar,
+    storage_of_nonterminal,
 )
 from repro.selector.subject import SubjectNode
 from repro.selector.tables import GrammarTables, LeafSpec, chain_closure_from
@@ -82,19 +83,30 @@ class Reduction:
     leaves: List[Tuple[SubjectNode, str]]
 
 
+#: One step of a cover: ``(rule, node, non-terminal, leaves)``, as in
+#: :class:`Reduction`.
+Step = Tuple[Rule, SubjectNode, str, List[Tuple[SubjectNode, str]]]
+
+
 @dataclass
 class SelectionResult:
-    """The optimal cover of a subject tree."""
+    """The optimal cover of a subject tree: its ``steps`` in reduction
+    order, children before parents."""
 
     cost: int
-    reductions: List[Reduction]
+    steps: List[Step]
+
+    @property
+    def reductions(self) -> List[Reduction]:
+        """The steps as :class:`Reduction` objects, built when read."""
+        return [Reduction(*step) for step in self.steps]
 
     def rt_reductions(self) -> List[Reduction]:
         """Only the reductions that correspond to actual RT instructions."""
         return [r for r in self.reductions if r.rule.kind == RuleKind.RT]
 
     def rule_indices(self) -> List[int]:
-        return [r.rule.index for r in self.reductions]
+        return [step[0].index for step in self.steps]
 
 
 # State of one subject node on the interpretive path: non-terminal -> best
@@ -198,10 +210,12 @@ class CodeSelector:
         # Interning table: state signature -> the state carrying it.
         self._states: Dict[frozenset, _State] = {}
         self._state_ids = itertools.count()
+        # rule index -> rule_storages(rule)
+        self._storages: Dict[int, Tuple[str, Tuple[str, ...]]] = {}
 
-    # The automaton is process-local runtime state; a selector pickled
-    # through the retarget cache comes back with an empty one.
-    _RUNTIME = ("_transitions", "_states", "_state_ids")
+    # Process-local runtime state (automaton, storage table); a selector
+    # pickled through the retarget cache comes back with empty ones.
+    _RUNTIME = ("_transitions", "_states", "_state_ids", "_storages")
 
     def __getstate__(self):
         return {
@@ -225,29 +239,24 @@ class CodeSelector:
             match = states[id(root)].get(goal)
             if match is None:
                 raise self._underivable(root, goal)
-            return SelectionResult(
-                cost=match.cost, reductions=self._reduce(root, goal, states)
-            )
-        labelled = self._run_automaton(root)
-        root_state, root_base = labelled[id(root)]
-        entry = root_state.entries.get(goal)
+            return SelectionResult(match.cost, self._reduce(root, goal, states))
+        self._run_automaton(root)
+        entry = root.state.entries.get(goal)
         if entry is None:
             raise self._underivable(root, goal)
         # The cover is a right-to-left pre-order walk of the derivation
         # (explicit stack; safe on arbitrarily deep trees and chain-rule
         # paths), reversed into children-before-parents order.
-        reductions: List[Reduction] = []
+        steps: List[Step] = []
         stack: List[Tuple[SubjectNode, str]] = [(root, goal)]
         while stack:
             node, nonterminal = stack.pop()
-            _cost, rule, specs = labelled[id(node)][0].entries[nonterminal]
+            _cost, rule, specs = node.state.entries[nonterminal]
             leaves = _leaves_at(node, specs)
-            reductions.append(
-                Reduction(rule=rule, node=node, nonterminal=nonterminal, leaves=leaves)
-            )
+            steps.append((rule, node, nonterminal, leaves))
             stack.extend(leaves)
-        reductions.reverse()
-        return SelectionResult(cost=root_base + entry[0], reductions=reductions)
+        steps.reverse()
+        return SelectionResult(root.base_cost + entry[0], steps)
 
     def label(self, root: SubjectNode) -> Dict[int, Mapping]:
         """The labelling pass: per-node, per-non-terminal optimal costs.
@@ -258,10 +267,9 @@ class CodeSelector:
         """
         if self.matcher == "interpretive":
             return self._label_subtree(root)
-        labelled = self._run_automaton(root)
         return {
-            id(node): _StateView(node, *labelled[id(node)])
-            for node in root.post_order()
+            id(node): _StateView(node, node.state, node.base_cost)
+            for node in self._run_automaton(root)
         }
 
     def node_cost(self, root: SubjectNode, goal: Optional[str] = None) -> Optional[int]:
@@ -270,9 +278,26 @@ class CodeSelector:
         if self.matcher == "interpretive":
             match = self._label_subtree(root)[id(root)].get(goal)
             return match.cost if match is not None else None
-        state, base = self._run_automaton(root)[id(root)]
-        entry = state.entries.get(goal)
-        return base + entry[0] if entry is not None else None
+        self._run_automaton(root)
+        entry = root.state.entries.get(goal)
+        return root.base_cost + entry[0] if entry is not None else None
+
+    def rule_storages(self, rule: Rule) -> Tuple[str, Tuple[str, ...]]:
+        """The storage ``rule`` writes and those its non-terminal leaves
+        read, in leaf order (iburg's ``_nts``), built once per rule."""
+        found = self._storages.get(rule.index)
+        if found is None:
+            leaves: List[str] = []
+            stack: List[PatternNode] = [rule.pattern]
+            while stack:  # left-to-right pre-order, as the leaves reduce
+                pattern = stack.pop()
+                if isinstance(pattern, PatNonterm):
+                    leaves.append(storage_of_nonterminal(pattern.name))
+                else:
+                    stack.extend(reversed(pattern.operands))
+            found = (storage_of_nonterminal(rule.lhs), tuple(leaves))
+            self._storages[rule.index] = found
+        return found
 
     def stats(self) -> Dict[str, object]:
         """Labeller statistics (memo behaviour and table provenance)."""
@@ -297,13 +322,13 @@ class CodeSelector:
 
     # -- the automaton -----------------------------------------------------------
 
-    def _run_automaton(self, root: SubjectNode) -> Dict[int, Tuple[_State, int]]:
-        """Every node's ``(state, base cost)``, keyed by ``id(node)``: one
-        transition per node, bottom-up over an explicit-stack post-order."""
+    def _run_automaton(self, root: SubjectNode) -> List[SubjectNode]:
+        """Label every node in place (its ``state`` and ``base_cost``, as
+        iburg's ``STATE_LABEL``): one transition per node, bottom-up over
+        an explicit-stack post-order, which is returned."""
         hardwired = self.tables.hardwired_values
         memo_size = self.memo_size
         transitions = self._transitions
-        labelled: Dict[int, Tuple[_State, int]] = {}
         order = root.post_order()
         misses = 0
         for node in order:
@@ -314,31 +339,29 @@ class CodeSelector:
                 value = None
             children = node.children
             if children:
-                kids = [labelled[id(child)] for child in children]
-                key: tuple = (node.label, value, *[kid[0].id for kid in kids])
-                base = sum([kid[1] for kid in kids])
+                key: tuple = (node.label, value, *[child.state.id for child in children])
+                base = sum([child.base_cost for child in children])
             else:
-                kids = []
                 key = (node.label, value)
                 base = 0
             found = transitions.get(key) if memo_size > 0 else None
             if found is None:
                 misses += 1
                 found = self._transition(
-                    node.label, value, [kid[0] for kid in kids]
+                    node.label, value, [child.state for child in children]
                 )
                 if memo_size > 0:
                     if len(transitions) >= memo_size:
                         transitions.clear()
                         self._states.clear()
                     transitions[key] = found
-            state, delta = found
-            labelled[id(node)] = (state, base + delta)
+            node.state, delta = found
+            node.base_cost = base + delta
         self.nodes_labelled += len(order)
         if memo_size > 0:
             self.memo_misses += misses
             self.memo_hits += len(order) - misses
-        return labelled
+        return order
 
     def _transition(
         self, label: str, value: Optional[int], kids: Sequence[_State]
@@ -479,25 +502,18 @@ class CodeSelector:
         root: SubjectNode,
         goal: str,
         states: Dict[int, _NodeState],
-    ) -> List[Reduction]:
+    ) -> List[Step]:
         """The optimal cover over interpretive states, children before
         parents (explicit stack; safe on arbitrarily deep subject trees and
         chain-rule paths)."""
-        output: List[Reduction] = []
+        output: List[Step] = []
         # Frames carry the resolved match on the second (emit) visit, so
         # every node state is fetched exactly once per reduction.
         stack: List[Tuple[SubjectNode, str, Optional[Match]]] = [(root, goal, None)]
         while stack:
             node, nonterminal, match = stack.pop()
             if match is not None:
-                output.append(
-                    Reduction(
-                        rule=match.rule,
-                        node=node,
-                        nonterminal=nonterminal,
-                        leaves=list(match.leaves),
-                    )
-                )
+                output.append((match.rule, node, nonterminal, list(match.leaves)))
                 continue
             match = states[id(node)].get(nonterminal)
             if match is None:

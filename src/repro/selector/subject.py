@@ -6,9 +6,11 @@ labels use exactly the terminal vocabulary of the processor's tree grammar
 this a small dedicated type decouples the selector from the IR.
 
 The labeller reads a node's ``label``, ``const_value`` and ``children``
-only.  The ``payload`` carries emission-side identity such as the
-originating variable name, so code emission works on the concrete nodes
-while subtrees that differ only in payload label alike.
+only, and stores its result in the node: the automaton state and base
+cost (iburg's ``STATE_LABEL``).  The ``payload`` carries emission-side
+identity such as the originating variable name, so code emission works
+on the concrete nodes while subtrees that differ only in payload label
+alike.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from typing import List, Optional
 class SubjectNode:
     """One node of a subject (expression) tree."""
 
-    __slots__ = ("label", "children", "const_value", "payload")
+    # ``state`` and ``base_cost``: set by the labeller, never pickled.
+    __slots__ = ("label", "children", "const_value", "payload", "state", "base_cost")
 
     def __init__(
         self,

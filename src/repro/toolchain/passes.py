@@ -172,9 +172,8 @@ class PassContext:
 class CompilationState:
     """Mutable program-side state owned by one pipeline run.
 
-    Passes own every object in here -- :class:`SelectionPass` copies the
-    selector's output instead of aliasing it, so later passes may rebind
-    freely without corrupting cached selection results.
+    Passes own every object in here: selection builds fresh statement
+    codes per run, so later passes may rebind them freely.
 
     ``pass_timings`` maps pass name to wall-clock seconds (filled in by
     :meth:`PassManager.run`, in pipeline order); ``diagnostics`` collects
@@ -294,11 +293,13 @@ class OptimizationPass(Pass):
 
 
 class SelectionPass(Pass):
-    """Optimal BURS cover of every statement.
+    """Optimal BURS cover of every statement of every reachable block,
+    plus the control-transfer pseudo-code of each block end.
 
-    Produces *fresh* :class:`StatementCode` objects: the instance list
-    returned by the selector is copied, never aliased, so a shared or
-    cached selection result survives downstream rewriting.
+    Every :class:`StatementCode` comes fresh from
+    :func:`~repro.codegen.selection.select_statement` and nothing else
+    holds it, so the pass keeps it as it is and later passes rebind its
+    instances freely.
     """
 
     name = "select"
@@ -325,16 +326,10 @@ class SelectionPass(Pass):
             with tracer.span(
                 "select:block", block=block.name, statements=len(block.statements)
             ):
-                block_statement_codes: List[StatementCode] = []
-                for statement in block.statements:
-                    code = select_statement(statement, selector, context.binding)
-                    block_statement_codes.append(
-                        StatementCode(
-                            statement=code.statement,
-                            cost=code.cost,
-                            instances=list(code.instances),
-                        )
-                    )
+                block_statement_codes = [
+                    select_statement(statement, selector, context.binding)
+                    for statement in block.statements
+                ]
                 hardware_loop = (
                     state.program.hw_loops.get(block.name)
                     if context.hardware_loops

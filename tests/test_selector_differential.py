@@ -20,9 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codegen.selection import build_subject_tree
+from repro.codegen.selection import build_subject_tree, select_statement
 from repro.diagnostics import ReproError
 from repro.dspstone import all_kernel_names, kernel_program, loop_kernel_names
+from repro.fuzz.oracles import TargetHarness
 from repro.fuzz.generator import generate_source
 from repro.ir.binding import BindingError, bind_program
 from repro.ir.expr import Const, Op, VarRef
@@ -142,6 +143,28 @@ def _ref_trees():
     return st.tuples(st.sampled_from(_REF_DESTINATIONS), expressions).map(
         lambda t: SubjectNode("ASSIGN", [SubjectNode(t[0]), t[1]])
     )
+
+
+class TestInterpretiveOracle:
+    @pytest.mark.parametrize("target", ("demo", "ref", "tms320c25"))
+    def test_interpretive_session_never_labels_through_the_automaton(
+        self, target, retarget_results
+    ):
+        """The fuzz ``matcher`` oracle compiles through a session whose
+        selector is interpretive (built as ``TargetHarness`` builds it).
+        If the compile path labelled through the automaton whatever the
+        selector's matcher, that oracle would compare the automaton with
+        itself and still agree."""
+        harness = TargetHarness.create(target, retarget_result=retarget_results[target])
+        interp = harness.session_interp
+        assert interp.selector.matcher == "interpretive"
+        for kernel in all_kernel_names() + loop_kernel_names():
+            expected = harness.session_opt.compile_kernel(kernel).listing()
+            assert interp.compile_kernel(kernel).listing() == expected, kernel
+        stats = interp.selector.stats()
+        assert stats["states"] == 0
+        assert stats["memo_entries"] == 0
+        assert stats["nodes_labelled"] > 0
 
 
 def _cover(result):
@@ -271,6 +294,48 @@ class TestAutomatonThreads:
         assert not any(thread.is_alive() for thread in threads)
         assert sorted(finished) == [0, 1, 2, 3]
         assert wrong == []
+
+    def test_threads_emit_identical_instances_from_a_fresh_selector(self, tms_result):
+        """Threads selecting the same statements through one new selector
+        race on its empty per-rule storage table and label shared IR into
+        their own subject trees: every instance stream must equal the
+        serial one."""
+        statements = []
+        for kernel in all_kernel_names() + loop_kernel_names():
+            program = kernel_program(kernel)
+            binding = bind_program(program, tms_result.netlist)
+            for block in program.blocks:
+                statements.extend((statement, binding) for statement in block.statements)
+
+        def streams(selector):
+            return [
+                [
+                    (i.result_id, i.result_storage, tuple(i.operands), i.defines_variable)
+                    for i in select_statement(statement, selector, binding).instances
+                ]
+                for statement, binding in statements
+            ]
+
+        expected = streams(tms_result.selector)
+        shared = CodeSelector(tms_result.grammar, tables=tms_result.selector.tables)
+        results = {}
+
+        def work(seed):
+            results[seed] = streams(shared)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        assert all(got == expected for got in results.values())
 
 
 class TestLabellingMemo:
