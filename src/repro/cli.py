@@ -357,6 +357,7 @@ def _cmd_batch(args) -> int:
     """Run a job file (NDJSON, a JSON array or ``{"jobs": [...]}``)
     through a compile backend."""
     from repro.service.api import parse_jobs
+    from repro.service.backends import strip_result
 
     if args.jobs_file == "-":
         text = sys.stdin.read()
@@ -369,7 +370,7 @@ def _cmd_batch(args) -> int:
     jobs = parse_jobs(text)
     backend = _batch_backend(args, jobs)
     try:
-        responses = backend.run_jobs(jobs)
+        replies = list(backend.stream_responses(jobs))
     finally:
         stats = backend.stats()
         backend.close()
@@ -382,16 +383,14 @@ def _cmd_batch(args) -> int:
             raise SystemExit("error: cannot write %r: %s" % (args.output, error))
         close_output = True
     try:
-        for response in responses:
-            if args.no_results:
-                response = {k: v for k, v in response.items() if k != "result"}
-            output.write(json.dumps(response) + "\n")
+        for _summary, body in replies:  # the bytes the server would send
+            output.write((strip_result(body) if args.no_results else body).decode() + "\n")
     finally:
         if close_output:
             output.close()
     if args.stats:
         print(json.dumps(stats, indent=2), file=sys.stderr)
-    return 0 if all(response.get("ok") for response in responses) else 1
+    return 0 if all(summary.get("ok") for summary, _body in replies) else 1
 
 
 def _cmd_serve(args) -> int:

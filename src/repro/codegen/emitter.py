@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List
 
 from repro.codegen.compaction import InstructionWord
+
+#: ``; bits:`` text per BDD manager and condition node (``one_sat`` is a
+#: pure function of the node); never part of a pickled retarget entry.
+_BITS_TEXT: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _format_bits(assignment: Dict[str, bool]) -> str:
@@ -14,6 +19,17 @@ def _format_bits(assignment: Dict[str, bool]) -> str:
     for name in sorted(assignment):
         parts.append("%s=%d" % (name, 1 if assignment[name] else 0))
     return " ".join(parts)
+
+
+def _bits_text(word: InstructionWord) -> str:
+    """``_format_bits(word.partial_instruction())``, memoized."""
+    if word.condition is None:
+        return "-"
+    manager, node = word.condition.manager, word.condition.node
+    texts = _BITS_TEXT.get(manager) or _BITS_TEXT.setdefault(manager, {})
+    if node not in texts:
+        texts[node] = _format_bits(word.partial_instruction())
+    return texts[node]
 
 
 def format_listing(words: List[InstructionWord], title: str = "") -> str:
@@ -29,6 +45,5 @@ def format_listing(words: List[InstructionWord], title: str = "") -> str:
         if word.label:
             lines.append("%s:" % word.label)
         lines.append("%4d:  %s" % (index, word.describe()))
-        bits = _format_bits(word.partial_instruction())
-        lines.append("       ; bits: %s" % bits)
+        lines.append("       ; bits: %s" % _bits_text(word))
     return "\n".join(lines) + "\n"

@@ -177,6 +177,11 @@ class MetricFamily:
         self._children: Dict[Tuple[str, ...], object] = {}
 
     def labels(self, **label_values):
+        if len(label_values) == len(self.label_names):  # an existing child, fast
+            try:
+                return self._children[tuple([str(label_values[n]) for n in self.label_names])]
+            except KeyError:
+                pass  # a new child or a wrong label name: validated below
         given = tuple(sorted(label_values))
         expected = tuple(sorted(self.label_names))
         if given != expected:

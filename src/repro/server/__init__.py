@@ -3,11 +3,11 @@
 This package puts a network-facing, observable server on the compile
 backends of :mod:`repro.service`:
 
-* :mod:`repro.server.http` -- a stdlib ``ThreadingHTTPServer`` exposing
-  ``POST /compile`` (the backend's ``run_job``), ``POST /batch``
-  (streaming the backend's ordered fan-out as NDJSON), ``GET /healthz``
-  and ``GET /metrics``, with bounded-queue backpressure (429 when
-  saturated);
+* :mod:`repro.server.http` -- a stdlib ``HTTPServer`` on reused handler
+  threads exposing ``POST /compile`` and ``POST /batch`` (the backend's
+  encoded envelopes, written unread; ``/batch`` streams them as NDJSON),
+  ``GET /healthz`` and ``GET /metrics``, with bounded-queue backpressure
+  (429 when saturated);
 * :mod:`repro.server.metrics` -- Prometheus-style live metrics
   (compile counters per target, compiles/s, retarget-cache and
   label-memo hit rates, per-phase latency histograms) aggregated from

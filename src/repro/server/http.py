@@ -1,7 +1,9 @@
 """The HTTP/JSON front end of the compile server (stdlib-only).
 
-A :class:`CompileServer` is a :class:`ThreadingHTTPServer` bound to a
-:class:`~repro.service.backends.CompileBackend`.  Endpoints:
+A :class:`CompileServer` is an :class:`HTTPServer` bound to a
+:class:`~repro.service.backends.CompileBackend` that hands each accepted
+connection to an idle handler thread, starting a new one only when none
+is idle.  Endpoints:
 
 * ``POST /compile`` -- one decoded job object in, one
   ``CompileResponse`` envelope out (HTTP 200 even for compile *errors*:
@@ -11,7 +13,8 @@ A :class:`CompileServer` is a :class:`ThreadingHTTPServer` bound to a
   NDJSON lines in (:func:`~repro.service.api.parse_jobs`, the parser
   ``repro batch`` uses); a *streaming* NDJSON response out (one envelope
   line per job, input order, flushed as each job finishes, from the
-  backend's :meth:`~repro.service.backends.CompileBackend.stream_jobs`);
+  backend's
+  :meth:`~repro.service.backends.CompileBackend.stream_responses`);
 * ``GET /healthz`` -- liveness + backend description (JSON);
 * ``GET /metrics`` -- Prometheus text exposition
   (:mod:`repro.server.metrics`).
@@ -20,18 +23,21 @@ Backpressure is a bounded admission gate over in-flight *jobs* (not
 connections): ``queue_limit`` slots, all-or-nothing acquisition, HTTP
 429 with a ``Retry-After`` header when saturated.  Oversized bodies get
 413, malformed JSON 400 -- always a structured JSON error body, never a
-hang or a dropped request.
+hang or a dropped request.  Envelopes are written as the backend encoded
+them (only ``?results=0`` decodes one, to drop its ``result``), and a
+response's headers and body leave in one send.
 """
 
 from __future__ import annotations
 
 import json
+import queue
 import sys
 import threading
 import time
 from contextlib import closing
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from typing import List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.diagnostics import InternalCompilerError
@@ -39,7 +45,7 @@ from repro.obs import log
 from repro.obs.context import new_request_id, use_request_id
 from repro.server.metrics import ServerMetrics
 from repro.service.api import parse_jobs
-from repro.service.backends import CompileBackend
+from repro.service.backends import CompileBackend, strip_result
 
 #: Longest inbound ``X-Request-Id`` honored verbatim (longer ones are
 #: truncated -- the id lands in logs, traces and metrics labels).
@@ -50,6 +56,12 @@ DEFAULT_MAX_BODY_BYTES = 1 << 20
 
 #: Default in-flight job slots per backend worker.
 DEFAULT_QUEUE_SLOTS_PER_WORKER = 4
+
+
+def header_safe(request_id: str) -> bool:
+    """Printable ASCII: no CR/LF to start a header line, nothing to fail
+    the header's latin-1 encode."""
+    return request_id.isascii() and request_id.isprintable()
 
 
 class AdmissionGate:
@@ -77,11 +89,15 @@ class AdmissionGate:
             return self._in_flight
 
 
-class CompileServer(ThreadingHTTPServer):
-    """The compile server: HTTP transport + backend + metrics."""
+class CompileServer(HTTPServer):
+    """The compile server: HTTP transport + backend + metrics.
 
-    daemon_threads = True
+    A handler thread rejoins the idle set just before its response's
+    last bytes leave, so a client's next connection finds it idle.
+    """
+
     allow_reuse_address = True
+    request_queue_size = 128  # listen backlog: the default 5 resets bursts of connects
 
     def __init__(
         self,
@@ -102,14 +118,74 @@ class CompileServer(ThreadingHTTPServer):
             queue_limit = DEFAULT_QUEUE_SLOTS_PER_WORKER * max(1, backend.workers)
         self.gate = AdmissionGate(queue_limit)
         self.verbose = verbose
+        self._serving = False  # serve_forever ran or is about to
+        self._handlers_lock = threading.Lock()
+        self._idle: List[tuple] = []  # (thread, hand-off queue) per idle thread
+        self._closing = False
+        self._local = threading.local()  # a handler thread's slot and state
 
     @property
     def url(self) -> str:
         host, port = self.server_address[:2]
         return "http://%s:%d" % (host, port)
 
+    def process_request(self, request, client_address) -> None:
+        with self._handlers_lock:
+            idle = self._idle.pop() if self._idle else None
+        if idle is not None:
+            idle[1].put((request, client_address))
+        else:
+            threading.Thread(
+                target=self._handler_loop, args=(request, client_address),
+                name="repro-http", daemon=True,
+            ).start()
+
+    def _handler_loop(self, request, client_address) -> None:
+        local = self._local
+        local.slot = (threading.current_thread(), queue.SimpleQueue())
+        while request is not None:
+            local.rejoined = False
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+            if not self._rejoin_idle():
+                return
+            request, client_address = local.slot[1].get()
+
+    def _rejoin_idle(self) -> bool:
+        """Put the calling handler thread in the idle set, once per
+        connection; False when the server is closing."""
+        if not self._local.rejoined:
+            with self._handlers_lock:
+                if self._closing:
+                    return False
+                self._idle.append(self._local.slot)
+            self._local.rejoined = True
+        return True
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        self._serving = True
+        super().serve_forever(poll_interval)
+
+    def server_close(self) -> None:
+        """Close the socket and end the idle handler threads; a busy one
+        ends when its connection does."""
+        super().server_close()
+        with self._handlers_lock:
+            self._closing = True
+            idle, self._idle = self._idle, []
+        for thread, handoff in idle:
+            handoff.put((None, None))
+            thread.join(timeout=5.0)  # bounded: a send to a stalled client
+
     def close(self, close_backend: bool = True) -> None:
-        self.shutdown()
+        if self._serving:
+            # shutdown() waits for serve_forever to notice; without a
+            # serve_forever it would wait forever.
+            self.shutdown()
         self.server_close()
         if close_backend:
             self.backend.close()
@@ -122,6 +198,7 @@ class CompileRequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.0"  # close-delimited: NDJSON streams
     # need no chunked framing and every client sees the stream end.
+    wbufsize = 1 << 16  # holds a response until its one send
 
     server: CompileServer  # narrowed for type checkers
 
@@ -138,17 +215,11 @@ class CompileRequestHandler(BaseHTTPRequestHandler):
     def _request_id(self) -> str:
         """This request's correlation id: the inbound ``X-Request-Id``
         (whitespace-stripped, truncated to :data:`MAX_REQUEST_ID_CHARS`)
-        or a freshly generated one."""
+        when it is :func:`header_safe`, else a freshly generated one."""
         inbound = (self.headers.get("X-Request-Id") or "").strip()
-        if inbound:
+        if inbound and header_safe(inbound):
             return inbound[:MAX_REQUEST_ID_CHARS]
         return new_request_id()
-
-    def _endpoint(self) -> str:
-        return urlsplit(self.path).path
-
-    def _query(self) -> dict:
-        return parse_qs(urlsplit(self.path).query)
 
     def _log_access(self, method: str, endpoint: str, code: int) -> None:
         log.info(
@@ -160,25 +231,30 @@ class CompileRequestHandler(BaseHTTPRequestHandler):
             client=self.client_address[0] if self.client_address else None,
         )
 
-    def _send_json(self, code: int, payload: dict, endpoint: str) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    def _send(self, code: int, body: bytes, endpoint: str,
+              content_type: str = "application/json") -> None:
         self.send_response(code)
         if code == 429:
             self.send_header("Retry-After", "1")
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.send_header("X-Request-Id", self._rid)
         self.end_headers()
         self.wfile.write(body)
+        self.server._rejoin_idle()
+        self.wfile.flush()  # headers and body leave in one send
         self.server.metrics.record_http(endpoint, code)
         self._log_access(self.command, endpoint, code)
 
+    def _send_json(self, code: int, payload: dict, endpoint: str) -> None:
+        self._send(code, json.dumps(payload).encode("utf-8"), endpoint)
+
     def _send_error_json(self, code: int, error_type: str, message: str,
-                         endpoint: str) -> None:
+                         endpoint: str, phase: str = "server") -> None:
         self._send_json(
             code,
             {"ok": False,
-             "error": {"type": error_type, "message": message, "phase": "server"}},
+             "error": {"type": error_type, "message": message, "phase": phase}},
             endpoint,
         )
 
@@ -217,84 +293,53 @@ class CompileRequestHandler(BaseHTTPRequestHandler):
             error, context="endpoint %s" % endpoint
         )
         try:
-            self._send_json(
-                500,
-                {"ok": False,
-                 "error": {"type": "InternalCompilerError",
-                           "message": str(wrapped), "phase": "internal"}},
-                endpoint,
+            self._send_error_json(
+                500, "InternalCompilerError", str(wrapped), endpoint, phase="internal"
             )
         except Exception:
             self.server.metrics.record_http(endpoint, 500)
 
-    # -- GET ---------------------------------------------------------------------
+    # -- routing -----------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib handler naming)
-        endpoint = self._endpoint()
-        self._started = time.perf_counter()
-        self._rid = self._request_id()
-        try:
-            with use_request_id(self._rid):
-                self._route_get(endpoint)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-response
-        except Exception as error:
-            self._send_internal_error(endpoint, error)
-
-    def _route_get(self, endpoint: str) -> None:
-        if endpoint == "/healthz":
-            payload = {"status": "ok"}
-            payload.update(self.server.backend.describe())
-            payload["in_flight"] = self.server.gate.in_flight
-            payload["queue_limit"] = self.server.gate.capacity
-            payload.update(self.server.metrics.snapshot())
-            self._send_json(200, payload, endpoint)
-            return
-        if endpoint == "/metrics":
-            body = self.server.metrics.render().encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; version=0.0.4")
-            self.send_header("Content-Length", str(len(body)))
-            self.send_header("X-Request-Id", self._rid)
-            self.end_headers()
-            self.wfile.write(body)
-            self.server.metrics.record_http(endpoint, 200)
-            self._log_access("GET", endpoint, 200)
-            return
-        self._send_error_json(
-            404, "NotFound", "no such endpoint: %s" % endpoint, endpoint
-        )
-
-    # -- POST --------------------------------------------------------------------
+        self._serve({"/healthz": self._handle_healthz, "/metrics": self._handle_metrics})
 
     def do_POST(self) -> None:  # noqa: N802
-        endpoint = self._endpoint()
+        self._serve({"/compile": self._handle_compile, "/batch": self._handle_batch})
+
+    def _serve(self, routes: dict) -> None:
+        endpoint = urlsplit(self.path).path
         self._started = time.perf_counter()
         self._rid = self._request_id()
         try:
             with use_request_id(self._rid):
-                if endpoint == "/compile":
-                    self._handle_compile(endpoint)
-                elif endpoint == "/batch":
-                    self._handle_batch(endpoint)
-                else:
+                route = routes.get(endpoint)
+                if route is None:
                     self._send_error_json(
                         404, "NotFound", "no such endpoint: %s" % endpoint, endpoint
                     )
+                else:
+                    route(endpoint)
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away mid-response
         except Exception as error:
             self._send_internal_error(endpoint, error)
 
-    def _include_results(self) -> bool:
-        values = self._query().get("results")
-        return not (values and values[-1] in ("0", "false", "no"))
+    def _handle_healthz(self, endpoint: str) -> None:
+        payload = {"status": "ok"}
+        payload.update(self.server.backend.describe())
+        payload["in_flight"] = self.server.gate.in_flight
+        payload["queue_limit"] = self.server.gate.capacity
+        payload.update(self.server.metrics.snapshot())
+        self._send_json(200, payload, endpoint)
 
-    @staticmethod
-    def _strip_result(response: dict) -> dict:
-        slim = dict(response)
-        slim.pop("result", None)
-        return slim
+    def _handle_metrics(self, endpoint: str) -> None:
+        body = self.server.metrics.render().encode("utf-8")
+        self._send(200, body, endpoint, "text/plain; version=0.0.4")
+
+    def _include_results(self) -> bool:
+        values = parse_qs(urlsplit(self.path).query).get("results")
+        return not (values and values[-1] in ("0", "false", "no"))
 
     def _handle_compile(self, endpoint: str) -> None:
         body = self._read_body(endpoint)
@@ -314,11 +359,11 @@ class CompileRequestHandler(BaseHTTPRequestHandler):
             )
             return
         # One id joins everything: a job-supplied request_id wins (the
-        # header then echoes it) unless the client pinned one via
-        # X-Request-Id; a job without one inherits the request's id.
+        # header then echoes it, if header-safe) unless the client pinned
+        # one via X-Request-Id; a job without one inherits the request's id.
         job_rid = job.get("request_id")
         if isinstance(job_rid, str) and job_rid:
-            if not self.headers.get("X-Request-Id"):
+            if not self.headers.get("X-Request-Id") and header_safe(job_rid):
                 self._rid = job_rid[:MAX_REQUEST_ID_CHARS]
         else:
             job = dict(job)
@@ -333,13 +378,13 @@ class CompileRequestHandler(BaseHTTPRequestHandler):
             )
             return
         try:
-            response = self.server.backend.run_job(job)
+            summary, body = self.server.backend.respond(job)
         finally:
             self.server.gate.release(1)
-        self.server.metrics.record_compile(response)
+        self.server.metrics.record_compile(summary)
         if not self._include_results():
-            response = self._strip_result(response)
-        self._send_json(200, response, endpoint)
+            body = strip_result(body)
+        self._send(200, body, endpoint)
 
     def _handle_batch(self, endpoint: str) -> None:
         body = self._read_body(endpoint)
@@ -388,27 +433,27 @@ class CompileRequestHandler(BaseHTTPRequestHandler):
             self.send_header("Content-Type", "application/x-ndjson")
             self.send_header("X-Request-Id", self._rid)
             self.end_headers()
+            self.wfile.flush()
             # Stream in input order; each line is flushed as soon as its
             # job (and all earlier ones) finished, so clients consume
             # results while later jobs still compile.  Closing the stream
             # waits for every job, so the gate is released after the last.
             client_gone = False
-            with closing(self.server.backend.stream_jobs(jobs)) as responses:
-                for response in responses:
-                    self.server.metrics.record_compile(response)
+            with closing(self.server.backend.stream_responses(jobs)) as replies:
+                for summary, body in replies:
+                    self.server.metrics.record_compile(summary)
                     if client_gone:
                         continue  # the jobs still drain and count
                     if not include_results:
-                        response = self._strip_result(response)
+                        body = strip_result(body)
                     try:
-                        self.wfile.write(
-                            (json.dumps(response) + "\n").encode("utf-8")
-                        )
+                        self.wfile.write(body + b"\n")
                         self.wfile.flush()
                     except (BrokenPipeError, ConnectionResetError):
                         client_gone = True
         finally:
             self.server.gate.release(len(jobs))
+            self.server._rejoin_idle()  # the client sees the end at the close
             self.server.metrics.record_http(endpoint, 200)
             self._log_access("POST", endpoint, 200)
 
@@ -447,6 +492,7 @@ def start_server(**kwargs) -> CompileServer:
     """:func:`make_server` + a daemon serving thread (tests, benchmarks,
     embedding).  Call ``server.close()`` when done."""
     server = make_server(**kwargs)
+    server._serving = True  # so a close() racing the thread still ends it
     thread = threading.Thread(
         target=server.serve_forever, name="repro-serve", daemon=True
     )

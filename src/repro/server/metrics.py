@@ -197,13 +197,8 @@ class ServerMetrics:
             self._target_phase_seconds.labels(target=target, phase=phase).inc(
                 float(seconds)
             )
-        for kind, key in (
-            ("gvn_hits", "opt_gvn_hits"),
-            ("licm_hoisted", "opt_licm_hoisted"),
-            ("strength_reductions", "opt_strength_reductions"),
-            ("hw_loops", "opt_hw_loops"),
-        ):
-            value = metrics.get(key)
+        for kind in ("gvn_hits", "licm_hoisted", "strength_reductions", "hw_loops"):
+            value = metrics.get("opt_" + kind)
             if isinstance(value, int) and value > 0:
                 self._global_opt.labels(target=target, kind=kind).inc(value)
         nodes = metrics.get("nodes_labelled")

@@ -1,18 +1,21 @@
 """Compile backends: where compile jobs actually execute.
 
-Both backends speak plain dicts (decoded JSON job objects in, response
-dicts out) because that is what the HTTP front end
-(:mod:`repro.server`) and the ``repro batch`` CLI shuttle around.
-:class:`CompileBackend` owns what they share:
+Jobs arrive as plain dicts (decoded JSON job objects); each response
+leaves encoded once, as the bytes the HTTP front end
+(:mod:`repro.server`) and ``repro batch`` write out unread.
+:class:`CompileBackend` owns what the backends share:
 
-* the ordered fan-out of a batch over the backend's workers
-  (:meth:`~CompileBackend.stream_jobs`, which ``POST /batch`` streams,
-  and :meth:`~CompileBackend.run_jobs`, its list);
 * the guard that turns an exception escaping a backend into a
-  structured error envelope (:meth:`~CompileBackend.run_job`);
+  structured error envelope, and that one encode
+  (:meth:`~CompileBackend.respond`);
+* the ordered fan-out of a batch over the backend's workers
+  (:meth:`~CompileBackend.stream_responses`, which ``POST /batch``
+  streams), and the library's dict API over both (``run_job``,
+  ``run_jobs``);
 * the completed/failed counts, in total and per target.
 
-Subclasses implement :meth:`~CompileBackend._execute`:
+Subclasses implement :meth:`~CompileBackend._execute` (a response dict)
+or :meth:`~CompileBackend._execute_encoded`:
 
 * :class:`ThreadCompileBackend` -- an in-process
   :class:`~repro.service.service.CompileService` (single-core: the
@@ -21,14 +24,13 @@ Subclasses implement :meth:`~CompileBackend._execute`:
   parent prewarms a shared disk-tier
   :class:`~repro.toolchain.cache.RetargetCache` whose pickles already
   ship pre-built ``GrammarTables``; each worker opens that directory
-  read-only, so workers never re-retarget.  Jobs and results travel as
-  the :mod:`repro.service.api` ``CompileRequest``/``CompileResponse``
-  JSON envelopes over one duplex :func:`multiprocessing.Pipe` per
-  worker.  The parent detects worker crashes (EOF on the pipe / dead
-  process), turns them into structured error responses, and respawns
-  the worker; a per-request ``timeout_s`` kills and respawns a stuck
-  worker the same way.  One bad request can therefore never hang or
-  drop a batch.
+  read-only, so workers never re-retarget.  Jobs travel as JSON frames
+  over one duplex :func:`multiprocessing.Pipe` per worker; a result
+  frame is a summary line, then the envelope the worker encoded.  The
+  parent detects worker crashes (EOF on the pipe / dead process), turns
+  them into structured error responses, and respawns the worker; a
+  per-request ``timeout_s`` kills and respawns a stuck worker the same
+  way.  One bad request can therefore never hang or drop a batch.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.diagnostics import InternalCompilerError, ReproError
 from repro.obs import log
@@ -110,16 +112,31 @@ def error_response(
     }
 
 
+def encode_response(response: dict) -> bytes:
+    """The bytes a response envelope travels and is served as."""
+    return json.dumps(response).encode("utf-8")
+
+
+def strip_result(body: bytes) -> bytes:
+    """An encoded envelope without its ``result`` (``?results=0``,
+    ``repro batch --no-results``)."""
+    response = json.loads(body)
+    response.pop("result", None)
+    return encode_response(response)
+
+
 class CompileBackend:
     """Executes decoded compile-job dicts; see module docstring.
 
-    Subclasses implement :meth:`_execute` (and may extend :meth:`stats`
-    and :meth:`close`); everything else -- fan-out, the guard, the counts
-    -- lives here, once for every backend.
+    Subclasses implement :meth:`_execute` or :meth:`_execute_encoded`
+    (and may extend :meth:`stats` and :meth:`close`); everything else --
+    the guard, the encode, fan-out, the counts -- lives here, once for
+    every backend.
     """
 
     kind = "abstract"
     workers = 1
+    _closed = False  # a closed backend refuses jobs with BackendError
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -130,54 +147,70 @@ class CompileBackend:
         """Run one job and return its response dict (the backend hook)."""
         raise NotImplementedError
 
-    def run_job(self, job: dict, index: int = 0) -> dict:
-        """Execute one decoded job dict; ``index`` positions default
-        request names (``request<index>``) exactly like a batch.
+    def _execute_encoded(self, job: dict, index: int) -> Tuple[dict, bytes]:
+        """Run one job: its summary and its encoded envelope.  By default
+        :meth:`_execute`'s dict, encoded once, is its own summary."""
+        response = self._execute(job, index)
+        return response, encode_response(response)
 
-        Never raises for a job: an exception escaping :meth:`_execute`
+    def respond(self, job: dict, index: int = 0) -> Tuple[dict, bytes]:
+        """Execute one decoded job dict: ``(summary, body)``.  ``body`` is
+        the encoded ``CompileResponse`` envelope; ``summary`` has its
+        fields, of ``result`` only ``pass_timings`` and ``metrics`` (what
+        ``ServerMetrics.record_compile`` reads).  ``index`` positions
+        default request names (``request<index>``) exactly like a batch.
+
+        Never raises for a job: an exception escaping the backend hook
         becomes an error envelope -- a :class:`ReproError` keeps its type,
         anything else is an ``InternalCompilerError`` (crash-proofing
         contract).  Every response is counted once, by the target it
         names.
         """
+        if self._closed:
+            raise BackendError("backend is closed")
         try:
-            response = self._execute(job, index)
+            summary, body = self._execute_encoded(job, index)
         except ReproError as error:
-            response = error_response(job, type(error).__name__, str(error))
+            summary = error_response(job, type(error).__name__, str(error))
+            body = encode_response(summary)
         except Exception as error:
             wrapped = InternalCompilerError.wrap(error, context="backend run_job")
-            response = error_response(
+            summary = error_response(
                 job, "InternalCompilerError", str(wrapped), phase="internal"
             )
-        target = str(response.get("target", "") or "")
+            body = encode_response(summary)
+        target = str(summary.get("target", "") or "")
         with self._lock:
             counts = self._per_target.setdefault(target, {"completed": 0, "failed": 0})
-            counts["completed" if response.get("ok") else "failed"] += 1
-        return response
+            counts["completed" if summary.get("ok") else "failed"] += 1
+        return summary, body
 
-    def stream_jobs(self, jobs: Iterable[dict]) -> Iterator[dict]:
+    def run_job(self, job: dict, index: int = 0) -> dict:
+        """:meth:`respond`'s envelope, decoded (the library dict API)."""
+        return json.loads(self.respond(job, index)[1])
+
+    def stream_responses(self, jobs: Iterable[dict]) -> Iterator[Tuple[dict, bytes]]:
         """Fan ``jobs`` out over ``min(len(jobs), workers)`` threads and
-        yield one response per job, in input order, each as soon as it
-        and every job before it finished.  Closing the generator early
-        still waits for the jobs already submitted."""
+        yield one :meth:`respond` pair per job, in input order, each as
+        soon as it and every job before it finished.  Closing the
+        generator early still waits for the jobs already submitted."""
         job_list = list(jobs)
         threads = min(self.workers, len(job_list))
         if threads <= 1:
             for index, job in enumerate(job_list):
-                yield self.run_job(job, index)
+                yield self.respond(job, index)
             return
         with ThreadPoolExecutor(max_workers=threads) as executor:
             futures = [
-                executor.submit(self.run_job, job, index)
+                executor.submit(self.respond, job, index)
                 for index, job in enumerate(job_list)
             ]
             for future in futures:
                 yield future.result()
 
     def run_jobs(self, jobs: Iterable[dict]) -> List[dict]:
-        """:meth:`stream_jobs` as a list: one response per job, in input
-        order."""
-        return list(self.stream_jobs(jobs))
+        """One decoded response per job, in input order."""
+        return [json.loads(body) for _summary, body in self.stream_responses(jobs)]
 
     def stats(self) -> dict:
         """A point-in-time snapshot: ``completed``/``failed`` totals and
@@ -276,9 +309,10 @@ def _worker_main(
     Builds a :class:`~repro.service.pool.SessionPool` whose retarget
     cache reads the parent's prewarmed spool directory (pickles shared
     read-only), reports ready, then serves JSON frames off the pipe until
-    EOF or a shutdown frame.  Every result frame carries the pool's
-    ``stats()`` so the parent can aggregate pool/cache hit rates without
-    a second round trip; the parent counts the responses itself.
+    EOF or a shutdown frame.  A result frame is one summary line (the
+    summary of :meth:`CompileBackend.respond`, and the pool's ``stats()``
+    so the parent can aggregate pool/cache hit rates), then the encoded
+    envelope.  The parent counts the responses itself.
 
     With ``stderr_path`` the worker's fd 2 is redirected there so the
     parent can attach the trailing lines to a crash report -- including
@@ -339,12 +373,14 @@ def _worker_main(
                 os._exit(int(exit_code))
             if sleep_s is not None:
                 time.sleep(float(sleep_s))
-        payload = {
-            "op": "result",
-            "response": service.run_dict(job, index),
-            "pool": pool.stats(),
-        }
-        conn.send_bytes(json.dumps(payload).encode("utf-8"))
+        response = service.run_dict(job, index)
+        summary = {key: value for key, value in response.items() if key != "result"}
+        if "result" in response:
+            summary["result"] = {
+                key: response["result"].get(key) for key in ("pass_timings", "metrics")
+            }
+        head = json.dumps({"op": "result", "response": summary, "pool": pool.stats()})
+        conn.send_bytes(head.encode("utf-8") + b"\n" + encode_response(response))
     try:
         conn.close()
     except OSError:
@@ -580,22 +616,15 @@ class ProcessCompileBackend(CompileBackend):
 
     # -- dispatch ----------------------------------------------------------------
 
-    def run_job(self, job: dict, index: int = 0) -> dict:
-        """:meth:`CompileBackend.run_job`, refused with
-        :class:`BackendError` once the backend is closed."""
-        if self._closed:
-            raise BackendError("backend is closed")
-        return super().run_job(job, index)
-
-    def _execute(self, job: dict, index: int) -> dict:
+    def _execute_encoded(self, job: dict, index: int) -> Tuple[dict, bytes]:
         worker = self._idle.get()
         try:
-            worker, response = self._dispatch(worker, job, index)
+            worker, response, body = self._dispatch(worker, job, index)
         finally:
             # The slot survives whatever happens: the healthy (possibly
             # respawned) worker, or the original one if dispatch raised.
             self._idle.put(worker)
-        return response
+        return response, body if body is not None else encode_response(response)
 
     def _timeout_of(self, job: object) -> float:
         if isinstance(job, dict):
@@ -606,9 +635,9 @@ class ProcessCompileBackend(CompileBackend):
         return self.request_timeout_s
 
     def _dispatch(self, worker: _Worker, job: dict, index: int = 0):
-        """Run ``job`` on ``worker``; returns ``(healthy_worker,
-        response_dict)`` where the worker may be a respawned
-        replacement."""
+        """Run ``job`` on ``worker``; returns ``(healthy_worker, summary,
+        body)`` where the worker may be a respawned replacement and
+        ``body`` is None for an error the parent made up itself."""
         started = time.perf_counter()
         frame = json.dumps({"op": "job", "job": job, "index": index}).encode("utf-8")
         try:
@@ -636,7 +665,7 @@ class ProcessCompileBackend(CompileBackend):
                     "WorkerCrashError",
                     "compile worker unavailable: %s" % error,
                     elapsed_s=time.perf_counter() - started,
-                )
+                ), None
         timeout_s = self._timeout_of(job)
         deadline = started + timeout_s
         while True:
@@ -657,7 +686,7 @@ class ProcessCompileBackend(CompileBackend):
                     "request exceeded its %.3gs timeout; the worker was "
                     "killed and respawned" % timeout_s,
                     elapsed_s=time.perf_counter() - started,
-                )
+                ), None
             try:
                 if not worker.conn.poll(min(remaining, 0.1)):
                     if not worker.process.is_alive():
@@ -694,9 +723,10 @@ class ProcessCompileBackend(CompileBackend):
                     "WorkerCrashError",
                     message,
                     elapsed_s=time.perf_counter() - started,
-                )
+                ), None
+            head, _, body = data.partition(b"\n")
             try:
-                result_frame = json.loads(data.decode("utf-8"))
+                result_frame = json.loads(head)
             except ValueError:
                 self._bump("crashes")
                 worker = self._respawn(worker)
@@ -705,14 +735,14 @@ class ProcessCompileBackend(CompileBackend):
                     "WorkerProtocolError",
                     "compile worker sent an undecodable result frame",
                     elapsed_s=time.perf_counter() - started,
-                )
+                ), None
             if result_frame.get("op") != "result":
                 continue  # not a result frame; keep waiting for the result
             response = result_frame.get("response")
-            if not isinstance(response, dict):
-                response = error_response(
+            if not isinstance(response, dict) or not body:
+                response, body = error_response(
                     job, "WorkerProtocolError", "result frame had no response"
-                )
+                ), None
             with self._lock:
                 self._consecutive_crashes = 0  # worker is healthy again
                 if response.get("ok"):
@@ -720,7 +750,7 @@ class ProcessCompileBackend(CompileBackend):
                 else:
                     worker.failed += 1
             worker.pool_stats = result_frame.get("pool") or {}
-            return worker, response
+            return worker, response, body
 
     # -- introspection / shutdown ------------------------------------------------
 
@@ -766,18 +796,7 @@ class ProcessCompileBackend(CompileBackend):
                 pass
         for worker in workers:
             worker.process.join(timeout=2.0)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=2.0)
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-            if worker.stderr_path:
-                try:
-                    os.unlink(worker.stderr_path)
-                except OSError:
-                    pass
+            self._kill(worker)
         while True:
             try:
                 self._idle.get_nowait()
