@@ -12,17 +12,10 @@ measures three quantities on a fixed-seed campaign:
   once (the ``sim``/``opt``/``matcher`` legs compile the program up to
   four times and simulate it up to five, so the overhead factor says
   what a CI fuzz-smoke budget actually buys).
-
-Run as a script to merge a ``fuzz_throughput`` section into
-``BENCH_results.json``::
-
-    python benchmarks/bench_fuzz_throughput.py --output BENCH_results.json
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 from repro.frontend.lowering import lower_to_program
@@ -128,33 +121,3 @@ def test_campaign_throughput_is_usable_for_ci():
     # the campaign runs <= 4 compiles + 5 simulations per program; the
     # overhead over a single compile must stay within that envelope
     assert results["oracle_overhead_factor"] <= 25.0, results
-
-
-# ---------------------------------------------------------------------------
-# BENCH_results.json writer (CI artifact)
-# ---------------------------------------------------------------------------
-
-
-def main(output: str = "BENCH_results.json") -> dict:
-    results = {"schema": 1}
-    if os.path.exists(output):
-        try:
-            with open(output, "r") as handle:
-                results = json.load(handle)
-        except ValueError:
-            pass
-    results["fuzz_throughput"] = collect()
-    with open(output, "w") as handle:
-        json.dump(results, handle, indent=2)
-        handle.write("\n")
-    print("wrote %s" % output)
-    print(json.dumps(results["fuzz_throughput"], indent=2))
-    return results
-
-
-if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--output", default="BENCH_results.json")
-    main(parser.parse_args().output)

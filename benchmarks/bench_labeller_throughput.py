@@ -17,17 +17,10 @@ computes its transition) are reported as separate, unasserted numbers.  A
 differential harness first proves both matchers produce byte-identical
 covers (cost and rule index sequence per statement), so the speedup is
 never bought with a different answer.
-
-Run as a script to merge a ``labeller_throughput`` section into
-``BENCH_results.json`` (created if absent) for the CI artifact trail::
-
-    python benchmarks/bench_labeller_throughput.py --output BENCH_results.json
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from typing import List
 
@@ -205,39 +198,3 @@ def test_table_driven_labelling_is_3x_interpretive(tms_result):
     )
     # End-to-end selection on fresh trees must also win clearly.
     assert results["select_speedup"] >= SELECT_SPEEDUP_FLOOR, results
-
-
-# ---------------------------------------------------------------------------
-# BENCH_results.json writer (CI artifact; merges into the existing file)
-# ---------------------------------------------------------------------------
-
-
-def main(output: str = "BENCH_results.json") -> dict:
-    from repro.toolchain import RetargetCache, default_registry
-
-    tms_result, _hit = RetargetCache(directory=False).get_or_retarget(
-        default_registry().hdl_source("tms320c25")
-    )
-    section = run(tms_result)
-    results = {"schema": 1}
-    if os.path.exists(output):
-        try:
-            with open(output, "r") as handle:
-                results = json.load(handle)
-        except ValueError:
-            pass
-    results["labeller_throughput"] = {"tms320c25": section}
-    with open(output, "w") as handle:
-        json.dump(results, handle, indent=2)
-        handle.write("\n")
-    print("wrote %s" % output)
-    print(json.dumps(section, indent=2))
-    return results
-
-
-if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--output", default="BENCH_results.json")
-    main(parser.parse_args().output)

@@ -21,18 +21,10 @@ hardware loops -- the default pipeline) against the block-local
 fold/cse/dce baseline on the same loop kernels, asserting the global
 form is strictly smaller across the suite (rotation alone removes one
 branch word per while-form kernel).
-
-Run as a script to merge ``loop_kernels`` and ``global_opt`` sections
-into ``BENCH_results.json`` (created if absent) for the CI artifact
-trail::
-
-    python benchmarks/bench_loop_kernels.py --output BENCH_results.json
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from typing import Dict
 
@@ -204,42 +196,3 @@ def test_global_opt_strictly_beats_block_local(tms_result):
         )
     # The repeat mechanism actually engages on this target.
     assert results["hw_loops_total"] >= len(loop_kernel_names())
-
-
-# ---------------------------------------------------------------------------
-# BENCH_results.json writer (CI artifact; merges into the existing file)
-# ---------------------------------------------------------------------------
-
-
-def main(output: str = "BENCH_results.json") -> dict:
-    from repro.toolchain import RetargetCache, default_registry
-
-    tms_result, _hit = RetargetCache(directory=False).get_or_retarget(
-        default_registry().hdl_source("tms320c25")
-    )
-    section = run(tms_result)
-    results = {"schema": 1}
-    if os.path.exists(output):
-        try:
-            with open(output, "r") as handle:
-                results = json.load(handle)
-        except ValueError:
-            pass
-    results["loop_kernels"] = {"tms320c25": section}
-    global_section = measure_global_opt(tms_result)
-    results["global_opt"] = {"tms320c25": global_section}
-    with open(output, "w") as handle:
-        json.dump(results, handle, indent=2)
-        handle.write("\n")
-    print("wrote %s" % output)
-    print(json.dumps(section, indent=2))
-    print(json.dumps(global_section, indent=2))
-    return results
-
-
-if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--output", default="BENCH_results.json")
-    main(parser.parse_args().output)

@@ -22,17 +22,10 @@ A differential harness first proves the optimized pipeline simulates
 observably identically to the unoptimized one on every suite program and
 never produces more instruction words, so a measured win can never be
 bought with a wrong or bigger answer.
-
-Run as a script to merge an ``opt_effect`` section into
-``BENCH_results.json`` (created if absent) for the CI artifact trail::
-
-    python benchmarks/bench_opt_effect.py --output BENCH_results.json
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from typing import Dict, List, Tuple
 
@@ -200,39 +193,3 @@ def test_optimizer_cuts_labelled_nodes_on_cse_heavy_suite(tms_result):
     # be a no-op there, never an inflation.
     dspstone = results["dspstone"]
     assert dspstone["nodes_labelled_opt"] <= dspstone["nodes_labelled_no_opt"]
-
-
-# ---------------------------------------------------------------------------
-# BENCH_results.json writer (CI artifact; merges into the existing file)
-# ---------------------------------------------------------------------------
-
-
-def main(output: str = "BENCH_results.json") -> dict:
-    from repro.toolchain import RetargetCache, default_registry
-
-    tms_result, _hit = RetargetCache(directory=False).get_or_retarget(
-        default_registry().hdl_source("tms320c25")
-    )
-    section = run(tms_result)
-    results = {"schema": 1}
-    if os.path.exists(output):
-        try:
-            with open(output, "r") as handle:
-                results = json.load(handle)
-        except ValueError:
-            pass
-    results["opt_effect"] = {"tms320c25": section}
-    with open(output, "w") as handle:
-        json.dump(results, handle, indent=2)
-        handle.write("\n")
-    print("wrote %s" % output)
-    print(json.dumps(section, indent=2))
-    return results
-
-
-if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--output", default="BENCH_results.json")
-    main(parser.parse_args().output)

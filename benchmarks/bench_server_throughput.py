@@ -10,19 +10,12 @@ that, and this benchmark is its scoreboard:
   interleaved) through the thread backend and through the process
   backend; on hosts with >= 4 cores the process backend must be >= 2x
   the thread backend's throughput;
-* **worker scaling sweep** -- the same stream at 1, 2, ... worker
-  processes; scaling must be near-linear (>= 50% parallel efficiency at
-  the assertion width, again only asserted with >= 4 cores -- on
-  smaller hosts the sweep still runs and is reported);
+* **worker scaling** -- the same stream at one worker process and at
+  the assertion width; scaling must be near-linear (>= 50% parallel
+  efficiency, again only asserted with >= 4 cores);
 * **HTTP front end** -- a client-thread load generator posting the
   stream at a live ``repro.server`` instance, then scraping
   ``/metrics`` to cross-check the server counted every request.
-
-Run as a script to merge a ``server_throughput`` section into
-``BENCH_results.json`` (the CI artifact trail)::
-
-    python benchmarks/bench_server_throughput.py --output BENCH_results.json
-    python benchmarks/bench_server_throughput.py --smoke   # tiny traffic
 """
 
 from __future__ import annotations
@@ -32,7 +25,7 @@ import os
 import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import pytest
 
@@ -121,16 +114,6 @@ def run_process_backend(jobs: List[dict], workers: int) -> dict:
         "elapsed_s": round(elapsed, 4),
         "jobs_per_second": round(len(jobs) / elapsed, 1),
     }
-
-
-def scaling_sweep(jobs: List[dict], max_workers: int) -> Dict[str, dict]:
-    counts: List[int] = []
-    count = 1
-    while count < max_workers:
-        counts.append(count)
-        count *= 2
-    counts.append(max_workers)
-    return {str(count): run_process_backend(jobs, count) for count in counts}
 
 
 # ---------------------------------------------------------------------------
@@ -256,59 +239,3 @@ def test_http_front_end_handles_mixed_traffic():
     jobs = make_traffic(12 if _smoke() else 24)
     result = drive_http(jobs, client_threads=4)
     assert result["requests_per_second"] > 0
-
-
-# ---------------------------------------------------------------------------
-# BENCH_results.json writer (CI artifact)
-# ---------------------------------------------------------------------------
-
-
-def main(output: str = "BENCH_results.json", smoke: bool = False) -> dict:
-    if smoke:
-        os.environ["BENCH_SMOKE"] = "1"
-    cores = os.cpu_count() or 1
-    jobs = make_traffic(_traffic_size())
-    section: dict = {
-        "cpu_count": cores,
-        "traffic_jobs": len(jobs),
-        "distinct_targets": len(MIXED_TARGETS),
-        "smoke": _smoke(),
-        "thread_backend": run_thread_backend(jobs),
-        "process_scaling": scaling_sweep(jobs, max(1, cores)),
-        "http_front_end": drive_http(jobs, client_threads=4),
-        "asserted": cores >= ASSERT_MIN_CORES,
-    }
-    best = max(
-        section["process_scaling"].values(), key=lambda r: r["jobs_per_second"]
-    )
-    section["process_backend_best"] = best
-    section["process_vs_thread_speedup"] = round(
-        best["jobs_per_second"] / section["thread_backend"]["jobs_per_second"], 2
-    )
-    results = {"schema": 1}
-    if os.path.exists(output):
-        try:
-            with open(output, "r") as handle:
-                results = json.load(handle)
-        except ValueError:
-            pass
-    results["server_throughput"] = section
-    with open(output, "w") as handle:
-        json.dump(results, handle, indent=2)
-        handle.write("\n")
-    print("wrote %s" % output)
-    print(json.dumps(section, indent=2))
-    return results
-
-
-if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--output", default="BENCH_results.json")
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny traffic volume (CI smoke mode)",
-    )
-    arguments = parser.parse_args()
-    main(arguments.output, smoke=arguments.smoke)

@@ -7,22 +7,13 @@ would pay it for *every* request.  This benchmark measures both on a
 mixed-target batch and asserts the pooled-concurrent path is at least 2x
 faster -- the quantity that decides whether the service can serve heavy
 traffic.
-
-Run as a script to write ``BENCH_results.json`` (code-size and throughput
-numbers) for the CI artifact trail::
-
-    python benchmarks/bench_service_throughput.py --output BENCH_results.json
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from typing import List, Tuple
 
-from repro.baselines import hand_reference_size
-from repro.dspstone import all_kernel_names
 from repro.service import CompileRequest, SessionPool, ThreadCompileBackend
 from repro.toolchain import RetargetCache, Toolchain
 
@@ -170,73 +161,3 @@ def _kernel_program(name):
     from repro.dspstone import kernel_program
 
     return kernel_program(name)
-
-
-# ---------------------------------------------------------------------------
-# BENCH_results.json writer (CI artifact)
-# ---------------------------------------------------------------------------
-
-
-def collect_code_sizes(target: str = "tms320c25") -> dict:
-    """Code size of every DSPStone kernel on ``target`` (figure-2 data)."""
-    pool = SessionPool()
-    session = pool.session(target)
-    sizes = {}
-    for kernel in all_kernel_names():
-        compiled = session.compile_kernel(kernel)
-        entry = {
-            "code_size": compiled.code_size,
-            "operation_count": compiled.operation_count,
-            "spill_count": compiled.spill_count,
-        }
-        try:
-            hand = hand_reference_size(kernel)
-            entry["hand_reference"] = hand
-            entry["relative_percent"] = round(100.0 * compiled.code_size / hand, 1)
-        except KeyError:
-            pass
-        sizes[kernel] = entry
-    return sizes
-
-
-def collect_throughput() -> dict:
-    requests = make_batch()
-    naive_s = run_naive_sequential(requests)
-    pooled_s, backend = run_pooled_concurrent(requests)
-    return {
-        "requests": len(requests),
-        "distinct_targets": len(MIXED_TARGETS),
-        "naive_sequential_s": round(naive_s, 4),
-        "pooled_concurrent_s": round(pooled_s, 4),
-        "speedup": round(naive_s / pooled_s, 2),
-        "requests_per_second_pooled": round(len(requests) / pooled_s, 1),
-        "pool_retargets": backend.service.pool.retarget_count,
-    }
-
-
-def main(output: str = "BENCH_results.json") -> dict:
-    # Merge into an existing results file (the labeller bench writes its
-    # own section the same way), so the CI steps can run in any order.
-    results = {"schema": 1}
-    if os.path.exists(output):
-        try:
-            with open(output, "r") as handle:
-                results = json.load(handle)
-        except ValueError:
-            pass
-    results["code_size"] = {"tms320c25": collect_code_sizes("tms320c25")}
-    results["service_throughput"] = collect_throughput()
-    with open(output, "w") as handle:
-        json.dump(results, handle, indent=2)
-        handle.write("\n")
-    print("wrote %s" % output)
-    print(json.dumps(results["service_throughput"], indent=2))
-    return results
-
-
-if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--output", default="BENCH_results.json")
-    main(parser.parse_args().output)

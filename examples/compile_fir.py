@@ -16,7 +16,6 @@ Run with::
 from repro.baselines import hand_reference_size
 from repro.dspstone import get_kernel
 from repro.frontend.lowering import lower_to_program
-from repro.sim import simulate_statement_code
 from repro.toolchain import PipelineConfig, Toolchain
 
 
@@ -55,7 +54,7 @@ def main():
     source_block = lower_to_program(kernel.source, name="fir").single_block()
     reference = source_block.execute(environment)["y"] & 0xFFFF
     for name, compiled in (("RECORD", record_code), ("baseline", baseline_code)):
-        simulated = simulate_statement_code(compiled.statement_codes, environment)["y"] & 0xFFFF
+        simulated = compiled.simulate(environment)["y"] & 0xFFFF
         status = "OK" if simulated == reference else "MISMATCH"
         print("simulated y (%s) = %d, reference = %d -> %s" % (name, simulated, reference, status))
 

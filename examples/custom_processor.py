@@ -17,7 +17,6 @@ from repro.expansion import ExpansionOptions, RewriteRule, default_transformatio
 from repro.expansion.rewrite import Slot
 from repro.ise import ConstLeaf, OpNode
 from repro.record.report import retargeting_report
-from repro.sim import simulate_statement_code
 from repro.toolchain import Toolchain, default_registry
 
 CUSTOM_HDL = """
@@ -143,7 +142,7 @@ def main():
     from repro.frontend.lowering import lower_to_program
 
     reference = lower_to_program(PROGRAM, name="custom").single_block().execute(environment)
-    simulated = simulate_statement_code(compiled.statement_codes, environment)
+    simulated = compiled.simulate(environment)
     for variable in ("y", "c"):
         match = (reference[variable] & 0xFFFF) == (simulated[variable] & 0xFFFF)
         print("  %s = %d (%s)" % (variable, simulated[variable] & 0xFFFF, "OK" if match else "MISMATCH"))

@@ -19,7 +19,6 @@ from repro.hdl import parse_processor
 from repro.ise import extract_instruction_set
 from repro.netlist import build_netlist
 from repro.record.retarget import retarget
-from repro.sim import simulate_statement_code
 from repro.toolchain import Session, default_registry
 
 SOURCE_PROGRAM = """
@@ -77,7 +76,7 @@ def main():
     from repro.frontend.lowering import lower_to_program
 
     reference = lower_to_program(SOURCE_PROGRAM, name="quickstart").single_block().execute(environment)
-    simulated = simulate_statement_code(compiled.statement_codes, environment)
+    simulated = compiled.simulate(environment)
     print("== simulation vs. reference ==")
     for variable in ("d", "c"):
         print(

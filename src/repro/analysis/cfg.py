@@ -6,8 +6,9 @@ tests) into the shape every dataflow analysis wants: reachable blocks in
 reverse postorder, successor and predecessor maps restricted to reachable
 blocks, and the RPO numbering the dominator algorithm intersects with.
 
-The reverse postorder is the same deterministic order
-:meth:`repro.ir.program.Program.reverse_postorder` produces: for the
+The reverse postorder is the one walk of
+:func:`repro.ir.program.reverse_postorder`, the order
+:meth:`~repro.ir.program.Program.reverse_postorder` produces: for the
 structured CFGs the frontend emits it coincides with textual layout
 order (entry, then, else, join / entry, header, body, exit), so
 iterating it is a drop-in replacement for iterating ``program.blocks``.
@@ -17,38 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-
-def reverse_postorder(
-    entry: str, successors: Mapping[str, Sequence[str]]
-) -> List[str]:
-    """Reverse postorder over ``successors`` starting at ``entry``.
-
-    Successors are explored in *reversed* declared order, which makes the
-    resulting RPO follow the first-successor path first -- for structured
-    CFGs that is exactly the frontend's textual block layout.  Targets
-    without an entry in ``successors`` are treated as unknown labels and
-    skipped (CFG well-formedness is the verifier's job, not this walk's).
-    """
-    if entry not in successors:
-        return []
-    order: List[str] = []
-    visited = {entry}
-    stack: List[Tuple[str, List[str]]] = [(entry, list(successors[entry]))]
-    while stack:
-        name, pending = stack[-1]
-        advanced = False
-        while pending:
-            target = pending.pop()
-            if target in successors and target not in visited:
-                visited.add(target)
-                stack.append((target, list(successors[target])))
-                advanced = True
-                break
-        if not advanced:
-            order.append(name)
-            stack.pop()
-    order.reverse()
-    return order
+from repro.ir.program import reverse_postorder
 
 
 class ControlFlowGraph:
@@ -87,12 +57,7 @@ class ControlFlowGraph:
         ``Program.block``); dangling branch targets are dropped from the
         edge set (flagged separately by :func:`repro.analysis.verify.check_cfg`).
         """
-        edges: Dict[str, Tuple[str, ...]] = {}
-        for block in program.blocks:
-            if block.name in edges:
-                continue
-            terminator = block.terminator
-            edges[block.name] = terminator.targets() if terminator is not None else ()
+        edges = program.edges()
         if not edges:
             return cls("", {})
         return cls(program.entry_block_name(), edges)

@@ -23,8 +23,6 @@ from repro.codegen.selection import (
     CodeGenerationError,
     RTInstance,
     StatementCode,
-    is_control_code,
-    select_block,
     select_block_code,
     select_statement,
     select_terminator,
@@ -49,9 +47,7 @@ __all__ = [
     "count_spills",
     "format_listing",
     "insert_spills",
-    "is_control_code",
     "schedule_instances",
-    "select_block",
     "select_block_code",
     "select_statement",
     "select_terminator",

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional
 
 from repro.bdd.manager import BDD
 from repro.codegen.selection import BlockCode, RTInstance
+from repro.obs.trace import current_tracer
 
 
 @dataclass
@@ -26,7 +27,7 @@ class InstructionWord:
     """One machine instruction word holding one or more parallel RTs.
 
     ``label`` carries a basic-block label when this word is a branch
-    target (the first word of a block in a multi-block program).
+    target (the first word of a block in a CFG, see :func:`compact_blocks`).
     """
 
     instances: List[RTInstance] = field(default_factory=list)
@@ -106,22 +107,33 @@ def compact(instances: List[RTInstance], enabled: bool = True) -> List[Instructi
 def compact_blocks(
     block_codes: List[BlockCode], enabled: bool = True
 ) -> List[InstructionWord]:
-    """Pack a whole multi-block program, block by block.
+    """Pack a program's code block by block, one ``compact:block`` span
+    per block.
 
-    Packing never crosses a block boundary; the first word of every block
-    carries the block's label so branch targets stay addressable in the
-    listing and the binary encoding.  An empty block still materializes
-    one (labelled) ``nop`` word to anchor its label.
+    Packing never crosses a block boundary.  In a real CFG (more than one
+    block, or a block ending in a branch) the first word of every block
+    carries the block's label, so branch targets stay addressable in the
+    listing and the binary encoding, and an empty block still gets one
+    ``nop`` word to anchor its label.  A single block without a branch is
+    packed without labels (an empty program is 0 words).
     """
+    labelled = len(block_codes) > 1 or (
+        len(block_codes) == 1 and block_codes[0].terminator_code is not None
+    )
+    tracer = current_tracer()
     words: List[InstructionWord] = []
     for block_code in block_codes:
-        instances: List[RTInstance] = []
-        for code in block_code.all_codes():
-            instances.extend(code.instances)
-        block_words = compact(instances, enabled=enabled)
-        if not block_words:
-            block_words = [InstructionWord()]
-        block_words[0].label = block_code.name
+        with tracer.span("compact:block", block=block_code.name) as span:
+            instances: List[RTInstance] = []
+            for code in block_code.all_codes():
+                instances.extend(code.instances)
+            block_words = compact(instances, enabled=enabled)
+            if labelled:
+                if not block_words:
+                    block_words = [InstructionWord()]
+                block_words[0].label = block_code.name
+            if tracer.enabled:
+                span.set(words=len(block_words))
         words.extend(block_words)
     return words
 

@@ -127,23 +127,8 @@ class StatementCode:
     instances: List[RTInstance] = field(default_factory=list)
 
     def is_control(self) -> bool:
+        """True for the branch/jump pseudo-code pinned at a block end."""
         return any(instance.is_control() for instance in self.instances)
-
-
-def is_control_code(code: StatementCode) -> bool:
-    """True for the branch/jump pseudo-code pinned at a block end."""
-    return code.is_control()
-
-
-def is_multi_block(block_codes) -> bool:
-    """True when a block-code sequence describes a real CFG (anything but
-    the classic single block falling off the end).  The one place this
-    predicate lives: compaction (label or not) and result simulation
-    (CFG or straight-line path) must never disagree on it."""
-    block_codes = list(block_codes)
-    if not block_codes:
-        return False
-    return len(block_codes) > 1 or block_codes[0].terminator_code is not None
 
 
 @dataclass
@@ -442,23 +427,16 @@ def select_terminator(
     return StatementCode(statement=terminator, cost=1, instances=[instance])
 
 
-def select_block(
-    block: BasicBlock, selector: CodeSelector, binding: ResourceBinding
-) -> List[StatementCode]:
-    """Select code for every statement of a basic block, in order (the
-    terminator, if any, is *not* included -- see :func:`select_block_code`)."""
-    return [select_statement(statement, selector, binding) for statement in block.statements]
-
-
 def select_block_code(
     block: BasicBlock,
     selector: CodeSelector,
     binding: ResourceBinding,
     hardware_loop=None,
 ) -> BlockCode:
-    """Select a whole basic block including its terminator pseudo-code
-    (``hardware_loop`` flows through to :func:`select_terminator`)."""
-    codes = select_block(block, selector, binding)
+    """Select a whole basic block: every statement in order, then the
+    terminator pseudo-code (``hardware_loop`` flows through to
+    :func:`select_terminator`)."""
+    codes = [select_statement(statement, selector, binding) for statement in block.statements]
     terminator_code = (
         None
         if block.terminator is None

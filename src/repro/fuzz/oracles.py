@@ -133,12 +133,7 @@ def observables(environment: Dict[str, int]) -> Dict[str, int]:
 def faithful_simulate(result, memory_storages, environment) -> Dict[str, int]:
     """Storage-faithful RT simulation of one compilation result."""
     simulator = RTSimulator(dict(environment), memory_storages=set(memory_storages))
-    if result.is_multi_block:
-        entry = result.program.entry_block_name()
-        return simulator.run_cfg(
-            list(result.block_codes), entry=entry, max_steps=SIMULATION_STEP_LIMIT
-        )
-    return simulator.run_block_code(list(result.statement_codes))
+    return simulator.run_cfg(list(result.block_codes), max_steps=SIMULATION_STEP_LIMIT)
 
 
 def _compile_leg(session: Session, program: Program, leg: str):

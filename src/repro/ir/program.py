@@ -12,7 +12,7 @@ case, and every historical API on that shape keeps working unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.diagnostics import ReproError
 from repro.ir.expr import (
@@ -182,6 +182,39 @@ class BasicBlock:
 # ---------------------------------------------------------------------------
 
 
+def reverse_postorder(
+    entry: str, successors: Mapping[str, Sequence[str]]
+) -> List[str]:
+    """Reverse postorder over ``successors`` starting at ``entry``.
+
+    Successors are explored in *reversed* declared order, which makes the
+    resulting RPO follow the first-successor path first -- for structured
+    CFGs that is exactly the frontend's textual block layout.  Targets
+    without an entry in ``successors`` are treated as unknown labels and
+    skipped (CFG well-formedness is the verifier's job, not this walk's).
+    """
+    if entry not in successors:
+        return []
+    order: List[str] = []
+    visited = {entry}
+    stack: List[Tuple[str, List[str]]] = [(entry, list(successors[entry]))]
+    while stack:
+        name, pending = stack[-1]
+        advanced = False
+        while pending:
+            target = pending.pop()
+            if target in successors and target not in visited:
+                visited.add(target)
+                stack.append((target, list(successors[target])))
+                advanced = True
+                break
+        if not advanced:
+            order.append(name)
+            stack.pop()
+    order.reverse()
+    return order
+
+
 @dataclass(frozen=True)
 class HardwareLoop:
     """Loop metadata attached to a :class:`Program` by the optimizer.
@@ -253,46 +286,24 @@ class Program:
         terminator = self.block(name).terminator
         return terminator.targets() if terminator is not None else ()
 
-    def reverse_postorder(self) -> List[str]:
-        """Reachable block names in deterministic reverse postorder.
-
-        Successors are explored in reversed declared order, so the RPO
-        follows the first-successor path first; for the structured CFGs
-        the frontend emits this is exactly the textual layout order
-        (entry, then, else, join / entry, header, body, exit).  Branch
-        targets that do not name a block are skipped (they are flagged by
-        the verifier, not here); duplicate block names keep the first
-        occurrence, matching :meth:`block`.
-        """
-        if not self.blocks:
-            return []
+    def edges(self) -> Dict[str, tuple]:
+        """Block name -> branch targets.  Duplicate block names keep the
+        first occurrence, matching :meth:`block`."""
         edges: Dict[str, tuple] = {}
         for block in self.blocks:
-            if block.name in edges:
-                continue
-            terminator = block.terminator
-            edges[block.name] = terminator.targets() if terminator is not None else ()
-        entry = self.entry_block_name()
-        if entry not in edges:
+            if block.name not in edges:
+                terminator = block.terminator
+                edges[block.name] = terminator.targets() if terminator is not None else ()
+        return edges
+
+    def reverse_postorder(self) -> List[str]:
+        """Reachable block names in deterministic reverse postorder (see
+        :func:`reverse_postorder`): for the structured CFGs the frontend
+        emits this is exactly the textual layout order (entry, then,
+        else, join / entry, header, body, exit)."""
+        if not self.blocks:
             return []
-        order: List[str] = []
-        visited = {entry}
-        stack: List[tuple] = [(entry, list(edges[entry]))]
-        while stack:
-            name, pending = stack[-1]
-            advanced = False
-            while pending:
-                target = pending.pop()
-                if target in edges and target not in visited:
-                    visited.add(target)
-                    stack.append((target, list(edges[target])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(name)
-                stack.pop()
-        order.reverse()
-        return order
+        return reverse_postorder(self.entry_block_name(), self.edges())
 
     def reachable_blocks(self) -> List[BasicBlock]:
         """The reachable basic blocks, in :meth:`reverse_postorder` order.

@@ -10,12 +10,6 @@ concrete HDL syntax.
 from repro.netlist.module import NetModule, NetPort
 from repro.netlist.netlist import BusEndpoint, Netlist, PortEndpoint, PrimaryEndpoint
 from repro.netlist.builder import build_netlist
-from repro.netlist.classify import (
-    control_source_modules,
-    is_control_source,
-    is_sequential,
-    sequential_modules,
-)
 
 __all__ = [
     "BusEndpoint",
@@ -25,8 +19,4 @@ __all__ = [
     "PortEndpoint",
     "PrimaryEndpoint",
     "build_netlist",
-    "control_source_modules",
-    "is_control_source",
-    "is_sequential",
-    "sequential_modules",
 ]

@@ -1,9 +1,10 @@
 """RT-level simulation of generated code.
 
 The simulator executes the RT instances produced by code selection over a
-variable environment and is used by the test suite to check that generated
-code computes exactly the same values as the reference execution of the IR
-basic block -- the key end-to-end correctness invariant of the compiler.
+variable environment, block by block along the program's CFG, and is used
+by the test suite to check that generated code computes exactly the same
+values as the reference execution of the IR program -- the key end-to-end
+correctness invariant of the compiler.
 """
 
 from repro.sim.rtsim import (
@@ -11,10 +12,7 @@ from repro.sim.rtsim import (
     SimulationError,
     SimulationTrace,
     TraceStep,
-    simulate_block_codes,
-    simulate_statement_code,
     trace_cfg_execution,
-    trace_execution,
 )
 
 __all__ = [
@@ -22,8 +20,5 @@ __all__ = [
     "SimulationError",
     "SimulationTrace",
     "TraceStep",
-    "simulate_block_codes",
-    "simulate_statement_code",
     "trace_cfg_execution",
-    "trace_execution",
 ]

@@ -8,12 +8,14 @@ using the current value table, which validates both the data flow of the
 cover (operands come from the right producers) and the operator semantics
 of chained templates.
 
-Two extensions beyond the straight-line core:
+Two layers on top of that:
 
-* **CFG execution** (:meth:`RTSimulator.run_cfg`): executes a list of
-  :class:`~repro.codegen.selection.BlockCode` objects, following the
-  ``jump``/``cbranch`` pseudo-instances at block ends, under a step limit
-  (a diverging loop fails loudly instead of hanging a test suite).
+* **CFG execution** (:meth:`RTSimulator.run_cfg`): every program runs as a
+  list of :class:`~repro.codegen.selection.BlockCode` objects (a
+  straight-line program is one block), following the
+  ``jump``/``cbranch``/``repeat`` pseudo-instances at block ends, under a
+  step limit (a diverging loop fails loudly instead of hanging a test
+  suite).
 * **storage-faithful mode** (``memory_storages=...``): additionally
   tracks the *contents* of single-value register resources and serves
   operand reads from whatever the register actually holds -- exactly what
@@ -31,7 +33,7 @@ from typing import Dict, Iterable, List, Optional, Set
 from repro.codegen.selection import BlockCode, RTInstance, StatementCode
 from repro.ir import apply_operator, evaluate_expr, wrap_word
 from repro.ir.expr import array_element_name
-from repro.ir.program import DEFAULT_STEP_LIMIT, BasicBlock
+from repro.ir.program import DEFAULT_STEP_LIMIT
 from repro.selector.subject import SubjectNode
 
 
@@ -94,17 +96,6 @@ class RTSimulator:
             # statement is a plain variable copy.
             self._execute_copy(code)
 
-    def run_block_code(self, codes: List[StatementCode]) -> Dict[str, int]:
-        """Execute the code of a whole basic block and return the resulting
-        environment.  Straight-line only: feeding it a CFG program's flat
-        code (which contains ``jump``/``cbranch`` pseudo-codes) would
-        silently execute each block once in layout order, so that fails
-        loudly -- use :meth:`run_cfg` for multi-block programs."""
-        _reject_control_codes(codes, "run_block_code")
-        for code in codes:
-            self.run_statement(code)
-        return dict(self.environment)
-
     def run_cfg(
         self,
         block_codes: List[BlockCode],
@@ -112,10 +103,11 @@ class RTSimulator:
         max_steps: int = DEFAULT_STEP_LIMIT,
         _record=None,
     ) -> Dict[str, int]:
-        """Execute a multi-block program by following its terminators.
+        """Execute a program's block codes by following its terminators.
 
-        ``entry`` defaults to the first block.  ``max_steps`` bounds the
-        executed statements plus block transitions."""
+        ``entry`` defaults to the first block (selection emits the entry
+        block first).  ``max_steps`` bounds the executed statements plus
+        block transitions."""
         blocks = {block_code.name: block_code for block_code in block_codes}
         if not blocks:
             return dict(self.environment)
@@ -282,39 +274,6 @@ class RTSimulator:
             self.environment[statement.destination] = value
 
 
-def _reject_control_codes(codes: List[StatementCode], caller: str) -> None:
-    for code in codes:
-        if code.is_control():
-            raise SimulationError(
-                "%s is straight-line only but the code contains the control "
-                "transfer %r; simulate multi-block programs through run_cfg/"
-                "trace_cfg_execution (results built by the session API carry "
-                "block_codes and route there automatically)"
-                % (caller, str(code.statement))
-            )
-
-
-def simulate_statement_code(
-    codes: List[StatementCode], environment: Dict[str, int]
-) -> Dict[str, int]:
-    """Execute the code of a block and return the final environment."""
-    simulator = RTSimulator(environment)
-    return simulator.run_block_code(codes)
-
-
-def simulate_block_codes(
-    block_codes: List[BlockCode],
-    environment: Dict[str, int],
-    entry: Optional[str] = None,
-    max_steps: int = DEFAULT_STEP_LIMIT,
-    memory_storages: Optional[Iterable[str]] = None,
-) -> Dict[str, int]:
-    """Execute a multi-block program's code and return the final
-    environment (optionally in storage-faithful mode)."""
-    simulator = RTSimulator(environment, memory_storages=memory_storages)
-    return simulator.run_cfg(block_codes, entry=entry, max_steps=max_steps)
-
-
 # ---------------------------------------------------------------------------
 # Structured execution traces
 # ---------------------------------------------------------------------------
@@ -327,17 +286,15 @@ class TraceStep:
     statement: str
     operations: List[str]
     environment: Dict[str, int]
-    block: str = ""
+    block: str
 
     def to_dict(self) -> dict:
-        record = {
+        return {
             "statement": self.statement,
             "operations": list(self.operations),
             "environment": dict(self.environment),
+            "block": self.block,
         }
-        if self.block:
-            record["block"] = self.block
-        return record
 
 
 @dataclass(frozen=True)
@@ -346,8 +303,7 @@ class SimulationTrace:
 
     One :class:`TraceStep` per *executed* statement (its source text, the
     executed RT operations, the environment snapshot after the statement,
-    and -- for CFG programs -- the block it ran in; a loop body appears
-    once per iteration) plus the final environment -- the
+    and the block it ran in; a loop body appears once per iteration) plus the final environment -- the
     machine-readable view behind
     :meth:`repro.toolchain.results.CompilationResult.simulation_trace`.
     """
@@ -367,40 +323,14 @@ class SimulationTrace:
         return len(self.steps)
 
 
-def trace_execution(
-    codes: List[StatementCode], environment: Dict[str, int]
-) -> SimulationTrace:
-    """Simulate a straight-line block's code, recording a per-statement
-    trace.  Raises :class:`SimulationError` when handed a CFG program's
-    flat code (use :func:`trace_cfg_execution` instead)."""
-    _reject_control_codes(codes, "trace_execution")
-    simulator = RTSimulator(environment)
-    initial = dict(simulator.environment)
-    steps: List[TraceStep] = []
-    for code in codes:
-        simulator.run_statement(code)
-        steps.append(
-            TraceStep(
-                statement=str(code.statement),
-                operations=[instance.describe() for instance in code.instances],
-                environment=dict(simulator.environment),
-            )
-        )
-    return SimulationTrace(
-        steps=steps,
-        initial_environment=initial,
-        final_environment=dict(simulator.environment),
-    )
-
-
 def trace_cfg_execution(
     block_codes: List[BlockCode],
     environment: Dict[str, int],
     entry: Optional[str] = None,
     max_steps: int = DEFAULT_STEP_LIMIT,
 ) -> SimulationTrace:
-    """Simulate a multi-block program, recording every executed statement
-    (loop bodies appear once per iteration)."""
+    """Simulate a program's block codes, recording every executed
+    statement with its block (loop bodies appear once per iteration)."""
     simulator = RTSimulator(environment)
     initial = dict(simulator.environment)
     steps: List[TraceStep] = []
@@ -421,8 +351,3 @@ def trace_cfg_execution(
         initial_environment=initial,
         final_environment=dict(simulator.environment),
     )
-
-
-def reference_execution(block: BasicBlock, environment: Dict[str, int]) -> Dict[str, int]:
-    """Reference (IR-level) execution of a block; the golden model."""
-    return block.execute(environment)

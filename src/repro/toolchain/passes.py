@@ -16,15 +16,13 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional
 
-from repro.codegen.compaction import InstructionWord, compact, compact_blocks
+from repro.codegen.compaction import InstructionWord, compact_blocks
 from repro.codegen.schedule import schedule_instances
 from repro.codegen.selection import (
     BlockCode,
     RTInstance,
     StatementCode,
-    is_multi_block,
-    select_statement,
-    select_terminator,
+    select_block_code,
 )
 from repro.codegen.spill import insert_spills
 from repro.diagnostics import (
@@ -73,22 +71,9 @@ class PipelineConfig:
     encode: bool = False
     use_optimizer: bool = True
     # Run the static pipeline verifier (repro.analysis.verify) around
-    # every pass; not a pass itself (pass_names() is unchanged), its cost
+    # every pass; not a pass itself (the pass list is unchanged), its cost
     # is reported separately as CompileMetrics.verify_time_s.
     verify: bool = field(default_factory=_verify_default)
-
-    def pass_names(self) -> List[str]:
-        names = []
-        if self.use_optimizer:
-            names.append("opt")
-        names.append("select")
-        if self.use_scheduling:
-            names.append("schedule")
-        names.append("spill")
-        names.append("compact")
-        if self.encode:
-            names.append("encode")
-        return names
 
     def selector_key(self) -> tuple:
         """The part of the config that decides which grammar/selector is
@@ -173,7 +158,10 @@ class CompilationState:
     """Mutable program-side state owned by one pipeline run.
 
     Passes own every object in here: selection builds fresh statement
-    codes per run, so later passes may rebind them freely.
+    codes per run, so later passes may rebind them freely.  The selected
+    code is stored once, per block, in ``block_codes`` (a straight-line
+    program is one block); :attr:`statement_codes` is a view derived from
+    it.
 
     ``pass_timings`` maps pass name to wall-clock seconds (filled in by
     :meth:`PassManager.run`, in pipeline order); ``diagnostics`` collects
@@ -182,10 +170,8 @@ class CompilationState:
     """
 
     program: Program
-    statement_codes: List[StatementCode] = field(default_factory=list)
-    # Per-block view of the same StatementCode objects (plus the branch
-    # pseudo-code at every block end); the CFG structure the simulator
-    # and the compactor work from.
+    # One BlockCode per reachable block, in reverse postorder (entry
+    # first): its statement codes plus the branch pseudo-code at its end.
     block_codes: List[BlockCode] = field(default_factory=list)
     words: List[InstructionWord] = field(default_factory=list)
     encoding: Optional[str] = None
@@ -209,6 +195,15 @@ class CompilationState:
         self.diagnostics.append(
             Diagnostic(severity=severity, message=message, phase=phase)
         )
+
+    @property
+    def statement_codes(self) -> List[StatementCode]:
+        """Each block's statement codes, then its branch pseudo-code, in
+        block order (the same objects ``block_codes`` holds)."""
+        codes: List[StatementCode] = []
+        for block_code in self.block_codes:
+            codes.extend(block_code.all_codes())
+        return codes
 
     def all_instances(self) -> List[RTInstance]:
         instances: List[RTInstance] = []
@@ -297,7 +292,7 @@ class SelectionPass(Pass):
     plus the control-transfer pseudo-code of each block end.
 
     Every :class:`StatementCode` comes fresh from
-    :func:`~repro.codegen.selection.select_statement` and nothing else
+    :func:`~repro.codegen.selection.select_block_code` and nothing else
     holds it, so the pass keeps it as it is and later passes rebind its
     instances freely.
     """
@@ -322,35 +317,16 @@ class SelectionPass(Pass):
                 phase=self.name,
             )
         tracer = current_tracer()
+        hw_loops = state.program.hw_loops if context.hardware_loops else {}
         for block in reachable:
             with tracer.span(
                 "select:block", block=block.name, statements=len(block.statements)
             ):
-                block_statement_codes = [
-                    select_statement(statement, selector, context.binding)
-                    for statement in block.statements
-                ]
-                hardware_loop = (
-                    state.program.hw_loops.get(block.name)
-                    if context.hardware_loops
-                    else None
-                )
-                terminator_code = (
-                    None
-                    if block.terminator is None
-                    else select_terminator(
-                        block.terminator, block.name, hardware_loop
+                state.block_codes.append(
+                    select_block_code(
+                        block, selector, context.binding, hw_loops.get(block.name)
                     )
                 )
-                block_code = BlockCode(
-                    name=block.name,
-                    codes=block_statement_codes,
-                    terminator_code=terminator_code,
-                )
-                state.block_codes.append(block_code)
-                # Flat view (same StatementCode objects): what the schedule,
-                # spill and metric layers iterate.
-                state.statement_codes.extend(block_code.all_codes())
         # Per-run deltas of the (possibly shared) selector's counters;
         # approximate under concurrent compiles against one pooled session,
         # exact otherwise.
@@ -373,19 +349,11 @@ class SchedulingPass(Pass):
     name = "schedule"
 
     def run(self, state: CompilationState, context: PassContext) -> None:
-        if state.block_codes:
-            # Per-block walk over the same StatementCode objects the
-            # flat list aliases (all_codes() includes the terminator
-            # pseudo-code), so scheduling is identical to the flat loop
-            # but attributable per block in a trace.
-            tracer = current_tracer()
-            for block_code in state.block_codes:
-                with tracer.span("schedule:block", block=block_code.name):
-                    for code in block_code.all_codes():
-                        code.instances = schedule_instances(code.instances)
-            return
-        for code in state.statement_codes:
-            code.instances = schedule_instances(code.instances)
+        tracer = current_tracer()
+        for block_code in state.block_codes:
+            with tracer.span("schedule:block", block=block_code.name):
+                for code in block_code.all_codes():
+                    code.instances = schedule_instances(code.instances)
 
 
 class SpillPass(Pass):
@@ -394,10 +362,11 @@ class SpillPass(Pass):
     name = "spill"
 
     def run(self, state: CompilationState, context: PassContext) -> None:
-        before = len(state.all_instances())
+        inserted = 0
         for code in state.statement_codes:
-            code.instances = insert_spills(code.instances, context.spill_storage)
-        inserted = len(state.all_instances()) - before
+            instances = insert_spills(code.instances, context.spill_storage)
+            inserted += len(instances) - len(code.instances)
+            code.instances = instances
         if inserted:
             state.add_diagnostic(
                 "warning",
@@ -420,22 +389,7 @@ class CompactionPass(Pass):
         self.enabled = enabled
 
     def run(self, state: CompilationState, context: PassContext) -> None:
-        if is_multi_block(state.block_codes):
-            # Multi-block program: per-block packing, labelled words.
-            # compact_blocks never packs across a block boundary, so
-            # feeding it one block at a time is result-identical and
-            # gives each block its own trace span.
-            tracer = current_tracer()
-            words: List[InstructionWord] = []
-            for block_code in state.block_codes:
-                with tracer.span("compact:block", block=block_code.name) as span:
-                    block_words = compact_blocks([block_code], enabled=self.enabled)
-                    if tracer.enabled:
-                        span.set(words=len(block_words))
-                words.extend(block_words)
-            state.words = words
-        else:
-            state.words = compact(state.all_instances(), enabled=self.enabled)
+        state.words = compact_blocks(state.block_codes, enabled=self.enabled)
 
 
 class EncodingPass(Pass):

@@ -18,10 +18,6 @@ Registration styles::
 
     # 3. an HDL file on disk
     REGISTRY.register_file("designs/quirk.hdl")
-
-Third-party packages can also expose targets through the
-``repro.targets`` entry-point group; :meth:`TargetRegistry.load_entry_points`
-picks them up when ``importlib.metadata`` is available.
 """
 
 from __future__ import annotations
@@ -50,7 +46,7 @@ class TargetSpec:
     # (TMS320C25 ``RPT``/``RPTK``): counted latch branches lower to
     # zero-overhead ``repeat`` instances instead of ``cbranch``.
     hardware_loops: bool = False
-    # Origin of the registration ("builtin", "file", "user", "entry-point").
+    # Origin of the registration ("builtin", "file", "user").
     origin: str = "user"
 
 
@@ -65,7 +61,6 @@ class TargetRegistry:
     def __init__(self):
         self._specs: Dict[str, TargetSpec] = {}
         self._order: List[str] = []
-        self._entry_points_loaded = False
 
     # -- registration ------------------------------------------------------------
 
@@ -144,40 +139,6 @@ class TargetRegistry:
             return source_factory
 
         return decorate
-
-    def load_entry_points(self, group: str = "repro.targets") -> int:
-        """Register targets advertised by installed packages.
-
-        Each entry point must resolve to a :class:`TargetSpec`, an HDL
-        string, or a zero-argument callable returning either.  Returns the
-        number of targets registered; silently does nothing when
-        ``importlib.metadata`` is unavailable.
-        """
-        if self._entry_points_loaded:
-            return 0
-        self._entry_points_loaded = True
-        try:
-            from importlib.metadata import entry_points
-        except ImportError:  # pragma: no cover - python < 3.8
-            return 0
-        try:
-            selected = entry_points(group=group)
-        except TypeError:  # pragma: no cover - python < 3.10 API
-            selected = entry_points().get(group, [])
-        count = 0
-        for entry in selected:
-            loaded = entry.load()
-            if callable(loaded) and not isinstance(loaded, TargetSpec):
-                loaded = loaded()
-            if isinstance(loaded, TargetSpec):
-                self.register(loaded, replace=True)
-            else:
-                self.register_hdl(
-                    entry.name, str(loaded), category="entry-point",
-                    replace=True, origin="entry-point",
-                )
-            count += 1
-        return count
 
     # -- lookup ------------------------------------------------------------------
 
@@ -285,7 +246,6 @@ def _ensure_builtins() -> None:
             ),
             replace=True,
         )
-    REGISTRY.load_entry_points()
 
 
 def default_registry() -> TargetRegistry:

@@ -11,7 +11,7 @@ It carries three layers of information:
   ``listing``, the binary ``encoding`` (when the encode pass ran) and an
   RT-level ``simulation_trace`` computed through
   :class:`~repro.sim.rtsim.RTSimulator`;
-* **artifacts** -- the live IR/backend objects (program, statement codes,
+* **artifacts** -- the live IR/backend objects (program, block codes,
   instruction words, resource binding) for callers that keep processing.
 
 Results serialize losslessly to plain dicts/JSON (:meth:`to_dict` /
@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.codegen.compaction import InstructionWord, code_size
 from repro.codegen.emitter import format_listing
-from repro.codegen.selection import BlockCode, RTInstance, StatementCode, is_control_code
+from repro.codegen.selection import BlockCode, RTInstance, StatementCode
 from repro.codegen.spill import count_spills
 from repro.diagnostics import Diagnostic, ResultError
 from repro.ir.binding import ResourceBinding
@@ -188,13 +188,9 @@ class CompilationResult:
     config: Optional[PipelineConfig] = None
     diagnostics: Tuple[Diagnostic, ...] = ()
     encoding: Optional[str] = None
-    # Live artifacts -- absent on detached (deserialized) results.
+    # Live artifacts -- absent on detached (deserialized) results.  The
+    # selected code lives once, per block (statement_codes derives from it).
     program: Optional[Program] = field(default=None, repr=False, compare=False)
-    statement_codes: Tuple[StatementCode, ...] = field(
-        default=(), repr=False, compare=False
-    )
-    # Per-block view (same StatementCode objects plus branch pseudo-code);
-    # empty when a result is constructed without it.
     block_codes: Tuple[BlockCode, ...] = field(default=(), repr=False, compare=False)
     words: Tuple[InstructionWord, ...] = field(default=(), repr=False, compare=False)
     binding: Optional[ResourceBinding] = field(default=None, repr=False, compare=False)
@@ -221,17 +217,18 @@ class CompilationResult:
         trace: Optional[dict] = None,
     ) -> "CompilationResult":
         """Build a result from one finished :class:`CompilationState`."""
-        instances = state.all_instances()
+        codes = state.statement_codes
+        instances: List[RTInstance] = []
+        for code in codes:
+            instances.extend(code.instances)
         selection_stats = getattr(state, "selection_stats", None) or {}
         opt_stats = getattr(state, "opt_stats", None)
         metrics = CompileMetrics(
             code_size=code_size(state.words),
             operation_count=len(instances),
             spill_count=count_spills(instances),
-            selection_cost=sum(code.cost for code in state.statement_codes),
-            statement_count=sum(
-                1 for code in state.statement_codes if not is_control_code(code)
-            ),
+            selection_cost=sum(code.cost for code in codes),
+            statement_count=sum(len(block_code.codes) for block_code in state.block_codes),
             compile_time_s=sum(state.pass_timings.values()),
             nodes_labelled=int(selection_stats.get("nodes_labelled", 0)),
             label_memo_hit_rate=float(selection_stats.get("memo_hit_rate", 0.0)),
@@ -259,7 +256,6 @@ class CompilationResult:
             diagnostics=tuple(state.diagnostics),
             encoding=state.encoding,
             program=program,
-            statement_codes=tuple(state.statement_codes),
             block_codes=tuple(state.block_codes),
             words=tuple(state.words),
             binding=binding,
@@ -291,6 +287,14 @@ class CompilationResult:
         """True when this result was deserialized and carries no live
         IR/backend artifacts (views and metrics still work)."""
         return self.program is None and self.stored_statements is not None
+
+    @property
+    def statement_codes(self) -> Tuple[StatementCode, ...]:
+        """Each block's statement codes, then its branch pseudo-code, in
+        block order (the same objects :attr:`block_codes` holds)."""
+        return tuple(
+            code for block_code in self.block_codes for code in block_code.all_codes()
+        )
 
     @property
     def instances(self) -> List[RTInstance]:
@@ -344,13 +348,6 @@ class CompilationResult:
             % (name, ", ".join(self.VIEWS))
         )
 
-    @property
-    def is_multi_block(self) -> bool:
-        """True when the compiled program is a CFG (loops/branches)."""
-        from repro.codegen.selection import is_multi_block
-
-        return is_multi_block(self.block_codes)
-
     def simulation_trace(
         self,
         environment: Optional[Dict[str, int]] = None,
@@ -358,22 +355,18 @@ class CompilationResult:
     ):
         """Execute the generated code through the RT-level simulator and
         return the :class:`~repro.sim.rtsim.SimulationTrace` (per executed
-        statement: operations + environment snapshot; loop bodies appear
-        once per iteration).  Live results only.  ``max_steps`` bounds CFG
-        execution (default: the IR step limit)."""
-        self._require_artifacts("statement codes (needed for simulation)")
+        statement: the block, operations and environment snapshot; loop
+        bodies appear once per iteration).  Live results only.
+        ``max_steps`` bounds execution (default: the IR step limit)."""
+        self._require_artifacts("block codes (needed for simulation)")
         from repro.ir.program import DEFAULT_STEP_LIMIT
-        from repro.sim.rtsim import trace_cfg_execution, trace_execution
+        from repro.sim.rtsim import trace_cfg_execution
 
-        if self.is_multi_block:
-            entry = self.program.entry_block_name() if self.program else None
-            return trace_cfg_execution(
-                list(self.block_codes),
-                environment or {},
-                entry=entry,
-                max_steps=max_steps if max_steps is not None else DEFAULT_STEP_LIMIT,
-            )
-        return trace_execution(list(self.statement_codes), environment or {})
+        return trace_cfg_execution(
+            list(self.block_codes),
+            environment or {},
+            max_steps=max_steps if max_steps is not None else DEFAULT_STEP_LIMIT,
+        )
 
     def simulate(
         self,
@@ -436,16 +429,3 @@ class CompilationResult:
     @classmethod
     def from_json(cls, text: str) -> "CompilationResult":
         return cls.from_dict(json.loads(text))
-
-    # -- reporting ----------------------------------------------------------------
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "processor": self.processor,
-            "code_size": self.code_size,
-            "operation_count": self.operation_count,
-            "spill_count": self.spill_count,
-            "selection_cost": self.selection_cost,
-            "compile_time_s": self.metrics.compile_time_s,
-        }

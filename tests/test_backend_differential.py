@@ -55,10 +55,7 @@ def _faithful_simulate(result, retarget_result, environment):
     simulator = RTSimulator(
         dict(environment), memory_storages=_memory_storages(retarget_result)
     )
-    if result.is_multi_block:
-        entry = result.program.entry_block_name()
-        return simulator.run_cfg(list(result.block_codes), entry=entry)
-    return simulator.run_block_code(list(result.statement_codes))
+    return simulator.run_cfg(list(result.block_codes))
 
 
 @pytest.fixture(scope="module", params=DSP_TARGETS)

@@ -1,18 +1,10 @@
-"""Tests for classification helpers and assorted smaller behaviours."""
+"""Tests for netlist classification and assorted smaller behaviours."""
 
 import pytest
 
 from repro.expansion import ExpansionOptions, default_transformation_library
 from repro.hdl import ModuleKind, parse_processor
 from repro.netlist import build_netlist
-from repro.netlist.classify import (
-    control_source_modules,
-    is_control_source,
-    is_sequential,
-    is_transparent,
-    sequential_modules,
-    storage_and_port_names,
-)
 from repro.toolchain import default_registry
 
 
@@ -23,26 +15,16 @@ def demo_netlist():
 
 class TestClassify:
     def test_sequential_modules(self, demo_netlist):
-        names = {module.name for module in sequential_modules(demo_netlist)}
+        names = {module.name for module in demo_netlist.sequential_modules()}
         assert names == {"ACC", "BREG", "DMEM"}
-        for module in sequential_modules(demo_netlist):
-            assert is_sequential(module)
-            assert not is_control_source(module)
+        for module in demo_netlist.sequential_modules():
+            assert module.is_sequential()
+            assert not module.is_control_source()
 
     def test_control_sources(self, demo_netlist):
-        names = {module.name for module in control_source_modules(demo_netlist)}
+        names = {module.name for module in demo_netlist.control_source_modules()}
         assert names == {"IM"}
-        assert is_control_source(demo_netlist.module("IM"))
-
-    def test_transparent_modules(self, demo_netlist):
-        assert is_transparent(demo_netlist.module("ALU"))
-        assert is_transparent(demo_netlist.module("DEC"))
-        assert not is_transparent(demo_netlist.module("ACC"))
-        assert not is_transparent(demo_netlist.module("IM"))
-
-    def test_storage_and_port_names(self, demo_netlist):
-        names = set(storage_and_port_names(demo_netlist))
-        assert {"ACC", "BREG", "DMEM", "PIN", "POUT"} == names
+        assert demo_netlist.module("IM").is_control_source()
 
     def test_mode_register_is_sequential_control_source(self):
         source = (
@@ -52,8 +34,8 @@ class TestClassify:
         netlist = build_netlist(parse_processor(source))
         mode = netlist.module("MODE")
         assert mode.kind == ModuleKind.MODE_REGISTER
-        assert is_control_source(mode)
-        assert not is_sequential(mode)
+        assert mode.is_control_source()
+        assert not mode.is_sequential()
 
 
 class TestExpansionOptions:

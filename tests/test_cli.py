@@ -5,6 +5,7 @@ import importlib
 import pytest
 
 from repro.cli import build_parser, main
+from repro.opt import OptPipeline
 
 
 class TestParser:
@@ -99,6 +100,21 @@ class TestCommands:
         output = capsys.readouterr().out
         for name in ("demo", "ref", "tms320c25"):
             assert name in output
+
+
+class TestOptCommand:
+    def test_help_names_the_default_the_pipeline_runs(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["opt", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        default = ",".join(OptPipeline.DEFAULT_STAGES)
+        assert "(default: %s)" % default in help_text
+        for stage in OptPipeline.STAGES:
+            assert stage in help_text
+        assert main(["opt", "--kernel", "fir_loop"]) == 0
+        stages_section = capsys.readouterr().out.split("== stages ==")[1].split("==")[0]
+        ran = [line.split()[0] for line in stages_section.strip().splitlines()]
+        assert ",".join(ran) == default
 
 
 class TestFuzzCommand:

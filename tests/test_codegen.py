@@ -4,13 +4,16 @@ spilling, compaction, emission)."""
 import pytest
 
 from repro.codegen import (
+    BlockCode,
     CodeGenerationError,
     RTInstance,
+    StatementCode,
     compact,
+    compact_blocks,
     format_listing,
     insert_spills,
     schedule_instances,
-    select_block,
+    select_block_code,
 )
 from repro.codegen.compaction import code_size
 from repro.codegen.selection import build_subject_tree
@@ -25,7 +28,7 @@ def _codes(result, compiler_source, program_source):
     program = lower_to_program(program_source)
     binding = bind_program(program, result.netlist)
     selector = CodeSelector(result.grammar)
-    return program, select_block(program.single_block(), selector, binding)
+    return program, select_block_code(program.single_block(), selector, binding).codes
 
 
 class TestSubjectTrees:
@@ -82,7 +85,7 @@ class TestSelection:
         grammar = build_tree_grammar(tms_result.netlist, restricted)
         program = lower_to_program("int a, b, c, d; d = c + a * b;")
         binding = bind_program(program, tms_result.netlist)
-        codes = select_block(program.single_block(), CodeSelector(grammar), binding)
+        codes = select_block_code(program.single_block(), CodeSelector(grammar), binding).codes
         assert codes[0].cost > with_mac[0].cost
 
     def test_instance_describe(self, tms_result):
@@ -198,6 +201,26 @@ class TestCompaction:
         instances = [i for code in codes for i in code.instances]
         for word in compact(instances, enabled=True):
             assert word.condition is None or word.condition.satisfiable()
+
+    def test_only_a_real_cfg_gets_block_labels(self):
+        def code(*instances):
+            return StatementCode(statement=None, cost=len(instances), instances=list(instances))
+
+        def jump(target):
+            return code(RTInstance(kind="jump", result_id="br", result_storage="@pc",
+                                   targets=(target,)))
+
+        compute = code(RTInstance(kind="rt", result_id="tmp:0", result_storage="ACC"))
+        # One block without a branch: no label, and an empty program is 0 words.
+        assert [w.label for w in compact_blocks([BlockCode("entry", [compute])])] == [None]
+        assert compact_blocks([BlockCode("entry")]) == []
+        assert compact_blocks([]) == []
+        # One block ending in a branch is a CFG too.
+        loop = [BlockCode("entry", [compute], terminator_code=jump("entry"))]
+        assert [w.label for w in compact_blocks(loop)] == ["entry", None]
+        # Every block is labelled; an empty block gets a nop to anchor its label.
+        words = compact_blocks([BlockCode("entry", terminator_code=jump("exit")), BlockCode("exit")])
+        assert [(w.label, w.describe()) for w in words] == [("entry", "jump exit"), ("exit", "nop")]
 
 
 class TestEmitter:

@@ -234,7 +234,7 @@ class TestBackendCFG:
 
     def test_compiles_and_simulates_loop(self, session):
         result = session.compile(DOT_LOOP, name="dot")
-        assert result.is_multi_block
+        assert len(result.block_codes) > 1
         out = result.simulate(_dot_env())
         assert out["z"] == 30 and out["i"] == 4
 
@@ -324,21 +324,6 @@ class TestBackendCFG:
         result = session.compile(DOT_LOOP, name="dot")
         out = result.simulate(_dot_env())
         assert out["z"] == 30
-
-    def test_straight_line_simulation_rejects_cfg_code(self, session):
-        """The straight-line paths must fail loudly on a CFG's flat code
-        (a result without block_codes), never silently execute each block
-        once in layout order."""
-        import dataclasses
-
-        from repro.sim.rtsim import SimulationError
-
-        result = session.compile(DOT_LOOP, name="dot")
-        flat = dataclasses.replace(result, block_codes=())
-        assert not flat.is_multi_block
-        with pytest.raises(SimulationError):
-            flat.simulate(_dot_env())
-        assert flat.metrics.statement_count == result.metrics.statement_count
 
     def test_json_roundtrip_of_cfg_result(self, session):
         from repro.toolchain.results import CompilationResult

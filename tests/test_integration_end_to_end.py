@@ -12,7 +12,6 @@ import pytest
 
 from repro.baselines import hand_reference_size
 from repro.dspstone import all_kernel_names, kernel_program
-from repro.sim import simulate_statement_code
 from repro.toolchain import PipelineConfig, Session
 
 
@@ -96,7 +95,7 @@ class TestCrossTargetCompilation:
         from repro.frontend.lowering import lower_to_program
 
         reference = lower_to_program(self.SOURCE, name="cross").single_block().execute(env)
-        simulated = simulate_statement_code(list(compiled.statement_codes), env)
+        simulated = compiled.simulate(env)
         mask = 0xFFFF
         for key, value in reference.items():
             assert (value & mask) == (simulated.get(key, 0) & mask), (target, key)

@@ -14,7 +14,6 @@ from repro.codegen.selection import CodeGenerationError
 from repro.expansion.commutativity import swap_variants
 from repro.ir.expr import evaluate_expr
 from repro.ise import OpNode, RegLeaf
-from repro.sim import simulate_statement_code
 
 _VARIABLES = ["v0", "v1", "v2", "v3"]
 # Operators that every built-in DSP-style target supports on memory operands.
@@ -64,7 +63,7 @@ def test_generated_code_matches_reference_execution(tms_compiler, source, seed):
     rng = random.Random(seed)
     environment = {name: rng.randint(-100, 100) for name in _VARIABLES}
     reference = block.execute(environment)
-    simulated = simulate_statement_code(list(compiled.statement_codes), environment)
+    simulated = compiled.simulate(environment)
     mask = 0xFFFF
     for key, value in reference.items():
         assert (value & mask) == (simulated.get(key, 0) & mask)

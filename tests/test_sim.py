@@ -4,17 +4,9 @@ import random
 
 import pytest
 
-from repro.sim import (
-    RTSimulator,
-    SimulationError,
-    SimulationTrace,
-    simulate_statement_code,
-    trace_execution,
-)
-from repro.sim.rtsim import reference_execution
+from repro.sim import RTSimulator, SimulationError, SimulationTrace
 from repro.codegen.selection import RTInstance
 from repro.dspstone import kernel_program
-from repro.frontend import lower_to_program
 
 
 def _environment(block, seed=0):
@@ -31,22 +23,22 @@ class TestSimulatorBasics:
     def test_simple_statement(self, tms_compiler):
         compiled = tms_compiler.compile("int a, b, d; d = a + b;")
         env = {"a": 3, "b": 4}
-        result = simulate_statement_code(compiled.statement_codes, env)
+        result = compiled.simulate(env)
         assert result["d"] == 7
 
     def test_chained_mac_semantics(self, tms_compiler):
         compiled = tms_compiler.compile("int a, b, c, d; d = c + a * b;")
-        result = simulate_statement_code(compiled.statement_codes, {"a": 2, "b": 5, "c": 1})
+        result = compiled.simulate({"a": 2, "b": 5, "c": 1})
         assert result["d"] == 11
 
     def test_negative_values_wrap_to_word_width(self, tms_compiler):
         compiled = tms_compiler.compile("int a, b, d; d = a - b;")
-        result = simulate_statement_code(compiled.statement_codes, {"a": 1, "b": 2})
+        result = compiled.simulate({"a": 1, "b": 2})
         assert result["d"] == 0xFFFF
 
     def test_sequence_of_statements(self, tms_compiler):
         compiled = tms_compiler.compile("int a, b, c; b = a + a; c = b * a;")
-        result = simulate_statement_code(compiled.statement_codes, {"a": 3})
+        result = compiled.simulate({"a": 3})
         assert result["b"] == 6
         assert result["c"] == 18
 
@@ -66,11 +58,6 @@ class TestSimulatorBasics:
         simulator = RTSimulator()
         with pytest.raises(SimulationError):
             simulator._lookup_value("tmp:99")
-
-    def test_reference_execution_helper(self):
-        program = lower_to_program("int a, b; b = a * 3;")
-        env = reference_execution(program.single_block(), {"a": 4})
-        assert env["b"] == 12
 
 
 class TestKernelEquivalence:
@@ -96,7 +83,7 @@ class TestKernelEquivalence:
         compiled = tms_compiler.compile_program(program)
         block = program.single_block()
         env = _environment(block, seed=hash(kernel) & 0xFFFF)
-        assert _agrees(block.execute(env), simulate_statement_code(compiled.statement_codes, env))
+        assert _agrees(block.execute(env), compiled.simulate(env))
 
     @pytest.mark.parametrize("kernel", ["real_update", "dot_product", "biquad_one"])
     def test_kernel_on_demo_machine(self, demo_compiler, kernel):
@@ -104,7 +91,7 @@ class TestKernelEquivalence:
         compiled = demo_compiler.compile_program(program)
         block = program.single_block()
         env = _environment(block, seed=1)
-        assert _agrees(block.execute(env), simulate_statement_code(compiled.statement_codes, env))
+        assert _agrees(block.execute(env), compiled.simulate(env))
 
     def test_baseline_code_is_also_correct(self, tms_result):
         from repro.toolchain import PipelineConfig, Session
@@ -114,7 +101,7 @@ class TestKernelEquivalence:
         compiled = baseline.compile_program(program)
         block = program.single_block()
         env = _environment(block, seed=7)
-        assert _agrees(block.execute(env), simulate_statement_code(compiled.statement_codes, env))
+        assert _agrees(block.execute(env), compiled.simulate(env))
 
 
 class TestCrossTargetEquivalence:
@@ -134,9 +121,7 @@ class TestCrossTargetEquivalence:
         environments = {}
         for result in (tms_result, demo_result):
             compiled = Session(result).compile_program(program)
-            environments[result.processor] = simulate_statement_code(
-                compiled.statement_codes, env
-            )
+            environments[result.processor] = compiled.simulate(env)
         on_tms = environments["tms320c25"]
         on_demo = environments["demo"]
         # both targets match the golden model ...
@@ -175,13 +160,15 @@ class TestCrossTargetEquivalence:
 
 
 class TestTraceHelpers:
-    def test_trace_execution_records_statements_in_order(self, tms_compiler):
+    def test_trace_records_statements_in_order(self, tms_compiler):
         compiled = tms_compiler.compile("int a, b, c; b = a + a; c = b * a;")
-        trace = trace_execution(list(compiled.statement_codes), {"a": 3})
+        trace = compiled.simulation_trace({"a": 3})
         assert [step.statement for step in trace.steps] == [
             "b = add(a, a)",
             "c = mul(b, a)",
         ]
+        # A straight-line program runs as a one-block CFG.
+        assert [step.block for step in trace.steps] == ["entry", "entry"]
         assert trace.steps[0].environment["b"] == 6
         assert trace.steps[1].environment["c"] == 18
         assert trace.initial_environment == {"a": 3}
@@ -191,6 +178,6 @@ class TestTraceHelpers:
         import json
 
         compiled = tms_compiler.compile("int a, b; b = a + 1;")
-        trace = trace_execution(list(compiled.statement_codes), {"a": 1})
+        trace = compiled.simulation_trace({"a": 1})
         encoded = json.dumps(trace.to_dict())
         assert json.loads(encoded)["final_environment"]["b"] == 2

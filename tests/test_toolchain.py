@@ -20,7 +20,6 @@ from repro.hdl.errors import HdlParseError
 from repro.ir.expr import Const
 from repro.ir.program import Statement
 from repro.toolchain import (
-    PRESETS,
     Pass,
     PassManager,
     PipelineConfig,
@@ -117,10 +116,6 @@ class TestPipeline:
     def test_no_opt_preset_drops_optimizer(self):
         manager = PassManager.from_config(PipelineConfig.preset("no-opt"))
         assert manager.names() == ["select", "schedule", "spill", "compact"]
-
-    def test_config_pass_names_match_manager(self):
-        for config in PRESETS.values():
-            assert PassManager.from_config(config).names() == config.pass_names()
 
     def test_encode_pass_appended(self):
         manager = PassManager.from_config(PipelineConfig(encode=True))

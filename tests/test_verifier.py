@@ -420,8 +420,11 @@ class TestPipelineVerifierHook:
         i1 = _compute("add", "tmp:1", "R", [("var:b", "DMEM")])
         i2 = _compute("add", "tmp:2", "ACC", [("tmp:0", "R")], defines="out")
         state = CompilationState(program=_branching_program())
-        state.statement_codes = [
-            StatementCode(statement=None, cost=0, instances=[i0, i1, i2])
+        state.block_codes = [
+            BlockCode(
+                name="entry",
+                codes=[StatementCode(statement=None, cost=0, instances=[i0, i1, i2])],
+            )
         ]
         verifier = PipelineVerifier(registers=REGISTERS)
         with pytest.raises(VerificationError) as excinfo:
