@@ -5,6 +5,12 @@ node index so that equality of functions is pointer (index) equality.  The
 variable order is the order in which variables are first declared, which for
 instruction-set extraction means instruction-word bits followed by
 mode-register bits -- a natural and effective order for decoder logic.
+
+Each connective (``and``, ``or``, ``xor``, ``not``) is its own recursion
+with its terminal cases inlined and its own computed table keyed by an
+integer built from the (ordered) operand indices.  A pickled manager
+stores only its node list and variable order: the unique table is rebuilt
+on load and the computed tables start empty.
 """
 
 from __future__ import annotations
@@ -36,15 +42,15 @@ class BDD:
 
     def __and__(self, other: "BDD") -> "BDD":
         self._check(other)
-        return BDD(self.manager, self.manager._apply("and", self.node, other.node))
+        return BDD(self.manager, self.manager._and(self.node, other.node))
 
     def __or__(self, other: "BDD") -> "BDD":
         self._check(other)
-        return BDD(self.manager, self.manager._apply("or", self.node, other.node))
+        return BDD(self.manager, self.manager._or(self.node, other.node))
 
     def __xor__(self, other: "BDD") -> "BDD":
         self._check(other)
-        return BDD(self.manager, self.manager._apply("xor", self.node, other.node))
+        return BDD(self.manager, self.manager._xor(self.node, other.node))
 
     def __invert__(self) -> "BDD":
         return BDD(self.manager, self.manager._negate(self.node))
@@ -115,7 +121,7 @@ class BDD:
 
 
 class BDDManager:
-    """Owns BDD nodes, the unique table and the operation cache."""
+    """Owns BDD nodes, the unique table and the computed tables."""
 
     FALSE = 0
     TRUE = 1
@@ -123,23 +129,46 @@ class BDDManager:
     def __init__(self) -> None:
         # node storage: (level, low, high); indices 0/1 are the terminals.
         self._nodes: List[Tuple[int, int, int]] = [(-1, -1, -1), (-1, -1, -1)]
-        self._unique: Dict[Tuple[int, int, int], int] = {}
-        self._cache: Dict[Tuple[str, int, int], int] = {}
         self._var_names: List[str] = []
-        self._var_levels: Dict[str, int] = {}
+        self._derive()
+
+    def _derive(self) -> None:
+        """Build everything the node list and the variable order determine."""
+        nodes = self._nodes
+        self._unique: Dict[Tuple[int, int, int], int] = {
+            nodes[index]: index for index in range(2, len(nodes))
+        }
+        self._var_levels: Dict[str, int] = {
+            name: level for level, name in enumerate(self._var_names)
+        }
+        # Computed tables: (smaller << 32 | larger) operand index -> result.
+        self._and_cache: Dict[int, int] = {}
+        self._or_cache: Dict[int, int] = {}
+        self._xor_cache: Dict[int, int] = {}
+        self._not_cache: Dict[int, int] = {}
+        self._true = BDD(self, self.TRUE)
+        self._false = BDD(self, self.FALSE)
+
+    def __getstate__(self):
+        return {"nodes": self._nodes, "variables": self._var_names}
+
+    def __setstate__(self, state) -> None:
+        self._nodes = state["nodes"]
+        self._var_names = state["variables"]
+        self._derive()
 
     # -- construction ---------------------------------------------------------
 
     @property
     def true(self) -> BDD:
-        return BDD(self, self.TRUE)
+        return self._true
 
     @property
     def false(self) -> BDD:
-        return BDD(self, self.FALSE)
+        return self._false
 
     def constant(self, value: bool) -> BDD:
-        return self.true if value else self.false
+        return self._true if value else self._false
 
     def variable(self, name: str) -> BDD:
         """Return (declaring on first use) the BDD for a single variable."""
@@ -169,77 +198,95 @@ class BDDManager:
             self._unique[key] = node
         return node
 
-    def _level(self, node: int) -> int:
-        if node in (self.FALSE, self.TRUE):
-            return len(self._var_names) + 10_000_000
-        return self._nodes[node][0]
+    # The three binary connectives share one shape: order the operands
+    # (each is commutative), settle the terminal cases, look up the computed
+    # table, then split both operands on the top variable, low side first.
+    # Terminals (indices 0 and 1) sit below every variable, so past the
+    # terminal cases both operands are inner nodes.
 
-    def _apply(self, op: str, a: int, b: int) -> int:
-        terminal = self._apply_terminal(op, a, b)
-        if terminal is not None:
-            return terminal
-        # normalise commutative operations for better cache hits
-        key_a, key_b = (a, b) if a <= b else (b, a)
-        cache_key = (op, key_a, key_b)
-        hit = self._cache.get(cache_key)
-        if hit is not None:
-            return hit
-        la, lb = self._level(a), self._level(b)
-        level = min(la, lb)
-        a_low, a_high = (self._nodes[a][1], self._nodes[a][2]) if la == level else (a, a)
-        b_low, b_high = (self._nodes[b][1], self._nodes[b][2]) if lb == level else (b, b)
-        low = self._apply(op, a_low, b_low)
-        high = self._apply(op, a_high, b_high)
-        result = self._mk(level, low, high)
-        self._cache[cache_key] = result
+    def _and(self, a: int, b: int) -> int:
+        if a > b:
+            a, b = b, a
+        if a <= self.TRUE:
+            return b if a else a
+        if a == b:
+            return a
+        key = a << 32 | b
+        result = self._and_cache.get(key)
+        if result is None:
+            a_level, a_low, a_high = self._nodes[a]
+            b_level, b_low, b_high = self._nodes[b]
+            if a_level == b_level:
+                low = self._and(a_low, b_low)
+                high = self._and(a_high, b_high)
+            elif a_level < b_level:
+                low = self._and(a_low, b)
+                high = self._and(a_high, b)
+            else:
+                a_level = b_level
+                low = self._and(a, b_low)
+                high = self._and(a, b_high)
+            result = self._and_cache[key] = self._mk(a_level, low, high)
         return result
 
-    def _apply_terminal(self, op: str, a: int, b: int) -> Optional[int]:
-        if op == "and":
-            if a == self.FALSE or b == self.FALSE:
-                return self.FALSE
-            if a == self.TRUE:
-                return b
-            if b == self.TRUE:
-                return a
-            if a == b:
-                return a
-        elif op == "or":
-            if a == self.TRUE or b == self.TRUE:
-                return self.TRUE
-            if a == self.FALSE:
-                return b
-            if b == self.FALSE:
-                return a
-            if a == b:
-                return a
-        elif op == "xor":
-            if a == b:
-                return self.FALSE
-            if a == self.FALSE:
-                return b
-            if b == self.FALSE:
-                return a
-            if a == self.TRUE:
-                return self._negate(b)
-            if b == self.TRUE:
-                return self._negate(a)
-        else:
-            raise ValueError("unknown BDD operation: %r" % op)
-        return None
+    def _or(self, a: int, b: int) -> int:
+        if a > b:
+            a, b = b, a
+        if a <= self.TRUE:
+            return a if a else b
+        if a == b:
+            return a
+        key = a << 32 | b
+        result = self._or_cache.get(key)
+        if result is None:
+            a_level, a_low, a_high = self._nodes[a]
+            b_level, b_low, b_high = self._nodes[b]
+            if a_level == b_level:
+                low = self._or(a_low, b_low)
+                high = self._or(a_high, b_high)
+            elif a_level < b_level:
+                low = self._or(a_low, b)
+                high = self._or(a_high, b)
+            else:
+                a_level = b_level
+                low = self._or(a, b_low)
+                high = self._or(a, b_high)
+            result = self._or_cache[key] = self._mk(a_level, low, high)
+        return result
+
+    def _xor(self, a: int, b: int) -> int:
+        if a == b:
+            return self.FALSE
+        if a > b:
+            a, b = b, a
+        if a <= self.TRUE:
+            return self._negate(b) if a else b
+        key = a << 32 | b
+        result = self._xor_cache.get(key)
+        if result is None:
+            a_level, a_low, a_high = self._nodes[a]
+            b_level, b_low, b_high = self._nodes[b]
+            if a_level == b_level:
+                low = self._xor(a_low, b_low)
+                high = self._xor(a_high, b_high)
+            elif a_level < b_level:
+                low = self._xor(a_low, b)
+                high = self._xor(a_high, b)
+            else:
+                a_level = b_level
+                low = self._xor(a, b_low)
+                high = self._xor(a, b_high)
+            result = self._xor_cache[key] = self._mk(a_level, low, high)
+        return result
 
     def _negate(self, node: int) -> int:
-        if node == self.FALSE:
-            return self.TRUE
-        if node == self.TRUE:
-            return self.FALSE
-        cache_key = ("not", node, node)
-        hit = self._cache.get(cache_key)
-        if hit is not None:
-            return hit
-        level, low, high = self._nodes[node]
-        result = self._mk(level, self._negate(low), self._negate(high))
-        self._cache[cache_key] = result
+        if node <= self.TRUE:
+            return self.TRUE - node
+        result = self._not_cache.get(node)
+        if result is None:
+            level, low, high = self._nodes[node]
+            result = self._mk(level, self._negate(low), self._negate(high))
+            self._not_cache[node] = result
         return result
 
     def _support(self, node: int) -> List[str]:

@@ -1,10 +1,17 @@
-"""Lexer for the MIMOLA-inspired HDL."""
+"""Lexer for the MIMOLA-inspired HDL.
+
+One compiled regular expression scans the text, as in
+:mod:`repro.frontend.lexer`: each match is one token together with the
+blanks in front of it.  A token's column is its offset from the start of
+its line, so a ``--`` comment advances the position like any other text
+and the end-of-input token sits where the text ends.
+"""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List
+import re
+from typing import List, NamedTuple
 
 from repro.hdl.errors import HdlParseError
 
@@ -37,49 +44,49 @@ KEYWORDS = {
     "depth",
 }
 
-# Longest operators first so that e.g. "<<" is not read as two "<".
-_OPERATORS = [
-    ":=",
-    "=>",
-    "->",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "<<",
-    ">>",
-    "+",
-    "-",
-    "*",
-    "/",
-    "%",
-    "&",
-    "|",
-    "^",
-    "~",
-    "!",
-    "<",
-    ">",
-]
 
-_PUNCT = [";", ":", ".", ",", "[", "]", "(", ")"]
-
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     line: int
     column: int
 
     def is_keyword(self, word: str) -> bool:
-        return self.kind == TokenKind.KEYWORD and self.text == word
+        return self.kind is TokenKind.KEYWORD and self.text == word
 
     def is_operator(self, op: str) -> bool:
-        return self.kind == TokenKind.OPERATOR and self.text == op
+        return self.kind is TokenKind.OPERATOR and self.text == op
 
     def is_punct(self, punct: str) -> bool:
-        return self.kind == TokenKind.PUNCT and self.text == punct
+        return self.kind is TokenKind.PUNCT and self.text == punct
+
+
+#: Blanks, then one alternative per token class, tried in this order.  The
+#: groups are numbered: 1 newline, 2 comment, 3 word, 4 number, 5 operator,
+#: 6 punctuation, 7 any other character (see :func:`tokenize`); blanks at
+#: the end of the text match with no group.  Word and number *starts* are
+#: ASCII here; ``\w`` continues a word over exactly ``str.isalnum`` plus
+#: ``_``.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(\n)|(--[^\n]*)|([A-Za-z_]\w*)|([0-9][^\W_]*)"
+    # Longest first so that "<<" wins over "<" and ":=" over ":".
+    r"|(:=|=>|->|==|!=|<=|>=|<<|>>|[-+*/%&|^~!<>])"
+    r"|([;:.,\[\]()])"
+    r"|(.)|$)"
+)
+_WORD_TAIL = re.compile(r"\w*")
+_NUMBER_TAIL = re.compile(r"[^\W_]*")
+
+
+def _number(text: str, line: int, column: int) -> Token:
+    try:
+        int(text, 0)
+    except ValueError:
+        # Reported at the column just past the literal.
+        raise HdlParseError(
+            "invalid number literal %r" % text, line, column + len(text)
+        )
+    return Token(TokenKind.NUMBER, text, line, column)
 
 
 def tokenize(source: str) -> List[Token]:
@@ -89,70 +96,44 @@ def tokenize(source: str) -> List[Token]:
     be decimal, hexadecimal (``0x..``) or binary (``0b..``).
     """
     tokens: List[Token] = []
-    line = 1
-    column = 1
+    append = tokens.append
+    match = _TOKEN.match
+    keyword, ident = TokenKind.KEYWORD, TokenKind.IDENT
+    operator, punct = TokenKind.OPERATOR, TokenKind.PUNCT
     index = 0
+    line = 1
+    line_start = -1  # the index before the line's first character
     length = len(source)
-
-    def error(message: str) -> HdlParseError:
-        return HdlParseError(message, line, column)
-
     while index < length:
-        char = source[index]
-        if char == "\n":
+        found = match(source, index)
+        group = found.lastindex
+        index = found.end()
+        if group == 3:
+            text = found.group(3)
+            column = found.start(3) - line_start
+            append(Token(keyword if text in KEYWORDS else ident, text, line, column))
+        elif group == 5:
+            append(Token(operator, found.group(5), line, found.start(5) - line_start))
+        elif group == 6:
+            append(Token(punct, found.group(6), line, found.start(6) - line_start))
+        elif group == 1:
             line += 1
-            column = 1
-            index += 1
-            continue
-        if char in " \t\r":
-            index += 1
-            column += 1
-            continue
-        if source.startswith("--", index):
-            while index < length and source[index] != "\n":
-                index += 1
-            continue
-        if char.isalpha() or char == "_":
-            start = index
-            start_column = column
-            while index < length and (source[index].isalnum() or source[index] == "_"):
-                index += 1
-                column += 1
-            text = source[start:index]
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, text, line, start_column))
-            continue
-        if char.isdigit():
-            start = index
-            start_column = column
-            while index < length and (
-                source[index].isalnum() or source[index] in "xXbB"
-            ):
-                index += 1
-                column += 1
-            text = source[start:index]
-            try:
-                int(text, 0)
-            except ValueError:
-                raise error("invalid number literal %r" % text)
-            tokens.append(Token(TokenKind.NUMBER, text, line, start_column))
-            continue
-        matched = False
-        for operator in _OPERATORS:
-            if source.startswith(operator, index):
-                tokens.append(Token(TokenKind.OPERATOR, operator, line, column))
-                index += len(operator)
-                column += len(operator)
-                matched = True
-                break
-        if matched:
-            continue
-        if char in _PUNCT:
-            tokens.append(Token(TokenKind.PUNCT, char, line, column))
-            index += 1
-            column += 1
-            continue
-        raise error("unexpected character %r" % char)
-
-    tokens.append(Token(TokenKind.EOF, "", line, column))
+            line_start = index - 1
+        elif group == 4:
+            append(_number(found.group(4), line, found.start(4) - line_start))
+        elif group == 7:
+            # Not an ASCII token start: a non-ASCII letter starts a word and
+            # a non-ASCII digit a number; anything else is an error.
+            start = found.start(7)
+            char = found.group(7)
+            column = start - line_start
+            if char.isalpha():
+                index = _WORD_TAIL.match(source, index).end()
+                append(Token(ident, source[start:index], line, column))
+            elif char.isdigit():
+                index = _NUMBER_TAIL.match(source, index).end()
+                append(_number(source[start:index], line, column))
+            else:
+                raise HdlParseError("unexpected character %r" % char, line, column)
+    append(Token(TokenKind.EOF, "", line, length - line_start))
     return tokens

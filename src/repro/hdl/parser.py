@@ -58,6 +58,11 @@ _BINARY_LEVELS = [
     ["+", "-"],
     ["*", "/", "%"],
 ]
+_PRECEDENCE = {
+    operator: level
+    for level, operators in enumerate(_BINARY_LEVELS)
+    for operator in operators
+}
 
 
 class _Parser:
@@ -282,16 +287,20 @@ class _Parser:
 
     # -- expressions --------------------------------------------------------------
 
-    def _parse_expression(self, level: int = 0) -> HdlExpr:
-        if level >= len(_BINARY_LEVELS):
-            return self._parse_unary()
-        left = self._parse_expression(level + 1)
-        operators = _BINARY_LEVELS[level]
-        while self._peek().kind == TokenKind.OPERATOR and self._peek().text in operators:
-            operator = self._advance().text
+    def _parse_expression(self, min_level: int = 0) -> HdlExpr:
+        """Precedence climbing: operators of ``min_level`` and tighter bind
+        here, left-associatively; a right operand takes only tighter ones."""
+        left = self._parse_unary()
+        while True:
+            token = self._peek()
+            if token.kind is not TokenKind.OPERATOR:
+                return left
+            level = _PRECEDENCE.get(token.text, -1)
+            if level < min_level:
+                return left
+            self._advance()
             right = self._parse_expression(level + 1)
-            left = BinaryExpr(operator=operator, left=left, right=right)
-        return left
+            left = BinaryExpr(operator=token.text, left=left, right=right)
 
     def _parse_unary(self) -> HdlExpr:
         token = self._peek()

@@ -11,7 +11,7 @@ Python:
   the reduce pass walks the optimal derivation top-down;
 * :mod:`repro.selector.emit` -- generation of a stand-alone, grammar-specific
   matcher module, mirroring iburg's generated C parser: a fixed bottom-up
-  labeller over the tables below, carried as one JSON string;
+  labeller over the tables below, carried as one pickle payload;
 * :mod:`repro.selector.tables` -- the precomputed rule tables both build
   on (the grammar's depth-one normal form and its chain closure).
 """

@@ -11,11 +11,21 @@ share of table 3.
 The module is a fixed matcher over tables that depend on the grammar: the
 depth-one normal form and the precomputed chain closure of
 :class:`~repro.selector.tables.GrammarTables`, plus the rules and symbol
-sets.  All tables travel as one JSON string literal that the module
-decodes with :func:`json.loads` at import, so it needs nothing beyond the
-standard library.  A string literal costs ``compile()`` next to nothing
-and the decoder is native code, whereas the same tables written as nested
-tuple literals made ``compile()`` the dominant cost of a retarget.
+sets.  All tables travel as one bytes literal that the module decodes with
+:func:`pickle.loads` at import, straight into the tuples and dicts the
+matcher reads, so it needs nothing beyond the standard library and
+converts nothing.  A bytes literal costs ``compile()`` little and the
+decoder is native code, whereas the same tables written as nested tuple
+literals made ``compile()`` the dominant cost of a retarget.
+
+The payload must depend on the grammar alone, yet pickle writes a
+back-reference wherever one object occurs twice, so a raw payload follows
+how the tables happen to share objects (a freshly built result and one
+read back from the retarget cache differ).  :func:`_tables` therefore
+hash-conses every string and tuple it takes from the grammar: equal values
+become one object, shared exactly when they are equal.  That also makes
+the payload small and the decoded tables share their repeated symbols and
+leaf specs.
 
 The module's ``label`` is a plain bottom-up dynamic program over the same
 depth-one rules and closure the library's
@@ -28,9 +38,8 @@ generated statements, and imports the module in an isolated interpreter.
 
 from __future__ import annotations
 
-import json
+import pickle
 import types
-from typing import Dict, List
 
 from repro.grammar.grammar import TreeGrammar
 from repro.selector.tables import GrammarTables
@@ -38,7 +47,7 @@ from repro.selector.tables import GrammarTables
 _MODULE_TEMPLATE = '''"""Generated code selector for processor {processor}.
 
 This module was emitted by repro.selector.emit; do not edit by hand.  It
-needs only the standard library.  Its tables come from one JSON string:
+needs only the standard library.  Its tables come from one pickle payload:
 
 RULES[i] is grammar rule i as (lhs, pattern text, cost).
 
@@ -57,24 +66,10 @@ entries in deterministic (cost, rule-index path) order.
 Subject nodes need ``label``, ``children`` and ``const_value``.
 """
 
-import json
+import pickle
 
-_TABLES = json.loads({tables!r})
-
-PROCESSOR = _TABLES["processor"]
-START = _TABLES["start"]
-RULES = tuple(map(tuple, _TABLES["rules"]))
-SHAPES = {{
-    (label, arity): tuple(map(tuple, entries))
-    for label, arity, entries in _TABLES["shapes"]
-}}
-CLOSURE = {{
-    source: tuple(map(tuple, entries))
-    for source, entries in _TABLES["closure"].items()
-}}
-TERMINALS = tuple(_TABLES["terminals"])
-NONTERMINALS = tuple(_TABLES["nonterminals"])
-del _TABLES
+(PROCESSOR, START, RULES, SHAPES, CLOSURE, TERMINALS,
+ NONTERMINALS) = pickle.loads({tables!r})
 
 
 def _post_order(root):
@@ -155,45 +150,65 @@ def reduce(root, goal=START):
 '''
 
 
-def _tables_json(grammar: TreeGrammar, tables: GrammarTables) -> str:
-    shapes: List[list] = [
-        [
-            label,
-            arity,
+#: Fixed, so that the emitted text does not follow the running Python's
+#: default protocol.
+_PICKLE_PROTOCOL = 4
+
+
+def _tables(grammar: TreeGrammar, tables: GrammarTables) -> tuple:
+    """The module's tables, every equal string and tuple in them one
+    object (see the module docstring)."""
+    memo: dict = {}
+
+    def shared(value):
+        found = memo.get(value)
+        if found is None:
+            if type(value) is tuple:
+                found = tuple([shared(item) for item in value])
+            else:
+                found = value
+            memo[value] = found
+        return found
+
+    shapes = {
+        shared(shape_key): tuple(
             [
-                [
+                (
                     shape.value,
-                    shape.operands,
+                    shared(shape.operands),
                     shape.cost,
-                    shape.lhs,
+                    shared(shape.lhs),
                     None if shape.rule is None else shape.rule.index,
-                    shape.leaves,
-                ]
+                    shared(shape.leaves),
+                )
                 for shape in group
-            ],
-        ]
-        for (label, arity), group in tables.shape_rules.items()
-    ]
-    closure: Dict[str, List[list]] = {
-        source: [
-            [target, delta, rule_path[-1].index, rule_path[-1].pattern.name]
-            for target, delta, rule_path in entries
-        ]
+            ]
+        )
+        for shape_key, group in tables.shape_rules.items()
+    }
+    closure = {
+        shared(source): tuple(
+            [
+                (shared(target), delta, path[-1].index, shared(path[-1].pattern.name))
+                for target, delta, path in entries
+            ]
+        )
         for source, entries in tables.chain_closure.items()
     }
-    return json.dumps(
-        {
-            "processor": grammar.processor,
-            "start": grammar.start,
-            "rules": [
-                [rule.lhs, str(rule.pattern), rule.cost] for rule in grammar.rules
-            ],
-            "shapes": shapes,
-            "closure": closure,
-            "terminals": sorted(grammar.terminals),
-            "nonterminals": sorted(grammar.nonterminals),
-        },
-        separators=(",", ":"),
+    rules = tuple(
+        [
+            (shared(rule.lhs), shared(str(rule.pattern)), rule.cost)
+            for rule in grammar.rules
+        ]
+    )
+    return (
+        shared(grammar.processor),
+        shared(grammar.start),
+        rules,
+        shapes,
+        closure,
+        shared(tuple(sorted(grammar.terminals))),
+        shared(tuple(sorted(grammar.nonterminals))),
     )
 
 
@@ -201,9 +216,8 @@ def emit_matcher_source(grammar: TreeGrammar, tables: GrammarTables = None) -> s
     """Python source of a stand-alone, table-driven matcher for ``grammar``."""
     if tables is None:
         tables = GrammarTables.build(grammar)
-    return _MODULE_TEMPLATE.format(
-        processor=grammar.processor, tables=_tables_json(grammar, tables)
-    )
+    payload = pickle.dumps(_tables(grammar, tables), protocol=_PICKLE_PROTOCOL)
+    return _MODULE_TEMPLATE.format(processor=grammar.processor, tables=payload)
 
 
 def compile_matcher_module(

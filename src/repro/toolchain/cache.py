@@ -39,7 +39,10 @@ from repro.record.retarget import RetargetResult, retarget
 #: 4: pickled GrammarTables lost the match programs and the dense ids.
 #: 5: pattern nodes are hash-consed and pickle as constructor calls, so
 #:    shared sub-patterns are stored once.
-CACHE_FORMAT_VERSION = 5
+#: 6: a pickled BDDManager holds only its node list and variable order;
+#:    the unique table and the per-operation computed tables are rebuilt
+#:    (empty) on load.
+CACHE_FORMAT_VERSION = 6
 
 _LOAD_LOCK = threading.Lock()
 

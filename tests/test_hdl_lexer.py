@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hdl import HdlParseError, TokenKind, tokenize
+from repro.hdl import HdlParseError, TokenKind, parse_processor, tokenize
 
 
 class TestTokens:
@@ -52,6 +52,15 @@ class TestTokens:
         tokens = tokenize("")
         assert len(tokens) == 1
         assert tokens[0].kind == TokenKind.EOF
+
+    def test_end_of_input_after_a_trailing_comment(self):
+        """A comment advances the column: end-of-input errors point past
+        the text's last character, not at the comment's start."""
+        text = "processor x; module M in a : 4; -- trailing"
+        assert (tokenize(text)[-1].line, tokenize(text)[-1].column) == (1, 44)
+        with pytest.raises(HdlParseError) as excinfo:
+            parse_processor(text)
+        assert str(excinfo.value).startswith("line 1, column 44: ")
 
     def test_token_predicates(self):
         tokens = tokenize("module ; :=")

@@ -1,6 +1,7 @@
 """Unit tests for the generated (emitted) matcher module."""
 
 import json
+import pickle
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ from repro.fuzz.generator import generate_source
 from repro.ir.binding import BindingError, bind_program
 from repro.selector import CodeSelector, SubjectNode, compile_matcher_module, emit_matcher_source
 from repro.selector.burs import SelectionError
+from repro.toolchain import default_registry
 
 
 def _subjects(program, netlist):
@@ -27,6 +29,79 @@ def _subjects(program, netlist):
         for block in program.blocks
         for statement in block.statements
     ]
+
+
+def _as_tuples(value):
+    """``value`` with every list, at any depth, made a tuple."""
+    if isinstance(value, list):
+        return tuple(_as_tuples(item) for item in value)
+    return value
+
+
+def json_era_tables(grammar, tables):
+    """The module's tables as the JSON-era emitter encoded them and its
+    module decoded them, lists made tuples: the oracle of the pickled
+    tables."""
+    text = json.dumps(
+        {
+            "processor": grammar.processor,
+            "start": grammar.start,
+            "rules": [
+                [rule.lhs, str(rule.pattern), rule.cost] for rule in grammar.rules
+            ],
+            "shapes": [
+                [
+                    label,
+                    arity,
+                    [
+                        [shape.value, shape.operands, shape.cost, shape.lhs,
+                         None if shape.rule is None else shape.rule.index,
+                         shape.leaves]
+                        for shape in group
+                    ],
+                ]
+                for (label, arity), group in tables.shape_rules.items()
+            ],
+            "closure": {
+                source: [
+                    [target, delta, path[-1].index, path[-1].pattern.name]
+                    for target, delta, path in entries
+                ]
+                for source, entries in tables.chain_closure.items()
+            },
+            "terminals": sorted(grammar.terminals),
+            "nonterminals": sorted(grammar.nonterminals),
+        },
+        separators=(",", ":"),
+    )
+    decoded = json.loads(text)
+    return {
+        "PROCESSOR": decoded["processor"],
+        "START": decoded["start"],
+        "RULES": _as_tuples(decoded["rules"]),
+        "SHAPES": {
+            (label, arity): _as_tuples(entries)
+            for label, arity, entries in decoded["shapes"]
+        },
+        "CLOSURE": {
+            source: _as_tuples(entries)
+            for source, entries in decoded["closure"].items()
+        },
+        "TERMINALS": _as_tuples(decoded["terminals"]),
+        "NONTERMINALS": _as_tuples(decoded["nonterminals"]),
+    }
+
+
+def _value_types(value):
+    """The types of every object reachable through tuples and dicts."""
+    types = {type(value)}
+    if isinstance(value, dict):
+        for key, item in value.items():
+            types |= _value_types(key) | _value_types(item)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            types |= _value_types(item)
+    return types
 
 
 def _assert_agrees(module, selector, subject):
@@ -82,6 +157,34 @@ class TestEmittedMatcher:
             )
             for source, entries in tables.chain_closure.items()
         }
+
+    @pytest.mark.parametrize("target", default_registry().names())
+    def test_module_tables_equal_the_json_era_tables(self, target, retarget_results):
+        """The pickled tables decode to exactly what the JSON-era module
+        built, with tuples where it had lists, and hold no list at all."""
+        result = retarget_results[target]
+        module = result.matcher_module
+        expected = json_era_tables(result.grammar, result.selector.tables)
+        for name, value in expected.items():
+            assert getattr(module, name) == value, name
+            assert _value_types(getattr(module, name)) <= {
+                tuple, dict, str, int, type(None)
+            }, name
+        assert list(module.SHAPES) == list(expected["SHAPES"])
+        assert list(module.CLOSURE) == list(expected["CLOSURE"])
+
+    @pytest.mark.parametrize("target", default_registry().names())
+    def test_emitted_text_depends_on_the_grammar_alone(self, target, retarget_results):
+        """The same text for a fresh retarget, for that result after a
+        pickle round trip (what a disk-tier cache hit regenerates from) and
+        for a second emission in a row."""
+        result = retarget_results[target]
+        fresh = emit_matcher_source(result.grammar, result.selector.tables)
+        again = emit_matcher_source(result.grammar, result.selector.tables)
+        loaded = pickle.loads(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+        reloaded = emit_matcher_source(loaded.grammar, loaded.selector.tables)
+        assert fresh == again
+        assert fresh == reloaded
 
     def test_generated_matcher_agrees_with_library_selector(self, demo_result):
         module = compile_matcher_module(demo_result.grammar)

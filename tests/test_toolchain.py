@@ -469,12 +469,12 @@ class TestRetargetCache:
         re-retargeted result succeeds."""
         from repro.toolchain import cache as cache_module
 
-        monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", 4)
+        monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", 5)
         RetargetCache(directory=tmp_path).get_or_retarget(
             demo_hdl, generate_matcher=False
         )
         monkeypatch.undo()
-        assert cache_module.CACHE_FORMAT_VERSION == 5
+        assert cache_module.CACHE_FORMAT_VERSION == 6
         fresh = RetargetCache(directory=tmp_path)
         result, hit = fresh.get_or_retarget(demo_hdl, generate_matcher=False)
         assert not hit
