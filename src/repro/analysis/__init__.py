@@ -30,6 +30,7 @@ from repro.analysis.dominators import (
 from repro.analysis.lints import lint_grammar, lint_target
 from repro.analysis.liveness import LivenessResult, liveness
 from repro.analysis.loops import (
+    BlockStructure,
     LoopNestingForest,
     NaturalLoop,
     back_edges,
@@ -71,6 +72,7 @@ __all__ = [
     "liveness",
     "NaturalLoop",
     "LoopNestingForest",
+    "BlockStructure",
     "back_edges",
     "naive_back_edges",
     "natural_loops",

@@ -33,20 +33,19 @@ class ControlFlowGraph:
     def __init__(self, entry: str, edges: Mapping[str, Sequence[str]]):
         self.entry = entry
         self.names: List[str] = reverse_postorder(entry, edges)
-        reachable = set(self.names)
-        self.successors: Dict[str, Tuple[str, ...]] = {
-            name: tuple(t for t in edges[name] if t in reachable)
-            for name in self.names
+        self.rpo_index: Dict[str, int] = {
+            name: index for index, name in enumerate(self.names)
         }
+        reachable = self.rpo_index
+        self.successors: Dict[str, Tuple[str, ...]] = {}
         predecessors: Dict[str, List[str]] = {name: [] for name in self.names}
         for name in self.names:
-            for target in self.successors[name]:
+            targets = tuple([target for target in edges[name] if target in reachable])
+            self.successors[name] = targets
+            for target in targets:
                 predecessors[target].append(name)
         self.predecessors: Dict[str, Tuple[str, ...]] = {
             name: tuple(preds) for name, preds in predecessors.items()
-        }
-        self.rpo_index: Dict[str, int] = {
-            name: index for index, name in enumerate(self.names)
         }
 
     @classmethod

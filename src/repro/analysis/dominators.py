@@ -21,38 +21,38 @@ def immediate_dominators(cfg: ControlFlowGraph) -> Dict[str, Optional[str]]:
     The entry block maps to ``None``; every other reachable block maps to
     its unique immediate dominator.
     """
-    if not cfg.names:
+    names = cfg.names
+    if not names:
         return {}
+    # Blocks are their RPO numbers here; the entry is 0 and points at
+    # itself (the classic sentinel), -1 marks a block not reached yet.
     index = cfg.rpo_index
-    # idom numbering during iteration: entry points at itself (the
-    # classic sentinel), translated to None on return.
-    idom: Dict[str, str] = {cfg.entry: cfg.entry}
-
-    def intersect(a: str, b: str) -> str:
-        while a != b:
-            while index[a] > index[b]:
-                a = idom[a]
-            while index[b] > index[a]:
-                b = idom[b]
-        return a
-
+    predecessors = [[index[pred] for pred in cfg.predecessors[name]] for name in names]
+    idom = [-1] * len(names)
+    idom[0] = 0
     changed = True
     while changed:
         changed = False
-        for block in cfg.names:
-            if block == cfg.entry:
-                continue
-            processed = [p for p in cfg.predecessors[block] if p in idom]
-            if not processed:
-                continue
-            new_idom = processed[0]
-            for pred in processed[1:]:
-                new_idom = intersect(pred, new_idom)
-            if idom.get(block) != new_idom:
+        for block in range(1, len(names)):
+            new_idom = -1
+            for pred in predecessors[block]:
+                if idom[pred] < 0:
+                    continue
+                if new_idom < 0:
+                    new_idom = pred
+                    continue
+                finger = pred
+                while finger != new_idom:  # intersect
+                    while finger > new_idom:
+                        finger = idom[finger]
+                    while new_idom > finger:
+                        new_idom = idom[new_idom]
+            if new_idom >= 0 and idom[block] != new_idom:
                 idom[block] = new_idom
                 changed = True
     return {
-        block: (None if block == cfg.entry else idom[block]) for block in cfg.names
+        name: (None if number == 0 else names[idom[number]])
+        for number, name in enumerate(names)
     }
 
 

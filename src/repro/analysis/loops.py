@@ -14,6 +14,10 @@ facts this module computes from a :class:`~repro.analysis.cfg.ControlFlowGraph`:
   :class:`~repro.ir.program.Program` so every loop header has a unique
   out-of-loop predecessor, the landing pad loop-invariant code motion
   hoists into.
+
+A :class:`BlockStructure` holds the CFG, immediate dominators and loop
+nesting forest of one program's block structure, each built once, so the
+optimizer's stages can share them.
 """
 
 from __future__ import annotations
@@ -144,6 +148,34 @@ class LoopNestingForest:
         return ordered
 
 
+#: ``(back edges, body blocks in RPO)`` of one natural loop.
+_LoopBody = Tuple[Tuple[Tuple[str, str], ...], Tuple[str, ...]]
+
+
+def _loop_bodies(
+    cfg: ControlFlowGraph, idom: Optional[Dict[str, Optional[str]]]
+) -> Dict[str, _LoopBody]:
+    """The body of every natural loop, keyed by header in RPO order."""
+    if idom is None:
+        idom = immediate_dominators(cfg)
+    grouped: Dict[str, List[Tuple[str, str]]] = {}
+    for source, target in back_edges(cfg, idom):
+        grouped.setdefault(target, []).append((source, target))
+    rpo = cfg.rpo_index.__getitem__
+    bodies: Dict[str, _LoopBody] = {}
+    for header in sorted(grouped, key=rpo):
+        body: Set[str] = {header}
+        stack = [source for source, _ in grouped[header]]
+        while stack:
+            block = stack.pop()
+            if block in body:
+                continue
+            body.add(block)
+            stack.extend(cfg.predecessors[block])
+        bodies[header] = (tuple(grouped[header]), tuple(sorted(body, key=rpo)))
+    return bodies
+
+
 def natural_loops(
     cfg: ControlFlowGraph,
     idom: Optional[Dict[str, Optional[str]]] = None,
@@ -154,28 +186,10 @@ def natural_loops(
     are unioned), the classic convention.  Nesting metadata (``depth``,
     ``parent``) is *not* filled in here -- use
     :func:`loop_nesting_forest` for the fully-linked structure."""
-    if idom is None:
-        idom = immediate_dominators(cfg)
-    grouped: Dict[str, List[Tuple[str, str]]] = {}
-    for source, target in back_edges(cfg, idom):
-        grouped.setdefault(target, []).append((source, target))
-    rpo = cfg.rpo_index
-    loops: Dict[str, NaturalLoop] = {}
-    for header in sorted(grouped, key=lambda name: rpo[name]):
-        body: Set[str] = {header}
-        stack = [source for source, _ in grouped[header]]
-        while stack:
-            block = stack.pop()
-            if block in body:
-                continue
-            body.add(block)
-            stack.extend(cfg.predecessors[block])
-        loops[header] = NaturalLoop(
-            header=header,
-            back_edges=tuple(grouped[header]),
-            blocks=tuple(sorted(body, key=lambda name: rpo[name])),
-        )
-    return loops
+    return {
+        header: NaturalLoop(header=header, back_edges=edges, blocks=blocks)
+        for header, (edges, blocks) in _loop_bodies(cfg, idom).items()
+    }
 
 
 def loop_nesting_forest(
@@ -184,16 +198,15 @@ def loop_nesting_forest(
 ) -> LoopNestingForest:
     """The loop nesting forest: every natural loop with its ``parent``
     link (innermost strictly-containing loop) and ``depth`` resolved."""
-    loops = natural_loops(cfg, idom)
-    rpo = cfg.rpo_index
+    bodies = _loop_bodies(cfg, idom)
     parents: Dict[str, Optional[str]] = {}
-    for header, loop in loops.items():
+    for header in bodies:
         parent: Optional[str] = None
-        for other_header, other in loops.items():
+        for other_header, (_edges, other_blocks) in bodies.items():
             if other_header == header:
                 continue
-            if header in other.blocks:
-                if parent is None or len(other.blocks) < len(loops[parent].blocks):
+            if header in other_blocks:
+                if parent is None or len(other_blocks) < len(bodies[parent][1]):
                     parent = other_header
         parents[header] = parent
 
@@ -206,18 +219,57 @@ def loop_nesting_forest(
         return depth
 
     forest = LoopNestingForest()
-    for header in sorted(loops, key=lambda name: rpo[name]):
-        forest.loops[header] = replace(
-            loops[header], depth=depth_of(header), parent=parents[header]
+    for header, (edges, blocks) in bodies.items():  # RPO order of the header
+        forest.loops[header] = NaturalLoop(
+            header, edges, blocks, depth=depth_of(header), parent=parents[header]
         )
-    forest.children = {header: [] for header in forest.loops}
-    for header in sorted(forest.loops, key=lambda name: rpo[name]):
-        parent = parents[header]
+        forest.children[header] = []
+    for header, parent in parents.items():
         if parent is None:
             forest.roots.append(header)
         else:
             forest.children[parent].append(header)
     return forest
+
+
+class BlockStructure:
+    """The CFG of a program's block structure, with its immediate
+    dominators and loop nesting forest, each built once, on first use.
+
+    These analyses read only block names and branch targets, so they stay
+    valid while statements change.  A pass that changes the block
+    structure -- rotation, preheader insertion -- calls :meth:`update`
+    with the program it changed; the optimizer hands one instance from
+    stage to stage (:meth:`repro.opt.pipeline.OptPipeline.run`)."""
+
+    def __init__(self, program: Program, cfg: Optional[ControlFlowGraph] = None) -> None:
+        self.update(program, cfg)
+
+    def update(self, program: Program, cfg: Optional[ControlFlowGraph] = None) -> None:
+        """Describe ``program``'s block structure (whose CFG ``cfg`` is,
+        when given) from now on."""
+        self._program = program
+        self._cfg = cfg
+        self._idom: Optional[Dict[str, Optional[str]]] = None
+        self._forest: Optional[LoopNestingForest] = None
+
+    @property
+    def cfg(self) -> ControlFlowGraph:
+        if self._cfg is None:
+            self._cfg = ControlFlowGraph.from_program(self._program)
+        return self._cfg
+
+    @property
+    def idom(self) -> Dict[str, Optional[str]]:
+        if self._idom is None:
+            self._idom = immediate_dominators(self.cfg)
+        return self._idom
+
+    @property
+    def forest(self) -> LoopNestingForest:
+        if self._forest is None:
+            self._forest = loop_nesting_forest(self.cfg, self.idom)
+        return self._forest
 
 
 def render_forest(forest: LoopNestingForest) -> List[str]:
@@ -279,6 +331,7 @@ def _retarget(terminator, old: str, new: str):
 def insert_preheaders(
     program: Program,
     forest: Optional[LoopNestingForest] = None,
+    cfg: Optional[ControlFlowGraph] = None,
 ) -> Dict[str, str]:
     """Give every natural-loop header a dedicated preheader block.
 
@@ -291,8 +344,10 @@ def insert_preheaders(
     predecessor already is a preheader.  Returns ``{header: preheader}``
     for every loop (including the pre-existing ones), and updates
     ``forest`` loops' ``preheader`` fields when a forest is passed.
+    ``cfg``, when given, is the CFG of ``program`` as passed.
     """
-    cfg = ControlFlowGraph.from_program(program)
+    if cfg is None:
+        cfg = ControlFlowGraph.from_program(program)
     if forest is None:
         forest = loop_nesting_forest(cfg)
     preheaders: Dict[str, str] = {}

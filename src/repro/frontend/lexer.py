@@ -1,10 +1,15 @@
-"""Lexer for the small C-like source language."""
+"""Lexer for the small C-like source language.
+
+One compiled regular expression scans the text, as in
+:mod:`repro.hdl.lexer`: each match is one token together with the
+blanks, newlines and comments in front of it, so a program takes one
+match per token.
+"""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 from repro.diagnostics import ReproError, ResourceLimitError, SourceLocation
 
@@ -27,29 +32,31 @@ MAX_SOURCE_BYTES = 1 << 20
 
 _KEYWORDS = {"int", "if", "else", "while", "do"}
 
-#: One alternative per token class, tried in this order at each position.
-#: Identifier and number *starts* are ASCII here; other characters take
-#: the ``str.isalpha``/``str.isdigit`` fallback in :func:`tokenize_source`,
-#: and ``\w`` continues a word over exactly ``str.isalnum`` plus ``_``.
+#: Group 1 is what the token follows: blanks, newlines, ``//`` and closed
+#: ``/* */`` comments.  Then one alternative per token class, tried in
+#: this order: 2 word, 3 number, 4 an unterminated ``/*``, 5 symbol, 6 any
+#: other character with the word characters after it (see
+#: :func:`_unusual`); blanks at the end of the text match with no token.
+#: Word and number *starts* are ASCII here; ``\w`` continues a word over
+#: exactly ``str.isalnum`` plus ``_``.
 _TOKEN = re.compile(
-    r"(?P<newline>\n)"
-    r"|(?P<space>[ \t\r]+)"
-    r"|(?P<comment>//[^\n]*)"
-    r"|(?P<block>/\*)"
-    r"|(?P<word>[A-Za-z_]\w*)"
-    r"|(?P<number>[0-9][^\W_]*)"
+    r"((?:[ \t\r\n]+|//[^\n]*|/\*[\s\S]*?\*/)*)"
+    r"(?:([A-Za-z_]\w*)|([0-9][^\W_]*)|(/\*)"
     # Longest first so that "<<" wins over "<" and "&&" over "&".
-    r"|(?P<symbol><<|>>|==|!=|<=|>=|&&|\|\||[-+*/%&|^~!=;,()\[\]{}<>])"
+    r"|(<<|>>|==|!=|<=|>=|&&|\|\||[-+*/%&|^~!=;,()\[\]{}<>])"
+    r"|(.\w*)|\Z)"
 )
-_WORD_TAIL = re.compile(r"\w*")
-_NUMBER_TAIL = re.compile(r"[^\W_]*")
 
 
-@dataclass(frozen=True)
-class SourceToken:
+class SourceToken(NamedTuple):
     kind: str  # "ident" | "number" | "keyword" | "symbol" | "eof"
     text: str
     line: int
+
+
+#: Builds a token from a ``(kind, text, line)`` tuple without the Python
+#: frame of the generated ``SourceToken.__new__``.
+_new_token = tuple.__new__
 
 
 def _number(word: str, line: int) -> SourceToken:
@@ -57,7 +64,24 @@ def _number(word: str, line: int) -> SourceToken:
         int(word, 0)
     except ValueError:
         raise SourceSyntaxError("invalid number %r" % word, line)
-    return SourceToken("number", word, line)
+    return _new_token(SourceToken, ("number", word, line))
+
+
+def _unusual(run: str, line: int, tokens: List[SourceToken]) -> None:
+    """Tokens of ``run``, a character no ASCII alternative starts followed
+    by word characters: a non-ASCII letter starts a word and a non-ASCII
+    digit a number, which ends before an ``_`` (the rest is a word);
+    anything else is an error."""
+    char = run[0]
+    if char.isalpha():
+        tokens.append(_new_token(SourceToken, ("ident", run, line)))
+    elif char.isdigit():
+        number, underscore, rest = run.partition("_")
+        tokens.append(_number(number, line))
+        if underscore:
+            tokens.append(_new_token(SourceToken, ("ident", underscore + rest, line)))
+    else:
+        raise SourceSyntaxError("unexpected character %r" % char, line)
 
 
 def tokenize_source(text: str, max_bytes: int = MAX_SOURCE_BYTES) -> List[SourceToken]:
@@ -68,42 +92,22 @@ def tokenize_source(text: str, max_bytes: int = MAX_SOURCE_BYTES) -> List[Source
             % (len(text), max_bytes)
         )
     tokens: List[SourceToken] = []
-    match = _TOKEN.match
-    index = 0
+    append = tokens.append
     line = 1
-    length = len(text)
-    while index < length:
-        found = match(text, index)
-        if found is None:
-            char = text[index]
-            if char.isalpha():  # a non-ASCII letter starts an identifier
-                end = _WORD_TAIL.match(text, index + 1).end()
-                tokens.append(SourceToken("ident", text[index:end], line))
-            elif char.isdigit():
-                end = _NUMBER_TAIL.match(text, index + 1).end()
-                tokens.append(_number(text[index:end], line))
-            else:
-                raise SourceSyntaxError("unexpected character %r" % char, line)
-            index = end
-            continue
-        kind = found.lastgroup
-        index = found.end()
-        if kind == "word":
-            word = found.group()
-            tokens.append(
-                SourceToken("keyword" if word in _KEYWORDS else "ident", word, line)
-            )
-        elif kind == "symbol":
-            tokens.append(SourceToken("symbol", found.group(), line))
-        elif kind == "newline":
-            line += 1
-        elif kind == "number":
-            tokens.append(_number(found.group(), line))
-        elif kind == "block":
-            end = text.find("*/", index)
-            if end < 0:
-                raise SourceSyntaxError("unterminated block comment", line)
-            line += text.count("\n", index, end)
-            index = end + 2
-    tokens.append(SourceToken("eof", "", line))
+    for found in _TOKEN.finditer(text):
+        before, word, number, unterminated, symbol, other = found.groups()
+        if "\n" in before:
+            line += before.count("\n")
+        if symbol:
+            append(_new_token(SourceToken, ("symbol", symbol, line)))
+        elif word:
+            kind = "keyword" if word in _KEYWORDS else "ident"
+            append(_new_token(SourceToken, (kind, word, line)))
+        elif number:
+            append(_number(number, line))
+        elif unterminated:
+            raise SourceSyntaxError("unterminated block comment", line)
+        elif other:
+            _unusual(other, line, tokens)
+    append(_new_token(SourceToken, ("eof", "", line)))
     return tokens

@@ -82,10 +82,7 @@ def _number(text: str, line: int, column: int) -> Token:
     try:
         int(text, 0)
     except ValueError:
-        # Reported at the column just past the literal.
-        raise HdlParseError(
-            "invalid number literal %r" % text, line, column + len(text)
-        )
+        raise HdlParseError("invalid number literal %r" % text, line, column)
     return Token(TokenKind.NUMBER, text, line, column)
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.cfg import ControlFlowGraph
-from repro.analysis.dominators import immediate_dominators
+from repro.analysis.loops import BlockStructure
 from repro.ir.expr import ArrayRef, IRNode, Op, VarRef, expr_variables
 from repro.ir.program import BasicBlock, Program, Statement
 from repro.opt.cse import (
@@ -238,24 +238,29 @@ def global_value_numbering(
     min_ops: int = MIN_OPS,
     temp_prefix: str = TEMP_PREFIX,
     counters: Optional[Dict[str, int]] = None,
+    structure: Optional[BlockStructure] = None,
 ) -> Program:
     """A fresh program with repeated subexpressions materialized into
     temporaries across the whole CFG (dominator-scoped) -- or ``program``
     itself, unchanged, when nothing qualifies for a temporary.
 
     ``counters`` (when given) accumulates ``cse_hits`` and
-    ``temps_introduced`` exactly like the block-local eliminator."""
+    ``temps_introduced`` exactly like the block-local eliminator;
+    ``structure``, when given, describes ``program``'s block structure
+    (the result has the same)."""
     stats = counters if counters is not None else {}
     stats.setdefault("cse_hits", 0)
     stats.setdefault("temps_introduced", 0)
 
     if not _has_repeated_subtree(program, min_occurrences, min_ops):
         return program
-    cfg = ControlFlowGraph.from_program(program)
+    if structure is None:
+        structure = BlockStructure(program)
+    cfg = structure.cfg
     if not cfg.names:
         return program  # no blocks / unreachable entry: nothing executes
 
-    idom = immediate_dominators(cfg)
+    idom = structure.idom
     dom_sets = _dominator_sets(cfg, idom)
     reach = _reachable_from(cfg)
     statements_of = {

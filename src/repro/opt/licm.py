@@ -31,12 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.cfg import ControlFlowGraph
-from repro.analysis.loops import (
-    LoopNestingForest,
-    insert_preheaders,
-    loop_nesting_forest,
-)
+from repro.analysis.loops import BlockStructure, LoopNestingForest, insert_preheaders
 from repro.ir.expr import (
     ArrayRef,
     Const,
@@ -125,8 +120,7 @@ def _op_count(expr: IRNode) -> int:
     return count
 
 
-def _self_loops(program: Program, cfg: ControlFlowGraph) -> List[str]:
-    forest: LoopNestingForest = loop_nesting_forest(cfg)
+def _self_loops(program: Program, forest: LoopNestingForest) -> List[str]:
     return [
         header
         for header, loop in forest.loops.items()
@@ -219,17 +213,23 @@ def _replace_equal(expr: IRNode, pattern: IRNode, temp: str) -> IRNode:
     return expr
 
 
-def plan_loop_invariants(program: Program) -> list:
+def plan_loop_invariants(
+    program: Program, structure: Optional[BlockStructure] = None
+) -> list:
     """``(header, statement hoists in move order, subexpression candidates)``
-    of each self-loop passing the preheader gate.  No loop's hoists touch
-    the edges into another's header, so all plan on the unmodified program."""
+    of each self-loop passing the preheader gate (``structure``, when
+    given, describes ``program``'s block structure).  No loop's hoists
+    touch the edges into another's header, so all plan on the unmodified
+    program."""
     if not has_backward_branch(program):
         return []
-    cfg = ControlFlowGraph.from_program(program)
+    if structure is None:
+        structure = BlockStructure(program)
+    cfg = structure.cfg
     if not cfg.names:
         return []
     plan = []
-    for header in _self_loops(program, cfg):
+    for header in _self_loops(program, structure.forest):
         block = program.block(header)
         # Statement hoists are simulated to fixpoint on a scratch copy of
         # the statement list; each subexpression candidate adds one.
@@ -270,18 +270,23 @@ def hoist_loop_invariants(
     counters: Optional[Dict[str, int]] = None,
     temp_prefix: str = LICM_TEMP_PREFIX,
     plan: Optional[list] = None,
+    structure: Optional[BlockStructure] = None,
 ) -> Set[str]:
     """Apply ``plan`` (:func:`plan_loop_invariants` of ``program`` or an
     unmodified copy; made here when ``None``): hoist loop-invariant
     statements and subexpressions of every single-block self-loop into
     its preheader (mutating ``program``).  Returns the ``__licm*``
     temporaries introduced; ``counters`` accumulates ``licm_hoisted``
-    (statements moved plus temporaries materialized)."""
+    (statements moved plus temporaries materialized).  ``structure``
+    (the block structure of ``program`` as passed) is updated in place
+    when a preheader is created."""
     stats = counters if counters is not None else {}
     stats.setdefault("licm_hoisted", 0)
     introduced: Set[str] = set()
+    if structure is None:
+        structure = BlockStructure(program)
     if plan is None:
-        plan = plan_loop_invariants(program)
+        plan = plan_loop_invariants(program, structure)
     reserved = set(program.all_variables()) | set(program.scalars)
     serial = [0]
 
@@ -293,14 +298,17 @@ def hoist_loop_invariants(
                 reserved.add(name)
                 return name
 
+    blocks_before = len(program.blocks)
     for header, moves, candidates in plan:
         block = program.block(header)
-        forest = loop_nesting_forest(ControlFlowGraph.from_program(program))
-        mini = LoopNestingForest()
-        mini.loops[header] = forest.loops[header]
-        mini.roots = [header]
-        mini.children = {header: []}
-        preheader_name = insert_preheaders(program, mini)[header]
+        # The edges into this header are as planned: the structure the
+        # plan was made on still gives its loop and predecessors.
+        mini = LoopNestingForest(
+            loops={header: structure.forest.loops[header]},
+            roots=[header],
+            children={header: []},
+        )
+        preheader_name = insert_preheaders(program, mini, structure.cfg)[header]
         preheader = program.block(preheader_name)
 
         for index in moves:  # the simulated statement hoists, in order
@@ -332,4 +340,6 @@ def hoist_loop_invariants(
                 program.scalars.append(temp)
             stats["licm_hoisted"] += 1
             candidates = _subexpr_candidates(block)
+    if len(program.blocks) != blocks_before:
+        structure.update(program)
     return introduced

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.cfg import ControlFlowGraph
-from repro.analysis.loops import loop_nesting_forest
+from repro.analysis.loops import BlockStructure
 from repro.ir.expr import (
     Const,
     IRNode,
@@ -185,28 +185,24 @@ def _constant_init(
         block = predecessors[0]
 
 
-def _branch_enters(condition_value: int, branch: CBranch, loop_blocks) -> bool:
-    target = branch.true_target if condition_value != 0 else branch.false_target
-    return target in loop_blocks
-
-
 def _trip_count(
     form: str,
     init: int,
     induction: str,
     update: IRNode,
-    branch: CBranch,
-    loop_blocks,
+    condition: IRNode,
+    stays: Tuple[bool, bool],
 ) -> Optional[int]:
     """Exact body-execution count by reference evaluation of the
     induction recurrence (``None`` when the loop never exits within the
-    step cap, or executes zero times in ``self`` form -- impossible)."""
+    step cap, or executes zero times in ``self`` form -- impossible).
+    ``stays[holds]`` tells whether the branch stays in the loop when the
+    condition holds (``True``) or not."""
     value = init
     trips = 0
     if form == "while":
         while True:
-            condition = evaluate_expr(branch.condition, {induction: value})
-            if not _branch_enters(condition, branch, loop_blocks):
+            if not stays[evaluate_expr(condition, {induction: value}) != 0]:
                 return trips
             trips += 1
             if trips > TRIP_LIMIT:
@@ -217,8 +213,7 @@ def _trip_count(
         if trips > TRIP_LIMIT:
             return None
         value = evaluate_expr(update, {induction: value})
-        condition = evaluate_expr(branch.condition, {induction: value})
-        if not _branch_enters(condition, branch, loop_blocks):
+        if not stays[evaluate_expr(condition, {induction: value}) != 0]:
             return trips
 
 
@@ -236,13 +231,23 @@ def has_backward_branch(program: Program) -> bool:
 def find_counted_loops(
     program: Program,
     cfg: Optional[ControlFlowGraph] = None,
+    structure: Optional[BlockStructure] = None,
+    trip_counts: Optional[Dict[tuple, Optional[int]]] = None,
 ) -> Dict[str, CountedLoop]:
-    """All counted loops of ``program``, keyed by header block name."""
-    if cfg is None:
-        cfg = ControlFlowGraph.from_program(program)
+    """All counted loops of ``program``, keyed by header block name.
+
+    ``structure`` (else ``cfg``), when given, describes ``program``'s
+    block structure.  ``trip_counts`` memoizes trip counts by induction
+    recurrence and condition for a caller that recognizes loops again
+    after changing the program."""
+    if structure is None:
+        structure = BlockStructure(program, cfg)
+    cfg = structure.cfg
     if not cfg.names:
         return {}
-    forest = loop_nesting_forest(cfg)
+    forest = structure.forest
+    if trip_counts is None:
+        trip_counts = {}
     counted: Dict[str, CountedLoop] = {}
     for header, loop in forest.loops.items():
         if len(loop.back_edges) != 1:
@@ -300,14 +305,17 @@ def find_counted_loops(
         if init is None:
             continue
         init_value, init_block, init_index = init
-        trips = _trip_count(
+        key = (
             form,
             init_value,
             name,
             body_statements[update_index].expression,
-            branch,
-            set(loop.blocks),
+            branch.condition,
+            (branch.false_target in loop.blocks, branch.true_target in loop.blocks),
         )
+        trips = trip_counts.get(key, -1)  # -1: not counted yet
+        if trips == -1:
+            trips = trip_counts[key] = _trip_count(*key)
         if trips is None:
             continue
         counted[header] = CountedLoop(
@@ -331,12 +339,12 @@ def find_counted_loops(
 # ---------------------------------------------------------------------------
 
 
-def _rotate_one(program: Program, loop: CountedLoop) -> None:
-    """Rewrite one ``while``-form counted loop (proven >= 1 trip) into
-    ``do``-``while`` form in place: the latch takes the header's
-    conditional branch, every outside edge enters the latch directly,
-    and the (now unreachable) header block is removed."""
-    cfg = ControlFlowGraph.from_program(program)
+def _rotate_one(program: Program, loop: CountedLoop, cfg: ControlFlowGraph) -> None:
+    """Rewrite one ``while``-form counted loop (proven >= 1 trip) of
+    ``program``, whose CFG is ``cfg``, into ``do``-``while`` form in
+    place: the latch takes the header's conditional branch, every outside
+    edge enters the latch directly, and the (now unreachable) header
+    block is removed."""
     header_block = program.block(loop.header)
     branch = header_block.terminator
     latch_block = program.block(loop.latch)
@@ -370,26 +378,37 @@ def rotate_counted_loops(
     program: Program,
     counters: Optional[Dict[str, int]] = None,
     counted: Optional[Dict[str, CountedLoop]] = None,
+    structure: Optional[BlockStructure] = None,
+    trip_counts: Optional[Dict[tuple, Optional[int]]] = None,
 ) -> int:
     """Rotate every eligible ``while``-form counted loop of ``program``
     (mutating it), re-recognizing after each rewrite so chained loops see
     each other's updated edges.  Returns the number of rotations.
     ``counted`` (the loops of ``program`` as passed) replaces the first
-    recognition and is updated in place to describe the result."""
+    recognition, and ``structure`` (its block structure) the first
+    analysis; both are updated in place to describe the result.
+    ``trip_counts`` memoizes trip counts across the recognitions."""
     stats = counters if counters is not None else {}
     stats.setdefault("loops_rotated", 0)
+    if structure is None:
+        structure = BlockStructure(program)
+    if trip_counts is None:
+        trip_counts = {}
     if counted is None:
-        counted = find_counted_loops(program)
+        counted = find_counted_loops(program, structure=structure, trip_counts=trip_counts)
     rotated = 0
     while True:
         candidates = _rotation_candidates(program, counted)
         if not candidates:
             return rotated
-        _rotate_one(program, candidates[0])
+        _rotate_one(program, candidates[0], structure.cfg)
+        structure.update(program)
         rotated += 1
         stats["loops_rotated"] += 1
         counted.clear()
-        counted.update(find_counted_loops(program))
+        counted.update(
+            find_counted_loops(program, structure=structure, trip_counts=trip_counts)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -582,11 +601,15 @@ def _candidate_factors(expr: IRNode, induction: str) -> Set[int]:
 
 
 def annotate_hardware_loops(
-    program: Program, counted: Optional[Dict[str, CountedLoop]] = None
+    program: Program,
+    counted: Optional[Dict[str, CountedLoop]] = None,
+    structure: Optional[BlockStructure] = None,
+    trip_counts: Optional[Dict[tuple, Optional[int]]] = None,
 ) -> Dict[str, HardwareLoop]:
     """Hardware-loop annotations for every counted single-block self-loop
     of the (final, optimized) program, recognized unless ``counted``
-    holds them (skipped when no branch goes backward).
+    holds them (skipped when no branch goes backward; ``structure`` and
+    ``trip_counts`` as for :func:`find_counted_loops`).
 
     The annotation promises: every entry into the latch block executes
     its body exactly ``trip_count`` times before control leaves through
@@ -596,7 +619,11 @@ def annotate_hardware_loops(
     replace the conditional branch by a repeat instruction without
     consulting the condition at runtime."""
     if counted is None:
-        counted = find_counted_loops(program) if has_backward_branch(program) else {}
+        counted = (
+            find_counted_loops(program, structure=structure, trip_counts=trip_counts)
+            if has_backward_branch(program)
+            else {}
+        )
     annotations: Dict[str, HardwareLoop] = {}
     for loop in counted.values():
         if loop.form != "self":

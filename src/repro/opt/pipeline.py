@@ -28,6 +28,13 @@ Each stage runs a read-only check before it copies the program or
 builds an analysis, and hands its input through when the check finds
 nothing to do; a stage that changes something copies once.  The run
 copies at the end only when no stage built fresh statements.
+
+A run builds the CFG, dominator tree and loop nesting forest once for
+each block structure it produces (a
+:class:`~repro.analysis.loops.BlockStructure`, built on first use and
+handed from stage to stage): only rotation and preheader insertion
+change the block structure.  It evaluates each trip count once per
+induction recurrence and loop condition.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
+from repro.analysis.loops import BlockStructure
 from repro.diagnostics import ReproError
 from repro.ir.program import BasicBlock, CBranch, Program, Statement
 from repro.opt.cse import (
@@ -265,6 +273,8 @@ class OptPipeline:
         current = program
         produced_fresh = False  # True once current shares no statement with program
         counted = counted_of = None  # counted loops of the loops stage, and of which program
+        structure = BlockStructure(program)  # of current's blocks; stages update it
+        trip_counts: Dict[tuple, Optional[int]] = {}
         # Temporaries materialized by this run's stages; dead-temp
         # elimination removes only these, never a user variable that
         # happens to share a prefix.
@@ -298,21 +308,27 @@ class OptPipeline:
                 if sum(stats.rewrites.values()) > fired:  # else equal to current
                     current, produced_fresh = folded, True
             elif stage == "loops":
-                counted = find_counted_loops(current) if has_backward_branch(current) else {}
+                counted = (
+                    find_counted_loops(current, structure=structure, trip_counts=trip_counts)
+                    if has_backward_branch(current)
+                    else {}
+                )
                 if would_rewrite_loops(current, counted):
                     current = copy_program(current)
                     scalars_before = set(current.scalars)
-                    rotate_counted_loops(current, counters, counted)
+                    rotate_counted_loops(current, counters, counted, structure, trip_counts)
                     if strength_reduce(current, counters, counted):
                         counted = None  # statements moved; recognize again
                     introduced_temps |= set(current.scalars) - scalars_before
                     produced_fresh = True
                 counted_of = current
             elif stage == "licm":
-                plan = plan_loop_invariants(current)
+                plan = plan_loop_invariants(current, structure)
                 if plan:
                     current = copy_program(current)
-                    introduced_temps |= hoist_loop_invariants(current, counters, plan=plan)
+                    introduced_temps |= hoist_loop_invariants(
+                        current, counters, plan=plan, structure=structure
+                    )
                     produced_fresh = True
             elif stage == "gvn":
                 gvn_counters: Dict[str, int] = {
@@ -326,6 +342,7 @@ class OptPipeline:
                     min_ops=self.min_cse_ops,
                     temp_prefix=self.temp_prefix,
                     counters=gvn_counters,
+                    structure=structure,
                 )
                 counters["gvn_hits"] += gvn_counters["cse_hits"]
                 counters["temps_introduced"] += gvn_counters["temps_introduced"]
@@ -368,7 +385,9 @@ class OptPipeline:
         if not produced_fresh:
             current = copy_program(current)
         current.hw_loops = (
-            annotate_hardware_loops(current, counted) if "loops" in self.stages else {}
+            annotate_hardware_loops(current, counted, structure, trip_counts)
+            if "loops" in self.stages
+            else {}
         )
         stats.hw_loops = len(current.hw_loops)
         stats.folds, stats.algebraic = split_rewrite_counts(stats.rewrites)

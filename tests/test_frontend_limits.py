@@ -59,6 +59,35 @@ class TestExpressionNodeLimit:
         assert len(program.statements) == 20
 
 
+def _nested_sum(depth: int) -> str:
+    """``(...((a + a) + a)...)`` with ``depth`` parentheses: ``2 * depth + 1`` nodes."""
+    expression = "a"
+    for _ in range(depth):
+        expression = "(%s + a)" % expression
+    return expression
+
+
+class TestBacktrackedConditionNodes:
+    """A parenthesis in a condition is first read as a condition; what the
+    parser counted before it found an expression there is counted once."""
+
+    def test_each_node_counts_once(self):
+        source = "int a, b; if (%s < 1) { b = a; }" % _nested_sum(16)  # 35 nodes
+        parse_source(source, limits=FrontendLimits(max_expr_nodes=35))
+        with pytest.raises(ResourceLimitError, match="exceeds 34 nodes"):
+            parse_source(source, limits=FrontendLimits(max_expr_nodes=34))
+
+    def test_deep_condition_within_the_default_budget_parses(self):
+        source = "int a, b; if (%s < 1) { b = a; }" % _nested_sum(24)  # 51 nodes
+        assert len(parse_source(source).statements) == 1
+
+    def test_the_same_expression_assigned_counts_two_nodes_less(self):
+        source = "int a, b; b = %s;" % _nested_sum(16)  # 33 nodes
+        parse_source(source, limits=FrontendLimits(max_expr_nodes=33))
+        with pytest.raises(ResourceLimitError, match="exceeds 32 nodes"):
+            parse_source(source, limits=FrontendLimits(max_expr_nodes=32))
+
+
 class TestBlockDepthLimit:
     def test_deeply_nested_ifs_raise_structured_error(self):
         depth = 200

@@ -8,13 +8,17 @@ text, line, column) and the same :class:`ProcessorModel`, or raise the same
 error at the same line and column, on the built-in models, on hand-picked
 edge cases and on generated texts.
 
-The one intended difference: the character loop did not advance the column
-through a ``--`` comment, so after a trailing comment its end-of-input
-token sat at the comment's start.  The scanner puts it where the text ends;
-:func:`reference_tokens` applies that fix to the oracle's stream, and
-:func:`test_end_of_input_after_a_trailing_comment` pins it.
+Two intended differences, both in positions.  The character loop did not
+advance the column through a ``--`` comment, so after a trailing comment
+its end-of-input token sat at the comment's start; the scanner puts it
+where the text ends (:func:`test_end_of_input_after_a_trailing_comment`
+pins it).  And the loop reported an invalid number literal at the column
+just past it; the scanner reports it at the literal's first column, like
+every other error.  :func:`reference_tokens` applies both fixes to the
+oracle.
 """
 
+import ast
 from typing import List
 
 import pytest
@@ -124,10 +128,21 @@ def end_column(text: str) -> int:
     return len(text) - text.rfind("\n")
 
 
+_INVALID_NUMBER = "invalid number literal "
+
+
 def reference_tokens(text: str) -> List[Token]:
     """The character loop's tokens, the end-of-input token moved to the end
-    of the text.  It differs from the loop's only after a comment."""
-    tokens = reference_tokenize(text)
+    of the text (it differs from the loop's only after a comment), and an
+    invalid number literal reported at its first column."""
+    try:
+        tokens = reference_tokenize(text)
+    except HdlParseError as error:
+        message = str(error).partition(": ")[2]
+        if not message.startswith(_INVALID_NUMBER):
+            raise
+        literal = ast.literal_eval(message[len(_INVALID_NUMBER):])
+        raise HdlParseError(message, error.line, error.column - len(literal))
     eof = tokens[-1]
     if eof.column != end_column(text):
         assert "--" in text[text.rfind("\n") + 1:], repr(text)
@@ -221,8 +236,8 @@ def test_edge_cases(text):
 @pytest.mark.parametrize(
     "text, error",
     [
-        ("0x", "line 1, column 3: invalid number literal '0x'"),
-        ("a\n  12abc", "line 2, column 8: invalid number literal '12abc'"),
+        ("0x", "line 1, column 1: invalid number literal '0x'"),
+        ("a\n  12abc", "line 2, column 3: invalid number literal '12abc'"),
         ("a\n$", "line 2, column 1: unexpected character '$'"),
         ("a = b", "line 1, column 3: unexpected character '='"),
         ("\t½", "line 1, column 2: unexpected character '½'"),

@@ -127,6 +127,22 @@ def test_generated_programs():
         "é = ü1 + a²;",
         "٣ + 4",
         "\t a \t\n\t b",
+        # CRLF line ends
+        "int a;\r\na = 1;\r\n\r\nb = a;\r\n",
+        "a // comment\r\nb",
+        # "//" at the end of the input
+        "a = 1; //",
+        "a = 1; // trailing",
+        "//",
+        # block comments spanning lines, before tokens and at the end
+        "/*\n*/x\n/* a\r\nb */ y",
+        "a /* one\n\ntwo */\n/**/ b /*\n*/",
+        "a\n/* last\nline */",
+        # non-ASCII letters and digits after blanks
+        " é = \tü1;\n  ñ_2 = 3;",
+        "a = \t٣ + \n ٤_b;",
+        "x =  Ωmega + \t½;",
+        " \n\t ²",
     ],
 )
 def test_edge_cases(text):

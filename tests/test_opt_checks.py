@@ -6,13 +6,17 @@ not.  :func:`_ungated_run` is the reference: every stage called on its
 own copy, whatever the check would say, and annotation at the end.  The
 pipeline must match it program for program and statistic for
 statistic.  Also pinned here: the work the checks save (CFG builds,
-copies, counted-loop scans), the one rule for ``hw_loops``, and a deep
-expression chain inside a loop.
+copies, counted-loop scans), the analyses one run shares between its
+stages (one CFG, dominator tree and loop forest per block structure,
+counted loops equal to a fresh recognition), the one rule for
+``hw_loops``, and a deep expression chain inside a loop.
 """
 
 import pytest
 
+import repro.analysis.loops as analysis_loops_module
 import repro.opt.gvn as gvn_module
+import repro.opt.licm as licm_module
 import repro.opt.loops as loops_module
 import repro.opt.pipeline as pipeline_module
 from repro.analysis.cfg import ControlFlowGraph
@@ -250,7 +254,152 @@ class TestWorkDone:
         )
         assert work["copy"] == 1
         assert work["scan"] == 1 + stats.loops_rotated + (1 if stats.strength_reductions else 0)
-        assert work["cfg"] <= 4
+        # One CFG for the input's blocks and one after each rotation; no
+        # loop kernel gets a new preheader.
+        assert work["cfg"] == 1 + stats.loops_rotated
+
+    @pytest.fixture
+    def analysed(self, monkeypatch):
+        """The block structures each CFG, dominator tree and loop forest
+        was built for."""
+        built = {"cfg": [], "idom": [], "forest": []}
+        init = ControlFlowGraph.__init__
+
+        def recording_init(cfg, entry, edges):
+            built["cfg"].append(
+                (entry, tuple(sorted((name, tuple(targets)) for name, targets in edges.items())))
+            )
+            init(cfg, entry, edges)
+
+        def recording(key, function):
+            def recorded(cfg, *args):
+                built[key].append((cfg.entry, tuple(sorted(cfg.successors.items()))))
+                return function(cfg, *args)
+
+            return recorded
+
+        monkeypatch.setattr(ControlFlowGraph, "__init__", recording_init)
+        for key, name in (("idom", "immediate_dominators"), ("forest", "loop_nesting_forest")):
+            monkeypatch.setattr(
+                analysis_loops_module, name, recording(key, getattr(analysis_loops_module, name))
+            )
+        return built
+
+    @staticmethod
+    def _structures_analysed_once(analysed, program, supported_ops=None):
+        """Run the pipeline; each analysis is built at most once per block
+        structure the run produces: the input's, one after each rotation,
+        and one after preheader insertion.  Returns (rotations, created
+        preheaders)."""
+        for keys in analysed.values():
+            keys.clear()
+        optimized, stats = OptPipeline().run(program, supported_ops=supported_ops)
+        created = len(optimized.blocks) - len(program.blocks) + stats.loops_rotated
+        structures = 1 + stats.loops_rotated + (1 if created else 0)
+        for key, keys in analysed.items():
+            assert len(keys) == len(set(keys)), key
+            assert len(keys) <= structures, key
+        return stats.loops_rotated, created
+
+    def test_generated_loops_analyse_each_block_structure_once(self, analysed, ref_result):
+        supported_ops = _supported(ref_result)
+        loops = GENERATOR_PROFILES["loops"]
+        rotated = 0
+        for seed in range(60):
+            program = lower_to_program(generate_source(seed, loops))
+            rotations, _created = self._structures_analysed_once(analysed, program, supported_ops)
+            rotated += rotations
+        assert rotated
+
+    def test_preheader_insertion_analyses_its_structure_once(self, analysed):
+        # The loop is entered from a conditional branch, so two hoists
+        # pay for a new preheader.
+        program = Program(
+            name="guarded",
+            blocks=[
+                BasicBlock(
+                    "entry",
+                    [Statement("i", Const(0))],
+                    CBranch(Op("lt", (VarRef("n"), Const(9))), "body", "exit"),
+                ),
+                BasicBlock(
+                    "body",
+                    [
+                        Statement("t", Op("mul", (VarRef("a"), VarRef("b")))),
+                        Statement("u", Op("add", (VarRef("a"), Const(3)))),
+                        Statement("s", Op("add", (VarRef("s"), VarRef("i")))),
+                        Statement("i", Op("add", (VarRef("i"), Const(1)))),
+                    ],
+                    CBranch(Op("lt", (VarRef("i"), Const(4))), "body", "exit"),
+                ),
+                BasicBlock("exit"),
+            ],
+            scalars=["a", "b", "i", "n", "s", "t", "u"],
+        )
+        assert self._structures_analysed_once(analysed, program) == (0, 1)
+        assert len(analysed["cfg"]) == 2
+
+
+class TestSharedAnalysesMatchFreshRecognition:
+    """Every counted-loop recognition, LICM plan and final annotation of a
+    run equals the one a from-scratch call makes on the same program."""
+
+    @pytest.mark.parametrize("profile", sorted(GENERATOR_PROFILES))
+    def test_generated_programs(self, profile, monkeypatch, ref_result):
+        recognize = loops_module.find_counted_loops
+        plan = licm_module.plan_loop_invariants
+        checked = {"counted": 0, "plan": 0}
+
+        def checked_recognition(program, *args, **kwargs):
+            counted = recognize(program, *args, **kwargs)
+            fresh = recognize(copy_program(program))
+            assert list(counted.items()) == list(fresh.items())
+            checked["counted"] += 1
+            return counted
+
+        def checked_plan(program, *args, **kwargs):
+            planned = plan(program, *args, **kwargs)
+            assert planned == plan(copy_program(program))
+            checked["plan"] += 1
+            return planned
+
+        monkeypatch.setattr(loops_module, "find_counted_loops", checked_recognition)
+        monkeypatch.setattr(licm_module, "plan_loop_invariants", checked_plan)
+        supported_ops = _supported(ref_result)
+        config = GENERATOR_PROFILES[profile]
+        for seed in range(200):
+            program = lower_to_program(generate_source(seed, config))
+            optimized, _stats = OptPipeline().run(program, supported_ops=supported_ops)
+            final = copy_program(optimized)
+            final.hw_loops = {}
+            assert optimized.hw_loops == loops_module.annotate_hardware_loops(final), seed
+        assert checked["counted"] and checked["plan"]
+
+    def test_memoized_trip_counts_keep_the_branch_sense(self):
+        # Two self-loops with the same init, update and condition: "a"
+        # loops while the condition holds, "b" while it does not.
+        def step(name):
+            return Statement(name, Op("add", (VarRef(name), Const(1))))
+
+        below_four = Op("lt", (VarRef("i"), Const(4)))
+        program = Program(
+            name="senses",
+            blocks=[
+                BasicBlock("entry", [Statement("i", Const(0))], Jump("a")),
+                BasicBlock("a", [step("s"), step("i")], CBranch(below_four, "a", "mid")),
+                BasicBlock("mid", [Statement("i", Const(0))], Jump("b")),
+                BasicBlock("b", [step("t"), step("i")], CBranch(below_four, "end", "b")),
+                BasicBlock("end"),
+            ],
+            scalars=["i", "s", "t"],
+        )
+        counted = loops_module.find_counted_loops(program, trip_counts={})
+        assert {header: loop.trip_count for header, loop in counted.items()} == {"a": 4, "b": 1}
+        optimized, _stats = OptPipeline().run(program)
+        assert {latch: loop.trip_count for latch, loop in optimized.hw_loops.items()} == {
+            "a": 4,
+            "b": 1,
+        }
 
 
 class TestHardwareLoopRule:
