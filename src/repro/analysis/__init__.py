@@ -2,16 +2,15 @@
 
 The package has three layers:
 
-* **dataflow core** -- :class:`~repro.analysis.cfg.ControlFlowGraph`
+* **CFG core** -- :class:`~repro.analysis.cfg.ControlFlowGraph`
   (deterministic reverse-postorder view of a
-  :class:`~repro.ir.program.Program`), the generic worklist solver of
-  :mod:`repro.analysis.dataflow`, and the classic analyses built on it:
-  dominators (:mod:`repro.analysis.dominators`, Cooper--Harvey--Kennedy),
-  liveness (:mod:`repro.analysis.liveness`) and reaching definitions with
-  use--def chains (:mod:`repro.analysis.reaching`);
+  :class:`~repro.ir.program.Program`), dominators
+  (:mod:`repro.analysis.dominators`, Cooper--Harvey--Kennedy) and natural
+  loops (:mod:`repro.analysis.loops`);
 * **pipeline verifier** -- :mod:`repro.analysis.verify`: invariant checks
   over every intermediate form of the backend pipeline (IR well-formedness,
-  schedule/spill race detection, compaction dependence checks), wired into
+  definite assignment of optimizer temporaries, schedule/spill race
+  detection, compaction dependence checks), wired into
   :class:`~repro.toolchain.passes.PassManager` behind the
   ``PipelineConfig.verify`` knob;
 * **target lints** -- :mod:`repro.analysis.lints`: static diagnostics over
@@ -20,15 +19,12 @@ The package has three layers:
 """
 
 from repro.analysis.cfg import ControlFlowGraph
-from repro.analysis.dataflow import DataflowProblem, DataflowResult, solve
 from repro.analysis.dominators import (
     dominance_relation,
     dominates,
-    dominator_tree,
     immediate_dominators,
 )
 from repro.analysis.lints import lint_grammar, lint_target
-from repro.analysis.liveness import LivenessResult, liveness
 from repro.analysis.loops import (
     BlockStructure,
     LoopNestingForest,
@@ -40,13 +36,6 @@ from repro.analysis.loops import (
     natural_loops,
     render_forest,
 )
-from repro.analysis.reaching import (
-    Definition,
-    ReachingResult,
-    possibly_uninitialized_uses,
-    reaching_definitions,
-    use_def_chains,
-)
 from repro.analysis.verify import (
     Finding,
     PipelineVerifier,
@@ -57,19 +46,14 @@ from repro.analysis.verify import (
     check_spill_metric,
     check_words,
     derive_dependence_edges,
+    unassigned_reads,
 )
 
 __all__ = [
     "ControlFlowGraph",
-    "DataflowProblem",
-    "DataflowResult",
-    "solve",
     "immediate_dominators",
-    "dominator_tree",
     "dominance_relation",
     "dominates",
-    "LivenessResult",
-    "liveness",
     "NaturalLoop",
     "LoopNestingForest",
     "BlockStructure",
@@ -79,16 +63,12 @@ __all__ = [
     "loop_nesting_forest",
     "insert_preheaders",
     "render_forest",
-    "Definition",
-    "ReachingResult",
-    "reaching_definitions",
-    "use_def_chains",
-    "possibly_uninitialized_uses",
     "Finding",
     "VerificationError",
     "PipelineVerifier",
     "check_cfg",
     "check_optimized_program",
+    "unassigned_reads",
     "check_instance_stream",
     "check_words",
     "check_spill_metric",

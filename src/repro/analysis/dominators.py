@@ -10,7 +10,7 @@ iterate-to-fixpoint dominator sets on random graphs as well.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.analysis.cfg import ControlFlowGraph
 
@@ -54,18 +54,6 @@ def immediate_dominators(cfg: ControlFlowGraph) -> Dict[str, Optional[str]]:
         name: (None if number == 0 else names[idom[number]])
         for number, name in enumerate(names)
     }
-
-
-def dominator_tree(
-    idom: Dict[str, Optional[str]]
-) -> Dict[str, List[str]]:
-    """Children lists of the dominator tree (deterministic: children keep
-    the RPO-derived insertion order of ``idom``)."""
-    children: Dict[str, List[str]] = {name: [] for name in idom}
-    for block, dominator in idom.items():
-        if dominator is not None:
-            children[dominator].append(block)
-    return children
 
 
 def dominance_relation(

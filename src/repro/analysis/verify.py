@@ -8,10 +8,9 @@ supposed to preserve, so a bug in a pass surfaces as a structured
   uniquely named, the entry resolves, every branch target resolves,
   unreachable blocks are flagged;
 * **optimizer discipline** (:func:`check_optimized_program`) -- the
-  optimizer's output shares no statement object across positions nor
-  with its own input (passes own their state), and the reserved
-  ``__cse*`` temporaries are never read before being written (via
-  reaching definitions);
+  reserved ``__cse*``/``__licm*``/``__sr*`` temporaries are never read
+  before being written (:func:`unassigned_reads`, a definite-assignment
+  pass); statements are frozen values, so sharing them is safe;
 * **selection shape** (:func:`check_block_structure`) -- selected block
   codes mirror the reachable blocks one-to-one and control instances
   appear exactly in terminator pseudo-codes;
@@ -34,16 +33,16 @@ result's diagnostics under phase ``"verify"``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.reaching import possibly_uninitialized_uses
+from repro.analysis.cfg import ControlFlowGraph
 from repro.diagnostics import ReproError
+from repro.ir.expr import expr_variables
+from repro.ir.program import Program, Statement
 
 #: Reserved prefixes of optimizer-introduced temporaries (mirrors
 #: ``repro.opt.cse.OPT_TEMP_PREFIXES``; duplicated literals to keep this
-#: module importable without the optimizer).  Every check taking a
-#: ``temp_prefix`` accepts a single prefix or a tuple (the membership
-#: tests go through ``str.startswith``, which takes both).
+#: module importable without the optimizer).
 RESERVED_TEMP_PREFIXES = ("__cse", "__licm", "__sr")
 
 #: Kinds counted as spill traffic (mirrors ``repro.codegen.spill.SPILL_KINDS``).
@@ -54,7 +53,7 @@ SPILL_KINDS = ("spill_store", "spill_reload")
 class Finding:
     """One verifier finding.
 
-    ``check`` names the invariant (``"cfg"``, ``"alias"``, ``"race"``,
+    ``check`` names the invariant (``"cfg"``, ``"cse"``, ``"race"``,
     ``"spill"``, ``"words"``, ``"metric"``, ...), ``severity`` is
     ``"note"``/``"warning"``/``"error"`` and ``where`` localises the
     finding (block name, statement text, instance description).
@@ -176,71 +175,88 @@ def _statement_label(statement) -> str:
     return ""
 
 
-def snapshot_program_ids(program) -> Set[int]:
-    """Object identities of every statement -- taken before the optimizer
-    runs, to prove its output reuses none of them."""
-    return {
-        id(statement) for block in program.blocks for statement in block.statements
-    }
+def _effects(statement: Statement) -> Tuple[Set[str], Optional[str]]:
+    """The variables one statement reads, and the one it assigns: none
+    for a runtime-indexed store (it writes one unknown element, and reads
+    its array base) or an ``@port`` write."""
+    reads = expr_variables(statement.expression)
+    if statement.destination_index is not None:
+        reads |= expr_variables(statement.destination_index)
+        reads.add(statement.destination)
+        return reads, None
+    if statement.destination.startswith("@"):
+        return reads, None
+    return reads, statement.destination
 
 
-def check_optimized_program(
-    program,
-    before_ids: Optional[Set[int]] = None,
-    temp_prefix=RESERVED_TEMP_PREFIXES,
-) -> List[Finding]:
-    """Optimizer-output discipline.
+def unassigned_reads(program: Program) -> List[Tuple[str, int, str]]:
+    """Reads that some path from the entry reaches before any assignment
+    of the variable, as sorted ``(block, index, variable)`` sites; a
+    branch condition reads at index ``len(block.statements)``.
 
-    Statements are mutable, so every position must hold its own
-    :class:`~repro.ir.program.Statement` object, and none may be one of
-    the pre-optimization input's: a later rewrite of one statement would
-    otherwise silently change another, or the caller's program.
-    Expression trees are frozen and may be shared freely.  Reserved
-    optimizer temporaries (``__cse*``, ``__licm*``, ``__sr*``) must be
-    definitely assigned before every read -- in particular a ``__licm*``
-    definition must dominate the loop it was hoisted out of (preheader
-    discipline).
+    Definite assignment over the reachable blocks: the entry block starts
+    with nothing assigned, every other block with what all its
+    predecessors have assigned at their exits, iterated in reverse
+    postorder to the greatest fixpoint.
     """
-    findings: List[Finding] = []
-    owner: Dict[int, str] = {}
-    for block in program.blocks:
-        for position, statement in enumerate(block.statements):
-            where = "%s[%d]" % (block.name, position)
-            if id(statement) in owner:
-                findings.append(
-                    Finding(
-                        "alias",
-                        "error",
-                        "statement object shared with %s" % owner[id(statement)],
-                        where,
-                    )
-                )
-            owner[id(statement)] = where
-            if before_ids and id(statement) in before_ids:
-                findings.append(
-                    Finding(
-                        "alias",
-                        "error",
-                        "optimizer output aliases its input program",
-                        where,
-                    )
-                )
-    # The use-before-def sweep needs full use--def chains; optimizer
-    # temps land in ``scalars``, so skip it when none were introduced.
-    if not any(name.startswith(temp_prefix) for name in program.scalars):
-        return _dedup(findings)
-    for block_name, index, variable in possibly_uninitialized_uses(program):
-        if variable.startswith(temp_prefix):
-            findings.append(
-                Finding(
-                    "cse",
-                    "error",
-                    "reserved temporary %r may be read before assignment"
-                    % variable,
-                    "%s[%d]" % (block_name, index),
-                )
+    cfg = ControlFlowGraph.from_program(program)
+    steps: Dict[str, List[Tuple[Set[str], Optional[str]]]] = {}
+    for name in cfg.names:
+        block = program.block(name)
+        steps[name] = [_effects(statement) for statement in block.statements]
+        if block.terminator is not None:
+            steps[name].append((block.terminator.variables(), None))
+    assigned_out: Dict[str, FrozenSet[str]] = {}
+
+    def assigned_in(name: str) -> FrozenSet[str]:
+        if name == cfg.entry:
+            return frozenset()
+        # A predecessor not visited yet stands for every variable; in
+        # reverse postorder each block has a visited one.
+        known = [assigned_out[pred] for pred in cfg.predecessors[name] if pred in assigned_out]
+        return known[0].intersection(*known[1:])
+
+    changed = True
+    while changed:
+        changed = False
+        for name in cfg.names:
+            out = assigned_in(name).union(
+                [assigned for _reads, assigned in steps[name] if assigned is not None]
             )
-    return _dedup(findings)
+            if assigned_out.get(name) != out:
+                assigned_out[name] = out
+                changed = True
+    sites: List[Tuple[str, int, str]] = []
+    for name in cfg.names:
+        assigned_now = set(assigned_in(name))
+        for index, (reads, assigned) in enumerate(steps[name]):
+            sites.extend((name, index, variable) for variable in reads - assigned_now)
+            if assigned is not None:
+                assigned_now.add(assigned)
+    return sorted(sites)
+
+
+def check_optimized_program(program: Program) -> List[Finding]:
+    """Optimizer-output discipline: reserved optimizer temporaries
+    (``__cse*``, ``__licm*``, ``__sr*``) must be definitely assigned
+    before every read -- in particular a ``__licm*`` definition must
+    dominate the loop it was hoisted out of (preheader discipline).
+    Statements are frozen, so positions and programs may share them.
+    """
+    # Optimizer temps land in ``scalars``; skip the sweep when none were
+    # introduced.
+    if not any(name.startswith(RESERVED_TEMP_PREFIXES) for name in program.scalars):
+        return []
+    return [
+        Finding(
+            "cse",
+            "error",
+            "reserved temporary %r may be read before assignment" % variable,
+            "%s[%d]" % (block_name, index),
+        )
+        for block_name, index, variable in unassigned_reads(program)
+        if variable.startswith(RESERVED_TEMP_PREFIXES)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -844,17 +860,11 @@ class PipelineVerifier:
     compilation state's diagnostics.
     """
 
-    def __init__(
-        self,
-        registers: Optional[Set[str]] = None,
-        temp_prefix=RESERVED_TEMP_PREFIXES,
-    ):
+    def __init__(self, registers: Optional[Set[str]] = None):
         self._registers = registers
-        self._temp_prefix = temp_prefix
         self.checks_run = 0
         self.findings: List[Finding] = []
         self._input_checked = False
-        self._pre_opt_ids: Optional[Set[int]] = None
         self._cfg_shape: Optional[tuple] = None
         self._reachable: Optional[list] = None
         self._reachable_program = None
@@ -912,8 +922,6 @@ class PipelineVerifier:
             self.checks_run += 1
             self._cfg_shape = self._shape_of(state.program)
             self._emit(state, check_cfg(state.program), after="input")
-        if name == "opt":
-            self._pre_opt_ids = snapshot_program_ids(state.program)
 
     def after_pass(self, name: str, state, context) -> None:
         findings: List[Finding] = []
@@ -922,13 +930,7 @@ class PipelineVerifier:
             if shape != self._cfg_shape:
                 self._cfg_shape = shape
                 findings.extend(check_cfg(state.program))
-            findings.extend(
-                check_optimized_program(
-                    state.program,
-                    before_ids=self._pre_opt_ids,
-                    temp_prefix=self._temp_prefix,
-                )
-            )
+            findings.extend(check_optimized_program(state.program))
         elif name in ("select", "schedule"):
             # Structure must hold as selected and survive scheduling
             # untouched.  Register-safety of the stream is NOT checked

@@ -386,7 +386,7 @@ def kernel_program(name: str) -> Program:
 
     The constant source is lexed, parsed and lowered once per process;
     every call returns a structural copy (fresh program, blocks and
-    statements sharing the frozen expression trees), so callers may
+    statement lists sharing the frozen statements), so callers may
     mutate what they get without affecting later calls.
     """
     program = _LOWERED.get(name)

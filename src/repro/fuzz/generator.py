@@ -65,14 +65,14 @@ class GeneratorConfig:
     max_expr_depth: int = 3
     max_loop_trip: int = 5
     max_constant: int = 99
-    #: probability weights of statement kinds at depth < max_block_depth.
-    #: Loops are weighted up relative to the original campaign: the
-    #: global optimizer (rotation, LICM, hardware loops) lives on loop
-    #: shapes, so they must be common enough to exercise every round.
+    #: probability weights of statement kinds at depth < max_block_depth;
+    #: do-while loops take the rest (0.12 here).  Loops are weighted up
+    #: relative to the original campaign: the global optimizer (rotation,
+    #: LICM, hardware loops) lives on loop shapes, so they must be common
+    #: enough to exercise every round.
     assign_weight: float = 0.56
     if_weight: float = 0.14
     while_weight: float = 0.18
-    do_while_weight: float = 0.12
     #: probability of the rarer operator classes inside expressions
     bitwise_probability: float = 0.10
     shift_probability: float = 0.0
@@ -91,7 +91,6 @@ LOOP_HEAVY_CONFIG = GeneratorConfig(
     assign_weight=0.40,
     if_weight=0.10,
     while_weight=0.30,
-    do_while_weight=0.20,
 )
 
 #: Named generator configurations selectable from the CLI.

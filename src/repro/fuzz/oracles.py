@@ -14,7 +14,7 @@ propagate to the campaign driver, which records them as crash findings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.diagnostics import InternalCompilerError, ReproError
@@ -59,7 +59,6 @@ class TargetHarness:
     session_noopt: Session
     session_interp: Session
     memory_storages: frozenset
-    environment_seeder: object = field(default=None, repr=False)
 
     @classmethod
     def create(

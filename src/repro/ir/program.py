@@ -105,7 +105,7 @@ class CBranch(Terminator):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Statement:
     """One assignment ``destination := expression``.
 
@@ -114,6 +114,9 @@ class Statement:
     *runtime-indexed* array store (``a[i] = ...``) the destination is the
     array's base name and ``destination_index`` carries the index
     expression (``None`` for every other statement).
+
+    Statements are frozen values: a stage that changes one puts a new
+    statement in its place, so blocks and programs may share them.
     """
 
     destination: str

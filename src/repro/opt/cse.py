@@ -13,8 +13,8 @@ first statement that uses it.  At that point every input leaf still holds
 exactly the version the value number was built from (the first use's
 right-hand side is evaluated there anyway), and all later occurrences
 read the stored temporary, which no subsequent write can invalidate.
-Candidates must be operation nodes with at least ``min_occurrences`` uses
-and ``min_ops`` operator nodes (materializing a lone load-sized node
+Candidates must be operation nodes with at least ``MIN_OCCURRENCES`` uses
+and ``MIN_OPS`` operator nodes (materializing a lone load-sized node
 trades nothing), and must not read input ports (a port read is never
 duplicated or elided).
 
@@ -50,19 +50,24 @@ MIN_OCCURRENCES = 2
 MIN_OPS = 2
 
 
-def is_temp(name: str, temp_prefix: str = TEMP_PREFIX) -> bool:
-    return name.startswith(temp_prefix)
+def is_temp(name: str) -> bool:
+    return name.startswith(TEMP_PREFIX)
 
 
-def _candidate_ids(
-    dag: ExprDAG, min_occurrences: int, min_ops: int
-) -> Set[int]:
+def _statement_reads(statement: Statement) -> Set[str]:
+    reads = expr_variables(statement.expression)
+    if statement.destination_index is not None:
+        reads.update(expr_variables(statement.destination_index))
+    return reads
+
+
+def _candidate_ids(dag: ExprDAG) -> Set[int]:
     return {
         node.id
         for node in dag.nodes
         if node.is_operation()
-        and dag.uses[node.id] >= min_occurrences
-        and dag.op_counts[node.id] >= min_ops
+        and dag.uses[node.id] >= MIN_OCCURRENCES
+        and dag.op_counts[node.id] >= MIN_OPS
         and not dag.has_port[node.id]
     }
 
@@ -111,11 +116,7 @@ def _rebuild_with_temps(
 
 
 def eliminate_common_subexpressions(
-    program: Program,
-    min_occurrences: int = MIN_OCCURRENCES,
-    min_ops: int = MIN_OPS,
-    temp_prefix: str = TEMP_PREFIX,
-    counters: Optional[Dict[str, int]] = None,
+    program: Program, counters: Optional[Dict[str, int]] = None
 ) -> Program:
     """A fresh program with repeated subexpressions materialized into
     compiler temporaries.  ``counters`` (when given) accumulates
@@ -131,7 +132,7 @@ def eliminate_common_subexpressions(
 
     def alloc_temp() -> str:
         while True:
-            name = "%s%d" % (temp_prefix, temp_serial[0])
+            name = "%s%d" % (TEMP_PREFIX, temp_serial[0])
             temp_serial[0] += 1
             if name not in reserved:
                 reserved.add(name)
@@ -143,7 +144,7 @@ def eliminate_common_subexpressions(
         builder = ProgramDAG()
         roots = [builder.add_statement(statement) for statement in block.statements]
         dag = builder.dag
-        candidates = _candidate_ids(dag, min_occurrences, min_ops)
+        candidates = _candidate_ids(dag)
         materialized: Dict[int, str] = {}
         statements: List[Statement] = []
         for statement, root in zip(block.statements, roots):
@@ -178,7 +179,6 @@ def eliminate_common_subexpressions(
 
 def eliminate_dead_temporaries(
     program: Program,
-    temp_prefix: str = TEMP_PREFIX,
     counters: Optional[Dict[str, int]] = None,
     temps: Optional[Set[str]] = None,
 ) -> Program:
@@ -188,11 +188,9 @@ def eliminate_dead_temporaries(
     ``temps`` names the temporaries eligible for removal.  The pipeline
     passes exactly the set the CSE stage materialized, so a *user*
     variable that happens to be called ``__cse0`` is never touched; when
-    ``temps`` is ``None`` (standalone use) any ``temp_prefix``-named
+    ``temps`` is ``None`` (standalone use) any ``TEMP_PREFIX``-named
     destination counts; an empty ``temps`` returns ``program`` itself.
-    Statements are reused from the input program object -- callers
-    needing fresh statements copy afterwards (see
-    :class:`~repro.opt.pipeline.OptPipeline`).
+    Surviving statements are shared with ``program`` (they are frozen).
 
     On straight-line programs this is the classic backward liveness
     sweep.  On CFG programs it stays conservative across block
@@ -208,13 +206,7 @@ def eliminate_dead_temporaries(
     def removable(name: str) -> bool:
         if temps is not None:
             return name in temps
-        return is_temp(name, temp_prefix)
-
-    def statement_reads(statement: Statement) -> Set[str]:
-        reads = expr_variables(statement.expression)
-        if statement.destination_index is not None:
-            reads.update(expr_variables(statement.destination_index))
-        return reads
+        return is_temp(name)
 
     new_blocks: List[BasicBlock] = []
     live_temps: Set[str] = set()
@@ -234,7 +226,7 @@ def eliminate_dead_temporaries(
             kept.append(statement)
             if statement.destination_index is None:
                 needed.discard(destination)
-            kept_reads = statement_reads(statement)
+            kept_reads = _statement_reads(statement)
             needed.update(kept_reads)
         kept.reverse()
         for statement in kept:
@@ -247,7 +239,7 @@ def eliminate_dead_temporaries(
         read_anywhere: Set[str] = set()
         for block in program.blocks:
             for statement in block.statements:
-                read_anywhere.update(statement_reads(statement))
+                read_anywhere.update(_statement_reads(statement))
             if block.terminator is not None:
                 read_anywhere.update(block.terminator.variables())
         for block in program.blocks:

@@ -260,8 +260,8 @@ def fold_statement(
     supported_ops: Optional[Set[str]] = None,
     rewrites: Optional[Dict[str, int]] = None,
 ) -> Statement:
-    """A fresh statement with the right-hand side (and the destination
-    index of a runtime-indexed array store, if any) folded."""
+    """``statement`` with its right-hand side (and the destination index
+    of a runtime-indexed array store, if any) folded."""
     destination_index = statement.destination_index
     if destination_index is not None:
         destination_index = fold_expr(

@@ -20,8 +20,8 @@ of the dominator tree:
   materialized temporaries too, so the temporary always holds the value
   the occurrence in ``B`` would recompute.
 
-Candidates use the block-local thresholds (``min_occurrences`` uses,
-``min_ops`` operator nodes, no port reads) and the rebuild machinery of
+Candidates use the block-local thresholds (``MIN_OCCURRENCES`` uses,
+``MIN_OPS`` operator nodes, no port reads) and the rebuild machinery of
 :func:`repro.opt.cse._rebuild_with_temps`, with the ``materialized`` map
 scoped to the dominator path.  A final cleanup inlines temporaries this
 run introduced that ended up defined and read exactly once in the same
@@ -36,6 +36,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.cfg import ControlFlowGraph
+from repro.analysis.dominators import dominance_relation
 from repro.analysis.loops import BlockStructure
 from repro.ir.expr import ArrayRef, IRNode, Op, VarRef, expr_variables
 from repro.ir.program import BasicBlock, Program, Statement
@@ -45,23 +46,9 @@ from repro.opt.cse import (
     TEMP_PREFIX,
     _candidate_ids,
     _rebuild_with_temps,
+    _statement_reads,
 )
 from repro.opt.dag import GlobalProgramDAG
-
-
-def _dominator_sets(
-    cfg: ControlFlowGraph, idom: Dict[str, Optional[str]]
-) -> Dict[str, Set[str]]:
-    """For each block, the set of its dominators (including itself)."""
-    sets: Dict[str, Set[str]] = {}
-    for name in cfg.names:
-        chain: Set[str] = set()
-        current: Optional[str] = name
-        while current is not None:
-            chain.add(current)
-            current = idom.get(current)
-        sets[name] = chain
-    return sets
 
 
 def _reachable_from(cfg: ControlFlowGraph) -> Dict[str, Set[str]]:
@@ -81,9 +68,9 @@ def _reachable_from(cfg: ControlFlowGraph) -> Dict[str, Set[str]]:
     return reach
 
 
-def _has_repeated_subtree(program: Program, min_occurrences: int, min_ops: int) -> bool:
-    """True when an operator subtree with ``min_ops`` operators (counted
-    as ``ExprDAG.op_counts`` does) occurs at ``min_occurrences`` places
+def _has_repeated_subtree(program: Program) -> bool:
+    """True when an operator subtree with ``MIN_OPS`` operators (counted
+    as ``ExprDAG.op_counts`` does) occurs at ``MIN_OCCURRENCES`` places
     in the statements and store indices -- without one no value number
     can qualify.  Iterative; IR nodes are never keys (``__eq__`` recurses)."""
     ids: Dict[tuple, int] = {}
@@ -112,9 +99,9 @@ def _has_repeated_subtree(program: Program, min_occurrences: int, min_ops: int) 
                 node_id = ids.setdefault(key, len(ids))
                 if node_id == len(op_counts):
                     op_counts.append(ops)
-                if kind is Op and ops >= min_ops:
+                if kind is Op and ops >= MIN_OPS:
                     occurrences[node_id] = occurrences.get(node_id, 0) + 1
-                    if occurrences[node_id] >= min_occurrences:
+                    if occurrences[node_id] >= MIN_OCCURRENCES:
                         return True
                 results.append(node_id)
     return False
@@ -147,13 +134,6 @@ def _substitute_var(expr: IRNode, name: str, replacement: IRNode) -> IRNode:
         else:
             built[id(node)] = node
     return built[id(expr)]
-
-
-def _statement_reads(statement: Statement) -> Set[str]:
-    reads = expr_variables(statement.expression)
-    if statement.destination_index is not None:
-        reads.update(expr_variables(statement.destination_index))
-    return reads
 
 
 def _inline_single_use_temps(
@@ -234,9 +214,6 @@ def _inline_single_use_temps(
 
 def global_value_numbering(
     program: Program,
-    min_occurrences: int = MIN_OCCURRENCES,
-    min_ops: int = MIN_OPS,
-    temp_prefix: str = TEMP_PREFIX,
     counters: Optional[Dict[str, int]] = None,
     structure: Optional[BlockStructure] = None,
 ) -> Program:
@@ -252,7 +229,7 @@ def global_value_numbering(
     stats.setdefault("cse_hits", 0)
     stats.setdefault("temps_introduced", 0)
 
-    if not _has_repeated_subtree(program, min_occurrences, min_ops):
+    if not _has_repeated_subtree(program):
         return program
     if structure is None:
         structure = BlockStructure(program)
@@ -261,7 +238,7 @@ def global_value_numbering(
         return program  # no blocks / unreachable entry: nothing executes
 
     idom = structure.idom
-    dom_sets = _dominator_sets(cfg, idom)
+    dom_sets = dominance_relation(idom)
     reach = _reachable_from(cfg)
     statements_of = {
         block.name: block.statements
@@ -305,7 +282,7 @@ def global_value_numbering(
         for child in reversed(children[name]):
             stack.append(("enter", child))
 
-    candidates = _candidate_ids(dag.dag, min_occurrences, min_ops)
+    candidates = _candidate_ids(dag.dag)
     if not candidates:
         return program
 
@@ -314,7 +291,7 @@ def global_value_numbering(
 
     def alloc_temp() -> str:
         while True:
-            name = "%s%d" % (temp_prefix, temp_serial[0])
+            name = "%s%d" % (TEMP_PREFIX, temp_serial[0])
             temp_serial[0] += 1
             if name not in reserved:
                 reserved.add(name)
@@ -346,7 +323,7 @@ def global_value_numbering(
             walk.append((child, materialized))
 
     introduced = {
-        name for name in reserved if name.startswith(temp_prefix)
+        name for name in reserved if name.startswith(TEMP_PREFIX)
     } - (set(program.all_variables()) | set(program.scalars))
 
     new_blocks: List[BasicBlock] = []
@@ -355,16 +332,9 @@ def global_value_numbering(
         if block.name in rebuilt and block.name not in emitted:
             statements = rebuilt[block.name]
         else:
-            # Unreachable (or duplicate-named) blocks never execute; copy
-            # them verbatim, untouched by value numbering.
-            statements = [
-                Statement(
-                    destination=statement.destination,
-                    expression=statement.expression,
-                    destination_index=statement.destination_index,
-                )
-                for statement in block.statements
-            ]
+            # Unreachable (or duplicate-named) blocks never execute; keep
+            # their statements, untouched by value numbering.
+            statements = list(block.statements)
         emitted.add(block.name)
         new_blocks.append(
             BasicBlock(

@@ -268,7 +268,6 @@ def plan_loop_invariants(
 def hoist_loop_invariants(
     program: Program,
     counters: Optional[Dict[str, int]] = None,
-    temp_prefix: str = LICM_TEMP_PREFIX,
     plan: Optional[list] = None,
     structure: Optional[BlockStructure] = None,
 ) -> Set[str]:
@@ -292,7 +291,7 @@ def hoist_loop_invariants(
 
     def alloc_temp() -> str:
         while True:
-            name = "%s%d" % (temp_prefix, serial[0])
+            name = "%s%d" % (LICM_TEMP_PREFIX, serial[0])
             serial[0] += 1
             if name not in reserved:
                 reserved.add(name)

@@ -17,17 +17,17 @@ self-loops of the result carry :class:`~repro.ir.program.HardwareLoop`
 annotations in ``Program.hw_loops``, the hook the backend's
 zero-overhead repeat lowering keys on; without it they are empty.
 
-The returned program, its blocks and its statements are fresh objects,
-so callers may mutate either side freely; expression trees and
-terminators are frozen and may be shared with the input.  The pipeline
-is target-independent; passing the target grammar's operator vocabulary
-as ``supported_ops`` merely gates operator-introducing rewrites (see
-:mod:`repro.opt.fold`).
+The returned program, its blocks and their statement lists are fresh
+objects, so callers may mutate either side freely; statements,
+expression trees and terminators are frozen and may be shared with the
+input.  The pipeline is target-independent; passing the target
+grammar's operator vocabulary as ``supported_ops`` merely gates
+operator-introducing rewrites (see :mod:`repro.opt.fold`).
 
 Each stage runs a read-only check before it copies the program or
 builds an analysis, and hands its input through when the check finds
 nothing to do; a stage that changes something copies once.  The run
-copies at the end only when no stage built fresh statements.
+copies at the end only when no stage built fresh blocks.
 
 A run builds the CFG, dominator tree and loop nesting forest once for
 each block structure it produces (a
@@ -44,14 +44,8 @@ from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
 from repro.analysis.loops import BlockStructure
 from repro.diagnostics import ReproError
-from repro.ir.program import BasicBlock, CBranch, Program, Statement
-from repro.opt.cse import (
-    MIN_OCCURRENCES,
-    MIN_OPS,
-    TEMP_PREFIX,
-    eliminate_common_subexpressions,
-    eliminate_dead_temporaries,
-)
+from repro.ir.program import BasicBlock, CBranch, Program
+from repro.opt.cse import eliminate_common_subexpressions, eliminate_dead_temporaries
 from repro.opt.fold import fold_expr, fold_statement, split_rewrite_counts
 
 
@@ -147,25 +141,18 @@ class OptStats:
 
 
 def copy_program(program: Program) -> Program:
-    """A structural copy: fresh program, blocks, statement lists and
-    statements, sharing the frozen expression trees and terminators.
+    """A structural copy: fresh program, blocks and statement lists,
+    sharing the frozen statements, expression trees and terminators.
 
-    Everything a pass may mutate is fresh; the trees and terminators are
-    frozen dataclasses, so sharing them is safe.
+    Everything a pass may mutate is fresh; the rest are frozen
+    dataclasses, so sharing them is safe.
     """
     return Program(
         name=program.name,
         blocks=[
             BasicBlock(
                 name=block.name,
-                statements=[
-                    Statement(
-                        statement.destination,
-                        statement.expression,
-                        statement.destination_index,
-                    )
-                    for statement in block.statements
-                ],
+                statements=list(block.statements),
                 terminator=block.terminator,
             )
             for block in program.blocks
@@ -213,13 +200,7 @@ class OptPipeline:
     #: comparisons (``--stages fold,cse,dce``).
     DEFAULT_STAGES: Tuple[str, ...] = ("fold", "loops", "licm", "gvn", "dce")
 
-    def __init__(
-        self,
-        stages: Optional[Sequence[str]] = None,
-        min_cse_occurrences: int = MIN_OCCURRENCES,
-        min_cse_ops: int = MIN_OPS,
-        temp_prefix: str = TEMP_PREFIX,
-    ):
+    def __init__(self, stages: Optional[Sequence[str]] = None):
         self.stages: Tuple[str, ...] = (
             tuple(stages) if stages is not None else self.DEFAULT_STAGES
         )
@@ -229,9 +210,6 @@ class OptPipeline:
                 "unknown optimization stage(s) %s; available stages: %s"
                 % (", ".join(sorted(unknown)), ", ".join(self.STAGES))
             )
-        self.min_cse_occurrences = min_cse_occurrences
-        self.min_cse_ops = min_cse_ops
-        self.temp_prefix = temp_prefix
 
     def run(
         self,
@@ -271,7 +249,7 @@ class OptPipeline:
             "gvn_hits": 0,
         }
         current = program
-        produced_fresh = False  # True once current shares no statement with program
+        produced_fresh = False  # True once current shares no block with program
         counted = counted_of = None  # counted loops of the loops stage, and of which program
         structure = BlockStructure(program)  # of current's blocks; stages update it
         trip_counts: Dict[tuple, Optional[int]] = {}
@@ -337,12 +315,7 @@ class OptPipeline:
                 }
                 scalars_before = set(current.scalars)
                 numbered = global_value_numbering(
-                    current,
-                    min_occurrences=self.min_cse_occurrences,
-                    min_ops=self.min_cse_ops,
-                    temp_prefix=self.temp_prefix,
-                    counters=gvn_counters,
-                    structure=structure,
+                    current, counters=gvn_counters, structure=structure
                 )
                 counters["gvn_hits"] += gvn_counters["cse_hits"]
                 counters["temps_introduced"] += gvn_counters["temps_introduced"]
@@ -351,17 +324,11 @@ class OptPipeline:
                 current = numbered
             elif stage == "cse":
                 scalars_before = set(current.scalars)
-                current = eliminate_common_subexpressions(
-                    current,
-                    min_occurrences=self.min_cse_occurrences,
-                    min_ops=self.min_cse_ops,
-                    temp_prefix=self.temp_prefix,
-                    counters=counters,
-                )
+                current = eliminate_common_subexpressions(current, counters=counters)
                 introduced_temps |= set(current.scalars) - scalars_before
                 produced_fresh = True
             elif stage == "dce":
-                # DCE reuses surviving statement objects, so freshness is
+                # DCE reuses surviving statements, so freshness is
                 # unchanged.  With a materializing stage in this run, only
                 # its temps are removable (a user scalar named "__cse0" is
                 # safe); without one, fall back to the documented standalone
@@ -371,7 +338,6 @@ class OptPipeline:
                 )
                 current = eliminate_dead_temporaries(
                     current,
-                    temp_prefix=self.temp_prefix,
                     counters=counters,
                     temps=None if standalone else introduced_temps,
                 )

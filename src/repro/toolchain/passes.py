@@ -266,8 +266,8 @@ class OptimizationPass(Pass):
     """IR optimization ahead of selection: constant folding, algebraic
     rewriting, cross-statement CSE and dead-temporary elimination.
 
-    Replaces ``state.program`` with the optimized program: fresh blocks
-    and statements, frozen expression trees possibly shared with the
+    Replaces ``state.program`` with the optimized program: fresh blocks,
+    with frozen statements and expression trees possibly shared with the
     input.  The rewrite itself is target-independent; the target's
     grammar only *gates* operator-introducing strength reductions
     (``context.supported_ops``, see :func:`introducible_ops`), so a

@@ -37,8 +37,6 @@ class TargetSpec:
     hdl_source: str
     description: str = ""
     category: str = "unregistered"
-    # The storage resource in which program variables live by default.
-    default_variable_storage: Optional[str] = "DMEM"
     # Variables that should live in registers/ports instead of memory may be
     # listed here per experiment; empty by default.
     binding_overrides: Dict[str, str] = field(default_factory=dict)

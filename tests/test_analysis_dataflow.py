@@ -1,10 +1,10 @@
-"""Dataflow analyses checked against naive fixpoint oracles.
+"""CFG analyses checked against naive oracles.
 
-The solver in ``repro.analysis`` runs a worklist in reverse postorder;
-the oracles here use chaotic iteration over set equations (dominators:
-the textbook intersection equations; liveness/reaching: round-robin
-until nothing changes).  Both must agree on every CFG -- random graphs
-from hypothesis and every DSPStone kernel, loop forms included.
+Dominators are checked against the textbook intersection equations
+iterated to a fixpoint; :func:`repro.analysis.unassigned_reads` against a
+path search per variable from the entry through the blocks that do not
+assign it.  Both must agree on every CFG -- random graphs from hypothesis
+and every DSPStone kernel, loop forms and optimized forms included.
 """
 
 from hypothesis import given, settings
@@ -13,19 +13,14 @@ from hypothesis import strategies as st
 from repro.analysis import (
     ControlFlowGraph,
     dominance_relation,
-    dominator_tree,
     dominates,
     immediate_dominators,
-    liveness,
-    possibly_uninitialized_uses,
-    reaching_definitions,
-    use_def_chains,
+    unassigned_reads,
 )
-from repro.analysis.liveness import block_use_def
-from repro.analysis.reaching import UNINITIALIZED, Definition, ReachingProblem
 from repro.dspstone import all_kernel_names, kernel_program, loop_kernel_names
-from repro.ir.expr import Const, Op, VarRef
+from repro.ir.expr import ArrayRef, Const, Op, PortInput, VarRef, expr_variables
 from repro.ir.program import BasicBlock, CBranch, Jump, Program, Statement
+from repro.opt import OptPipeline
 
 
 # ---------------------------------------------------------------------------
@@ -55,51 +50,50 @@ def oracle_dominators(cfg: ControlFlowGraph):
                 changed = True
     return dom
 
-def oracle_liveness(program, cfg: ControlFlowGraph):
-    """Chaotic-iteration liveness (no worklist, no ordering)."""
-    use, deff = {}, {}
-    for name in cfg.names:
-        use[name], deff[name] = block_use_def(program.block(name))
-    live_in = {name: set() for name in cfg.names}
-    live_out = {name: set() for name in cfg.names}
-    changed = True
-    while changed:
-        changed = False
-        for name in cfg.names:
-            out = set()
-            for succ in cfg.successors[name]:
-                out |= live_in[succ]
-            new_in = use[name] | (out - deff[name])
-            if out != live_out[name] or new_in != live_in[name]:
-                live_out[name] = out
-                live_in[name] = new_in
-                changed = True
-    return live_in, live_out
+
+def _steps(block):
+    """``(reads, assigned variable or None)`` of each statement, then of
+    the branch condition: a runtime-indexed store reads its index and
+    array base and assigns nothing, nor does an ``@port`` write."""
+    steps = []
+    for statement in block.statements:
+        reads = expr_variables(statement.expression)
+        assigned = statement.destination
+        if statement.destination_index is not None:
+            reads |= expr_variables(statement.destination_index) | {assigned}
+            assigned = None
+        elif assigned.startswith("@"):
+            assigned = None
+        steps.append((reads, assigned))
+    if block.terminator is not None:
+        steps.append((block.terminator.variables(), None))
+    return steps
 
 
-def oracle_reaching(program, cfg: ControlFlowGraph):
-    """Chaotic-iteration reaching definitions, reusing only the per-block
-    transfer (statement-level gen/kill is where the modelling lives)."""
-    problem = ReachingProblem(program)
-    reach_in = {name: frozenset() for name in cfg.names}
-    reach_out = {name: frozenset() for name in cfg.names}
-    changed = True
-    while changed:
-        changed = False
-        for name in cfg.names:
-            incoming = set()
-            if name == cfg.entry:
-                incoming |= set(problem.boundary())
-            for pred in cfg.names:
-                if name in cfg.successors[pred]:
-                    incoming |= set(reach_out[pred])
-            incoming = frozenset(incoming)
-            out = problem.transfer(name, incoming)
-            if incoming != reach_in[name] or out != reach_out[name]:
-                reach_in[name] = incoming
-                reach_out[name] = out
-                changed = True
-    return reach_in, reach_out
+def oracle_unassigned_reads(program):
+    """For each variable, the blocks control can enter with it unassigned
+    are the entry and every successor of such a block that does not assign
+    it; in those blocks, a read before the block's first assignment of the
+    variable is flagged."""
+    if not program.blocks:
+        return []
+    sites = set()
+    for variable in program.all_variables():
+        entered, stack = set(), [program.entry_block_name()]
+        while stack:
+            name = stack.pop()
+            if name in entered:
+                continue
+            entered.add(name)
+            if all(assigned != variable for _reads, assigned in _steps(program.block(name))):
+                stack.extend(program.successors(name))
+        for name in entered:
+            for index, (reads, assigned) in enumerate(_steps(program.block(name))):
+                if variable in reads:
+                    sites.add((name, index, variable))
+                if assigned == variable:
+                    break
+    return sorted(sites)
 
 
 def assert_matches_oracles(program):
@@ -110,69 +104,87 @@ def assert_matches_oracles(program):
     idom = immediate_dominators(cfg)
     relation = dominance_relation(idom)
     assert relation == oracle_dominators(cfg)
-    # Liveness.
-    result = liveness(program, cfg=cfg)
-    oracle_in, oracle_out = oracle_liveness(program, cfg)
-    assert {n: set(s) for n, s in result.live_in.items()} == oracle_in
-    assert {n: set(s) for n, s in result.live_out.items()} == oracle_out
-    # Reaching definitions.
-    reaching = reaching_definitions(program, cfg=cfg)
-    oracle_rin, oracle_rout = oracle_reaching(program, cfg)
-    assert reaching.reach_in == oracle_rin
-    assert reaching.reach_out == oracle_rout
+    # Definite assignment.
+    assert unassigned_reads(program) == oracle_unassigned_reads(program)
 
 
 # ---------------------------------------------------------------------------
 # Random programs
 # ---------------------------------------------------------------------------
 
-_VARS = ["a", "b", "c", "d"]
+_SCALARS = ["a", "b", "c", "d"]
+#: Scalars plus two constant-index elements of the array ``x``.
+_VARS = _SCALARS + ["x[0]", "x[1]"]
+
+
+@st.composite
+def operands(draw):
+    kind = draw(st.sampled_from(["var", "var", "const", "array", "port"]))
+    if kind == "var":
+        return VarRef(draw(st.sampled_from(_VARS)))
+    if kind == "const":
+        return Const(draw(st.integers(min_value=0, max_value=3)))
+    if kind == "array":
+        return ArrayRef("x", VarRef(draw(st.sampled_from(_SCALARS))))
+    return PortInput("PIN")
+
+
+@st.composite
+def statements(draw):
+    expression = Op("add", (draw(operands()), draw(operands())))
+    kind = draw(st.sampled_from(["assign", "assign", "store", "port"]))
+    if kind == "store":
+        return Statement("x", expression, VarRef(draw(st.sampled_from(_SCALARS))))
+    if kind == "port":
+        return Statement("@POUT", expression)
+    return Statement(draw(st.sampled_from(_VARS)), expression)
 
 
 @st.composite
 def random_programs(draw):
     block_count = draw(st.integers(min_value=1, max_value=6))
     names = ["b%d" % i for i in range(block_count)]
+    # The entry is a branch target about as often as any other block.
+    targets = st.sampled_from(names)
     blocks = []
     for name in names:
-        statements = []
-        for _ in range(draw(st.integers(min_value=0, max_value=3))):
-            dest = draw(st.sampled_from(_VARS))
-            source = draw(st.sampled_from(_VARS))
-            statements.append(
-                Statement(dest, Op("add", (VarRef(source), Const(1))))
-            )
+        body = draw(st.lists(statements(), max_size=3))
         kind = draw(st.sampled_from(["none", "jump", "cbranch"]))
         terminator = None
         if kind == "jump":
-            terminator = Jump(draw(st.sampled_from(names)))
+            terminator = Jump(draw(targets))
         elif kind == "cbranch":
             terminator = CBranch(
-                Op("lt", (VarRef(draw(st.sampled_from(_VARS))), Const(10))),
-                draw(st.sampled_from(names)),
-                draw(st.sampled_from(names)),
+                Op("lt", (draw(operands()), Const(10))), draw(targets), draw(targets)
             )
-        blocks.append(BasicBlock(name, statements, terminator))
-    return Program("random", blocks, scalars=list(_VARS))
+        blocks.append(BasicBlock(name, body, terminator))
+    return Program("random", blocks, scalars=list(_SCALARS), arrays={"x": 2})
 
 
 class TestAgainstOraclesOnRandomCFGs:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(random_programs())
-    def test_solver_matches_naive_fixpoints(self, program):
+    def test_analyses_match_oracles(self, program):
         assert_matches_oracles(program)
+
+
+def assert_matches_oracles_optimized(program):
+    """The program and its optimized form, which reads the optimizer's
+    temporaries."""
+    assert_matches_oracles(program)
+    assert_matches_oracles(OptPipeline().run(program)[0])
 
 
 class TestAgainstOraclesOnKernels:
     def test_every_unrolled_kernel(self):
         for name in all_kernel_names():
-            assert_matches_oracles(kernel_program(name))
+            assert_matches_oracles_optimized(kernel_program(name))
 
     def test_every_loop_kernel(self):
         for name in loop_kernel_names():
             program = kernel_program(name)
             assert not program.is_straight_line()
-            assert_matches_oracles(program)
+            assert_matches_oracles_optimized(program)
 
 
 # ---------------------------------------------------------------------------
@@ -210,30 +222,46 @@ class TestDominators:
             "done": "exit",
         }
 
-    def test_dominator_tree_and_relation(self):
+    def test_dominance_relation(self):
         cfg = ControlFlowGraph.from_program(_diamond())
         idom = immediate_dominators(cfg)
-        tree = dominator_tree(idom)
-        assert set(tree["entry"]) == {"left", "right", "exit"}
+        relation = dominance_relation(idom)
+        assert relation["exit"] == {"entry", "exit"}
+        assert relation["done"] == {"entry", "exit", "done"}
         assert dominates(idom, "entry", "done")
         assert dominates(idom, "exit", "done")
         assert not dominates(idom, "left", "exit")
 
 
-class TestReachingChains:
-    def test_use_def_chains_pick_up_both_arms(self):
-        program = _diamond()
-        chains = use_def_chains(program)
-        # exit reads b, defined in both arms of the diamond.
-        reaching = chains[("exit", 0, "b")]
-        assert {(d.block, d.variable) for d in reaching} == {
-            ("left", "b"),
-            ("right", "b"),
-        }
-
+class TestUnassignedReads:
     def test_initialized_diamond_has_no_flagged_reads(self):
         # Every read in the diamond is dominated by an assignment.
-        assert possibly_uninitialized_uses(_diamond()) == []
+        assert unassigned_reads(_diamond()) == []
+
+    def test_assignment_must_reach_the_join_on_both_arms(self):
+        # exit reads b; with the right arm's assignment of b gone, the
+        # path through right reaches exit with b unassigned.
+        program = _diamond()
+        right = program.block("right")
+        right.statements = [Statement("d", Const(9))]
+        assert unassigned_reads(program) == [("exit", 0, "b")]
+
+    def test_back_edge_into_the_entry_assigns_nothing_on_entry(self):
+        # The entry starts with nothing assigned, whatever its loop
+        # predecessors assign: the first pass reads i unassigned.
+        program = Program(
+            "loop",
+            [
+                BasicBlock(
+                    "entry",
+                    [Statement("s", VarRef("i")), Statement("i", Const(1))],
+                    CBranch(Op("lt", (VarRef("s"), Const(4))), "entry", "done"),
+                ),
+                BasicBlock("done", [Statement("t", VarRef("i"))]),
+            ],
+            scalars=["i", "s", "t"],
+        )
+        assert unassigned_reads(program) == [("entry", 0, "i")]
 
     def test_reads_of_program_inputs_are_flagged(self):
         program = Program(
@@ -241,12 +269,34 @@ class TestReachingChains:
             [BasicBlock("entry", [Statement("y", VarRef("x"))])],
             scalars=["x", "y"],
         )
-        assert possibly_uninitialized_uses(program) == [("entry", 0, "x")]
+        assert unassigned_reads(program) == [("entry", 0, "x")]
 
-    def test_entry_definitions_are_marked(self):
-        definition = Definition(UNINITIALIZED, -1, "x")
-        assert definition.is_uninitialized
-        assert "uninitialized" in str(definition)
+    def test_indexed_stores_and_port_writes_assign_nothing(self):
+        program = Program(
+            "stores",
+            [
+                BasicBlock(
+                    "entry",
+                    [
+                        Statement("i", Const(0)),
+                        Statement("x", Const(1), VarRef("i")),
+                        Statement("@POUT", VarRef("i")),
+                        Statement("y", ArrayRef("x", VarRef("i"))),
+                    ],
+                    CBranch(Op("lt", (VarRef("z"), Const(1))), "entry", "done"),
+                ),
+                BasicBlock("done", [Statement("z", VarRef("y"))]),
+            ],
+            scalars=["i", "y", "z"],
+            arrays={"x": 2},
+        )
+        # The store reads its array base, and so does the later array
+        # read; the branch condition reads at index 4.
+        assert unassigned_reads(program) == [
+            ("entry", 1, "x"),
+            ("entry", 3, "x"),
+            ("entry", 4, "z"),
+        ]
 
 
 class TestReversePostorder:

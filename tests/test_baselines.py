@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.baselines import (
-    GreedyMaximalMunch,
-    hand_reference_size,
-    hand_reference_table,
-)
+from repro.baselines import hand_reference_size, hand_reference_table
 from repro.dspstone import all_kernel_names, get_kernel
-from repro.selector import SubjectNode
 from repro.toolchain import PipelineConfig, Session
 
 
@@ -53,36 +48,3 @@ class TestHandReference:
         assert hand_reference_size("n_real_updates") == 4 * hand_reference_size("real_update")
         assert hand_reference_size("biquad_n") == 4 * hand_reference_size("biquad_one")
         assert hand_reference_size("convolution") == hand_reference_size("fir")
-
-
-class TestGreedyMaximalMunch:
-    def test_greedy_covers_simple_trees(self, tms_result):
-        greedy = GreedyMaximalMunch(tms_result.grammar)
-        root = SubjectNode(
-            "ASSIGN",
-            [
-                SubjectNode("DMEM"),
-                SubjectNode("add", [SubjectNode("DMEM"), SubjectNode("DMEM")]),
-            ],
-        )
-        assert greedy.cover_size(root) >= 1
-
-    def test_greedy_never_undercuts_optimal(self, tms_result):
-        from repro.selector import CodeSelector
-
-        greedy = GreedyMaximalMunch(tms_result.grammar)
-        optimal = CodeSelector(tms_result.grammar)
-        root = SubjectNode(
-            "ASSIGN",
-            [
-                SubjectNode("DMEM"),
-                SubjectNode(
-                    "add",
-                    [
-                        SubjectNode("DMEM"),
-                        SubjectNode("mul", [SubjectNode("DMEM"), SubjectNode("DMEM")]),
-                    ],
-                ),
-            ],
-        )
-        assert greedy.cover_size(root) >= optimal.select(root).cost

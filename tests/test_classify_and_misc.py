@@ -71,9 +71,5 @@ class TestModuleHelpers:
 
 
 class TestTargetSpecDefaults:
-    def test_default_variable_storage_is_memory(self):
-        for name in ("demo", "ref", "tms320c25"):
-            assert default_registry().get(name).default_variable_storage == "DMEM"
-
     def test_binding_overrides_default_empty(self):
         assert default_registry().get("demo").binding_overrides == {}

@@ -5,16 +5,18 @@ constant folding and algebraic rewriting (word-wrap agreement with the
 simulator, port-read and target-capability gates), cross-statement CSE
 with dead-temporary elimination, the composable pipeline with its
 statistics, the IR contract of optimizer output and copies (fresh
-blocks and statements, shared frozen trees), and the toolchain/CLI
-integration (``opt`` pass, ``--no-opt``, ``repro opt``).
+blocks and statement lists, shared frozen statements and trees), and
+the toolchain/CLI integration (``opt`` pass, ``--no-opt``, ``repro
+opt``).
 """
 
 from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
-from repro.dspstone import kernel_program
+from repro.dspstone import kernel_program, loop_kernel_names
 from repro.frontend.lowering import lower_to_program
+from repro.fuzz.generator import GENERATOR_PROFILES, generate_source
 from repro.ir import WORD_BITS, wrap_word
 from repro.ir.expr import (
     ArrayRef,
@@ -483,23 +485,42 @@ class TestOptPipeline:
         assert folded.statement_count() == 2
         assert cse_only.statement_count() >= 3
 
+    @staticmethod
+    def _assert_owns_its_blocks(optimized, program, label):
+        # Blocks and statement lists are mutable and must be fresh; the
+        # frozen statements and expression trees may be shared.
+        assert optimized is not program, label
+        input_blocks = {id(block) for block in program.blocks}
+        input_lists = {id(block.statements) for block in program.blocks}
+        for block in optimized.blocks:
+            assert id(block) not in input_blocks, label
+            assert id(block.statements) not in input_lists, label
+
     def test_optimizer_output_never_aliases_the_input(self):
-        # Blocks and statements are mutable and must be fresh; the frozen
-        # expression trees may be shared.
         program = lower_to_program(
             "int a, b, y0, y1;\ny0 = a * b + a;\ny1 = a * b + a;\n"
         )
-        input_blocks = {id(block) for block in program.blocks}
-        input_statements = {
-            id(s) for block in program.blocks for s in block.statements
-        }
         for stages in (None, ["fold"], ["cse"], ["dce"], []):
             optimized, _stats = optimize_program(program, stages=stages)
-            assert optimized is not program
-            for block in optimized.blocks:
-                assert id(block) not in input_blocks, stages
-                for statement in block.statements:
-                    assert id(statement) not in input_statements, stages
+            self._assert_owns_its_blocks(optimized, program, stages)
+
+    @pytest.mark.parametrize(
+        "stages", [None, ["loops"], ["licm"]], ids=["default", "loops", "licm"]
+    )
+    def test_loop_stages_leave_the_input_untouched(self, stages):
+        # Rotation, strength reduction, LICM and preheader insertion edit
+        # blocks in place once their stage has copied the program; a
+        # missing copy would edit the caller's blocks.  Run alone, each
+        # stage sees the caller's program itself.
+        loops = GENERATOR_PROFILES["loops"]
+        programs = [kernel_program(name) for name in loop_kernel_names()] + [
+            lower_to_program(generate_source(seed, loops)) for seed in range(12)
+        ]
+        for program in programs:
+            before = repr(program)
+            optimized, _stats = OptPipeline(stages).run(program)
+            self._assert_owns_its_blocks(optimized, program, program.name)
+            assert repr(program) == before, program.name
 
     def test_mutation_isolation_regression(self):
         # Mutating the input program after optimization must not leak
@@ -508,12 +529,12 @@ class TestOptPipeline:
         program = lower_to_program("int a, b, y;\ny = a * b + a;\n")
         optimized, _stats = optimize_program(program)
         before = [str(s) for s in optimized.blocks[0].statements]
-        program.blocks[0].statements[0].destination = "mutated"
         program.blocks[0].statements.append(Statement("z", Const(1)))
         program.scalars.append("z")
         assert [str(s) for s in optimized.blocks[0].statements] == before
-        optimized.blocks[0].statements[0].destination = "other"
-        assert program.blocks[0].statements[0].destination == "mutated"
+        assert "z" not in optimized.scalars
+        optimized.blocks[0].statements.append(Statement("w", Const(2)))
+        assert str(program.blocks[0].statements[-1]) == "z = 1"
 
     def test_copy_program_is_structural(self):
         program = kernel_program("fir_loop")
@@ -523,15 +544,12 @@ class TestOptPipeline:
             for block in program.blocks
         ]
         clone = copy_program(program)
-        # The frozen trees and terminators are shared ...
-        assert clone.blocks[0].statements[0].expression is (
-            program.blocks[0].statements[0].expression
-        )
+        # The frozen statements, trees and terminators are shared ...
+        assert clone.blocks[0].statements[0] is program.blocks[0].statements[0]
         assert clone.blocks[1].terminator is program.blocks[1].terminator
         # ... everything mutable is the copy's own.
         clone.blocks[0].statements.append(Statement("y", Const(1)))
-        clone.blocks[0].statements[0].destination = "i"
-        clone.blocks[0].statements[1].expression = Const(7)
+        clone.blocks[0].statements[0] = Statement("i", Const(7))
         clone.blocks[1].terminator = None
         clone.blocks.pop()
         clone.scalars.append("__t")
@@ -556,6 +574,8 @@ class TestOptPipeline:
             Jump("exit"),
             CBranch(VarRef("a"), "body", "exit"),
             HardwareLoop("body", 4),
+            Statement("d", VarRef("a")),
+            Statement("x", Const(1), VarRef("i")),
         ]
         assert set(IRNode.__subclasses__()) <= {type(sample) for sample in samples}
         for sample in samples:

@@ -114,22 +114,10 @@ def _ungated_run(pipeline, program, supported_ops):
             local = {"cse_hits": 0, "temps_introduced": 0}
             before = set(current.scalars)
             if stage == "gvn":
-                current = global_value_numbering(
-                    copy_program(current),
-                    min_occurrences=pipeline.min_cse_occurrences,
-                    min_ops=pipeline.min_cse_ops,
-                    temp_prefix=pipeline.temp_prefix,
-                    counters=local,
-                )
+                current = global_value_numbering(copy_program(current), counters=local)
                 counters["gvn_hits"] += local["cse_hits"]
             else:
-                current = eliminate_common_subexpressions(
-                    current,
-                    min_occurrences=pipeline.min_cse_occurrences,
-                    min_ops=pipeline.min_cse_ops,
-                    temp_prefix=pipeline.temp_prefix,
-                    counters=local,
-                )
+                current = eliminate_common_subexpressions(current, counters=local)
                 counters["cse_hits"] += local["cse_hits"]
             counters["temps_introduced"] += local["temps_introduced"]
             introduced |= set(current.scalars) - before
@@ -137,7 +125,6 @@ def _ungated_run(pipeline, program, supported_ops):
             standalone = not any(name in pipeline.stages for name in _MATERIALIZING)
             current = eliminate_dead_temporaries(
                 current,
-                temp_prefix=pipeline.temp_prefix,
                 counters=counters,
                 temps=None if standalone else introduced,
             )
