@@ -10,10 +10,10 @@ facts this module computes from a :class:`~repro.analysis.cfg.ControlFlowGraph`:
 * **natural loops** -- for every header, the union of the classic
   backward-reachability bodies of its back edges, assembled into a
   :class:`LoopNestingForest` whose parent links follow body inclusion;
-* **preheaders** -- :func:`insert_preheaders` reshapes a
-  :class:`~repro.ir.program.Program` so every loop header has a unique
-  out-of-loop predecessor, the landing pad loop-invariant code motion
-  hoists into.
+* **preheaders** -- :func:`insert_preheaders` derives a
+  :class:`~repro.ir.program.Program` in which every loop header has a
+  unique out-of-loop predecessor, the landing pad loop-invariant code
+  motion hoists into.
 
 A :class:`BlockStructure` holds the CFG, immediate dominators and loop
 nesting forest of one program's block structure, each built once, so the
@@ -332,36 +332,45 @@ def insert_preheaders(
     program: Program,
     forest: Optional[LoopNestingForest] = None,
     cfg: Optional[ControlFlowGraph] = None,
-) -> Dict[str, str]:
+) -> Tuple[Program, Dict[str, str]]:
     """Give every natural-loop header a dedicated preheader block.
 
-    Reshapes ``program`` **in place**: for each loop header, an empty
-    block named ``<header>.pre`` (uniquified if taken) is inserted
-    immediately before the header in layout order, every out-of-loop
-    edge into the header is redirected to it, and it jumps to the
-    header.  Headers that already have exactly one out-of-loop
+    Returns ``(program with preheaders, {header: preheader})``.  For each
+    loop header, an empty block named ``<header>.pre`` (uniquified if
+    taken) goes immediately before the header in layout order, every
+    out-of-loop edge into the header is redirected to it, and it jumps to
+    the header.  Headers that already have exactly one out-of-loop
     predecessor ending in an unconditional jump are left alone -- that
-    predecessor already is a preheader.  Returns ``{header: preheader}``
-    for every loop (including the pre-existing ones), and updates
-    ``forest`` loops' ``preheader`` fields when a forest is passed.
-    ``cfg``, when given, is the CFG of ``program`` as passed.
+    predecessor already is a preheader.  The mapping covers every loop
+    (including the pre-existing preheaders); ``forest`` loops'
+    ``preheader`` fields are updated when a forest is passed.  Without a
+    new preheader the result is ``program`` itself; otherwise the blocks
+    it did not retarget are shared with it.  ``cfg``, when given, is the
+    CFG of ``program``.
     """
     if cfg is None:
         cfg = ControlFlowGraph.from_program(program)
     if forest is None:
         forest = loop_nesting_forest(cfg)
     preheaders: Dict[str, str] = {}
-    taken = {block.name for block in program.blocks}
+    blocks = list(program.blocks)
+    entry = program.entry
+
+    def index_of(name: str) -> int:
+        # The first block of that name, as Program.block finds it.
+        return next(index for index, block in enumerate(blocks) if block.name == name)
+
+    taken = {block.name for block in blocks}
     for header in list(forest.loops):
         loop = forest.loops[header]
         body = set(loop.blocks)
         outside = [
             pred for pred in cfg.predecessors.get(header, ()) if pred not in body
         ]
-        entry_is_header = program.entry_block_name() == header
+        entry_is_header = (entry or blocks[0].name) == header
         reuse: Optional[str] = None
         if len(outside) == 1 and not entry_is_header:
-            candidate = program.block(outside[0])
+            candidate = blocks[index_of(outside[0])]
             in_no_loop_with_header = all(
                 outside[0] not in other.blocks or header not in other.blocks
                 for other in forest.loops.values()
@@ -377,18 +386,17 @@ def insert_preheaders(
             forest.loops[header] = replace(loop, preheader=reuse)
             continue
         name = _unique_block_name(header + PREHEADER_SUFFIX, taken)
-        preheader = BasicBlock(name=name, statements=[], terminator=Jump(header))
         for pred in outside:
-            block = program.block(pred)
-            block.terminator = _retarget(block.terminator, header, name)
-        position = next(
-            index
-            for index, block in enumerate(program.blocks)
-            if block.name == header
-        )
-        program.blocks.insert(position, preheader)
+            index = index_of(pred)
+            block = blocks[index]
+            blocks[index] = replace(
+                block, terminator=_retarget(block.terminator, header, name)
+            )
+        blocks.insert(index_of(header), BasicBlock(name, (), Jump(header)))
         if entry_is_header:
-            program.entry = name
+            entry = name
         preheaders[header] = name
         forest.loops[header] = replace(loop, preheader=name)
-    return preheaders
+    if len(blocks) == len(program.blocks):
+        return program, preheaders
+    return replace(program, blocks=tuple(blocks), entry=entry), preheaders

@@ -49,7 +49,7 @@ from repro.baselines import hand_reference_size, has_hand_reference_size
 from repro.diagnostics import InternalCompilerError, ReproError, error_report
 from repro.dspstone import all_kernel_names, get_kernel, kernel_program, loop_kernel_names
 from repro.grammar import grammar_to_bnf
-from repro.opt import OptPipeline, copy_program
+from repro.opt import OptPipeline
 from repro.record.report import (
     compilation_report,
     format_processor_class_report,
@@ -250,7 +250,7 @@ def _cmd_opt(args) -> int:
     snapshots = []
     optimized, stats = pipeline.run(
         program,
-        observer=lambda stage, prog: snapshots.append((stage, copy_program(prog))),
+        observer=lambda stage, prog: snapshots.append((stage, prog)),
     )
 
     def _print_program(prog) -> None:

@@ -22,7 +22,6 @@ from typing import Dict, List, Optional
 from repro.diagnostics import KernelError
 from repro.frontend.lowering import lower_to_program
 from repro.ir.program import Program
-from repro.opt.pipeline import copy_program
 
 
 @dataclass(frozen=True)
@@ -384,13 +383,15 @@ _LOWERED: Dict[str, Program] = {}
 def kernel_program(name: str) -> Program:
     """A kernel's IR program.
 
-    The constant source is lexed, parsed and lowered once per process;
-    every call returns a structural copy (fresh program, blocks and
-    statement lists sharing the frozen statements), so callers may
-    mutate what they get without affecting later calls.
+    The constant source is lexed, parsed and lowered once per process,
+    and every call returns that one program: programs are frozen, so
+    every caller can share it.
     """
     program = _LOWERED.get(name)
     if program is None:
         kernel = get_kernel(name)
-        program = _LOWERED[name] = lower_to_program(kernel.source, name=kernel.name)
-    return copy_program(program)
+        # setdefault: threads lowering one kernel at once share the first.
+        program = _LOWERED.setdefault(
+            name, lower_to_program(kernel.source, name=kernel.name)
+        )
+    return program

@@ -29,7 +29,7 @@ from repro.diagnostics import ReproError
 from repro.frontend.parser import parse_source
 from repro.ir import wrap_word
 from repro.ir.expr import ArrayRef, Const, IRNode, Op, VarRef
-from repro.ir.program import BasicBlock, CBranch, Jump, Program, Statement
+from repro.ir.program import BasicBlock, CBranch, Jump, Program, Statement, Terminator
 
 _BINARY_NAMES = {
     "+": "add",
@@ -67,19 +67,33 @@ class LoweringError(ReproError):
     phase = "frontend"
 
 
+class _BlockDraft:
+    """A block under construction: its name, statements and terminator."""
+
+    __slots__ = ("name", "statements", "terminator")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.statements: List[Statement] = []
+        self.terminator: Optional[Terminator] = None
+
+    def freeze(self) -> BasicBlock:
+        return BasicBlock(self.name, tuple(self.statements), self.terminator)
+
+
 class _CFGBuilder:
-    """Accumulates basic blocks while walking the statement tree."""
+    """Accumulates block drafts while walking the statement tree."""
 
     def __init__(self):
-        self.blocks: List[BasicBlock] = [BasicBlock(name="entry")]
-        self.current: BasicBlock = self.blocks[0]
+        self.blocks: List[_BlockDraft] = [_BlockDraft("entry")]
+        self.current: _BlockDraft = self.blocks[0]
         self._serial = 0
 
-    def make_block(self, hint: str) -> BasicBlock:
+    def make_block(self, hint: str) -> _BlockDraft:
         self._serial += 1
-        return BasicBlock(name="L%d_%s" % (self._serial, hint))
+        return _BlockDraft("L%d_%s" % (self._serial, hint))
 
-    def append(self, block: BasicBlock) -> None:
+    def append(self, block: _BlockDraft) -> None:
         self.blocks.append(block)
         self.current = block
 
@@ -93,9 +107,9 @@ def lower_source(program: SourceProgram) -> Program:
     _lower_statement_list(program.statements, builder, scalars, arrays)
     return Program(
         name=program.name,
-        blocks=builder.blocks,
-        scalars=sorted(scalars),
-        arrays=dict(arrays),
+        blocks=tuple(draft.freeze() for draft in builder.blocks),
+        scalars=tuple(sorted(scalars)),
+        arrays=arrays,
         entry="entry",
     )
 
@@ -141,7 +155,6 @@ def _lower_if(
     then_block = builder.make_block("then")
     else_block = builder.make_block("else") if statement.else_body else None
     join_block = builder.make_block("join")
-    # NB: BasicBlock.__len__ makes empty blocks falsy -- test against None.
     false_block = join_block if else_block is None else else_block
     builder.current.terminator = CBranch(
         condition=condition,

@@ -66,6 +66,21 @@ def default_data_memory(netlist: Netlist) -> Optional[str]:
     return best_name
 
 
+def default_storage(netlist: Netlist) -> Optional[str]:
+    """Where a variable without an override lives: the default data
+    memory, else the first register (so register-only machines still get
+    a tight default binding), else ``None``."""
+    default = default_data_memory(netlist)
+    if default is None:
+        registers = [
+            module.name
+            for module in netlist.sequential_modules()
+            if module.kind == ModuleKind.REGISTER
+        ]
+        default = registers[0] if registers else None
+    return default
+
+
 def bind_program(
     program: Program,
     netlist: Netlist,
@@ -84,17 +99,7 @@ def bind_program(
             raise BindingError(
                 "override binds %r to unknown storage %r" % (variable, storage)
             )
-    default = default_data_memory(netlist)
-    if default is None:
-        # Fall back to the first register so register-only machines still
-        # get a (tight) default binding.
-        registers = [
-            module.name
-            for module in netlist.sequential_modules()
-            if module.kind == ModuleKind.REGISTER
-        ]
-        default = registers[0] if registers else None
-    binding = ResourceBinding(default_storage=default, overrides=overrides)
+    binding = ResourceBinding(default_storage=default_storage(netlist), overrides=overrides)
     # Fail early if any program variable ends up unbound.
     for variable in sorted(program.all_variables()):
         binding.storage_of(variable)

@@ -208,5 +208,9 @@ def expr_size(expr: IRNode) -> int:
     while stack:
         node = stack.pop()
         count += 1
-        stack.extend(node.children())
+        kind = type(node)
+        if kind is Op:
+            stack.extend(node.operands)
+        elif kind is not Const and kind is not VarRef:
+            stack.extend(node.children())
     return count

@@ -12,6 +12,7 @@ case, and every historical API on that shape keeps working unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.diagnostics import ReproError
@@ -149,13 +150,23 @@ class Statement:
         return "%s = %s" % (self.destination_text(), self.expression)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BasicBlock:
-    """A straight-line sequence of statements plus an optional terminator."""
+    """A straight-line sequence of statements plus an optional terminator.
+
+    Blocks are frozen values, as statements are: a stage that changes a
+    block builds a new one, so programs share the blocks they did not
+    change.  A statement list handed in is copied into a tuple, so the
+    caller's list never aliases the block.
+    """
 
     name: str
-    statements: List[Statement] = field(default_factory=list)
+    statements: Tuple[Statement, ...] = ()
     terminator: Optional[Terminator] = None
+
+    def __post_init__(self) -> None:
+        if type(self.statements) is not tuple:
+            object.__setattr__(self, "statements", tuple(self.statements))
 
     def variables(self) -> Set[str]:
         names: Set[str] = set()
@@ -178,6 +189,10 @@ class BasicBlock:
 
     def __len__(self) -> int:
         return len(self.statements)
+
+    def expression_node_count(self) -> int:
+        """IR nodes over the statement right-hand sides of this block."""
+        return sum(expr_size(statement.expression) for statement in self.statements)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +263,7 @@ class HardwareLoop:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Program:
     """A complete program: declarations plus a CFG of basic blocks.
 
@@ -258,14 +273,41 @@ class Program:
     frontend produces).  ``hw_loops`` maps latch block names to
     :class:`HardwareLoop` annotations (filled in by the optimizer's loop
     stage; empty everywhere else).
+
+    Programs are frozen values: ``blocks`` and ``scalars`` become tuples,
+    and ``arrays`` and ``hw_loops`` read-only views of private copies, so
+    one program can be shared by every compile that reads it.  Derive a
+    changed program with :func:`dataclasses.replace`.
     """
 
     name: str
-    blocks: List[BasicBlock] = field(default_factory=list)
-    scalars: List[str] = field(default_factory=list)
-    arrays: Dict[str, int] = field(default_factory=dict)
+    blocks: Tuple[BasicBlock, ...] = ()
+    scalars: Tuple[str, ...] = ()
+    arrays: Mapping[str, int] = field(default_factory=dict)
     entry: str = ""
-    hw_loops: Dict[str, HardwareLoop] = field(default_factory=dict)
+    hw_loops: Mapping[str, HardwareLoop] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if type(self.blocks) is not tuple:
+            object.__setattr__(self, "blocks", tuple(self.blocks))
+        if type(self.scalars) is not tuple:
+            object.__setattr__(self, "scalars", tuple(self.scalars))
+        object.__setattr__(self, "arrays", MappingProxyType(dict(self.arrays)))
+        object.__setattr__(self, "hw_loops", MappingProxyType(dict(self.hw_loops)))
+
+    def __reduce__(self) -> tuple:
+        # A read-only mapping view does not pickle; its dict does.
+        return (
+            Program,
+            (
+                self.name,
+                self.blocks,
+                self.scalars,
+                dict(self.arrays),
+                self.entry,
+                dict(self.hw_loops),
+            ),
+        )
 
     # -- CFG structure -----------------------------------------------------------
 
@@ -398,8 +440,4 @@ class Program:
         """Total IR nodes over all statement right-hand sides -- the size
         measure the optimizer reports (``OptStats.nodes_before/after``)
         and the proxy for the labelling work the selector will face."""
-        return sum(
-            expr_size(statement.expression)
-            for block in self.blocks
-            for statement in block.statements
-        )
+        return sum(block.expression_node_count() for block in self.blocks)

@@ -5,7 +5,7 @@ the one the frontend never hands it.  This package is the pre-selection
 optimizer that exploits that: a value-numbered expression DAG identifies
 identical subtrees across all statements of a program
 (:mod:`repro.opt.dag`), constant folding and algebraic rewriting shrink
-trees in place (:mod:`repro.opt.fold`), cross-statement CSE materializes
+trees (:mod:`repro.opt.fold`), cross-statement CSE materializes
 repeated computations into compiler temporaries and dead-temporary
 elimination cleans up after it (:mod:`repro.opt.cse`), all composed by the
 :class:`OptPipeline` (:mod:`repro.opt.pipeline`) with per-rewrite
@@ -41,6 +41,8 @@ from repro.opt.fold import (
     fold_expr,
     fold_statement,
     structurally_equal,
+    would_fold,
+    would_fold_statement,
 )
 from repro.opt.gvn import global_value_numbering
 from repro.opt.licm import LICM_TEMP_PREFIX, hoist_loop_invariants
@@ -56,7 +58,6 @@ from repro.opt.pipeline import (
     OptimizationError,
     OptPipeline,
     OptStats,
-    copy_program,
     optimize_program,
 )
 
@@ -79,7 +80,6 @@ __all__ = [
     "annotate_hardware_loops",
     "build_block_dag",
     "contains_port_read",
-    "copy_program",
     "eliminate_common_subexpressions",
     "eliminate_dead_temporaries",
     "find_counted_loops",
@@ -91,4 +91,6 @@ __all__ = [
     "optimize_program",
     "rotate_counted_loops",
     "strength_reduce",
+    "would_fold",
+    "would_fold_statement",
 ]

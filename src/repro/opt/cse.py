@@ -118,10 +118,10 @@ def _rebuild_with_temps(
 def eliminate_common_subexpressions(
     program: Program, counters: Optional[Dict[str, int]] = None
 ) -> Program:
-    """A fresh program with repeated subexpressions materialized into
-    compiler temporaries.  ``counters`` (when given) accumulates
-    ``cse_hits`` (occurrences rewritten to read a temporary) and
-    ``temps_introduced``."""
+    """A program, with fresh blocks, in which repeated subexpressions are
+    materialized into compiler temporaries.  ``counters`` (when given)
+    accumulates ``cse_hits`` (occurrences rewritten to read a temporary)
+    and ``temps_introduced``."""
     stats = counters if counters is not None else {}
     stats.setdefault("cse_hits", 0)
     stats.setdefault("temps_introduced", 0)
@@ -171,8 +171,8 @@ def eliminate_common_subexpressions(
     return Program(
         name=program.name,
         blocks=new_blocks,
-        scalars=list(program.scalars) + sorted(set(temps)),
-        arrays=dict(program.arrays),
+        scalars=program.scalars + tuple(sorted(set(temps))),
+        arrays=program.arrays,
         entry=program.entry,
     )
 
@@ -182,15 +182,16 @@ def eliminate_dead_temporaries(
     counters: Optional[Dict[str, int]] = None,
     temps: Optional[Set[str]] = None,
 ) -> Program:
-    """A fresh program without assignments to compiler temporaries that
-    are never read afterwards.
+    """A program without assignments to compiler temporaries that are
+    never read afterwards -- ``program`` itself when there is none.
 
     ``temps`` names the temporaries eligible for removal.  The pipeline
     passes exactly the set the CSE stage materialized, so a *user*
     variable that happens to be called ``__cse0`` is never touched; when
     ``temps`` is ``None`` (standalone use) any ``TEMP_PREFIX``-named
     destination counts; an empty ``temps`` returns ``program`` itself.
-    Surviving statements are shared with ``program`` (they are frozen).
+    Surviving statements, and the blocks that lose none, are shared with
+    ``program`` (they are frozen).
 
     On straight-line programs this is the classic backward liveness
     sweep.  On CFG programs it stays conservative across block
@@ -232,7 +233,11 @@ def eliminate_dead_temporaries(
         for statement in kept:
             if removable(statement.destination):
                 live_temps.add(statement.destination)
-        new_blocks.append(BasicBlock(name=block.name, statements=kept))
+        new_blocks.append(
+            block
+            if len(kept) == len(block.statements)
+            else BasicBlock(name=block.name, statements=tuple(kept))
+        )
     else:
         # CFG-conservative: collect every name read anywhere, then drop
         # only removable destinations that are never read at all.
@@ -257,19 +262,23 @@ def eliminate_dead_temporaries(
                 if removable(destination):
                     live_temps.add(destination)
             new_blocks.append(
-                BasicBlock(
-                    name=block.name, statements=kept, terminator=block.terminator
-                )
+                block
+                if len(kept) == len(block.statements)
+                else BasicBlock(block.name, tuple(kept), block.terminator)
             )
-    scalars = [
+    scalars = tuple(
         name
         for name in program.scalars
         if not removable(name) or name in live_temps
-    ]
+    )
+    if len(scalars) == len(program.scalars) and all(
+        new is old for new, old in zip(new_blocks, program.blocks)
+    ):
+        return program
     return Program(
         name=program.name,
         blocks=new_blocks,
         scalars=scalars,
-        arrays=dict(program.arrays),
+        arrays=program.arrays,
         entry=program.entry,
     )

@@ -99,29 +99,42 @@ def _discardable(node: IRNode) -> bool:
     return not contains_port_read(node)
 
 
+#: The rules a binary node without a constant operand can fire: both
+#: need structurally equal operands.
+_SELF_RULES = {"sub": "sub-self", "xor": "xor-self"}
+
+
+def _allows_shift(supported_ops: Optional[Set[str]], op: str, amount: int) -> bool:
+    if supported_ops is None:
+        return True
+    return op in supported_ops or "%s:%d" % (op, amount) in supported_ops
+
+
 def _rewrite_once(
     node: Op, supported_ops: Optional[Set[str]]
 ) -> Optional[Tuple[IRNode, str]]:
     """One applicable rewrite of ``node``, or ``None``.  Returns the
     replacement expression and the rule name that fired."""
     operands = node.operands
+    op = node.op
+    if len(operands) == 2:
+        left, right = operands
+        if not isinstance(left, Const) and not isinstance(right, Const):
+            rule = _SELF_RULES.get(op)
+            if rule is not None and structurally_equal(left, right) and _discardable(left):
+                return Const(0), rule
+            return None
 
     # Constant folding: every operand is a literal.
     if all(isinstance(operand, Const) for operand in operands):
         try:
             value = apply_operator(
-                node.op, [wrap_word(operand.value) for operand in operands]
+                op, [wrap_word(operand.value) for operand in operands]
             )
         except ValueError:
             return None  # unknown operator: leave the node alone
         return Const(value), "const-fold"
 
-    def allows_shift(op: str, amount: int) -> bool:
-        if supported_ops is None:
-            return True
-        return op in supported_ops or "%s:%d" % (op, amount) in supported_ops
-
-    op = node.op
     if len(operands) == 1:
         inner = operands[0]
         if op in ("neg", "not") and isinstance(inner, Op) and inner.op == op:
@@ -130,7 +143,7 @@ def _rewrite_once(
     if len(operands) != 2:
         return None
 
-    left, right = operands
+    # Exactly one operand is a constant from here on.
     lc = _const_value(left)
     rc = _const_value(right)
 
@@ -142,8 +155,6 @@ def _rewrite_once(
     elif op == "sub":
         if rc == 0:
             return left, "sub-zero"
-        if structurally_equal(left, right) and _discardable(left):
-            return Const(0), "sub-self"
     elif op == "mul":
         if rc == 1:
             return left, "mul-one"
@@ -153,16 +164,16 @@ def _rewrite_once(
             return Const(0), "mul-zero"
         if lc == 0 and _discardable(right):
             return Const(0), "mul-zero"
-        if rc in _POW2 and allows_shift("shl", _POW2[rc]):
+        if rc in _POW2 and _allows_shift(supported_ops, "shl", _POW2[rc]):
             return Op("shl", (left, Const(_POW2[rc]))), "mul-pow2-shl"
-        if lc in _POW2 and allows_shift("shl", _POW2[lc]):
+        if lc in _POW2 and _allows_shift(supported_ops, "shl", _POW2[lc]):
             return Op("shl", (right, Const(_POW2[lc]))), "mul-pow2-shl"
     elif op == "div":
         if rc == 1:
             return left, "div-one"
         if rc == 0 and _discardable(left):
             return Const(0), "div-zero"  # div by zero yields 0 by definition
-        if rc in _POW2 and allows_shift("shr", _POW2[rc]):
+        if rc in _POW2 and _allows_shift(supported_ops, "shr", _POW2[rc]):
             return Op("shr", (left, Const(_POW2[rc]))), "div-pow2-shr"
     elif op == "mod":
         if rc in (0, 1) and _discardable(left):
@@ -186,12 +197,54 @@ def _rewrite_once(
             return left, "xor-zero"
         if lc == 0:
             return right, "xor-zero"
-        if structurally_equal(left, right) and _discardable(left):
-            return Const(0), "xor-self"
     elif op in ("shl", "shr"):
         if rc == 0:
             return left, "shift-zero"
     return None
+
+
+def would_fold(expr: IRNode, supported_ops: Optional[Set[str]] = None) -> bool:
+    """True exactly when :func:`fold_expr` would change ``expr`` or count
+    a rewrite: when a rule fires on some operator node as it stands, or
+    some constant lies outside the machine word.  Read-only.
+
+    Folding works bottom-up, so while nothing below a node has changed,
+    it offers the node as it stands to the same rules; the first node
+    that fires, or the first constant it wraps, is found here."""
+    stack: List[IRNode] = [expr]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Op:
+            operands = node.operands
+            # The cheap rejection of _rewrite_once, inlined: it calls
+            # nothing for a binary node with no constant operand that no
+            # self rule matches.
+            if (
+                len(operands) != 2
+                or type(operands[0]) is Const
+                or type(operands[1]) is Const
+                or node.op in _SELF_RULES
+            ) and _rewrite_once(node, supported_ops) is not None:
+                return True
+            stack.extend(operands)
+        elif kind is Const:
+            if wrap_word(node.value) != node.value:
+                return True
+        elif kind is ArrayRef:
+            stack.append(node.index)
+    return False
+
+
+def would_fold_statement(
+    statement: Statement, supported_ops: Optional[Set[str]] = None
+) -> bool:
+    """True exactly when :func:`fold_statement` would change ``statement``
+    or count a rewrite (:func:`would_fold` of both its expressions)."""
+    index = statement.destination_index
+    return would_fold(statement.expression, supported_ops) or (
+        index is not None and would_fold(index, supported_ops)
+    )
 
 
 def fold_expr(

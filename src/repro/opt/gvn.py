@@ -33,13 +33,14 @@ statement identical to block-local CSE.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.cfg import ControlFlowGraph
 from repro.analysis.dominators import dominance_relation
 from repro.analysis.loops import BlockStructure
-from repro.ir.expr import ArrayRef, IRNode, Op, VarRef, expr_variables
-from repro.ir.program import BasicBlock, Program, Statement
+from repro.ir.expr import ArrayRef, Const, IRNode, Op, VarRef, expr_variables
+from repro.ir.program import BasicBlock, Program, Statement, Terminator
 from repro.opt.cse import (
     MIN_OCCURRENCES,
     MIN_OPS,
@@ -72,37 +73,66 @@ def _has_repeated_subtree(program: Program) -> bool:
     """True when an operator subtree with ``MIN_OPS`` operators (counted
     as ``ExprDAG.op_counts`` does) occurs at ``MIN_OCCURRENCES`` places
     in the statements and store indices -- without one no value number
-    can qualify.  Iterative; IR nodes are never keys (``__eq__`` recurses)."""
+    can qualify.
+
+    One numbering pass per statement: a pre-order walk lists its nodes,
+    pushing each node's children left to right, and numbering the list
+    in reverse visits every node right after its children, whose ids are
+    then on top of a result stack.  Iterative, for the deep chains; keys
+    are tuples of integer ids (an operator key starts with the
+    operator's name, the others with the node's class), since IR nodes
+    are never keys (``__eq__`` recurses)."""
     ids: Dict[tuple, int] = {}
     op_counts: List[int] = []
     occurrences: Dict[int, int] = {}
     for block in program.blocks:
         for statement in block.statements:
-            roots = (statement.expression, statement.destination_index)
-            stack = [(root, False) for root in roots if root is not None]
-            results: List[int] = []
+            order: List[IRNode] = []
+            stack = [statement.expression]
+            if statement.destination_index is not None:
+                stack.append(statement.destination_index)
             while stack:
-                node, expanded = stack.pop()
+                node = stack.pop()
+                order.append(node)
                 kind = type(node)
-                if kind is Op or kind is ArrayRef:
-                    children = node.children()
-                    if not expanded:
-                        stack.append((node, True))
-                        stack.extend([(child, False) for child in reversed(children)])
-                        continue
-                    child_ids = tuple(results[-len(children):])
-                    del results[-len(children):]
-                    key = (kind, node.op if kind is Op else node.name) + child_ids
-                    ops = (kind is Op) + sum([op_counts[child] for child in child_ids])
+                if kind is Op:
+                    stack.extend(node.operands)
+                elif kind is ArrayRef:
+                    stack.append(node.index)
+            results: List[int] = []
+            for node in reversed(order):
+                kind = type(node)
+                if kind is Op:
+                    operands = node.operands
+                    if len(operands) == 2:
+                        right = results.pop()
+                        left = results.pop()
+                        key: tuple = (node.op, left, right)
+                        ops = 1 + op_counts[left] + op_counts[right]
+                    else:
+                        split = len(results) - len(operands)
+                        children = tuple(results[split:])
+                        del results[split:]
+                        key = (node.op,) + children
+                        ops = 1 + sum([op_counts[child] for child in children])
+                elif kind is VarRef:
+                    key, ops = (kind, node.name), 0
+                elif kind is Const:
+                    key, ops = (kind, node.value), 0
+                elif kind is ArrayRef:
+                    child = results.pop()
+                    key, ops = (kind, node.name, child), op_counts[child]
                 else:
                     key, ops = (kind, str(node)), 0
-                node_id = ids.setdefault(key, len(ids))
-                if node_id == len(op_counts):
+                node_id = ids.get(key)
+                if node_id is None:
+                    node_id = ids[key] = len(op_counts)
                     op_counts.append(ops)
-                if kind is Op and ops >= MIN_OPS:
-                    occurrences[node_id] = occurrences.get(node_id, 0) + 1
-                    if occurrences[node_id] >= MIN_OCCURRENCES:
+                if ops >= MIN_OPS and kind is Op:
+                    count = occurrences.get(node_id, 0) + 1
+                    if count >= MIN_OCCURRENCES:
                         return True
+                    occurrences[node_id] = count
                 results.append(node_id)
     return False
 
@@ -137,22 +167,23 @@ def _substitute_var(expr: IRNode, name: str, replacement: IRNode) -> IRNode:
 
 
 def _inline_single_use_temps(
-    blocks: List[BasicBlock],
+    bodies: List[Tuple[List[Statement], Optional[Terminator]]],
     introduced: Set[str],
     counters: Dict[str, int],
 ) -> Set[str]:
     """Inline (and drop) temporaries from ``introduced`` that are defined
     once and read exactly once, def and use in the same block with only
-    other hoisted temporary definitions in between.  Returns the set of
-    temporaries that remain."""
+    other hoisted temporary definitions in between.  ``bodies`` holds
+    each block's statement list, edited in place, and terminator.
+    Returns the set of temporaries that remain."""
     changed = True
     remaining = set(introduced)
     while changed:
         changed = False
         read_counts: Dict[str, int] = {name: 0 for name in remaining}
         def_counts: Dict[str, int] = {name: 0 for name in remaining}
-        for block in blocks:
-            for statement in block.statements:
+        for statements, terminator in bodies:
+            for statement in statements:
                 for name in _statement_reads(statement):
                     if name in read_counts:
                         # expr_variables is a set per statement; a temp
@@ -161,12 +192,11 @@ def _inline_single_use_temps(
                         read_counts[name] += 1
                 if statement.destination in def_counts:
                     def_counts[statement.destination] += 1
-            if block.terminator is not None:
-                for name in block.terminator.variables():
+            if terminator is not None:
+                for name in terminator.variables():
                     if name in read_counts:
                         read_counts[name] += 1
-        for block in blocks:
-            statements = block.statements
+        for statements, _terminator in bodies:
             index = 0
             while index < len(statements):
                 statement = statements[index]
@@ -217,9 +247,11 @@ def global_value_numbering(
     counters: Optional[Dict[str, int]] = None,
     structure: Optional[BlockStructure] = None,
 ) -> Program:
-    """A fresh program with repeated subexpressions materialized into
+    """A program with repeated subexpressions materialized into
     temporaries across the whole CFG (dominator-scoped) -- or ``program``
-    itself, unchanged, when nothing qualifies for a temporary.
+    itself, unchanged, when nothing qualifies for a temporary.  The
+    result shares the statements and blocks value numbering left as
+    they were.
 
     ``counters`` (when given) accumulates ``cse_hits`` and
     ``temps_introduced`` exactly like the block-local eliminator;
@@ -298,7 +330,9 @@ def global_value_numbering(
                 return name
 
     # Pass 2: rebuild along the same walk; the materialized map is scoped
-    # to the dominator path (a child inherits its parent's temps).
+    # to the dominator path (a child inherits its parent's temps).  A
+    # statement that reads and hoists no temporary rebuilds to an equal
+    # tree, so the statement itself is kept.
     rebuilt: Dict[str, List[Statement]] = {}
     walk: List[Tuple[str, Dict[int, str]]] = [(cfg.entry, {})]
     while walk:
@@ -307,9 +341,13 @@ def global_value_numbering(
         statements: List[Statement] = []
         for statement, root in zip(statements_of[name], roots_of[name]):
             hoisted: List[Statement] = []
+            hits = stats["cse_hits"]
             expression = _rebuild_with_temps(
                 dag.dag, root, candidates, materialized, hoisted, alloc_temp, stats
             )
+            if stats["cse_hits"] == hits:
+                statements.append(statement)
+                continue
             statements.extend(hoisted)
             statements.append(
                 Statement(
@@ -326,7 +364,7 @@ def global_value_numbering(
         name for name in reserved if name.startswith(TEMP_PREFIX)
     } - (set(program.all_variables()) | set(program.scalars))
 
-    new_blocks: List[BasicBlock] = []
+    bodies: List[Tuple[List[Statement], Optional[Terminator]]] = []
     emitted: Set[str] = set()
     for block in program.blocks:
         if block.name in rebuilt and block.name not in emitted:
@@ -336,20 +374,16 @@ def global_value_numbering(
             # their statements, untouched by value numbering.
             statements = list(block.statements)
         emitted.add(block.name)
-        new_blocks.append(
-            BasicBlock(
-                name=block.name,
-                statements=statements,
-                terminator=block.terminator,
-            )
-        )
+        bodies.append((statements, block.terminator))
 
-    surviving = _inline_single_use_temps(new_blocks, introduced, stats)
-    return Program(
-        name=program.name,
-        blocks=new_blocks,
-        scalars=list(program.scalars) + sorted(surviving),
-        arrays=dict(program.arrays),
-        entry=program.entry,
-        hw_loops=dict(program.hw_loops),
+    surviving = _inline_single_use_temps(bodies, introduced, stats)
+    blocks = tuple(
+        block
+        if len(statements) == len(block.statements)
+        and all(new is old for new, old in zip(statements, block.statements))
+        else BasicBlock(block.name, tuple(statements), block.terminator)
+        for block, (statements, _terminator) in zip(program.blocks, bodies)
+    )
+    return replace(
+        program, blocks=blocks, scalars=program.scalars + tuple(sorted(surviving))
     )

@@ -24,12 +24,13 @@ A *created* preheader costs one jump word, so creation is gated on at
 least two planned hoists; a reused preheader (the loop's sole outside
 predecessor already ends in an unconditional jump) accepts any number.
 Planning (:func:`plan_loop_invariants`) is read-only, so a caller can
-skip copying a program whose plan is empty.
+hand a program whose plan is empty through untouched.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.loops import BlockStructure, LoopNestingForest, insert_preheaders
 from repro.ir.expr import (
@@ -42,7 +43,7 @@ from repro.ir.expr import (
     expr_size,
     expr_variables,
 )
-from repro.ir.program import BasicBlock, CBranch, Jump, Program, Statement
+from repro.ir.program import CBranch, Jump, Program, Statement
 from repro.opt.cse import MIN_OCCURRENCES, MIN_OPS
 from repro.opt.loops import has_backward_branch
 
@@ -59,14 +60,16 @@ def _base_array(name: str) -> Optional[str]:
     return name[:bracket] if bracket > 0 else None
 
 
-def _block_effects(block: BasicBlock) -> Tuple[Set[str], Set[str], Set[str]]:
-    """``(defined, dynamic_arrays, stored_arrays)`` of one block:
-    destination names written, arrays hit by runtime-indexed stores, and
-    arrays hit by any store at all."""
+def _block_effects(
+    statements: Sequence[Statement],
+) -> Tuple[Set[str], Set[str], Set[str]]:
+    """``(defined, dynamic_arrays, stored_arrays)`` of one block's
+    statements: destination names written, arrays hit by runtime-indexed
+    stores, and arrays hit by any store at all."""
     defined: Set[str] = set()
     dynamic: Set[str] = set()
     stored: Set[str] = set()
-    for statement in block.statements:
+    for statement in statements:
         if statement.destination_index is not None:
             dynamic.add(statement.destination)
             stored.add(statement.destination)
@@ -129,19 +132,19 @@ def _self_loops(program: Program, forest: LoopNestingForest) -> List[str]:
     ]
 
 
-def _statement_hoists(block: BasicBlock) -> List[int]:
+def _statement_hoists(statements: Sequence[Statement]) -> List[int]:
     """Indices of statements hoistable *right now* (first fixpoint round:
     callers re-invoke after each move)."""
-    defined, dynamic, stored = _block_effects(block)
+    defined, dynamic, stored = _block_effects(statements)
     def_counts: Dict[str, int] = {}
-    for statement in block.statements:
+    for statement in statements:
         if statement.destination_index is None:
             def_counts[statement.destination] = (
                 def_counts.get(statement.destination, 0) + 1
             )
     hoists: List[int] = []
     read_so_far: Set[str] = set()
-    for index, statement in enumerate(block.statements):
+    for index, statement in enumerate(statements):
         destination = statement.destination
         eligible = (
             statement.destination_index is None
@@ -160,17 +163,17 @@ def _statement_hoists(block: BasicBlock) -> List[int]:
 
 
 def _subexpr_candidates(
-    block: BasicBlock,
+    statements: Sequence[Statement],
     min_occurrences: int = MIN_OCCURRENCES,
     min_ops: int = MIN_OPS,
 ) -> List[Tuple[str, IRNode, int]]:
-    """Invariant operator subtrees worth a ``__licm*`` temporary:
-    ``(key, representative, occurrences)`` with data-path occurrence
-    counts, largest subtrees first."""
-    defined, dynamic, stored = _block_effects(block)
+    """Invariant operator subtrees of a loop body worth a ``__licm*``
+    temporary: ``(key, representative, occurrences)`` with data-path
+    occurrence counts, largest subtrees first."""
+    defined, dynamic, stored = _block_effects(statements)
     counts: Dict[str, int] = {}
     reps: Dict[str, IRNode] = {}
-    for statement in block.statements:
+    for statement in statements:
         stack: List[Tuple[IRNode, bool]] = [(statement.expression, False)]
         if statement.destination_index is not None:
             stack.append((statement.destination_index, True))
@@ -233,17 +236,13 @@ def plan_loop_invariants(
         block = program.block(header)
         # Statement hoists are simulated to fixpoint on a scratch copy of
         # the statement list; each subexpression candidate adds one.
-        scratch = BasicBlock(
-            name=block.name,
-            statements=list(block.statements),
-            terminator=block.terminator,
-        )
+        scratch = list(block.statements)
         moves: List[int] = []
         while True:
             hoists = _statement_hoists(scratch)
             if not hoists:
                 break
-            del scratch.statements[hoists[0]]
+            del scratch[hoists[0]]
             moves.append(hoists[0])
         candidates = _subexpr_candidates(scratch)
         planned = len(moves) + len(candidates)
@@ -270,15 +269,16 @@ def hoist_loop_invariants(
     counters: Optional[Dict[str, int]] = None,
     plan: Optional[list] = None,
     structure: Optional[BlockStructure] = None,
-) -> Set[str]:
-    """Apply ``plan`` (:func:`plan_loop_invariants` of ``program`` or an
-    unmodified copy; made here when ``None``): hoist loop-invariant
-    statements and subexpressions of every single-block self-loop into
-    its preheader (mutating ``program``).  Returns the ``__licm*``
-    temporaries introduced; ``counters`` accumulates ``licm_hoisted``
-    (statements moved plus temporaries materialized).  ``structure``
-    (the block structure of ``program`` as passed) is updated in place
-    when a preheader is created."""
+) -> Tuple[Program, Set[str]]:
+    """Apply ``plan`` (:func:`plan_loop_invariants` of ``program``; made
+    here when ``None``): hoist loop-invariant statements and
+    subexpressions of every single-block self-loop into its preheader.
+    Returns ``(hoisted program, the __licm* temporaries introduced)``;
+    with an empty plan the program is ``program`` itself, and otherwise
+    the blocks no hoist touched are shared with it.  ``counters``
+    accumulates ``licm_hoisted`` (statements moved plus temporaries
+    materialized).  ``structure`` (the block structure of ``program`` as
+    passed) is updated in place when a preheader is created."""
     stats = counters if counters is not None else {}
     stats.setdefault("licm_hoisted", 0)
     introduced: Set[str] = set()
@@ -286,6 +286,8 @@ def hoist_loop_invariants(
         structure = BlockStructure(program)
     if plan is None:
         plan = plan_loop_invariants(program, structure)
+    if not plan:
+        return program, introduced
     reserved = set(program.all_variables()) | set(program.scalars)
     serial = [0]
 
@@ -298,8 +300,8 @@ def hoist_loop_invariants(
                 return name
 
     blocks_before = len(program.blocks)
+    scalars = list(program.scalars)
     for header, moves, candidates in plan:
-        block = program.block(header)
         # The edges into this header are as planned: the structure the
         # plan was made on still gives its loop and predecessors.
         mini = LoopNestingForest(
@@ -307,11 +309,14 @@ def hoist_loop_invariants(
             roots=[header],
             children={header: []},
         )
-        preheader_name = insert_preheaders(program, mini, structure.cfg)[header]
-        preheader = program.block(preheader_name)
+        program, preheaders = insert_preheaders(program, mini, structure.cfg)
+        block = program.block(header)
+        preheader = program.block(preheaders[header])
+        body = list(block.statements)
+        landed = list(preheader.statements)
 
         for index in moves:  # the simulated statement hoists, in order
-            preheader.statements.append(block.statements.pop(index))
+            landed.append(body.pop(index))
             stats["licm_hoisted"] += 1
 
         # Subexpression hoisting, largest candidates first, re-scanned
@@ -319,26 +324,34 @@ def hoist_loop_invariants(
         while candidates:
             _key, pattern, _count = candidates[0]
             temp = alloc_temp()
-            preheader.statements.append(
-                Statement(destination=temp, expression=pattern)
-            )
-            for index, statement in enumerate(block.statements):
+            landed.append(Statement(destination=temp, expression=pattern))
+            for index, statement in enumerate(body):
                 expression = _replace_equal(statement.expression, pattern, temp)
                 destination_index = statement.destination_index
                 if destination_index is not None:
                     destination_index = _replace_equal(
                         destination_index, pattern, temp
                     )
-                block.statements[index] = Statement(
+                body[index] = Statement(
                     destination=statement.destination,
                     expression=expression,
                     destination_index=destination_index,
                 )
             introduced.add(temp)
-            if temp not in program.scalars:
-                program.scalars.append(temp)
+            if temp not in scalars:
+                scalars.append(temp)
             stats["licm_hoisted"] += 1
-            candidates = _subexpr_candidates(block)
+            candidates = _subexpr_candidates(body)
+        changed = {
+            id(block): replace(block, statements=tuple(body)),
+            id(preheader): replace(preheader, statements=tuple(landed)),
+        }
+        program = replace(
+            program,
+            blocks=tuple(changed.get(id(old), old) for old in program.blocks),
+        )
+    if len(scalars) != len(program.scalars):
+        program = replace(program, scalars=tuple(scalars))
     if len(program.blocks) != blocks_before:
         structure.update(program)
-    return introduced
+    return program, introduced

@@ -29,11 +29,11 @@ repeat-instruction lowering consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.cfg import ControlFlowGraph
-from repro.analysis.loops import BlockStructure
+from repro.analysis.loops import BlockStructure, _retarget
 from repro.ir.expr import (
     Const,
     IRNode,
@@ -107,7 +107,7 @@ def _reads_only(expr: IRNode, allowed: Set[str]) -> bool:
 
 
 def _find_induction(
-    statements: List[Statement], condition: IRNode
+    statements: Sequence[Statement], condition: IRNode
 ) -> Optional[Tuple[str, int, Optional[int]]]:
     """The loop's induction variable: the sole variable the condition
     reads, defined exactly once by a self-recurrence over constants.
@@ -339,30 +339,31 @@ def find_counted_loops(
 # ---------------------------------------------------------------------------
 
 
-def _rotate_one(program: Program, loop: CountedLoop, cfg: ControlFlowGraph) -> None:
-    """Rewrite one ``while``-form counted loop (proven >= 1 trip) of
-    ``program``, whose CFG is ``cfg``, into ``do``-``while`` form in
-    place: the latch takes the header's conditional branch, every outside
-    edge enters the latch directly, and the (now unreachable) header
-    block is removed."""
-    header_block = program.block(loop.header)
-    branch = header_block.terminator
+def _rotate_one(program: Program, loop: CountedLoop, cfg: ControlFlowGraph) -> Program:
+    """``program``, whose CFG is ``cfg``, with one ``while``-form counted
+    loop (proven >= 1 trip) rewritten into ``do``-``while`` form: the
+    latch takes the header's conditional branch, every outside edge
+    enters the latch directly, and the (now unreachable) header block is
+    removed.  The other blocks are shared with ``program``."""
+    branch = program.block(loop.header).terminator
     latch_block = program.block(loop.latch)
-    latch_block.terminator = CBranch(
-        condition=branch.condition,
-        true_target=branch.true_target,
-        false_target=branch.false_target,
-    )
-    from repro.analysis.loops import _retarget
-
+    changed = {id(latch_block): replace(latch_block, terminator=branch)}
     for pred in cfg.predecessors.get(loop.header, ()):
         if pred == loop.latch:
             continue
-        block = program.block(pred)
-        block.terminator = _retarget(block.terminator, loop.header, loop.latch)
-    program.blocks = [
-        block for block in program.blocks if block.name != loop.header
-    ]
+        original = program.block(pred)
+        block = changed.get(id(original), original)
+        changed[id(original)] = replace(
+            block, terminator=_retarget(block.terminator, loop.header, loop.latch)
+        )
+    return replace(
+        program,
+        blocks=tuple(
+            changed.get(id(block), block)
+            for block in program.blocks
+            if block.name != loop.header
+        ),
+    )
 
 
 def _rotation_candidates(program: Program, counted: Dict[str, CountedLoop]) -> List[CountedLoop]:
@@ -380,14 +381,15 @@ def rotate_counted_loops(
     counted: Optional[Dict[str, CountedLoop]] = None,
     structure: Optional[BlockStructure] = None,
     trip_counts: Optional[Dict[tuple, Optional[int]]] = None,
-) -> int:
-    """Rotate every eligible ``while``-form counted loop of ``program``
-    (mutating it), re-recognizing after each rewrite so chained loops see
-    each other's updated edges.  Returns the number of rotations.
-    ``counted`` (the loops of ``program`` as passed) replaces the first
-    recognition, and ``structure`` (its block structure) the first
-    analysis; both are updated in place to describe the result.
-    ``trip_counts`` memoizes trip counts across the recognitions."""
+) -> Tuple[Program, int]:
+    """Rotate every eligible ``while``-form counted loop of ``program``,
+    re-recognizing after each rewrite so chained loops see each other's
+    updated edges.  Returns ``(rotated program, number of rotations)``;
+    without a rotation the program is ``program`` itself.  ``counted``
+    (the loops of ``program`` as passed) replaces the first recognition,
+    and ``structure`` (its block structure) the first analysis; both are
+    updated in place to describe the result.  ``trip_counts`` memoizes
+    trip counts across the recognitions."""
     stats = counters if counters is not None else {}
     stats.setdefault("loops_rotated", 0)
     if structure is None:
@@ -400,8 +402,8 @@ def rotate_counted_loops(
     while True:
         candidates = _rotation_candidates(program, counted)
         if not candidates:
-            return rotated
-        _rotate_one(program, candidates[0], structure.cfg)
+            return program, rotated
+        program = _rotate_one(program, candidates[0], structure.cfg)
         structure.update(program)
         rotated += 1
         stats["loops_rotated"] += 1
@@ -462,12 +464,15 @@ def _replace_matches(expr: IRNode, patterns: Tuple[Op, Op], temp: str) -> IRNode
     return expr
 
 
-def _reducible_factors(program: Program, loop: CountedLoop) -> List[Tuple[int, int]]:
-    """``(factor, data-path occurrences)`` strength reduction rewrites."""
+def _reducible_factors(
+    statements: Sequence[Statement], loop: CountedLoop
+) -> List[Tuple[int, int]]:
+    """``(factor, data-path occurrences)`` strength reduction rewrites of
+    ``loop``, whose latch holds ``statements``."""
     if loop.step is None:
         return []
     factors: Dict[int, int] = {}
-    for index, statement in enumerate(program.block(loop.latch).statements):
+    for index, statement in enumerate(statements):
         if index == loop.update_index:
             continue
         for factor in _candidate_factors(statement.expression, loop.induction):
@@ -486,7 +491,8 @@ def would_rewrite_loops(program: Program, counted: Dict[str, CountedLoop]) -> bo
     """Would rotation or strength reduction change ``program``?  Exact:
     the first reduction to fire rewrites a loop qualifying on the input."""
     return bool(_rotation_candidates(program, counted)) or any(
-        _reducible_factors(program, loop) for loop in counted.values()
+        _reducible_factors(program.block(loop.latch).statements, loop)
+        for loop in counted.values()
     )
 
 
@@ -494,11 +500,12 @@ def strength_reduce(
     program: Program,
     counters: Optional[Dict[str, int]] = None,
     counted: Optional[Dict[str, CountedLoop]] = None,
-) -> int:
+) -> Tuple[Program, int]:
     """Replace ``i * k`` products of counted-loop induction variables by
-    incrementally maintained ``__sr*`` temporaries (mutating ``program``),
-    recognizing the loops unless ``counted`` holds them.  Returns the
-    number of occurrences rewritten."""
+    incrementally maintained ``__sr*`` temporaries, recognizing the loops
+    unless ``counted`` holds them.  Returns ``(reduced program, number of
+    occurrences rewritten)``; without a rewrite the program is ``program``
+    itself, and the blocks no reduction touched are shared with it."""
     stats = counters if counters is not None else {}
     stats.setdefault("strength_reductions", 0)
     if counted is None:
@@ -516,20 +523,32 @@ def strength_reduce(
                 reserved.add(name)
                 return name
 
+    # The statement lists of the blocks rewritten so far, by block identity.
+    edited: Dict[int, List[Statement]] = {}
+
+    def statements_of(name: str) -> List[Statement]:
+        block = program.block(name)
+        if id(block) not in edited:
+            edited[id(block)] = list(block.statements)
+        return edited[id(block)]
+
+    scalars = list(program.scalars)
     reduced = 0
     for loop in counted.values():
-        body = program.block(loop.latch)
-        for factor, occurrences in _reducible_factors(program, loop):
+        latch = program.block(loop.latch)
+        factors = _reducible_factors(edited.get(id(latch), latch.statements), loop)
+        for factor, occurrences in factors:
+            body = statements_of(loop.latch)
             patterns = _mul_patterns(loop.induction, factor)
             temp = alloc_temp()
             # Earlier factors inserted statements; relocate the update.
             update_at = next(
                 index
-                for index, statement in enumerate(body.statements)
+                for index, statement in enumerate(body)
                 if statement.destination == loop.induction
                 and statement.destination_index is None
             )
-            for index, statement in enumerate(body.statements):
+            for index, statement in enumerate(body):
                 if index == update_at:
                     continue
                 expression = _replace_matches(statement.expression, patterns, temp)
@@ -538,19 +557,18 @@ def strength_reduce(
                     destination_index = _replace_matches(
                         destination_index, patterns, temp
                     )
-                body.statements[index] = Statement(
+                body[index] = Statement(
                     destination=statement.destination,
                     expression=expression,
                     destination_index=destination_index,
                 )
             # Maintain the recurrence: init next to the induction init,
             # step right after the induction update.
-            init_block = program.block(loop.init_block)
-            init_block.statements.insert(
+            statements_of(loop.init_block).insert(
                 loop.init_index + 1,
                 Statement(temp, Const(wrap_word(loop.init * factor))),
             )
-            body.statements.insert(
+            body.insert(
                 update_at + 1,
                 Statement(
                     temp,
@@ -560,11 +578,19 @@ def strength_reduce(
                     ),
                 ),
             )
-            if temp not in program.scalars:
-                program.scalars.append(temp)
+            if temp not in scalars:
+                scalars.append(temp)
             reduced += occurrences
             stats["strength_reductions"] += occurrences
-    return reduced
+    if not reduced:
+        return program, 0
+    blocks = tuple(
+        replace(block, statements=tuple(edited[id(block)]))
+        if id(block) in edited
+        else block
+        for block in program.blocks
+    )
+    return replace(program, blocks=blocks, scalars=tuple(scalars)), reduced
 
 
 def _candidate_factors(expr: IRNode, induction: str) -> Set[int]:

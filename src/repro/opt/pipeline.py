@@ -17,17 +17,20 @@ self-loops of the result carry :class:`~repro.ir.program.HardwareLoop`
 annotations in ``Program.hw_loops``, the hook the backend's
 zero-overhead repeat lowering keys on; without it they are empty.
 
-The returned program, its blocks and their statement lists are fresh
-objects, so callers may mutate either side freely; statements,
-expression trees and terminators are frozen and may be shared with the
-input.  The pipeline is target-independent; passing the target
-grammar's operator vocabulary as ``supported_ops`` merely gates
-operator-introducing rewrites (see :mod:`repro.opt.fold`).
+Programs, blocks, statements and expression trees are frozen values,
+so the result shares with the input every block no stage changed, and
+is the input itself when nothing changed.  The pipeline is
+target-independent; passing the target grammar's operator vocabulary as
+``supported_ops`` merely gates operator-introducing rewrites (see
+:mod:`repro.opt.fold`).
 
-Each stage runs a read-only check before it copies the program or
-builds an analysis, and hands its input through when the check finds
-nothing to do; a stage that changes something copies once.  The run
-copies at the end only when no stage built fresh blocks.
+Each stage runs a read-only check before it builds an analysis or a
+block, and hands its input through when the check finds nothing to do;
+a stage that changes something builds only the blocks it changes.
+``fold`` checks each statement and branch condition
+(:func:`~repro.opt.fold.would_fold`) and folds only what a rule fires
+on.  The run counts the input's IR nodes once, block by block, and
+counts again only the blocks of the result it does not share.
 
 A run builds the CFG, dominator tree and loop nesting forest once for
 each block structure it produces (a
@@ -39,14 +42,20 @@ induction recurrence and loop condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
 from repro.analysis.loops import BlockStructure
 from repro.diagnostics import ReproError
 from repro.ir.program import BasicBlock, CBranch, Program
 from repro.opt.cse import eliminate_common_subexpressions, eliminate_dead_temporaries
-from repro.opt.fold import fold_expr, fold_statement, split_rewrite_counts
+from repro.opt.fold import (
+    fold_expr,
+    fold_statement,
+    split_rewrite_counts,
+    would_fold,
+    would_fold_statement,
+)
 
 
 class OptimizationError(ReproError):
@@ -141,45 +150,61 @@ class OptStats:
 
 
 def copy_program(program: Program) -> Program:
-    """A structural copy: fresh program, blocks and statement lists,
-    sharing the frozen statements, expression trees and terminators.
+    """A structural copy: a fresh program with fresh blocks, sharing the
+    statements, expression trees and terminators.
 
-    Everything a pass may mutate is fresh; the rest are frozen
-    dataclasses, so sharing them is safe.
-    """
+    Programs are frozen, so no compile needs a copy; the name stays for
+    instrumentation that wraps it by module path."""
     return Program(
         name=program.name,
         blocks=[
-            BasicBlock(
-                name=block.name,
-                statements=list(block.statements),
-                terminator=block.terminator,
-            )
+            BasicBlock(block.name, block.statements, block.terminator)
             for block in program.blocks
         ],
-        scalars=list(program.scalars),
-        arrays=dict(program.arrays),
+        scalars=program.scalars,
+        arrays=program.arrays,
         entry=program.entry,
-        hw_loops=dict(program.hw_loops),
+        hw_loops=program.hw_loops,
     )
 
 
-def _fold_terminator(terminator, rewrites=None):
-    """The terminator with its branch condition folded (``None`` and
-    unconditional jumps pass through).
+def _fold_program(
+    program: Program, supported_ops: Optional[Set[str]], rewrites: Dict[str, int]
+) -> Program:
+    """``program`` with the statements and branch conditions folded that
+    :func:`~repro.opt.fold.would_fold` flags, counting into ``rewrites``;
+    ``program`` itself when it flags none.  Only the blocks holding a
+    flagged statement or condition are rebuilt.
 
-    The condition never enters code selection (it runs on the branch
-    logic), so the *operator-introducing* ``supported_ops`` gating does
-    not apply to it -- folding runs ungated, keeping ``while (1)``-style
-    conditions cheap.
-    """
-    if not isinstance(terminator, CBranch):
-        return terminator
-    return CBranch(
-        condition=fold_expr(terminator.condition, rewrites=rewrites),
-        true_target=terminator.true_target,
-        false_target=terminator.false_target,
-    )
+    A branch condition never enters code selection (it runs on the
+    branch logic), so the *operator-introducing* ``supported_ops``
+    gating does not apply to it: it folds ungated, keeping ``while
+    (1)``-style conditions cheap."""
+    blocks = None
+    for position, block in enumerate(program.blocks):
+        statements = None
+        for index, statement in enumerate(block.statements):
+            if would_fold_statement(statement, supported_ops):
+                if statements is None:
+                    statements = list(block.statements)
+                statements[index] = fold_statement(
+                    statement, supported_ops=supported_ops, rewrites=rewrites
+                )
+        terminator = block.terminator
+        if isinstance(terminator, CBranch) and would_fold(terminator.condition):
+            terminator = replace(
+                terminator, condition=fold_expr(terminator.condition, rewrites=rewrites)
+            )
+        elif statements is None:
+            continue
+        if blocks is None:
+            blocks = list(program.blocks)
+        blocks[position] = BasicBlock(
+            block.name,
+            block.statements if statements is None else tuple(statements),
+            terminator,
+        )
+    return program if blocks is None else replace(program, blocks=tuple(blocks))
 
 
 #: Stages that materialize compiler temporaries.  When any of them is in
@@ -217,13 +242,15 @@ class OptPipeline:
         supported_ops: Optional[Set[str]] = None,
         observer: Optional[Callable[[str, Program], None]] = None,
     ) -> Tuple[Program, OptStats]:
-        """Optimize ``program`` and return ``(fresh program, stats)``.
+        """Optimize ``program`` and return ``(optimized program, stats)``.
 
-        ``observer`` (when given) is called as ``observer(stage,
-        program)`` once after each stage with the stage's result -- the
-        CLI's per-stage diff rendering hook; a stage that found nothing
-        to do shows its input again, possibly the caller's ``program``.
-        Observers must not mutate the program they are shown."""
+        The result is ``program`` itself when no stage changed anything
+        and its hardware-loop annotations stand; otherwise it shares
+        every block no stage changed with ``program``.  ``observer``
+        (when given) is called as ``observer(stage, program)`` once after
+        each stage with the stage's result -- the CLI's per-stage diff
+        rendering hook; a stage that found nothing to do shows its input
+        again, possibly the caller's ``program``."""
         from repro.opt.gvn import global_value_numbering
         from repro.opt.licm import hoist_loop_invariants, plan_loop_invariants
         from repro.opt.loops import (
@@ -235,8 +262,9 @@ class OptPipeline:
             would_rewrite_loops,
         )
 
+        block_nodes = [block.expression_node_count() for block in program.blocks]
         stats = OptStats(
-            nodes_before=program.expression_node_count(),
+            nodes_before=sum(block_nodes),
             statements_before=program.statement_count(),
         )
         counters: Dict[str, int] = {
@@ -249,7 +277,6 @@ class OptPipeline:
             "gvn_hits": 0,
         }
         current = program
-        produced_fresh = False  # True once current shares no block with program
         counted = counted_of = None  # counted loops of the loops stage, and of which program
         structure = BlockStructure(program)  # of current's blocks; stages update it
         trip_counts: Dict[tuple, Optional[int]] = {}
@@ -259,32 +286,7 @@ class OptPipeline:
         introduced_temps: Set[str] = set()
         for stage in self.stages:
             if stage == "fold":
-                fired = sum(stats.rewrites.values())
-                folded = Program(
-                    name=current.name,
-                    blocks=[
-                        BasicBlock(
-                            name=block.name,
-                            statements=[
-                                fold_statement(
-                                    statement,
-                                    supported_ops=supported_ops,
-                                    rewrites=stats.rewrites,
-                                )
-                                for statement in block.statements
-                            ],
-                            terminator=_fold_terminator(
-                                block.terminator, rewrites=stats.rewrites
-                            ),
-                        )
-                        for block in current.blocks
-                    ],
-                    scalars=list(current.scalars),
-                    arrays=dict(current.arrays),
-                    entry=current.entry,
-                )
-                if sum(stats.rewrites.values()) > fired:  # else equal to current
-                    current, produced_fresh = folded, True
+                current = _fold_program(current, supported_ops, stats.rewrites)
             elif stage == "loops":
                 counted = (
                     find_counted_loops(current, structure=structure, trip_counts=trip_counts)
@@ -292,46 +294,43 @@ class OptPipeline:
                     else {}
                 )
                 if would_rewrite_loops(current, counted):
-                    current = copy_program(current)
                     scalars_before = set(current.scalars)
-                    rotate_counted_loops(current, counters, counted, structure, trip_counts)
-                    if strength_reduce(current, counters, counted):
+                    current, _rotated = rotate_counted_loops(
+                        current, counters, counted, structure, trip_counts
+                    )
+                    current, reduced = strength_reduce(current, counters, counted)
+                    if reduced:
                         counted = None  # statements moved; recognize again
                     introduced_temps |= set(current.scalars) - scalars_before
-                    produced_fresh = True
                 counted_of = current
             elif stage == "licm":
                 plan = plan_loop_invariants(current, structure)
                 if plan:
-                    current = copy_program(current)
-                    introduced_temps |= hoist_loop_invariants(
+                    current, hoisted = hoist_loop_invariants(
                         current, counters, plan=plan, structure=structure
                     )
-                    produced_fresh = True
+                    introduced_temps |= hoisted
             elif stage == "gvn":
                 gvn_counters: Dict[str, int] = {
                     "cse_hits": 0,
                     "temps_introduced": 0,
                 }
-                scalars_before = set(current.scalars)
                 numbered = global_value_numbering(
                     current, counters=gvn_counters, structure=structure
                 )
                 counters["gvn_hits"] += gvn_counters["cse_hits"]
                 counters["temps_introduced"] += gvn_counters["temps_introduced"]
-                introduced_temps |= set(numbered.scalars) - scalars_before
-                produced_fresh = produced_fresh or numbered is not current
-                current = numbered
+                if numbered is not current:
+                    introduced_temps |= set(numbered.scalars) - set(current.scalars)
+                    current = numbered
             elif stage == "cse":
                 scalars_before = set(current.scalars)
                 current = eliminate_common_subexpressions(current, counters=counters)
                 introduced_temps |= set(current.scalars) - scalars_before
-                produced_fresh = True
             elif stage == "dce":
-                # DCE reuses surviving statements, so freshness is
-                # unchanged.  With a materializing stage in this run, only
-                # its temps are removable (a user scalar named "__cse0" is
-                # safe); without one, fall back to the documented standalone
+                # With a materializing stage in this run, only its temps
+                # are removable (a user scalar named "__cse0" is safe);
+                # without one, fall back to the documented standalone
                 # prefix semantics so "--stages dce" is not a no-op.
                 standalone = not any(
                     name in self.stages for name in _MATERIALIZING_STAGES
@@ -343,19 +342,25 @@ class OptPipeline:
                 )
             if observer is not None:
                 observer(stage, current)
-        stats.nodes_after = (
-            stats.nodes_before if current is program else current.expression_node_count()
-        )
+        if current is program:
+            stats.nodes_after = stats.nodes_before
+        else:
+            # A block the result shares with the input is unchanged.
+            known = {id(block): nodes for block, nodes in zip(program.blocks, block_nodes)}
+            stats.nodes_after = sum(
+                known[id(block)] if id(block) in known else block.expression_node_count()
+                for block in current.blocks
+            )
         if current is not counted_of:
             counted = None  # a later stage changed the program
-        if not produced_fresh:
-            current = copy_program(current)
-        current.hw_loops = (
+        hw_loops = (
             annotate_hardware_loops(current, counted, structure, trip_counts)
             if "loops" in self.stages
             else {}
         )
-        stats.hw_loops = len(current.hw_loops)
+        if hw_loops != current.hw_loops:
+            current = replace(current, hw_loops=hw_loops)
+        stats.hw_loops = len(hw_loops)
         stats.folds, stats.algebraic = split_rewrite_counts(stats.rewrites)
         stats.cse_hits = counters["cse_hits"]
         stats.gvn_hits = counters["gvn_hits"]

@@ -266,9 +266,9 @@ class OptimizationPass(Pass):
     """IR optimization ahead of selection: constant folding, algebraic
     rewriting, cross-statement CSE and dead-temporary elimination.
 
-    Replaces ``state.program`` with the optimized program: fresh blocks,
-    with frozen statements and expression trees possibly shared with the
-    input.  The rewrite itself is target-independent; the target's
+    Replaces ``state.program`` with the optimized program, which shares
+    every block the optimizer did not change with the input (it is the
+    input itself when nothing changed).  The rewrite itself is target-independent; the target's
     grammar only *gates* operator-introducing strength reductions
     (``context.supported_ops``, see :func:`introducible_ops`), so a
     ``mul x 2`` never becomes a shift the processor cannot execute.

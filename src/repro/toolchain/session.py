@@ -29,7 +29,12 @@ from dataclasses import replace as dataclass_replace
 from typing import Dict, Iterable, List, Optional, Union
 
 from repro.frontend.lowering import lower_to_program
-from repro.ir.binding import bind_program, default_data_memory
+from repro.ir.binding import (
+    ResourceBinding,
+    bind_program,
+    default_data_memory,
+    default_storage,
+)
 from repro.ir.program import Program
 from repro.obs.trace import Tracer, use_tracer
 from repro.record.retarget import RetargetResult, retarget
@@ -77,6 +82,7 @@ class Session:
             else PassManager.from_config(self.config)
         )
         self._spill_storage = default_data_memory(retarget_result.netlist)
+        self._default_storage = default_storage(retarget_result.netlist)
         self._hardware_loops = self._resolve_hardware_loops()
         # What the optimizer may introduce on this session's (possibly
         # restricted) grammar; scanned here once, not per compile.
@@ -148,8 +154,9 @@ class Session:
             state, binding = self._run_pipeline(program, binding_overrides)
             trace = None
         # state.program is the program the backend actually selected --
-        # the optimizer's rewrite when the opt pass ran (fresh blocks and
-        # statements, never the caller's), the input program otherwise.
+        # the optimizer's result when the opt pass ran (the caller's own
+        # program when nothing changed; programs are frozen), the input
+        # program otherwise.
         return CompilationResult.from_state(
             program=state.program,
             processor=self.processor,
@@ -160,11 +167,14 @@ class Session:
         )
 
     def _run_pipeline(self, program, binding_overrides):
-        binding = bind_program(
-            program,
-            self.retarget_result.netlist,
-            overrides=self._merged_overrides(binding_overrides),
-        )
+        overrides = self._merged_overrides(binding_overrides)
+        if overrides is None and self._default_storage is not None:
+            # Every variable gets the default storage; nothing can fail.
+            binding = ResourceBinding(default_storage=self._default_storage)
+        else:
+            binding = bind_program(
+                program, self.retarget_result.netlist, overrides=overrides
+            )
         context = PassContext(
             selector=self.selector,
             binding=binding,
@@ -189,7 +199,7 @@ class Session:
         ``name`` names the compiled program: for source text it defaults
         to ``"program"``; for an already-lowered :class:`Program` it
         defaults to the program's own name, and an explicit ``name``
-        renames a *copy* (the caller's program object is never mutated).
+        compiles a renamed copy (programs are frozen).
         """
         if isinstance(source, Program):
             program = source

@@ -7,6 +7,8 @@ assign it.  Both must agree on every CFG -- random graphs from hypothesis
 and every DSPStone kernel, loop forms and optimized forms included.
 """
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -242,8 +244,15 @@ class TestUnassignedReads:
         # exit reads b; with the right arm's assignment of b gone, the
         # path through right reaches exit with b unassigned.
         program = _diamond()
-        right = program.block("right")
-        right.statements = [Statement("d", Const(9))]
+        program = replace(
+            program,
+            blocks=[
+                replace(block, statements=[Statement("d", Const(9))])
+                if block.name == "right"
+                else block
+                for block in program.blocks
+            ],
+        )
         assert unassigned_reads(program) == [("exit", 0, "b")]
 
     def test_back_edge_into_the_entry_assigns_nothing_on_entry(self):
@@ -307,7 +316,8 @@ class TestReversePostorder:
 
     def test_unreachable_blocks_are_dropped(self):
         program = _diamond()
-        program.blocks.append(BasicBlock("orphan", [Statement("d", Const(0))]))
+        orphan = BasicBlock("orphan", [Statement("d", Const(0))])
+        program = replace(program, blocks=program.blocks + (orphan,))
         order = program.reverse_postorder()
         assert "orphan" not in order
         assert order[0] == "entry"

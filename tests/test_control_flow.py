@@ -201,7 +201,7 @@ class TestOptimizerOnCFG:
             scalars=["a", "y", "__cse0"],
         )
         cleaned = eliminate_dead_temporaries(program)
-        assert cleaned.blocks[0].statements == []
+        assert cleaned.blocks[0].statements == ()
 
     def test_branch_condition_counts_as_use(self):
         from repro.ir.program import BasicBlock, CBranch, Program, Statement

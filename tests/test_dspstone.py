@@ -1,5 +1,7 @@
 """Tests of the DSPStone kernel collection."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.dspstone import (
@@ -21,15 +23,17 @@ class TestKernelCollection:
         assert names[0] == "real_update"
         assert "fir" in names and "convolution" in names
 
-    def test_kernel_program_returns_fresh_copies(self):
-        first, second = kernel_program("fir"), kernel_program("fir")
-        assert first is not second
-        assert [str(s) for s in first.blocks[0].statements] == [
-            str(s) for s in second.blocks[0].statements
-        ]
-        for block_a, block_b in zip(first.blocks, second.blocks):
-            assert block_a is not block_b
-            assert block_a.statements is not block_b.statements
+    def test_kernel_program_is_lowered_once_and_shared(self):
+        # Programs are frozen, so every caller can share the one lowered
+        # program.
+        for name in all_kernel_names() + loop_kernel_names():
+            assert kernel_program(name) is kernel_program(name)
+        program = kernel_program("fir")
+        with pytest.raises(FrozenInstanceError):
+            program.blocks = ()
+        with pytest.raises(FrozenInstanceError):
+            program.blocks[0].statements = ()
+        assert isinstance(program.blocks[0].statements, tuple)
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(KeyError):

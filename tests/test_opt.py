@@ -4,15 +4,18 @@ Covers the value-numbered expression DAG (versioning, use counts),
 constant folding and algebraic rewriting (word-wrap agreement with the
 simulator, port-read and target-capability gates), cross-statement CSE
 with dead-temporary elimination, the composable pipeline with its
-statistics, the IR contract of optimizer output and copies (fresh
-blocks and statement lists, shared frozen statements and trees), and
-the toolchain/CLI integration (``opt`` pass, ``--no-opt``, ``repro
+statistics, the IR contract of optimizer output (frozen programs and
+blocks, shared with the input where no stage changed them), and the
+toolchain/CLI integration (``opt`` pass, ``--no-opt``, ``repro
 opt``).
 """
 
-from dataclasses import FrozenInstanceError, fields
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
+
+import repro.opt.pipeline as pipeline_module
 
 from repro.dspstone import kernel_program, loop_kernel_names
 from repro.frontend.lowering import lower_to_program
@@ -42,7 +45,6 @@ from repro.opt import (
     OptStats,
     build_block_dag,
     contains_port_read,
-    copy_program,
     eliminate_common_subexpressions,
     eliminate_dead_temporaries,
     fold_expr,
@@ -438,7 +440,7 @@ class TestDCE:
             scalars=["a", "b", "c", "__cse0", "__cse1"],
         )
         cleaned = eliminate_dead_temporaries(program)
-        assert cleaned.blocks[0].statements == []
+        assert cleaned.blocks[0].statements == ()
 
 
 # ---------------------------------------------------------------------------
@@ -485,83 +487,84 @@ class TestOptPipeline:
         assert folded.statement_count() == 2
         assert cse_only.statement_count() >= 3
 
-    @staticmethod
-    def _assert_owns_its_blocks(optimized, program, label):
-        # Blocks and statement lists are mutable and must be fresh; the
-        # frozen statements and expression trees may be shared.
-        assert optimized is not program, label
-        input_blocks = {id(block) for block in program.blocks}
-        input_lists = {id(block.statements) for block in program.blocks}
-        for block in optimized.blocks:
-            assert id(block) not in input_blocks, label
-            assert id(block.statements) not in input_lists, label
-
-    def test_optimizer_output_never_aliases_the_input(self):
+    def test_optimizer_leaves_the_input_unchanged(self):
         program = lower_to_program(
             "int a, b, y0, y1;\ny0 = a * b + a;\ny1 = a * b + a;\n"
         )
+        before = repr(program)
         for stages in (None, ["fold"], ["cse"], ["dce"], []):
-            optimized, _stats = optimize_program(program, stages=stages)
-            self._assert_owns_its_blocks(optimized, program, stages)
+            optimize_program(program, stages=stages)
+            assert repr(program) == before, stages
+        # Stages that find nothing to do hand the input itself through.
+        for stages in (["fold"], ["dce"], []):
+            assert optimize_program(program, stages=stages)[0] is program, stages
 
     @pytest.mark.parametrize(
         "stages", [None, ["loops"], ["licm"]], ids=["default", "loops", "licm"]
     )
     def test_loop_stages_leave_the_input_untouched(self, stages):
-        # Rotation, strength reduction, LICM and preheader insertion edit
-        # blocks in place once their stage has copied the program; a
-        # missing copy would edit the caller's blocks.  Run alone, each
-        # stage sees the caller's program itself.
+        # Rotation, strength reduction, LICM and preheader insertion build
+        # new blocks where they change one; the input's blocks are frozen
+        # and come through as they were.  Run alone, each stage sees the
+        # caller's program itself.
         loops = GENERATOR_PROFILES["loops"]
         programs = [kernel_program(name) for name in loop_kernel_names()] + [
             lower_to_program(generate_source(seed, loops)) for seed in range(12)
         ]
         for program in programs:
             before = repr(program)
-            optimized, _stats = OptPipeline(stages).run(program)
-            self._assert_owns_its_blocks(optimized, program, program.name)
+            OptPipeline(stages).run(program)
             assert repr(program) == before, program.name
 
-    def test_mutation_isolation_regression(self):
-        # Mutating the input program after optimization must not leak
-        # into the optimized program, and vice versa (the PR 1
+    def test_frozen_ir_cannot_be_edited_in_place(self):
+        # Neither side of an optimizer run can change the other: every
+        # field is frozen and every sequence a tuple (the PR 1
         # ``code.instances`` aliasing fix, at the IR level).
         program = lower_to_program("int a, b, y;\ny = a * b + a;\n")
         optimized, _stats = optimize_program(program)
-        before = [str(s) for s in optimized.blocks[0].statements]
-        program.blocks[0].statements.append(Statement("z", Const(1)))
-        program.scalars.append("z")
-        assert [str(s) for s in optimized.blocks[0].statements] == before
-        assert "z" not in optimized.scalars
-        optimized.blocks[0].statements.append(Statement("w", Const(2)))
-        assert str(program.blocks[0].statements[-1]) == "z = 1"
+        for side in (program, optimized):
+            assert isinstance(side.blocks, tuple)
+            assert isinstance(side.scalars, tuple)
+            assert isinstance(side.blocks[0].statements, tuple)
+            with pytest.raises(FrozenInstanceError):
+                side.blocks[0].statements = ()
+            with pytest.raises(TypeError):
+                side.arrays["z"] = 2
+            with pytest.raises(TypeError):
+                side.hw_loops["entry"] = HardwareLoop("entry", 2)
 
-    def test_copy_program_is_structural(self):
+    def test_frozen_program_takes_private_copies(self):
+        # Lists and dicts handed to the constructors are copied, so the
+        # caller keeps no handle on a block or program.
+        statements = [Statement("i", Const(0))]
+        block = BasicBlock("entry", statements)
+        arrays = {"x": 4}
+        loops = {"entry": HardwareLoop("entry", 8)}
+        blocks = [block]
+        program = Program("p", blocks, ["i"], arrays, hw_loops=loops)
+        statements.append(Statement("y", Const(1)))
+        blocks.append(BasicBlock("more"))
+        arrays["z"] = 2
+        loops.clear()
+        assert block.statements == (Statement("i", Const(0)),)
+        assert [b.name for b in program.blocks] == ["entry"]
+        assert dict(program.arrays) == {"x": 4}
+        assert dict(program.hw_loops) == {"entry": HardwareLoop("entry", 8)}
+        # Derived programs share what they do not replace.
+        renamed = replace(program, name="q")
+        assert renamed.blocks is program.blocks
+        assert renamed == replace(program, name="q") and renamed != program
+        # Read-only views do not pickle; the program does.
+        assert pickle.loads(pickle.dumps(program)) == program
+
+    def test_copy_program_is_kept_for_instrumentation(self):
+        # No compile copies a program; the name stays because benchmark
+        # instrumentation wraps it by module path.
         program = kernel_program("fir_loop")
-        program.hw_loops["L2_body"] = HardwareLoop("L2_body", 8)
-        before = [
-            (block.name, [str(s) for s in block.statements], block.terminator)
-            for block in program.blocks
-        ]
-        clone = copy_program(program)
-        # The frozen statements, trees and terminators are shared ...
+        clone = pipeline_module.copy_program(program)
+        assert clone == program and clone is not program
+        assert all(a is not b for a, b in zip(clone.blocks, program.blocks))
         assert clone.blocks[0].statements[0] is program.blocks[0].statements[0]
-        assert clone.blocks[1].terminator is program.blocks[1].terminator
-        # ... everything mutable is the copy's own.
-        clone.blocks[0].statements.append(Statement("y", Const(1)))
-        clone.blocks[0].statements[0] = Statement("i", Const(7))
-        clone.blocks[1].terminator = None
-        clone.blocks.pop()
-        clone.scalars.append("__t")
-        clone.arrays["z"] = 2
-        clone.hw_loops.clear()
-        after = [
-            (block.name, [str(s) for s in block.statements], block.terminator)
-            for block in program.blocks
-        ]
-        assert after == before
-        assert "__t" not in program.scalars and "z" not in program.arrays
-        assert program.hw_loops == {"L2_body": HardwareLoop("L2_body", 8)}
 
     def test_shared_ir_is_frozen(self):
         # What copies and optimizer output share must be immutable.
@@ -576,6 +579,8 @@ class TestOptPipeline:
             HardwareLoop("body", 4),
             Statement("d", VarRef("a")),
             Statement("x", Const(1), VarRef("i")),
+            BasicBlock("body", [Statement("d", VarRef("a"))], Jump("exit")),
+            Program("p", [BasicBlock("entry")], ["a"], {"x": 4}, "entry"),
         ]
         assert set(IRNode.__subclasses__()) <= {type(sample) for sample in samples}
         for sample in samples:
@@ -628,10 +633,10 @@ class TestOptPipeline:
         assert stats.dead_removed == 1
         assert [s.destination for s in optimized.blocks[0].statements] == ["y"]
 
-    def test_empty_pipeline_still_copies(self):
+    def test_empty_pipeline_returns_its_input(self):
         program = lower_to_program("int a, y;\ny = a + 1;\n")
         optimized, stats = optimize_program(program, stages=[])
-        assert optimized is not program
+        assert optimized is program
         assert stats.nodes_before == stats.nodes_after
 
 
@@ -709,11 +714,16 @@ class TestOptimizationPassIntegration:
         assert optimized.code_size < unoptimized.code_size
         assert optimized.metrics.nodes_labelled <= unoptimized.metrics.nodes_labelled
 
-    def test_result_program_is_fresh_not_the_callers(self, demo_result):
+    def test_result_program_is_the_optimized_one(self, demo_result):
         program = lower_to_program(CSE_SOURCE, name="cse")
+        before = repr(program)
         compiled = Session(demo_result).compile_program(program)
         assert compiled.program is not program
         assert compiled.program.name == program.name
+        assert repr(program) == before
+        # A program the optimizer leaves alone is the result's program.
+        untouched = lower_to_program("int a, b, y;\ny = a + b;\n")
+        assert Session(demo_result).compile_program(untouched).program is untouched
         # The caller's program is untouched (no CSE temps injected).
         assert all(
             not s.destination.startswith("__cse")

@@ -2,17 +2,23 @@
 
 Every stage of :class:`~repro.opt.pipeline.OptPipeline` first checks
 whether it has anything to do and hands its input through when it has
-not.  :func:`_ungated_run` is the reference: every stage called on its
-own copy, whatever the check would say, and annotation at the end.  The
-pipeline must match it program for program and statistic for
-statistic.  Also pinned here: the work the checks save (CFG builds,
-copies, counted-loop scans), the analyses one run shares between its
-stages (one CFG, dominator tree and loop forest per block structure,
-counted loops equal to a fresh recognition), the one rule for
-``hw_loops``, and a deep expression chain inside a loop.
+not.  :func:`_ungated_run` is the reference: every stage called on the
+previous stage's result, whatever the check would say, and annotation
+at the end.  The pipeline must match it program for program and
+statistic for statistic.  The two checks that are walks of their own
+have oracles here too: ``fold``'s against folding itself, and GVN's
+against the earlier two-stack scan.  Also pinned here: the work the
+checks save (IR objects built, CFG builds, copies, counted-loop scans),
+the analyses one run shares between its stages (one CFG, dominator tree
+and loop forest per block structure, counted loops equal to a fresh
+recognition), the one rule for ``hw_loops``, and a deep expression
+chain inside a loop.
 """
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.analysis.loops as analysis_loops_module
 import repro.opt.gvn as gvn_module
@@ -24,13 +30,12 @@ from repro.dspstone import kernel_program
 from repro.dspstone.kernels import all_kernel_names, loop_kernel_names
 from repro.frontend.lowering import lower_to_program
 from repro.fuzz.generator import GENERATOR_PROFILES, generate_source
-from repro.ir.expr import ArrayRef, Const, Op, VarRef
+from repro.ir.expr import ArrayRef, Const, Op, PortInput, VarRef
 from repro.ir.program import BasicBlock, CBranch, Jump, Program, Statement
 from repro.opt import (
     OptPipeline,
     OptStats,
     annotate_hardware_loops,
-    copy_program,
     eliminate_common_subexpressions,
     eliminate_dead_temporaries,
     fold_expr,
@@ -40,7 +45,8 @@ from repro.opt import (
     rotate_counted_loops,
     strength_reduce,
 )
-from repro.opt.fold import split_rewrite_counts
+from repro.opt.cse import MIN_OCCURRENCES, MIN_OPS
+from repro.opt.fold import split_rewrite_counts, structurally_equal, would_fold, would_fold_statement
 from repro.toolchain.passes import introducible_ops
 
 KERNELS = tuple(all_kernel_names()) + tuple(loop_kernel_names())
@@ -49,8 +55,9 @@ _MATERIALIZING = ("loops", "licm", "gvn", "cse")
 
 
 def _ungated_run(pipeline, program, supported_ops):
-    """Every stage of ``pipeline`` run unconditionally, each on a fresh
-    program, then the final annotation; GVN skips its structural scan."""
+    """Every stage of ``pipeline`` run unconditionally on the previous
+    stage's result, then the final annotation; ``fold`` folds every
+    statement and condition, and GVN skips its structural scan."""
     stats = OptStats(
         nodes_before=program.expression_node_count(),
         statements_before=program.statement_count(),
@@ -68,12 +75,11 @@ def _ungated_run(pipeline, program, supported_ops):
         0,
     )
     current = program
-    produced_fresh = False
     introduced = set()
     for stage in pipeline.stages:
         if stage == "fold":
-            current = Program(
-                name=current.name,
+            current = replace(
+                current,
                 blocks=[
                     BasicBlock(
                         name=block.name,
@@ -97,24 +103,20 @@ def _ungated_run(pipeline, program, supported_ops):
                     )
                     for block in current.blocks
                 ],
-                scalars=list(current.scalars),
-                arrays=dict(current.arrays),
-                entry=current.entry,
             )
         elif stage == "loops":
-            current = copy_program(current)
             before = set(current.scalars)
-            rotate_counted_loops(current, counters)
-            strength_reduce(current, counters)
+            current, _rotated = rotate_counted_loops(current, counters)
+            current, _reduced = strength_reduce(current, counters)
             introduced |= set(current.scalars) - before
         elif stage == "licm":
-            current = copy_program(current)
-            introduced |= hoist_loop_invariants(current, counters)
+            current, hoisted = hoist_loop_invariants(current, counters)
+            introduced |= hoisted
         elif stage in ("gvn", "cse"):
             local = {"cse_hits": 0, "temps_introduced": 0}
             before = set(current.scalars)
             if stage == "gvn":
-                current = global_value_numbering(copy_program(current), counters=local)
+                current = global_value_numbering(current, counters=local)
                 counters["gvn_hits"] += local["cse_hits"]
             else:
                 current = eliminate_common_subexpressions(current, counters=local)
@@ -128,11 +130,10 @@ def _ungated_run(pipeline, program, supported_ops):
                 counters=counters,
                 temps=None if standalone else introduced,
             )
-            continue
-        produced_fresh = True
-    if not produced_fresh:
-        current = copy_program(current)
-    current.hw_loops = annotate_hardware_loops(current) if "loops" in pipeline.stages else {}
+    current = replace(
+        current,
+        hw_loops=annotate_hardware_loops(current) if "loops" in pipeline.stages else {},
+    )
     stats.hw_loops = len(current.hw_loops)
     stats.folds, stats.algebraic = split_rewrite_counts(stats.rewrites)
     for name, value in counters.items():
@@ -169,8 +170,9 @@ def _assert_matches_ungated(stages, programs, targets, retarget_results, monkeyp
             with monkeypatch.context() as patch:
                 patch.setattr(gvn_module, "_has_repeated_subtree", lambda *args: True)
                 expected, expected_stats = _ungated_run(pipeline, program, supported_ops)
+            before = repr(program)
             optimized, stats = pipeline.run(program, supported_ops=supported_ops)
-            assert optimized is not program, label
+            assert repr(program) == before, label
             assert _shape(optimized) == _shape(expected), (stages, target, label)
             assert stats.to_dict() == expected_stats.to_dict(), (stages, target, label)
 
@@ -203,7 +205,9 @@ class TestWorkDone:
 
     @pytest.fixture
     def work(self, monkeypatch):
-        counts = {"cfg": 0, "copy": 0, "scan": 0}
+        counts = dict.fromkeys(
+            ("cfg", "copy", "scan", "Statement", "BasicBlock", "Program"), 0
+        )
 
         def counting(key, function):
             def counted(*args, **kwargs):
@@ -223,27 +227,48 @@ class TestWorkDone:
             "find_counted_loops",
             counting("scan", loops_module.find_counted_loops),
         )
+        for constructor in (Statement, BasicBlock, Program):
+            monkeypatch.setattr(
+                constructor,
+                "__init__",
+                counting(constructor.__name__, constructor.__init__),
+            )
         return counts
 
+    @pytest.mark.parametrize("target", ["demo", "ref", "tms320c25"])
     @pytest.mark.parametrize("kernel", all_kernel_names())
-    def test_straight_line_kernel_copies_once_and_builds_nothing(
-        self, kernel, work, tms_result
+    def test_figure2_kernel_builds_nothing_and_returns_its_input(
+        self, kernel, target, retarget_results, work
     ):
-        OptPipeline().run(kernel_program(kernel), supported_ops=_supported(tms_result))
-        assert work == {"cfg": 0, "copy": 1, "scan": 0}
+        program = kernel_program(kernel)
+        supported_ops = _supported(retarget_results[target])
+        work.update(dict.fromkeys(work, 0))  # the fixture's setup is not the run's
+        optimized, _stats = OptPipeline().run(program, supported_ops=supported_ops)
+        assert optimized is program
+        assert work == dict.fromkeys(work, 0)
 
     @pytest.mark.parametrize("kernel", loop_kernel_names())
-    def test_loop_kernel_scans_once_per_rotation_and_copies_once(
+    def test_loop_kernel_scans_once_per_rotation_and_copies_nothing(
         self, kernel, work, tms_result
     ):
         _optimized, stats = OptPipeline().run(
             kernel_program(kernel), supported_ops=_supported(tms_result)
         )
-        assert work["copy"] == 1
+        assert work["copy"] == 0
         assert work["scan"] == 1 + stats.loops_rotated + (1 if stats.strength_reductions else 0)
         # One CFG for the input's blocks and one after each rotation; no
         # loop kernel gets a new preheader.
         assert work["cfg"] == 1 + stats.loops_rotated
+
+    @pytest.mark.parametrize("kernel", loop_kernel_names())
+    def test_loop_kernel_shares_every_unchanged_block(self, kernel, tms_result):
+        program = kernel_program(kernel)
+        optimized, _stats = OptPipeline().run(program, supported_ops=_supported(tms_result))
+        assert optimized is not program
+        for block in optimized.blocks:
+            for original in program.blocks:
+                if block == original:
+                    assert block is original, (kernel, block.name)
 
     @pytest.fixture
     def analysed(self, monkeypatch):
@@ -339,14 +364,14 @@ class TestSharedAnalysesMatchFreshRecognition:
 
         def checked_recognition(program, *args, **kwargs):
             counted = recognize(program, *args, **kwargs)
-            fresh = recognize(copy_program(program))
+            fresh = recognize(program)
             assert list(counted.items()) == list(fresh.items())
             checked["counted"] += 1
             return counted
 
         def checked_plan(program, *args, **kwargs):
             planned = plan(program, *args, **kwargs)
-            assert planned == plan(copy_program(program))
+            assert planned == plan(program)
             checked["plan"] += 1
             return planned
 
@@ -357,8 +382,7 @@ class TestSharedAnalysesMatchFreshRecognition:
         for seed in range(200):
             program = lower_to_program(generate_source(seed, config))
             optimized, _stats = OptPipeline().run(program, supported_ops=supported_ops)
-            final = copy_program(optimized)
-            final.hw_loops = {}
+            final = replace(optimized, hw_loops={})
             assert optimized.hw_loops == loops_module.annotate_hardware_loops(final), seed
         assert checked["counted"] and checked["plan"]
 
@@ -462,3 +486,248 @@ class TestStagesHandTheirInputThrough:
         optimized, stats = OptPipeline(stages=["gvn"]).run(program)
         assert stats.gvn_hits == 2
         assert optimized.statement_count() == 3
+
+
+# ---------------------------------------------------------------------------
+# Oracles of the fold and GVN checks
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def generated_300():
+    """Seeds 0-299 of both generator profiles, lowered."""
+    return [
+        lower_to_program(generate_source(seed, config))
+        for config in (GENERATOR_PROFILES["default"], GENERATOR_PROFILES["loops"])
+        for seed in range(300)
+    ]
+
+
+def _assert_fold_check_exact(statement, supported_ops):
+    """``would_fold_statement`` is true exactly when ``fold_statement``
+    changes the statement or counts a rewrite; when it is false, folding
+    hands the expressions back as they are."""
+    counts = {}
+    folded = fold_statement(statement, supported_ops=supported_ops, rewrites=counts)
+    index, folded_index = statement.destination_index, folded.destination_index
+    changed = not structurally_equal(folded.expression, statement.expression) or (
+        index is not None and not structurally_equal(folded_index, index)
+    )
+    assert would_fold_statement(statement, supported_ops) == bool(counts or changed), (
+        str(statement),
+        counts,
+    )
+    if not counts:
+        assert folded.expression is statement.expression
+        assert folded_index is index
+
+
+def _assert_condition_check_exact(condition):
+    counts = {}
+    folded = fold_expr(condition, rewrites=counts)
+    assert would_fold(condition) == bool(counts or folded is not condition), str(condition)
+
+
+def _assert_program_fold_checks_exact(program, supported_ops):
+    for block in program.blocks:
+        for statement in block.statements:
+            _assert_fold_check_exact(statement, supported_ops)
+        if isinstance(block.terminator, CBranch):
+            _assert_condition_check_exact(block.terminator.condition)
+
+
+class TestFoldCheckOracle:
+    def test_kernels_under_each_target(self, retarget_results):
+        for target in ("demo", "ref", "tms320c25"):
+            supported_ops = _supported(retarget_results[target])
+            for kernel in KERNELS:
+                _assert_program_fold_checks_exact(kernel_program(kernel), supported_ops)
+
+    def test_generated_programs(self, generated_300, retarget_results):
+        fired = 0
+        for target in ("ref", "tms320c25"):
+            supported_ops = _supported(retarget_results[target])
+            for program in generated_300:
+                _assert_program_fold_checks_exact(program, supported_ops)
+                fired += sum(
+                    would_fold_statement(statement, supported_ops)
+                    for block in program.blocks
+                    for statement in block.statements
+                )
+        assert fired  # some rule fires on generated programs
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.deferred(lambda: _soups), min_size=1, max_size=4),
+        st.sampled_from([None, frozenset(), frozenset({"shl:1"}), frozenset({"shl", "shr:2"})]),
+    )
+    def test_expression_soups(self, expressions, supported_ops):
+        for expression in expressions:
+            _assert_fold_check_exact(Statement("y", expression), supported_ops)
+            _assert_fold_check_exact(Statement("x", Const(1), expression), supported_ops)
+            _assert_condition_check_exact(expression)
+
+
+_LEAVES = st.one_of(
+    st.builds(Const, st.integers(min_value=-70000, max_value=70000)),
+    st.builds(Const, st.sampled_from([0, 1, 2, 8, 65535, 65536, -1])),
+    st.builds(VarRef, st.sampled_from(["a", "b", "c"])),
+    st.just(PortInput("IN")),
+)
+
+
+def _extend(children):
+    binary = st.sampled_from(
+        ["add", "sub", "mul", "div", "mod", "and", "or", "xor", "shl", "shr", "lt", "eq"]
+    )
+    return st.one_of(
+        st.builds(lambda op, left, right: Op(op, (left, right)), binary, children, children),
+        # x - x, x ^ x and friends: equal operands, often the same object.
+        st.builds(lambda op, operand: Op(op, (operand, operand)), binary, children),
+        st.builds(
+            lambda op, operand: Op(op, (operand,)),
+            st.sampled_from(["neg", "not", "lnot"]),
+            children,
+        ),
+        st.builds(
+            lambda op, operand: Op(op, (Op(op, (operand,)),)),
+            st.sampled_from(["neg", "not"]),
+            children,
+        ),
+        # Gated shifts: products and quotients by powers of two.
+        st.builds(
+            lambda op, operand, amount, left: Op(
+                op, (Const(1 << amount), operand) if left else (operand, Const(1 << amount))
+            ),
+            st.sampled_from(["mul", "div"]),
+            children,
+            st.integers(min_value=1, max_value=15),
+            st.booleans(),
+        ),
+        st.builds(ArrayRef, st.just("x"), children),
+    )
+
+
+_soups = st.recursive(_LEAVES, _extend, max_leaves=12)
+
+
+def _reference_has_repeated_subtree(program):
+    """The two-stack scan GVN's check replaced: a post-order walk pushing
+    ``(node, expanded)`` pairs and slicing child ids off a result list."""
+    ids = {}
+    op_counts = []
+    occurrences = {}
+    for block in program.blocks:
+        for statement in block.statements:
+            roots = (statement.expression, statement.destination_index)
+            stack = [(root, False) for root in roots if root is not None]
+            results = []
+            while stack:
+                node, expanded = stack.pop()
+                kind = type(node)
+                if kind is Op or kind is ArrayRef:
+                    children = node.children()
+                    if not expanded:
+                        stack.append((node, True))
+                        stack.extend([(child, False) for child in reversed(children)])
+                        continue
+                    child_ids = tuple(results[-len(children):])
+                    del results[-len(children):]
+                    key = (kind, node.op if kind is Op else node.name) + child_ids
+                    ops = (kind is Op) + sum([op_counts[child] for child in child_ids])
+                else:
+                    key, ops = (kind, str(node)), 0
+                node_id = ids.setdefault(key, len(ids))
+                if node_id == len(op_counts):
+                    op_counts.append(ops)
+                if kind is Op and ops >= MIN_OPS:
+                    occurrences[node_id] = occurrences.get(node_id, 0) + 1
+                    if occurrences[node_id] >= MIN_OCCURRENCES:
+                        return True
+                results.append(node_id)
+    return False
+
+
+def _assert_gvn_check_matches(program):
+    assert gvn_module._has_repeated_subtree(program) == _reference_has_repeated_subtree(
+        program
+    ), program.name
+
+
+class TestGVNCheckOracle:
+    def test_kernels(self):
+        for kernel in KERNELS:
+            _assert_gvn_check_matches(kernel_program(kernel))
+
+    def test_generated_programs_raw_and_after_the_loop_stages(self, generated_300, ref_result):
+        supported_ops = _supported(ref_result)
+        pipeline = OptPipeline(stages=("fold", "loops", "licm"))
+        repeated = 0
+        for program in generated_300:
+            _assert_gvn_check_matches(program)
+            repeated += _reference_has_repeated_subtree(program)
+            optimized, _stats = pipeline.run(program, supported_ops=supported_ops)
+            _assert_gvn_check_matches(optimized)
+        assert 0 < repeated < len(generated_300)
+
+    def test_deep_chain(self):
+        chain = VarRef("a")
+        for _ in range(3000):
+            chain = Op("add", (chain, Const(1)))
+        program = Program(
+            "deep",
+            [BasicBlock("entry", [Statement("y", chain), Statement("z", Op("neg", (chain,)))])],
+            scalars=["a", "y", "z"],
+        )
+        assert gvn_module._has_repeated_subtree(program)
+        _assert_gvn_check_matches(program)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.deferred(lambda: _random_cfg_programs()))
+    def test_random_cfgs(self, program):
+        _assert_gvn_check_matches(program)
+
+
+_CFG_EXPRESSIONS = st.recursive(
+    st.one_of(
+        st.builds(VarRef, st.sampled_from(["a", "b", "i"])),
+        st.builds(Const, st.integers(min_value=0, max_value=3)),
+        st.just(ArrayRef("x", VarRef("i"))),
+    ),
+    lambda children: st.builds(
+        lambda op, left, right: Op(op, (left, right)),
+        st.sampled_from(["add", "mul"]),
+        children,
+        children,
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _random_cfg_programs(draw):
+    """Small CFGs whose statements draw from a few operators and leaves,
+    so repeated subtrees are common, store indices included."""
+    count = draw(st.integers(min_value=1, max_value=5))
+    names = ["b%d" % index for index in range(count)]
+    blocks = []
+    for name in names:
+        statements = [
+            Statement("x", value, index) if index is not None else Statement("y", value)
+            for value, index in draw(
+                st.lists(
+                    st.tuples(_CFG_EXPRESSIONS, st.one_of(st.none(), _CFG_EXPRESSIONS)),
+                    max_size=3,
+                )
+            )
+        ]
+        kind = draw(st.sampled_from(["none", "jump", "cbranch"]))
+        terminator = None
+        if kind == "jump":
+            terminator = Jump(draw(st.sampled_from(names)))
+        elif kind == "cbranch":
+            terminator = CBranch(
+                draw(_CFG_EXPRESSIONS), draw(st.sampled_from(names)), draw(st.sampled_from(names))
+            )
+        blocks.append(BasicBlock(name, statements, terminator))
+    return Program("random", blocks, scalars=["a", "b", "i", "y"], arrays={"x": 4})

@@ -1,7 +1,8 @@
 """Unit and oracle tests for the global optimizer layers.
 
 Covers the loop analysis (back edges against a brute-force dominator-set
-oracle, natural loops, preheader insertion), the counted-loop
+oracle, natural loops, preheader insertion, and random loop programs on
+which LICM creates preheaders), the counted-loop
 transformations (rotation, strength reduction), cross-block GVN, LICM,
 and the end-to-end hardware-loop contract on the TMS320C25: every
 loop-form DSPStone kernel must pick up at least one LICM hoist or one
@@ -12,6 +13,7 @@ with IR-level reference execution of the *original* program.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import check_optimized_program
 from repro.analysis.cfg import ControlFlowGraph
 from repro.analysis.loops import (
     back_edges,
@@ -143,9 +145,8 @@ class TestPreheaders:
         # fir_loop's entry ends in an unconditional jump to the header:
         # it already is a preheader, no new block is needed.
         program = kernel_program("fir_loop")
-        blocks_before = [block.name for block in program.blocks]
-        preheaders = insert_preheaders(program)
-        assert [block.name for block in program.blocks] == blocks_before
+        reshaped, preheaders = insert_preheaders(program)
+        assert reshaped is program
         (header,) = preheaders
         assert preheaders[header] == "entry"
 
@@ -160,15 +161,12 @@ class TestPreheaders:
             "while (i < 4) { z = z + a; i = i + 1; }\n"
         )
         program = lower_to_program(source, name="cond_entry")
-        original = lower_to_program(source, name="cond_entry")
         forest = loop_nesting_forest(ControlFlowGraph.from_program(program))
         (header,) = forest.loops
-        blocks_before = [block.name for block in program.blocks]
-        preheaders = insert_preheaders(program, forest)
-        assert [block.name for block in program.blocks] == blocks_before
+        reshaped, preheaders = insert_preheaders(program, forest)
+        assert reshaped is program
         assert preheaders[header] == "L2_join"
         assert forest.loops[header].preheader == "L2_join"
-        _assert_same_execution(original, program)
 
     def test_multiple_outside_predecessors_get_fresh_preheader(self):
         # Two blocks branch straight into the loop header: no reusable
@@ -211,14 +209,19 @@ class TestPreheaders:
             )
 
         program = build()
-        original = build()
+        before = repr(program)
         forest = loop_nesting_forest(ControlFlowGraph.from_program(program))
-        preheaders = insert_preheaders(program, forest)
+        reshaped, preheaders = insert_preheaders(program, forest)
         assert preheaders["head"] == "head.pre"
-        cfg = ControlFlowGraph.from_program(program)
+        cfg = ControlFlowGraph.from_program(reshaped)
         assert set(cfg.predecessors["head.pre"]) == {"left", "right"}
         assert set(cfg.predecessors["head"]) == {"head.pre", "head"}
-        _assert_same_execution(original, program)
+        _assert_same_execution(program, reshaped)
+        assert repr(program) == before
+        # The blocks that were not retargeted are shared with the input.
+        assert reshaped.block("entry") is program.block("entry")
+        assert reshaped.block("head") is program.block("head")
+        assert reshaped.block("left") is not program.block("left")
 
     def test_entry_header_moves_program_entry(self):
         # A do-while at the very top: the header IS the entry block, so
@@ -236,9 +239,102 @@ class TestPreheaders:
         program = Program(
             name="entry_header", blocks=[loop, done], scalars=["i"]
         )
-        preheaders = insert_preheaders(program)
-        assert program.entry_block_name() == preheaders["top"]
-        assert program.block(preheaders["top"]).terminator == Jump("top")
+        reshaped, preheaders = insert_preheaders(program)
+        assert reshaped.entry_block_name() == preheaders["top"]
+        assert reshaped.block(preheaders["top"]).terminator == Jump("top")
+        assert program.entry_block_name() == "top"
+
+
+# ---------------------------------------------------------------------------
+# Random loop programs: preheader creation through the whole pipeline
+# ---------------------------------------------------------------------------
+
+#: Loop-invariant operands: no loop body assigns a, b, c or d.
+_INVARIANTS = (
+    Op("mul", (VarRef("a"), VarRef("b"))),
+    Op("add", (VarRef("c"), Const(3))),
+    Op("sub", (VarRef("d"), VarRef("a"))),
+    Op("xor", (VarRef("b"), VarRef("c"))),
+)
+
+#: How control enters a loop.  No source program can make LICM create a
+#: preheader: the frontend ends the block in front of every loop with a
+#: jump into it, which LICM reuses ("jump").  These shapes cannot reuse
+#: one: two outside predecessors ("fork"), a conditional branch into the
+#: loop ("branch"), the previous loop's exit branch ("direct"), or the
+#: program entry ("entry").
+_FIRST_SHAPES = ("entry", "fork", "branch", "jump")
+_LATER_SHAPES = ("direct", "fork", "branch", "jump")
+
+
+@st.composite
+def loop_programs(draw):
+    """Up to three counted self-loops in sequence, each with two or three
+    hoistable invariant statements and sometimes a repeated invariant
+    subexpression.  Returns ``(program, shapes)``."""
+    count = draw(st.integers(min_value=1, max_value=3))
+    shapes = [draw(st.sampled_from(_FIRST_SHAPES))] + [
+        draw(st.sampled_from(_LATER_SHAPES)) for _ in range(count - 1)
+    ]
+    entries = [
+        "L%d" % k if shape in ("entry", "direct") else "P%d" % k
+        for k, shape in enumerate(shapes)
+    ] + ["exit"]
+    guard = Op("lt", (VarRef("p"), Const(100)))
+    blocks = []
+    scalars = {"a", "b", "c", "d", "p", "z"}
+    for k, shape in enumerate(shapes):
+        header, after = "L%d" % k, entries[k + 1]
+        induction, total = "i%d" % k, "s%d" % k
+        init = [Statement(induction, Const(0))]
+        if shape == "jump":
+            blocks.append(BasicBlock("P%d" % k, init, Jump(header)))
+        elif shape == "branch":
+            blocks.append(BasicBlock("P%d" % k, init, CBranch(guard, header, after)))
+        elif shape == "fork":
+            blocks += [
+                BasicBlock("P%d" % k, init, CBranch(guard, "A%d" % k, "B%d" % k)),
+                BasicBlock("A%d" % k, [Statement("z", Const(1))], Jump(header)),
+                BasicBlock("B%d" % k, [Statement("z", Const(2))], Jump(header)),
+            ]
+        picks = draw(
+            st.lists(st.sampled_from(_INVARIANTS), min_size=2, max_size=3, unique=True)
+        )
+        body = [Statement("t%d_%d" % (k, j), pick) for j, pick in enumerate(picks)]
+        body.append(Statement(total, Op("add", (VarRef(total), VarRef("t%d_0" % k)))))
+        if draw(st.booleans()):
+            shared = Op("add", (draw(st.sampled_from(_INVARIANTS)), VarRef("d")))
+            body += [
+                Statement("z", Op("add", (VarRef("z"), shared))),
+                Statement(total, Op("sub", (VarRef(total), shared))),
+            ]
+        body.append(Statement(induction, Op("add", (VarRef(induction), Const(1)))))
+        trips = draw(st.integers(min_value=1, max_value=5))
+        condition = Op("lt", (VarRef(induction), Const(trips)))
+        blocks.append(BasicBlock(header, body, CBranch(condition, header, after)))
+        scalars |= {statement.destination for statement in body}
+    blocks.append(BasicBlock("exit", [Statement("z", Op("add", (VarRef("z"), Const(1))))]))
+    return Program("loops", blocks, scalars=sorted(scalars)), shapes
+
+
+class TestRandomLoopPrograms:
+    @settings(max_examples=150, deadline=None)
+    @given(loop_programs())
+    def test_created_preheaders_keep_the_semantics(self, drawn):
+        program, shapes = drawn
+        before = repr(program)
+        optimized, stats = OptPipeline().run(program)
+        assert repr(program) == before
+        _assert_same_execution(program, optimized)
+        assert check_optimized_program(optimized) == []
+        created = [block.name for block in optimized.blocks if block.name.endswith(".pre")]
+        assert len(created) == sum(shape != "jump" for shape in shapes), (created, shapes)
+        assert stats.licm_hoisted >= 2 * len(shapes)
+        # Every block the run did not change is the input's own.
+        for block in optimized.blocks:
+            for original in program.blocks:
+                if block == original:
+                    assert block is original
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ session API, and the structured diagnostics layer."""
 import importlib
 import pickle
 import time
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -14,9 +15,10 @@ from repro.diagnostics import (
     TargetError,
     error_report,
 )
-from repro.dspstone import all_kernel_names, get_kernel, kernel_program
+from repro.dspstone import all_kernel_names, get_kernel, kernel_program, loop_kernel_names
 from repro.frontend import LoweringError, SourceSyntaxError
 from repro.hdl.errors import HdlParseError
+from repro.ir.binding import BindingError, bind_program
 from repro.ir.expr import Const
 from repro.ir.program import Statement
 from repro.toolchain import (
@@ -281,14 +283,36 @@ class TestWarmPath:
     """Constant per-compile work is done once: kernels are lowered once
     per process, the optimizer's grammar scan once per session."""
 
-    def test_mutating_a_kernel_program_leaves_later_compiles_unchanged(self, tms_result):
+    def test_compiles_share_the_kernel_program_and_leave_it_unchanged(self, tms_result):
+        # Every compile of a kernel by name reads the one lowered program;
+        # it is frozen, so no compile and no caller can change it.
         session = Session(tms_result)
-        before = session.compile_kernel("fir")
         program = kernel_program("fir")
-        program.blocks[0].statements.append(Statement("y", Const(1)))
-        after = session.compile_kernel("fir")
-        assert after.listing() == before.listing()
-        assert after.code_size == before.code_size
+        before = repr(program)
+        first = session.compile_kernel("fir")
+        with pytest.raises(FrozenInstanceError):
+            program.blocks[0].statements = program.blocks[0].statements + (
+                Statement("y", Const(1)),
+            )
+        again = session.compile_kernel("fir")
+        assert again.listing() == first.listing()
+        assert again.code_size == first.code_size
+        assert kernel_program("fir") is program
+        assert repr(program) == before
+
+    @pytest.mark.parametrize("target", ["demo", "ref", "tms320c25"])
+    def test_session_binding_equals_bind_program(self, target, retarget_results):
+        # A compile without overrides builds the binding from the
+        # session's default storage instead of calling bind_program.
+        result = retarget_results[target]
+        session = Session(result)
+        for kernel in all_kernel_names() + loop_kernel_names():
+            compiled = session.compile_kernel(kernel)
+            assert compiled.binding == bind_program(kernel_program(kernel), result.netlist)
+
+    def test_unknown_override_storage_still_raises(self, tms_result):
+        with pytest.raises(BindingError):
+            Session(tms_result).compile_kernel("fir", binding_overrides={"x[0]": "NOPE"})
 
     def test_no_grammar_scan_per_compile(self, tms_result, monkeypatch):
         import repro.toolchain.passes as passes_module

@@ -15,6 +15,8 @@ Three layers of coverage:
   surfaces through the CLI and the compile service.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import (
@@ -95,6 +97,11 @@ def _branching_program():
     )
 
 
+def _with_blocks(program, *blocks):
+    """``program`` with ``blocks`` appended."""
+    return replace(program, blocks=program.blocks + blocks)
+
+
 class TestCheckCfg:
     def test_well_formed_program_is_clean(self):
         assert check_cfg(_branching_program()) == []
@@ -104,29 +111,26 @@ class TestCheckCfg:
         assert [f.check for f in _errors(findings)] == ["cfg"]
 
     def test_duplicate_block_names(self):
-        program = _branching_program()
-        program.blocks.append(BasicBlock("entry", []))
+        program = _with_blocks(_branching_program(), BasicBlock("entry", []))
         findings = _errors(check_cfg(program))
         assert any("duplicate" in f.message for f in findings)
 
     def test_dangling_branch_target(self):
         program = _branching_program()
-        program.blocks[1] = BasicBlock(
-            "body", [], Jump("nowhere")
-        )
+        blocks = list(program.blocks)
+        blocks[1] = BasicBlock("body", [], Jump("nowhere"))
+        program = replace(program, blocks=blocks)
         findings = _errors(check_cfg(program))
         assert any("'nowhere'" in f.message for f in findings)
         assert findings[0].where == "body"
 
     def test_unknown_entry(self):
-        program = _branching_program()
-        program.entry = "missing"
+        program = replace(_branching_program(), entry="missing")
         findings = _errors(check_cfg(program))
         assert any("entry" in f.message for f in findings)
 
     def test_unreachable_block_is_a_warning_not_an_error(self):
-        program = _branching_program()
-        program.blocks.append(BasicBlock("orphan", []))
+        program = _with_blocks(_branching_program(), BasicBlock("orphan", []))
         findings = check_cfg(program)
         assert _errors(findings) == []
         assert any(
@@ -434,8 +438,7 @@ class TestPipelineVerifierHook:
     def test_warnings_flow_into_diagnostics_not_errors(self):
         from repro.toolchain.passes import CompilationState
 
-        program = _branching_program()
-        program.blocks.append(BasicBlock("orphan", []))
+        program = _with_blocks(_branching_program(), BasicBlock("orphan", []))
         state = CompilationState(program=program)
         verifier = PipelineVerifier(registers=REGISTERS)
         verifier.before_pass("opt", state, context=None)
