@@ -43,9 +43,7 @@ from repro.analysis.verify import (
     check_cfg,
     check_instance_stream,
     check_optimized_program,
-    check_spill_metric,
     check_words,
-    derive_dependence_edges,
     unassigned_reads,
 )
 
@@ -71,8 +69,6 @@ __all__ = [
     "unassigned_reads",
     "check_instance_stream",
     "check_words",
-    "check_spill_metric",
-    "derive_dependence_edges",
     "lint_grammar",
     "lint_target",
 ]

@@ -16,13 +16,11 @@ supposed to preserve, so a bug in a pass surfaces as a structured
   appear exactly in terminator pseudo-codes;
 * **schedule/compaction safety** (:func:`check_instance_stream`,
   :func:`check_words`) -- an instruction-level race detector: RAW / WAR /
-  WAW and storage anti-dependence edges are re-derived from
-  ``RTInstance`` defs/uses alone (:func:`derive_dependence_edges`) and
-  every compacted :class:`InstructionWord` is checked against them, plus
-  a symbolic machine walk proving every ``spill_reload`` is preceded by
-  a matching ``spill_store`` and no live register occupant is clobbered;
-* **metric honesty** (:func:`check_spill_metric`) -- the reported spill
-  count equals an independent recount.
+  WAW and storage anti-dependence constraints are re-derived from
+  ``RTInstance`` defs/uses alone and every compacted
+  :class:`InstructionWord` is checked against them, plus a symbolic
+  machine walk proving every ``spill_reload`` is preceded by a matching
+  ``spill_store`` and no live register occupant is clobbered.
 
 :class:`PipelineVerifier` hooks these checks into
 :class:`~repro.toolchain.passes.PassManager` (``PipelineConfig.verify``);
@@ -39,11 +37,7 @@ from repro.analysis.cfg import ControlFlowGraph
 from repro.diagnostics import ReproError
 from repro.ir.expr import expr_variables
 from repro.ir.program import Program, Statement
-
-#: Reserved prefixes of optimizer-introduced temporaries (mirrors
-#: ``repro.opt.cse.OPT_TEMP_PREFIXES``; duplicated literals to keep this
-#: module importable without the optimizer).
-RESERVED_TEMP_PREFIXES = ("__cse", "__licm", "__sr")
+from repro.ir.temps import OPT_TEMP_PREFIXES
 
 #: Kinds counted as spill traffic (mirrors ``repro.codegen.spill.SPILL_KINDS``).
 SPILL_KINDS = ("spill_store", "spill_reload")
@@ -54,7 +48,7 @@ class Finding:
     """One verifier finding.
 
     ``check`` names the invariant (``"cfg"``, ``"cse"``, ``"race"``,
-    ``"spill"``, ``"words"``, ``"metric"``, ...), ``severity`` is
+    ``"spill"``, ``"words"``, ...), ``severity`` is
     ``"note"``/``"warning"``/``"error"`` and ``where`` localises the
     finding (block name, statement text, instance description).
     """
@@ -245,7 +239,7 @@ def check_optimized_program(program: Program) -> List[Finding]:
     """
     # Optimizer temps land in ``scalars``; skip the sweep when none were
     # introduced.
-    if not any(name.startswith(RESERVED_TEMP_PREFIXES) for name in program.scalars):
+    if not any(name.startswith(OPT_TEMP_PREFIXES) for name in program.scalars):
         return []
     return [
         Finding(
@@ -255,7 +249,7 @@ def check_optimized_program(program: Program) -> List[Finding]:
             "%s[%d]" % (block_name, index),
         )
         for block_name, index, variable in unassigned_reads(program)
-        if variable.startswith(RESERVED_TEMP_PREFIXES)
+        if variable.startswith(OPT_TEMP_PREFIXES)
     ]
 
 
@@ -536,54 +530,8 @@ def check_instance_stream(
 
 
 # ---------------------------------------------------------------------------
-# Dependence edges and compacted-word checks
+# Compacted-word checks
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DependenceEdge:
-    """An ordering constraint between two positions of one instance
-    sequence.  ``kind`` is ``"raw"``/``"waw"`` (strict: the earlier
-    instance must retire in an earlier word) or ``"war"`` (weak: same
-    word is legal -- time-stationary words read before they write)."""
-
-    kind: str
-    earlier: int
-    later: int
-    reason: str = ""
-
-
-def derive_dependence_edges(instances: Sequence[object]) -> List[DependenceEdge]:
-    """Re-derive RAW/WAR/WAW edges of one statement's instance sequence
-    from defs/uses alone -- independently of whatever the scheduler or
-    compactor believed."""
-    edges: List[DependenceEdge] = []
-    last_writer_of_id: Dict[str, int] = {}
-    last_writer_of_storage: Dict[str, int] = {}
-    readers_of_storage: Dict[str, List[int]] = {}
-    for position, instance in enumerate(instances):
-        for value_id, _storage in instance.operands:
-            writer = last_writer_of_id.get(value_id)
-            if writer is not None:
-                edges.append(
-                    DependenceEdge("raw", writer, position, value_id)
-                )
-        storage = instance.result_storage
-        for reader in readers_of_storage.get(storage, ()):
-            edges.append(DependenceEdge("war", reader, position, storage))
-        writer = last_writer_of_storage.get(storage)
-        if writer is not None:
-            edges.append(DependenceEdge("waw", writer, position, storage))
-        writer = last_writer_of_id.get(instance.result_id)
-        if writer is not None:
-            edges.append(
-                DependenceEdge("waw", writer, position, instance.result_id)
-            )
-        last_writer_of_id[instance.result_id] = position
-        last_writer_of_storage[storage] = position
-        for value_id, operand_storage in instance.operands:
-            readers_of_storage.setdefault(operand_storage, []).append(position)
-    return edges
 
 
 def _word_positions(words) -> Tuple[Dict[int, int], List[Finding]]:
@@ -653,9 +601,9 @@ def _check_statement_edges(
 ) -> List[Finding]:
     """One statement's RAW/WAR/WAW constraints against the word
     positions (``pairs`` is the statement's instances with their word
-    indices) -- the incremental, allocation-free equivalent of mapping
-    every :func:`derive_dependence_edges` edge through the positions
-    (which is quadratic in readers per storage)."""
+    indices).  Incremental: per value and storage only the latest writer,
+    and per storage the reader in the highest word, are kept, so the
+    check is linear in the instances."""
     findings: List[Finding] = []
     if len(pairs) < 2:
         return findings
@@ -823,28 +771,6 @@ def check_words(block_codes, words) -> List[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# Metric honesty
-# ---------------------------------------------------------------------------
-
-
-def check_spill_metric(instances: Sequence[object], reported: int) -> List[Finding]:
-    """The reported spill count equals an independent recount of
-    ``spill_store``/``spill_reload`` instances."""
-    actual = sum(1 for instance in instances if instance.kind in SPILL_KINDS)
-    if reported != actual:
-        return [
-            Finding(
-                "metric",
-                "error",
-                "reported spill count %d, recount finds %d "
-                "(only spill_store/spill_reload are spill traffic)"
-                % (reported, actual),
-            )
-        ]
-    return []
-
-
-# ---------------------------------------------------------------------------
 # The pipeline hook
 # ---------------------------------------------------------------------------
 
@@ -946,14 +872,6 @@ class PipelineVerifier:
             )
         elif name == "compact":
             findings.extend(check_words(state.block_codes, state.words))
-            # ``count_spills`` is what the metrics report; the check's own
-            # recount is independent of it on purpose.
-            from repro.codegen.spill import count_spills
-
-            instances = state.all_instances()
-            findings.extend(
-                check_spill_metric(instances, count_spills(instances))
-            )
         elif name == "spill":
             registers = self._register_set(context)
             for code in state.statement_codes:

@@ -16,7 +16,7 @@ Usage (also available as ``python -m repro ...``)::
     python -m repro lint-target tms320c25        # grammar/matcher lints
     python -m repro compile tms320c25 --kernel fir_loop  # loop kernel -> labelled CFG
     python -m repro opt prog.c                   # IR optimizer before/after
-    python -m repro opt --kernel fir --stages fold,cse,dce   # block-local CSE
+    python -m repro opt --kernel fir_loop --stages fold,gvn,dce   # a stage subset
     python -m repro fuzz                         # differential fuzz campaign
     python -m repro fuzz --seed 7 --budget 500 --targets ref --oracle sim,opt
     python -m repro batch jobs.jsonl             # concurrent batch service
@@ -318,9 +318,9 @@ def _cmd_opt(args) -> int:
     if optimized.hw_loops:
         for latch, hw in sorted(optimized.hw_loops.items()):
             print("  ; hardware loop: %s x%d (%s)" % (latch, hw.trip_count, hw.kind))
-    print("stats: %d fold(s), %d algebraic rewrite(s), %d cse hit(s), "
+    print("stats: %d fold(s), %d algebraic rewrite(s), "
           "%d temp(s) introduced, %d dead temp(s) removed" % (
-              stats.folds, stats.algebraic, stats.cse_hits,
+              stats.folds, stats.algebraic,
               stats.temps_introduced, stats.dead_removed))
     print("global: %d gvn hit(s), %d loop(s) rotated, %d licm hoist(s), "
           "%d strength reduction(s), %d hardware loop(s)" % (
@@ -700,14 +700,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the IR optimizer on a program and print before/after",
         description="Target-independent view of the repro.opt pipeline, "
         "stage by stage, with per-rewrite statistics.  Stages: %s; "
-        "the default run is %s."
-        % (", ".join(OptPipeline.STAGES), ",".join(OptPipeline.DEFAULT_STAGES)),
+        "the default run is all of them, in this order."
+        % ", ".join(OptPipeline.STAGES),
     )
     opt_parser.add_argument("source", nargs="?", help="source file in the C-like input language")
     opt_parser.add_argument("--kernel", help="optimize a named DSPStone kernel instead of a file")
     opt_parser.add_argument(
         "--stages", metavar="LIST",
-        help="comma-separated stage subset of %s (default: %s)"
+        help="comma-separated stages to run, in the order given, from %s "
+        "(default: %s)"
         % (",".join(OptPipeline.STAGES), ",".join(OptPipeline.DEFAULT_STAGES)),
     )
 

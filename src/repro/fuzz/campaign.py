@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.analysis.verify import VerificationError
 from repro.diagnostics import InternalCompilerError, ReproError
 from repro.frontend.lowering import lower_to_program
 from repro.fuzz.generator import DEFAULT_CONFIG, GeneratorConfig, generate_source
@@ -160,7 +161,8 @@ def _run_oracle(check, harness, program, environment):
         divergence = check(harness, program, environment)
     except OracleSkip as skip:
         return "skip", skip.reason
-    except InternalCompilerError as error:
+    except (InternalCompilerError, VerificationError) as error:
+        # A failed verifier check is a finding: its message names the check.
         return "crash", _classify(error)
     except ReproError as error:
         # A structured refusal outside the compile legs (should not

@@ -3,13 +3,15 @@
 Every oracle receives one lowered program plus a seeded environment and
 answers with ``None`` (agreement) or a :class:`Divergence`.  A leg that
 fails to *compile* with a structured :class:`ReproError` (other than an
-:class:`InternalCompilerError`) raises :class:`OracleSkip` -- e.g. a
-bitwise operator the target's grammar cannot cover is a legitimate,
-structured refusal, not a bug, and the optimizer may legitimately make
-an uncoverable program coverable (or vice versa), so cross-leg
-comparison is only meaningful when both legs compile.
-:class:`InternalCompilerError` and any non-Repro exception always
-propagate to the campaign driver, which records them as crash findings.
+:class:`InternalCompilerError` or a
+:class:`~repro.analysis.verify.VerificationError`) raises
+:class:`OracleSkip` -- e.g. a bitwise operator the target's grammar
+cannot cover is a legitimate, structured refusal, not a bug, and the
+optimizer may legitimately make an uncoverable program coverable (or
+vice versa), so cross-leg comparison is only meaningful when both legs
+compile.  An internal error, a failed verifier check and any non-Repro
+exception propagate to the campaign driver, which records them as crash
+findings.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.analysis.verify import VerificationError
 from repro.diagnostics import InternalCompilerError, ReproError
 from repro.hdl.ast import ModuleKind
 from repro.ir.program import Program
@@ -136,11 +139,11 @@ def faithful_simulate(result, memory_storages, environment) -> Dict[str, int]:
 
 
 def _compile_leg(session: Session, program: Program, leg: str):
-    """Compile one leg; structured refusals (not internal errors)
-    become an :class:`OracleSkip`."""
+    """Compile one leg; structured refusals (not internal errors or
+    failed verifier checks) become an :class:`OracleSkip`."""
     try:
         return session.compile_program(program)
-    except InternalCompilerError:
+    except (InternalCompilerError, VerificationError):
         raise
     except ReproError as error:
         raise OracleSkip("%s leg: %s: %s" % (leg, type(error).__name__, error))

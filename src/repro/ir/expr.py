@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 # 16-bit fixed point machines: arithmetic wraps around modulo 2**WORD_BITS.
 WORD_BITS = 16
@@ -162,6 +162,19 @@ def array_element_name(name: str, index_value: int) -> str:
     return "%s[%d]" % (name, wrap_word(index_value))
 
 
+def base_array(name: str) -> Optional[str]:
+    """The array a constant-index element name belongs to (``"a[3]" ->
+    "a"``); ``None`` for any other name."""
+    bracket = name.find("[")
+    return name[:bracket] if bracket > 0 else None
+
+
+def is_plain_scalar(name: str) -> bool:
+    """True for a scalar variable: not a port (``@OUT``), not an array
+    element (``a[3]``)."""
+    return not name.startswith("@") and "[" not in name
+
+
 def evaluate_expr(expr: IRNode, environment: Dict[str, int]) -> int:
     """Evaluate an IR expression over a variable/port environment."""
     if isinstance(expr, Const):
@@ -214,3 +227,24 @@ def expr_size(expr: IRNode) -> int:
         elif kind is not Const and kind is not VarRef:
             stack.extend(node.children())
     return count
+
+
+def structurally_equal(left: IRNode, right: IRNode) -> bool:
+    """Structural equality without recursive ``__eq__`` (safe on the ~5k
+    node chain expressions the deep-tree tests compile)."""
+    stack: List[Tuple[IRNode, IRNode]] = [(left, right)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if isinstance(a, Op) and isinstance(b, Op):
+            if a.op != b.op or len(a.operands) != len(b.operands):
+                return False
+            stack.extend(zip(a.operands, b.operands))
+        elif isinstance(a, ArrayRef) and isinstance(b, ArrayRef):
+            if a.name != b.name:
+                return False
+            stack.append((a.index, b.index))
+        elif a != b:  # leaves, or nodes of two classes: never a deep compare
+            return False
+    return True

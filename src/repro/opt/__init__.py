@@ -2,14 +2,16 @@
 
 The BURS selector labels every subject-tree node, so the cheapest node is
 the one the frontend never hands it.  This package is the pre-selection
-optimizer that exploits that: a value-numbered expression DAG identifies
-identical subtrees across all statements of a program
-(:mod:`repro.opt.dag`), constant folding and algebraic rewriting shrink
-trees (:mod:`repro.opt.fold`), cross-statement CSE materializes
-repeated computations into compiler temporaries and dead-temporary
-elimination cleans up after it (:mod:`repro.opt.cse`), all composed by the
-:class:`OptPipeline` (:mod:`repro.opt.pipeline`) with per-rewrite
-statistics.
+optimizer that exploits that: constant folding and algebraic rewriting
+shrink trees (:mod:`repro.opt.fold`), counted loops are rotated and
+strength-reduced (:mod:`repro.opt.loops`), loop invariants move into
+preheaders (:mod:`repro.opt.licm`), a value-numbered expression DAG
+(:mod:`repro.opt.dag`) finds repeated computations across the CFG and
+materializes them into compiler temporaries (:mod:`repro.opt.gvn`), and
+dead-temporary elimination cleans up after them (:mod:`repro.opt.cse`),
+all composed by the :class:`OptPipeline` (:mod:`repro.opt.pipeline`) with
+per-rewrite statistics.  How a stage names a temporary and puts it in
+place is :mod:`repro.ir.temps`.
 
 The toolchain runs it by default as the ``opt`` pass ahead of ``select``
 (:class:`repro.toolchain.passes.OptimizationPass`); disable it with
@@ -19,22 +21,19 @@ standalone.  All rewrites are exact under the word-wrapped reference
 semantics of :func:`repro.ir.evaluate_expr`.
 """
 
+from repro.ir.temps import (
+    LICM_TEMP_PREFIX,
+    OPT_TEMP_PREFIXES,
+    SR_TEMP_PREFIX,
+    TEMP_PREFIX,
+)
 from repro.opt.cse import (
     MIN_OCCURRENCES,
     MIN_OPS,
-    OPT_TEMP_PREFIXES,
-    TEMP_PREFIX,
-    eliminate_common_subexpressions,
     eliminate_dead_temporaries,
     is_temp,
 )
-from repro.opt.dag import (
-    DAGNode,
-    ExprDAG,
-    GlobalProgramDAG,
-    ProgramDAG,
-    build_block_dag,
-)
+from repro.opt.dag import DAGNode, ExprDAG, ProgramDAG
 from repro.opt.fold import (
     FOLD_RULES,
     contains_port_read,
@@ -45,9 +44,8 @@ from repro.opt.fold import (
     would_fold_statement,
 )
 from repro.opt.gvn import global_value_numbering
-from repro.opt.licm import LICM_TEMP_PREFIX, hoist_loop_invariants
+from repro.opt.licm import hoist_loop_invariants
 from repro.opt.loops import (
-    SR_TEMP_PREFIX,
     CountedLoop,
     annotate_hardware_loops,
     find_counted_loops,
@@ -66,7 +64,6 @@ __all__ = [
     "DAGNode",
     "ExprDAG",
     "FOLD_RULES",
-    "GlobalProgramDAG",
     "LICM_TEMP_PREFIX",
     "MIN_OCCURRENCES",
     "MIN_OPS",
@@ -78,9 +75,7 @@ __all__ = [
     "SR_TEMP_PREFIX",
     "TEMP_PREFIX",
     "annotate_hardware_loops",
-    "build_block_dag",
     "contains_port_read",
-    "eliminate_common_subexpressions",
     "eliminate_dead_temporaries",
     "find_counted_loops",
     "fold_expr",

@@ -1,11 +1,12 @@
-"""Cross-statement common-subexpression and dead-temporary elimination.
+"""The common-subexpression machinery of global value numbering, and
+dead-temporary elimination.
 
-CSE works on the versioned :class:`~repro.opt.dag.ProgramDAG`: two
-occurrences share a DAG node only when they provably compute the same
-value (variable/port leaves are keyed on their reaching definition), so
-the transformation is hazard-free by construction -- a write between two
-textually identical trees gives them different value numbers and they are
-never merged.
+Value numbering (:mod:`repro.opt.gvn`) works on the versioned
+:class:`~repro.opt.dag.ProgramDAG`: two occurrences share a DAG node
+only when they provably compute the same value (variable/port leaves
+are keyed on their reaching definition), so the transformation is
+hazard-free by construction -- a write between two textually identical
+trees gives them different value numbers and they are never merged.
 
 A repeated operation node is *materialized* into a compiler-generated
 temporary (``__cse0``, ``__cse1``, ...) hoisted immediately before the
@@ -31,17 +32,8 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.ir.expr import VarRef, expr_variables
 from repro.ir.program import BasicBlock, Program, Statement
-from repro.opt.dag import DAGNode, ExprDAG, ProgramDAG, _make_expr
-
-#: Prefix of compiler-generated CSE temporaries.
-TEMP_PREFIX = "__cse"
-
-#: Every prefix any optimizer stage materializes temporaries under:
-#: CSE/GVN (``__cse``), loop-invariant code motion (``__licm``) and
-#: strength reduction (``__sr``).  Observability filters (the fuzz
-#: oracles, the differential suites, the pipeline verifier) treat all
-#: three as compiler-internal names.
-OPT_TEMP_PREFIXES = ("__cse", "__licm", "__sr")
+from repro.ir.temps import TEMP_PREFIX
+from repro.opt.dag import DAGNode, ExprDAG, _make_expr
 
 #: Default materialization thresholds: a candidate must occur at least
 #: twice and contain at least two operator nodes, so the temporary's
@@ -79,13 +71,18 @@ def _rebuild_with_temps(
     materialized: Dict[int, str],
     hoisted: List[Statement],
     alloc_temp: Callable[[], str],
-    counters: Dict[str, int],
+    earned: Dict[str, int],
 ):
     """Rebuild one statement expression from the DAG, hoisting not-yet
     materialized candidates into temporary assignments (appended to
-    ``hoisted``, innermost first).  Explicit-stack post-order; every
-    produced IR node is freshly constructed."""
+    ``hoisted``, innermost first).  ``earned`` counts, per temporary,
+    the occurrences rewritten to read it, its materialization included;
+    a node that repeats within the statement is built, and counted,
+    once.  Returns ``None`` when the expression reads no temporary.
+    Explicit-stack post-order; every produced IR node is freshly
+    constructed."""
     exprs: Dict[int, object] = {}
+    reads_temp = False
     stack: List[Tuple[int, bool]] = [(root, False)]
     while stack:
         node_id, expanded = stack.pop()
@@ -93,7 +90,8 @@ def _rebuild_with_temps(
             continue
         name = materialized.get(node_id)
         if name is not None:
-            counters["cse_hits"] += 1
+            earned[name] += 1
+            reads_temp = True
             exprs[node_id] = VarRef(name)
             continue
         node: DAGNode = dag.nodes[node_id]
@@ -108,73 +106,11 @@ def _rebuild_with_temps(
             name = alloc_temp()
             hoisted.append(Statement(destination=name, expression=built))
             materialized[node_id] = name
-            counters["temps_introduced"] += 1
-            counters["cse_hits"] += 1
+            earned[name] = 1
+            reads_temp = True
             built = VarRef(name)
         exprs[node_id] = built
-    return exprs[root]
-
-
-def eliminate_common_subexpressions(
-    program: Program, counters: Optional[Dict[str, int]] = None
-) -> Program:
-    """A program, with fresh blocks, in which repeated subexpressions are
-    materialized into compiler temporaries.  ``counters`` (when given)
-    accumulates ``cse_hits`` (occurrences rewritten to read a temporary)
-    and ``temps_introduced``."""
-    stats = counters if counters is not None else {}
-    stats.setdefault("cse_hits", 0)
-    stats.setdefault("temps_introduced", 0)
-    # Temporary names must never collide with program variables -- a user
-    # is free to declare a scalar called "__cse0".
-    reserved = set(program.all_variables()) | set(program.scalars)
-    temp_serial = [0]
-
-    def alloc_temp() -> str:
-        while True:
-            name = "%s%d" % (TEMP_PREFIX, temp_serial[0])
-            temp_serial[0] += 1
-            if name not in reserved:
-                reserved.add(name)
-                return name
-
-    new_blocks: List[BasicBlock] = []
-    temps: List[str] = []
-    for block in program.blocks:
-        builder = ProgramDAG()
-        roots = [builder.add_statement(statement) for statement in block.statements]
-        dag = builder.dag
-        candidates = _candidate_ids(dag)
-        materialized: Dict[int, str] = {}
-        statements: List[Statement] = []
-        for statement, root in zip(block.statements, roots):
-            hoisted: List[Statement] = []
-            expression = _rebuild_with_temps(
-                dag, root, candidates, materialized, hoisted, alloc_temp, stats
-            )
-            statements.extend(hoisted)
-            statements.append(
-                Statement(
-                    destination=statement.destination,
-                    expression=expression,
-                    destination_index=statement.destination_index,
-                )
-            )
-        temps.extend(sorted(materialized.values()))
-        new_blocks.append(
-            BasicBlock(
-                name=block.name,
-                statements=statements,
-                terminator=block.terminator,
-            )
-        )
-    return Program(
-        name=program.name,
-        blocks=new_blocks,
-        scalars=program.scalars + tuple(sorted(set(temps))),
-        arrays=program.arrays,
-        entry=program.entry,
-    )
+    return exprs[root] if reads_temp else None
 
 
 def eliminate_dead_temporaries(
@@ -186,7 +122,7 @@ def eliminate_dead_temporaries(
     never read afterwards -- ``program`` itself when there is none.
 
     ``temps`` names the temporaries eligible for removal.  The pipeline
-    passes exactly the set the CSE stage materialized, so a *user*
+    passes exactly the set its stages materialized, so a *user*
     variable that happens to be called ``__cse0`` is never touched; when
     ``temps`` is ``None`` (standalone use) any ``TEMP_PREFIX``-named
     destination counts; an empty ``temps`` returns ``program`` itself.

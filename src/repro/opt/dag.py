@@ -13,11 +13,11 @@ That second condition is what plain structural hashing cannot give: in ::
 
 the two ``a * b + c`` trees are structurally identical but read different
 values of ``a``.  The :class:`ProgramDAG` therefore keys every variable
-(and port) leaf on the variable's *version* -- a counter bumped whenever a
-statement assigns the name -- so value numbers bake in exactly which
+(and port) leaf on the variable's *version* -- a fresh serial drawn whenever
+a statement assigns the name -- so value numbers bake in exactly which
 definition each leaf reads.  Equal node ids then mean equal runtime values
 regardless of any writes between the occurrences, which is the invariant
-the cross-statement CSE of :mod:`repro.opt.cse` relies on.
+global value numbering (:mod:`repro.opt.gvn`) relies on.
 
 Use counts are DAG-edge counts (one per distinct parent slot, plus one per
 statement-root occurrence), so a subexpression that only ever appears
@@ -28,10 +28,10 @@ is enough, the child comes along for free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.ir.expr import ArrayRef, Const, IRNode, Op, PortInput, VarRef
-from repro.ir.program import BasicBlock, Statement
+from repro.ir.expr import ArrayRef, Const, IRNode, Op, PortInput, VarRef, base_array
+from repro.ir.program import Statement
 
 
 @dataclass(frozen=True)
@@ -114,18 +114,28 @@ def _make_expr(node: DAGNode, children: List[IRNode]) -> IRNode:
 
 
 class ProgramDAG:
-    """Versioned value numbering over the statements of one basic block.
+    """Versioned value numbering over statements fed in execution order.
 
-    Feed statements in program order through :meth:`add_statement`; the
-    builder interns every subexpression into :attr:`dag`, records one root
-    id per statement in :attr:`roots`, and bumps the destination's version
+    Feed statements through :meth:`add_statement`; the builder interns
+    every subexpression into :attr:`dag`, records one root id per
+    statement in :attr:`roots`, and bumps the destination's version
     *after* interning the right-hand side (a statement reads its inputs
     before it writes, so ``x = x + 1`` reads the old version of ``x``).
+
+    Every bump draws a fresh value from one monotone serial, so the
+    version state can be snapshotted, restored and killed for
+    dominator-tree-scoped value numbering across a whole CFG
+    (:mod:`repro.opt.gvn`): after a restore (DFS backtrack), a later bump
+    can never reproduce a version already interned under a *different*
+    reaching definition, so every (name, version) pair identifies one
+    reaching state forever.  Within one block this tells the same
+    definitions apart as counting writes per name would.
     """
 
     def __init__(self):
         self.dag = ExprDAG()
         self.roots: List[int] = []
+        self._serial = 0
         self._versions: Dict[str, int] = {}
         # Array write tracking for runtime-indexed accesses: a *dynamic*
         # store (``a[i] = ...``) may write any element, so element leaves
@@ -137,48 +147,21 @@ class ProgramDAG:
         self._dynamic_epochs: Dict[str, int] = {}
         self._store_epochs: Dict[str, int] = {}
 
-    def version_of(self, name: str) -> int:
-        return self._versions.get(name, 0)
-
-    @staticmethod
-    def _array_of(name: str) -> Optional[str]:
-        """The base array of an element name (``"a[3]" -> "a"``)."""
-        bracket = name.find("[")
-        return name[:bracket] if bracket > 0 else None
-
-    def dynamic_epoch_of(self, array: str) -> int:
-        return self._dynamic_epochs.get(array, 0)
-
-    def store_epoch_of(self, array: str) -> int:
-        return self._store_epochs.get(array, 0)
-
-    # Version bumping is factored into three overridable hooks so the
-    # dominator-scoped :class:`GlobalProgramDAG` can draw every bump from
-    # one monotone serial (restored snapshots must never collide with
-    # later kills).
-    def _bump_version(self, name: str) -> None:
-        self._versions[name] = self._versions.get(name, 0) + 1
-
-    def _bump_dynamic_epoch(self, array: str) -> None:
-        self._dynamic_epochs[array] = self.dynamic_epoch_of(array) + 1
-
-    def _bump_store_epoch(self, array: str) -> None:
-        self._store_epochs[array] = self.store_epoch_of(array) + 1
-
     def kill_statement_effects(self, statement: Statement) -> None:
         """Apply exactly the version/epoch effects executing ``statement``
         would have, without interning anything.  The global value
         numberer uses this to invalidate values across CFG paths that may
         re-execute a block."""
+        self._serial += 1
         destination = statement.destination
-        self._bump_version(destination)
+        self._versions[destination] = self._serial
         if statement.destination_index is not None:
-            self._bump_dynamic_epoch(destination)
-            self._bump_store_epoch(destination)
+            self._dynamic_epochs[destination] = self._serial
+            self._store_epochs[destination] = self._serial
         else:
-            array = self._array_of(destination)
+            array = base_array(destination)
             if array is not None:
-                self._bump_store_epoch(array)
+                self._store_epochs[array] = self._serial
 
     def add_statement(self, statement: Statement) -> int:
         if statement.destination_index is not None:
@@ -194,6 +177,7 @@ class ProgramDAG:
     def intern_expr(self, expr: IRNode) -> int:
         """Intern one IR expression bottom-up (explicit stack)."""
         dag = self.dag
+        versions = self._versions
         results: List[int] = []
         stack: List[Tuple[IRNode, bool]] = [(expr, False)]
         while stack:
@@ -203,20 +187,20 @@ class ProgramDAG:
                 results.append(dag.intern(key, "const", "", node.value, ()))
                 continue
             if isinstance(node, VarRef):
-                key = ("var", node.name, self.version_of(node.name))
-                array = self._array_of(node.name)
+                key = ("var", node.name, versions.get(node.name, 0))
+                array = base_array(node.name)
                 if array is not None:
-                    key = key + (self.dynamic_epoch_of(array),)
+                    key = key + (self._dynamic_epochs.get(array, 0),)
                 results.append(dag.intern(key, "var", node.name, 0, ()))
                 continue
             if isinstance(node, PortInput):
-                key = ("port", node.port, self.version_of("@%s" % node.port))
+                key = ("port", node.port, versions.get("@%s" % node.port, 0))
                 results.append(dag.intern(key, "port", node.port, 0, ()))
                 continue
             if isinstance(node, ArrayRef):
                 if expanded:
                     index_id = results.pop()
-                    key = ("aref", node.name, self.store_epoch_of(node.name), index_id)
+                    key = ("aref", node.name, self._store_epochs.get(node.name, 0), index_id)
                     results.append(
                         dag.intern(key, "aref", node.name, 0, (index_id,))
                     )
@@ -238,38 +222,6 @@ class ProgramDAG:
                 stack.append((operand, False))
         return results[0]
 
-
-class GlobalProgramDAG(ProgramDAG):
-    """A :class:`ProgramDAG` whose version state can be snapshotted,
-    restored and *killed*, for dominator-tree-scoped value numbering
-    across a whole CFG (:mod:`repro.opt.gvn`).
-
-    Every bump draws a fresh value from one monotone serial shared by
-    definitions and kills.  Plain ``+1`` bumping would be unsound here:
-    after restoring a snapshot (DFS backtrack), a later ``+1`` in a
-    sibling subtree could reproduce a version number already interned
-    under a *different* reaching definition, silently merging distinct
-    values.  Globally unique serials make every (name, version) pair
-    identify one reaching state forever.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self._serial = 0
-
-    def _next_serial(self) -> int:
-        self._serial += 1
-        return self._serial
-
-    def _bump_version(self, name: str) -> None:
-        self._versions[name] = self._next_serial()
-
-    def _bump_dynamic_epoch(self, array: str) -> None:
-        self._dynamic_epochs[array] = self._next_serial()
-
-    def _bump_store_epoch(self, array: str) -> None:
-        self._store_epochs[array] = self._next_serial()
-
     def snapshot(self) -> tuple:
         """The current version state (the interned nodes are *not* part
         of the snapshot -- the pool only ever grows)."""
@@ -284,11 +236,3 @@ class GlobalProgramDAG(ProgramDAG):
         self._versions = dict(versions)
         self._dynamic_epochs = dict(dynamic_epochs)
         self._store_epochs = dict(store_epochs)
-
-
-def build_block_dag(block: BasicBlock) -> ProgramDAG:
-    """The versioned expression DAG of one basic block's statements."""
-    builder = ProgramDAG()
-    for statement in block.statements:
-        builder.add_statement(statement)
-    return builder

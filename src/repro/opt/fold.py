@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir import WORD_BITS, apply_operator, wrap_word
-from repro.ir.expr import ArrayRef, Const, IRNode, Op, PortInput, VarRef
+from repro.ir.expr import ArrayRef, Const, IRNode, Op, PortInput, VarRef, structurally_equal
 from repro.ir.program import Statement
 
 #: Wrapped powers of two that become shift amounts (2**1 .. 2**(WORD_BITS-1)).
@@ -54,36 +54,6 @@ def contains_port_read(expr: IRNode) -> bool:
             return True
         stack.extend(node.children())
     return False
-
-
-def structurally_equal(left: IRNode, right: IRNode) -> bool:
-    """Structural equality without recursive ``__eq__`` (safe on the ~5k
-    node chain expressions the deep-tree tests compile)."""
-    stack: List[Tuple[IRNode, IRNode]] = [(left, right)]
-    while stack:
-        a, b = stack.pop()
-        if a is b:
-            continue
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, Const):
-            if a.value != b.value:
-                return False
-        elif isinstance(a, VarRef):
-            if a.name != b.name:
-                return False
-        elif isinstance(a, PortInput):
-            if a.port != b.port:
-                return False
-        elif isinstance(a, ArrayRef):
-            if a.name != b.name:
-                return False
-            stack.append((a.index, b.index))
-        else:  # Op
-            if a.op != b.op or len(a.operands) != len(b.operands):
-                return False
-            stack.extend(zip(a.operands, b.operands))
-    return True
 
 
 def _const_value(node: IRNode) -> Optional[int]:

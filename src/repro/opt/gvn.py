@@ -1,10 +1,9 @@
 """Dominator-ordered global value numbering (cross-block CSE).
 
-This generalizes the block-local CSE of :mod:`repro.opt.cse` to the whole
-CFG.  The same versioned-leaf discipline applies (a value number bakes in
-exactly which definition every variable/port/array leaf reads, including
-the array store-epoch aliasing rules), but interning now runs over *one*
-shared :class:`~repro.opt.dag.GlobalProgramDAG` along a depth-first walk
+Common subexpressions are found across the whole CFG.  A value number
+bakes in exactly which definition every variable/port/array leaf reads,
+including the array store-epoch aliasing rules, and interning runs over
+*one* shared :class:`~repro.opt.dag.ProgramDAG` along a depth-first walk
 of the dominator tree:
 
 * entering a block, the version state is **snapshotted**; leaving it (all
@@ -20,15 +19,16 @@ of the dominator tree:
   materialized temporaries too, so the temporary always holds the value
   the occurrence in ``B`` would recompute.
 
-Candidates use the block-local thresholds (``MIN_OCCURRENCES`` uses,
-``MIN_OPS`` operator nodes, no port reads) and the rebuild machinery of
+Candidates need ``MIN_OCCURRENCES`` uses and ``MIN_OPS`` operator nodes
+and read no port; they are rebuilt by
 :func:`repro.opt.cse._rebuild_with_temps`, with the ``materialized`` map
 scoped to the dominator path.  A final cleanup inlines temporaries this
-run introduced that ended up defined and read exactly once in the same
-block (occurrences living in *sibling* branches each materialize their
-own copy; inlining those singles keeps the transformation never worse
-than the input).  On a single-block program the result is statement-for-
-statement identical to block-local CSE.
+run introduced that ended up defined and read in exactly one statement
+of the same block (occurrences living in *sibling* branches each
+materialize their own copy; inlining those singles keeps the
+transformation never worse than the input).  It counts the statements
+that read a temporary, not its reads, so a temporary read twice by one
+statement (``t * t``) is inlined back too.
 """
 
 from __future__ import annotations
@@ -39,17 +39,17 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.analysis.cfg import ControlFlowGraph
 from repro.analysis.dominators import dominance_relation
 from repro.analysis.loops import BlockStructure
-from repro.ir.expr import ArrayRef, Const, IRNode, Op, VarRef, expr_variables
+from repro.ir.expr import ArrayRef, Const, IRNode, Op, VarRef
 from repro.ir.program import BasicBlock, Program, Statement, Terminator
+from repro.ir.temps import TEMP_PREFIX, TempNamer, replace_in_statement
 from repro.opt.cse import (
     MIN_OCCURRENCES,
     MIN_OPS,
-    TEMP_PREFIX,
     _candidate_ids,
     _rebuild_with_temps,
     _statement_reads,
 )
-from repro.opt.dag import GlobalProgramDAG
+from repro.opt.dag import ProgramDAG
 
 
 def _reachable_from(cfg: ControlFlowGraph) -> Dict[str, Set[str]]:
@@ -137,45 +137,15 @@ def _has_repeated_subtree(program: Program) -> bool:
     return False
 
 
-def _substitute_var(expr: IRNode, name: str, replacement: IRNode) -> IRNode:
-    """``expr`` with every ``VarRef(name)`` leaf replaced (explicit-stack
-    rebuild; shared structure is freshly reconstructed)."""
-    built: Dict[int, IRNode] = {}
-    stack: List[Tuple[IRNode, bool]] = [(expr, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if id(node) in built:
-            continue
-        if isinstance(node, VarRef):
-            built[id(node)] = replacement if node.name == name else node
-            continue
-        children = node.children()
-        if not expanded and children:
-            stack.append((node, True))
-            for child in children:
-                stack.append((child, False))
-            continue
-        if isinstance(node, ArrayRef):
-            built[id(node)] = ArrayRef(node.name, built[id(node.index)])
-        elif isinstance(node, Op):
-            built[id(node)] = Op(
-                node.op, tuple(built[id(operand)] for operand in node.operands)
-            )
-        else:
-            built[id(node)] = node
-    return built[id(expr)]
-
-
 def _inline_single_use_temps(
     bodies: List[Tuple[List[Statement], Optional[Terminator]]],
     introduced: Set[str],
-    counters: Dict[str, int],
 ) -> Set[str]:
     """Inline (and drop) temporaries from ``introduced`` that are defined
-    once and read exactly once, def and use in the same block with only
-    other hoisted temporary definitions in between.  ``bodies`` holds
-    each block's statement list, edited in place, and terminator.
-    Returns the set of temporaries that remain."""
+    once and read by exactly one statement, def and use in the same
+    block with only other hoisted temporary definitions in between.
+    ``bodies`` holds each block's statement list, edited in place, and
+    terminator.  Returns the set of temporaries that remain."""
     changed = True
     remaining = set(introduced)
     while changed:
@@ -186,9 +156,9 @@ def _inline_single_use_temps(
             for statement in statements:
                 for name in _statement_reads(statement):
                     if name in read_counts:
-                        # expr_variables is a set per statement; a temp
-                        # read twice in one expression is counted once,
-                        # which only ever keeps more temps -- safe.
+                        # _statement_reads is a set: a temporary read
+                        # twice by one statement counts once, and is
+                        # inlined back.
                         read_counts[name] += 1
                 if statement.destination in def_counts:
                     def_counts[statement.destination] += 1
@@ -222,23 +192,12 @@ def _inline_single_use_temps(
                 if reader is None:
                     index += 1
                     continue
-                if name not in expr_variables(statements[reader].expression):
-                    # The single read sits in a store index; leave it.
-                    index += 1
-                    continue
-                statements[reader] = Statement(
-                    destination=statements[reader].destination,
-                    expression=_substitute_var(
-                        statements[reader].expression, name, statement.expression
-                    ),
-                    destination_index=statements[reader].destination_index,
+                statements[reader] = replace_in_statement(
+                    statements[reader], (VarRef(name),), statement.expression
                 )
                 del statements[index]
                 remaining.discard(name)
-                counters["temps_introduced"] -= 1
-                counters["cse_hits"] -= 2
                 changed = True
-            # fall through to next block
     return remaining
 
 
@@ -253,12 +212,12 @@ def global_value_numbering(
     result shares the statements and blocks value numbering left as
     they were.
 
-    ``counters`` (when given) accumulates ``cse_hits`` and
-    ``temps_introduced`` exactly like the block-local eliminator;
-    ``structure``, when given, describes ``program``'s block structure
-    (the result has the same)."""
+    ``counters`` (when given) accumulates ``gvn_hits`` (occurrences
+    rewritten to read a surviving temporary, its materialization
+    included) and ``temps_introduced``; ``structure``, when given,
+    describes ``program``'s block structure (the result has the same)."""
     stats = counters if counters is not None else {}
-    stats.setdefault("cse_hits", 0)
+    stats.setdefault("gvn_hits", 0)
     stats.setdefault("temps_introduced", 0)
 
     if not _has_repeated_subtree(program):
@@ -291,7 +250,7 @@ def global_value_numbering(
         if parent is not None:
             children[parent].append(name)
 
-    dag = GlobalProgramDAG()
+    dag = ProgramDAG()
     roots_of: Dict[str, List[int]] = {}
 
     # Pass 1: intern every statement along the dominator tree, with kills
@@ -318,21 +277,12 @@ def global_value_numbering(
     if not candidates:
         return program
 
-    reserved = set(program.all_variables()) | set(program.scalars)
-    temp_serial = [0]
-
-    def alloc_temp() -> str:
-        while True:
-            name = "%s%d" % (TEMP_PREFIX, temp_serial[0])
-            temp_serial[0] += 1
-            if name not in reserved:
-                reserved.add(name)
-                return name
+    namer = TempNamer(program, TEMP_PREFIX)
+    earned: Dict[str, int] = {}
 
     # Pass 2: rebuild along the same walk; the materialized map is scoped
     # to the dominator path (a child inherits its parent's temps).  A
-    # statement that reads and hoists no temporary rebuilds to an equal
-    # tree, so the statement itself is kept.
+    # statement that reads no temporary is kept.
     rebuilt: Dict[str, List[Statement]] = {}
     walk: List[Tuple[str, Dict[int, str]]] = [(cfg.entry, {})]
     while walk:
@@ -341,28 +291,17 @@ def global_value_numbering(
         statements: List[Statement] = []
         for statement, root in zip(statements_of[name], roots_of[name]):
             hoisted: List[Statement] = []
-            hits = stats["cse_hits"]
             expression = _rebuild_with_temps(
-                dag.dag, root, candidates, materialized, hoisted, alloc_temp, stats
+                dag.dag, root, candidates, materialized, hoisted, namer, earned
             )
-            if stats["cse_hits"] == hits:
+            if expression is None:
                 statements.append(statement)
                 continue
             statements.extend(hoisted)
-            statements.append(
-                Statement(
-                    destination=statement.destination,
-                    expression=expression,
-                    destination_index=statement.destination_index,
-                )
-            )
+            statements.append(replace(statement, expression=expression))
         rebuilt[name] = statements
         for child in reversed(children[name]):
             walk.append((child, materialized))
-
-    introduced = {
-        name for name in reserved if name.startswith(TEMP_PREFIX)
-    } - (set(program.all_variables()) | set(program.scalars))
 
     bodies: List[Tuple[List[Statement], Optional[Terminator]]] = []
     emitted: Set[str] = set()
@@ -376,7 +315,9 @@ def global_value_numbering(
         emitted.add(block.name)
         bodies.append((statements, block.terminator))
 
-    surviving = _inline_single_use_temps(bodies, introduced, stats)
+    surviving = _inline_single_use_temps(bodies, set(namer.names))
+    stats["gvn_hits"] += sum(earned[name] for name in surviving)
+    stats["temps_introduced"] += len(surviving)
     blocks = tuple(
         block
         if len(statements) == len(block.statements)

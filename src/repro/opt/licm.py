@@ -30,6 +30,7 @@ hand a program whose plan is empty through untouched.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.loops import BlockStructure, LoopNestingForest, insert_preheaders
@@ -40,24 +41,14 @@ from repro.ir.expr import (
     Op,
     PortInput,
     VarRef,
-    expr_size,
+    base_array,
     expr_variables,
+    is_plain_scalar,
 )
 from repro.ir.program import CBranch, Jump, Program, Statement
+from repro.ir.temps import LICM_TEMP_PREFIX, TempNamer, replace_in_statement
 from repro.opt.cse import MIN_OCCURRENCES, MIN_OPS
 from repro.opt.loops import has_backward_branch
-
-#: Prefix of loop-invariant code motion temporaries.
-LICM_TEMP_PREFIX = "__licm"
-
-
-def _is_plain_scalar(name: str) -> bool:
-    return not name.startswith("@") and "[" not in name
-
-
-def _base_array(name: str) -> Optional[str]:
-    bracket = name.find("[")
-    return name[:bracket] if bracket > 0 else None
 
 
 def _block_effects(
@@ -75,7 +66,7 @@ def _block_effects(
             stored.add(statement.destination)
         else:
             defined.add(statement.destination)
-            base = _base_array(statement.destination)
+            base = base_array(statement.destination)
             if base is not None:
                 stored.add(base)
     return defined, dynamic, stored
@@ -96,7 +87,7 @@ def _invariant(
         if isinstance(node, VarRef):
             if node.name in defined:
                 return False
-            base = _base_array(node.name)
+            base = base_array(node.name)
             if base is not None and base in dynamic:
                 return False
             continue
@@ -110,17 +101,6 @@ def _invariant(
             continue
         return False
     return True
-
-
-def _op_count(expr: IRNode) -> int:
-    count = 0
-    stack: List[IRNode] = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Op):
-            count += 1
-        stack.extend(node.children())
-    return count
 
 
 def _self_loops(program: Program, forest: LoopNestingForest) -> List[str]:
@@ -148,8 +128,7 @@ def _statement_hoists(statements: Sequence[Statement]) -> List[int]:
         destination = statement.destination
         eligible = (
             statement.destination_index is None
-            and _is_plain_scalar(destination)
-            and not destination.startswith("@")
+            and is_plain_scalar(destination)
             and def_counts.get(destination) == 1
             and destination not in read_so_far
             and _invariant(statement.expression, defined, dynamic, stored)
@@ -162,58 +141,100 @@ def _statement_hoists(statements: Sequence[Statement]) -> List[int]:
     return hoists
 
 
-def _subexpr_candidates(
-    statements: Sequence[Statement],
-    min_occurrences: int = MIN_OCCURRENCES,
-    min_ops: int = MIN_OPS,
-) -> List[Tuple[str, IRNode, int]]:
+def _subexpr_candidates(statements: Sequence[Statement]) -> List[IRNode]:
     """Invariant operator subtrees of a loop body worth a ``__licm*``
-    temporary: ``(key, representative, occurrences)`` with data-path
-    occurrence counts, largest subtrees first."""
+    temporary -- ``MIN_OPS`` operators or more and ``MIN_OCCURRENCES``
+    data-path occurrences or more -- largest first, then in the order
+    of their text.
+
+    One numbering pass per statement, as in GVN's scan: a pre-order walk
+    lists the nodes with their address flag, pushing each node's
+    children left to right, and numbering the list in reverse meets
+    every node right after its children, whose ids, operator counts,
+    sizes and invariance are then on top of a result stack.  Subtrees
+    are keyed by structure, and only candidates of equal size are
+    rendered, for the order."""
     defined, dynamic, stored = _block_effects(statements)
-    counts: Dict[str, int] = {}
-    reps: Dict[str, IRNode] = {}
+    ids: Dict[tuple, int] = {}
+    counts: Dict[int, int] = {}
+    reps: Dict[int, Tuple[int, IRNode]] = {}  # id -> (size, first occurrence)
     for statement in statements:
+        order: List[Tuple[IRNode, bool]] = []
         stack: List[Tuple[IRNode, bool]] = [(statement.expression, False)]
         if statement.destination_index is not None:
             stack.append((statement.destination_index, True))
         while stack:
             node, in_address = stack.pop()
-            if isinstance(node, ArrayRef):
+            order.append((node, in_address))
+            kind = type(node)
+            if kind is Op:
+                stack.extend([(operand, in_address) for operand in node.operands])
+            elif kind is ArrayRef:
                 stack.append((node.index, True))
-                continue
-            if isinstance(node, Op):
-                if (
-                    not in_address
-                    and _op_count(node) >= min_ops
-                    and _invariant(node, defined, dynamic, stored)
-                ):
-                    key = str(node)
-                    counts[key] = counts.get(key, 0) + 1
-                    reps.setdefault(key, node)
-                for operand in node.operands:
-                    stack.append((operand, in_address))
-                continue
-    ordered = [
-        (key, reps[key], count)
-        for key, count in counts.items()
-        if count >= min_occurrences
-    ]
-    ordered.sort(key=lambda item: (-expr_size(item[1]), item[0]))
+        results: List[Tuple[int, int, int, bool]] = []  # id, operators, size, invariant
+        for node, in_address in reversed(order):
+            kind = type(node)
+            if kind is Op:
+                split = len(results) - len(node.operands)
+                operands = results[split:]
+                del results[split:]
+                key: tuple = (node.op,) + tuple([operand[0] for operand in operands])
+                ops = 1 + sum([operand[1] for operand in operands])
+                size = 1 + sum([operand[2] for operand in operands])
+                invariant = all([operand[3] for operand in operands])
+            elif kind is ArrayRef:
+                index_id, ops, size, invariant = results.pop()
+                key, size = (kind, node.name, index_id), size + 1
+                invariant = invariant and node.name not in stored
+            elif kind is VarRef:
+                key, ops, size = (kind, node.name), 0, 1
+                base = base_array(node.name)
+                invariant = node.name not in defined and (base is None or base not in dynamic)
+            elif kind is Const:
+                key, ops, size, invariant = (kind, node.value), 0, 1, True
+            else:  # a port read never moves
+                key, ops, size, invariant = (kind, str(node)), 0, 1, False
+            node_id = ids.setdefault(key, len(ids))
+            if kind is Op and invariant and ops >= MIN_OPS and not in_address:
+                counts[node_id] = counts.get(node_id, 0) + 1
+                reps.setdefault(node_id, (size, node))
+            results.append((node_id, ops, size, invariant))
+    ranked = sorted(
+        (reps[node_id] for node_id, count in counts.items() if count >= MIN_OCCURRENCES),
+        key=lambda rep: -rep[0],
+    )
+    ordered: List[IRNode] = []
+    for _size, group in groupby(ranked, key=lambda rep: rep[0]):
+        nodes = [node for _size, node in group]
+        if len(nodes) > 1:
+            nodes.sort(key=_text)
+        ordered.extend(nodes)
     return ordered
 
 
-def _replace_equal(expr: IRNode, pattern: IRNode, temp: str) -> IRNode:
-    if expr == pattern:
-        return VarRef(temp)
-    if isinstance(expr, ArrayRef):
-        return ArrayRef(expr.name, _replace_equal(expr.index, pattern, temp))
-    if isinstance(expr, Op):
-        return Op(
-            expr.op,
-            tuple(_replace_equal(operand, pattern, temp) for operand in expr.operands),
-        )
-    return expr
+def _text(expr: IRNode) -> str:
+    """``str(expr)``, without recursion."""
+    parts: List[str] = []
+    stack: list = [expr]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is str:
+            parts.append(node)
+        elif kind is Op:
+            parts.append(node.op + "(")
+            stack.append(")")
+            for position in range(len(node.operands) - 1, 0, -1):
+                stack.append(node.operands[position])
+                stack.append(", ")
+            stack.append(node.operands[0])
+        elif kind is ArrayRef:
+            parts.append(node.name + "[")
+            stack.append("]")
+            stack.append(node.index)
+        else:
+            parts.append(str(node))
+    return "".join(parts)
 
 
 def plan_loop_invariants(
@@ -281,26 +302,14 @@ def hoist_loop_invariants(
     passed) is updated in place when a preheader is created."""
     stats = counters if counters is not None else {}
     stats.setdefault("licm_hoisted", 0)
-    introduced: Set[str] = set()
     if structure is None:
         structure = BlockStructure(program)
     if plan is None:
         plan = plan_loop_invariants(program, structure)
     if not plan:
-        return program, introduced
-    reserved = set(program.all_variables()) | set(program.scalars)
-    serial = [0]
-
-    def alloc_temp() -> str:
-        while True:
-            name = "%s%d" % (LICM_TEMP_PREFIX, serial[0])
-            serial[0] += 1
-            if name not in reserved:
-                reserved.add(name)
-                return name
-
+        return program, set()
+    namer = TempNamer(program, LICM_TEMP_PREFIX)
     blocks_before = len(program.blocks)
-    scalars = list(program.scalars)
     for header, moves, candidates in plan:
         # The edges into this header are as planned: the structure the
         # plan was made on still gives its loop and predecessors.
@@ -322,24 +331,13 @@ def hoist_loop_invariants(
         # Subexpression hoisting, largest candidates first, re-scanned
         # after every materialization.
         while candidates:
-            _key, pattern, _count = candidates[0]
-            temp = alloc_temp()
+            pattern = candidates[0]
+            temp = namer()
             landed.append(Statement(destination=temp, expression=pattern))
-            for index, statement in enumerate(body):
-                expression = _replace_equal(statement.expression, pattern, temp)
-                destination_index = statement.destination_index
-                if destination_index is not None:
-                    destination_index = _replace_equal(
-                        destination_index, pattern, temp
-                    )
-                body[index] = Statement(
-                    destination=statement.destination,
-                    expression=expression,
-                    destination_index=destination_index,
-                )
-            introduced.add(temp)
-            if temp not in scalars:
-                scalars.append(temp)
+            read = VarRef(temp)
+            body = [
+                replace_in_statement(statement, (pattern,), read) for statement in body
+            ]
             stats["licm_hoisted"] += 1
             candidates = _subexpr_candidates(body)
         changed = {
@@ -350,8 +348,8 @@ def hoist_loop_invariants(
             program,
             blocks=tuple(changed.get(id(old), old) for old in program.blocks),
         )
-    if len(scalars) != len(program.scalars):
-        program = replace(program, scalars=tuple(scalars))
+    if namer.names:
+        program = replace(program, scalars=program.scalars + tuple(namer.names))
     if len(program.blocks) != blocks_before:
         structure.update(program)
-    return program, introduced
+    return program, set(namer.names)

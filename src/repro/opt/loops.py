@@ -35,18 +35,18 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.analysis.cfg import ControlFlowGraph
 from repro.analysis.loops import BlockStructure, _retarget
 from repro.ir.expr import (
+    ArrayRef,
     Const,
     IRNode,
     Op,
     VarRef,
     evaluate_expr,
     expr_variables,
+    is_plain_scalar,
     wrap_word,
 )
 from repro.ir.program import CBranch, HardwareLoop, Jump, Program, Statement
-
-#: Prefix of strength-reduction temporaries.
-SR_TEMP_PREFIX = "__sr"
+from repro.ir.temps import SR_TEMP_PREFIX, TempNamer, replace_in_statement
 
 #: Cap on trip-count evaluation steps.  Word-wrapped induction values
 #: revisit a value within 2**16 steps, so exceeding this means the
@@ -83,10 +83,6 @@ class CountedLoop:
     form: str
 
 
-def _is_plain_scalar(name: str) -> bool:
-    return not name.startswith("@") and "[" not in name
-
-
 def _reads_only(expr: IRNode, allowed: Set[str]) -> bool:
     """True when ``expr`` reads nothing but constants and ``allowed``
     scalars (no ports, no array accesses)."""
@@ -116,7 +112,7 @@ def _find_induction(
     if len(cond_vars) != 1:
         return None
     (name,) = cond_vars
-    if not _is_plain_scalar(name):
+    if not is_plain_scalar(name):
         return None
     if not _reads_only(condition, {name}):
         return None
@@ -437,31 +433,12 @@ def _count_data_path_matches(expr: IRNode, patterns: Tuple[Op, Op]) -> int:
         if not in_address and node in patterns:
             count += 1
             continue
-        from repro.ir.expr import ArrayRef
-
         if isinstance(node, ArrayRef):
             stack.append((node.index, True))
             continue
         for child in node.children():
             stack.append((child, in_address))
     return count
-
-
-def _replace_matches(expr: IRNode, patterns: Tuple[Op, Op], temp: str) -> IRNode:
-    """``expr`` with every pattern occurrence (address contexts included)
-    replaced by a read of ``temp``."""
-    from repro.ir.expr import ArrayRef
-
-    if expr in patterns:
-        return VarRef(temp)
-    if isinstance(expr, ArrayRef):
-        return ArrayRef(expr.name, _replace_matches(expr.index, patterns, temp))
-    if isinstance(expr, Op):
-        return Op(
-            expr.op,
-            tuple(_replace_matches(operand, patterns, temp) for operand in expr.operands),
-        )
-    return expr
 
 
 def _reducible_factors(
@@ -510,18 +487,7 @@ def strength_reduce(
     stats.setdefault("strength_reductions", 0)
     if counted is None:
         counted = find_counted_loops(program)
-    reserved: Set[str] = set()
-    serial = [0]
-
-    def alloc_temp() -> str:
-        if not reserved:  # first reduction, nothing rewritten yet
-            reserved.update(program.all_variables(), program.scalars)
-        while True:
-            name = "%s%d" % (SR_TEMP_PREFIX, serial[0])
-            serial[0] += 1
-            if name not in reserved:
-                reserved.add(name)
-                return name
+    namer = TempNamer(program, SR_TEMP_PREFIX)
 
     # The statement lists of the blocks rewritten so far, by block identity.
     edited: Dict[int, List[Statement]] = {}
@@ -532,7 +498,6 @@ def strength_reduce(
             edited[id(block)] = list(block.statements)
         return edited[id(block)]
 
-    scalars = list(program.scalars)
     reduced = 0
     for loop in counted.values():
         latch = program.block(loop.latch)
@@ -540,7 +505,8 @@ def strength_reduce(
         for factor, occurrences in factors:
             body = statements_of(loop.latch)
             patterns = _mul_patterns(loop.induction, factor)
-            temp = alloc_temp()
+            temp = namer()
+            read = VarRef(temp)
             # Earlier factors inserted statements; relocate the update.
             update_at = next(
                 index
@@ -549,19 +515,8 @@ def strength_reduce(
                 and statement.destination_index is None
             )
             for index, statement in enumerate(body):
-                if index == update_at:
-                    continue
-                expression = _replace_matches(statement.expression, patterns, temp)
-                destination_index = statement.destination_index
-                if destination_index is not None:
-                    destination_index = _replace_matches(
-                        destination_index, patterns, temp
-                    )
-                body[index] = Statement(
-                    destination=statement.destination,
-                    expression=expression,
-                    destination_index=destination_index,
-                )
+                if index != update_at:
+                    body[index] = replace_in_statement(statement, patterns, read)
             # Maintain the recurrence: init next to the induction init,
             # step right after the induction update.
             statements_of(loop.init_block).insert(
@@ -570,16 +525,8 @@ def strength_reduce(
             )
             body.insert(
                 update_at + 1,
-                Statement(
-                    temp,
-                    Op(
-                        "add",
-                        (VarRef(temp), Const(wrap_word(loop.step * factor))),
-                    ),
-                ),
+                Statement(temp, Op("add", (read, Const(wrap_word(loop.step * factor))))),
             )
-            if temp not in scalars:
-                scalars.append(temp)
             reduced += occurrences
             stats["strength_reductions"] += occurrences
     if not reduced:
@@ -590,7 +537,7 @@ def strength_reduce(
         else block
         for block in program.blocks
     )
-    return replace(program, blocks=blocks, scalars=tuple(scalars)), reduced
+    return replace(program, blocks=blocks, scalars=program.scalars + tuple(namer.names)), reduced
 
 
 def _candidate_factors(expr: IRNode, induction: str) -> Set[int]:

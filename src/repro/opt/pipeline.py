@@ -5,12 +5,10 @@ stages -- ``fold`` (constant folding / algebraic simplification),
 ``loops`` (counted-loop rotation and strength reduction,
 :mod:`repro.opt.loops`), ``licm`` (loop-invariant code motion,
 :mod:`repro.opt.licm`), ``gvn`` (dominator-ordered global CSE,
-:mod:`repro.opt.gvn`), ``cse`` (the historical block-local CSE) and
-``dce`` (dead-temporary elimination) -- over an IR
-:class:`~repro.ir.Program` and returns a new optimized program plus
-an :class:`OptStats` record.  The default stage list runs the global
-optimizer (``gvn`` subsumes ``cse``; ``cse`` remains selectable for
-block-local comparisons).
+:mod:`repro.opt.gvn`) and ``dce`` (dead-temporary elimination) -- over
+an IR :class:`~repro.ir.Program` and returns a new optimized program
+plus an :class:`OptStats` record.  The default stage list runs them
+all.
 
 After a run that included the ``loops`` stage, counted single-block
 self-loops of the result carry :class:`~repro.ir.program.HardwareLoop`
@@ -48,7 +46,7 @@ from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 from repro.analysis.loops import BlockStructure
 from repro.diagnostics import ReproError
 from repro.ir.program import BasicBlock, CBranch, Program
-from repro.opt.cse import eliminate_common_subexpressions, eliminate_dead_temporaries
+from repro.opt.cse import eliminate_dead_temporaries
 from repro.opt.fold import (
     fold_expr,
     fold_statement,
@@ -71,9 +69,10 @@ class OptStats:
 
     ``rewrites`` maps individual rewrite-rule names (``"const-fold"``,
     ``"add-zero"``, ``"mul-pow2-shl"``, ...) to fire counts; ``folds`` and
-    ``algebraic`` are its constant/algebraic split.  ``cse_hits`` counts
-    expression occurrences rewritten to read a temporary by the
-    block-local eliminator (``gvn_hits`` is the cross-block analogue);
+    ``algebraic`` are its constant/algebraic split.  ``gvn_hits`` counts
+    expression occurrences rewritten to read a value-numbering temporary;
+    ``cse_hits`` is always 0 (the block-local stage that counted there is
+    gone; the field stays until the result schema changes).
     ``temps_introduced``/``dead_removed`` count temporaries created and
     dead ones eliminated again.  The loop block: ``loops_rotated``
     (while-form loops rewritten into do-while form), ``licm_hoisted``
@@ -210,20 +209,17 @@ def _fold_program(
 #: Stages that materialize compiler temporaries.  When any of them is in
 #: a run's stage list, ``dce`` removes exactly the temporaries that run
 #: introduced (never a user variable that shares a prefix).
-_MATERIALIZING_STAGES = ("loops", "licm", "gvn", "cse")
+_MATERIALIZING_STAGES = ("loops", "licm", "gvn")
 
 
 class OptPipeline:
     """An ordered, configurable sequence of optimization stages."""
 
     #: All known stages, in canonical order.
-    STAGES: Tuple[str, ...] = ("fold", "loops", "licm", "gvn", "cse", "dce")
+    STAGES: Tuple[str, ...] = ("fold", "loops", "licm", "gvn", "dce")
 
-    #: The default run: the global optimizer.  ``cse`` is omitted --
-    #: ``gvn`` performs the identical rewrite block-locally and extends
-    #: it across the CFG -- but stays selectable for block-local
-    #: comparisons (``--stages fold,cse,dce``).
-    DEFAULT_STAGES: Tuple[str, ...] = ("fold", "loops", "licm", "gvn", "dce")
+    #: The default run: every stage.
+    DEFAULT_STAGES: Tuple[str, ...] = STAGES
 
     def __init__(self, stages: Optional[Sequence[str]] = None):
         self.stages: Tuple[str, ...] = (
@@ -268,7 +264,6 @@ class OptPipeline:
             statements_before=program.statement_count(),
         )
         counters: Dict[str, int] = {
-            "cse_hits": 0,
             "temps_introduced": 0,
             "dead_removed": 0,
             "loops_rotated": 0,
@@ -311,22 +306,10 @@ class OptPipeline:
                     )
                     introduced_temps |= hoisted
             elif stage == "gvn":
-                gvn_counters: Dict[str, int] = {
-                    "cse_hits": 0,
-                    "temps_introduced": 0,
-                }
-                numbered = global_value_numbering(
-                    current, counters=gvn_counters, structure=structure
-                )
-                counters["gvn_hits"] += gvn_counters["cse_hits"]
-                counters["temps_introduced"] += gvn_counters["temps_introduced"]
+                numbered = global_value_numbering(current, counters, structure)
                 if numbered is not current:
                     introduced_temps |= set(numbered.scalars) - set(current.scalars)
                     current = numbered
-            elif stage == "cse":
-                scalars_before = set(current.scalars)
-                current = eliminate_common_subexpressions(current, counters=counters)
-                introduced_temps |= set(current.scalars) - scalars_before
             elif stage == "dce":
                 # With a materializing stage in this run, only its temps
                 # are removable (a user scalar named "__cse0" is safe);
@@ -362,7 +345,6 @@ class OptPipeline:
             current = replace(current, hw_loops=hw_loops)
         stats.hw_loops = len(hw_loops)
         stats.folds, stats.algebraic = split_rewrite_counts(stats.rewrites)
-        stats.cse_hits = counters["cse_hits"]
         stats.gvn_hits = counters["gvn_hits"]
         stats.licm_hoisted = counters["licm_hoisted"]
         stats.strength_reductions = counters["strength_reductions"]

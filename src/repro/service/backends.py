@@ -415,9 +415,9 @@ class ProcessCompileBackend(CompileBackend):
     registry and prewarms a disk-tier retarget cache in ``cache_dir``
     (a private temp directory by default), then spawns ``workers``
     processes that warm their session pools from those shared pickles.
-    ``start_method`` defaults to ``"spawn"`` -- immune to
-    fork-with-threads lock inheritance, and workers are long-lived so
-    the ~100ms interpreter boot amortizes away.
+    Workers start with ``"spawn"`` -- immune to fork-with-threads lock
+    inheritance, and workers are long-lived so the ~100ms interpreter
+    boot amortizes away.
 
     Dispatch: :meth:`run_job` checks an idle worker out of a queue,
     ships the job's JSON envelope over the worker's pipe and waits for
@@ -435,7 +435,6 @@ class ProcessCompileBackend(CompileBackend):
         warm_targets: Optional[Iterable[str]] = ("all",),
         cache_dir: Optional[str] = None,
         request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S,
-        start_method: str = "spawn",
         test_hooks: bool = False,
         respawn_backoff_s: float = DEFAULT_RESPAWN_BACKOFF_S,
         respawn_backoff_max_s: float = DEFAULT_RESPAWN_BACKOFF_MAX_S,
@@ -451,7 +450,7 @@ class ProcessCompileBackend(CompileBackend):
         self.respawn_backoff_s = respawn_backoff_s
         self.respawn_backoff_max_s = respawn_backoff_max_s
         self.respawn_backoff_after = respawn_backoff_after
-        self._context = multiprocessing.get_context(start_method)
+        self._context = multiprocessing.get_context("spawn")
         self._test_hooks = test_hooks
         self._owns_cache_dir = cache_dir is None
         self.cache_dir = cache_dir or tempfile.mkdtemp(prefix="repro-serve-cache-")

@@ -505,7 +505,6 @@ class PassManager:
             from repro.analysis.verify import PipelineVerifier
 
             verifier = PipelineVerifier()
-        inject = os.environ.get("REPRO_INJECT_FAULT", "")
         tracer = current_tracer()
         for p in self.passes:
             if verifier is not None:
@@ -516,10 +515,6 @@ class PassManager:
             started = time.perf_counter()
             try:
                 with tracer.span("pass:%s" % p.name) as span:
-                    if inject and inject == p.name:
-                        raise RuntimeError(
-                            "injected fault in pass %r (REPRO_INJECT_FAULT)" % p.name
-                        )
                     p.run(state, context)
                     if tracer.enabled:
                         span.set(

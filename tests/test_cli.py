@@ -6,6 +6,16 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.opt import OptPipeline
+from repro.toolchain.passes import SchedulingPass, SelectionPass
+
+
+def inject_fault(monkeypatch, pass_class):
+    """Make every run of ``pass_class`` raise an unexpected exception."""
+
+    def faulty_run(self, state, context):
+        raise RuntimeError("injected fault in pass %r" % self.name)
+
+    monkeypatch.setattr(pass_class, "run", faulty_run)
 
 
 class TestParser:
@@ -153,7 +163,7 @@ class TestCrashContract:
     diagnostic line -- a raw traceback never reaches the user."""
 
     def test_injected_fault_exits_ex_software(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_INJECT_FAULT", "select")
+        inject_fault(monkeypatch, SelectionPass)
         code = main(["compile", "demo", "--kernel", "fir"])
         captured = capsys.readouterr()
         assert code == 70  # EX_SOFTWARE, distinct from user errors (1)
@@ -163,23 +173,23 @@ class TestCrashContract:
         assert "Traceback" not in captured.out
 
     def test_fault_in_another_pass_is_also_wrapped(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_INJECT_FAULT", "schedule")
+        inject_fault(monkeypatch, SchedulingPass)
         code = main(["compile", "demo", "--kernel", "fir"])
         captured = capsys.readouterr()
         assert code == 70
         assert "in pass 'schedule'" in captured.err
 
     def test_user_errors_keep_exit_code_one(self, monkeypatch, capsys):
-        # The injected fault never fires for a non-matching pass name, and
-        # ordinary structured errors stay on the user-error exit path.
-        monkeypatch.setenv("REPRO_INJECT_FAULT", "select")
+        # The faulty pass never runs for an unknown kernel, and ordinary
+        # structured errors stay on the user-error exit path.
+        inject_fault(monkeypatch, SelectionPass)
         code = main(["compile", "demo", "--kernel", "nosuchkernel"])
         assert code != 70
 
     def test_batch_surfaces_internal_errors_per_job(self, monkeypatch, tmp_path, capsys):
         import json
 
-        monkeypatch.setenv("REPRO_INJECT_FAULT", "select")
+        inject_fault(monkeypatch, SelectionPass)
         jobs = tmp_path / "jobs.jsonl"
         jobs.write_text('{"target": "demo", "kernel": "fir"}\n')
         code = main(["batch", str(jobs)])

@@ -10,6 +10,9 @@ import json
 
 import pytest
 
+import repro.analysis.verify as verify_module
+from repro.analysis.verify import Finding as VerifierFinding, VerificationError
+from repro.cli import main
 from repro.diagnostics import InternalCompilerError
 from repro.frontend.lowering import lower_to_program
 from repro.frontend.parser import parse_source
@@ -31,6 +34,7 @@ from repro.fuzz.oracles import (
     Divergence,
     OracleSkip,
     SIMULATION_STEP_LIMIT,
+    TargetHarness,
     seed_environment,
 )
 
@@ -183,6 +187,18 @@ class TestOutcomeClassification:
         kind, payload = self._run(check)
         assert kind == "crash" and "boom" in payload
 
+    def test_verification_error_is_a_crash_naming_the_check(self):
+        def check(h, p, e):
+            raise VerificationError(
+                [VerifierFinding("words", "error", "word 3 reads too early")],
+                after="compact",
+            )
+
+        kind, payload = self._run(check)
+        assert kind == "crash"
+        assert payload.startswith("VerificationError")
+        assert "[words]" in payload and "after pass 'compact'" in payload
+
     def test_unstructured_exception_is_a_crash(self):
         def check(h, p, e):
             raise KeyError("missing storage")
@@ -263,6 +279,38 @@ class TestCampaign:
         )
         assert len(report.findings) == 3
         assert report.programs == 3 < report.budget
+
+
+class TestForcedVerifierFailure:
+    """With ``--verify``, a failed verifier check inside a compile leg is
+    a finding, so the CI campaigns enforce the verifier."""
+
+    @pytest.fixture
+    def failing_check(self, monkeypatch):
+        # The check after the ``opt`` pass: it runs before selection, so
+        # a program the target cannot cover still reaches it.
+        def failing(program):
+            return [VerifierFinding("cse", "error", "forced failure")]
+
+        monkeypatch.setattr(verify_module, "check_optimized_program", failing)
+
+    def test_campaign_reports_a_crash_with_a_minimized_reproducer(
+        self, failing_check, demo_result
+    ):
+        harness = TargetHarness.create("demo", verify=True, retarget_result=demo_result)
+        report = run_campaign(
+            seed=0, budget=2, targets=["demo"], verify=True, harnesses={"demo": harness}
+        )
+        assert not report.ok
+        assert report.skips == 0
+        for finding in report.findings:
+            assert finding.kind == "crash"
+            assert "VerificationError" in finding.detail and "[cse]" in finding.detail
+            assert len(finding.minimized) < len(finding.source)
+
+    def test_cli_campaign_exits_one(self, failing_check, capsys):
+        assert main(["fuzz", "--budget", "2", "--verify", "--targets", "demo"]) == 1
+        assert "VerificationError" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

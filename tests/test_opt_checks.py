@@ -5,7 +5,8 @@ whether it has anything to do and hands its input through when it has
 not.  :func:`_ungated_run` is the reference: every stage called on the
 previous stage's result, whatever the check would say, and annotation
 at the end.  The pipeline must match it program for program and
-statistic for statistic.  The two checks that are walks of their own
+statistic for statistic, and its result must compute what its input
+computes on seeded environments.  The two checks that are walks of their own
 have oracles here too: ``fold``'s against folding itself, and GVN's
 against the earlier two-stack scan.  Also pinned here: the work the
 checks save (IR objects built, CFG builds, copies, counted-loop scans),
@@ -15,6 +16,7 @@ recognition), the one rule for ``hw_loops``, and a deep expression
 chain inside a loop.
 """
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -32,11 +34,11 @@ from repro.frontend.lowering import lower_to_program
 from repro.fuzz.generator import GENERATOR_PROFILES, generate_source
 from repro.ir.expr import ArrayRef, Const, Op, PortInput, VarRef
 from repro.ir.program import BasicBlock, CBranch, Jump, Program, Statement
+from repro.fuzz.oracles import SIMULATION_STEP_LIMIT, observables
 from repro.opt import (
     OptPipeline,
     OptStats,
     annotate_hardware_loops,
-    eliminate_common_subexpressions,
     eliminate_dead_temporaries,
     fold_expr,
     fold_statement,
@@ -51,7 +53,7 @@ from repro.toolchain.passes import introducible_ops
 
 KERNELS = tuple(all_kernel_names()) + tuple(loop_kernel_names())
 STAGE_LISTS = (None, ("loops",), ("licm",), ("gvn",), ("dce",))
-_MATERIALIZING = ("loops", "licm", "gvn", "cse")
+_MATERIALIZING = ("loops", "licm", "gvn")
 
 
 def _ungated_run(pipeline, program, supported_ops):
@@ -64,7 +66,6 @@ def _ungated_run(pipeline, program, supported_ops):
     )
     counters = dict.fromkeys(
         (
-            "cse_hits",
             "temps_introduced",
             "dead_removed",
             "loops_rotated",
@@ -112,16 +113,9 @@ def _ungated_run(pipeline, program, supported_ops):
         elif stage == "licm":
             current, hoisted = hoist_loop_invariants(current, counters)
             introduced |= hoisted
-        elif stage in ("gvn", "cse"):
-            local = {"cse_hits": 0, "temps_introduced": 0}
+        elif stage == "gvn":
             before = set(current.scalars)
-            if stage == "gvn":
-                current = global_value_numbering(current, counters=local)
-                counters["gvn_hits"] += local["cse_hits"]
-            else:
-                current = eliminate_common_subexpressions(current, counters=local)
-                counters["cse_hits"] += local["cse_hits"]
-            counters["temps_introduced"] += local["temps_introduced"]
+            current = global_value_numbering(current, counters=counters)
             introduced |= set(current.scalars) - before
         elif stage == "dce":
             standalone = not any(name in pipeline.stages for name in _MATERIALIZING)
@@ -160,6 +154,28 @@ def _supported(result):
     return frozenset(introducible_ops(result.grammar))
 
 
+def _seeded_environments(program):
+    """Two seeded initial states over every array element and scalar the
+    program declares, with small values so data-dependent loops stay
+    short."""
+    for seed in (0, 1):
+        rng = random.Random(seed)
+        environment = {
+            "%s[%d]" % (name, index): rng.randrange(64)
+            for name, size in sorted(program.arrays.items())
+            for index in range(size)
+        }
+        environment.update((name, rng.randrange(64)) for name in sorted(program.scalars))
+        yield environment
+
+
+def _assert_computes_the_same(program, optimized, label):
+    for environment in _seeded_environments(program):
+        expected = program.execute(dict(environment), max_steps=SIMULATION_STEP_LIMIT)
+        got = optimized.execute(dict(environment), max_steps=SIMULATION_STEP_LIMIT)
+        assert observables(got) == observables(expected), label
+
+
 def _assert_matches_ungated(stages, programs, targets, retarget_results, monkeypatch):
     pipeline = OptPipeline(stages=stages)
     if "fold" not in pipeline.stages:
@@ -175,6 +191,7 @@ def _assert_matches_ungated(stages, programs, targets, retarget_results, monkeyp
             assert repr(program) == before, label
             assert _shape(optimized) == _shape(expected), (stages, target, label)
             assert stats.to_dict() == expected_stats.to_dict(), (stages, target, label)
+            _assert_computes_the_same(program, optimized, (stages, target, label))
 
 
 class TestChecksMatchUngatedStages:
@@ -421,7 +438,7 @@ class TestHardwareLoopRule:
             ["gvn"],
             [],
             ["fold"],
-            ["cse"],
+            ["licm", "gvn", "dce"],
             ["dce"],
             ["fold", "gvn"],
             ["gvn", "dce"],
@@ -486,6 +503,21 @@ class TestStagesHandTheirInputThrough:
         optimized, stats = OptPipeline(stages=["gvn"]).run(program)
         assert stats.gvn_hits == 2
         assert optimized.statement_count() == 3
+
+
+class TestGvnHitCount:
+    def test_an_inlined_temporary_takes_back_only_what_it_earned(self):
+        # Seed 7 materializes a temporary read twice by one statement
+        # (``v1 = mul(__cse0, __cse0)``), earning one hit, then inlines
+        # it back: the count returns to 0, not -1.
+        _optimized, stats = OptPipeline().run(lower_to_program(generate_source(7)))
+        assert (stats.gvn_hits, stats.temps_introduced) == (0, 0)
+
+    def test_hits_never_go_negative(self, generated_300, ref_result):
+        for supported_ops in (None, _supported(ref_result)):
+            for program in generated_300:
+                _optimized, stats = OptPipeline().run(program, supported_ops=supported_ops)
+                assert stats.gvn_hits >= 0, program.name
 
 
 # ---------------------------------------------------------------------------

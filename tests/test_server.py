@@ -32,6 +32,7 @@ from repro.service import (
     create_backend,
     default_process_workers,
 )
+from repro.toolchain.passes import SelectionPass
 
 
 def _post(url: str, payload, raw: bytes = None, timeout: float = 60.0) -> dict:
@@ -564,10 +565,13 @@ class TestCrashStorm:
 
 class TestInternalErrorBoundaries:
     def test_injected_pass_fault_is_a_structured_response(self, monkeypatch):
-        # REPRO_INJECT_FAULT makes PassManager.run raise inside the
-        # boundary; the service answers with a structured internal
-        # diagnostic instead of crashing the batch.
-        monkeypatch.setenv("REPRO_INJECT_FAULT", "select")
+        # The select pass raises inside PassManager.run's boundary; the
+        # service answers with a structured internal diagnostic instead
+        # of crashing the batch.
+        def faulty_run(self, state, context):
+            raise RuntimeError("injected fault in pass %r" % self.name)
+
+        monkeypatch.setattr(SelectionPass, "run", faulty_run)
         with ThreadCompileBackend(workers=1) as backend:
             response = backend.run_job({"target": "demo", "kernel": "fir"})
         assert not response["ok"]

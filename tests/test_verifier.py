@@ -3,8 +3,7 @@
 Three layers of coverage:
 
 * unit tests for each check (CFG well-formedness, definite assignment
-  of optimizer temporaries, word-level dependence checks, spill-metric
-  honesty);
+  of optimizer temporaries, word-level dependence checks);
 * regression replays: the verifier statically re-detects all three
   historical backend bugs (the spill-reload clobber, the scheduler's
   WAR hoist, an unmatched spill reload) from the instance stream alone,
@@ -25,9 +24,7 @@ from repro.analysis import (
     check_cfg,
     check_instance_stream,
     check_optimized_program,
-    check_spill_metric,
     check_words,
-    derive_dependence_edges,
 )
 from repro.codegen.compaction import InstructionWord
 from repro.codegen.selection import BlockCode, RTInstance, StatementCode
@@ -381,30 +378,6 @@ class TestCheckWords:
         findings = _errors(check_words(blocks, words))
         assert [f.where for f in findings] == ["b1"]
         assert "no labelled word" in findings[0].message
-
-
-class TestDeriveDependenceEdges:
-    def test_raw_war_waw_edges(self):
-        a = _compute("add", "tmp:0", "R", [("var:a", "DMEM")])
-        b = _compute("add", "tmp:1", "ACC", [("tmp:0", "R")])
-        c = _compute("add", "tmp:2", "R", [("var:b", "DMEM")])
-        edges = derive_dependence_edges([a, b, c])
-        kinds = {(e.kind, e.earlier, e.later) for e in edges}
-        assert ("raw", 0, 1) in kinds     # b reads tmp:0
-        assert ("war", 1, 2) in kinds     # c overwrites R after b's read
-        assert ("waw", 0, 2) in kinds     # c overwrites R after a's write
-
-
-class TestSpillMetric:
-    def test_honest_count_is_clean(self):
-        stream = [_spill_store("tmp:0", "R"), _spill_reload("tmp:0", "R")]
-        assert check_spill_metric(stream, reported=2) == []
-
-    def test_mismatch_is_an_error(self):
-        stream = [_spill_store("tmp:0", "R")]
-        findings = _errors(check_spill_metric(stream, reported=0))
-        assert len(findings) == 1
-        assert findings[0].check == "metric"
 
 
 # ---------------------------------------------------------------------------
