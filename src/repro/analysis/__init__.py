@@ -30,10 +30,8 @@ from repro.analysis.loops import (
     LoopNestingForest,
     NaturalLoop,
     back_edges,
-    insert_preheaders,
     loop_nesting_forest,
     naive_back_edges,
-    natural_loops,
     render_forest,
 )
 from repro.analysis.verify import (
@@ -57,9 +55,7 @@ __all__ = [
     "BlockStructure",
     "back_edges",
     "naive_back_edges",
-    "natural_loops",
     "loop_nesting_forest",
-    "insert_preheaders",
     "render_forest",
     "Finding",
     "VerificationError",

@@ -1,6 +1,6 @@
-"""Natural loops, the loop nesting forest, and preheader insertion.
+"""Back edges, natural loops and the loop nesting forest.
 
-The global optimizer (:mod:`repro.opt`) is built on three structural
+The global optimizer (:mod:`repro.opt`) is built on two structural
 facts this module computes from a :class:`~repro.analysis.cfg.ControlFlowGraph`:
 
 * **back edges** -- edges ``latch -> header`` where the header dominates
@@ -9,11 +9,7 @@ facts this module computes from a :class:`~repro.analysis.cfg.ControlFlowGraph`:
   dominator sets and serves as the property-test oracle;
 * **natural loops** -- for every header, the union of the classic
   backward-reachability bodies of its back edges, assembled into a
-  :class:`LoopNestingForest` whose parent links follow body inclusion;
-* **preheaders** -- :func:`insert_preheaders` derives a
-  :class:`~repro.ir.program.Program` in which every loop header has a
-  unique out-of-loop predecessor, the landing pad loop-invariant code
-  motion hoists into.
+  :class:`LoopNestingForest` whose parent links follow body inclusion.
 
 A :class:`BlockStructure` holds the CFG, immediate dominators and loop
 nesting forest of one program's block structure, each built once, so the
@@ -22,15 +18,12 @@ optimizer's stages can share them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.cfg import ControlFlowGraph
 from repro.analysis.dominators import dominates, immediate_dominators
-from repro.ir.program import BasicBlock, CBranch, Jump, Program
-
-#: Suffix appended to a header name to derive its preheader's name.
-PREHEADER_SUFFIX = ".pre"
+from repro.ir.program import Program
 
 
 def back_edges(
@@ -89,15 +82,13 @@ class NaturalLoop:
 
     ``blocks`` includes the header and is ordered by RPO; ``depth`` is
     1 for outermost loops; ``parent`` is the header of the innermost
-    enclosing loop (``None`` at the roots); ``preheader`` is filled in
-    by :func:`insert_preheaders`."""
+    enclosing loop (``None`` at the roots)."""
 
     header: str
     back_edges: Tuple[Tuple[str, str], ...]
     blocks: Tuple[str, ...]
     depth: int = 1
     parent: Optional[str] = None
-    preheader: Optional[str] = None
 
     @property
     def latches(self) -> Tuple[str, ...]:
@@ -123,29 +114,6 @@ class LoopNestingForest:
 
     def __iter__(self):
         return iter(self.loops.values())
-
-    def innermost(self, name: str) -> Optional[NaturalLoop]:
-        """The innermost loop containing block ``name`` (``None`` when the
-        block is not inside any loop)."""
-        best: Optional[NaturalLoop] = None
-        for loop in self.loops.values():
-            if name in loop.blocks:
-                if best is None or len(loop.blocks) < len(best.blocks):
-                    best = loop
-        return best
-
-    def depth_of(self, name: str) -> int:
-        """Loop nesting depth of block ``name`` (0 outside all loops)."""
-        loop = self.innermost(name)
-        return loop.depth if loop is not None else 0
-
-    def inside_out(self) -> List[NaturalLoop]:
-        """Loops ordered innermost-first (children before parents), the
-        order loop-invariant code motion processes them in."""
-        ordered = sorted(
-            self.loops.values(), key=lambda loop: (-loop.depth, loop.header)
-        )
-        return ordered
 
 
 #: ``(back edges, body blocks in RPO)`` of one natural loop.
@@ -174,22 +142,6 @@ def _loop_bodies(
             stack.extend(cfg.predecessors[block])
         bodies[header] = (tuple(grouped[header]), tuple(sorted(body, key=rpo)))
     return bodies
-
-
-def natural_loops(
-    cfg: ControlFlowGraph,
-    idom: Optional[Dict[str, Optional[str]]] = None,
-) -> Dict[str, NaturalLoop]:
-    """The natural loops of ``cfg``, keyed by header.
-
-    Back edges sharing a header are merged into one loop (their bodies
-    are unioned), the classic convention.  Nesting metadata (``depth``,
-    ``parent``) is *not* filled in here -- use
-    :func:`loop_nesting_forest` for the fully-linked structure."""
-    return {
-        header: NaturalLoop(header=header, back_edges=edges, blocks=blocks)
-        for header, (edges, blocks) in _loop_bodies(cfg, idom).items()
-    }
 
 
 def loop_nesting_forest(
@@ -236,20 +188,14 @@ class BlockStructure:
     """The CFG of a program's block structure, with its immediate
     dominators and loop nesting forest, each built once, on first use.
 
-    These analyses read only block names and branch targets, so they stay
-    valid while statements change.  A pass that changes the block
-    structure -- rotation, preheader insertion -- calls :meth:`update`
-    with the program it changed; the optimizer hands one instance from
-    stage to stage (:meth:`repro.opt.pipeline.OptPipeline.run`)."""
+    These analyses read only the program's entry and its blocks' names
+    and branch targets, so they describe every program that has the same
+    ones; the optimizer keeps one per block structure a run meets
+    (:meth:`repro.opt.pipeline.OptRun.structure`)."""
 
-    def __init__(self, program: Program, cfg: Optional[ControlFlowGraph] = None) -> None:
-        self.update(program, cfg)
-
-    def update(self, program: Program, cfg: Optional[ControlFlowGraph] = None) -> None:
-        """Describe ``program``'s block structure (whose CFG ``cfg`` is,
-        when given) from now on."""
+    def __init__(self, program: Program) -> None:
         self._program = program
-        self._cfg = cfg
+        self._cfg: Optional[ControlFlowGraph] = None
         self._idom: Optional[Dict[str, Optional[str]]] = None
         self._forest: Optional[LoopNestingForest] = None
 
@@ -279,14 +225,8 @@ def render_forest(forest: LoopNestingForest) -> List[str]:
     def walk(header: str, indent: int) -> None:
         loop = forest.loops[header]
         lines.append(
-            "%sloop %s: blocks [%s], %d back edge(s)%s"
-            % (
-                "  " * indent,
-                header,
-                ", ".join(loop.blocks),
-                len(loop.back_edges),
-                (", preheader %s" % loop.preheader) if loop.preheader else "",
-            )
+            "%sloop %s: blocks [%s], %d back edge(s)"
+            % ("  " * indent, header, ", ".join(loop.blocks), len(loop.back_edges))
         )
         for child in forest.children.get(header, []):
             walk(child, indent + 1)
@@ -294,109 +234,3 @@ def render_forest(forest: LoopNestingForest) -> List[str]:
     for root in forest.roots:
         walk(root, 0)
     return lines
-
-
-def _unique_block_name(base: str, taken: Set[str]) -> str:
-    candidate = base
-    serial = 0
-    while candidate in taken:
-        serial += 1
-        candidate = "%s%d" % (base, serial)
-    taken.add(candidate)
-    return candidate
-
-
-def _retarget(terminator, old: str, new: str):
-    """A copy of ``terminator`` with branch target ``old`` renamed ``new``."""
-    if isinstance(terminator, Jump):
-        if terminator.target == old:
-            return Jump(new)
-        return terminator
-    if isinstance(terminator, CBranch):
-        true_target = new if terminator.true_target == old else terminator.true_target
-        false_target = (
-            new if terminator.false_target == old else terminator.false_target
-        )
-        if (true_target, false_target) != (
-            terminator.true_target,
-            terminator.false_target,
-        ):
-            return CBranch(terminator.condition, true_target, false_target)
-        return terminator
-    raise TypeError(
-        "cannot retarget terminator of type %r" % type(terminator).__name__
-    )
-
-
-def insert_preheaders(
-    program: Program,
-    forest: Optional[LoopNestingForest] = None,
-    cfg: Optional[ControlFlowGraph] = None,
-) -> Tuple[Program, Dict[str, str]]:
-    """Give every natural-loop header a dedicated preheader block.
-
-    Returns ``(program with preheaders, {header: preheader})``.  For each
-    loop header, an empty block named ``<header>.pre`` (uniquified if
-    taken) goes immediately before the header in layout order, every
-    out-of-loop edge into the header is redirected to it, and it jumps to
-    the header.  Headers that already have exactly one out-of-loop
-    predecessor ending in an unconditional jump are left alone -- that
-    predecessor already is a preheader.  The mapping covers every loop
-    (including the pre-existing preheaders); ``forest`` loops'
-    ``preheader`` fields are updated when a forest is passed.  Without a
-    new preheader the result is ``program`` itself; otherwise the blocks
-    it did not retarget are shared with it.  ``cfg``, when given, is the
-    CFG of ``program``.
-    """
-    if cfg is None:
-        cfg = ControlFlowGraph.from_program(program)
-    if forest is None:
-        forest = loop_nesting_forest(cfg)
-    preheaders: Dict[str, str] = {}
-    blocks = list(program.blocks)
-    entry = program.entry
-
-    def index_of(name: str) -> int:
-        # The first block of that name, as Program.block finds it.
-        return next(index for index, block in enumerate(blocks) if block.name == name)
-
-    taken = {block.name for block in blocks}
-    for header in list(forest.loops):
-        loop = forest.loops[header]
-        body = set(loop.blocks)
-        outside = [
-            pred for pred in cfg.predecessors.get(header, ()) if pred not in body
-        ]
-        entry_is_header = (entry or blocks[0].name) == header
-        reuse: Optional[str] = None
-        if len(outside) == 1 and not entry_is_header:
-            candidate = blocks[index_of(outside[0])]
-            in_no_loop_with_header = all(
-                outside[0] not in other.blocks or header not in other.blocks
-                for other in forest.loops.values()
-            )
-            if (
-                isinstance(candidate.terminator, Jump)
-                and forest.depth_of(outside[0]) < loop.depth
-                and in_no_loop_with_header
-            ):
-                reuse = outside[0]
-        if reuse is not None:
-            preheaders[header] = reuse
-            forest.loops[header] = replace(loop, preheader=reuse)
-            continue
-        name = _unique_block_name(header + PREHEADER_SUFFIX, taken)
-        for pred in outside:
-            index = index_of(pred)
-            block = blocks[index]
-            blocks[index] = replace(
-                block, terminator=_retarget(block.terminator, header, name)
-            )
-        blocks.insert(index_of(header), BasicBlock(name, (), Jump(header)))
-        if entry_is_header:
-            entry = name
-        preheaders[header] = name
-        forest.loops[header] = replace(loop, preheader=name)
-    if len(blocks) == len(program.blocks):
-        return program, preheaders
-    return replace(program, blocks=tuple(blocks), entry=entry), preheaders

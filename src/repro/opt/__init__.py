@@ -27,12 +27,7 @@ from repro.ir.temps import (
     SR_TEMP_PREFIX,
     TEMP_PREFIX,
 )
-from repro.opt.cse import (
-    MIN_OCCURRENCES,
-    MIN_OPS,
-    eliminate_dead_temporaries,
-    is_temp,
-)
+from repro.opt.cse import MIN_OCCURRENCES, MIN_OPS, eliminate_dead_temporaries
 from repro.opt.dag import DAGNode, ExprDAG, ProgramDAG
 from repro.opt.fold import (
     FOLD_RULES,
@@ -55,6 +50,7 @@ from repro.opt.loops import (
 from repro.opt.pipeline import (
     OptimizationError,
     OptPipeline,
+    OptRun,
     OptStats,
     optimize_program,
 )
@@ -69,6 +65,7 @@ __all__ = [
     "MIN_OPS",
     "OPT_TEMP_PREFIXES",
     "OptPipeline",
+    "OptRun",
     "OptStats",
     "OptimizationError",
     "ProgramDAG",
@@ -82,7 +79,6 @@ __all__ = [
     "fold_statement",
     "global_value_numbering",
     "hoist_loop_invariants",
-    "is_temp",
     "optimize_program",
     "rotate_counted_loops",
     "strength_reduce",

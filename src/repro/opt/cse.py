@@ -19,31 +19,30 @@ and ``MIN_OPS`` operator nodes (materializing a lone load-sized node
 trades nothing), and must not read input ports (a port read is never
 duplicated or elided).
 
-Dead-temporary elimination is the matching cleanup: a backward liveness
-pass that removes assignments to compiler temporaries never read
-afterwards.  User-visible destinations (program variables, output ports)
-are always kept -- they are the observable surface the differential suite
+Dead-temporary elimination is the matching cleanup: it removes the
+assignments to the temporaries the run introduced that nothing reads.
+User-visible destinations (program variables, output ports) are always
+kept -- they are the observable surface the differential suite
 compares.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import replace
+from typing import TYPE_CHECKING, Callable, Dict, List, Set, Tuple
 
 from repro.ir.expr import VarRef, expr_variables
-from repro.ir.program import BasicBlock, Program, Statement
-from repro.ir.temps import TEMP_PREFIX
+from repro.ir.program import Program, Statement
 from repro.opt.dag import DAGNode, ExprDAG, _make_expr
+
+if TYPE_CHECKING:
+    from repro.opt.pipeline import OptRun
 
 #: Default materialization thresholds: a candidate must occur at least
 #: twice and contain at least two operator nodes, so the temporary's
 #: store/load traffic is paid for by whole re-computations saved.
 MIN_OCCURRENCES = 2
 MIN_OPS = 2
-
-
-def is_temp(name: str) -> bool:
-    return name.startswith(TEMP_PREFIX)
 
 
 def _statement_reads(statement: Statement) -> Set[str]:
@@ -113,108 +112,46 @@ def _rebuild_with_temps(
     return exprs[root] if reads_temp else None
 
 
-def eliminate_dead_temporaries(
-    program: Program,
-    counters: Optional[Dict[str, int]] = None,
-    temps: Optional[Set[str]] = None,
-) -> Program:
-    """A program without assignments to compiler temporaries that are
-    never read afterwards -- ``program`` itself when there is none.
+def eliminate_dead_temporaries(program: Program, run: OptRun) -> Program:
+    """``program`` without the assignments to ``run.temps`` (the
+    temporaries this run introduced) that nothing reads -- no statement,
+    store index or branch condition in any block -- removed again until
+    none is left; ``program`` itself when there is none.
+    ``run.counters["dead_removed"]`` counts the assignments removed.
 
-    ``temps`` names the temporaries eligible for removal.  The pipeline
-    passes exactly the set its stages materialized, so a *user*
-    variable that happens to be called ``__cse0`` is never touched; when
-    ``temps`` is ``None`` (standalone use) any ``TEMP_PREFIX``-named
-    destination counts; an empty ``temps`` returns ``program`` itself.
+    A user variable is never removed, even one named like a temporary.
     Surviving statements, and the blocks that lose none, are shared with
-    ``program`` (they are frozen).
-
-    On straight-line programs this is the classic backward liveness
-    sweep.  On CFG programs it stays conservative across block
-    boundaries: a temporary read *anywhere* (any block's statements,
-    store indices or branch conditions) is kept everywhere, so only
-    temporaries that are never read at all are removed.
-    """
-    stats = counters if counters is not None else {}
-    stats.setdefault("dead_removed", 0)
-    if temps is not None and not temps:
+    ``program`` (they are frozen)."""
+    temps = run.temps
+    if not temps:
         return program
-
-    def removable(name: str) -> bool:
-        if temps is not None:
-            return name in temps
-        return is_temp(name)
-
-    new_blocks: List[BasicBlock] = []
-    live_temps: Set[str] = set()
-    if program.is_straight_line():
-        block = program.blocks[0]
-        kept: List[Statement] = []
-        needed: Set[str] = set()
-        for statement in reversed(block.statements):
-            destination = statement.destination
-            if (
-                statement.destination_index is None
-                and removable(destination)
-                and destination not in needed
-            ):
-                stats["dead_removed"] += 1
-                continue
-            kept.append(statement)
-            if statement.destination_index is None:
-                needed.discard(destination)
-            kept_reads = _statement_reads(statement)
-            needed.update(kept_reads)
-        kept.reverse()
-        for statement in kept:
-            if removable(statement.destination):
-                live_temps.add(statement.destination)
-        new_blocks.append(
-            block
-            if len(kept) == len(block.statements)
-            else BasicBlock(name=block.name, statements=tuple(kept))
-        )
-    else:
-        # CFG-conservative: collect every name read anywhere, then drop
-        # only removable destinations that are never read at all.
-        read_anywhere: Set[str] = set()
-        for block in program.blocks:
+    blocks = program.blocks
+    while True:
+        read: Set[str] = set()
+        for block in blocks:
             for statement in block.statements:
-                read_anywhere.update(_statement_reads(statement))
+                read |= _statement_reads(statement)
             if block.terminator is not None:
-                read_anywhere.update(block.terminator.variables())
-        for block in program.blocks:
-            kept = []
-            for statement in block.statements:
-                destination = statement.destination
-                if (
-                    statement.destination_index is None
-                    and removable(destination)
-                    and destination not in read_anywhere
-                ):
-                    stats["dead_removed"] += 1
-                    continue
-                kept.append(statement)
-                if removable(destination):
-                    live_temps.add(destination)
-            new_blocks.append(
-                block
-                if len(kept) == len(block.statements)
-                else BasicBlock(block.name, tuple(kept), block.terminator)
+                read |= block.terminator.variables()
+        dead = temps - read
+        kept_blocks = []
+        removed = 0
+        for block in blocks:
+            kept = tuple(
+                statement
+                for statement in block.statements
+                if statement.destination_index is not None or statement.destination not in dead
             )
-    scalars = tuple(
-        name
-        for name in program.scalars
-        if not removable(name) or name in live_temps
-    )
-    if len(scalars) == len(program.scalars) and all(
-        new is old for new, old in zip(new_blocks, program.blocks)
-    ):
+            removed += len(block.statements) - len(kept)
+            kept_blocks.append(
+                block if len(kept) == len(block.statements) else replace(block, statements=kept)
+            )
+        if not removed:
+            break
+        run.counters["dead_removed"] += removed
+        blocks = tuple(kept_blocks)
+    defined = {statement.destination for block in blocks for statement in block.statements}
+    scalars = tuple(name for name in program.scalars if name not in temps or name in defined)
+    if blocks is program.blocks and len(scalars) == len(program.scalars):
         return program
-    return Program(
-        name=program.name,
-        blocks=new_blocks,
-        scalars=scalars,
-        arrays=program.arrays,
-        entry=program.entry,
-    )
+    return replace(program, blocks=blocks, scalars=scalars)

@@ -34,11 +34,10 @@ statement (``t * t``) is inlined back too.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.cfg import ControlFlowGraph
 from repro.analysis.dominators import dominance_relation
-from repro.analysis.loops import BlockStructure
 from repro.ir.expr import ArrayRef, Const, IRNode, Op, VarRef
 from repro.ir.program import BasicBlock, Program, Statement, Terminator
 from repro.ir.temps import TEMP_PREFIX, TempNamer, replace_in_statement
@@ -50,6 +49,9 @@ from repro.opt.cse import (
     _statement_reads,
 )
 from repro.opt.dag import ProgramDAG
+
+if TYPE_CHECKING:
+    from repro.opt.pipeline import OptRun
 
 
 def _reachable_from(cfg: ControlFlowGraph) -> Dict[str, Set[str]]:
@@ -201,29 +203,20 @@ def _inline_single_use_temps(
     return remaining
 
 
-def global_value_numbering(
-    program: Program,
-    counters: Optional[Dict[str, int]] = None,
-    structure: Optional[BlockStructure] = None,
-) -> Program:
+def global_value_numbering(program: Program, run: OptRun) -> Program:
     """A program with repeated subexpressions materialized into
     temporaries across the whole CFG (dominator-scoped) -- or ``program``
     itself, unchanged, when nothing qualifies for a temporary.  The
     result shares the statements and blocks value numbering left as
-    they were.
+    they were, and has ``program``'s block structure.
 
-    ``counters`` (when given) accumulates ``gvn_hits`` (occurrences
-    rewritten to read a surviving temporary, its materialization
-    included) and ``temps_introduced``; ``structure``, when given,
-    describes ``program``'s block structure (the result has the same)."""
-    stats = counters if counters is not None else {}
-    stats.setdefault("gvn_hits", 0)
-    stats.setdefault("temps_introduced", 0)
-
+    ``run.counters`` accumulates ``gvn_hits`` (occurrences rewritten to
+    read a surviving temporary, its materialization included) and
+    ``temps_introduced``, and ``run`` records the surviving
+    temporaries."""
     if not _has_repeated_subtree(program):
         return program
-    if structure is None:
-        structure = BlockStructure(program)
+    structure = run.structure(program)
     cfg = structure.cfg
     if not cfg.names:
         return program  # no blocks / unreachable entry: nothing executes
@@ -316,8 +309,9 @@ def global_value_numbering(
         bodies.append((statements, block.terminator))
 
     surviving = _inline_single_use_temps(bodies, set(namer.names))
-    stats["gvn_hits"] += sum(earned[name] for name in surviving)
-    stats["temps_introduced"] += len(surviving)
+    run.counters["gvn_hits"] += sum(earned[name] for name in surviving)
+    run.counters["temps_introduced"] += len(surviving)
+    run.introduce(surviving)
     blocks = tuple(
         block
         if len(statements) == len(block.statements)

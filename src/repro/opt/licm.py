@@ -7,8 +7,8 @@ least once, so moving invariant work in front of the loop can never
 execute code the original program would have skipped (the classic
 zero-trip hazard of hoisting out of ``while`` loops does not arise).
 
-Two kinds of motion, both into the loop's preheader (the landing pad
-:func:`repro.analysis.loops.insert_preheaders` reuses or creates):
+Two kinds of motion, both into the loop's preheader, the landing pad
+in front of it:
 
 * **statement hoisting** -- a statement assigning a plain scalar exactly
   once in the loop, reading only loop-invariant values, not read earlier
@@ -20,20 +20,23 @@ Two kinds of motion, both into the loop's preheader (the landing pad
   (:class:`~repro.ir.expr.ArrayRef` indices) never justify a hoist on
   their own -- the address generator evaluates them for free.
 
-A *created* preheader costs one jump word, so creation is gated on at
-least two planned hoists; a reused preheader (the loop's sole outside
-predecessor already ends in an unconditional jump) accepts any number.
-Planning (:func:`plan_loop_invariants`) is read-only, so a caller can
-hand a program whose plan is empty through untouched.
+The loop's sole outside predecessor is its preheader when it ends in
+an unconditional jump and the header is not the program entry;
+otherwise an empty ``<header>.pre`` block is created in front of the
+header and every outside edge goes through it.  A created
+preheader costs one jump word, so creation is gated on at least two
+planned hoists; a reused one accepts any number.  Planning
+(:func:`plan_loop_invariants`) is read-only and decides both, on the
+block structure of the program it is handed; hoisting places every
+planned preheader against that structure.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from itertools import groupby
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Set, Tuple
 
-from repro.analysis.loops import BlockStructure, LoopNestingForest, insert_preheaders
 from repro.ir.expr import (
     ArrayRef,
     Const,
@@ -45,10 +48,16 @@ from repro.ir.expr import (
     expr_variables,
     is_plain_scalar,
 )
-from repro.ir.program import CBranch, Jump, Program, Statement
+from repro.ir.program import BasicBlock, CBranch, Jump, Program, Statement
 from repro.ir.temps import LICM_TEMP_PREFIX, TempNamer, replace_in_statement
 from repro.opt.cse import MIN_OCCURRENCES, MIN_OPS
-from repro.opt.loops import has_backward_branch
+from repro.opt.loops import _retarget, has_backward_branch
+
+if TYPE_CHECKING:
+    from repro.opt.pipeline import OptRun
+
+#: Suffix appended to a header name to name a created preheader.
+PREHEADER_SUFFIX = ".pre"
 
 
 def _block_effects(
@@ -101,15 +110,6 @@ def _invariant(
             continue
         return False
     return True
-
-
-def _self_loops(program: Program, forest: LoopNestingForest) -> List[str]:
-    return [
-        header
-        for header, loop in forest.loops.items()
-        if len(loop.blocks) == 1
-        and isinstance(program.block(header).terminator, CBranch)
-    ]
 
 
 def _statement_hoists(statements: Sequence[Statement]) -> List[int]:
@@ -237,24 +237,25 @@ def _text(expr: IRNode) -> str:
     return "".join(parts)
 
 
-def plan_loop_invariants(
-    program: Program, structure: Optional[BlockStructure] = None
-) -> list:
-    """``(header, statement hoists in move order, subexpression candidates)``
-    of each self-loop passing the preheader gate (``structure``, when
-    given, describes ``program``'s block structure).  No loop's hoists
-    touch the edges into another's header, so all plan on the unmodified
+def plan_loop_invariants(program: Program, run: OptRun) -> list:
+    """``(header, outside predecessors, reused preheader or None,
+    statement hoists in move order, subexpression candidates)`` of each
+    single-block self-loop passing the preheader gate, on ``run``'s
+    analyses of ``program``'s block structure.  No loop's hoists touch
+    the edges into another's header, so all plan on the unmodified
     program."""
     if not has_backward_branch(program):
         return []
-    if structure is None:
-        structure = BlockStructure(program)
+    structure = run.structure(program)
     cfg = structure.cfg
     if not cfg.names:
         return []
+    entry = program.entry_block_name()
     plan = []
-    for header in _self_loops(program, structure.forest):
+    for header, loop in structure.forest.loops.items():
         block = program.block(header)
+        if len(loop.blocks) != 1 or not isinstance(block.terminator, CBranch):
+            continue
         # Statement hoists are simulated to fixpoint on a scratch copy of
         # the statement list; each subexpression candidate adds one.
         scratch = list(block.statements)
@@ -269,64 +270,74 @@ def plan_loop_invariants(
         planned = len(moves) + len(candidates)
         if not planned:
             continue
-        outside = [
-            pred for pred in cfg.predecessors.get(header, ()) if pred != header
-        ]
-        reusable = (
-            len(outside) == 1
-            and header != program.entry_block_name()
+        outside = [pred for pred in cfg.predecessors.get(header, ()) if pred != header]
+        reuse = (
+            outside[0]
+            if len(outside) == 1
+            and header != entry
             and isinstance(program.block(outside[0]).terminator, Jump)
+            else None
         )
-        if not reusable and planned < 2:
+        if reuse is None and planned < 2:
             # A created preheader costs a jump word; one hoisted
             # statement cannot pay for it.
             continue
-        plan.append((header, moves, candidates))
+        plan.append((header, outside, reuse, moves, candidates))
     return plan
 
 
-def hoist_loop_invariants(
-    program: Program,
-    counters: Optional[Dict[str, int]] = None,
-    plan: Optional[list] = None,
-    structure: Optional[BlockStructure] = None,
-) -> Tuple[Program, Set[str]]:
-    """Apply ``plan`` (:func:`plan_loop_invariants` of ``program``; made
-    here when ``None``): hoist loop-invariant statements and
-    subexpressions of every single-block self-loop into its preheader.
-    Returns ``(hoisted program, the __licm* temporaries introduced)``;
-    with an empty plan the program is ``program`` itself, and otherwise
-    the blocks no hoist touched are shared with it.  ``counters``
-    accumulates ``licm_hoisted`` (statements moved plus temporaries
-    materialized).  ``structure`` (the block structure of ``program`` as
-    passed) is updated in place when a preheader is created."""
-    stats = counters if counters is not None else {}
-    stats.setdefault("licm_hoisted", 0)
-    if structure is None:
-        structure = BlockStructure(program)
-    if plan is None:
-        plan = plan_loop_invariants(program, structure)
-    if not plan:
-        return program, set()
-    namer = TempNamer(program, LICM_TEMP_PREFIX)
-    blocks_before = len(program.blocks)
-    for header, moves, candidates in plan:
-        # The edges into this header are as planned: the structure the
-        # plan was made on still gives its loop and predecessors.
-        mini = LoopNestingForest(
-            loops={header: structure.forest.loops[header]},
-            roots=[header],
-            children={header: []},
+def _index_of(blocks: Sequence[BasicBlock], name: str) -> int:
+    # The first block of that name, as Program.block finds it.
+    return next(index for index, block in enumerate(blocks) if block.name == name)
+
+
+def _create_preheader(program: Program, header: str, outside: List[str]) -> Tuple[Program, str]:
+    """``program`` with an empty block ``<header>.pre`` (uniquified if
+    taken) in front of ``header`` in layout order, jumping to it, and
+    every edge from ``outside`` into ``header`` redirected to it; it
+    becomes the entry when ``header`` was.  Returns the program and the
+    block's name."""
+    blocks = list(program.blocks)
+    taken = {block.name for block in blocks}
+    name = header + PREHEADER_SUFFIX
+    serial = 0
+    while name in taken:
+        serial += 1
+        name = "%s%s%d" % (header, PREHEADER_SUFFIX, serial)
+    for pred in outside:
+        index = _index_of(blocks, pred)
+        blocks[index] = replace(
+            blocks[index], terminator=_retarget(blocks[index].terminator, header, name)
         )
-        program, preheaders = insert_preheaders(program, mini, structure.cfg)
+    blocks.insert(_index_of(blocks, header), BasicBlock(name, (), Jump(header)))
+    entry = name if program.entry_block_name() == header else program.entry
+    return replace(program, blocks=tuple(blocks), entry=entry), name
+
+
+def hoist_loop_invariants(program: Program, run: OptRun) -> Program:
+    """Hoist the loop-invariant statements and subexpressions of every
+    single-block self-loop of ``program`` into its preheader, as
+    :func:`plan_loop_invariants` plans them.  ``run.counters
+    ["licm_hoisted"]`` counts the statements moved plus the temporaries
+    materialized, and ``run`` records the ``__licm*`` temporaries.  With
+    an empty plan the result is ``program`` itself; otherwise the blocks
+    no hoist touched are shared with it."""
+    plan = plan_loop_invariants(program, run)
+    if not plan:
+        return program
+    namer = TempNamer(program, LICM_TEMP_PREFIX)
+    for header, outside, preheader_name, moves, candidates in plan:
+        # The edges into this header are as planned.
+        if preheader_name is None:
+            program, preheader_name = _create_preheader(program, header, outside)
         block = program.block(header)
-        preheader = program.block(preheaders[header])
+        preheader = program.block(preheader_name)
         body = list(block.statements)
         landed = list(preheader.statements)
 
         for index in moves:  # the simulated statement hoists, in order
             landed.append(body.pop(index))
-            stats["licm_hoisted"] += 1
+            run.counters["licm_hoisted"] += 1
 
         # Subexpression hoisting, largest candidates first, re-scanned
         # after every materialization.
@@ -338,7 +349,7 @@ def hoist_loop_invariants(
             body = [
                 replace_in_statement(statement, (pattern,), read) for statement in body
             ]
-            stats["licm_hoisted"] += 1
+            run.counters["licm_hoisted"] += 1
             candidates = _subexpr_candidates(body)
         changed = {
             id(block): replace(block, statements=tuple(body)),
@@ -349,7 +360,6 @@ def hoist_loop_invariants(
             blocks=tuple(changed.get(id(old), old) for old in program.blocks),
         )
     if namer.names:
+        run.introduce(namer.names)
         program = replace(program, scalars=program.scalars + tuple(namer.names))
-    if len(program.blocks) != blocks_before:
-        structure.update(program)
-    return program, set(namer.names)
+    return program

@@ -21,19 +21,23 @@ semantics, and applies two transformations:
   at least two *data-path* occurrences so the added init/update
   statements are always paid for.
 
-:func:`annotate_hardware_loops` re-recognizes counted single-block
-self-loops on the final optimized program and returns the
+The ``loops`` stage (:func:`rotate_and_reduce`) runs both.
+:func:`annotate_hardware_loops` returns, for the counted single-block
+self-loops of the final optimized program, the
 :class:`~repro.ir.program.HardwareLoop` annotations the backend's
 repeat-instruction lowering consumes.
+
+Every function here takes the :class:`~repro.opt.pipeline.OptRun` it
+belongs to, which keeps the block structure and the counted loops of
+the program it is asked about.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.cfg import ControlFlowGraph
-from repro.analysis.loops import BlockStructure, _retarget
 from repro.ir.expr import (
     ArrayRef,
     Const,
@@ -45,8 +49,11 @@ from repro.ir.expr import (
     is_plain_scalar,
     wrap_word,
 )
-from repro.ir.program import CBranch, HardwareLoop, Jump, Program, Statement
+from repro.ir.program import CBranch, HardwareLoop, Jump, Program, Statement, Terminator
 from repro.ir.temps import SR_TEMP_PREFIX, TempNamer, replace_in_statement
+
+if TYPE_CHECKING:
+    from repro.opt.pipeline import OptRun
 
 #: Cap on trip-count evaluation steps.  Word-wrapped induction values
 #: revisit a value within 2**16 steps, so exceeding this means the
@@ -224,26 +231,17 @@ def has_backward_branch(program: Program) -> bool:
     return False
 
 
-def find_counted_loops(
-    program: Program,
-    cfg: Optional[ControlFlowGraph] = None,
-    structure: Optional[BlockStructure] = None,
-    trip_counts: Optional[Dict[tuple, Optional[int]]] = None,
-) -> Dict[str, CountedLoop]:
-    """All counted loops of ``program``, keyed by header block name.
-
-    ``structure`` (else ``cfg``), when given, describes ``program``'s
-    block structure.  ``trip_counts`` memoizes trip counts by induction
-    recurrence and condition for a caller that recognizes loops again
-    after changing the program."""
-    if structure is None:
-        structure = BlockStructure(program, cfg)
+def find_counted_loops(program: Program, run: OptRun) -> Dict[str, CountedLoop]:
+    """All counted loops of ``program``, keyed by header block name,
+    recognized on ``run``'s analyses of its block structure.  Trip counts
+    are memoized in ``run.trip_counts``, by induction recurrence and
+    loop condition, for the recognitions after a rewrite."""
+    structure = run.structure(program)
     cfg = structure.cfg
     if not cfg.names:
         return {}
     forest = structure.forest
-    if trip_counts is None:
-        trip_counts = {}
+    trip_counts = run.trip_counts
     counted: Dict[str, CountedLoop] = {}
     for header, loop in forest.loops.items():
         if len(loop.back_edges) != 1:
@@ -335,6 +333,19 @@ def find_counted_loops(
 # ---------------------------------------------------------------------------
 
 
+def _retarget(terminator: Terminator, old: str, new: str) -> Terminator:
+    """``terminator`` with branch target ``old`` renamed ``new``."""
+    if isinstance(terminator, Jump):
+        return Jump(new) if terminator.target == old else terminator
+    if isinstance(terminator, CBranch):
+        targets = (terminator.true_target, terminator.false_target)
+        if old not in targets:
+            return terminator
+        true_target, false_target = (new if target == old else target for target in targets)
+        return CBranch(terminator.condition, true_target, false_target)
+    raise TypeError("cannot retarget terminator of type %r" % type(terminator).__name__)
+
+
 def _rotate_one(program: Program, loop: CountedLoop, cfg: ControlFlowGraph) -> Program:
     """``program``, whose CFG is ``cfg``, with one ``while``-form counted
     loop (proven >= 1 trip) rewritten into ``do``-``while`` form: the
@@ -371,42 +382,18 @@ def _rotation_candidates(program: Program, counted: Dict[str, CountedLoop]) -> L
     ]
 
 
-def rotate_counted_loops(
-    program: Program,
-    counters: Optional[Dict[str, int]] = None,
-    counted: Optional[Dict[str, CountedLoop]] = None,
-    structure: Optional[BlockStructure] = None,
-    trip_counts: Optional[Dict[tuple, Optional[int]]] = None,
-) -> Tuple[Program, int]:
+def rotate_counted_loops(program: Program, run: OptRun) -> Program:
     """Rotate every eligible ``while``-form counted loop of ``program``,
-    re-recognizing after each rewrite so chained loops see each other's
-    updated edges.  Returns ``(rotated program, number of rotations)``;
-    without a rotation the program is ``program`` itself.  ``counted``
-    (the loops of ``program`` as passed) replaces the first recognition,
-    and ``structure`` (its block structure) the first analysis; both are
-    updated in place to describe the result.  ``trip_counts`` memoizes
-    trip counts across the recognitions."""
-    stats = counters if counters is not None else {}
-    stats.setdefault("loops_rotated", 0)
-    if structure is None:
-        structure = BlockStructure(program)
-    if trip_counts is None:
-        trip_counts = {}
-    if counted is None:
-        counted = find_counted_loops(program, structure=structure, trip_counts=trip_counts)
-    rotated = 0
+    recognizing the loops again after each rewrite so chained loops see
+    each other's updated edges; ``run.counters["loops_rotated"]`` counts
+    the rotations.  Without a rotation the result is ``program``
+    itself."""
     while True:
-        candidates = _rotation_candidates(program, counted)
+        candidates = _rotation_candidates(program, run.counted_loops(program))
         if not candidates:
-            return program, rotated
-        program = _rotate_one(program, candidates[0], structure.cfg)
-        structure.update(program)
-        rotated += 1
-        stats["loops_rotated"] += 1
-        counted.clear()
-        counted.update(
-            find_counted_loops(program, structure=structure, trip_counts=trip_counts)
-        )
+            return program
+        program = _rotate_one(program, candidates[0], run.structure(program).cfg)
+        run.counters["loops_rotated"] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -464,29 +451,13 @@ def _reducible_factors(
     ]
 
 
-def would_rewrite_loops(program: Program, counted: Dict[str, CountedLoop]) -> bool:
-    """Would rotation or strength reduction change ``program``?  Exact:
-    the first reduction to fire rewrites a loop qualifying on the input."""
-    return bool(_rotation_candidates(program, counted)) or any(
-        _reducible_factors(program.block(loop.latch).statements, loop)
-        for loop in counted.values()
-    )
-
-
-def strength_reduce(
-    program: Program,
-    counters: Optional[Dict[str, int]] = None,
-    counted: Optional[Dict[str, CountedLoop]] = None,
-) -> Tuple[Program, int]:
+def strength_reduce(program: Program, run: OptRun) -> Program:
     """Replace ``i * k`` products of counted-loop induction variables by
-    incrementally maintained ``__sr*`` temporaries, recognizing the loops
-    unless ``counted`` holds them.  Returns ``(reduced program, number of
-    occurrences rewritten)``; without a rewrite the program is ``program``
-    itself, and the blocks no reduction touched are shared with it."""
-    stats = counters if counters is not None else {}
-    stats.setdefault("strength_reductions", 0)
-    if counted is None:
-        counted = find_counted_loops(program)
+    incrementally maintained ``__sr*`` temporaries, counting the
+    occurrences rewritten in ``run.counters["strength_reductions"]``.
+    Without a rewrite the result is ``program`` itself; otherwise the
+    blocks no reduction touched are shared with it."""
+    counted = run.counted_loops(program)
     namer = TempNamer(program, SR_TEMP_PREFIX)
 
     # The statement lists of the blocks rewritten so far, by block identity.
@@ -498,7 +469,6 @@ def strength_reduce(
             edited[id(block)] = list(block.statements)
         return edited[id(block)]
 
-    reduced = 0
     for loop in counted.values():
         latch = program.block(loop.latch)
         factors = _reducible_factors(edited.get(id(latch), latch.statements), loop)
@@ -527,17 +497,22 @@ def strength_reduce(
                 update_at + 1,
                 Statement(temp, Op("add", (read, Const(wrap_word(loop.step * factor))))),
             )
-            reduced += occurrences
-            stats["strength_reductions"] += occurrences
-    if not reduced:
-        return program, 0
+            run.counters["strength_reductions"] += occurrences
+    if not namer.names:
+        return program
+    run.introduce(namer.names)
     blocks = tuple(
         replace(block, statements=tuple(edited[id(block)]))
         if id(block) in edited
         else block
         for block in program.blocks
     )
-    return replace(program, blocks=blocks, scalars=program.scalars + tuple(namer.names)), reduced
+    return replace(program, blocks=blocks, scalars=program.scalars + tuple(namer.names))
+
+
+def rotate_and_reduce(program: Program, run: OptRun) -> Program:
+    """The ``loops`` stage: rotation, then strength reduction."""
+    return strength_reduce(rotate_counted_loops(program, run), run)
 
 
 def _candidate_factors(expr: IRNode, induction: str) -> Set[int]:
@@ -573,16 +548,9 @@ def _candidate_factors(expr: IRNode, induction: str) -> Set[int]:
 # ---------------------------------------------------------------------------
 
 
-def annotate_hardware_loops(
-    program: Program,
-    counted: Optional[Dict[str, CountedLoop]] = None,
-    structure: Optional[BlockStructure] = None,
-    trip_counts: Optional[Dict[tuple, Optional[int]]] = None,
-) -> Dict[str, HardwareLoop]:
+def annotate_hardware_loops(program: Program, run: OptRun) -> Dict[str, HardwareLoop]:
     """Hardware-loop annotations for every counted single-block self-loop
-    of the (final, optimized) program, recognized unless ``counted``
-    holds them (skipped when no branch goes backward; ``structure`` and
-    ``trip_counts`` as for :func:`find_counted_loops`).
+    of the (final, optimized) program.
 
     The annotation promises: every entry into the latch block executes
     its body exactly ``trip_count`` times before control leaves through
@@ -591,14 +559,8 @@ def annotate_hardware_loops(
     update, condition over the induction variable only), so a backend may
     replace the conditional branch by a repeat instruction without
     consulting the condition at runtime."""
-    if counted is None:
-        counted = (
-            find_counted_loops(program, structure=structure, trip_counts=trip_counts)
-            if has_backward_branch(program)
-            else {}
-        )
     annotations: Dict[str, HardwareLoop] = {}
-    for loop in counted.values():
+    for loop in run.counted_loops(program).values():
         if loop.form != "self":
             continue
         body = program.block(loop.latch)

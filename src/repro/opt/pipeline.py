@@ -1,4 +1,5 @@
-"""The composable optimization pipeline and its statistics.
+"""The composable optimization pipeline, the run its stages share, and
+its statistics.
 
 An :class:`OptPipeline` runs an ordered subset of the optimization
 stages -- ``fold`` (constant folding / algebraic simplification),
@@ -8,7 +9,8 @@ stages -- ``fold`` (constant folding / algebraic simplification),
 :mod:`repro.opt.gvn`) and ``dce`` (dead-temporary elimination) -- over
 an IR :class:`~repro.ir.Program` and returns a new optimized program
 plus an :class:`OptStats` record.  The default stage list runs them
-all.
+all.  Each stage is a function of ``(program, run)``, looked up in one
+table; the :class:`OptRun` holds what the stages of one run share.
 
 After a run that included the ``loops`` stage, counted single-block
 self-loops of the result carry :class:`~repro.ir.program.HardwareLoop`
@@ -31,21 +33,21 @@ on.  The run counts the input's IR nodes once, block by block, and
 counts again only the blocks of the result it does not share.
 
 A run builds the CFG, dominator tree and loop nesting forest once for
-each block structure it produces (a
-:class:`~repro.analysis.loops.BlockStructure`, built on first use and
-handed from stage to stage): only rotation and preheader insertion
-change the block structure.  It evaluates each trip count once per
+each block structure it produces (only rotation and preheader
+insertion change one), recognizes the counted loops once for each
+program a stage asks about, and evaluates each trip count once per
 induction recurrence and loop condition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.analysis.loops import BlockStructure
 from repro.diagnostics import ReproError
 from repro.ir.program import BasicBlock, CBranch, Program
+from repro.opt import loops
 from repro.opt.cse import eliminate_dead_temporaries
 from repro.opt.fold import (
     fold_expr,
@@ -54,6 +56,8 @@ from repro.opt.fold import (
     would_fold,
     would_fold_statement,
 )
+from repro.opt.gvn import global_value_numbering
+from repro.opt.licm import hoist_loop_invariants
 
 
 class OptimizationError(ReproError):
@@ -167,18 +171,18 @@ def copy_program(program: Program) -> Program:
     )
 
 
-def _fold_program(
-    program: Program, supported_ops: Optional[Set[str]], rewrites: Dict[str, int]
-) -> Program:
+def _fold_program(program: Program, run: "OptRun") -> Program:
     """``program`` with the statements and branch conditions folded that
-    :func:`~repro.opt.fold.would_fold` flags, counting into ``rewrites``;
-    ``program`` itself when it flags none.  Only the blocks holding a
-    flagged statement or condition are rebuilt.
+    :func:`~repro.opt.fold.would_fold` flags under ``run.supported_ops``,
+    counting into ``run.rewrites``; ``program`` itself when it flags
+    none.  Only the blocks holding a flagged statement or condition are
+    rebuilt.
 
     A branch condition never enters code selection (it runs on the
     branch logic), so the *operator-introducing* ``supported_ops``
     gating does not apply to it: it folds ungated, keeping ``while
     (1)``-style conditions cheap."""
+    supported_ops, rewrites = run.supported_ops, run.rewrites
     blocks = None
     for position, block in enumerate(program.blocks):
         statements = None
@@ -206,17 +210,83 @@ def _fold_program(
     return program if blocks is None else replace(program, blocks=tuple(blocks))
 
 
-#: Stages that materialize compiler temporaries.  When any of them is in
-#: a run's stage list, ``dce`` removes exactly the temporaries that run
-#: introduced (never a user variable that shares a prefix).
-_MATERIALIZING_STAGES = ("loops", "licm", "gvn")
+class OptRun:
+    """What the stages of one :meth:`OptPipeline.run` share.
+
+    ``supported_ops`` gates operator-introducing rewrites and
+    ``rewrites`` counts the fold rules that fired; ``counters`` holds the
+    other statistics, keyed by their :class:`OptStats` field; ``temps``
+    names the temporaries this run's stages introduced, the only names
+    dead-temporary elimination removes.
+
+    The loop facts are asked for with the program they must describe,
+    so an analysis always describes the program a stage holds:
+    :meth:`structure` is kept for the last block structure asked about,
+    :meth:`counted_loops` for the last program, and ``trip_counts`` for
+    the whole run, by induction recurrence and loop condition.  A stage
+    called on its own takes a fresh ``OptRun()``."""
+
+    def __init__(self, supported_ops: Optional[Set[str]] = None) -> None:
+        self.supported_ops = supported_ops
+        self.rewrites: Dict[str, int] = {}
+        self.counters: Dict[str, int] = dict.fromkeys(
+            (
+                "temps_introduced",
+                "dead_removed",
+                "loops_rotated",
+                "strength_reductions",
+                "licm_hoisted",
+                "gvn_hits",
+            ),
+            0,
+        )
+        self.temps: Set[str] = set()
+        self.trip_counts: Dict[tuple, Optional[int]] = {}
+        self._structure_key: Optional[tuple] = None
+        self._structure: Optional[BlockStructure] = None
+        self._counted: Tuple[Optional[Program], Dict[str, loops.CountedLoop]] = (None, {})
+
+    def structure(self, program: Program) -> BlockStructure:
+        """The CFG, dominators and loop forest of ``program``'s block
+        structure: its entry and the branch targets of its blocks."""
+        key = (program.entry, tuple(program.edges().items()))
+        if key != self._structure_key:
+            self._structure_key, self._structure = key, BlockStructure(program)
+        return self._structure
+
+    def counted_loops(self, program: Program) -> Dict[str, loops.CountedLoop]:
+        """The counted loops of ``program``
+        (:func:`~repro.opt.loops.find_counted_loops`); none without a
+        backward branch."""
+        if self._counted[0] is not program:
+            counted = (
+                loops.find_counted_loops(program, self)
+                if loops.has_backward_branch(program)
+                else {}
+            )
+            self._counted = (program, counted)
+        return self._counted[1]
+
+    def introduce(self, temps: Iterable[str]) -> None:
+        """Record temporaries a stage put in the program."""
+        self.temps.update(temps)
+
+
+#: The stages by name, each a function of ``(program, run)``.
+_STAGES: Dict[str, Callable[[Program, OptRun], Program]] = {
+    "fold": _fold_program,
+    "loops": loops.rotate_and_reduce,
+    "licm": hoist_loop_invariants,
+    "gvn": global_value_numbering,
+    "dce": eliminate_dead_temporaries,
+}
 
 
 class OptPipeline:
     """An ordered, configurable sequence of optimization stages."""
 
     #: All known stages, in canonical order.
-    STAGES: Tuple[str, ...] = ("fold", "loops", "licm", "gvn", "dce")
+    STAGES: Tuple[str, ...] = tuple(_STAGES)
 
     #: The default run: every stage.
     DEFAULT_STAGES: Tuple[str, ...] = STAGES
@@ -247,84 +317,19 @@ class OptPipeline:
         each stage with the stage's result -- the CLI's per-stage diff
         rendering hook; a stage that found nothing to do shows its input
         again, possibly the caller's ``program``."""
-        from repro.opt.gvn import global_value_numbering
-        from repro.opt.licm import hoist_loop_invariants, plan_loop_invariants
-        from repro.opt.loops import (
-            annotate_hardware_loops,
-            find_counted_loops,
-            has_backward_branch,
-            rotate_counted_loops,
-            strength_reduce,
-            would_rewrite_loops,
-        )
-
         block_nodes = [block.expression_node_count() for block in program.blocks]
+        run = OptRun(supported_ops)
+        current = program
+        for stage in self.stages:
+            current = _STAGES[stage](current, run)
+            if observer is not None:
+                observer(stage, current)
         stats = OptStats(
             nodes_before=sum(block_nodes),
             statements_before=program.statement_count(),
+            rewrites=run.rewrites,
+            **run.counters,
         )
-        counters: Dict[str, int] = {
-            "temps_introduced": 0,
-            "dead_removed": 0,
-            "loops_rotated": 0,
-            "strength_reductions": 0,
-            "licm_hoisted": 0,
-            "gvn_hits": 0,
-        }
-        current = program
-        counted = counted_of = None  # counted loops of the loops stage, and of which program
-        structure = BlockStructure(program)  # of current's blocks; stages update it
-        trip_counts: Dict[tuple, Optional[int]] = {}
-        # Temporaries materialized by this run's stages; dead-temp
-        # elimination removes only these, never a user variable that
-        # happens to share a prefix.
-        introduced_temps: Set[str] = set()
-        for stage in self.stages:
-            if stage == "fold":
-                current = _fold_program(current, supported_ops, stats.rewrites)
-            elif stage == "loops":
-                counted = (
-                    find_counted_loops(current, structure=structure, trip_counts=trip_counts)
-                    if has_backward_branch(current)
-                    else {}
-                )
-                if would_rewrite_loops(current, counted):
-                    scalars_before = set(current.scalars)
-                    current, _rotated = rotate_counted_loops(
-                        current, counters, counted, structure, trip_counts
-                    )
-                    current, reduced = strength_reduce(current, counters, counted)
-                    if reduced:
-                        counted = None  # statements moved; recognize again
-                    introduced_temps |= set(current.scalars) - scalars_before
-                counted_of = current
-            elif stage == "licm":
-                plan = plan_loop_invariants(current, structure)
-                if plan:
-                    current, hoisted = hoist_loop_invariants(
-                        current, counters, plan=plan, structure=structure
-                    )
-                    introduced_temps |= hoisted
-            elif stage == "gvn":
-                numbered = global_value_numbering(current, counters, structure)
-                if numbered is not current:
-                    introduced_temps |= set(numbered.scalars) - set(current.scalars)
-                    current = numbered
-            elif stage == "dce":
-                # With a materializing stage in this run, only its temps
-                # are removable (a user scalar named "__cse0" is safe);
-                # without one, fall back to the documented standalone
-                # prefix semantics so "--stages dce" is not a no-op.
-                standalone = not any(
-                    name in self.stages for name in _MATERIALIZING_STAGES
-                )
-                current = eliminate_dead_temporaries(
-                    current,
-                    counters=counters,
-                    temps=None if standalone else introduced_temps,
-                )
-            if observer is not None:
-                observer(stage, current)
         if current is program:
             stats.nodes_after = stats.nodes_before
         else:
@@ -334,23 +339,11 @@ class OptPipeline:
                 known[id(block)] if id(block) in known else block.expression_node_count()
                 for block in current.blocks
             )
-        if current is not counted_of:
-            counted = None  # a later stage changed the program
-        hw_loops = (
-            annotate_hardware_loops(current, counted, structure, trip_counts)
-            if "loops" in self.stages
-            else {}
-        )
+        hw_loops = loops.annotate_hardware_loops(current, run) if "loops" in self.stages else {}
         if hw_loops != current.hw_loops:
             current = replace(current, hw_loops=hw_loops)
         stats.hw_loops = len(hw_loops)
         stats.folds, stats.algebraic = split_rewrite_counts(stats.rewrites)
-        stats.gvn_hits = counters["gvn_hits"]
-        stats.licm_hoisted = counters["licm_hoisted"]
-        stats.strength_reductions = counters["strength_reductions"]
-        stats.loops_rotated = counters["loops_rotated"]
-        stats.temps_introduced = counters["temps_introduced"]
-        stats.dead_removed = counters["dead_removed"]
         stats.statements_after = current.statement_count()
         return current, stats
 

@@ -164,6 +164,7 @@ class TestOptimizerOnCFG:
         # __cse-style temp defined in one block, read in a later block:
         # the CFG-conservative DCE must keep it.
         from repro.ir.program import BasicBlock, Jump, Program, Statement
+        from repro.opt import OptRun
         from repro.opt.cse import eliminate_dead_temporaries
 
         program = Program(
@@ -181,11 +182,14 @@ class TestOptimizerOnCFG:
             ],
             scalars=["a", "b", "y", "__cse0"],
         )
-        cleaned = eliminate_dead_temporaries(program)
+        run = OptRun()
+        run.introduce(["__cse0"])
+        cleaned = eliminate_dead_temporaries(program, run)
         assert len(cleaned.blocks[0].statements) == 1
 
     def test_dce_removes_never_read_temp_in_cfg(self):
         from repro.ir.program import BasicBlock, Jump, Program, Statement
+        from repro.opt import OptRun
         from repro.opt.cse import eliminate_dead_temporaries
 
         program = Program(
@@ -200,11 +204,14 @@ class TestOptimizerOnCFG:
             ],
             scalars=["a", "y", "__cse0"],
         )
-        cleaned = eliminate_dead_temporaries(program)
+        run = OptRun()
+        run.introduce(["__cse0"])
+        cleaned = eliminate_dead_temporaries(program, run)
         assert cleaned.blocks[0].statements == ()
 
     def test_branch_condition_counts_as_use(self):
         from repro.ir.program import BasicBlock, CBranch, Program, Statement
+        from repro.opt import OptRun
         from repro.opt.cse import eliminate_dead_temporaries
 
         program = Program(
@@ -223,7 +230,9 @@ class TestOptimizerOnCFG:
             ],
             scalars=["a", "__cse0"],
         )
-        cleaned = eliminate_dead_temporaries(program)
+        run = OptRun()
+        run.introduce(["__cse0"])
+        cleaned = eliminate_dead_temporaries(program, run)
         assert len(cleaned.blocks[0].statements) == 1
 
 

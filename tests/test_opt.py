@@ -42,6 +42,7 @@ from repro.ir.program import (
 from repro.opt import (
     OptimizationError,
     OptPipeline,
+    OptRun,
     OptStats,
     ProgramDAG,
     contains_port_read,
@@ -157,9 +158,9 @@ class TestExprDAG:
         # and hands the program itself back.
         original = _add(_mul(VarRef("a"), Const(3)), VarRef("a"))
         program = _program([Statement("y", original)], scalars=["a", "y"])
-        counters = {}
-        assert global_value_numbering(program, counters=counters) is program
-        assert counters == {"gvn_hits": 0, "temps_introduced": 0}
+        run = OptRun()
+        assert global_value_numbering(program, run) is program
+        assert (run.counters["gvn_hits"], run.counters["temps_introduced"]) == (0, 0)
 
     def test_port_writes_version_port_reads(self):
         # Writing the output port @OUT between two @OUT reads splits them.
@@ -308,15 +309,15 @@ class TestBlockValueNumbering:
             ],
             scalars=["a", "b", "c", "d", "e", "f", "y0", "y1"],
         )
-        counters = {}
-        optimized = global_value_numbering(program, counters=counters)
+        run = OptRun()
+        optimized = global_value_numbering(program, run)
         statements = optimized.blocks[0].statements
         assert len(statements) == 3
         assert statements[0].destination == "__cse0"
         assert structurally_equal(statements[0].expression, self._shared())
         assert statements[1].expression == _add(VarRef("__cse0"), VarRef("e"))
-        assert counters["temps_introduced"] == 1
-        assert counters["gvn_hits"] == 2
+        assert run.counters["temps_introduced"] == 1
+        assert run.counters["gvn_hits"] == 2
         assert "__cse0" in optimized.scalars
 
     def test_write_hazard_blocks_cse(self):
@@ -328,7 +329,7 @@ class TestBlockValueNumbering:
             ],
             scalars=["a", "b", "c", "d", "e", "y0", "y1"],
         )
-        optimized = global_value_numbering(program)
+        optimized = global_value_numbering(program, OptRun())
         assert all(
             not s.destination.startswith("__cse")
             for s in optimized.blocks[0].statements
@@ -343,7 +344,7 @@ class TestBlockValueNumbering:
             ],
             scalars=["a", "b", "y0", "y1"],
         )
-        optimized = global_value_numbering(program)
+        optimized = global_value_numbering(program, OptRun())
         assert len(optimized.blocks[0].statements) == 2
 
     def test_port_reading_subexpressions_are_never_materialized(self):
@@ -354,7 +355,7 @@ class TestBlockValueNumbering:
             [Statement("y0", shared()), Statement("y1", shared())],
             scalars=["b", "c", "y0", "y1"],
         )
-        optimized = global_value_numbering(program)
+        optimized = global_value_numbering(program, OptRun())
         assert len(optimized.blocks[0].statements) == 2
 
     @pytest.mark.xfail(
@@ -368,7 +369,7 @@ class TestBlockValueNumbering:
             [Statement("y0", _mul(self._shared(), self._shared()))],
             scalars=["a", "b", "c", "d", "y0"],
         )
-        optimized = global_value_numbering(program)
+        optimized = global_value_numbering(program, OptRun())
         statements = optimized.blocks[0].statements
         assert len(statements) == 2
         assert statements[0].destination == "__cse0"
@@ -385,7 +386,7 @@ class TestBlockValueNumbering:
             ],
             scalars=["a", "b", "c", "d", "e", "y0", "y1"],
         )
-        optimized = global_value_numbering(program)
+        optimized = global_value_numbering(program, OptRun())
         statements = optimized.blocks[0].statements
         # inner (__cse0) is defined before outer (__cse1) which reads it.
         assert [s.destination for s in statements[:2]] == ["__cse0", "__cse1"]
@@ -402,7 +403,7 @@ class TestBlockValueNumbering:
             ],
             scalars=["a", "b", "c", "d", "e", "y0", "y1", "y2"],
         )
-        optimized = global_value_numbering(program)
+        optimized = global_value_numbering(program, OptRun())
         for seed in range(5):
             env = {
                 name: (seed * 31 + i * 17 + 3) % 257
@@ -412,6 +413,13 @@ class TestBlockValueNumbering:
             got = optimized.blocks[0].execute(dict(env))
             for key, value in expected.items():
                 assert got[key] == value, key
+
+
+def _run_with_temps(*temps):
+    """A fresh run whose stages introduced ``temps``."""
+    run = OptRun()
+    run.introduce(temps)
+    return run
 
 
 class TestDCE:
@@ -424,13 +432,13 @@ class TestDCE:
             ],
             scalars=["a", "b", "c", "y", "__cse0", "__cse1"],
         )
-        counters = {}
-        cleaned = eliminate_dead_temporaries(program, counters=counters)
+        run = _run_with_temps("__cse0", "__cse1")
+        cleaned = eliminate_dead_temporaries(program, run)
         assert [s.destination for s in cleaned.blocks[0].statements] == [
             "__cse0",
             "y",
         ]
-        assert counters["dead_removed"] == 1
+        assert run.counters["dead_removed"] == 1
         assert "__cse1" not in cleaned.scalars
 
     def test_user_destinations_are_never_removed(self):
@@ -441,7 +449,7 @@ class TestDCE:
             ],
             scalars=["a", "b", "dead", "y"],
         )
-        cleaned = eliminate_dead_temporaries(program)
+        cleaned = eliminate_dead_temporaries(program, _run_with_temps("__cse0"))
         assert len(cleaned.blocks[0].statements) == 2
 
     def test_temp_chains_are_removed_transitively(self):
@@ -452,7 +460,7 @@ class TestDCE:
             ],
             scalars=["a", "b", "c", "__cse0", "__cse1"],
         )
-        cleaned = eliminate_dead_temporaries(program)
+        cleaned = eliminate_dead_temporaries(program, _run_with_temps("__cse0", "__cse1"))
         assert cleaned.blocks[0].statements == ()
 
 
@@ -635,10 +643,10 @@ class TestOptPipeline:
         assert got["y0"] == expected["y0"]
         assert got["y1"] == expected["y1"]
 
-    def test_dce_only_pipeline_uses_prefix_semantics(self):
-        # Without a materializing stage in the run there is no exact temp set, so
-        # "--stages dce" falls back to prefix-based removal instead of
-        # silently doing nothing.
+    def test_dce_only_pipeline_removes_nothing(self):
+        # DCE removes only temporaries its own run introduced.  Run alone
+        # it has none, so a user variable named like a temporary stays,
+        # read or not.
         program = _program(
             [
                 Statement("__cse0", _add(VarRef("a"), VarRef("b"))),
@@ -647,8 +655,8 @@ class TestOptPipeline:
             scalars=["a", "b", "y", "__cse0"],
         )
         optimized, stats = optimize_program(program, stages=["dce"])
-        assert stats.dead_removed == 1
-        assert [s.destination for s in optimized.blocks[0].statements] == ["y"]
+        assert stats.dead_removed == 0
+        assert optimized is program
 
     def test_empty_pipeline_returns_its_input(self):
         program = lower_to_program("int a, y;\ny = a + 1;\n")

@@ -37,6 +37,7 @@ from repro.ir.program import BasicBlock, CBranch, Jump, Program, Statement
 from repro.fuzz.oracles import SIMULATION_STEP_LIMIT, observables
 from repro.opt import (
     OptPipeline,
+    OptRun,
     OptStats,
     annotate_hardware_loops,
     eliminate_dead_temporaries,
@@ -53,30 +54,19 @@ from repro.toolchain.passes import introducible_ops
 
 KERNELS = tuple(all_kernel_names()) + tuple(loop_kernel_names())
 STAGE_LISTS = (None, ("loops",), ("licm",), ("gvn",), ("dce",))
-_MATERIALIZING = ("loops", "licm", "gvn")
 
 
 def _ungated_run(pipeline, program, supported_ops):
     """Every stage of ``pipeline`` run unconditionally on the previous
-    stage's result, then the final annotation; ``fold`` folds every
-    statement and condition, and GVN skips its structural scan."""
+    stage's result, then the final annotation on a fresh run; ``fold``
+    folds every statement and condition, and GVN skips its structural
+    scan."""
     stats = OptStats(
         nodes_before=program.expression_node_count(),
         statements_before=program.statement_count(),
     )
-    counters = dict.fromkeys(
-        (
-            "temps_introduced",
-            "dead_removed",
-            "loops_rotated",
-            "strength_reductions",
-            "licm_hoisted",
-            "gvn_hits",
-        ),
-        0,
-    )
+    run = OptRun(supported_ops)
     current = program
-    introduced = set()
     for stage in pipeline.stages:
         if stage == "fold":
             current = replace(
@@ -106,31 +96,22 @@ def _ungated_run(pipeline, program, supported_ops):
                 ],
             )
         elif stage == "loops":
-            before = set(current.scalars)
-            current, _rotated = rotate_counted_loops(current, counters)
-            current, _reduced = strength_reduce(current, counters)
-            introduced |= set(current.scalars) - before
+            current = strength_reduce(rotate_counted_loops(current, run), run)
         elif stage == "licm":
-            current, hoisted = hoist_loop_invariants(current, counters)
-            introduced |= hoisted
+            current = hoist_loop_invariants(current, run)
         elif stage == "gvn":
-            before = set(current.scalars)
-            current = global_value_numbering(current, counters=counters)
-            introduced |= set(current.scalars) - before
+            current = global_value_numbering(current, run)
         elif stage == "dce":
-            standalone = not any(name in pipeline.stages for name in _MATERIALIZING)
-            current = eliminate_dead_temporaries(
-                current,
-                counters=counters,
-                temps=None if standalone else introduced,
-            )
+            current = eliminate_dead_temporaries(current, run)
     current = replace(
         current,
-        hw_loops=annotate_hardware_loops(current) if "loops" in pipeline.stages else {},
+        hw_loops=(
+            annotate_hardware_loops(current, OptRun()) if "loops" in pipeline.stages else {}
+        ),
     )
     stats.hw_loops = len(current.hw_loops)
     stats.folds, stats.algebraic = split_rewrite_counts(stats.rewrites)
-    for name, value in counters.items():
+    for name, value in run.counters.items():
         setattr(stats, name, value)
     stats.nodes_after = current.expression_node_count()
     stats.statements_after = current.statement_count()
@@ -379,16 +360,16 @@ class TestSharedAnalysesMatchFreshRecognition:
         plan = licm_module.plan_loop_invariants
         checked = {"counted": 0, "plan": 0}
 
-        def checked_recognition(program, *args, **kwargs):
-            counted = recognize(program, *args, **kwargs)
-            fresh = recognize(program)
+        def checked_recognition(program, run):
+            counted = recognize(program, run)
+            fresh = recognize(program, OptRun())
             assert list(counted.items()) == list(fresh.items())
             checked["counted"] += 1
             return counted
 
-        def checked_plan(program, *args, **kwargs):
-            planned = plan(program, *args, **kwargs)
-            assert planned == plan(program)
+        def checked_plan(program, run):
+            planned = plan(program, run)
+            assert planned == plan(program, OptRun())
             checked["plan"] += 1
             return planned
 
@@ -400,7 +381,9 @@ class TestSharedAnalysesMatchFreshRecognition:
             program = lower_to_program(generate_source(seed, config))
             optimized, _stats = OptPipeline().run(program, supported_ops=supported_ops)
             final = replace(optimized, hw_loops={})
-            assert optimized.hw_loops == loops_module.annotate_hardware_loops(final), seed
+            assert optimized.hw_loops == loops_module.annotate_hardware_loops(
+                final, OptRun()
+            ), seed
         assert checked["counted"] and checked["plan"]
 
     def test_memoized_trip_counts_keep_the_branch_sense(self):
@@ -421,7 +404,7 @@ class TestSharedAnalysesMatchFreshRecognition:
             ],
             scalars=["i", "s", "t"],
         )
-        counted = loops_module.find_counted_loops(program, trip_counts={})
+        counted = loops_module.find_counted_loops(program, OptRun())
         assert {header: loop.trip_count for header, loop in counted.items()} == {"a": 4, "b": 1}
         optimized, _stats = OptPipeline().run(program)
         assert {latch: loop.trip_count for latch, loop in optimized.hw_loops.items()} == {
@@ -485,8 +468,8 @@ def test_deep_chain_inside_a_loop_is_hoisted_and_numbered():
 class TestStagesHandTheirInputThrough:
     def test_gvn_and_dce_return_their_input_when_nothing_qualifies(self):
         program = kernel_program("fir")
-        assert global_value_numbering(program) is program
-        assert eliminate_dead_temporaries(program, temps=set()) is program
+        assert global_value_numbering(program, OptRun()) is program
+        assert eliminate_dead_temporaries(program, OptRun()) is program
 
     def test_gvn_scan_counts_index_operators_like_the_dag(self):
         # a * x[i + 1] has two operators only through its array index;

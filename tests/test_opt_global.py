@@ -1,8 +1,8 @@
 """Unit and oracle tests for the global optimizer layers.
 
 Covers the loop analysis (back edges against a brute-force dominator-set
-oracle, natural loops, preheader insertion, and random loop programs on
-which LICM creates preheaders), the counted-loop
+oracle and natural loops), LICM's preheaders (reused and created, and
+random loop programs on which LICM creates them), the counted-loop
 transformations (rotation, strength reduction), cross-block GVN, LICM,
 and the end-to-end hardware-loop contract on the TMS320C25: every
 loop-form DSPStone kernel must pick up at least one LICM hoist or one
@@ -17,17 +17,16 @@ from repro.analysis import check_optimized_program
 from repro.analysis.cfg import ControlFlowGraph
 from repro.analysis.loops import (
     back_edges,
-    insert_preheaders,
     loop_nesting_forest,
     naive_back_edges,
-    natural_loops,
     render_forest,
 )
 from repro.dspstone import kernel_program, loop_kernel_names
 from repro.frontend.lowering import lower_to_program
 from repro.ir.program import BasicBlock, CBranch, Jump, Program, Statement
 from repro.ir.expr import Const, Op, VarRef
-from repro.opt import OPT_TEMP_PREFIXES, OptPipeline, optimize_program
+from repro.opt import OPT_TEMP_PREFIXES, OptPipeline, OptRun, optimize_program
+from repro.opt.licm import hoist_loop_invariants
 from repro.opt.loops import annotate_hardware_loops, find_counted_loops
 from repro.toolchain import Session
 
@@ -114,9 +113,7 @@ class TestBackEdgeOracle:
         assert forest.children["outer"] == ["inner"]
         assert forest.loops["outer"].depth == 1
         assert forest.loops["inner"].depth == 2
-        assert forest.depth_of("inner") == 2
-        assert forest.depth_of("entry") == 0
-        assert forest.inside_out()[0].header == "inner"
+        assert forest.loops["inner"].parent == "outer"
 
     def test_loops_sharing_a_header_are_merged(self):
         cfg = ControlFlowGraph.from_edges(
@@ -129,120 +126,115 @@ class TestBackEdgeOracle:
                 "exit": [],
             },
         )
-        loops = natural_loops(cfg)
+        loops = loop_nesting_forest(cfg).loops
         assert set(loops) == {"head"}
         assert set(loops["head"].blocks) == {"head", "a", "b"}
         assert len(loops["head"].back_edges) == 2
 
 
 # ---------------------------------------------------------------------------
-# Preheader insertion
+# LICM's preheaders
 # ---------------------------------------------------------------------------
+
+
+def _hoisting_loop(name, statements=()):
+    """A counted self-loop block ``name`` whose first two statements are
+    invariant (``t = a * b``, ``u = a + 3``), after ``statements``."""
+    return BasicBlock(
+        name=name,
+        statements=list(statements)
+        + [
+            Statement("t", Op("mul", (VarRef("a"), VarRef("b")))),
+            Statement("u", Op("add", (VarRef("a"), Const(3)))),
+            Statement("z", Op("add", (VarRef("z"), VarRef("t")))),
+            Statement("i", Op("add", (VarRef("i"), Const(1)))),
+        ],
+        terminator=CBranch(Op("lt", (VarRef("i"), Const(4))), name, "exit"),
+    )
 
 
 class TestPreheaders:
     def test_existing_jump_predecessor_is_reused(self):
-        # fir_loop's entry ends in an unconditional jump to the header:
-        # it already is a preheader, no new block is needed.
-        program = kernel_program("fir_loop")
-        reshaped, preheaders = insert_preheaders(program)
-        assert reshaped is program
-        (header,) = preheaders
-        assert preheaders[header] == "entry"
+        # The entry ends in an unconditional jump to the loop: it already
+        # is a preheader, and the hoisted statements land in it.
+        program = Program(
+            name="jump_entry",
+            blocks=[
+                BasicBlock("entry", [Statement("i", Const(0))], Jump("loop")),
+                _hoisting_loop("loop"),
+                BasicBlock("exit"),
+            ],
+            scalars=["a", "b", "i", "t", "u", "z"],
+        )
+        hoisted = hoist_loop_invariants(program, OptRun())
+        assert [block.name for block in hoisted.blocks] == ["entry", "loop", "exit"]
+        assert [s.destination for s in hoisted.block("entry").statements] == ["i", "t", "u"]
+        _assert_same_execution(program, hoisted)
 
     def test_if_join_predecessor_is_reused_as_preheader(self):
         # The join block after an ``if`` ends in an unconditional jump to
         # the loop header: it already serves as the preheader.
         source = (
-            "int a, z, i, j;\n"
+            "int a, b, k, z, i;\n"
             "z = 0;\n"
             "i = 0;\n"
             "if (a < 3) { z = 1; }\n"
-            "while (i < 4) { z = z + a; i = i + 1; }\n"
+            "do { k = a * b; z = z + k; i = i + 1; } while (i < 4);\n"
         )
         program = lower_to_program(source, name="cond_entry")
-        forest = loop_nesting_forest(ControlFlowGraph.from_program(program))
-        (header,) = forest.loops
-        reshaped, preheaders = insert_preheaders(program, forest)
-        assert reshaped is program
-        assert preheaders[header] == "L2_join"
-        assert forest.loops[header].preheader == "L2_join"
+        run = OptRun()
+        hoisted = hoist_loop_invariants(program, run)
+        assert len(hoisted.blocks) == len(program.blocks)
+        assert [str(s) for s in hoisted.block("L2_join").statements] == ["k = mul(a, b)"]
+        assert run.counters["licm_hoisted"] == 1
+        _assert_same_execution(program, hoisted)
 
     def test_multiple_outside_predecessors_get_fresh_preheader(self):
         # Two blocks branch straight into the loop header: no reusable
         # landing pad exists, so a fresh ``.pre`` block is created and
         # both edges are redirected through it.
-        def build():
-            return Program(
-                name="multi_pred",
-                scalars=["p", "z", "i"],
-                blocks=[
-                    BasicBlock(
-                        name="entry",
-                        statements=[Statement("i", Const(0))],
-                        terminator=CBranch(
-                            Op("lt", (VarRef("p"), Const(2))), "left", "right"
-                        ),
-                    ),
-                    BasicBlock(
-                        name="left",
-                        statements=[Statement("z", Const(1))],
-                        terminator=Jump("head"),
-                    ),
-                    BasicBlock(
-                        name="right",
-                        statements=[Statement("z", Const(2))],
-                        terminator=Jump("head"),
-                    ),
-                    BasicBlock(
-                        name="head",
-                        statements=[
-                            Statement("z", Op("add", (VarRef("z"), Const(1)))),
-                            Statement("i", Op("add", (VarRef("i"), Const(1)))),
-                        ],
-                        terminator=CBranch(
-                            Op("lt", (VarRef("i"), Const(4))), "head", "exit"
-                        ),
-                    ),
-                    BasicBlock(name="exit", statements=[], terminator=None),
-                ],
-            )
-
-        program = build()
+        program = Program(
+            name="multi_pred",
+            scalars=["a", "b", "p", "t", "u", "z", "i"],
+            blocks=[
+                BasicBlock(
+                    name="entry",
+                    statements=[Statement("i", Const(0))],
+                    terminator=CBranch(Op("lt", (VarRef("p"), Const(2))), "left", "right"),
+                ),
+                BasicBlock("left", [Statement("z", Const(1))], Jump("head")),
+                BasicBlock("right", [Statement("z", Const(2))], Jump("head")),
+                _hoisting_loop("head"),
+                BasicBlock(name="exit", statements=[], terminator=None),
+            ],
+        )
         before = repr(program)
-        forest = loop_nesting_forest(ControlFlowGraph.from_program(program))
-        reshaped, preheaders = insert_preheaders(program, forest)
-        assert preheaders["head"] == "head.pre"
+        reshaped = hoist_loop_invariants(program, OptRun())
         cfg = ControlFlowGraph.from_program(reshaped)
         assert set(cfg.predecessors["head.pre"]) == {"left", "right"}
         assert set(cfg.predecessors["head"]) == {"head.pre", "head"}
+        assert [s.destination for s in reshaped.block("head.pre").statements] == ["t", "u"]
         _assert_same_execution(program, reshaped)
         assert repr(program) == before
-        # The blocks that were not retargeted are shared with the input.
+        # The blocks that were not retargeted or hoisted from are shared
+        # with the input.
         assert reshaped.block("entry") is program.block("entry")
-        assert reshaped.block("head") is program.block("head")
+        assert reshaped.block("exit") is program.block("exit")
         assert reshaped.block("left") is not program.block("left")
 
     def test_entry_header_moves_program_entry(self):
         # A do-while at the very top: the header IS the entry block, so
         # the preheader must become the new program entry.
-        loop = BasicBlock(
-            name="top",
-            statements=[
-                Statement("i", Op("add", (VarRef("i"), Const(1)))),
-            ],
-            terminator=CBranch(
-                Op("lt", (VarRef("i"), Const(4))), "top", "done"
-            ),
-        )
-        done = BasicBlock(name="done", statements=[], terminator=None)
         program = Program(
-            name="entry_header", blocks=[loop, done], scalars=["i"]
+            name="entry_header",
+            blocks=[_hoisting_loop("top"), BasicBlock("exit")],
+            scalars=["a", "b", "i", "t", "u", "z"],
         )
-        reshaped, preheaders = insert_preheaders(program)
-        assert reshaped.entry_block_name() == preheaders["top"]
-        assert reshaped.block(preheaders["top"]).terminator == Jump("top")
+        reshaped = hoist_loop_invariants(program, OptRun())
+        assert reshaped.entry_block_name() == "top.pre"
+        assert reshaped.block("top.pre").terminator == Jump("top")
         assert program.entry_block_name() == "top"
+        _assert_same_execution(program, reshaped)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +368,7 @@ class TestRotation:
 
     def test_counted_loop_recognition_proves_trip_count(self):
         program = kernel_program("fir_loop")
-        loops = find_counted_loops(program)
+        loops = find_counted_loops(program, OptRun())
         (loop,) = loops.values()
         assert loop.induction == "i"
         assert loop.trip_count == 8
@@ -519,7 +511,7 @@ class TestHardwareLoopsEndToEnd:
     def test_annotation_targets_single_block_self_loops(self):
         program = kernel_program("dot_product_loop")
         optimized, _stats = optimize_program(program)  # default stages
-        annotations = annotate_hardware_loops(optimized)
+        annotations = annotate_hardware_loops(optimized, OptRun())
         assert set(annotations) == {"L2_body"}
         loop = annotations["L2_body"]
         assert loop.trip_count == 4
