@@ -211,9 +211,8 @@ def global_value_numbering(program: Program, run: OptRun) -> Program:
     they were, and has ``program``'s block structure.
 
     ``run.counters`` accumulates ``gvn_hits`` (occurrences rewritten to
-    read a surviving temporary, its materialization included) and
-    ``temps_introduced``, and ``run`` records the surviving
-    temporaries."""
+    read a surviving temporary, its materialization included), and
+    ``run`` records the surviving temporaries."""
     if not _has_repeated_subtree(program):
         return program
     structure = run.structure(program)
@@ -310,7 +309,6 @@ def global_value_numbering(program: Program, run: OptRun) -> Program:
 
     surviving = _inline_single_use_temps(bodies, set(namer.names))
     run.counters["gvn_hits"] += sum(earned[name] for name in surviving)
-    run.counters["temps_introduced"] += len(surviving)
     run.introduce(surviving)
     blocks = tuple(
         block

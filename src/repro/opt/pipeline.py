@@ -42,7 +42,7 @@ induction recurrence and loop condition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import Callable, Collection, Dict, Optional, Sequence, Set, Tuple
 
 from repro.analysis.loops import BlockStructure
 from repro.diagnostics import ReproError
@@ -77,8 +77,9 @@ class OptStats:
     expression occurrences rewritten to read a value-numbering temporary;
     ``cse_hits`` is always 0 (the block-local stage that counted there is
     gone; the field stays until the result schema changes).
-    ``temps_introduced``/``dead_removed`` count temporaries created and
-    dead ones eliminated again.  The loop block: ``loops_rotated``
+    ``temps_introduced`` counts the temporaries created, by every stage
+    (``__cse*``, ``__licm*`` and ``__sr*``), and ``dead_removed`` the
+    assignments to them eliminated again.  The loop block: ``loops_rotated``
     (while-form loops rewritten into do-while form), ``licm_hoisted``
     (statements moved plus invariants materialized in preheaders),
     ``strength_reductions`` (induction-variable products rewritten) and
@@ -267,9 +268,11 @@ class OptRun:
             self._counted = (program, counted)
         return self._counted[1]
 
-    def introduce(self, temps: Iterable[str]) -> None:
-        """Record temporaries a stage put in the program."""
+    def introduce(self, temps: Collection[str]) -> None:
+        """Record temporaries a stage put in the program, counting them
+        in ``temps_introduced``."""
         self.temps.update(temps)
+        self.counters["temps_introduced"] += len(temps)
 
 
 #: The stages by name, each a function of ``(program, run)``.

@@ -503,6 +503,34 @@ class TestGvnHitCount:
                 assert stats.gvn_hits >= 0, program.name
 
 
+class TestTempCount:
+    """``temps_introduced`` counts the temporaries of every stage: each is
+    a new scalar of the result or was removed again by DCE."""
+
+    def test_every_temporary_is_counted(self, generated_300, ref_result):
+        introduced = 0
+        for supported_ops in (None, _supported(ref_result)):
+            programs = [kernel_program(kernel) for kernel in KERNELS] + generated_300
+            for index, program in enumerate(programs):
+                optimized, stats = OptPipeline().run(program, supported_ops=supported_ops)
+                new = set(optimized.scalars) - set(program.scalars)
+                assert stats.temps_introduced == len(new) + stats.dead_removed, index
+                introduced += stats.temps_introduced
+        assert introduced
+
+    @pytest.mark.parametrize(
+        ("profile", "seed"),
+        [("default", 6), ("default", 125), ("loops", 3), ("loops", 125), ("loops", 194)],
+    )
+    def test_strength_reduction_and_licm_temporaries_count(self, profile, seed):
+        # These programs get an __sr* or __licm* temporary and no GVN one.
+        program = lower_to_program(generate_source(seed, GENERATOR_PROFILES[profile]))
+        optimized, stats = OptPipeline().run(program)
+        new = set(optimized.scalars) - set(program.scalars)
+        assert new and all(name.startswith(("__sr", "__licm")) for name in new)
+        assert stats.temps_introduced == len(new)
+
+
 # ---------------------------------------------------------------------------
 # Oracles of the fold and GVN checks
 # ---------------------------------------------------------------------------
