@@ -176,20 +176,54 @@ def is_plain_scalar(name: str) -> bool:
 
 
 def evaluate_expr(expr: IRNode, environment: Dict[str, int]) -> int:
-    """Evaluate an IR expression over a variable/port environment."""
+    """Evaluate an IR expression over a variable/port environment.
+
+    Iterative, so a deep chain stays below the interpreter's recursion
+    limit: a pre-order list of the nodes, pushing each node's children
+    left to right, is evaluated in reverse, which meets every node right
+    after its children, whose values are then on top of a value stack.
+    A leaf, and an operator over constants and scalars (the trip-count
+    recurrences ``add(i, 1)`` and ``lt(i, 8)``), skip the list."""
     if isinstance(expr, Const):
         return wrap_word(expr.value)
     if isinstance(expr, VarRef):
         return wrap_word(environment.get(expr.name, 0))
-    if isinstance(expr, PortInput):
-        return wrap_word(environment.get("@%s" % expr.port, 0))
-    if isinstance(expr, ArrayRef):
-        element = array_element_name(expr.name, evaluate_expr(expr.index, environment))
-        return wrap_word(environment.get(element, 0))
+    values: List[int] = []
     if isinstance(expr, Op):
-        operands = [evaluate_expr(child, environment) for child in expr.operands]
-        return apply_operator(expr.op, operands)
-    raise TypeError("unexpected IR node %r" % type(expr).__name__)
+        for operand in expr.operands:
+            if isinstance(operand, Const):
+                values.append(wrap_word(operand.value))
+            elif isinstance(operand, VarRef):
+                values.append(wrap_word(environment.get(operand.name, 0)))
+            else:
+                values.clear()
+                break
+        else:
+            return apply_operator(expr.op, values)
+    order: List[IRNode] = []
+    stack: List[IRNode] = [expr]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children())
+    for node in reversed(order):
+        if isinstance(node, Op):
+            split = len(values) - len(node.operands)
+            result = apply_operator(node.op, values[split:])
+            del values[split:]
+            values.append(result)
+        elif isinstance(node, Const):
+            values.append(wrap_word(node.value))
+        elif isinstance(node, VarRef):
+            values.append(wrap_word(environment.get(node.name, 0)))
+        elif isinstance(node, ArrayRef):
+            element = array_element_name(node.name, values.pop())
+            values.append(wrap_word(environment.get(element, 0)))
+        elif isinstance(node, PortInput):
+            values.append(wrap_word(environment.get("@%s" % node.port, 0)))
+        else:
+            raise TypeError("unexpected IR node %r" % type(node).__name__)
+    return values[0]
 
 
 def expr_variables(expr: IRNode) -> Set[str]:

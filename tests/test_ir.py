@@ -1,9 +1,11 @@
 """Unit tests for the IR: expressions, programs, binding."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hdl import parse_processor
 from repro.ir import (
+    ArrayRef,
     BasicBlock,
     Const,
     Op,
@@ -16,7 +18,7 @@ from repro.ir import (
     expr_variables,
 )
 from repro.ir.binding import BindingError, default_data_memory
-from repro.ir.expr import apply_operator, expr_size, wrap_word
+from repro.ir.expr import apply_operator, array_element_name, expr_size, wrap_word
 from repro.netlist import build_netlist
 from repro.toolchain import default_registry
 
@@ -79,6 +81,65 @@ class TestExpressions:
     def test_wrapping_semantics(self):
         assert wrap_word(0x1_0005) == 5
         assert evaluate_expr(Const(-1), {}) == 0xFFFF
+
+    def test_deep_trees_evaluate_at_the_default_recursion_limit(self):
+        chain = VarRef("a")
+        for step in range(5000):
+            chain = Op("add", (chain, Const(1))) if step % 2 else Op("neg", (chain,))
+        assert evaluate_expr(chain, {"a": 7}) == 7
+        indexed = ArrayRef("x", chain)
+        for _ in range(3000):
+            indexed = Op("sub", (Const(1), indexed))
+        environment = {"a": 7, "x[7]": 40}
+        assert evaluate_expr(indexed, environment) == 40
+        program = Program("deep", [BasicBlock("entry", [Statement("y", indexed)])])
+        assert program.execute(dict(environment))["y"] == 40
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.deferred(lambda: _EXPRESSIONS), st.integers(min_value=-5, max_value=70000))
+    def test_evaluation_matches_a_recursive_reference(self, expr, value):
+        environment = {"a": value, "b": 3, "@IN": value * 7, "x[3]": 11}
+        environment[array_element_name("x", value)] = 5
+        assert evaluate_expr(expr, environment) == _reference_evaluate(expr, environment)
+
+
+def _reference_evaluate(expr, environment):
+    """The recursive evaluator the iterative one replaced."""
+    if isinstance(expr, Const):
+        return wrap_word(expr.value)
+    if isinstance(expr, VarRef):
+        return wrap_word(environment.get(expr.name, 0))
+    if isinstance(expr, PortInput):
+        return wrap_word(environment.get("@%s" % expr.port, 0))
+    if isinstance(expr, ArrayRef):
+        element = array_element_name(expr.name, _reference_evaluate(expr.index, environment))
+        return wrap_word(environment.get(element, 0))
+    operands = [_reference_evaluate(child, environment) for child in expr.operands]
+    return apply_operator(expr.op, operands)
+
+
+_EXPRESSIONS = st.recursive(
+    st.one_of(
+        st.builds(Const, st.integers(min_value=-70000, max_value=70000)),
+        st.builds(VarRef, st.sampled_from(["a", "b", "c"])),
+        st.just(PortInput("IN")),
+    ),
+    lambda children: st.one_of(
+        st.builds(
+            lambda op, left, right: Op(op, (left, right)),
+            st.sampled_from(["add", "sub", "mul", "div", "mod", "and", "xor", "shl", "shr", "lt"]),
+            children,
+            children,
+        ),
+        st.builds(
+            lambda op, operand: Op(op, (operand,)),
+            st.sampled_from(["neg", "not", "lnot", "bits_7_4"]),
+            children,
+        ),
+        st.builds(ArrayRef, st.just("x"), children),
+    ),
+    max_leaves=16,
+)
 
 
 class TestProgramsAndBlocks:
