@@ -190,8 +190,8 @@ class BlockStructure:
 
     These analyses read only the program's entry and its blocks' names
     and branch targets, so they describe every program that has the same
-    ones; the optimizer keeps one per block structure a run meets
-    (:meth:`repro.opt.pipeline.OptRun.structure`)."""
+    ones; an optimizer run keeps the one for the last block structure a
+    stage asked about (:meth:`repro.opt.pipeline.OptRun.structure`)."""
 
     def __init__(self, program: Program) -> None:
         self._program = program

@@ -172,7 +172,7 @@ def copy_program(program: Program) -> Program:
     )
 
 
-def _fold_program(program: Program, run: "OptRun") -> Program:
+def _fold_program(program: Program, run: OptRun) -> Program:
     """``program`` with the statements and branch conditions folded that
     :func:`~repro.opt.fold.would_fold` flags under ``run.supported_ops``,
     counting into ``run.rewrites``; ``program`` itself when it flags

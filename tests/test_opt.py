@@ -658,6 +658,17 @@ class TestOptPipeline:
         assert stats.dead_removed == 0
         assert optimized is program
 
+    def test_dce_removes_a_temporary_that_folding_orphaned(self):
+        # GVN shares a * b + c between the statements; folding then
+        # multiplies both reads away, and DCE removes the temporary.
+        program = lower_to_program(
+            "int a, b, c, y0, y1;\ny0 = (a * b + c) * 0 + a;\ny1 = (a * b + c) * 2 * 0 + b;\n"
+        )
+        optimized, stats = optimize_program(program, stages=["gvn", "fold", "dce"])
+        assert [str(s) for s in optimized.blocks[0].statements] == ["y0 = a", "y1 = b"]
+        assert (stats.temps_introduced, stats.dead_removed) == (1, 1)
+        assert "__cse0" not in optimized.scalars
+
     def test_empty_pipeline_returns_its_input(self):
         program = lower_to_program("int a, y;\ny = a + 1;\n")
         optimized, stats = optimize_program(program, stages=[])
