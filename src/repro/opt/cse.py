@@ -117,7 +117,7 @@ def eliminate_dead_temporaries(program: Program, run: OptRun) -> Program:
     temporaries this run introduced) that nothing reads -- no statement,
     store index or branch condition in any block -- removed again until
     none is left; ``program`` itself when there is none.
-    ``run.counters["dead_removed"]`` counts the assignments removed.
+    ``run.stats.dead_removed`` counts the assignments removed.
 
     A user variable is never removed, even one named like a temporary.
     Surviving statements, and the blocks that lose none, are shared with
@@ -148,7 +148,7 @@ def eliminate_dead_temporaries(program: Program, run: OptRun) -> Program:
             )
         if not removed:
             break
-        run.counters["dead_removed"] += removed
+        run.stats.dead_removed += removed
         blocks = tuple(kept_blocks)
     defined = {statement.destination for block in blocks for statement in block.statements}
     scalars = tuple(name for name in program.scalars if name not in temps or name in defined)

@@ -210,9 +210,9 @@ def global_value_numbering(program: Program, run: OptRun) -> Program:
     result shares the statements and blocks value numbering left as
     they were, and has ``program``'s block structure.
 
-    ``run.counters`` accumulates ``gvn_hits`` (occurrences rewritten to
-    read a surviving temporary, its materialization included), and
-    ``run`` records the surviving temporaries."""
+    ``run.stats.gvn_hits`` counts the occurrences rewritten to read a
+    surviving temporary, its materialization included, and ``run``
+    records the surviving temporaries."""
     if not _has_repeated_subtree(program):
         return program
     structure = run.structure(program)
@@ -308,7 +308,7 @@ def global_value_numbering(program: Program, run: OptRun) -> Program:
         bodies.append((statements, block.terminator))
 
     surviving = _inline_single_use_temps(bodies, set(namer.names))
-    run.counters["gvn_hits"] += sum(earned[name] for name in surviving)
+    run.stats.gvn_hits += sum(earned[name] for name in surviving)
     run.introduce(surviving)
     blocks = tuple(
         block

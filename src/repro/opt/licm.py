@@ -317,11 +317,11 @@ def _create_preheader(program: Program, header: str, outside: List[str]) -> Tupl
 def hoist_loop_invariants(program: Program, run: OptRun) -> Program:
     """Hoist the loop-invariant statements and subexpressions of every
     single-block self-loop of ``program`` into its preheader, as
-    :func:`plan_loop_invariants` plans them.  ``run.counters
-    ["licm_hoisted"]`` counts the statements moved plus the temporaries
-    materialized, and ``run`` records the ``__licm*`` temporaries.  With
-    an empty plan the result is ``program`` itself; otherwise the blocks
-    no hoist touched are shared with it."""
+    :func:`plan_loop_invariants` plans them.  ``run.stats.licm_hoisted``
+    counts the statements moved plus the temporaries materialized, and
+    ``run`` records the ``__licm*`` temporaries.  With an empty plan the
+    result is ``program`` itself; otherwise the blocks no hoist touched
+    are shared with it."""
     plan = plan_loop_invariants(program, run)
     if not plan:
         return program
@@ -337,7 +337,7 @@ def hoist_loop_invariants(program: Program, run: OptRun) -> Program:
 
         for index in moves:  # the simulated statement hoists, in order
             landed.append(body.pop(index))
-            run.counters["licm_hoisted"] += 1
+            run.stats.licm_hoisted += 1
 
         # Subexpression hoisting, largest candidates first, re-scanned
         # after every materialization.
@@ -349,7 +349,7 @@ def hoist_loop_invariants(program: Program, run: OptRun) -> Program:
             body = [
                 replace_in_statement(statement, (pattern,), read) for statement in body
             ]
-            run.counters["licm_hoisted"] += 1
+            run.stats.licm_hoisted += 1
             candidates = _subexpr_candidates(body)
         changed = {
             id(block): replace(block, statements=tuple(body)),

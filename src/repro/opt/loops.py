@@ -385,15 +385,14 @@ def _rotation_candidates(program: Program, counted: Dict[str, CountedLoop]) -> L
 def rotate_counted_loops(program: Program, run: OptRun) -> Program:
     """Rotate every eligible ``while``-form counted loop of ``program``,
     recognizing the loops again after each rewrite so chained loops see
-    each other's updated edges; ``run.counters["loops_rotated"]`` counts
-    the rotations.  Without a rotation the result is ``program``
-    itself."""
+    each other's updated edges; ``run.stats.loops_rotated`` counts the
+    rotations.  Without a rotation the result is ``program`` itself."""
     while True:
         candidates = _rotation_candidates(program, run.counted_loops(program))
         if not candidates:
             return program
         program = _rotate_one(program, candidates[0], run.structure(program).cfg)
-        run.counters["loops_rotated"] += 1
+        run.stats.loops_rotated += 1
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +453,7 @@ def _reducible_factors(
 def strength_reduce(program: Program, run: OptRun) -> Program:
     """Replace ``i * k`` products of counted-loop induction variables by
     incrementally maintained ``__sr*`` temporaries, counting the
-    occurrences rewritten in ``run.counters["strength_reductions"]``.
+    occurrences rewritten in ``run.stats.strength_reductions``.
     Without a rewrite the result is ``program`` itself; otherwise the
     blocks no reduction touched are shared with it."""
     counted = run.counted_loops(program)
@@ -497,7 +496,7 @@ def strength_reduce(program: Program, run: OptRun) -> Program:
                 update_at + 1,
                 Statement(temp, Op("add", (read, Const(wrap_word(loop.step * factor))))),
             )
-            run.counters["strength_reductions"] += occurrences
+            run.stats.strength_reductions += occurrences
     if not namer.names:
         return program
     run.introduce(namer.names)

@@ -175,15 +175,15 @@ def copy_program(program: Program) -> Program:
 def _fold_program(program: Program, run: OptRun) -> Program:
     """``program`` with the statements and branch conditions folded that
     :func:`~repro.opt.fold.would_fold` flags under ``run.supported_ops``,
-    counting into ``run.rewrites``; ``program`` itself when it flags
-    none.  Only the blocks holding a flagged statement or condition are
-    rebuilt.
+    counting into ``run.stats.rewrites``; ``program`` itself when it
+    flags none.  Only the blocks holding a flagged statement or
+    condition are rebuilt.
 
     A branch condition never enters code selection (it runs on the
     branch logic), so the *operator-introducing* ``supported_ops``
     gating does not apply to it: it folds ungated, keeping ``while
     (1)``-style conditions cheap."""
-    supported_ops, rewrites = run.supported_ops, run.rewrites
+    supported_ops, rewrites = run.supported_ops, run.stats.rewrites
     blocks = None
     for position, block in enumerate(program.blocks):
         statements = None
@@ -214,10 +214,9 @@ def _fold_program(program: Program, run: OptRun) -> Program:
 class OptRun:
     """What the stages of one :meth:`OptPipeline.run` share.
 
-    ``supported_ops`` gates operator-introducing rewrites and
-    ``rewrites`` counts the fold rules that fired; ``counters`` holds the
-    other statistics, keyed by their :class:`OptStats` field; ``temps``
-    names the temporaries this run's stages introduced, the only names
+    ``supported_ops`` gates operator-introducing rewrites; the stages
+    count into ``stats``, the run's :class:`OptStats`; ``temps`` names
+    the temporaries this run's stages introduced, the only names
     dead-temporary elimination removes.
 
     The loop facts are asked for with the program they must describe,
@@ -229,18 +228,7 @@ class OptRun:
 
     def __init__(self, supported_ops: Optional[Set[str]] = None) -> None:
         self.supported_ops = supported_ops
-        self.rewrites: Dict[str, int] = {}
-        self.counters: Dict[str, int] = dict.fromkeys(
-            (
-                "temps_introduced",
-                "dead_removed",
-                "loops_rotated",
-                "strength_reductions",
-                "licm_hoisted",
-                "gvn_hits",
-            ),
-            0,
-        )
+        self.stats = OptStats()
         self.temps: Set[str] = set()
         self.trip_counts: Dict[tuple, Optional[int]] = {}
         self._structure_key: Optional[tuple] = None
@@ -272,7 +260,7 @@ class OptRun:
         """Record temporaries a stage put in the program, counting them
         in ``temps_introduced``."""
         self.temps.update(temps)
-        self.counters["temps_introduced"] += len(temps)
+        self.stats.temps_introduced += len(temps)
 
 
 #: The stages by name, each a function of ``(program, run)``.
@@ -327,12 +315,9 @@ class OptPipeline:
             current = _STAGES[stage](current, run)
             if observer is not None:
                 observer(stage, current)
-        stats = OptStats(
-            nodes_before=sum(block_nodes),
-            statements_before=program.statement_count(),
-            rewrites=run.rewrites,
-            **run.counters,
-        )
+        stats = run.stats
+        stats.nodes_before = sum(block_nodes)
+        stats.statements_before = program.statement_count()
         if current is program:
             stats.nodes_after = stats.nodes_before
         else:

@@ -160,7 +160,7 @@ class TestExprDAG:
         program = _program([Statement("y", original)], scalars=["a", "y"])
         run = OptRun()
         assert global_value_numbering(program, run) is program
-        assert (run.counters["gvn_hits"], run.counters["temps_introduced"]) == (0, 0)
+        assert (run.stats.gvn_hits, run.stats.temps_introduced) == (0, 0)
 
     def test_port_writes_version_port_reads(self):
         # Writing the output port @OUT between two @OUT reads splits them.
@@ -316,8 +316,8 @@ class TestBlockValueNumbering:
         assert statements[0].destination == "__cse0"
         assert structurally_equal(statements[0].expression, self._shared())
         assert statements[1].expression == _add(VarRef("__cse0"), VarRef("e"))
-        assert run.counters["temps_introduced"] == 1
-        assert run.counters["gvn_hits"] == 2
+        assert run.stats.temps_introduced == 1
+        assert run.stats.gvn_hits == 2
         assert "__cse0" in optimized.scalars
 
     def test_write_hazard_blocks_cse(self):
@@ -438,7 +438,7 @@ class TestDCE:
             "__cse0",
             "y",
         ]
-        assert run.counters["dead_removed"] == 1
+        assert run.stats.dead_removed == 1
         assert "__cse1" not in cleaned.scalars
 
     def test_user_destinations_are_never_removed(self):

@@ -2,18 +2,18 @@
 
 Every stage of :class:`~repro.opt.pipeline.OptPipeline` first checks
 whether it has anything to do and hands its input through when it has
-not.  :func:`_ungated_run` is the reference: every stage called on the
-previous stage's result, whatever the check would say, and annotation
-at the end.  The pipeline must match it program for program and
-statistic for statistic, and its result must compute what its input
-computes on seeded environments.  The two checks that are walks of their own
-have oracles here too: ``fold``'s against folding itself, and GVN's
-against the earlier two-stack scan.  Also pinned here: the work the
-checks save (IR objects built, CFG builds, copies, counted-loop scans),
-the analyses one run shares between its stages (one CFG, dominator tree
-and loop forest per block structure, counted loops equal to a fresh
-recognition), the one rule for ``hw_loops``, and a deep expression
-chain inside a loop.
+not.  :func:`_ungated_run` is the reference: every stage function called
+on the previous stage's result with a run of its own, whatever the check
+would say, and annotation at the end.  The pipeline must match it
+program for program and statistic for statistic, and its result must
+compute what its input computes on seeded environments.  The two
+checks that are walks of their own have oracles here too: ``fold``'s
+against folding itself, and GVN's against the earlier two-stack scan.
+Also pinned here: the work the checks save (IR objects built, CFG
+builds, copies, counted-loop scans), the analyses one run shares between
+its stages (one CFG, dominator tree and loop forest per block structure,
+block structures and counted loops equal to a fresh analysis), the one
+rule for ``hw_loops``, and a deep expression chain inside a loop.
 """
 
 import random
@@ -28,6 +28,7 @@ import repro.opt.licm as licm_module
 import repro.opt.loops as loops_module
 import repro.opt.pipeline as pipeline_module
 from repro.analysis.cfg import ControlFlowGraph
+from repro.analysis.loops import BlockStructure
 from repro.dspstone import kernel_program
 from repro.dspstone.kernels import all_kernel_names, loop_kernel_names
 from repro.frontend.lowering import lower_to_program
@@ -56,17 +57,39 @@ KERNELS = tuple(all_kernel_names()) + tuple(loop_kernel_names())
 STAGE_LISTS = (None, ("loops",), ("licm",), ("gvn",), ("dce",))
 
 
+#: The stage functions of each stage but ``fold``, in order.
+_STAGE_FUNCTIONS = {
+    "loops": (rotate_counted_loops, strength_reduce),
+    "licm": (hoist_loop_invariants,),
+    "gvn": (global_value_numbering,),
+    "dce": (eliminate_dead_temporaries,),
+}
+#: The counts the reference takes from each call's run;
+#: ``temps_introduced`` it counts itself.
+_CALL_COUNTS = (
+    "loops_rotated",
+    "strength_reductions",
+    "licm_hoisted",
+    "gvn_hits",
+    "dead_removed",
+)
+
+
 def _ungated_run(pipeline, program, supported_ops):
     """Every stage of ``pipeline`` run unconditionally on the previous
-    stage's result, then the final annotation on a fresh run; ``fold``
-    folds every statement and condition, and GVN skips its structural
-    scan."""
+    stage's result, then the final annotation; ``fold`` folds every
+    statement and condition, and GVN skips its structural scan.
+
+    Each stage function gets a fresh ``OptRun``, so no analysis, counted
+    loop or trip count crosses from one call to the next.  The
+    temporaries are the scalars the calls add, counted here and handed
+    to every later call's run."""
     stats = OptStats(
         nodes_before=program.expression_node_count(),
         statements_before=program.statement_count(),
     )
-    run = OptRun(supported_ops)
     current = program
+    introduced = set()
     for stage in pipeline.stages:
         if stage == "fold":
             current = replace(
@@ -95,14 +118,17 @@ def _ungated_run(pipeline, program, supported_ops):
                     for block in current.blocks
                 ],
             )
-        elif stage == "loops":
-            current = strength_reduce(rotate_counted_loops(current, run), run)
-        elif stage == "licm":
-            current = hoist_loop_invariants(current, run)
-        elif stage == "gvn":
-            current = global_value_numbering(current, run)
-        elif stage == "dce":
-            current = eliminate_dead_temporaries(current, run)
+            continue
+        for function in _STAGE_FUNCTIONS[stage]:
+            run = OptRun(supported_ops)
+            run.introduce(introduced)
+            result = function(current, run)
+            for name in _CALL_COUNTS:
+                setattr(stats, name, getattr(stats, name) + getattr(run.stats, name))
+            added = set(result.scalars) - set(current.scalars)
+            stats.temps_introduced += len(added)
+            introduced |= added
+            current = result
     current = replace(
         current,
         hw_loops=(
@@ -111,8 +137,6 @@ def _ungated_run(pipeline, program, supported_ops):
     )
     stats.hw_loops = len(current.hw_loops)
     stats.folds, stats.algebraic = split_rewrite_counts(stats.rewrites)
-    for name, value in run.counters.items():
-        setattr(stats, name, value)
     stats.nodes_after = current.expression_node_count()
     stats.statements_after = current.statement_count()
     return current, stats
@@ -350,15 +374,35 @@ class TestWorkDone:
         assert len(analysed["cfg"]) == 2
 
 
+def _structure_facts(structure):
+    cfg = structure.cfg
+    return (
+        cfg.entry,
+        cfg.names,
+        cfg.successors,
+        cfg.predecessors,
+        structure.idom,
+        structure.forest.loops,
+    )
+
+
 class TestSharedAnalysesMatchFreshRecognition:
-    """Every counted-loop recognition, LICM plan and final annotation of a
-    run equals the one a from-scratch call makes on the same program."""
+    """Every block structure a stage is handed, counted-loop recognition,
+    LICM plan and final annotation of a run equals the one a from-scratch
+    call makes on the same program."""
 
     @pytest.mark.parametrize("profile", sorted(GENERATOR_PROFILES))
     def test_generated_programs(self, profile, monkeypatch, ref_result):
+        structure_of = OptRun.structure
         recognize = loops_module.find_counted_loops
         plan = licm_module.plan_loop_invariants
-        checked = {"counted": 0, "plan": 0}
+        checked = {"structure": 0, "counted": 0, "plan": 0}
+
+        def checked_structure(run, program):
+            structure = structure_of(run, program)
+            assert _structure_facts(structure) == _structure_facts(BlockStructure(program))
+            checked["structure"] += 1
+            return structure
 
         def checked_recognition(program, run):
             counted = recognize(program, run)
@@ -373,6 +417,7 @@ class TestSharedAnalysesMatchFreshRecognition:
             checked["plan"] += 1
             return planned
 
+        monkeypatch.setattr(OptRun, "structure", checked_structure)
         monkeypatch.setattr(loops_module, "find_counted_loops", checked_recognition)
         monkeypatch.setattr(licm_module, "plan_loop_invariants", checked_plan)
         supported_ops = _supported(ref_result)
@@ -384,7 +429,7 @@ class TestSharedAnalysesMatchFreshRecognition:
             assert optimized.hw_loops == loops_module.annotate_hardware_loops(
                 final, OptRun()
             ), seed
-        assert checked["counted"] and checked["plan"]
+        assert all(checked.values())
 
     def test_memoized_trip_counts_keep_the_branch_sense(self):
         # Two self-loops with the same init, update and condition: "a"
@@ -505,16 +550,26 @@ class TestGvnHitCount:
 
 class TestTempCount:
     """``temps_introduced`` counts the temporaries of every stage: each is
-    a new scalar of the result or was removed again by DCE."""
+    a new scalar of the result or a scalar DCE removed again."""
 
     def test_every_temporary_is_counted(self, generated_300, ref_result):
         introduced = 0
         for supported_ops in (None, _supported(ref_result)):
             programs = [kernel_program(kernel) for kernel in KERNELS] + generated_300
             for index, program in enumerate(programs):
-                optimized, stats = OptPipeline().run(program, supported_ops=supported_ops)
+                seen = [set(program.scalars)]
+                removed = set()
+
+                def observe(stage, result):
+                    scalars = set(result.scalars)
+                    removed.update(seen[-1] - scalars)
+                    seen.append(scalars)
+
+                optimized, stats = OptPipeline().run(
+                    program, supported_ops=supported_ops, observer=observe
+                )
                 new = set(optimized.scalars) - set(program.scalars)
-                assert stats.temps_introduced == len(new) + stats.dead_removed, index
+                assert stats.temps_introduced == len(new) + len(removed), index
                 introduced += stats.temps_introduced
         assert introduced
 

@@ -186,7 +186,7 @@ class TestPreheaders:
         hoisted = hoist_loop_invariants(program, run)
         assert len(hoisted.blocks) == len(program.blocks)
         assert [str(s) for s in hoisted.block("L2_join").statements] == ["k = mul(a, b)"]
-        assert run.counters["licm_hoisted"] == 1
+        assert run.stats.licm_hoisted == 1
         _assert_same_execution(program, hoisted)
 
     def test_multiple_outside_predecessors_get_fresh_preheader(self):
