@@ -160,9 +160,8 @@ def check_cfg(program) -> List[Finding]:
 
 
 def _statement_label(statement) -> str:
-    """A short context label for one statement.  ``str(statement)``
-    recurses through the whole expression tree, which overflows the
-    stack on pathologically deep chains -- name the destination only."""
+    """A short context label for one statement: its destination only, so
+    a finding stays one line however large the expression is."""
     destination = getattr(statement, "destination", None)
     if destination:
         return "%s := ... " % destination

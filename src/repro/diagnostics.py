@@ -7,14 +7,16 @@ programs, target names, pipeline configurations) derive from
 type and still present precise, located messages.  Errors that carry a
 position in an input text attach a :class:`SourceLocation`.
 
-This module sits below every other ``repro`` package and must not import
-any of them.
+This module sits below every other ``repro`` package and imports none of
+them, only the leaf module :mod:`repro.records`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
+
+from repro.records import Record
 
 
 @dataclass(frozen=True)
@@ -218,7 +220,7 @@ class InternalCompilerError(ReproError):
 
 
 @dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     """One structured, non-fatal message attached to a compilation result.
 
     ``severity`` is ``"note"``, ``"warning"`` or ``"error"``; ``phase``
@@ -228,17 +230,6 @@ class Diagnostic:
     severity: str
     message: str
     phase: str = ""
-
-    def to_dict(self) -> dict:
-        return {"severity": self.severity, "message": self.message, "phase": self.phase}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Diagnostic":
-        return cls(
-            severity=data["severity"],
-            message=data["message"],
-            phase=data.get("phase", ""),
-        )
 
     def __str__(self) -> str:
         origin = " [%s]" % self.phase if self.phase else ""

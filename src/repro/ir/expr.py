@@ -49,7 +49,7 @@ class PortInput(IRNode):
         return "@%s" % self.port
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ArrayRef(IRNode):
     """An array element access with a *runtime* index expression.
 
@@ -71,10 +71,13 @@ class ArrayRef(IRNode):
         return (self.index,)
 
     def __str__(self) -> str:
-        return "%s[%s]" % (self.name, self.index)
+        return render_expr(self)
+
+    def __repr__(self) -> str:
+        return render_expr(self, dataclass_form=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Op(IRNode):
     """An operator applied to one or two sub-expressions.
 
@@ -89,10 +92,50 @@ class Op(IRNode):
         return self.operands
 
     def __str__(self) -> str:
-        return "%s(%s)" % (self.op, ", ".join(str(o) for o in self.operands))
+        return render_expr(self)
+
+    def __repr__(self) -> str:
+        return render_expr(self, dataclass_form=True)
 
 
 IRExpr = IRNode
+
+
+def render_expr(expr: IRNode, dataclass_form: bool = False) -> str:
+    """``str(expr)``, or ``repr(expr)`` with ``dataclass_form``, without
+    recursion, so a tree of any depth renders: ``add(a, x[i])``, or
+    ``Op(op='add', operands=(VarRef(name='a'), ...))`` as the dataclass
+    would write it.  A stack holds the nodes still to render and the
+    text between them."""
+    parts: List[str] = []
+    stack: list = [expr]
+    while stack:
+        node = stack.pop()
+        if type(node) is str:
+            parts.append(node)
+        elif isinstance(node, Op):
+            operands = node.operands
+            if dataclass_form:
+                parts.append("%s(op=%r, operands=(" % (type(node).__qualname__, node.op))
+                stack.append(",))" if len(operands) == 1 else "))")
+            else:
+                parts.append(node.op + "(")
+                stack.append(")")
+            for position in range(len(operands) - 1, -1, -1):
+                stack.append(operands[position])
+                if position:
+                    stack.append(", ")
+        elif isinstance(node, ArrayRef):
+            if dataclass_form:
+                parts.append("%s(name=%r, index=" % (type(node).__qualname__, node.name))
+                stack.append(")")
+            else:
+                parts.append(node.name + "[")
+                stack.append("]")
+            stack.append(node.index)
+        else:
+            parts.append(repr(node) if dataclass_form else str(node))
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.ir.expr import (
     expr_size,
     expr_variables,
 )
+from repro.records import Record
 
 
 class MultiBlockError(ReproError, ValueError):
@@ -234,7 +235,7 @@ def reverse_postorder(
 
 
 @dataclass(frozen=True)
-class HardwareLoop:
+class HardwareLoop(Record):
     """Loop metadata attached to a :class:`Program` by the optimizer.
 
     Describes one *counted single-block self-loop*: block ``latch`` ends
@@ -254,13 +255,6 @@ class HardwareLoop:
     latch: str
     trip_count: int
     kind: str = "repeat"
-
-    def to_dict(self) -> dict:
-        return {
-            "latch": self.latch,
-            "trip_count": self.trip_count,
-            "kind": self.kind,
-        }
 
 
 @dataclass(frozen=True)

@@ -41,9 +41,9 @@ _MAX_CONTROL_WIDTH = 24
 class ControlAnalyzer:
     """Computes symbolic values of control signals and execution conditions."""
 
-    def __init__(self, netlist: Netlist, manager: Optional[BDDManager] = None):
+    def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        self.manager = manager if manager is not None else BDDManager()
+        self.manager = BDDManager()
         self._output_cache: Dict[Tuple[str, str], Optional[BitVector]] = {}
         self._in_progress: Set[Tuple[str, str]] = set()
         self._declare_control_variables()

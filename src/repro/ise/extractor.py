@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.bdd.manager import BDDManager
 from repro.ise.control import ControlAnalyzer
 from repro.ise.routes import RouteEnumerator
 from repro.ise.templates import RTTemplateBase
@@ -34,18 +33,10 @@ class ExtractionResult:
 class InstructionSetExtractor:
     """Runs route enumeration plus control-signal analysis on a netlist."""
 
-    def __init__(
-        self,
-        netlist: Netlist,
-        manager: Optional[BDDManager] = None,
-        max_depth: int = 8,
-        max_alternatives: int = 4000,
-    ):
+    def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        self.control = ControlAnalyzer(netlist, manager)
-        self.enumerator = RouteEnumerator(
-            netlist, self.control, max_depth=max_depth, max_alternatives=max_alternatives
-        )
+        self.control = ControlAnalyzer(netlist)
+        self.enumerator = RouteEnumerator(netlist, self.control)
 
     def extract(self) -> ExtractionResult:
         """Extract the complete valid RT template base.
@@ -79,14 +70,6 @@ class InstructionSetExtractor:
         )
 
 
-def extract_instruction_set(
-    netlist: Netlist,
-    manager: Optional[BDDManager] = None,
-    max_depth: int = 8,
-    max_alternatives: int = 4000,
-) -> ExtractionResult:
+def extract_instruction_set(netlist: Netlist) -> ExtractionResult:
     """Convenience wrapper: run ISE on a netlist and return the result."""
-    extractor = InstructionSetExtractor(
-        netlist, manager=manager, max_depth=max_depth, max_alternatives=max_alternatives
-    )
-    return extractor.extract()
+    return InstructionSetExtractor(netlist).extract()

@@ -67,6 +67,13 @@ UNARY_OPERATOR_NAMES = {
     "!": "lnot",
 }
 
+#: Route enumeration limits: the longest chain of modules one route
+#: crosses, and the most alternatives one endpoint may produce before
+#: enumeration is cut short (``RouteEnumerator.truncated``).  They are
+#: part of every retarget cache key.
+MAX_ROUTE_DEPTH = 8
+MAX_ROUTE_ALTERNATIVES = 4000
+
 # Operators whose result is the same when the operands are swapped; used by
 # the commutativity expansion in repro.expansion.
 COMMUTATIVE_OPERATORS = {"add", "mul", "and", "or", "xor", "eq", "ne"}
@@ -88,8 +95,8 @@ class RouteEnumerator:
         self,
         netlist: Netlist,
         control: ControlAnalyzer,
-        max_depth: int = 8,
-        max_alternatives: int = 4000,
+        max_depth: int = MAX_ROUTE_DEPTH,
+        max_alternatives: int = MAX_ROUTE_ALTERNATIVES,
     ):
         self.netlist = netlist
         self.control = control

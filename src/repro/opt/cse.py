@@ -114,10 +114,15 @@ def _rebuild_with_temps(
 
 def eliminate_dead_temporaries(program: Program, run: OptRun) -> Program:
     """``program`` without the assignments to ``run.temps`` (the
-    temporaries this run introduced) that nothing reads -- no statement,
-    store index or branch condition in any block -- removed again until
-    none is left; ``program`` itself when there is none.
+    temporaries this run introduced) whose values nothing observable
+    reads; ``program`` itself when there is none.
     ``run.stats.dead_removed`` counts the assignments removed.
+
+    Mark, then sweep: a temporary is live when a statement other than an
+    assignment to a temporary reads it, or a store index or branch
+    condition does; the reads of a live temporary's assignments are
+    live too, until the set stops growing.  So a temporary that only its
+    own update reads (``__sr0 = add(__sr0, 3)``) is dead.
 
     A user variable is never removed, even one named like a temporary.
     Surviving statements, and the blocks that lose none, are shared with
@@ -125,33 +130,38 @@ def eliminate_dead_temporaries(program: Program, run: OptRun) -> Program:
     temps = run.temps
     if not temps:
         return program
-    blocks = program.blocks
-    while True:
-        read: Set[str] = set()
-        for block in blocks:
-            for statement in block.statements:
-                read |= _statement_reads(statement)
-            if block.terminator is not None:
-                read |= block.terminator.variables()
-        dead = temps - read
-        kept_blocks = []
-        removed = 0
-        for block in blocks:
-            kept = tuple(
-                statement
-                for statement in block.statements
-                if statement.destination_index is not None or statement.destination not in dead
-            )
+    live: Set[str] = set()
+    feeds: Dict[str, Set[str]] = {}  # temporary -> what its assignments read
+    for block in program.blocks:
+        for statement in block.statements:
+            if statement.destination_index is None and statement.destination in temps:
+                feeds.setdefault(statement.destination, set()).update(
+                    expr_variables(statement.expression)
+                )
+            else:
+                live |= _statement_reads(statement)
+        if block.terminator is not None:
+            live |= block.terminator.variables()
+    pending = list(live)
+    while pending:
+        for name in feeds.get(pending.pop(), ()):
+            if name not in live:
+                live.add(name)
+                pending.append(name)
+    dead = temps - live
+    blocks = list(program.blocks)
+    removed = 0
+    for position, block in enumerate(blocks):
+        kept = tuple(
+            statement
+            for statement in block.statements
+            if statement.destination_index is not None or statement.destination not in dead
+        )
+        if len(kept) < len(block.statements):
             removed += len(block.statements) - len(kept)
-            kept_blocks.append(
-                block if len(kept) == len(block.statements) else replace(block, statements=kept)
-            )
-        if not removed:
-            break
-        run.stats.dead_removed += removed
-        blocks = tuple(kept_blocks)
-    defined = {statement.destination for block in blocks for statement in block.statements}
-    scalars = tuple(name for name in program.scalars if name not in temps or name in defined)
-    if blocks is program.blocks and len(scalars) == len(program.scalars):
+            blocks[position] = replace(block, statements=kept)
+    scalars = tuple(name for name in program.scalars if name not in dead)
+    if not removed and len(scalars) == len(program.scalars):
         return program
-    return replace(program, blocks=blocks, scalars=scalars)
+    run.stats.dead_removed += removed
+    return replace(program, blocks=tuple(blocks), scalars=scalars)

@@ -207,34 +207,9 @@ def _subexpr_candidates(statements: Sequence[Statement]) -> List[IRNode]:
     for _size, group in groupby(ranked, key=lambda rep: rep[0]):
         nodes = [node for _size, node in group]
         if len(nodes) > 1:
-            nodes.sort(key=_text)
+            nodes.sort(key=str)
         ordered.extend(nodes)
     return ordered
-
-
-def _text(expr: IRNode) -> str:
-    """``str(expr)``, without recursion."""
-    parts: List[str] = []
-    stack: list = [expr]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is str:
-            parts.append(node)
-        elif kind is Op:
-            parts.append(node.op + "(")
-            stack.append(")")
-            for position in range(len(node.operands) - 1, 0, -1):
-                stack.append(node.operands[position])
-                stack.append(", ")
-            stack.append(node.operands[0])
-        elif kind is ArrayRef:
-            parts.append(node.name + "[")
-            stack.append("]")
-            stack.append(node.index)
-        else:
-            parts.append(str(node))
-    return "".join(parts)
 
 
 def plan_loop_invariants(program: Program, run: OptRun) -> list:

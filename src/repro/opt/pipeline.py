@@ -58,6 +58,7 @@ from repro.opt.fold import (
 )
 from repro.opt.gvn import global_value_numbering
 from repro.opt.licm import hoist_loop_invariants
+from repro.records import Record
 
 
 class OptimizationError(ReproError):
@@ -67,7 +68,7 @@ class OptimizationError(ReproError):
 
 
 @dataclass
-class OptStats:
+class OptStats(Record):
     """Statistics of one optimizer run (surfaced through
     :class:`~repro.toolchain.results.CompileMetrics` and ``--timings``).
 
@@ -112,45 +113,6 @@ class OptStats:
         if not self.nodes_before:
             return 0.0
         return self.nodes_removed / self.nodes_before
-
-    def to_dict(self) -> dict:
-        return {
-            "nodes_before": self.nodes_before,
-            "nodes_after": self.nodes_after,
-            "statements_before": self.statements_before,
-            "statements_after": self.statements_after,
-            "folds": self.folds,
-            "algebraic": self.algebraic,
-            "cse_hits": self.cse_hits,
-            "gvn_hits": self.gvn_hits,
-            "licm_hoisted": self.licm_hoisted,
-            "strength_reductions": self.strength_reductions,
-            "loops_rotated": self.loops_rotated,
-            "hw_loops": self.hw_loops,
-            "temps_introduced": self.temps_introduced,
-            "dead_removed": self.dead_removed,
-            "rewrites": dict(self.rewrites),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "OptStats":
-        return cls(
-            nodes_before=data.get("nodes_before", 0),
-            nodes_after=data.get("nodes_after", 0),
-            statements_before=data.get("statements_before", 0),
-            statements_after=data.get("statements_after", 0),
-            folds=data.get("folds", 0),
-            algebraic=data.get("algebraic", 0),
-            cse_hits=data.get("cse_hits", 0),
-            gvn_hits=data.get("gvn_hits", 0),
-            licm_hoisted=data.get("licm_hoisted", 0),
-            strength_reductions=data.get("strength_reductions", 0),
-            loops_rotated=data.get("loops_rotated", 0),
-            hw_loops=data.get("hw_loops", 0),
-            temps_introduced=data.get("temps_introduced", 0),
-            dead_removed=data.get("dead_removed", 0),
-            rewrites=dict(data.get("rewrites", {})),
-        )
 
 
 def copy_program(program: Program) -> Program:

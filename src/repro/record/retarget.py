@@ -22,13 +22,14 @@ from repro.ise.templates import RTTemplateBase
 from repro.netlist.builder import build_netlist
 from repro.netlist.netlist import Netlist
 from repro.obs.trace import current_tracer
+from repro.records import Record
 from repro.selector.burs import CodeSelector
 from repro.selector.emit import compile_matcher_module
 from repro.selector.tables import GrammarTables
 
 
 @dataclass
-class PhaseTimings:
+class PhaseTimings(Record):
     """Wall-clock seconds spent in each retargeting phase.
 
     ``tables`` is the offline matcher-table generation (the grammar's
@@ -49,27 +50,11 @@ class PhaseTimings:
 
     @property
     def total(self) -> float:
-        return (
-            self.hdl_frontend
-            + self.netlist
-            + self.extraction
-            + self.expansion
-            + self.grammar
-            + self.tables
-            + self.parser_generation
-        )
+        return sum(vars(self).values())
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "hdl_frontend": self.hdl_frontend,
-            "netlist": self.netlist,
-            "extraction": self.extraction,
-            "expansion": self.expansion,
-            "grammar": self.grammar,
-            "tables": self.tables,
-            "parser_generation": self.parser_generation,
-            "total": self.total,
-        }
+        """The phases in field order, then their ``total``."""
+        return {**self.to_dict(), "total": self.total}
 
 
 @dataclass
@@ -136,8 +121,6 @@ class RetargetResult:
 def retarget(
     hdl_source: str,
     expansion: Optional[ExpansionOptions] = None,
-    max_depth: int = 8,
-    max_alternatives: int = 4000,
     generate_matcher: bool = True,
 ) -> RetargetResult:
     """Run the complete retargeting flow on one HDL processor model."""
@@ -156,9 +139,7 @@ def retarget(
 
     start = time.perf_counter()
     with tracer.span("retarget:extraction") as span:
-        extraction = extract_instruction_set(
-            netlist, max_depth=max_depth, max_alternatives=max_alternatives
-        )
+        extraction = extract_instruction_set(netlist)
         if tracer.enabled:
             span.set(templates=len(extraction.template_base))
     timings.extraction = time.perf_counter() - start

@@ -74,8 +74,23 @@ class SubjectNode:
         return nodes
 
     def __repr__(self) -> str:
-        if self.const_value is not None and self.is_leaf():
-            return "%s(%d)" % (self.label, self.const_value)
-        if self.is_leaf():
-            return self.label
-        return "%s(%s)" % (self.label, ", ".join(repr(c) for c in self.children))
+        """``label(child, ...)``, a constant leaf as ``label(value)``;
+        walked with a stack, so a tree of any depth renders."""
+        parts: List[str] = []
+        stack: list = [self]
+        while stack:
+            node = stack.pop()
+            if type(node) is str:
+                parts.append(node)
+            elif node.children:
+                parts.append(node.label + "(")
+                stack.append(")")
+                for child in reversed(node.children[1:]):
+                    stack.append(child)
+                    stack.append(", ")
+                stack.append(node.children[0])
+            elif node.const_value is not None:
+                parts.append("%s(%d)" % (node.label, node.const_value))
+            else:
+                parts.append(node.label)
+        return "".join(parts)

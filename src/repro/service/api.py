@@ -12,10 +12,11 @@ objects.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Dict, List, Optional
 
 from repro.diagnostics import ReproError
+from repro.records import Record
 from repro.toolchain.passes import PipelineConfig
 from repro.toolchain.results import CompilationResult
 
@@ -27,21 +28,12 @@ class RequestError(ReproError):
 
 
 @dataclass(frozen=True)
-class ErrorInfo:
+class ErrorInfo(Record):
     """Structured description of one failed request."""
 
     type: str
     message: str
     phase: str = ""
-
-    def to_dict(self) -> dict:
-        return {"type": self.type, "message": self.message, "phase": self.phase}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ErrorInfo":
-        return cls(
-            type=data["type"], message=data["message"], phase=data.get("phase", "")
-        )
 
     @classmethod
     def from_exception(cls, error: BaseException) -> "ErrorInfo":
@@ -53,7 +45,7 @@ class ErrorInfo:
 
 
 @dataclass(frozen=True)
-class CompileRequest:
+class CompileRequest(Record):
     """One compilation job.
 
     Exactly one of ``source`` (program text) or ``kernel`` (a DSPStone
@@ -134,29 +126,13 @@ class CompileRequest:
         return "request%d" % index
 
     def to_dict(self) -> dict:
-        data: dict = {"target": self.target}
-        if self.source is not None:
-            data["source"] = self.source
-        if self.kernel is not None:
-            data["kernel"] = self.kernel
-        if self.name is not None:
-            data["name"] = self.name
-        if self.preset is not None:
-            data["preset"] = self.preset
-        if self.config is not None:
-            data["config"] = self.config.to_dict()
-        if self.opt is not None:
-            data["opt"] = self.opt
-        if self.verify is not None:
-            data["verify"] = self.verify
-        if self.binding_overrides:
-            data["binding_overrides"] = dict(self.binding_overrides)
-        if self.request_id is not None:
-            data["request_id"] = self.request_id
-        if self.timeout_s is not None:
-            data["timeout_s"] = self.timeout_s
-        if self.trace:
-            data["trace"] = True
+        """Every field that differs from its default, in field order
+        (``target`` has none, so it is always there)."""
+        data = super().to_dict()
+        for spec in fields(self):
+            default = spec.default if spec.default_factory is MISSING else spec.default_factory()
+            if data[spec.name] == default:
+                del data[spec.name]
         return data
 
     @classmethod
@@ -168,26 +144,11 @@ class CompileRequest:
             # Placeholder parse_jobs puts in place of an entry that failed
             # to decode; surface the original error.
             raise RequestError("malformed job: %s" % data["_malformed"])
-        known = {
-            "target",
-            "source",
-            "kernel",
-            "name",
-            "preset",
-            "config",
-            "opt",
-            "verify",
-            "binding_overrides",
-            "request_id",
-            "timeout_s",
-            "trace",
-        }
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - {spec.name for spec in fields(cls)})
         if unknown:
             raise RequestError(
                 "unknown compile-request field(s): %s" % ", ".join(unknown)
             )
-        config = data.get("config")
         opt = data.get("opt")
         if opt is not None and not isinstance(opt, bool):
             raise RequestError('"opt" must be a JSON boolean')
@@ -197,20 +158,11 @@ class CompileRequest:
         trace = data.get("trace", False)
         if not isinstance(trace, bool):
             raise RequestError('"trace" must be a JSON boolean')
-        request = cls(
-            target=data.get("target", ""),
-            source=data.get("source"),
-            kernel=data.get("kernel"),
-            name=data.get("name"),
-            preset=data.get("preset"),
-            config=None if config is None else PipelineConfig.from_dict(config),
-            opt=opt,
-            verify=verify,
-            binding_overrides=dict(data.get("binding_overrides") or {}),
-            request_id=data.get("request_id"),
-            timeout_s=data.get("timeout_s"),
-            trace=trace,
-        )
+        values = {"target": "", **data}
+        if values.get("config") is not None:
+            values["config"] = PipelineConfig.from_dict(values["config"])
+        values["binding_overrides"] = dict(data.get("binding_overrides") or {})
+        request = cls(**values)
         request.validate()
         return request
 

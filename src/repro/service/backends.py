@@ -302,7 +302,7 @@ def _worker_main(
     cache_dir: Optional[str],
     warm_targets,
     test_hooks: bool,
-    stderr_path: Optional[str] = None,
+    stderr_path: str,
 ):
     """Worker-process entry point.
 
@@ -314,22 +314,21 @@ def _worker_main(
     so the parent can aggregate pool/cache hit rates), then the encoded
     envelope.  The parent counts the responses itself.
 
-    With ``stderr_path`` the worker's fd 2 is redirected there so the
-    parent can attach the trailing lines to a crash report -- including
-    the traceback of anything that escapes this loop.
+    The worker's fd 2 is redirected to ``stderr_path`` so the parent can
+    attach the trailing lines to a crash report -- including the
+    traceback of anything that escapes this loop.
     """
-    if stderr_path:
-        try:
-            if log.enabled() and not os.environ.get("REPRO_LOG_FILE"):
-                # Keep log records flowing to the *inherited* stderr (the
-                # server's log stream) even after fd 2 is redirected into
-                # the crash-capture file below.
-                log.configure(
-                    stream=os.fdopen(os.dup(2), "w", buffering=1)
-                )
-            _redirect_stderr(stderr_path)
-        except OSError:
-            pass  # stderr capture is best-effort; the worker still serves
+    try:
+        if log.enabled() and not os.environ.get("REPRO_LOG_FILE"):
+            # Keep log records flowing to the *inherited* stderr (the
+            # server's log stream) even after fd 2 is redirected into
+            # the crash-capture file below.
+            log.configure(
+                stream=os.fdopen(os.dup(2), "w", buffering=1)
+            )
+        _redirect_stderr(stderr_path)
+    except OSError:
+        pass  # stderr capture is best-effort; the worker still serves
     pool = SessionPool(cache=RetargetCache(directory=cache_dir if cache_dir else False))
     service = CompileService(pool=pool)
     warmed: List[str] = []
@@ -397,7 +396,7 @@ class _Worker:
         "completed", "failed", "pool_stats",
     )
 
-    def __init__(self, process, conn, generation: int, stderr_path: Optional[str] = None):
+    def __init__(self, process, conn, generation: int, stderr_path: str):
         self.process = process
         self.conn = conn
         self.pid = process.pid
@@ -436,20 +435,12 @@ class ProcessCompileBackend(CompileBackend):
         cache_dir: Optional[str] = None,
         request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S,
         test_hooks: bool = False,
-        respawn_backoff_s: float = DEFAULT_RESPAWN_BACKOFF_S,
-        respawn_backoff_max_s: float = DEFAULT_RESPAWN_BACKOFF_MAX_S,
-        respawn_backoff_after: int = DEFAULT_RESPAWN_BACKOFF_AFTER,
-        stderr_tail_lines: int = DEFAULT_STDERR_TAIL_LINES,
     ):
         import multiprocessing
 
         super().__init__()
         self.workers = workers if workers else default_process_workers()
         self.request_timeout_s = request_timeout_s
-        self.stderr_tail_lines = stderr_tail_lines
-        self.respawn_backoff_s = respawn_backoff_s
-        self.respawn_backoff_max_s = respawn_backoff_max_s
-        self.respawn_backoff_after = respawn_backoff_after
         self._context = multiprocessing.get_context("spawn")
         self._test_hooks = test_hooks
         self._owns_cache_dir = cache_dir is None
@@ -509,12 +500,10 @@ class ProcessCompileBackend(CompileBackend):
                 raise BackendError("backend is closed")
             self._generation += 1
             generation = self._generation
-        stderr_path: Optional[str] = None
-        if self.stderr_tail_lines > 0:
-            fd, stderr_path = tempfile.mkstemp(
-                prefix="repro-worker-%d-" % generation, suffix=".stderr"
-            )
-            os.close(fd)
+        fd, stderr_path = tempfile.mkstemp(
+            prefix="repro-worker-%d-" % generation, suffix=".stderr"
+        )
+        os.close(fd)
         parent_conn, child_conn = self._context.Pipe(duplex=True)
         process = self._context.Process(
             target=_worker_main,
@@ -530,7 +519,7 @@ class ProcessCompileBackend(CompileBackend):
         )
         process.start()
         child_conn.close()
-        worker = _Worker(process, parent_conn, generation, stderr_path=stderr_path)
+        worker = _Worker(process, parent_conn, generation, stderr_path)
         if not parent_conn.poll(WORKER_BOOT_TIMEOUT_S):
             self._kill(worker)
             raise BackendError("compile worker %d did not boot" % generation)
@@ -561,24 +550,21 @@ class ProcessCompileBackend(CompileBackend):
             if worker.process.is_alive() and hasattr(worker.process, "kill"):
                 worker.process.kill()
                 worker.process.join(timeout=5.0)
-        if worker.stderr_path:
-            try:
-                os.unlink(worker.stderr_path)
-            except OSError:
-                pass
+        try:
+            os.unlink(worker.stderr_path)
+        except OSError:
+            pass
 
     def _stderr_tail(self, worker: _Worker) -> str:
-        """The last ``stderr_tail_lines`` lines the worker wrote to its
-        captured stderr ('' when capture is off or the file is empty).
+        """The last ``DEFAULT_STDERR_TAIL_LINES`` lines the worker wrote to
+        its captured stderr ('' when the file is empty or unreadable).
         Read *before* :meth:`_kill`, which deletes the file."""
-        if not worker.stderr_path or self.stderr_tail_lines <= 0:
-            return ""
         try:
             with open(worker.stderr_path, "r", errors="replace") as handle:
                 lines = handle.read().splitlines()
         except OSError:
             return ""
-        return "\n".join(lines[-self.stderr_tail_lines:]).strip()
+        return "\n".join(lines[-DEFAULT_STDERR_TAIL_LINES:]).strip()
 
     def _respawn(self, worker: _Worker) -> _Worker:
         self._kill(worker)
@@ -594,14 +580,14 @@ class ProcessCompileBackend(CompileBackend):
 
     def _backoff_delay(self, streak: int) -> float:
         """Respawn delay for the ``streak``-th consecutive crash (0.0
-        until the streak passes ``respawn_backoff_after``, then
-        exponential up to ``respawn_backoff_max_s``)."""
-        after = self.respawn_backoff_after
-        if streak <= after or self.respawn_backoff_s <= 0:
+        until the streak passes ``DEFAULT_RESPAWN_BACKOFF_AFTER``, then
+        exponential up to ``DEFAULT_RESPAWN_BACKOFF_MAX_S``)."""
+        after = DEFAULT_RESPAWN_BACKOFF_AFTER
+        if streak <= after:
             return 0.0
         return min(
-            self.respawn_backoff_s * (2.0 ** (streak - after - 1)),
-            self.respawn_backoff_max_s,
+            DEFAULT_RESPAWN_BACKOFF_S * (2.0 ** (streak - after - 1)),
+            DEFAULT_RESPAWN_BACKOFF_MAX_S,
         )
 
     def _bump(self, counter: str, by: int = 1) -> None:
@@ -714,7 +700,7 @@ class ProcessCompileBackend(CompileBackend):
                 )
                 if tail:
                     message += "\nworker stderr (last %d lines):\n%s" % (
-                        self.stderr_tail_lines,
+                        DEFAULT_STDERR_TAIL_LINES,
                         tail,
                     )
                 return worker, error_response(

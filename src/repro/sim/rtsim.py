@@ -34,6 +34,7 @@ from repro.codegen.selection import BlockCode, RTInstance, StatementCode
 from repro.ir import apply_operator, evaluate_expr, wrap_word
 from repro.ir.expr import array_element_name
 from repro.ir.program import DEFAULT_STEP_LIMIT
+from repro.records import Record
 from repro.selector.subject import SubjectNode
 
 
@@ -280,21 +281,13 @@ class RTSimulator:
 
 
 @dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Record):
     """The simulation record of one statement's RT sequence."""
 
     statement: str
     operations: List[str]
     environment: Dict[str, int]
     block: str
-
-    def to_dict(self) -> dict:
-        return {
-            "statement": self.statement,
-            "operations": list(self.operations),
-            "environment": dict(self.environment),
-            "block": self.block,
-        }
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ import threading
 from typing import Optional, Tuple
 
 from repro.expansion.expander import ExpansionOptions
+from repro.ise.routes import MAX_ROUTE_ALTERNATIVES, MAX_ROUTE_DEPTH
 from repro.record.retarget import RetargetResult, retarget
 
 #: Bump to invalidate every existing cache entry when the pickled layout
@@ -61,8 +62,6 @@ def default_cache_dir() -> str:
 def retarget_fingerprint(
     hdl_source: str,
     expansion: Optional[ExpansionOptions] = None,
-    max_depth: int = 8,
-    max_alternatives: int = 4000,
 ) -> str:
     """Content hash of one retargeting problem.
 
@@ -87,7 +86,9 @@ def retarget_fingerprint(
     hasher.update(b"\x00")
     hasher.update(expansion_key.encode("utf-8"))
     hasher.update(b"\x00")
-    hasher.update(("depth=%d alts=%d" % (max_depth, max_alternatives)).encode("utf-8"))
+    hasher.update(
+        ("depth=%d alts=%d" % (MAX_ROUTE_DEPTH, MAX_ROUTE_ALTERNATIVES)).encode("utf-8")
+    )
     return hasher.hexdigest()
 
 
@@ -189,8 +190,6 @@ class RetargetCache:
         self,
         hdl_source: str,
         expansion: Optional[ExpansionOptions] = None,
-        max_depth: int = 8,
-        max_alternatives: int = 4000,
         generate_matcher: bool = True,
     ) -> Tuple[RetargetResult, bool]:
         """``(result, hit)`` for one retargeting problem.
@@ -201,12 +200,7 @@ class RetargetCache:
         it from the cached grammar and tables when the entry has none
         (see :meth:`RetargetResult.regenerate_matcher`).
         """
-        key = retarget_fingerprint(
-            hdl_source,
-            expansion=expansion,
-            max_depth=max_depth,
-            max_alternatives=max_alternatives,
-        )
+        key = retarget_fingerprint(hdl_source, expansion=expansion)
         from repro.obs.trace import current_tracer
 
         cached = self.get(key)
@@ -219,11 +213,7 @@ class RetargetCache:
         self.misses += 1
         current_tracer().instant("retarget_cache:miss", key=key[:12])
         result = retarget(
-            hdl_source,
-            expansion=expansion,
-            max_depth=max_depth,
-            max_alternatives=max_alternatives,
-            generate_matcher=generate_matcher,
+            hdl_source, expansion=expansion, generate_matcher=generate_matcher
         )
         self.put(key, result)
         return result, False

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional
 
 from repro.codegen.compaction import InstructionWord, compact_blocks
@@ -35,6 +35,7 @@ from repro.ir.binding import ResourceBinding
 from repro.ir.program import Program
 from repro.obs.trace import current_tracer
 from repro.opt.pipeline import OptPipeline, OptStats
+from repro.records import Record
 from repro.selector.burs import CodeSelector
 
 
@@ -51,7 +52,7 @@ def _verify_default() -> bool:
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(Record):
     """Declarative description of one backend pipeline.
 
     ``allow_chained`` and ``use_expanded_templates`` restrict the *grammar*
@@ -82,11 +83,6 @@ class PipelineConfig:
 
     def with_updates(self, **changes) -> "PipelineConfig":
         return replace(self, **changes)
-
-    def to_dict(self) -> Dict[str, bool]:
-        """The config as a plain dict (the serialized form used by
-        :meth:`repro.toolchain.results.CompilationResult.to_dict`)."""
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, bool]) -> "PipelineConfig":

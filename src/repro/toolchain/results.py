@@ -35,6 +35,8 @@ from repro.codegen.spill import count_spills
 from repro.diagnostics import Diagnostic, ResultError
 from repro.ir.binding import ResourceBinding
 from repro.ir.program import Program
+from repro.opt.pipeline import OptStats
+from repro.records import Record
 from repro.toolchain.passes import CompilationState, PipelineConfig
 
 #: Bump when the dict layout of :meth:`CompilationResult.to_dict` changes.
@@ -42,7 +44,7 @@ RESULT_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
-class CompileMetrics:
+class CompileMetrics(Record):
     """The scalar quantities of one compilation (figure-2 metrics plus
     bookkeeping the service layer reports per request).
 
@@ -89,78 +91,18 @@ class CompileMetrics:
     verify_time_s: float = 0.0
     verify_checks: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "code_size": self.code_size,
-            "operation_count": self.operation_count,
-            "spill_count": self.spill_count,
-            "selection_cost": self.selection_cost,
-            "statement_count": self.statement_count,
-            "compile_time_s": self.compile_time_s,
-            "nodes_labelled": self.nodes_labelled,
-            "label_memo_hit_rate": self.label_memo_hit_rate,
-            "tables_build_time_s": self.tables_build_time_s,
-            "opt_nodes_before": self.opt_nodes_before,
-            "opt_nodes_after": self.opt_nodes_after,
-            "opt_folds": self.opt_folds,
-            "opt_cse_hits": self.opt_cse_hits,
-            "opt_temps": self.opt_temps,
-            "opt_gvn_hits": self.opt_gvn_hits,
-            "opt_licm_hoisted": self.opt_licm_hoisted,
-            "opt_strength_reductions": self.opt_strength_reductions,
-            "opt_hw_loops": self.opt_hw_loops,
-            "verify_time_s": self.verify_time_s,
-            "verify_checks": self.verify_checks,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CompileMetrics":
-        return cls(
-            code_size=data["code_size"],
-            operation_count=data["operation_count"],
-            spill_count=data["spill_count"],
-            selection_cost=data["selection_cost"],
-            statement_count=data["statement_count"],
-            compile_time_s=data["compile_time_s"],
-            nodes_labelled=data.get("nodes_labelled", 0),
-            label_memo_hit_rate=data.get("label_memo_hit_rate", 0.0),
-            tables_build_time_s=data.get("tables_build_time_s", 0.0),
-            opt_nodes_before=data.get("opt_nodes_before", 0),
-            opt_nodes_after=data.get("opt_nodes_after", 0),
-            opt_folds=data.get("opt_folds", 0),
-            opt_cse_hits=data.get("opt_cse_hits", 0),
-            opt_temps=data.get("opt_temps", 0),
-            opt_gvn_hits=data.get("opt_gvn_hits", 0),
-            opt_licm_hoisted=data.get("opt_licm_hoisted", 0),
-            opt_strength_reductions=data.get("opt_strength_reductions", 0),
-            opt_hw_loops=data.get("opt_hw_loops", 0),
-            verify_time_s=data.get("verify_time_s", 0.0),
-            verify_checks=data.get("verify_checks", 0),
-        )
-
 
 @dataclass(frozen=True)
-class StatementArtifact:
+class StatementArtifact(Record):
     """Serialized view of the code generated for one source statement."""
 
     statement: str
     cost: int
     operations: Tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "statement": self.statement,
-            "cost": self.cost,
-            "operations": list(self.operations),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StatementArtifact":
-        return cls(
-            statement=data["statement"],
-            cost=data["cost"],
-            operations=tuple(data.get("operations", ())),
-        )
+    def __post_init__(self) -> None:
+        # Operations decoded from JSON arrive as a list.
+        object.__setattr__(self, "operations", tuple(self.operations))
 
     @classmethod
     def from_code(cls, code: StatementCode) -> "StatementArtifact":
@@ -221,8 +163,8 @@ class CompilationResult:
         instances: List[RTInstance] = []
         for code in codes:
             instances.extend(code.instances)
-        selection_stats = getattr(state, "selection_stats", None) or {}
-        opt_stats = getattr(state, "opt_stats", None)
+        selection_stats = state.selection_stats
+        opt_stats = state.opt_stats or OptStats()
         metrics = CompileMetrics(
             code_size=code_size(state.words),
             operation_count=len(instances),
@@ -233,19 +175,17 @@ class CompilationResult:
             nodes_labelled=int(selection_stats.get("nodes_labelled", 0)),
             label_memo_hit_rate=float(selection_stats.get("memo_hit_rate", 0.0)),
             tables_build_time_s=float(selection_stats.get("tables_build_time_s", 0.0)),
-            opt_nodes_before=opt_stats.nodes_before if opt_stats else 0,
-            opt_nodes_after=opt_stats.nodes_after if opt_stats else 0,
-            opt_folds=(opt_stats.folds + opt_stats.algebraic) if opt_stats else 0,
-            opt_cse_hits=opt_stats.cse_hits if opt_stats else 0,
-            opt_temps=opt_stats.temps_introduced if opt_stats else 0,
-            opt_gvn_hits=opt_stats.gvn_hits if opt_stats else 0,
-            opt_licm_hoisted=opt_stats.licm_hoisted if opt_stats else 0,
-            opt_strength_reductions=(
-                opt_stats.strength_reductions if opt_stats else 0
-            ),
-            opt_hw_loops=opt_stats.hw_loops if opt_stats else 0,
-            verify_time_s=getattr(state, "verify_time_s", 0.0),
-            verify_checks=getattr(state, "verify_checks", 0),
+            opt_nodes_before=opt_stats.nodes_before,
+            opt_nodes_after=opt_stats.nodes_after,
+            opt_folds=opt_stats.folds + opt_stats.algebraic,
+            opt_cse_hits=opt_stats.cse_hits,
+            opt_temps=opt_stats.temps_introduced,
+            opt_gvn_hits=opt_stats.gvn_hits,
+            opt_licm_hoisted=opt_stats.licm_hoisted,
+            opt_strength_reductions=opt_stats.strength_reductions,
+            opt_hw_loops=opt_stats.hw_loops,
+            verify_time_s=state.verify_time_s,
+            verify_checks=state.verify_checks,
         )
         return cls(
             name=program.name,

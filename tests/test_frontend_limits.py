@@ -143,3 +143,29 @@ class TestSelectorSubjectCap:
         statement = Statement(destination="b", expression=expression)
         with pytest.raises(ResourceLimitError, match="selector limit"):
             select_statement(statement, selector=None, binding=None)
+
+
+def _chain(operator: str, terms: int = 250) -> str:
+    """``y = a op a op ... a`` with ``terms`` terms: ``2 * terms - 1`` IR
+    nodes, so 250 terms (499) sit just inside the 512-node default."""
+    return "int a, y; y = %s;" % (" %s " % operator).join(["a"] * terms)
+
+
+class TestLongestAcceptedChain:
+    """Every phase after the frontend handles the deepest tree the
+    frontend accepts: nothing on the way renders it recursively."""
+
+    def test_a_long_sum_compiles_serializes_and_simulates(self, demo_result):
+        from repro.toolchain import Session
+
+        result = Session(demo_result).compile(_chain("+"))
+        assert result.to_dict()["statements"][0]["statement"].startswith("y = add(add(")
+        assert result.simulate({"a": 3})["y"] == 750
+
+    def test_an_uncoverable_chain_is_a_code_generation_error(self, demo_result):
+        # demo has no divider: the error message names the statement.
+        from repro.codegen.selection import CodeGenerationError
+        from repro.toolchain import Session
+
+        with pytest.raises(CodeGenerationError, match="cannot be covered on demo"):
+            Session(demo_result).compile(_chain("/"))

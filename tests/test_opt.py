@@ -669,6 +669,25 @@ class TestOptPipeline:
         assert (stats.temps_introduced, stats.dead_removed) == (1, 1)
         assert "__cse0" not in optimized.scalars
 
+    def test_dce_removes_a_recurrence_only_its_own_update_reads(self):
+        # Strength reduction gives both products one __sr0 recurrence;
+        # folding multiplies both reads away, leaving its init and its
+        # update, which reads only __sr0 itself.
+        program = lower_to_program(
+            "int y, z, i; y = 0; z = 0; i = 0;\n"
+            "while (i < 5) { z = z + i * 3 * 0; y = y + i * 3 * 0; i = i + 1; }\n"
+        )
+        optimized, stats = optimize_program(program, stages=["loops", "fold", "dce"])
+        assert stats.temps_introduced == 1 and stats.dead_removed == 2
+        assert optimized.scalars == ("i", "y", "z")
+        assert not [
+            statement
+            for block in optimized.blocks
+            for statement in block.statements
+            if statement.destination.startswith("__sr")
+        ]
+        assert optimized.execute({}) == {"y": 0, "z": 0, "i": 5}
+
     def test_empty_pipeline_returns_its_input(self):
         program = lower_to_program("int a, y;\ny = a + 1;\n")
         optimized, stats = optimize_program(program, stages=[])

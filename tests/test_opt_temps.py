@@ -8,6 +8,7 @@ Also pinned here: LICM on a loop body too deep for recursive ``str``
 and ``==``, and GVN hit counts that never go negative.
 """
 
+import sys
 from dataclasses import replace
 
 import pytest
@@ -221,6 +222,39 @@ def _assert_executes_alike(program, optimized):
     assert {name: got[name] for name in expected} == expected
 
 
+def _recursive_str(node):
+    """The recursive ``str`` IR nodes had: one call per tree level."""
+    if isinstance(node, Op):
+        return "%s(%s)" % (node.op, ", ".join(_recursive_str(o) for o in node.operands))
+    if isinstance(node, ArrayRef):
+        return "%s[%s]" % (node.name, _recursive_str(node.index))
+    return str(node)
+
+
+def _recursive_repr(node):
+    """The recursive dataclass ``repr`` IR nodes had."""
+    if isinstance(node, Op):
+        operands = ", ".join(_recursive_repr(o) for o in node.operands)
+        comma = "," if len(node.operands) == 1 else ""
+        return "Op(op=%r, operands=(%s%s))" % (node.op, operands, comma)
+    if isinstance(node, ArrayRef):
+        return "ArrayRef(name=%r, index=%s)" % (node.name, _recursive_repr(node.index))
+    return repr(node)
+
+
+def _mixed_chain(depth: int):
+    """Unary operators and runtime array indices, ``depth`` levels deep."""
+    node = VarRef("a")
+    for level in range(depth):
+        if level % 3 == 0:
+            node = Op("neg", (node,))
+        elif level % 3 == 1:
+            node = ArrayRef("x", node)
+        else:
+            node = _add(Const(level), node)
+    return node
+
+
 class TestDeepLoopBody:
     @pytest.mark.parametrize("stages", [None, ["licm"]], ids=["default", "licm"])
     def test_licm_optimizes_it_and_keeps_its_meaning(self, stages):
@@ -254,6 +288,25 @@ class TestDeepLoopBody:
         ]
         assert hoisted.expression is chain
         _assert_executes_alike(looped, optimized)
+
+    @pytest.mark.parametrize("which", ["chain", "mixed"])
+    def test_it_renders_without_recursion(self, which):
+        # str and repr walk the tree with a stack: at the default limit
+        # they give what the recursive forms give with a raised limit.
+        if which == "chain":
+            expression = deep_loop_program().block("body").statements[0].expression
+        else:
+            expression = _mixed_chain(3000)
+        statement = Statement("x", expression)
+        rendered = (str(expression), repr(expression), str(statement), repr(statement))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(20_000)
+        try:
+            text, form = _recursive_str(expression), _recursive_repr(expression)
+        finally:
+            sys.setrecursionlimit(limit)
+        expected_repr = "Statement(destination='x', expression=%s, destination_index=None)"
+        assert rendered == (text, form, "x = " + text, expected_repr % form)
 
     def test_it_compiles_on_ref(self, ref_result):
         program = deep_loop_program()

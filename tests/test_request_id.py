@@ -180,28 +180,3 @@ class TestWorkerStderrCapture:
         message = response["error"]["message"]
         assert "worker stderr" in message
         assert "panic: marker-9c1e" in message
-
-    def test_stderr_capture_can_be_disabled(self):
-        backend = ProcessCompileBackend(
-            workers=1,
-            warm_targets=("demo",),
-            test_hooks=True,
-            request_timeout_s=30.0,
-            stderr_tail_lines=0,
-        )
-        try:
-            responses = backend.run_jobs(
-                [
-                    {
-                        "target": "demo",
-                        "kernel": "fir",
-                        "_test_stderr": "panic: marker-9c1e",
-                        "_test_exit": 3,
-                    }
-                ]
-            )
-        finally:
-            backend.close()
-        (response,) = responses
-        assert not response["ok"]
-        assert "marker-9c1e" not in response["error"]["message"]

@@ -32,6 +32,7 @@ from repro.service import (
     create_backend,
     default_process_workers,
 )
+from repro.toolchain import Session
 from repro.toolchain.passes import SelectionPass
 
 
@@ -146,6 +147,23 @@ class TestCounts:
         assert sum(
             counts["completed"] + counts["failed"] for counts in stats["per_target"].values()
         ) == 3000
+
+
+class TestDeepExpressions:
+    @pytest.mark.parametrize("kind", ["thread", "process"])
+    def test_the_longest_accepted_sum_is_served(self, kind, demo_result):
+        # 250 terms are 499 IR nodes, inside the frontend's 512-node cap.
+        # Rendering the tree for the response recursed once per level and
+        # killed the process worker.
+        source = "int a, y; y = %s;" % " + ".join(["a"] * 250)
+        options = {"warm_targets": ("demo",)} if kind == "process" else {}
+        with create_backend(kind, workers=1, **options) as backend:
+            response = backend.run_job({"target": "demo", "source": source, "name": "sum"})
+            stats = backend.stats()
+        assert response["ok"], response.get("error")
+        expected = Session(demo_result).compile(source, name="sum").listing()
+        assert response["result"]["listing"] == expected
+        assert stats.get("crashes", 0) == 0 and stats.get("respawns", 0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +548,6 @@ class TestCrashStorm:
             warm_targets=("demo",),
             test_hooks=True,
             request_timeout_s=30.0,
-            respawn_backoff_s=0.02,
-            respawn_backoff_max_s=0.1,
-            respawn_backoff_after=2,
         )
         try:
             storm = [
@@ -548,12 +563,13 @@ class TestCrashStorm:
             stats = backend.stats()
             assert stats["crashes"] >= 6
             assert stats["respawns"] >= 6
-            # streak 1..6 with backoff after 2 -> waits on streaks 3,4,5,6
-            assert stats["backoff_waits"] == 4
+            # streak 1..6 with backoff after DEFAULT_RESPAWN_BACKOFF_AFTER
+            # (3) -> waits on streaks 4, 5 and 6
+            assert stats["backoff_waits"] == 3
             assert stats["consecutive_crashes"] == 6
             # the counters are exported as Prometheus gauges
             text = ServerMetrics(backend_stats=backend.stats).render()
-            assert "repro_worker_backoff_waits_total 4" in text
+            assert "repro_worker_backoff_waits_total 3" in text
             assert "repro_worker_consecutive_crashes 6" in text
             # one healthy request ends the storm and resets the streak
             recovered = backend.run_job({"target": "demo", "kernel": "fir"})

@@ -1,6 +1,7 @@
 """Tests for the repro.toolchain subsystem: registry, passes, cache,
 session API, and the structured diagnostics layer."""
 
+import hashlib
 import importlib
 import pickle
 import time
@@ -397,9 +398,19 @@ class TestRetargetCache:
         assert not hit
         assert cache.misses == 2
 
+    def test_key_text_names_the_route_limits(self, demo_hdl):
+        # The route limits are constants; the key keeps the text it had
+        # when they were options, so existing cache entries still hit.
+        from repro.toolchain import cache as cache_module
+
+        hasher = hashlib.sha256()
+        hasher.update(b"repro-retarget-v%d\n" % cache_module.CACHE_FORMAT_VERSION)
+        hasher.update(demo_hdl.encode("utf-8"))
+        hasher.update(b"\x00default\x00depth=8 alts=4000")
+        assert retarget_fingerprint(demo_hdl) == hasher.hexdigest()
+
     def test_option_change_invalidates(self, demo_hdl):
         base = retarget_fingerprint(demo_hdl)
-        assert retarget_fingerprint(demo_hdl, max_depth=5) != base
         assert retarget_fingerprint(demo_hdl + " ") != base
         from repro.expansion import ExpansionOptions
 
