@@ -43,11 +43,11 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.baselines import hand_reference_size, has_hand_reference_size
 from repro.diagnostics import InternalCompilerError, ReproError, error_report
-from repro.dspstone import all_kernel_names, get_kernel, kernel_program, loop_kernel_names
+from repro.dspstone import all_kernel_names, get_kernel, loop_kernel_names
 from repro.grammar import grammar_to_bnf
 from repro.opt import OptPipeline
 from repro.record.report import (
@@ -79,6 +79,27 @@ def _session(args, config: Optional[PipelineConfig] = None) -> Session:
         return toolchain.session(args.target, config=config)
     except ReproError as error:
         raise SystemExit("error: %s" % error_report(error))
+
+
+def _read_text(path: str) -> str:
+    """The text of a file the user named (one that cannot be read is a
+    user error, not an internal one)."""
+    try:
+        with open(path, "r") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as error:
+        raise SystemExit("error: cannot read %r: %s" % (path, error))
+
+
+def _program_text(args) -> Tuple[str, str]:
+    """The source ``compile`` and ``opt`` work on, and its name: the
+    ``--kernel NAME`` kernel's, or the source file's."""
+    if args.kernel:
+        kernel = get_kernel(args.kernel)
+        return kernel.source, kernel.name
+    if not args.source:
+        raise SystemExit("error: provide a source file or --kernel NAME")
+    return _read_text(args.source), os.path.basename(args.source)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +188,7 @@ def _cmd_compile(args) -> int:
         config = config.with_updates(use_optimizer=False)
     if args.verify:
         config = config.with_updates(verify=True)
+    source, name = _program_text(args)
     tracer = None
     if getattr(args, "trace", None):
         from repro.obs.trace import Tracer, use_tracer
@@ -179,16 +201,6 @@ def _cmd_compile(args) -> int:
             session = _session(args, config=config)
     else:
         session = _session(args, config=config)
-    if args.kernel:
-        kernel = get_kernel(args.kernel)
-        source = kernel.source
-        name = kernel.name
-    elif args.source:
-        with open(args.source, "r") as handle:
-            source = handle.read()
-        name = os.path.basename(args.source)
-    else:
-        raise SystemExit("error: provide a source file or --kernel NAME")
     try:
         compiled = session.compile(source, name=name, tracer=tracer)
     except InternalCompilerError:
@@ -229,17 +241,11 @@ def _cmd_opt(args) -> int:
     """Run the (target-independent) IR optimizer and print before/after."""
     from repro.frontend.lowering import lower_to_program
 
-    if args.kernel:
-        program = kernel_program(args.kernel)
-    elif args.source:
-        with open(args.source, "r") as handle:
-            source = handle.read()
-        try:
-            program = lower_to_program(source, name=os.path.basename(args.source))
-        except ReproError as error:
-            raise SystemExit("error: %s" % error_report(error))
-    else:
-        raise SystemExit("error: provide a source file or --kernel NAME")
+    source, name = _program_text(args)
+    try:
+        program = lower_to_program(source, name=name)
+    except ReproError as error:
+        raise SystemExit("error: %s" % error_report(error))
     stages = None
     if args.stages:
         stages = [stage.strip() for stage in args.stages.split(",") if stage.strip()]
@@ -359,15 +365,9 @@ def _cmd_batch(args) -> int:
     from repro.service.api import parse_jobs
     from repro.service.backends import strip_result
 
-    if args.jobs_file == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.jobs_file, "r") as handle:
-                text = handle.read()
-        except OSError as error:
-            raise SystemExit("error: cannot read %r: %s" % (args.jobs_file, error))
-    jobs = parse_jobs(text)
+    jobs = parse_jobs(
+        sys.stdin.read() if args.jobs_file == "-" else _read_text(args.jobs_file)
+    )
     backend = _batch_backend(args, jobs)
     try:
         replies = list(backend.stream_responses(jobs))
@@ -457,10 +457,7 @@ def _cmd_trace(args) -> int:
         )
     if args.trace_file:
         try:
-            with open(args.trace_file, "r") as handle:
-                trace = json.load(handle)
-        except OSError as error:
-            raise SystemExit("error: cannot read %s: %s" % (args.trace_file, error))
+            trace = json.loads(_read_text(args.trace_file))
         except ValueError as error:
             raise SystemExit(
                 "error: %s is not valid trace-event JSON: %s"

@@ -28,6 +28,7 @@ from repro.fuzz.oracles import (
     seed_environment,
 )
 from repro.obs import log
+from repro.records import Record
 from repro.toolchain import Toolchain
 
 #: Targets whose grammars cover the language subset the generator emits
@@ -46,7 +47,7 @@ def program_hash(source: str) -> str:
 
 
 @dataclass
-class Finding:
+class Finding(Record):
     """One divergence or crash, with its minimized reproducer."""
 
     kind: str        # "divergence" | "crash"
@@ -67,30 +68,13 @@ class Finding:
         return self.minimized or self.source
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "oracle": self.oracle,
-            "target": self.target,
-            "seed": self.seed,
-            "index": self.index,
-            "hash": self.hash,
-            "detail": self.detail,
-            "source": self.source,
-            "minimized": self.minimized,
-        }
+        """The fields, then the derived ``hash`` (a corpus entry's name)."""
+        return {**super().to_dict(), "hash": self.hash}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Finding":
-        return cls(
-            kind=data["kind"],
-            oracle=data["oracle"],
-            target=data["target"],
-            seed=int(data.get("seed", 0)),
-            index=int(data.get("index", 0)),
-            source=data["source"],
-            detail=data.get("detail", ""),
-            minimized=data.get("minimized", ""),
-        )
+        """The finding a :meth:`to_dict` result describes (less its ``hash``)."""
+        return super().from_dict({k: v for k, v in data.items() if k != "hash"})
 
 
 @dataclass

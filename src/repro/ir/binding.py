@@ -14,13 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
+from repro.diagnostics import ReproError
 from repro.hdl.ast import ModuleKind
 from repro.ir.program import Program
 from repro.netlist.netlist import Netlist
 
 
-class BindingError(Exception):
+class BindingError(ReproError):
     """Raised when a variable cannot be bound to any storage resource."""
+
+    phase = "binding"
 
 
 @dataclass

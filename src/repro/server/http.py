@@ -360,14 +360,14 @@ class CompileRequestHandler(BaseHTTPRequestHandler):
             return
         # One id joins everything: a job-supplied request_id wins (the
         # header then echoes it, if header-safe) unless the client pinned
-        # one via X-Request-Id; a job without one inherits the request's id.
+        # one via X-Request-Id; a job without one (absent, null or empty)
+        # inherits the request's id.  Any other id is left for the decode.
         job_rid = job.get("request_id")
-        if isinstance(job_rid, str) and job_rid:
-            if not self.headers.get("X-Request-Id") and header_safe(job_rid):
+        if job_rid in (None, ""):
+            job = {**job, "request_id": self._rid}
+        elif isinstance(job_rid, str) and header_safe(job_rid):
+            if not self.headers.get("X-Request-Id"):
                 self._rid = job_rid[:MAX_REQUEST_ID_CHARS]
-        else:
-            job = dict(job)
-            job["request_id"] = self._rid
         if not self.server.gate.try_acquire(1):
             self._send_error_json(
                 429,
@@ -423,9 +423,7 @@ class CompileRequestHandler(BaseHTTPRequestHandler):
         # pinned its own -- one X-Request-Id joins the access log, all
         # NDJSON envelopes and any worker crash records.
         jobs = [
-            job
-            if isinstance(job.get("request_id"), str) and job.get("request_id")
-            else {**job, "request_id": self._rid}
+            {**job, "request_id": self._rid} if job.get("request_id") in (None, "") else job
             for job in jobs
         ]
         try:

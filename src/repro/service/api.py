@@ -16,7 +16,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from typing import Dict, List, Optional
 
 from repro.diagnostics import ReproError
-from repro.records import Record
+from repro.records import Record, SchemaError
 from repro.toolchain.passes import PipelineConfig
 from repro.toolchain.results import CompilationResult
 
@@ -82,12 +82,9 @@ class CompileRequest(Record):
     trace: bool = False
 
     def validate(self) -> None:
+        """The checks the field types (see :meth:`from_dict`) cannot express."""
         if not self.target:
             raise RequestError("compile request needs a target")
-        if not isinstance(self.target, str):
-            # A number would reach the registry's file lookup, which
-            # treats it as an open file descriptor.
-            raise RequestError('"target" must be a string')
         if (self.source is None) == (self.kernel is None):
             raise RequestError(
                 "compile request needs exactly one of source= or kernel= "
@@ -95,13 +92,8 @@ class CompileRequest(Record):
             )
         if self.preset is not None and self.config is not None:
             raise RequestError("pass either preset= or config=, not both")
-        if self.timeout_s is not None:
-            if not isinstance(self.timeout_s, (int, float)) or isinstance(
-                self.timeout_s, bool
-            ):
-                raise RequestError('"timeout_s" must be a number')
-            if self.timeout_s <= 0:
-                raise RequestError('"timeout_s" must be positive')
+        if self.timeout_s is not None and self.timeout_s <= 0:
+            raise RequestError('"timeout_s" must be positive')
 
     def resolved_config(self) -> PipelineConfig:
         """The pipeline config this request asks for (presets resolved,
@@ -119,11 +111,7 @@ class CompileRequest(Record):
         return config
 
     def display_name(self, index: int = 0) -> str:
-        if self.name:
-            return self.name
-        if self.kernel:
-            return self.kernel
-        return "request%d" % index
+        return self.name or self.kernel or "request%d" % index
 
     def to_dict(self) -> dict:
         """Every field that differs from its default, in field order
@@ -137,44 +125,27 @@ class CompileRequest(Record):
 
     @classmethod
     def from_dict(cls, data: dict) -> "CompileRequest":
-        """Build a request from one decoded JSON-lines job object."""
-        if not isinstance(data, dict):
-            raise RequestError("compile request must be a JSON object")
-        if "_malformed" in data:
+        """Decode one JSON-lines job object; a job that does not fit the
+        field annotations is a :class:`RequestError` naming the field."""
+        if isinstance(data, dict) and "_malformed" in data:
             # Placeholder parse_jobs puts in place of an entry that failed
             # to decode; surface the original error.
             raise RequestError("malformed job: %s" % data["_malformed"])
-        unknown = sorted(set(data) - {spec.name for spec in fields(cls)})
-        if unknown:
-            raise RequestError(
-                "unknown compile-request field(s): %s" % ", ".join(unknown)
-            )
-        opt = data.get("opt")
-        if opt is not None and not isinstance(opt, bool):
-            raise RequestError('"opt" must be a JSON boolean')
-        verify = data.get("verify")
-        if verify is not None and not isinstance(verify, bool):
-            raise RequestError('"verify" must be a JSON boolean')
-        trace = data.get("trace", False)
-        if not isinstance(trace, bool):
-            raise RequestError('"trace" must be a JSON boolean')
-        values = {"target": "", **data}
-        if values.get("config") is not None:
-            values["config"] = PipelineConfig.from_dict(values["config"])
-        values["binding_overrides"] = dict(data.get("binding_overrides") or {})
-        request = cls(**values)
-        request.validate()
-        return request
+        try:
+            return super().from_dict(data)
+        except SchemaError as error:
+            raise RequestError(str(error)) from None
 
 
 @dataclass(frozen=True)
-class CompileResponse:
+class CompileResponse(Record):
     """The outcome of one :class:`CompileRequest`.
 
     ``ok`` responses carry a live :class:`CompilationResult`; failed ones
     carry an :class:`ErrorInfo`.  ``elapsed_s`` is the wall-clock service
     time of the request (session lookup + compilation), which is what the
-    throughput benchmark aggregates.
+    throughput benchmark aggregates.  ``to_dict`` leaves out what the
+    outcome does not have.
     """
 
     target: str
@@ -203,19 +174,23 @@ class CompileResponse:
     def to_json(self, include_result: bool = True, indent: Optional[int] = None) -> str:
         return json.dumps(self.to_dict(include_result=include_result), indent=indent)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CompileResponse":
-        result = data.get("result")
-        error = data.get("error")
-        return cls(
-            target=data["target"],
-            name=data["name"],
-            ok=data["ok"],
-            result=None if result is None else CompilationResult.from_dict(result),
-            error=None if error is None else ErrorInfo.from_dict(error),
-            request_id=data.get("request_id"),
-            elapsed_s=data.get("elapsed_s", 0.0),
-        )
+
+def failed_envelope(
+    job: object, index: int, error: ErrorInfo, elapsed_s: float = 0.0
+) -> dict:
+    """The response dict of a job no decoded request answers for (it did
+    not decode, its worker crashed or timed out).  Only the job's string
+    fields are read, and named like :meth:`CompileRequest.display_name`."""
+    fields = job if isinstance(job, dict) else {}
+    strings = {key: value for key, value in fields.items() if isinstance(value, str)}
+    return CompileResponse(
+        target=strings.get("target", ""),
+        name=strings.get("name") or strings.get("kernel") or "request%d" % index,
+        ok=False,
+        error=error,
+        request_id=strings.get("request_id"),
+        elapsed_s=elapsed_s,
+    ).to_dict()
 
 
 def parse_jobs(text: str) -> List[dict]:

@@ -47,6 +47,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.diagnostics import InternalCompilerError, ReproError
 from repro.obs import log
+from repro.service.api import ErrorInfo, failed_envelope
 from repro.service.pool import SessionPool
 from repro.service.service import CompileService
 from repro.toolchain import RetargetCache, default_registry
@@ -89,27 +90,6 @@ class BackendError(ReproError):
     """The backend itself (not a request) is unusable."""
 
     phase = "server"
-
-
-def error_response(
-    job: object,
-    error_type: str,
-    message: str,
-    elapsed_s: float = 0.0,
-    phase: str = "server",
-) -> dict:
-    """A CompileResponse-shaped error dict for ``job`` (server-level
-    failures: crashes, timeouts, an exception escaping a backend --
-    anything no ``CompileService`` answered)."""
-    job_dict = job if isinstance(job, dict) else {}
-    return {
-        "target": str(job_dict.get("target", "") or ""),
-        "name": str(job_dict.get("name") or job_dict.get("kernel") or "request"),
-        "ok": False,
-        "elapsed_s": elapsed_s,
-        "request_id": job_dict.get("request_id"),
-        "error": {"type": error_type, "message": message, "phase": phase},
-    }
 
 
 def encode_response(response: dict) -> bytes:
@@ -170,14 +150,10 @@ class CompileBackend:
             raise BackendError("backend is closed")
         try:
             summary, body = self._execute_encoded(job, index)
-        except ReproError as error:
-            summary = error_response(job, type(error).__name__, str(error))
-            body = encode_response(summary)
         except Exception as error:
-            wrapped = InternalCompilerError.wrap(error, context="backend run_job")
-            summary = error_response(
-                job, "InternalCompilerError", str(wrapped), phase="internal"
-            )
+            if not isinstance(error, ReproError):
+                error = InternalCompilerError.wrap(error, context="backend run_job")
+            summary = failed_envelope(job, index, ErrorInfo.from_exception(error))
             body = encode_response(summary)
         target = str(summary.get("target", "") or "")
         with self._lock:
@@ -353,10 +329,7 @@ def _worker_main(
             frame = {"op": "job", "job": {"_malformed": "undecodable frame"}}
         if frame.get("op") == "shutdown":
             break
-        job = frame.get("job")
-        job = dict(job) if isinstance(job, dict) else job
-        index = frame.get("index", 0)
-        index = index if isinstance(index, int) else 0
+        job, index = frame.get("job"), frame.get("index", 0)
         if test_hooks and isinstance(job, dict):
             # Fault-injection hooks for the crash/timeout test suites;
             # only honored when the backend was built with
@@ -624,6 +597,11 @@ class ProcessCompileBackend(CompileBackend):
         body)`` where the worker may be a respawned replacement and
         ``body`` is None for an error the parent made up itself."""
         started = time.perf_counter()
+
+        def failed(error_type: str, message: str) -> dict:
+            error = ErrorInfo(type=error_type, message=message, phase="server")
+            return failed_envelope(job, index, error, time.perf_counter() - started)
+
         frame = json.dumps({"op": "job", "job": job, "index": index}).encode("utf-8")
         try:
             worker.conn.send_bytes(frame)
@@ -645,12 +623,8 @@ class ProcessCompileBackend(CompileBackend):
             try:
                 worker.conn.send_bytes(frame)
             except (OSError, ValueError) as error:
-                return worker, error_response(
-                    job,
-                    "WorkerCrashError",
-                    "compile worker unavailable: %s" % error,
-                    elapsed_s=time.perf_counter() - started,
-                ), None
+                message = "compile worker unavailable: %s" % error
+                return worker, failed("WorkerCrashError", message), None
         timeout_s = self._timeout_of(job)
         deadline = started + timeout_s
         while True:
@@ -665,13 +639,11 @@ class ProcessCompileBackend(CompileBackend):
                     request_id=_job_request_id(job),
                 )
                 worker = self._respawn(worker)
-                return worker, error_response(
-                    job,
-                    "RequestTimeoutError",
+                message = (
                     "request exceeded its %.3gs timeout; the worker was "
-                    "killed and respawned" % timeout_s,
-                    elapsed_s=time.perf_counter() - started,
-                ), None
+                    "killed and respawned" % timeout_s
+                )
+                return worker, failed("RequestTimeoutError", message), None
             try:
                 if not worker.conn.poll(min(remaining, 0.1)):
                     if not worker.process.is_alive():
@@ -703,30 +675,21 @@ class ProcessCompileBackend(CompileBackend):
                         DEFAULT_STDERR_TAIL_LINES,
                         tail,
                     )
-                return worker, error_response(
-                    job,
-                    "WorkerCrashError",
-                    message,
-                    elapsed_s=time.perf_counter() - started,
-                ), None
+                return worker, failed("WorkerCrashError", message), None
             head, _, body = data.partition(b"\n")
             try:
                 result_frame = json.loads(head)
             except ValueError:
                 self._bump("crashes")
                 worker = self._respawn(worker)
-                return worker, error_response(
-                    job,
-                    "WorkerProtocolError",
-                    "compile worker sent an undecodable result frame",
-                    elapsed_s=time.perf_counter() - started,
-                ), None
+                message = "compile worker sent an undecodable result frame"
+                return worker, failed("WorkerProtocolError", message), None
             if result_frame.get("op") != "result":
                 continue  # not a result frame; keep waiting for the result
             response = result_frame.get("response")
             if not isinstance(response, dict) or not body:
-                response, body = error_response(
-                    job, "WorkerProtocolError", "result frame had no response"
+                response, body = failed(
+                    "WorkerProtocolError", "result frame had no response"
                 ), None
             with self._lock:
                 self._consecutive_crashes = 0  # worker is healthy again

@@ -58,13 +58,16 @@ class SessionPool:
     def session(
         self, target: str, config: Optional[PipelineConfig] = None
     ) -> Session:
-        """The pooled session for ``(target, config)`` (built on first use)."""
+        """The pooled session for ``(target, config)`` (built on first use).
+        ``target`` is a registered name: a job never opens a file."""
         key = (target, config if config is not None else PipelineConfig())
         with self._lock:
             session = self._sessions.get(key)
             if session is not None:
                 self.hits += 1
                 return session
+            # An unknown name raises here, before it keys a lock.
+            spec = self.toolchain.registry.get(target)
             # One construction lock per *target*, not per key: two configs
             # of one target share a retarget run through the toolchain's
             # cache, which is not thread-safe -- racing them would retarget
@@ -77,7 +80,9 @@ class SessionPool:
                 if session is not None:
                     self.hits += 1
                     return session
-            session = self.toolchain.session(target, config=key[1])
+            session = self.toolchain.session_for_hdl(
+                spec.hdl_source, spec=spec, config=key[1]
+            )
             with self._lock:
                 self._sessions[key] = session
                 self.misses += 1

@@ -16,10 +16,17 @@ import time
 from typing import Optional
 
 from repro.diagnostics import InternalCompilerError, ReproError
+from repro.dspstone import kernel_program
 from repro.obs import log
 from repro.obs.context import use_request_id
 from repro.obs.trace import Tracer
-from repro.service.api import CompileRequest, CompileResponse, ErrorInfo
+from repro.service.api import (
+    CompileRequest,
+    CompileResponse,
+    ErrorInfo,
+    RequestError,
+    failed_envelope,
+)
 from repro.service.pool import SessionPool
 
 
@@ -46,42 +53,34 @@ class CompileService:
         """One decoded JSON job object in, one response dict out.
 
         A job that does not decode into a :class:`CompileRequest` (a
-        ``_malformed`` placeholder, a missing ``kernel``, an unknown
-        field) answers with a ``RequestError`` response named after its
-        position; never raises.
+        ``_malformed`` placeholder, an unknown field, a value of the
+        wrong JSON type) answers with a ``RequestError`` response built
+        by :func:`~repro.service.api.failed_envelope`; never raises.
         """
         try:
             request = CompileRequest.from_dict(job)
-        except Exception as error:
-            return CompileResponse(
-                target=str(job.get("target", "") if isinstance(job, dict) else ""),
-                name="request%d" % index,
-                ok=False,
-                error=ErrorInfo.from_exception(error),
-                request_id=(job.get("request_id") if isinstance(job, dict) else None),
-            ).to_dict()
+        except RequestError as error:
+            return failed_envelope(job, index, ErrorInfo.from_exception(error))
         return self.run(request, index).to_dict()
 
     def _run_in_context(
         self, request: CompileRequest, index: int
     ) -> CompileResponse:
         started = time.perf_counter()
-        name = ""
+        name = request.display_name(index)
         try:
             request.validate()
-            name = request.display_name(index)
             config = request.resolved_config()
             session = self.pool.session(request.target, config)
-            overrides = dict(request.binding_overrides) or None
+            overrides = request.binding_overrides or None
             tracer = (
                 Tracer(name="compile", request_id=request.request_id)
                 if request.trace
                 else None
             )
             if request.kernel is not None:
-                program_source = self._kernel_program(request.kernel)
                 result = session.compile(
-                    program_source,
+                    kernel_program(request.kernel),
                     name=request.name,
                     binding_overrides=overrides,
                     tracer=tracer,
@@ -117,29 +116,22 @@ class CompileService:
                 # exception types leaking implementation details.
                 error = InternalCompilerError.wrap(
                     error,
-                    context="request %r on target %r"
-                    % (name or request.display_name(index), request.target),
+                    context="request %r on target %r" % (name, request.target),
                 )
             elapsed = time.perf_counter() - started
             log.warning(
                 "compile_failed",
                 target=request.target,
-                name=name or request.display_name(index),
+                name=name,
                 error_type=type(error).__name__,
                 phase=getattr(error, "phase", "") or "",
                 duration_s=round(elapsed, 6),
             )
             return CompileResponse(  # never a dead batch
                 target=request.target,
-                name=name or request.display_name(index),
+                name=name,
                 ok=False,
                 error=ErrorInfo.from_exception(error),
                 request_id=request.request_id,
                 elapsed_s=elapsed,
             )
-
-    @staticmethod
-    def _kernel_program(kernel_name: str):
-        from repro.dspstone import kernel_program
-
-        return kernel_program(kernel_name)

@@ -85,10 +85,6 @@ class PipelineConfig(Record):
         return replace(self, **changes)
 
     @classmethod
-    def from_dict(cls, data: Dict[str, bool]) -> "PipelineConfig":
-        return cls(**data)
-
-    @classmethod
     def preset(cls, name: str) -> "PipelineConfig":
         """One of the named ablation presets (see :data:`PRESETS`)."""
         try:

@@ -48,6 +48,24 @@ class TargetSpec:
     origin: str = "user"
 
 
+def _file_spec(path: str, name: Optional[str] = None) -> TargetSpec:
+    """The spec of the HDL model in the file at ``path``, named after the
+    file's stem unless ``name`` is given (a file that cannot be read is a
+    :class:`TargetError`)."""
+    try:
+        with open(path, "r") as handle:
+            hdl_source = handle.read()
+    except (OSError, UnicodeDecodeError) as error:
+        raise TargetError("cannot read HDL file %r: %s" % (path, error)) from None
+    return TargetSpec(
+        name=name or os.path.splitext(os.path.basename(path))[0],
+        hdl_source=hdl_source,
+        description="HDL model from %s" % path,
+        category="file",
+        origin="file",
+    )
+
+
 class TargetRegistry:
     """A named collection of :class:`TargetSpec` objects.
 
@@ -99,19 +117,7 @@ class TargetRegistry:
         self, path: str, name: Optional[str] = None, replace: bool = False
     ) -> TargetSpec:
         """Register an HDL file; the target name defaults to the file stem."""
-        if not os.path.exists(path):
-            raise TargetError("HDL file %r does not exist" % path)
-        with open(path, "r") as handle:
-            hdl_source = handle.read()
-        target_name = name or os.path.splitext(os.path.basename(path))[0]
-        return self.register_hdl(
-            target_name,
-            hdl_source,
-            description="HDL model from %s" % path,
-            category="file",
-            replace=replace,
-            origin="file",
-        )
+        return self.register(_file_spec(path, name), replace=replace)
 
     def target(
         self,
@@ -159,16 +165,7 @@ class TargetRegistry:
         if target in self._specs:
             return self._specs[target]
         if os.path.exists(target):
-            with open(target, "r") as handle:
-                hdl_source = handle.read()
-            stem = os.path.splitext(os.path.basename(target))[0]
-            return TargetSpec(
-                name=stem,
-                hdl_source=hdl_source,
-                description="HDL model from %s" % target,
-                category="file",
-                origin="file",
-            )
+            return _file_spec(target)
         raise TargetError(
             "%r is neither a registered target (%s) nor an HDL file"
             % (target, ", ".join(self._order) or "none registered")

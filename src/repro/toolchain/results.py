@@ -100,10 +100,6 @@ class StatementArtifact(Record):
     cost: int
     operations: Tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        # Operations decoded from JSON arrive as a list.
-        object.__setattr__(self, "operations", tuple(self.operations))
-
     @classmethod
     def from_code(cls, code: StatementCode) -> "StatementArtifact":
         return cls(

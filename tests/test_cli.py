@@ -200,3 +200,33 @@ class TestCrashContract:
         assert response["error"]["type"] == "InternalCompilerError"
         assert response["error"]["phase"] == "internal"
         assert "Traceback" not in captured.err
+
+
+class TestUnreadablePaths:
+    """A path the user names but that cannot be read is a user error:
+    exit 1 and a message naming the path, never the internal-error
+    exit 70."""
+
+    @pytest.mark.parametrize("command", [
+        ["compile", "demo", "{missing}"],
+        ["opt", "{missing}"],
+        ["compile", "demo", "{directory}"],
+        ["retarget", "{directory}"],
+    ])
+    def test_it_exits_one_naming_the_path(self, command, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        paths = {"missing": str(tmp_path / "missing.c"), "directory": str(tmp_path)}
+        argv = [part.format(**paths) for part in command]
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src, REPRO_CACHE_DIR=str(tmp_path / "cache"))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error: ")
+        assert repr(argv[-1]) in done.stderr
+        assert "InternalCompilerError" not in done.stderr
