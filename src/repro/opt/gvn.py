@@ -28,7 +28,9 @@ of the same block (occurrences living in *sibling* branches each
 materialize their own copy; inlining those singles keeps the
 transformation never worse than the input).  It counts the statements
 that read a temporary, not its reads, so a temporary read twice by one
-statement (``t * t``) is inlined back too.
+statement (``t * t``) is inlined back too.  That is why the stage runs
+only when :func:`_has_repeated_subtree` finds a subtree repeated in two
+different statements: a repeat inside one statement leaves nothing.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from repro.ir.expr import ArrayRef, Const, IRNode, Op, VarRef
 from repro.ir.program import BasicBlock, Program, Statement, Terminator
 from repro.ir.temps import TEMP_PREFIX, TempNamer, replace_in_statement
 from repro.opt.cse import (
-    MIN_OCCURRENCES,
     MIN_OPS,
     _candidate_ids,
     _rebuild_with_temps,
@@ -73,9 +74,11 @@ def _reachable_from(cfg: ControlFlowGraph) -> Dict[str, Set[str]]:
 
 def _has_repeated_subtree(program: Program) -> bool:
     """True when an operator subtree with ``MIN_OPS`` operators (counted
-    as ``ExprDAG.op_counts`` does) occurs at ``MIN_OCCURRENCES`` places
-    in the statements and store indices -- without one no value number
-    can qualify.
+    as ``ExprDAG.op_counts`` does) occurs in two different statements,
+    store indices included -- without one no temporary can survive.  A
+    temporary materialized for repeats inside one statement is defined
+    right before it and read by it alone, so
+    :func:`_inline_single_use_temps` always inlines it back.
 
     One numbering pass per statement: a pre-order walk lists its nodes,
     pushing each node's children left to right, and numbering the list
@@ -86,9 +89,11 @@ def _has_repeated_subtree(program: Program) -> bool:
     are never keys (``__eq__`` recurses)."""
     ids: Dict[tuple, int] = {}
     op_counts: List[int] = []
-    occurrences: Dict[int, int] = {}
+    seen_in: Dict[int, int] = {}  # subtree id -> the first statement it occurs in
+    number = 0
     for block in program.blocks:
         for statement in block.statements:
+            number += 1
             order: List[IRNode] = []
             stack = [statement.expression]
             if statement.destination_index is not None:
@@ -131,10 +136,8 @@ def _has_repeated_subtree(program: Program) -> bool:
                     node_id = ids[key] = len(op_counts)
                     op_counts.append(ops)
                 if ops >= MIN_OPS and kind is Op:
-                    count = occurrences.get(node_id, 0) + 1
-                    if count >= MIN_OCCURRENCES:
+                    if seen_in.setdefault(node_id, number) != number:
                         return True
-                    occurrences[node_id] = count
                 results.append(node_id)
     return False
 

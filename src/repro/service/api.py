@@ -21,6 +21,12 @@ from repro.toolchain.passes import PipelineConfig
 from repro.toolchain.results import CompilationResult
 
 
+#: The shortest ``timeout_s`` a job may ask for, in seconds.  Below it a
+#: job would only buy a worker kill and respawn on the process backend;
+#: such a job answers a :class:`RequestError` instead.
+MIN_TIMEOUT_S = 0.1
+
+
 class RequestError(ReproError):
     """A malformed compile request (missing/conflicting fields)."""
 
@@ -62,10 +68,10 @@ class CompileRequest(Record):
     service to run this compile under a
     :class:`~repro.obs.trace.Tracer`; the response's result then embeds
     the Chrome trace-event JSON.  ``timeout_s`` bounds the wall-clock
-    service time of this request: the process backend kills and respawns
-    the worker when it expires (a structured timeout error response, the
-    worker slot survives); the thread backend cannot preempt a running
-    compile and ignores it.
+    service time of this request, at least :data:`MIN_TIMEOUT_S`: the
+    process backend kills and respawns the worker when it expires (a
+    structured timeout error response, the worker slot survives); the
+    thread backend cannot preempt a running compile and ignores it.
     """
 
     target: str
@@ -92,8 +98,11 @@ class CompileRequest(Record):
             )
         if self.preset is not None and self.config is not None:
             raise RequestError("pass either preset= or config=, not both")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise RequestError('"timeout_s" must be positive')
+        if self.timeout_s is not None and self.timeout_s < MIN_TIMEOUT_S:
+            raise RequestError(
+                "CompileRequest.timeout_s: expected at least %g seconds, got %r"
+                % (MIN_TIMEOUT_S, self.timeout_s)
+            )
 
     def resolved_config(self) -> PipelineConfig:
         """The pipeline config this request asks for (presets resolved,

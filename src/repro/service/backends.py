@@ -47,7 +47,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.diagnostics import InternalCompilerError, ReproError
 from repro.obs import log
-from repro.service.api import ErrorInfo, failed_envelope
+from repro.service.api import MIN_TIMEOUT_S, ErrorInfo, failed_envelope
 from repro.service.pool import SessionPool
 from repro.service.service import CompileService
 from repro.toolchain import RetargetCache, default_registry
@@ -585,10 +585,13 @@ class ProcessCompileBackend(CompileBackend):
         return response, body if body is not None else encode_response(response)
 
     def _timeout_of(self, job: object) -> float:
+        """The job's ``timeout_s`` when it is at least ``MIN_TIMEOUT_S``,
+        else the backend's: the worker refuses a shorter one with a
+        ``RequestError`` long before that deadline."""
         if isinstance(job, dict):
             timeout = job.get("timeout_s")
             if isinstance(timeout, (int, float)) and not isinstance(timeout, bool):
-                if timeout > 0:
+                if timeout >= MIN_TIMEOUT_S:
                     return float(timeout)
         return self.request_timeout_s
 

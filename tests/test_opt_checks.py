@@ -8,12 +8,14 @@ would say, and annotation at the end.  The pipeline must match it
 program for program and statistic for statistic, and its result must
 compute what its input computes on seeded environments.  The two
 checks that are walks of their own have oracles here too: ``fold``'s
-against folding itself, and GVN's against the earlier two-stack scan.
-Also pinned here: the work the checks save (IR objects built, CFG
-builds, copies, counted-loop scans), the analyses one run shares between
-its stages (one CFG, dominator tree and loop forest per block structure,
-block structures and counted loops equal to a fresh analysis), the one
-rule for ``hw_loops``, and a deep expression chain inside a loop.
+against folding itself, and GVN's against the earlier two-stack scan,
+with a soundness property: where GVN's check says no, ungated GVN
+keeps nothing.  Also pinned here: the work the checks save (IR objects
+built, CFG builds, copies, one counted-loop scan per rotation round),
+the analyses one run shares between its stages (one CFG, dominator tree
+and loop forest per block structure, block structures and counted loops
+equal to a fresh analysis), rotation rounds, the one rule for
+``hw_loops``, and a deep expression chain inside a loop.
 """
 
 import random
@@ -34,7 +36,7 @@ from repro.dspstone.kernels import all_kernel_names, loop_kernel_names
 from repro.frontend.lowering import lower_to_program
 from repro.fuzz.generator import GENERATOR_PROFILES, generate_source
 from repro.ir.expr import ArrayRef, Const, Op, PortInput, VarRef
-from repro.ir.program import BasicBlock, CBranch, Jump, Program, Statement
+from repro.ir.program import BasicBlock, CBranch, HardwareLoop, Jump, Program, Statement
 from repro.fuzz.oracles import SIMULATION_STEP_LIMIT, observables
 from repro.opt import (
     OptPipeline,
@@ -222,6 +224,22 @@ def generated():
     ]
 
 
+#: Three loops, all counted at first: one rotation round.
+THREE_LOOP_SOURCE = (
+    "int i, j, k, s; s = 0;\n"
+    "i = 0; while (i < 3) { s = s + i; i = i + 1; }\n"
+    "j = 0; while (j < 4) { s = s + j; j = j + 1; }\n"
+    "k = 0; while (k < 5) { s = s + k; k = k + 1; }\n"
+)
+
+#: Two loops, the second counted only once the first has rotated.
+TWO_ROUND_SOURCE = (
+    "int i, j, s; i = 0; s = 0;\n"
+    "while (i < 3) { j = 0; i = i + 1; }\n"
+    "while (j < 5) { s = s + j; j = j + 1; }\n"
+)
+
+
 class TestWorkDone:
     """What one default ``OptPipeline().run`` builds, copies and scans."""
 
@@ -270,17 +288,31 @@ class TestWorkDone:
         assert work == dict.fromkeys(work, 0)
 
     @pytest.mark.parametrize("kernel", loop_kernel_names())
-    def test_loop_kernel_scans_once_per_rotation_and_copies_nothing(
+    def test_loop_kernel_scans_once_per_rotation_round_and_copies_nothing(
         self, kernel, work, tms_result
     ):
         _optimized, stats = OptPipeline().run(
             kernel_program(kernel), supported_ops=_supported(tms_result)
         )
+        rounds = 1 if stats.loops_rotated else 0  # a kernel has one loop
         assert work["copy"] == 0
-        assert work["scan"] == 1 + stats.loops_rotated + (1 if stats.strength_reductions else 0)
-        # One CFG for the input's blocks and one after each rotation; no
-        # loop kernel gets a new preheader.
-        assert work["cfg"] == 1 + stats.loops_rotated
+        assert work["scan"] == 1 + rounds + (1 if stats.strength_reductions else 0)
+        # One CFG for the input's blocks and one after each rotation
+        # round; no loop kernel gets a new preheader.
+        assert work["cfg"] == 1 + rounds
+
+    @pytest.mark.parametrize(
+        ("source", "rotations", "rounds"),
+        [(THREE_LOOP_SOURCE, 3, 1), (TWO_ROUND_SOURCE, 2, 2)],
+        ids=["three_loops", "two_rounds"],
+    )
+    def test_rotation_recognizes_once_per_round(self, source, rotations, rounds, work):
+        program = lower_to_program(source)
+        work.update(dict.fromkeys(work, 0))
+        _optimized, stats = OptPipeline(stages=["loops"]).run(program)
+        assert stats.loops_rotated == rotations
+        # The input's recognition and CFG, then one of each per round.
+        assert work["scan"] == work["cfg"] == 1 + rounds
 
     @pytest.mark.parametrize("kernel", loop_kernel_names())
     def test_loop_kernel_shares_every_unchanged_block(self, kernel, tms_result):
@@ -322,14 +354,15 @@ class TestWorkDone:
     @staticmethod
     def _structures_analysed_once(analysed, program, supported_ops=None):
         """Run the pipeline; each analysis is built at most once per block
-        structure the run produces: the input's, one after each rotation,
-        and one after preheader insertion.  Returns (rotations, created
-        preheaders)."""
+        structure the run produces: the input's, one after the rotation
+        round (one round rotates every loop of these programs: no
+        rotation makes another of their loops counted), and one after
+        preheader insertion.  Returns (rotations, created preheaders)."""
         for keys in analysed.values():
             keys.clear()
         optimized, stats = OptPipeline().run(program, supported_ops=supported_ops)
         created = len(optimized.blocks) - len(program.blocks) + stats.loops_rotated
-        structures = 1 + stats.loops_rotated + (1 if created else 0)
+        structures = 1 + (1 if stats.loops_rotated else 0) + (1 if created else 0)
         for key, keys in analysed.items():
             assert len(keys) == len(set(keys)), key
             assert len(keys) <= structures, key
@@ -338,12 +371,14 @@ class TestWorkDone:
     def test_generated_loops_analyse_each_block_structure_once(self, analysed, ref_result):
         supported_ops = _supported(ref_result)
         loops = GENERATOR_PROFILES["loops"]
-        rotated = 0
+        rotations = []
         for seed in range(60):
             program = lower_to_program(generate_source(seed, loops))
-            rotations, _created = self._structures_analysed_once(analysed, program, supported_ops)
-            rotated += rotations
-        assert rotated
+            rotated, _created = self._structures_analysed_once(analysed, program, supported_ops)
+            rotations.append(rotated)
+        # Some program rotates several loops, so a recognition after each
+        # rotation would build more than one structure per round.
+        assert max(rotations) >= 2
 
     def test_preheader_insertion_analyses_its_structure_once(self, analysed):
         # The loop is entered from a conditional branch, so two hoists
@@ -458,6 +493,77 @@ class TestSharedAnalysesMatchFreshRecognition:
         }
 
 
+class TestRotationRounds:
+    def test_a_rotation_round_can_make_another_loop_counted(self):
+        # j's init walk stops at the empty two-predecessor header of the
+        # first loop, so only that loop is counted at first.  Its rotation
+        # lets the walk reach "j = 0" in its latch, and the next round
+        # rotates the second loop.
+        program = lower_to_program(TWO_ROUND_SOURCE, name="two_rounds")
+        optimized, stats = OptPipeline().run(program)
+        assert stats.loops_rotated == 2
+        assert [
+            (block.name, [str(statement) for statement in block.statements], str(block.terminator))
+            for block in optimized.blocks
+        ] == [
+            ("entry", ["i = 0", "s = 0", "j = 0"], "jump L2_body"),
+            ("L2_body", ["i = add(i, 1)"], "if lt(i, 3) goto L2_body else L3_endwhile"),
+            ("L3_endwhile", [], "jump L5_body"),
+            (
+                "L5_body",
+                ["s = add(s, j)", "j = add(j, 1)"],
+                "if lt(j, 5) goto L5_body else L6_endwhile",
+            ),
+            ("L6_endwhile", [], "None"),
+        ]
+        assert dict(optimized.hw_loops) == {
+            "L2_body": HardwareLoop(latch="L2_body", trip_count=3, kind="rpt")
+        }
+        _assert_computes_the_same(program, optimized, "two_rounds")
+
+    def test_one_round_rotates_two_loops_entered_from_one_block(self):
+        # Both headers are targets of the entry's branch: the second
+        # rotation must retarget the entry as the first one left it.
+        def loop(header, latch, name, bound):
+            return [
+                BasicBlock(
+                    header, [], CBranch(Op("lt", (VarRef(name), Const(bound))), latch, "exit")
+                ),
+                BasicBlock(
+                    latch,
+                    [
+                        Statement("s", Op("add", (VarRef("s"), VarRef(name)))),
+                        Statement(name, Op("add", (VarRef(name), Const(1)))),
+                    ],
+                    Jump(header),
+                ),
+            ]
+
+        program = Program(
+            name="forked",
+            blocks=[
+                BasicBlock(
+                    "entry",
+                    [Statement("i", Const(0)), Statement("j", Const(0))],
+                    CBranch(Op("lt", (VarRef("p"), Const(4))), "head_i", "head_j"),
+                ),
+                *loop("head_i", "body_i", "i", 3),
+                *loop("head_j", "body_j", "j", 5),
+                BasicBlock("exit"),
+            ],
+            scalars=["i", "j", "p", "s"],
+        )
+        optimized, stats = OptPipeline(stages=["loops"]).run(program)
+        assert stats.loops_rotated == 2
+        assert [block.name for block in optimized.blocks] == ["entry", "body_i", "body_j", "exit"]
+        assert optimized.block("entry").terminator.targets() == ("body_i", "body_j")
+        assert {latch: loop.trip_count for latch, loop in optimized.hw_loops.items()} == {
+            "body_i": 3,
+            "body_j": 5,
+        }
+        _assert_computes_the_same(program, optimized, "forked")
+
+
 class TestHardwareLoopRule:
     @pytest.mark.parametrize(
         "stages",
@@ -534,6 +640,13 @@ class TestStagesHandTheirInputThrough:
 
 
 class TestGvnHitCount:
+    """GVN's check skips a program whose repeats lie inside one
+    statement, so these tests force GVN to run."""
+
+    @pytest.fixture(autouse=True)
+    def ungated(self, monkeypatch):
+        monkeypatch.setattr(gvn_module, "_has_repeated_subtree", lambda *args: True)
+
     def test_an_inlined_temporary_takes_back_only_what_it_earned(self):
         # Seed 7 materializes a temporary read twice by one statement
         # (``v1 = mul(__cse0, __cse0)``), earning one hit, then inlines
@@ -709,41 +822,48 @@ def _extend(children):
 _soups = st.recursive(_LEAVES, _extend, max_leaves=12)
 
 
-def _reference_has_repeated_subtree(program):
+def _subtree_statements(program):
     """The two-stack scan GVN's check replaced: a post-order walk pushing
-    ``(node, expanded)`` pairs and slicing child ids off a result list."""
+    ``(node, expanded)`` pairs and slicing child ids off a result list.
+    Returns, for each operator subtree of ``MIN_OPS`` operators or more,
+    the numbers of the statements (store indices included) it occurs in
+    and how often it occurs in all."""
     ids = {}
     op_counts = []
+    statements_of = {}
     occurrences = {}
-    for block in program.blocks:
-        for statement in block.statements:
-            roots = (statement.expression, statement.destination_index)
-            stack = [(root, False) for root in roots if root is not None]
-            results = []
-            while stack:
-                node, expanded = stack.pop()
-                kind = type(node)
-                if kind is Op or kind is ArrayRef:
-                    children = node.children()
-                    if not expanded:
-                        stack.append((node, True))
-                        stack.extend([(child, False) for child in reversed(children)])
-                        continue
-                    child_ids = tuple(results[-len(children):])
-                    del results[-len(children):]
-                    key = (kind, node.op if kind is Op else node.name) + child_ids
-                    ops = (kind is Op) + sum([op_counts[child] for child in child_ids])
-                else:
-                    key, ops = (kind, str(node)), 0
-                node_id = ids.setdefault(key, len(ids))
-                if node_id == len(op_counts):
-                    op_counts.append(ops)
-                if kind is Op and ops >= MIN_OPS:
-                    occurrences[node_id] = occurrences.get(node_id, 0) + 1
-                    if occurrences[node_id] >= MIN_OCCURRENCES:
-                        return True
-                results.append(node_id)
-    return False
+    numbered = enumerate(statement for block in program.blocks for statement in block.statements)
+    for number, statement in numbered:
+        roots = (statement.expression, statement.destination_index)
+        stack = [(root, False) for root in roots if root is not None]
+        results = []
+        while stack:
+            node, expanded = stack.pop()
+            kind = type(node)
+            if kind is Op or kind is ArrayRef:
+                children = node.children()
+                if not expanded:
+                    stack.append((node, True))
+                    stack.extend([(child, False) for child in reversed(children)])
+                    continue
+                child_ids = tuple(results[-len(children):])
+                del results[-len(children):]
+                key = (kind, node.op if kind is Op else node.name) + child_ids
+                ops = (kind is Op) + sum([op_counts[child] for child in child_ids])
+            else:
+                key, ops = (kind, str(node)), 0
+            node_id = ids.setdefault(key, len(ids))
+            if node_id == len(op_counts):
+                op_counts.append(ops)
+            if kind is Op and ops >= MIN_OPS:
+                statements_of.setdefault(node_id, set()).add(number)
+                occurrences[node_id] = occurrences.get(node_id, 0) + 1
+            results.append(node_id)
+    return [(statements_of[node_id], occurrences[node_id]) for node_id in statements_of]
+
+
+def _reference_has_repeated_subtree(program):
+    return any(len(statements) >= 2 for statements, _count in _subtree_statements(program))
 
 
 def _assert_gvn_check_matches(program):
@@ -753,6 +873,9 @@ def _assert_gvn_check_matches(program):
 
 
 class TestGVNCheckOracle:
+    """GVN's check against the reference scan: an operator subtree of
+    ``MIN_OPS`` operators occurs in two different statements."""
+
     def test_kernels(self):
         for kernel in KERNELS:
             _assert_gvn_check_matches(kernel_program(kernel))
@@ -760,13 +883,10 @@ class TestGVNCheckOracle:
     def test_generated_programs_raw_and_after_the_loop_stages(self, generated_300, ref_result):
         supported_ops = _supported(ref_result)
         pipeline = OptPipeline(stages=("fold", "loops", "licm"))
-        repeated = 0
         for program in generated_300:
             _assert_gvn_check_matches(program)
-            repeated += _reference_has_repeated_subtree(program)
             optimized, _stats = pipeline.run(program, supported_ops=supported_ops)
             _assert_gvn_check_matches(optimized)
-        assert 0 < repeated < len(generated_300)
 
     def test_deep_chain(self):
         chain = VarRef("a")
@@ -780,10 +900,83 @@ class TestGVNCheckOracle:
         assert gvn_module._has_repeated_subtree(program)
         _assert_gvn_check_matches(program)
 
+    def test_a_repeat_inside_one_statement_does_not_count(self):
+        shared = Op("add", (Op("mul", (VarRef("a"), VarRef("b"))), VarRef("c")))
+        square = Statement("y", Op("mul", (shared, shared)))
+        indexed = Statement("x", shared, Op("add", (shared, Const(1))))
+        for statements in ([square], [indexed], [square, indexed]):
+            program = Program(
+                "within",
+                [BasicBlock("entry", statements)],
+                scalars=["a", "b", "c", "y"],
+                arrays={"x": 4},
+            )
+            assert gvn_module._has_repeated_subtree(program) == (len(statements) == 2)
+
     @settings(max_examples=150, deadline=None)
     @given(st.deferred(lambda: _random_cfg_programs()))
     def test_random_cfgs(self, program):
         _assert_gvn_check_matches(program)
+
+
+def _ungated_gvn(program, monkeypatch):
+    """``global_value_numbering`` on ``program`` with its check forced to
+    pass; returns the result and the run's statistics."""
+    run = OptRun()
+    with monkeypatch.context() as patch:
+        patch.setattr(gvn_module, "_has_repeated_subtree", lambda *args: True)
+        return global_value_numbering(program, run), run.stats
+
+
+def _assert_gvn_check_sound(program, monkeypatch):
+    """Where the check says no, ungated GVN leaves the program as it is
+    and counts no hit; where ungated GVN keeps a temporary, the check
+    says yes.  Returns whether GVN kept one."""
+    gated = gvn_module._has_repeated_subtree(program)
+    result, stats = _ungated_gvn(program, monkeypatch)
+    kept = set(result.scalars) - set(program.scalars)
+    if not gated:
+        assert _shape(result) == _shape(program), program.name
+        assert stats.gvn_hits == 0, program.name
+    if kept:
+        assert gated, program.name
+    return bool(kept)
+
+
+def _hand_built_gvn_programs():
+    from test_opt_differential import SYNTHETIC_SOURCES
+    from test_opt_global import GVN_SOURCES
+
+    sources = dict(SYNTHETIC_SOURCES, **GVN_SOURCES)
+    return [lower_to_program(source, name=name) for name, source in sorted(sources.items())]
+
+
+class TestGVNCheckIsSound:
+    """A temporary read by one statement is always inlined back, so a
+    subtree repeated only inside one statement leaves nothing: GVN's
+    check may skip such programs, and only them."""
+
+    def test_kernels_and_hand_built_programs(self, monkeypatch):
+        programs = [kernel_program(kernel) for kernel in KERNELS] + _hand_built_gvn_programs()
+        kept = [_assert_gvn_check_sound(program, monkeypatch) for program in programs]
+        assert any(kept)  # cse_chain and gvn_cross keep temporaries
+
+    def test_generated_programs(self, generated_300, monkeypatch):
+        skipped_repeats = 0
+        for program in generated_300:
+            _assert_gvn_check_sound(program, monkeypatch)
+            skipped_repeats += not gvn_module._has_repeated_subtree(program) and any(
+                count >= MIN_OCCURRENCES for _statements, count in _subtree_statements(program)
+            )
+        # Programs whose only repeats lie inside one statement, which the
+        # occurrence count before this check sent through full GVN.
+        assert skipped_repeats
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.deferred(lambda: _random_cfg_programs()))
+    def test_random_cfgs(self, program):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _assert_gvn_check_sound(program, monkeypatch)
 
 
 _CFG_EXPRESSIONS = st.recursive(

@@ -2,7 +2,8 @@
 
 Covers the loop analysis (back edges against a brute-force dominator-set
 oracle and natural loops), LICM's preheaders (reused and created, and
-random loop programs on which LICM creates them), the counted-loop
+random loop programs on which LICM creates them), closed-form trip
+counts against stepping through the recurrence, the counted-loop
 transformations (rotation, strength reduction), cross-block GVN, LICM,
 and the end-to-end hardware-loop contract on the TMS320C25: every
 loop-form DSPStone kernel must pick up at least one LICM hoist or one
@@ -13,6 +14,7 @@ with IR-level reference execution of the *original* program.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.opt.loops as loops_module
 from repro.analysis import check_optimized_program
 from repro.analysis.cfg import ControlFlowGraph
 from repro.analysis.loops import (
@@ -375,6 +377,88 @@ class TestRotation:
         assert loop.step == 1
 
 
+_COMPARISONS = ("lt", "le", "gt", "ge", "eq", "ne")
+_WORDS = st.one_of(
+    st.integers(min_value=-8, max_value=40),
+    st.integers(min_value=-70000, max_value=70000),
+    st.sampled_from([65535, 65534, 32767, 32768, 65536, -32768, 6, 12, 16, 1024]),
+)
+
+
+@st.composite
+def affine_loops(draw):
+    """A trip-count key of an affine loop: a ``v = v +/- c`` update and a
+    comparison of ``v`` with a constant, on either side, in either
+    branch sense."""
+    step, bound = draw(_WORDS), draw(_WORDS)
+    i = VarRef("i")
+    update = draw(
+        st.sampled_from(
+            [
+                Op("add", (i, Const(step))),
+                Op("add", (Const(step), i)),
+                Op("sub", (i, Const(step))),
+            ]
+        )
+    )
+    op = draw(st.sampled_from(_COMPARISONS))
+    condition = draw(st.sampled_from([Op(op, (i, Const(bound))), Op(op, (Const(bound), i))]))
+    stays = draw(st.sampled_from([(False, True), (True, False)]))
+    return draw(st.sampled_from(["while", "self"])), draw(_WORDS), "i", update, condition, stays
+
+
+class TestClosedFormTripCounts:
+    @settings(max_examples=150, deadline=None)
+    @given(affine_loops())
+    def test_closed_form_equals_stepping(self, key):
+        assert loops_module._trip_count(*key) == loops_module._step_trip_count(*key)
+
+    @pytest.mark.parametrize(
+        ("source", "trips"),
+        [
+            ("int i, s; s = 0; i = 0; while (i < 30000) { s = s + i; i = i + 1; }", 30000),
+            # Never exit: the progressions run over the even and the odd
+            # words, and the exit word is of the other kind.
+            ("int i, s; s = 0; i = 0; while (i != 1) { s = s + i; i = i + 2; }", None),
+            ("int i, s; s = 0; i = 1; do { s = s + i; i = i + 2; } while (i != 0);", None),
+        ],
+        ids=["to_30000", "even_never_1", "odd_never_0"],
+    )
+    def test_long_and_endless_loops_are_counted_without_stepping(
+        self, source, trips, monkeypatch
+    ):
+        def no_stepping(*key):
+            raise AssertionError("stepped through %r" % (key,))
+
+        monkeypatch.setattr(loops_module, "_step_trip_count", no_stepping)
+        program = lower_to_program(source)
+        counted = find_counted_loops(program, OptRun())
+        assert [loop.trip_count for loop in counted.values()] == ([trips] if trips else [])
+        optimized, stats = OptPipeline().run(program)
+        assert stats.loops_rotated == (1 if trips else 0)
+        assert [loop.trip_count for loop in optimized.hw_loops.values()] == (
+            [trips] if trips else []
+        )
+
+    def test_a_step_that_can_jump_the_exit_interval_is_stepped(self, monkeypatch):
+        # i runs 0, 5, 10, ...; the loop leaves at i >= 65533, a
+        # three-word interval a step of 5 can jump over.
+        stepped = []
+        step = loops_module._step_trip_count
+
+        def recording(*key):
+            stepped.append(key)
+            return step(*key)
+
+        monkeypatch.setattr(loops_module, "_step_trip_count", recording)
+        program = lower_to_program(
+            "int i, s; s = 0; i = 0; while (i < 65533) { s = s + i; i = i + 5; }"
+        )
+        (loop,) = find_counted_loops(program, OptRun()).values()
+        assert loop.trip_count == 13107  # 13107 * 5 = 65535
+        assert len(stepped) == 1
+
+
 class TestStrengthReduction:
     SOURCE = (
         "int z, y, i;\n"
@@ -469,15 +553,25 @@ class TestLICM:
         _assert_same_execution(program, optimized)
 
 
+#: Programs whose repeats cross blocks.
+GVN_SOURCES = {
+    "gvn_cross": (
+        "int a, b, p, y0, y1, y2;\n"
+        "y0 = a * b + 7;\n"
+        "if (p < 4) { y1 = a * b + 7; }\n"
+        "y2 = a * b + 7;\n"
+    ),
+    "gvn_siblings": (
+        "int a, b, p, y0, y1, y2;\n"
+        "if (p < 4) { y0 = a * b + 7; } else { y1 = a * b + 7; }\n"
+        "y2 = a * b + 7;\n"
+    ),
+}
+
+
 class TestGlobalValueNumbering:
     def test_redundancy_across_dominated_blocks_is_removed(self):
-        source = (
-            "int a, b, p, y0, y1, y2;\n"
-            "y0 = a * b + 7;\n"
-            "if (p < 4) { y1 = a * b + 7; }\n"
-            "y2 = a * b + 7;\n"
-        )
-        program = lower_to_program(source, name="gvn_cross")
+        program = lower_to_program(GVN_SOURCES["gvn_cross"], name="gvn_cross")
         optimized, stats = optimize_program(program, stages=("gvn", "dce"))
         assert stats.gvn_hits >= 2
         _assert_same_execution(program, optimized)
@@ -492,12 +586,7 @@ class TestGlobalValueNumbering:
     def test_sibling_branches_do_not_share(self):
         # Neither branch of an if/else dominates the other: GVN must not
         # reuse a value computed in only one of them afterwards.
-        source = (
-            "int a, b, p, y0, y1, y2;\n"
-            "if (p < 4) { y0 = a * b + 7; } else { y1 = a * b + 7; }\n"
-            "y2 = a * b + 7;\n"
-        )
-        program = lower_to_program(source, name="gvn_siblings")
+        program = lower_to_program(GVN_SOURCES["gvn_siblings"], name="gvn_siblings")
         optimized, _stats = optimize_program(program, stages=("gvn", "dce"))
         _assert_same_execution(program, optimized)
 

@@ -4,8 +4,9 @@ A job's fields are checked against ``CompileRequest``'s annotations when
 it is decoded, so a value of the wrong JSON type answers a
 ``RequestError`` that names the field -- through the thread backend and
 through a process-backend worker alike.  A job names a registered
-target; the service never opens a path a job names.  Every envelope of
-a job that did not compile is named by one rule.
+target; the service never opens a path a job names.  A job's timeout is
+at least ``MIN_TIMEOUT_S``.  Every envelope of a job that did not compile
+is named by one rule.
 """
 
 import json
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.server import start_server
 from repro.service import ProcessCompileBackend, ThreadCompileBackend
-from repro.service.api import CompileRequest
+from repro.service.api import MIN_TIMEOUT_S, CompileRequest
 from repro.toolchain import default_registry
 from repro.toolchain.passes import PipelineConfig
 
@@ -111,6 +112,29 @@ def hostile_paths(tmp_path_factory):
         "device": os.devnull,
         "missing": str(directory / "missing.hdl"),
     }
+
+
+def _kills(backend):
+    stats = backend.stats()
+    return stats.get("timeouts", 0), stats.get("respawns", 0)
+
+
+class TestTimeoutFloor:
+    def test_a_timeout_below_the_floor_is_refused_without_a_respawn(self, backend):
+        before = _kills(backend)
+        response = backend.run_job({"target": "demo", "kernel": "fir", "timeout_s": 1e-6})
+        error = response["error"]
+        assert error["type"] == "RequestError", error
+        assert "CompileRequest.timeout_s" in error["message"]
+        assert _kills(backend) == before
+
+    def test_a_timeout_at_the_floor_is_honoured(self, backend):
+        before = _kills(backend)
+        response = backend.run_job(
+            {"target": "demo", "kernel": "fir", "timeout_s": MIN_TIMEOUT_S}
+        )
+        assert response["ok"], response
+        assert _kills(backend) == before
 
 
 class TestTargets:

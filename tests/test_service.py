@@ -11,7 +11,7 @@ from repro.service import (
     SessionPool,
     ThreadCompileBackend,
 )
-from repro.service.api import ErrorInfo, RequestError
+from repro.service.api import MIN_TIMEOUT_S, ErrorInfo, RequestError
 from repro.toolchain import PipelineConfig
 
 
@@ -134,15 +134,16 @@ class TestRequests:
         assert CompileRequest.from_dict(data) == request
         assert "timeout_s" not in CompileRequest(target="demo", kernel="fir").to_dict()
 
-    def test_timeout_field_must_be_a_positive_number(self):
+    def test_timeout_field_must_be_a_number_not_below_the_floor(self):
         # The type is checked where outside input arrives, the decode ...
         for bad in ("soon", True):
             with pytest.raises(RequestError, match="CompileRequest.timeout_s"):
                 CompileRequest.from_dict({"target": "demo", "kernel": "fir", "timeout_s": bad})
         # ... and the value by validate().
-        for bad in (0, -1.0):
-            with pytest.raises(RequestError):
+        for bad in (0, -1.0, 1e-6, MIN_TIMEOUT_S / 2):
+            with pytest.raises(RequestError, match="CompileRequest.timeout_s"):
                 CompileRequest(target="demo", kernel="fir", timeout_s=bad).validate()
+        CompileRequest(target="demo", kernel="fir", timeout_s=MIN_TIMEOUT_S).validate()
 
 
 class TestSessionPool:
