@@ -29,7 +29,8 @@ import time
 from typing import Dict
 
 from repro.dspstone import get_kernel, kernel_program, loop_kernel_names
-from repro.opt import OPT_TEMP_PREFIXES, OptPipeline
+from repro.fuzz.oracles import observables
+from repro.opt import OptPipeline
 from repro.toolchain import PipelineConfig, Session
 from repro.toolchain.passes import OptimizationPass, PassManager
 
@@ -55,16 +56,11 @@ def assert_loop_forms_equivalent(session: Session) -> None:
         loop_program = kernel_program(name)
         unrolled_program = kernel_program(kernel.unrolled)
         environment = _seed_environment(loop_program)
-        loop_result = session.compile_program(loop_program)
-        loop_out = loop_result.simulate(dict(environment))
+        loop_out = session.compile_program(loop_program).simulate(environment)
         reference = loop_program.execute(dict(environment))
-        for key, value in reference.items():
-            if key.startswith(OPT_TEMP_PREFIXES):
-                continue
+        for key, value in observables(reference).items():
             assert loop_out.get(key, 0) == value, (name, key)
-        unrolled_out = session.compile_program(unrolled_program).simulate(
-            dict(environment)
-        )
+        unrolled_out = session.compile_program(unrolled_program).simulate(environment)
         for key in unrolled_program.all_variables():
             if key in loop_out:
                 assert loop_out[key] == unrolled_out.get(key, 0), (name, key)

@@ -31,7 +31,7 @@ from typing import Dict, List, Tuple
 
 from repro.dspstone import all_kernel_names, kernel_program
 from repro.frontend.lowering import lower_to_program
-from repro.opt import TEMP_PREFIX
+from repro.fuzz.oracles import observables
 from repro.selector.burs import CodeSelector
 from repro.toolchain import PipelineConfig, Session
 
@@ -107,16 +107,8 @@ def assert_equivalent_and_never_worse(tms_result, suite) -> None:
             variable: (index * 23 + 7) % 199 + 1
             for index, variable in enumerate(sorted(program.all_variables()))
         }
-        got = {
-            key: value
-            for key, value in optimized.simulate(dict(environment)).items()
-            if not key.startswith(TEMP_PREFIX)
-        }
-        expected = {
-            key: value
-            for key, value in unoptimized.simulate(dict(environment)).items()
-            if not key.startswith(TEMP_PREFIX)
-        }
+        got = observables(optimized.simulate(environment))
+        expected = observables(unoptimized.simulate(environment))
         assert got == expected, name
 
 

@@ -11,7 +11,12 @@ instruction.
 Run with::
 
     python examples/compile_fir.py
+
+It exits with status 1 when a simulated value disagrees with reference
+execution of the source program.
 """
+
+import sys
 
 from repro.baselines import hand_reference_size
 from repro.dspstone import get_kernel
@@ -53,11 +58,14 @@ def main():
     environment.update({"h[%d]" % i: 2 * i - 3 for i in range(8)})
     source_block = lower_to_program(kernel.source, name="fir").single_block()
     reference = source_block.execute(environment)["y"] & 0xFFFF
+    mismatches = 0
     for name, compiled in (("RECORD", record_code), ("baseline", baseline_code)):
         simulated = compiled.simulate(environment)["y"] & 0xFFFF
+        mismatches += simulated != reference
         status = "OK" if simulated == reference else "MISMATCH"
         print("simulated y (%s) = %d, reference = %d -> %s" % (name, simulated, reference, status))
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -11,7 +11,12 @@ compiler-specific description was written at any point.
 Run with::
 
     python examples/custom_processor.py
+
+It exits with status 1 when a simulated value disagrees with reference
+execution of the source program.
 """
+
+import sys
 
 from repro.expansion import ExpansionOptions, RewriteRule, default_transformation_library
 from repro.expansion.rewrite import Slot
@@ -143,10 +148,13 @@ def main():
 
     reference = lower_to_program(PROGRAM, name="custom").single_block().execute(environment)
     simulated = compiled.simulate(environment)
+    mismatches = 0
     for variable in ("y", "c"):
         match = (reference[variable] & 0xFFFF) == (simulated[variable] & 0xFFFF)
+        mismatches += not match
         print("  %s = %d (%s)" % (variable, simulated[variable] & 0xFFFF, "OK" if match else "MISMATCH"))
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

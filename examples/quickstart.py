@@ -11,7 +11,12 @@ and finishes by simulating the generated code against the source program.
 Run with::
 
     python examples/quickstart.py
+
+It exits with status 1 when a simulated value disagrees with reference
+execution of the source program.
 """
+
+import sys
 
 from repro.expansion import expand_template_base
 from repro.grammar import build_tree_grammar, grammar_to_bnf
@@ -78,14 +83,17 @@ def main():
     reference = lower_to_program(SOURCE_PROGRAM, name="quickstart").single_block().execute(environment)
     simulated = compiled.simulate(environment)
     print("== simulation vs. reference ==")
+    mismatches = 0
     for variable in ("d", "c"):
+        match = (reference[variable] & 0xFFFF) == (simulated[variable] & 0xFFFF)
+        mismatches += not match
         print(
             "  %-3s reference=%-6d simulated=%-6d %s"
             % (
                 variable,
                 reference[variable] & 0xFFFF,
                 simulated[variable] & 0xFFFF,
-                "OK" if (reference[variable] & 0xFFFF) == (simulated[variable] & 0xFFFF) else "MISMATCH",
+                "OK" if match else "MISMATCH",
             )
         )
 
@@ -100,7 +108,8 @@ def main():
           % (len(trace.steps), trace.final_environment["d"] & 0xFFFF))
     round_tripped = type(compiled).from_json(compiled.to_json())
     print("JSON round-trip lossless:", round_tripped.to_dict() == compiled.to_dict())
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

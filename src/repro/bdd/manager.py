@@ -55,9 +55,6 @@ class BDD:
     def __invert__(self) -> "BDD":
         return BDD(self.manager, self.manager._negate(self.node))
 
-    def implies(self, other: "BDD") -> "BDD":
-        return (~self) | other
-
     def iff(self, other: "BDD") -> "BDD":
         return ~(self ^ other)
 
@@ -85,26 +82,6 @@ class BDD:
     def satisfiable(self) -> bool:
         """Whether at least one assignment satisfies the function."""
         return self.node != BDDManager.FALSE
-
-    def is_tautology(self) -> bool:
-        return self.node == BDDManager.TRUE
-
-    def support(self) -> List[str]:
-        """Names of the variables the function actually depends on."""
-        return self.manager._support(self.node)
-
-    def restrict(self, assignment: Dict[str, bool]) -> "BDD":
-        """Cofactor with respect to a partial variable assignment."""
-        return BDD(self.manager, self.manager._restrict(self.node, assignment))
-
-    def sat_count(self, nvars: Optional[int] = None) -> int:
-        """Number of satisfying assignments over ``nvars`` variables.
-
-        Defaults to the number of variables declared in the manager.
-        """
-        if nvars is None:
-            nvars = len(self.manager._var_names)
-        return self.manager._sat_count(self.node, nvars)
 
     def one_sat(self) -> Optional[Dict[str, bool]]:
         """One satisfying assignment (only variables on the chosen path),
@@ -289,68 +266,6 @@ class BDDManager:
             self._not_cache[node] = result
         return result
 
-    def _support(self, node: int) -> List[str]:
-        seen = set()
-        names = set()
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            if current in (self.FALSE, self.TRUE) or current in seen:
-                continue
-            seen.add(current)
-            level, low, high = self._nodes[current]
-            names.add(self._var_names[level])
-            stack.append(low)
-            stack.append(high)
-        return sorted(names, key=lambda name: self._var_levels[name])
-
-    def _restrict(self, node: int, assignment: Dict[str, bool]) -> int:
-        levels = {
-            self._var_levels[name]: value
-            for name, value in assignment.items()
-            if name in self._var_levels
-        }
-        memo: Dict[int, int] = {}
-
-        def walk(current: int) -> int:
-            if current in (self.FALSE, self.TRUE):
-                return current
-            if current in memo:
-                return memo[current]
-            level, low, high = self._nodes[current]
-            if level in levels:
-                result = walk(high if levels[level] else low)
-            else:
-                result = self._mk(level, walk(low), walk(high))
-            memo[current] = result
-            return result
-
-        return walk(node)
-
-    def _sat_count(self, node: int, nvars: int) -> int:
-        memo: Dict[int, int] = {}
-
-        def walk(current: int) -> Tuple[int, int]:
-            """Return (count, level) where count is over variables below level."""
-            if current == self.FALSE:
-                return 0, nvars
-            if current == self.TRUE:
-                return 1, nvars
-            if current in memo:
-                level = self._nodes[current][0]
-                return memo[current], level
-            level, low, high = self._nodes[current]
-            low_count, low_level = walk(low)
-            high_count, high_level = walk(high)
-            count = low_count * (1 << (low_level - level - 1)) + high_count * (
-                1 << (high_level - level - 1)
-            )
-            memo[current] = count
-            return count, level
-
-        count, level = walk(node)
-        return count * (1 << level)
-
     def _one_sat(self, node: int) -> Optional[Dict[str, bool]]:
         if node == self.FALSE:
             return None
@@ -376,13 +291,6 @@ class BDDManager:
         return current == self.TRUE
 
     # -- convenience ----------------------------------------------------------
-
-    def conjoin(self, functions: Iterator[BDD]) -> BDD:
-        """AND together an iterable of BDDs (true for an empty iterable)."""
-        result = self.true
-        for function in functions:
-            result = result & function
-        return result
 
     def disjoin(self, functions: Iterator[BDD]) -> BDD:
         """OR together an iterable of BDDs (false for an empty iterable)."""

@@ -97,25 +97,11 @@ class KernelError(ReproError, KeyError):
         return Exception.__str__(self)
 
 
-class RetargetError(ReproError):
-    """The retargeting flow failed on a structurally valid model (e.g. no
-    usable instruction set could be extracted)."""
-
-    phase = "retarget"
-
-
 class PipelineError(ReproError):
     """An invalid pass-pipeline configuration (unknown pass or preset,
     broken pass ordering)."""
 
     phase = "pipeline"
-
-
-class CacheError(ReproError):
-    """The retarget cache is unusable (unwritable directory, corrupt
-    entry that cannot be discarded)."""
-
-    phase = "cache"
 
 
 class ResultError(ReproError):

@@ -21,7 +21,6 @@ from typing import Dict, Optional
 
 from repro.analysis.verify import VerificationError
 from repro.diagnostics import InternalCompilerError, ReproError
-from repro.hdl.ast import ModuleKind
 from repro.ir.program import Program
 from repro.opt import OPT_TEMP_PREFIXES
 from repro.selector.burs import CodeSelector
@@ -61,7 +60,6 @@ class TargetHarness:
     session_opt: Session
     session_noopt: Session
     session_interp: Session
-    memory_storages: frozenset
 
     @classmethod
     def create(
@@ -94,23 +92,17 @@ class TargetHarness:
             tables=retarget_result.selector.tables,
             matcher="interpretive",
         )
-        storages = frozenset(
-            module.name
-            for module in retarget_result.netlist.sequential_modules()
-            if module.kind == ModuleKind.MEMORY
-        )
         return cls(
             target=target,
             session_opt=session_opt,
             session_noopt=session_noopt,
             session_interp=session_interp,
-            memory_storages=storages,
         )
 
 
 def seed_environment(program: Program) -> Dict[str, int]:
     """Deterministic initial values for every variable the program can
-    read (same scheme as the backend differential suite)."""
+    read (the backend differential suite seeds with it too)."""
     environment: Dict[str, int] = {}
     for name, size in sorted(program.arrays.items()):
         for index in range(size):
@@ -133,8 +125,10 @@ def observables(environment: Dict[str, int]) -> Dict[str, int]:
 
 
 def faithful_simulate(result, memory_storages, environment) -> Dict[str, int]:
-    """Storage-faithful RT simulation of one compilation result."""
-    simulator = RTSimulator(dict(environment), memory_storages=set(memory_storages))
+    """RT simulation of one compilation result on the memories
+    ``memory_storages`` under the oracles' step budget (what
+    ``result.simulate`` does with the result's own memories)."""
+    simulator = RTSimulator(environment, memory_storages)
     return simulator.run_cfg(list(result.block_codes), max_steps=SIMULATION_STEP_LIMIT)
 
 
@@ -161,10 +155,10 @@ def _mismatches(left: Dict[str, int], right: Dict[str, int]) -> Dict[str, tuple]
 def check_simulation(
     harness: TargetHarness, program: Program, environment: Dict[str, int]
 ) -> Optional[Divergence]:
-    """``sim``: compiled code, simulated storage-faithfully, must equal
-    reference execution of the source program."""
+    """``sim``: compiled code, simulated on the processor's storages,
+    must equal reference execution of the source program."""
     compiled = _compile_leg(harness.session_opt, program, "optimized")
-    simulated = faithful_simulate(compiled, harness.memory_storages, environment)
+    simulated = compiled.simulate(environment, max_steps=SIMULATION_STEP_LIMIT)
     reference = program.execute(dict(environment), max_steps=SIMULATION_STEP_LIMIT)
     mismatches = _mismatches(reference, simulated)
     if mismatches:
@@ -184,8 +178,8 @@ def check_optimizer(
     same observables."""
     opt_result = _compile_leg(harness.session_opt, program, "optimized")
     noopt_result = _compile_leg(harness.session_noopt, program, "no-opt")
-    opt_out = faithful_simulate(opt_result, harness.memory_storages, environment)
-    noopt_out = faithful_simulate(noopt_result, harness.memory_storages, environment)
+    opt_out = opt_result.simulate(environment, max_steps=SIMULATION_STEP_LIMIT)
+    noopt_out = noopt_result.simulate(environment, max_steps=SIMULATION_STEP_LIMIT)
     mismatches = _mismatches(noopt_out, opt_out)
     if mismatches:
         return Divergence(
@@ -211,12 +205,8 @@ def check_matchers(
             detail="code size differs: tables=%d interpretive=%d"
             % (tables_result.code_size, interp_result.code_size),
         )
-    tables_out = faithful_simulate(
-        tables_result, harness.memory_storages, environment
-    )
-    interp_out = faithful_simulate(
-        interp_result, harness.memory_storages, environment
-    )
+    tables_out = tables_result.simulate(environment, max_steps=SIMULATION_STEP_LIMIT)
+    interp_out = interp_result.simulate(environment, max_steps=SIMULATION_STEP_LIMIT)
     mismatches = _mismatches(tables_out, interp_out)
     if mismatches:
         return Divergence(

@@ -235,7 +235,8 @@ def find_counted_loops(program: Program, run: OptRun) -> Dict[str, CountedLoop]:
     """All counted loops of ``program``, keyed by header block name,
     recognized on ``run``'s analyses of its block structure.  Trip counts
     are memoized in ``run.trip_counts``, by induction recurrence and
-    loop condition, for the recognitions after a rewrite."""
+    loop condition (their renderings), for the recognitions after a
+    rewrite."""
     structure = run.structure(program)
     cfg = structure.cfg
     if not cfg.names:
@@ -299,17 +300,16 @@ def find_counted_loops(program: Program, run: OptRun) -> Dict[str, CountedLoop]:
         if init is None:
             continue
         init_value, init_block, init_index = init
-        key = (
-            form,
-            init_value,
-            name,
-            body_statements[update_index].expression,
-            branch.condition,
-            (branch.false_target in loop.blocks, branch.true_target in loop.blocks),
-        )
+        update = body_statements[update_index].expression
+        stays = (branch.false_target in loop.blocks, branch.true_target in loop.blocks)
+        # Keyed on the trees' renderings: hashing a tree recurses once
+        # per level, rendering does not.
+        key = (form, init_value, name, str(update), str(branch.condition), stays)
         trips = trip_counts.get(key, -1)  # -1: not counted yet
         if trips == -1:
-            trips = trip_counts[key] = _trip_count(*key)
+            trips = trip_counts[key] = _trip_count(
+                form, init_value, name, update, branch.condition, stays
+            )
         if trips is None:
             continue
         counted[header] = CountedLoop(

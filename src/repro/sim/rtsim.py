@@ -1,34 +1,33 @@
-"""Value-level simulation of selected RT sequences.
+"""Register-transfer simulation of selected RT sequences.
 
 Each RT instance covers a region of the statement's subject tree: the
 region's frontier is given by the instance's operand nodes (intermediate
 results produced by earlier RTs) and its interior leaves are program
-variables, constants or ports.  The simulator evaluates exactly that region
-using the current value table, which validates both the data flow of the
-cover (operands come from the right producers) and the operator semantics
-of chained templates.
+variables, constants or ports.  The simulator evaluates exactly that
+region, which validates both the data flow of the cover (operands come
+from the right producers) and the operator semantics of chained
+templates.
 
-Two layers on top of that:
+The simulator models the processor's storages as the hardware has them:
+the named memories hold many values, and every other storage a result
+lands in is a register that holds one.  An operand read from a register
+consumes whatever the register holds at that point, so a scheduling or
+spill bug that leaves a stale value in a register produces the stale
+result.  An RT's own top node is evaluated from its children, so a chain
+RT (a move such as ``DMEM := ACC``, whose operand is its top node)
+re-evaluates that subtree instead of reading the register.
 
-* **CFG execution** (:meth:`RTSimulator.run_cfg`): every program runs as a
-  list of :class:`~repro.codegen.selection.BlockCode` objects (a
-  straight-line program is one block), following the
-  ``jump``/``cbranch``/``repeat`` pseudo-instances at block ends, under a
-  step limit (a diverging loop fails loudly instead of hanging a test
-  suite).
-* **storage-faithful mode** (``memory_storages=...``): additionally
-  tracks the *contents* of single-value register resources and serves
-  operand reads from whatever the register actually holds -- exactly what
-  the hardware would do.  A scheduling or spill bug that leaves a stale
-  value in a register then produces the stale result instead of being
-  papered over by the value table, which is what the backend differential
-  suite and the spill/scheduler regression tests rely on.
+Every program runs along its CFG (:meth:`RTSimulator.run_cfg`) as a list
+of :class:`~repro.codegen.selection.BlockCode` objects (a straight-line
+program is one block), following the ``jump``/``cbranch``/``repeat``
+pseudo-instances at block ends, under a step limit (a diverging loop
+fails loudly instead of hanging a test suite).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from repro.codegen.selection import BlockCode, RTInstance, StatementCode
 from repro.ir import apply_operator, evaluate_expr, wrap_word
@@ -46,36 +45,21 @@ class SimulationError(Exception):
 class RTSimulator:
     """Executes RT instances over a program-variable environment.
 
-    ``memory_storages`` (optional) enables storage-faithful mode: the
-    named storages are multi-valued memories; every *other* storage a
-    result lands in is treated as a single-value register whose concrete
-    content is tracked, and operand reads consume that content even when
-    it is stale.  Without the argument the simulator is purely
-    value-table based (the historical behavior).
+    ``memory_storages`` names the storages that hold many values; every
+    other storage a result lands in is a register whose content is
+    tracked per statement, and operand reads consume that content even
+    when it is stale.
     """
 
-    def __init__(
-        self,
-        environment: Optional[Dict[str, int]] = None,
-        memory_storages: Optional[Iterable[str]] = None,
-    ):
-        self.environment: Dict[str, int] = dict(environment or {})
+    def __init__(self, environment: Dict[str, int], memory_storages: Iterable[str]):
+        self.environment: Dict[str, int] = dict(environment)
+        self.memory_storages: FrozenSet[str] = frozenset(memory_storages)
+        # Per statement: the values produced, what each register holds
+        # and the spilled values.
         self._values: Dict[str, int] = {}
-        self.memory_storages: Optional[Set[str]] = (
-            set(memory_storages) if memory_storages is not None else None
-        )
-        # Storage-faithful register tracking (per statement).
-        self._register_holds: Dict[str, str] = {}
         self._register_values: Dict[str, int] = {}
         self._spill_values: Dict[str, int] = {}
         self._repeat_executed: Dict[str, int] = {}
-
-    @property
-    def faithful(self) -> bool:
-        return self.memory_storages is not None
-
-    def _is_register(self, storage: str) -> bool:
-        return self.faithful and storage not in self.memory_storages
 
     # -- execution -------------------------------------------------------------
 
@@ -83,7 +67,6 @@ class RTSimulator:
         """Execute the RT instances of one statement, updating the
         environment with the statement's destination value."""
         self._values = {}
-        self._register_holds = {}
         self._register_values = {}
         self._spill_values = {}
         executed_any = False
@@ -171,18 +154,16 @@ class RTSimulator:
             # Control transfers are interpreted by run_cfg.
             return
         if instance.kind == "spill_store":
-            if self.faithful:
-                value_id, storage = instance.operands[0]
-                self._spill_values[value_id] = self._read_operand(value_id, storage)
+            value_id, storage = instance.operands[0]
+            self._spill_values[value_id] = self._read_operand(value_id, storage)
             return
         if instance.kind == "spill_reload":
-            if self.faithful:
-                value_id = instance.result_id
-                if value_id in self._spill_values:
-                    value = self._spill_values[value_id]
-                else:
-                    value = self._lookup_value(value_id)
-                self._write_register(instance.result_storage, value_id, value)
+            value_id = instance.result_id
+            if value_id in self._spill_values:
+                value = self._spill_values[value_id]
+            else:
+                value = self._lookup_value(value_id)
+            self._write_register(instance.result_storage, value)
             return
         if instance.kind != "rt":
             # Unknown transfer kinds are identity at value level.
@@ -197,7 +178,7 @@ class RTSimulator:
         }
         value = self._evaluate_region(instance.node, frontier, top=True)
         self._values[instance.result_id] = value
-        self._write_register(instance.result_storage, instance.result_id, value)
+        self._write_register(instance.result_storage, value)
         if instance.defines_variable is not None:
             if instance.defines_index is not None:
                 index = evaluate_expr(instance.defines_index, self.environment)
@@ -206,19 +187,18 @@ class RTSimulator:
             else:
                 self.environment[instance.defines_variable] = value
 
-    def _write_register(self, storage: str, value_id: str, value: int) -> None:
-        if self._is_register(storage):
-            self._register_holds[storage] = value_id
+    def _write_register(self, storage: str, value: int) -> None:
+        if storage not in self.memory_storages:
             self._register_values[storage] = value
 
     def _read_operand(self, value_id: str, storage: str) -> int:
         """The value an operand read actually produces.
 
-        In storage-faithful mode a read from a tracked register returns
-        the register's current content -- stale or not; everywhere else
-        (memories, untouched registers, value-table mode) it is the value
-        the id denotes."""
-        if self._is_register(storage) and storage in self._register_holds:
+        A read from a register the statement wrote returns the
+        register's current content -- stale or not; everywhere else
+        (memories, registers not written yet) it is the value the id
+        denotes."""
+        if storage in self._register_values:
             return self._register_values[storage]
         return self._lookup_value(value_id)
 
@@ -319,12 +299,14 @@ class SimulationTrace:
 def trace_cfg_execution(
     block_codes: List[BlockCode],
     environment: Dict[str, int],
+    memory_storages: Iterable[str],
     entry: Optional[str] = None,
     max_steps: int = DEFAULT_STEP_LIMIT,
 ) -> SimulationTrace:
-    """Simulate a program's block codes, recording every executed
-    statement with its block (loop bodies appear once per iteration)."""
-    simulator = RTSimulator(environment)
+    """Simulate a program's block codes on a processor with the memories
+    ``memory_storages``, recording every executed statement with its
+    block (loop bodies appear once per iteration)."""
+    simulator = RTSimulator(environment, memory_storages)
     initial = dict(simulator.environment)
     steps: List[TraceStep] = []
 

@@ -20,12 +20,10 @@ This package is the canonical programmatic surface of the reproduction:
 """
 
 from repro.diagnostics import (
-    CacheError,
     Diagnostic,
     PipelineError,
     ReproError,
     ResultError,
-    RetargetError,
     SourceLocation,
     TargetError,
     error_report,
@@ -67,7 +65,6 @@ from repro.toolchain.selectors import restricted_selector
 from repro.toolchain.session import Session, Toolchain
 
 __all__ = [
-    "CacheError",
     "CompactionPass",
     "CompilationResult",
     "CompilationState",
@@ -85,7 +82,6 @@ __all__ = [
     "ReproError",
     "ResultError",
     "RetargetCache",
-    "RetargetError",
     "PipelineError",
     "SchedulingPass",
     "SelectionPass",

@@ -10,9 +10,10 @@ It carries three layers of information:
 * **views** -- named, human-readable renderings: the instruction
   ``listing``, the binary ``encoding`` (when the encode pass ran) and an
   RT-level ``simulation_trace`` computed through
-  :class:`~repro.sim.rtsim.RTSimulator`;
+  :class:`~repro.sim.rtsim.RTSimulator` on the processor's storages;
 * **artifacts** -- the live IR/backend objects (program, block codes,
-  instruction words, resource binding) for callers that keep processing.
+  instruction words, resource binding, the processor's memory names) for
+  callers that keep processing.
 
 Results serialize losslessly to plain dicts/JSON (:meth:`to_dict` /
 :meth:`to_json`) and back (:meth:`from_dict` / :meth:`from_json`).  A
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.codegen.compaction import InstructionWord, code_size
 from repro.codegen.emitter import format_listing
@@ -132,6 +133,11 @@ class CompilationResult:
     block_codes: Tuple[BlockCode, ...] = field(default=(), repr=False, compare=False)
     words: Tuple[InstructionWord, ...] = field(default=(), repr=False, compare=False)
     binding: Optional[ResourceBinding] = field(default=None, repr=False, compare=False)
+    # The processor's memories; every other storage is a register, which
+    # the simulator lets hold one value.
+    memory_storages: FrozenSet[str] = field(
+        default=frozenset(), repr=False, compare=False
+    )
     # Stored renderings -- populated on detached results so every view
     # survives serialization; live results render from the artifacts.
     stored_listing: Optional[str] = field(default=None, repr=False)
@@ -150,6 +156,7 @@ class CompilationResult:
         program: Program,
         processor: str,
         state: CompilationState,
+        memory_storages: FrozenSet[str],
         binding: Optional[ResourceBinding] = None,
         config: Optional[PipelineConfig] = None,
         trace: Optional[dict] = None,
@@ -195,6 +202,7 @@ class CompilationResult:
             block_codes=tuple(state.block_codes),
             words=tuple(state.words),
             binding=binding,
+            memory_storages=memory_storages,
             trace=trace,
         )
 
@@ -292,8 +300,10 @@ class CompilationResult:
         """Execute the generated code through the RT-level simulator and
         return the :class:`~repro.sim.rtsim.SimulationTrace` (per executed
         statement: the block, operations and environment snapshot; loop
-        bodies appear once per iteration).  Live results only.
-        ``max_steps`` bounds execution (default: the IR step limit)."""
+        bodies appear once per iteration).  A register holds one value:
+        an RT reads what the register holds, stale or not.  Live results
+        only.  ``max_steps`` bounds execution (default: the IR step
+        limit)."""
         self._require_artifacts("block codes (needed for simulation)")
         from repro.ir.program import DEFAULT_STEP_LIMIT
         from repro.sim.rtsim import trace_cfg_execution
@@ -301,6 +311,7 @@ class CompilationResult:
         return trace_cfg_execution(
             list(self.block_codes),
             environment or {},
+            self.memory_storages,
             max_steps=max_steps if max_steps is not None else DEFAULT_STEP_LIMIT,
         )
 
@@ -309,8 +320,17 @@ class CompilationResult:
         environment: Optional[Dict[str, int]] = None,
         max_steps: Optional[int] = None,
     ) -> Dict[str, int]:
-        """The final environment after simulating the generated code."""
-        return self.simulation_trace(environment, max_steps=max_steps).final_environment
+        """The final environment after simulating the generated code, as
+        :meth:`simulation_trace` computes it, without recording the steps."""
+        self._require_artifacts("block codes (needed for simulation)")
+        from repro.ir.program import DEFAULT_STEP_LIMIT
+        from repro.sim.rtsim import RTSimulator
+
+        simulator = RTSimulator(environment or {}, self.memory_storages)
+        return simulator.run_cfg(
+            list(self.block_codes),
+            max_steps=max_steps if max_steps is not None else DEFAULT_STEP_LIMIT,
+        )
 
     # -- serialization ------------------------------------------------------------
 

@@ -29,6 +29,7 @@ from dataclasses import replace as dataclass_replace
 from typing import Dict, Iterable, List, Optional, Union
 
 from repro.frontend.lowering import lower_to_program
+from repro.hdl.ast import ModuleKind
 from repro.ir.binding import (
     ResourceBinding,
     bind_program,
@@ -83,6 +84,13 @@ class Session:
         )
         self._spill_storage = default_data_memory(retarget_result.netlist)
         self._default_storage = default_storage(retarget_result.netlist)
+        # The storages that hold many values; the simulator of every
+        # result treats the others as registers, which hold one.
+        self.memory_storages = frozenset(
+            module.name
+            for module in retarget_result.netlist.sequential_modules()
+            if module.kind == ModuleKind.MEMORY
+        )
         self._hardware_loops = self._resolve_hardware_loops()
         # What the optimizer may introduce on this session's (possibly
         # restricted) grammar; scanned here once, not per compile.
@@ -161,6 +169,7 @@ class Session:
             program=state.program,
             processor=self.processor,
             state=state,
+            memory_storages=self.memory_storages,
             binding=binding,
             config=self.config,
             trace=trace,

@@ -65,23 +65,6 @@ def test_bdd_agrees_with_direct_evaluation(tree, bits):
 
 @settings(max_examples=40, deadline=None)
 @given(tree=_expressions())
-def test_sat_count_matches_truth_table(tree):
-    manager = BDDManager()
-    for name in _NAMES:
-        manager.variable(name)
-    function = _build(manager, tree)
-    expected = 0
-    for index in range(2 ** len(_NAMES)):
-        assignment = {
-            name: bool((index >> position) & 1) for position, name in enumerate(_NAMES)
-        }
-        if _evaluate(tree, assignment):
-            expected += 1
-    assert function.sat_count(nvars=len(_NAMES)) == expected
-
-
-@settings(max_examples=40, deadline=None)
-@given(tree=_expressions())
 def test_one_sat_returns_a_model(tree):
     manager = BDDManager()
     for name in _NAMES:
@@ -92,17 +75,6 @@ def test_one_sat_returns_a_model(tree):
         assert not function.satisfiable()
     else:
         assert function.evaluate(model)
-
-
-@settings(max_examples=40, deadline=None)
-@given(tree=_expressions())
-def test_negation_flips_sat_count(tree):
-    manager = BDDManager()
-    for name in _NAMES:
-        manager.variable(name)
-    function = _build(manager, tree)
-    total = 2 ** len(_NAMES)
-    assert function.sat_count(len(_NAMES)) + (~function).sat_count(len(_NAMES)) == total
 
 
 @settings(max_examples=40, deadline=None)

@@ -169,3 +169,52 @@ class TestLongestAcceptedChain:
 
         with pytest.raises(CodeGenerationError, match="cannot be covered on demo"):
             Session(demo_result).compile(_chain("/"))
+
+
+def _deep_induction_loop(depth):
+    """``i = 0; s = 0; while (i < 3000) { s = s + 1; i = <update>; }``
+    built through the IR API, with an update of ``i`` that is a
+    ``depth``-deep ``add(..., 1)`` chain (the frontend caps a statement
+    at 512 nodes, so only IR-level callers build one)."""
+    from repro.ir import Const, Op, Statement, VarRef
+    from repro.ir.program import BasicBlock, CBranch, Jump, Program
+
+    update = VarRef("i")
+    for _ in range(depth):
+        update = Op("add", (update, Const(1)))
+    return Program(
+        "deep_induction",
+        [
+            BasicBlock("entry", [Statement("i", Const(0)), Statement("s", Const(0))], Jump("head")),
+            BasicBlock("head", [], CBranch(Op("lt", (VarRef("i"), Const(3000))), "body", "done")),
+            BasicBlock(
+                "body",
+                [Statement("s", Op("add", (VarRef("s"), Const(1)))), Statement("i", update)],
+                Jump("head"),
+            ),
+            BasicBlock("done", []),
+        ],
+        scalars=["i", "s"],
+    )
+
+
+class TestDeepInductionUpdate:
+    """The loops stage memoizes trip counts by the induction update and
+    the loop condition; keying on their renderings, not the trees, lets
+    an update of any depth through."""
+
+    @pytest.mark.parametrize("depth", [900, 3000])
+    def test_a_deep_update_compiles_with_its_trip_count(self, ref_result, depth):
+        from repro.toolchain import Session
+
+        program = _deep_induction_loop(depth)
+        result = Session(ref_result).compile_program(program)
+        trips = program.execute({})["s"]
+        assert trips == -(-3000 // depth)
+        assert [loop.trip_count for loop in result.program.hw_loops.values()] == [trips]
+
+    def test_a_deeper_update_hits_the_selector_limit(self, ref_result):
+        from repro.toolchain import Session
+
+        with pytest.raises(ResourceLimitError, match="selector limit"):
+            Session(ref_result).compile_program(_deep_induction_loop(9000))

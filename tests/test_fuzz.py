@@ -38,6 +38,8 @@ from repro.fuzz.oracles import (
     seed_environment,
 )
 
+from helpers import OVERWRITE_SOURCE, overwritten_register_result
+
 SEEDS = range(12)
 
 
@@ -210,6 +212,27 @@ class TestOutcomeClassification:
 # ---------------------------------------------------------------------------
 # campaigns (end to end, against the shared retarget fixtures)
 # ---------------------------------------------------------------------------
+
+
+class TestOraclesReadRegisters:
+    """Every oracle simulates through ``result.simulate``, so a leg whose
+    code reads an overwritten register computes the stale value."""
+
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_an_overwritten_register_is_a_divergence(
+        self, fuzz_harnesses, monkeypatch, oracle
+    ):
+        harness = fuzz_harnesses["tms320c25"]
+        compiled, edited = overwritten_register_result(harness.session_opt, "ACC")
+        monkeypatch.setattr(harness.session_opt, "compile_program", lambda program: edited)
+        for session in (harness.session_noopt, harness.session_interp):
+            monkeypatch.setattr(session, "compile_program", lambda program: compiled)
+        program = lower_to_program(OVERWRITE_SOURCE, name="overwrite")
+        divergence = ORACLES[oracle](harness, program, {"a": 5, "b": 7, "c": 1})
+        assert divergence is not None and divergence.oracle == oracle
+        # Each oracle names the edited leg second, but the matcher first.
+        pair = (4, 11) if oracle == "matcher" else (11, 4)
+        assert "'d': %r" % (pair,) in divergence.detail
 
 
 class TestCampaign:

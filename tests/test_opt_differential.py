@@ -20,28 +20,11 @@ import pytest
 from repro.diagnostics import ReproError
 from repro.dspstone import all_kernel_names, kernel_program, loop_kernel_names
 from repro.frontend.lowering import lower_to_program
+from repro.fuzz.oracles import observables
 from repro.ir.binding import BindingError
-from repro.opt import OPT_TEMP_PREFIXES
 from repro.toolchain import PipelineConfig, Session, default_registry
 
-#: Deterministic simulation environments (several, so a value-dependent
-#: bug cannot hide behind one lucky assignment).  All values non-zero.
-SEEDS = (0, 1, 2)
-
-
-def _environment(program, seed):
-    return {
-        name: (seed * 41 + index * 17 + 3) % 251 + 1
-        for index, name in enumerate(sorted(program.all_variables()))
-    }
-
-
-def _observable(environment):
-    return {
-        name: value
-        for name, value in environment.items()
-        if not name.startswith(OPT_TEMP_PREFIXES)
-    }
+from helpers import SEEDS, seeded_environment
 
 
 def _compile_pair(retarget_result, program):
@@ -65,9 +48,9 @@ def _assert_equivalent_and_never_worse(pair, program, context):
     )
     assert optimized.operation_count <= unoptimized.operation_count, context
     for seed in SEEDS:
-        environment = _environment(program, seed)
-        got = _observable(optimized.simulate(dict(environment)))
-        expected = _observable(unoptimized.simulate(dict(environment)))
+        environment = seeded_environment(program, seed)
+        got = observables(optimized.simulate(dict(environment)))
+        expected = observables(unoptimized.simulate(dict(environment)))
         assert got == expected, context
 
 
@@ -193,10 +176,10 @@ class TestOptimizedAgainstReferenceExecution:
             pytest.skip("%s not compilable on tms320c25" % kernel)
         optimized, _unoptimized = pair
         for seed in SEEDS:
-            environment = _environment(program, seed)
+            environment = seeded_environment(program, seed)
             reference = dict(environment)
             for block in program.blocks:
                 reference = block.execute(reference)
-            simulated = _observable(optimized.simulate(dict(environment)))
+            simulated = observables(optimized.simulate(dict(environment)))
             for name in program.all_variables():
                 assert simulated[name] == reference[name], (kernel, name)

@@ -23,38 +23,24 @@ from repro.analysis.loops import (
 )
 from repro.dspstone import kernel_program, loop_kernel_names
 from repro.frontend.lowering import lower_to_program
+from repro.fuzz.oracles import observables
 from repro.ir.program import BasicBlock, CBranch, Jump, Program, Statement
 from repro.ir.expr import Const, Op, VarRef
-from repro.opt import OPT_TEMP_PREFIXES, OptPipeline, OptRun, optimize_program
+from repro.opt import OptPipeline, OptRun, optimize_program
 from repro.opt.licm import hoist_loop_invariants
 from repro.opt.loops import annotate_hardware_loops, find_counted_loops
 from repro.toolchain import Session
 
-SEEDS = (0, 1, 2)
-
-
-def _environment(program, seed):
-    return {
-        name: (seed * 41 + index * 17 + 3) % 251 + 1
-        for index, name in enumerate(sorted(program.all_variables()))
-    }
-
-
-def _observable(environment):
-    return {
-        name: value
-        for name, value in environment.items()
-        if not name.startswith(OPT_TEMP_PREFIXES)
-    }
+from helpers import SEEDS, seeded_environment
 
 
 def _assert_same_execution(original, transformed):
     """Reference-execute both programs on several environments and demand
     identical observable final states."""
     for seed in SEEDS:
-        environment = _environment(original, seed)
-        expected = _observable(original.execute(dict(environment)))
-        got = _observable(transformed.execute(dict(environment)))
+        environment = seeded_environment(original, seed)
+        expected = observables(original.execute(dict(environment)))
+        got = observables(transformed.execute(dict(environment)))
         # Temporaries aside, every variable of the original must agree.
         for name in original.all_variables():
             assert got[name] == expected[name], (seed, name)
@@ -539,9 +525,9 @@ class TestHardwareLoopsEndToEnd:
         original = kernel_program(kernel)
         result = Session(tms_result).compile_program(kernel_program(kernel))
         for seed in SEEDS:
-            environment = _environment(original, seed)
+            environment = seeded_environment(original, seed)
             reference = original.execute(dict(environment))
-            simulated = _observable(result.simulate(dict(environment)))
+            simulated = observables(result.simulate(dict(environment)))
             for name in original.all_variables():
                 assert simulated[name] == reference[name], (kernel, seed, name)
 
@@ -562,9 +548,9 @@ class TestHardwareLoopsEndToEnd:
         original = lower_to_program(source, name="nested")
         result = Session(tms_result).compile_program(program)
         for seed in SEEDS:
-            environment = _environment(original, seed)
+            environment = seeded_environment(original, seed)
             reference = original.execute(dict(environment))
-            simulated = _observable(result.simulate(dict(environment)))
+            simulated = observables(result.simulate(dict(environment)))
             assert simulated["z"] == reference["z"] == 12
 
 

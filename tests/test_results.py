@@ -15,6 +15,8 @@ from repro.toolchain import (
     StatementArtifact,
 )
 
+from helpers import overwritten_register_result
+
 SOURCE = "int a, b, c, d; d = c + a * b;"
 
 #: A demo-machine source that forces spill insertion (one accumulator,
@@ -98,6 +100,31 @@ class TestViews:
         assert trace.steps[0].operations  # the RT descriptions
         assert trace.to_dict()["final_environment"]["d"] == 11
         assert result.simulate({"a": 2, "b": 5, "c": 1})["d"] == 11
+
+
+class TestSimulatedRegisters:
+    @pytest.mark.parametrize(
+        "target, register", [("demo", "ACC"), ("ref", "R0"), ("tms320c25", "ACC")]
+    )
+    def test_simulate_reads_what_a_register_holds(self, retarget_results, target, register):
+        """A register holds one value: the subtract that defines ``d``
+        reads ``a + b`` from the register, and after an edit that loads
+        ``a`` into it again in between, it reads ``a``, as the hardware
+        would."""
+        session = Session(retarget_results[target])
+        compiled, edited = overwritten_register_result(session, register)
+        environment = {"a": 5, "b": 7, "c": 1}
+        assert compiled.simulate(environment)["d"] == 11
+        # The subtract reads a (5), not a + b (12): d = 5 - 1.
+        assert edited.simulate(environment)["d"] == 4
+        assert edited.simulation_trace(environment).final_environment["d"] == 4
+
+    def test_every_result_carries_its_sessions_memories(self, tms_session, result):
+        assert tms_session.memory_storages == frozenset({"DMEM"})
+        assert result.memory_storages is tms_session.memory_storages
+        data = result.to_dict()
+        assert "memory_storages" not in data
+        assert CompilationResult.from_dict(data).memory_storages == frozenset()
 
 
 class TestSerialization:

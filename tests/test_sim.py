@@ -43,19 +43,27 @@ class TestSimulatorBasics:
         assert result["c"] == 18
 
     def test_spill_instances_are_value_neutral(self):
-        simulator = RTSimulator({"x": 1})
-        spill = RTInstance(kind="spill_store", result_id="tmp:0", result_storage="DMEM")
-        simulator._execute_instance(spill)
+        simulator = RTSimulator({"x": 1}, memory_storages={"DMEM"})
+        store = RTInstance(
+            kind="spill_store", result_id="var:x", result_storage="DMEM",
+            operands=[("var:x", "ACC")],
+        )
+        reload = RTInstance(
+            kind="spill_reload", result_id="var:x", result_storage="ACC",
+            operands=[("var:x", "DMEM")],
+        )
+        simulator._execute_instance(store)
+        simulator._execute_instance(reload)
         assert simulator.environment == {"x": 1}
 
     def test_missing_node_raises(self):
-        simulator = RTSimulator()
+        simulator = RTSimulator({}, memory_storages={"DMEM"})
         broken = RTInstance(kind="rt", result_id="tmp:0", result_storage="ACC")
         with pytest.raises(SimulationError):
             simulator._execute_instance(broken)
 
     def test_undefined_value_raises(self):
-        simulator = RTSimulator()
+        simulator = RTSimulator({}, memory_storages={"DMEM"})
         with pytest.raises(SimulationError):
             simulator._lookup_value("tmp:99")
 

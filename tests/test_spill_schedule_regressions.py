@@ -86,8 +86,8 @@ class TestSpillReloadClobber:
         )
 
     def test_storage_faithful_simulation_is_correct(self):
-        """The RTSimulator regression: in storage-faithful mode the
-        pre-fix sequence computes a stale value for ``out``."""
+        """The RTSimulator regression: a register holds one value, and
+        the pre-fix sequence computes a stale value for ``out``."""
         env = {"a": 11, "b": 23, "c": 40}
         spilled = insert_spills(self._sequence(), spill_storage="DMEM")
         code = StatementCode(statement=None, cost=0, instances=spilled)
